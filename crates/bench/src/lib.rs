@@ -3,22 +3,15 @@
 //! The experiment harness reproducing §7 of *The Spatial Skyline Queries*.
 //!
 //! Each experiment of the paper maps to one function here; the `reproduce`
-//! binary prints them as tables, and the Criterion benches under
-//! `benches/` wrap the timing-sensitive ones. Absolute numbers differ
-//! from the 2006 testbed; the comparisons (who wins, by what factor, in
-//! which direction each curve moves) are the reproduction target — see
-//! EXPERIMENTS.md.
+//! binary prints them as tables. Absolute numbers differ from the 2006
+//! testbed; the comparisons (who wins, by what factor, in which direction
+//! each curve moves) are the reproduction target — see EXPERIMENTS.md.
+//! Measuring the *served* query is a different job, done by the package
+//! under `src/bin/benchmark/` that `BENCHMARK.json` declares.
 
 #![deny(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(clippy::all)]
-
-pub mod hotpath;
-
-pub use hotpath::{
-    dist_per_sec_of, hotpath_json, mean_allocs, mean_qps, mean_simd_qps, run_hotpath,
-    validate_rows, HotpathRow, MIN_HOTPATH_SAMPLES,
-};
 
 use std::time::Instant;
 
@@ -287,427 +280,6 @@ pub fn run_mixed(fix: &Fixture, attr_count: usize, seed: u64) -> MixedRow {
     }
 }
 
-/// One row of the engine throughput-scaling experiment: the same request
-/// stream pushed through [`ssq_engine::Engine`] pools of different sizes.
-#[derive(Clone, Copy, Debug)]
-pub struct ThroughputRow {
-    /// Worker threads in the pool.
-    pub threads: usize,
-    /// Requests served.
-    pub requests: usize,
-    /// Wall-clock service rate.
-    pub reqs_per_sec: f64,
-    /// Median per-query latency, microseconds (bucketed upper bound).
-    pub p50_us: f64,
-    /// 99th-percentile latency, microseconds (bucketed upper bound).
-    pub p99_us: f64,
-    /// Context-cache hit rate over the run.
-    pub cache_hit_rate: f64,
-}
-
-/// Serves `requests` queries (drawn from `distinct` random query sets of
-/// `count` points, so repeats hit the context cache) through an engine
-/// with `threads` workers, and reports the aggregate rates.
-///
-/// `batch == 0` submits every request individually
-/// ([`ssq_engine::Engine::submit`], one queue hop per query); `batch > 0`
-/// chunks the stream into [`ssq_engine::Engine::submit_batch`] calls of
-/// that size, amortizing the queue hop, snapshot pin, and cache probe
-/// across each chunk. Chunks are pool jobs, so they still spread over the
-/// workers.
-#[allow(clippy::too_many_arguments)]
-pub fn run_throughput(
-    points: &[Point],
-    threads: usize,
-    requests: usize,
-    distinct: usize,
-    count: usize,
-    batch: usize,
-    seed: u64,
-) -> ThroughputRow {
-    use ssq_engine::{Engine, EngineConfig, QueryRequest};
-
-    let universe = ssq_geom::Rect::bounding(points.iter().copied());
-    let query_sets: Vec<Vec<Point>> = (0..distinct)
-        .map(|i| {
-            random_query_set(&QueryConfig {
-                count,
-                mbr_area_fraction: 0.001,
-                universe,
-                seed: seed.wrapping_add(i as u64 * 131),
-            })
-        })
-        .collect();
-    let mut rng = Xoshiro256::seed_from_u64(seed ^ 0xBEEF);
-    let mut stream: Vec<QueryRequest> = (0..requests)
-        .map(|_| QueryRequest::new(query_sets[rng.range_usize(distinct)].clone()))
-        .collect();
-
-    let config = EngineConfig::default().with_workers(threads);
-    let engine = Engine::new(points, config).expect("distinct points");
-    let t0 = Instant::now();
-    if batch == 0 {
-        let handles: Vec<_> = stream.into_iter().map(|r| engine.submit(r)).collect();
-        for h in handles {
-            h.wait();
-        }
-    } else {
-        let mut tickets = Vec::new();
-        while !stream.is_empty() {
-            let rest = stream.split_off(batch.min(stream.len()));
-            tickets.push(engine.submit_batch(stream));
-            stream = rest;
-        }
-        for t in tickets {
-            t.wait();
-        }
-    }
-    let elapsed = t0.elapsed().as_secs_f64();
-    let m = engine.metrics();
-    let row = ThroughputRow {
-        threads,
-        requests,
-        reqs_per_sec: requests as f64 / elapsed,
-        p50_us: m.latency.percentile(0.50).as_nanos() as f64 / 1e3,
-        p99_us: m.latency.percentile(0.99).as_nanos() as f64 / 1e3,
-        cache_hit_rate: m.cache_hit_rate(),
-    };
-    engine.shutdown();
-    row
-}
-
-/// [`run_throughput`] over a ladder of pool sizes — the single- vs
-/// multi-thread scaling record. `batch` is forwarded to every rung.
-pub fn throughput_scaling(
-    points: &[Point],
-    threads: &[usize],
-    requests: usize,
-    distinct: usize,
-    batch: usize,
-    seed: u64,
-) -> Vec<ThroughputRow> {
-    threads
-        .iter()
-        .map(|&t| run_throughput(points, t, requests, distinct, 5, batch, seed))
-        .collect()
-}
-
-/// One row of the sharded scaling ladder: the same stream served by a
-/// [`ssq_shard::ShardedEngine`] with a given shard count.
-#[derive(Clone, Copy, Debug)]
-pub struct ShardedThroughputRow {
-    /// Target shard count.
-    pub shards: usize,
-    /// Requests served.
-    pub requests: usize,
-    /// Wall-clock service rate.
-    pub reqs_per_sec: f64,
-    /// Median end-to-end latency, microseconds (bucketed upper bound).
-    pub p50_us: f64,
-    /// 99th-percentile latency, microseconds (bucketed upper bound).
-    pub p99_us: f64,
-    /// Mean shards executed per query.
-    pub mean_fanout: f64,
-    /// Fraction of shard visits skipped by the dominance bound.
-    pub prune_rate: f64,
-    /// Total shard visits skipped over the run.
-    pub shards_pruned: u64,
-}
-
-/// `distinct` small-MBR query sets placed uniformly in the data universe.
-pub fn uniform_query_sets(
-    points: &[Point],
-    distinct: usize,
-    count: usize,
-    seed: u64,
-) -> Vec<Vec<Point>> {
-    let universe = ssq_geom::Rect::bounding(points.iter().copied());
-    (0..distinct)
-        .map(|i| {
-            random_query_set(&QueryConfig {
-                count,
-                mbr_area_fraction: 0.001,
-                universe,
-                seed: seed.wrapping_add(i as u64 * 131),
-            })
-        })
-        .collect()
-}
-
-/// `distinct` query sets crowded into the low corner of the universe
-/// (a box covering ~1% of each axis) — the workload where the shard
-/// router's dominance bound prunes most aggressively, since the corner
-/// shard's skyline dominates every far shard's best-possible vectors.
-pub fn corner_query_sets(
-    points: &[Point],
-    distinct: usize,
-    count: usize,
-    seed: u64,
-) -> Vec<Vec<Point>> {
-    let universe = ssq_geom::Rect::bounding(points.iter().copied());
-    let corner = ssq_geom::Rect::from_corners(
-        universe.min,
-        Point::new(
-            universe.min.x + universe.width() * 0.01,
-            universe.min.y + universe.height() * 0.01,
-        ),
-    );
-    let mut rng = Xoshiro256::seed_from_u64(seed ^ 0xC04E);
-    (0..distinct)
-        .map(|_| {
-            (0..count)
-                .map(|_| {
-                    Point::new(
-                        rng.range_f64(corner.min.x, corner.max.x),
-                        rng.range_f64(corner.min.y, corner.max.y),
-                    )
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Serves `requests` queries (sampled from `query_sets`) through a
-/// sharded engine with `shards` shards, driven by `clients` concurrent
-/// client threads, and reports rates plus routing behaviour.
-pub fn run_sharded_throughput(
-    points: &[Point],
-    shards: usize,
-    clients: usize,
-    query_sets: &[Vec<Point>],
-    requests: usize,
-    seed: u64,
-) -> ShardedThroughputRow {
-    use ssq_shard::{PartitionPolicy, ShardConfig, ShardedEngine};
-
-    let config = ShardConfig::default()
-        .with_shards(shards)
-        .with_policy(PartitionPolicy::Grid);
-    let engine = ShardedEngine::new(points, config).expect("valid sharded config");
-    let clients = clients.max(1);
-
-    let t0 = Instant::now();
-    std::thread::scope(|scope| {
-        let engine = &engine;
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                // Every client replays the same deterministic sample
-                // stream and serves the indices congruent to it.
-                scope.spawn(move || {
-                    let mut rng = Xoshiro256::seed_from_u64(seed ^ 0xBEEF);
-                    for i in 0..requests {
-                        let q = &query_sets[rng.range_usize(query_sets.len())];
-                        if i % clients == c {
-                            engine.query(q).expect("sharded query failed");
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("client thread panicked");
-        }
-    });
-    let elapsed = t0.elapsed().as_secs_f64();
-
-    let m = engine.metrics();
-    let row = ShardedThroughputRow {
-        shards,
-        requests,
-        reqs_per_sec: requests as f64 / elapsed,
-        p50_us: m.latency.percentile(0.50).as_nanos() as f64 / 1e3,
-        p99_us: m.latency.percentile(0.99).as_nanos() as f64 / 1e3,
-        mean_fanout: m.mean_fanout(),
-        prune_rate: m.prune_rate(),
-        shards_pruned: m.shards_pruned,
-    };
-    engine.shutdown();
-    row
-}
-
-/// [`run_sharded_throughput`] over a ladder of shard counts — the
-/// sharded counterpart of [`throughput_scaling`].
-pub fn sharded_scaling(
-    points: &[Point],
-    shard_counts: &[usize],
-    clients: usize,
-    requests: usize,
-    distinct: usize,
-    seed: u64,
-) -> Vec<ShardedThroughputRow> {
-    let query_sets = uniform_query_sets(points, distinct, 5, seed);
-    shard_counts
-        .iter()
-        .map(|&s| run_sharded_throughput(points, s, clients, &query_sets, requests, seed))
-        .collect()
-}
-
-/// One row of the swap-under-load experiment: the same mid-stream
-/// dataset replacement served either as a **live** snapshot-catalog swap
-/// ([`ssq_engine::Engine::reindex`]) or as a **cold restart**
-/// (drain every in-flight query, drop the engine, rebuild from scratch,
-/// then resume). Latencies are *client-observed* — measured around
-/// `submit` + `wait` at the call site — because the engine's own
-/// histogram excludes queue wait and any restart stall, which is exactly
-/// the cost this experiment exists to show.
-#[derive(Clone, Copy, Debug)]
-pub struct SwapRow {
-    /// `true` for the cold-restart arm, `false` for the live swap.
-    pub cold_restart: bool,
-    /// Requests served across the run (the swap lands halfway).
-    pub requests: usize,
-    /// Wall-clock service rate.
-    pub reqs_per_sec: f64,
-    /// Median client-observed latency, microseconds (bucketed upper
-    /// bound).
-    pub p50_us: f64,
-    /// 99th-percentile client-observed latency, microseconds.
-    pub p99_us: f64,
-    /// The single worst client-observed latency, milliseconds — the
-    /// stall a user at the wrong moment actually ate.
-    pub max_stall_ms: f64,
-    /// How long the dataset replacement itself took, milliseconds.
-    pub swap_ms: f64,
-}
-
-/// Serves `requests` queries from `clients` concurrent client threads
-/// and replaces the dataset with `new_points` halfway through — live
-/// catalog swap when `cold_restart` is false, drain-and-rebuild when
-/// true. In both arms every response's skyline ids are checked against
-/// the dataset size of the generation it reports.
-#[allow(clippy::too_many_arguments)]
-pub fn run_swap_under_load(
-    old_points: &[Point],
-    new_points: &[Point],
-    threads: usize,
-    clients: usize,
-    requests: usize,
-    distinct: usize,
-    seed: u64,
-    cold_restart: bool,
-) -> SwapRow {
-    use ssq_engine::{Engine, EngineConfig, LatencyHistogram, QueryRequest};
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-    use std::sync::RwLock;
-
-    let universe = ssq_geom::Rect::bounding(old_points.iter().chain(new_points).copied());
-    let query_sets: Vec<Vec<Point>> = (0..distinct)
-        .map(|i| {
-            random_query_set(&QueryConfig {
-                count: 5,
-                mbr_area_fraction: 0.001,
-                universe,
-                seed: seed.wrapping_add(i as u64 * 131),
-            })
-        })
-        .collect();
-    let config = EngineConfig::default().with_workers(threads.max(1));
-    // Both arms go through the same slot so the client code path is
-    // identical; only the replacement strategy differs. The live arm
-    // never takes the write lock — reindex works through `&Engine`.
-    let slot = RwLock::new(Engine::new(old_points, config.clone()).expect("distinct points"));
-    let observed = LatencyHistogram::new();
-    let started = AtomicUsize::new(0);
-    let max_nanos = AtomicU64::new(0);
-    let swap_at = requests / 2;
-    let clients = clients.max(1);
-
-    let t0 = Instant::now();
-    let swap_ms = std::thread::scope(|scope| {
-        let slot = &slot;
-        let observed = &observed;
-        let started = &started;
-        let max_nanos = &max_nanos;
-        let query_sets = &query_sets;
-        for c in 0..clients {
-            scope.spawn(move || {
-                let mut rng = Xoshiro256::seed_from_u64(seed ^ 0x53_57 ^ c as u64);
-                loop {
-                    if started.fetch_add(1, Ordering::Relaxed) >= requests {
-                        break;
-                    }
-                    let q = query_sets[rng.range_usize(query_sets.len())].clone();
-                    let t = Instant::now();
-                    let r = {
-                        let engine = slot.read().unwrap();
-                        engine.submit(QueryRequest::new(q)).wait()
-                    };
-                    let dt = t.elapsed();
-                    observed.record(dt);
-                    let nanos = u64::try_from(dt.as_nanos()).unwrap_or(u64::MAX);
-                    max_nanos.fetch_max(nanos, Ordering::Relaxed);
-                    let limit = if r.generation == 0 {
-                        old_points.len()
-                    } else {
-                        new_points.len()
-                    };
-                    assert!(
-                        r.skyline.iter().all(|&i| (i as usize) < limit),
-                        "response ids exceed generation {} dataset",
-                        r.generation
-                    );
-                }
-            });
-        }
-        while started.load(Ordering::Relaxed) < swap_at {
-            std::thread::yield_now();
-        }
-        let ts = Instant::now();
-        if cold_restart {
-            // Write lock = drain: acquired only once every in-flight
-            // query (read lock) finishes; clients then block until the
-            // rebuilt engine is published. The replacement starts at
-            // generation 1 so responses keep reporting which dataset
-            // they were answered against.
-            let replacement = ssq_engine::Snapshot::build(1, new_points).expect("distinct points");
-            let mut engine = slot.write().unwrap();
-            let old = std::mem::replace(
-                &mut *engine,
-                Engine::with_snapshot(std::sync::Arc::new(replacement), config.clone())
-                    .expect("valid config"),
-            );
-            old.shutdown();
-        } else {
-            let engine = slot.read().unwrap();
-            engine.reindex(new_points).expect("reindex failed");
-        }
-        ts.elapsed().as_secs_f64() * 1e3
-    });
-    let elapsed = t0.elapsed().as_secs_f64();
-
-    let snap = observed.snapshot();
-    SwapRow {
-        cold_restart,
-        requests,
-        reqs_per_sec: requests as f64 / elapsed,
-        p50_us: snap.percentile(0.50).as_nanos() as f64 / 1e3,
-        p99_us: snap.percentile(0.99).as_nanos() as f64 / 1e3,
-        max_stall_ms: max_nanos.load(Ordering::Relaxed) as f64 / 1e6,
-        swap_ms,
-    }
-}
-
-/// Both arms of the swap experiment on the same datasets and stream:
-/// `(live, cold)`.
-#[allow(clippy::too_many_arguments)]
-pub fn swap_comparison(
-    old_points: &[Point],
-    new_points: &[Point],
-    threads: usize,
-    clients: usize,
-    requests: usize,
-    distinct: usize,
-    seed: u64,
-) -> (SwapRow, SwapRow) {
-    let live = run_swap_under_load(
-        old_points, new_points, threads, clients, requests, distinct, seed, false,
-    );
-    let cold = run_swap_under_load(
-        old_points, new_points, threads, clients, requests, distinct, seed, true,
-    );
-    (live, cold)
-}
-
 /// Prints the Table 5 substitute: the synthetic dataset's category mix.
 pub fn table5(n: usize, seed: u64) -> Vec<(String, usize, f64)> {
     let data = synthetic_usgs(&UsgsConfig {
@@ -763,102 +335,6 @@ mod tests {
         let fix = Fixture::usgs(300, 4);
         let row = run_mixed(&fix, 2, 21);
         assert!(row.mixed_size >= row.static_size.max(row.spatial_size));
-    }
-
-    #[test]
-    fn throughput_runner_smoke() {
-        let fix = Fixture::usgs(600, 6);
-        let row = run_throughput(&fix.points, 2, 64, 8, 5, 0, 31);
-        assert_eq!(row.threads, 2);
-        assert_eq!(row.requests, 64);
-        assert!(row.reqs_per_sec > 0.0);
-        assert!(row.p99_us >= row.p50_us);
-        // 64 requests over 8 distinct query sets must produce hits.
-        assert!(row.cache_hit_rate > 0.0);
-    }
-
-    #[test]
-    fn batched_throughput_runner_smoke() {
-        let fix = Fixture::usgs(600, 6);
-        let row = run_throughput(&fix.points, 2, 64, 8, 5, 16, 31);
-        assert_eq!(row.requests, 64);
-        assert!(row.reqs_per_sec > 0.0);
-        assert!(row.p99_us >= row.p50_us);
-        // The batch memo answers repeats inside a chunk as cache hits,
-        // so the hit rate stays observable.
-        assert!(row.cache_hit_rate > 0.0);
-    }
-
-    #[test]
-    fn multi_thread_throughput_beats_single_thread() {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if cores < 4 {
-            // Scaling cannot be observed without real parallelism; the
-            // smoke test above still covers correctness.
-            return;
-        }
-        let fix = Fixture::usgs(2500, 8);
-        // Warm-up build pass keeps page-cache noise out of the record.
-        run_throughput(&fix.points, 1, 50, 4, 5, 0, 17);
-        let single = run_throughput(&fix.points, 1, 1200, 16, 5, 0, 17);
-        let multi = run_throughput(&fix.points, 4, 1200, 16, 5, 0, 17);
-        assert!(
-            multi.reqs_per_sec > single.reqs_per_sec,
-            "4 workers ({:.0} req/s) not faster than 1 ({:.0} req/s)",
-            multi.reqs_per_sec,
-            single.reqs_per_sec
-        );
-    }
-
-    #[test]
-    fn sharded_runner_smoke() {
-        let fix = Fixture::usgs(800, 9);
-        let sets = uniform_query_sets(&fix.points, 8, 5, 23);
-        let row = run_sharded_throughput(&fix.points, 4, 2, &sets, 64, 23);
-        assert_eq!(row.shards, 4);
-        assert_eq!(row.requests, 64);
-        assert!(row.reqs_per_sec > 0.0);
-        assert!(row.p99_us >= row.p50_us);
-        assert!(row.mean_fanout >= 1.0 && row.mean_fanout <= 4.0);
-    }
-
-    #[test]
-    fn corner_workload_makes_pruning_observable() {
-        let fix = Fixture::usgs(1200, 10);
-        let sets = corner_query_sets(&fix.points, 8, 4, 29);
-        let row = run_sharded_throughput(&fix.points, 8, 2, &sets, 48, 29);
-        assert!(
-            row.shards_pruned > 0,
-            "corner queries pruned nothing (fan-out {:.2})",
-            row.mean_fanout
-        );
-        assert!(row.prune_rate > 0.0);
-    }
-
-    #[test]
-    fn sharded_ladder_covers_requested_counts() {
-        let fix = Fixture::usgs(600, 11);
-        let rows = sharded_scaling(&fix.points, &[1, 2, 4], 2, 32, 6, 37);
-        let shards: Vec<usize> = rows.iter().map(|r| r.shards).collect();
-        assert_eq!(shards, vec![1, 2, 4]);
-        for r in &rows {
-            assert!(r.reqs_per_sec > 0.0);
-        }
-    }
-
-    #[test]
-    fn swap_under_load_smoke() {
-        let old = Fixture::usgs(500, 12).points;
-        let new = Fixture::usgs(700, 13).points;
-        let live = run_swap_under_load(&old, &new, 2, 2, 80, 8, 41, false);
-        assert!(!live.cold_restart);
-        assert_eq!(live.requests, 80);
-        assert!(live.reqs_per_sec > 0.0);
-        assert!(live.p99_us >= live.p50_us);
-        assert!(live.swap_ms > 0.0);
-        let cold = run_swap_under_load(&old, &new, 2, 2, 80, 8, 41, true);
-        assert!(cold.cold_restart);
-        assert!(cold.max_stall_ms > 0.0);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use ssq_rtree::{Entry, NodeId};
 
 use crate::heap::MinHeap;
 use crate::index::RTreeIndex;
-use crate::query::{dominated_by_any, QueryContext};
+use crate::query::QueryContext;
 use crate::scratch::DistanceScratch;
 use crate::stats::{QueryStats, SkylineResult};
 
@@ -29,15 +29,30 @@ enum Work {
     Point(u32, Rect),
 }
 
-/// Runs B²S² over the R-tree index.
+/// Runs B²S² over the R-tree index: [`b2s2_kernel`] on a throw-away
+/// arena, for callers with no per-worker [`DistanceScratch`] to reuse.
 pub fn b2s2(index: &RTreeIndex, ctx: &QueryContext) -> SkylineResult {
+    b2s2_kernel(index, ctx, &mut DistanceScratch::new())
+}
+
+/// B²S² over the caller's scratch arena. Skyline distance vectors live as
+/// **squared**-distance rows of the arena (the dominance relation is
+/// unchanged under squaring, see [`ssq_geom::kernel`]), so a warm arena
+/// serves a query without per-point allocations. Heap keys stay the *true*
+/// `mindist` sums — BBS-style popped-point finality needs dominators to
+/// pop first, which the true-sum order guarantees directly.
+pub fn b2s2_kernel(
+    index: &RTreeIndex,
+    ctx: &QueryContext,
+    scratch: &mut DistanceScratch,
+) -> SkylineResult {
     let mut stats = QueryStats::default();
     index.tree().reset_node_accesses();
     let anchors = ctx.anchors();
+    scratch.begin(anchors.len());
 
     // Fig. 5 line 03: B starts as the MBR of the root (the data universe).
     let mut b = index.universe();
-    let mut skyline: Vec<(u32, Vec<f64>)> = Vec::new();
     let mut heap: MinHeap<Work> = MinHeap::new();
     if let Some(root) = index.tree().root() {
         heap.push(0.0, Work::Node(root, index.universe()));
@@ -55,11 +70,14 @@ pub fn b2s2(index: &RTreeIndex, ctx: &QueryContext) -> SkylineResult {
                 // Line 08: points inside CH(Q) are skyline by Theorem 1.
                 let certain = ctx.hull().contains(p);
                 stats.points_examined += 1;
-                let v = ctx.dist_vector(p, &mut stats);
-                if certain || !dominated_by_any(&v, &skyline, &mut stats) {
-                    skyline.push((i, v));
+                // Stage the row, then keep or retract it.
+                scratch.push_row(i, certain, p, anchors);
+                stats.distance_computations += anchors.len() as u64;
+                if certain || !scratch.last_dominated(&mut stats) {
                     // Line 12: B = B ∩ MBR(SR(p, Q)).
                     b = b.intersection(&search_region_mbr(p, anchors));
+                } else {
+                    scratch.pop_row();
                 }
             }
             Work::Node(id, mbr) => {
@@ -69,7 +87,7 @@ pub fn b2s2(index: &RTreeIndex, ctx: &QueryContext) -> SkylineResult {
                 // Line 08-09 re-check on removal: inside hull, or not
                 // dominated by the (possibly grown) skyline.
                 if !ctx.hull().contains_rect(&mbr)
-                    && rect_dominated(&mbr, &skyline, ctx, &mut stats)
+                    && scratch.rect_dominated_sq(&mbr, anchors, &mut stats)
                 {
                     continue;
                 }
@@ -80,88 +98,6 @@ pub fn b2s2(index: &RTreeIndex, ctx: &QueryContext) -> SkylineResult {
                         continue;
                     }
                     // Lines 16-17: inside CH(Q) skips the dominance test.
-                    if !ctx.hull().contains_rect(&embr)
-                        && rect_dominated(&embr, &skyline, ctx, &mut stats)
-                    {
-                        continue;
-                    }
-                    let key = embr.mindist_sum(anchors);
-                    stats.distance_computations += anchors.len() as u64;
-                    match e {
-                        Entry::Node { child, .. } => heap.push(key, Work::Node(child, embr)),
-                        Entry::Item { item, .. } => heap.push(key, Work::Point(item, embr)),
-                    }
-                }
-            }
-        }
-    }
-
-    stats.node_accesses = index.tree().node_accesses();
-    let mut ids: Vec<u32> = skyline.into_iter().map(|(i, _)| i).collect();
-    ids.sort_unstable();
-    SkylineResult {
-        skyline: ids,
-        stats,
-    }
-}
-
-/// The kernel-path B²S²: identical traversal and output to [`b2s2`], but
-/// skyline distance vectors live as **squared**-distance rows of the
-/// scratch arena (the dominance relation is unchanged under squaring, see
-/// [`ssq_geom::kernel`]), so the per-point `Vec` allocations of the scalar
-/// path disappear. Heap keys stay the *true* `mindist` sums — BBS-style
-/// popped-point finality needs dominators to pop first, which the true-sum
-/// order guarantees directly.
-pub fn b2s2_kernel(
-    index: &RTreeIndex,
-    ctx: &QueryContext,
-    scratch: &mut DistanceScratch,
-) -> SkylineResult {
-    let mut stats = QueryStats::default();
-    index.tree().reset_node_accesses();
-    let anchors = ctx.anchors();
-    scratch.begin(anchors.len());
-
-    let mut b = index.universe();
-    let mut heap: MinHeap<Work> = MinHeap::new();
-    if let Some(root) = index.tree().root() {
-        heap.push(0.0, Work::Node(root, index.universe()));
-    }
-
-    while let Some((_, work)) = heap.pop() {
-        stats.entries_visited += 1;
-        match work {
-            Work::Point(i, mbr) => {
-                if !mbr.intersects(&b) {
-                    continue;
-                }
-                let p = index.point(i);
-                let certain = ctx.hull().contains(p);
-                stats.points_examined += 1;
-                // Stage the row, then keep or retract it — the arena's
-                // last row plays the role of the scalar path's `v`.
-                scratch.push_row(i, certain, p, anchors);
-                stats.distance_computations += anchors.len() as u64;
-                if certain || !scratch.last_dominated(&mut stats) {
-                    b = b.intersection(&search_region_mbr(p, anchors));
-                } else {
-                    scratch.pop_row();
-                }
-            }
-            Work::Node(id, mbr) => {
-                if !mbr.intersects(&b) {
-                    continue;
-                }
-                if !ctx.hull().contains_rect(&mbr)
-                    && scratch.rect_dominated_sq(&mbr, anchors, &mut stats)
-                {
-                    continue;
-                }
-                for e in index.tree().entries(id) {
-                    let embr = e.mbr();
-                    if !embr.intersects(&b) {
-                        continue;
-                    }
                     if !ctx.hull().contains_rect(&embr)
                         && scratch.rect_dominated_sq(&embr, anchors, &mut stats)
                     {
@@ -182,30 +118,6 @@ pub fn b2s2_kernel(
     let skyline = scratch.ids_sorted().to_vec();
     stats.allocations += scratch.take_allocations();
     SkylineResult { skyline, stats }
-}
-
-/// Dominance test for a rectangle against the skyline over the hull
-/// vertices only: dominated by `s` iff the rectangle misses every circle
-/// `C(q, D(s, q))`, `q ∈ CHv(Q)` (paper §4.1).
-fn rect_dominated(
-    mbr: &Rect,
-    skyline: &[(u32, Vec<f64>)],
-    ctx: &QueryContext,
-    stats: &mut QueryStats,
-) -> bool {
-    for (_, sv) in skyline {
-        stats.dominance_checks += 1;
-        stats.distance_computations += ctx.anchors().len() as u64;
-        let dominated = ctx
-            .anchors()
-            .iter()
-            .zip(sv)
-            .all(|(&q, &d)| mbr.mindist(q) > d);
-        if dominated {
-            return true;
-        }
-    }
-    false
 }
 
 #[cfg(test)]
@@ -300,37 +212,5 @@ mod tests {
         assert!(b2s2(&idx, &ctx).skyline.is_empty());
         let mut scratch = DistanceScratch::new();
         assert!(b2s2_kernel(&idx, &ctx, &mut scratch).skyline.is_empty());
-    }
-
-    #[test]
-    fn kernel_variant_mirrors_the_scalar_traversal() {
-        // Same heap keys, same pruning decisions: the kernel path must
-        // reproduce not just the skyline but the work counters too.
-        let mut scratch = DistanceScratch::new();
-        for trial in 0..12 {
-            let points = pseudorandom(150, 300 + trial);
-            let q = pseudorandom(2 + (trial as usize % 6), 7000 + trial);
-            let ctx = QueryContext::new(&q);
-            let idx = RTreeIndex::with_config(&points, ssq_rtree::RTreeConfig::with_max_entries(4));
-            let scalar = b2s2(&idx, &ctx);
-            let kernel = b2s2_kernel(&idx, &ctx, &mut scratch);
-            assert_eq!(scalar.skyline, kernel.skyline, "trial {trial}");
-            assert_eq!(
-                scalar.stats.dominance_checks, kernel.stats.dominance_checks,
-                "trial {trial}"
-            );
-            assert_eq!(
-                scalar.stats.entries_visited, kernel.stats.entries_visited,
-                "trial {trial}"
-            );
-            // Trial 0 warms the arena (growth events are counted as
-            // allocations); warm trials must not exceed the scalar path.
-            if trial > 0 {
-                assert!(
-                    kernel.stats.allocations <= scalar.stats.allocations,
-                    "trial {trial}"
-                );
-            }
-        }
     }
 }

@@ -3,7 +3,7 @@
 use crate::cache::ContextCache;
 use crate::metrics::{EngineMetrics, MetricsSnapshot};
 use crate::planner::{Algorithm, Planner};
-use crate::pool::{TrySubmitError, WorkerPool, WorkerState};
+use crate::pool::{Job, TrySubmitError, WorkerPool, WorkerState};
 use crate::snapshot::{Snapshot, SnapshotCatalog, StaleSnapshot};
 use crate::sync::{
     lock_unpoisoned, wait_timeout_unpoisoned, wait_unpoisoned, RankedMutex, RANK_DIAGRAM,
@@ -1026,6 +1026,68 @@ impl Engine {
         Ok(())
     }
 
+    /// Wraps `work` as a pool job that resolves its snapshot on the worker
+    /// — the caller's `pin`, else the catalog's current one, so the
+    /// generation is pinned at dequeue time, not at submission — and
+    /// delivers the result through the returned ticket.
+    fn pool_job<T: Send + 'static>(
+        &self,
+        pin: Option<Arc<Snapshot>>,
+        work: impl FnOnce(&Arc<EngineShared>, &Arc<Snapshot>, &mut WorkerState) -> T + Send + 'static,
+    ) -> (Ticket<T>, Job) {
+        let (ticket, cell) = Ticket::new();
+        let shared = Arc::clone(&self.shared);
+        let job = Box::new(move |state: &mut WorkerState| {
+            let snapshot = pin.unwrap_or_else(|| shared.catalog.current());
+            cell.fill(work(&shared, &snapshot, state));
+        });
+        (ticket, job)
+    }
+
+    /// The job behind `submit` / `try_submit` / `submit_on`.
+    fn single_job(&self, pin: Option<Arc<Snapshot>>, request: QueryRequest) -> (QueryHandle, Job) {
+        assert_non_empty(std::slice::from_ref(&request));
+        self.pool_job(pin, move |shared, snapshot, state| {
+            answer(shared, snapshot, &request, None, state)
+        })
+    }
+
+    /// The job behind the three `submit_batch*` functions. An empty batch
+    /// gets its ticket filled here and no job: it never reaches the queue.
+    fn batch_job(
+        &self,
+        pin: Option<Arc<Snapshot>>,
+        requests: Vec<QueryRequest>,
+    ) -> (BatchTicket, Option<Job>) {
+        assert_non_empty(&requests);
+        if requests.is_empty() {
+            let (ticket, cell) = Ticket::new();
+            cell.fill(Vec::new());
+            return (ticket, None);
+        }
+        let (ticket, job) = self.pool_job(pin, move |shared, snapshot, state| {
+            run_batch(shared, snapshot, &requests, state)
+        });
+        (ticket, Some(job))
+    }
+
+    /// Queues `job`, blocking while the job queue is full.
+    fn send(&self, job: Job) {
+        let submitted = self.pool.submit(job);
+        assert!(
+            submitted.is_ok(),
+            "engine pool closed while the engine was alive"
+        );
+    }
+
+    /// Queues `job` unless the job queue is full or closed.
+    fn try_send(&self, job: Job) -> Result<(), EngineError> {
+        self.pool.try_submit(job).map_err(|e| match e {
+            TrySubmitError::Full => EngineError::QueueFull,
+            TrySubmitError::Closed => EngineError::Closed,
+        })
+    }
+
     /// Submits one query; blocks only while the job queue is full.
     ///
     /// The snapshot generation is pinned *at dequeue time*: the worker
@@ -1037,22 +1099,8 @@ impl Engine {
     ///
     /// Panics if the request's query set is empty.
     pub fn submit(&self, request: QueryRequest) -> QueryHandle {
-        assert!(
-            !request.query.is_empty(),
-            "a spatial skyline query needs at least one query point"
-        );
-        let (ticket, cell) = Ticket::new();
-        let shared = Arc::clone(&self.shared);
-        let submitted = self.pool.submit(Box::new(move |state: &mut WorkerState| {
-            // Dequeue-time pin: the clone happens on the worker,
-            // not at submission.
-            let snapshot = shared.catalog.current();
-            run_query(&shared, &snapshot, request, &cell, state);
-        }));
-        assert!(
-            submitted.is_ok(),
-            "engine pool closed while the engine was alive"
-        );
+        let (ticket, job) = self.single_job(None, request);
+        self.send(job);
         ticket
     }
 
@@ -1068,21 +1116,8 @@ impl Engine {
     ///
     /// Panics if the request's query set is empty.
     pub fn try_submit(&self, request: QueryRequest) -> Result<QueryHandle, EngineError> {
-        assert!(
-            !request.query.is_empty(),
-            "a spatial skyline query needs at least one query point"
-        );
-        let (ticket, cell) = Ticket::new();
-        let shared = Arc::clone(&self.shared);
-        self.pool
-            .try_submit(Box::new(move |state: &mut WorkerState| {
-                let snapshot = shared.catalog.current();
-                run_query(&shared, &snapshot, request, &cell, state);
-            }))
-            .map_err(|e| match e {
-                TrySubmitError::Full => EngineError::QueueFull,
-                TrySubmitError::Closed => EngineError::Closed,
-            })?;
+        let (ticket, job) = self.single_job(None, request);
+        self.try_send(job)?;
         Ok(ticket)
     }
 
@@ -1098,19 +1133,8 @@ impl Engine {
     ///
     /// Panics if the request's query set is empty.
     pub fn submit_on(&self, request: QueryRequest, snapshot: Arc<Snapshot>) -> QueryHandle {
-        assert!(
-            !request.query.is_empty(),
-            "a spatial skyline query needs at least one query point"
-        );
-        let (ticket, cell) = Ticket::new();
-        let shared = Arc::clone(&self.shared);
-        let submitted = self.pool.submit(Box::new(move |state: &mut WorkerState| {
-            run_query(&shared, &snapshot, request, &cell, state)
-        }));
-        assert!(
-            submitted.is_ok(),
-            "engine pool closed while the engine was alive"
-        );
+        let (ticket, job) = self.single_job(Some(snapshot), request);
+        self.send(job);
         ticket
     }
 
@@ -1133,26 +1157,10 @@ impl Engine {
     ///
     /// Panics if any request's query set is empty.
     pub fn submit_batch(&self, requests: Vec<QueryRequest>) -> BatchTicket {
-        for r in &requests {
-            assert!(
-                !r.query.is_empty(),
-                "a spatial skyline query needs at least one query point"
-            );
+        let (ticket, job) = self.batch_job(None, requests);
+        if let Some(job) = job {
+            self.send(job);
         }
-        let (ticket, cell) = Ticket::new();
-        if requests.is_empty() {
-            cell.fill(Vec::new());
-            return ticket;
-        }
-        let shared = Arc::clone(&self.shared);
-        let submitted = self.pool.submit(Box::new(move |state: &mut WorkerState| {
-            let snapshot = shared.catalog.current();
-            cell.fill(run_batch(&shared, &snapshot, requests, state));
-        }));
-        assert!(
-            submitted.is_ok(),
-            "engine pool closed while the engine was alive"
-        );
         ticket
     }
 
@@ -1167,27 +1175,10 @@ impl Engine {
         &self,
         requests: Vec<QueryRequest>,
     ) -> Result<BatchTicket, EngineError> {
-        for r in &requests {
-            assert!(
-                !r.query.is_empty(),
-                "a spatial skyline query needs at least one query point"
-            );
+        let (ticket, job) = self.batch_job(None, requests);
+        if let Some(job) = job {
+            self.try_send(job)?;
         }
-        let (ticket, cell) = Ticket::new();
-        if requests.is_empty() {
-            cell.fill(Vec::new());
-            return Ok(ticket);
-        }
-        let shared = Arc::clone(&self.shared);
-        self.pool
-            .try_submit(Box::new(move |state: &mut WorkerState| {
-                let snapshot = shared.catalog.current();
-                cell.fill(run_batch(&shared, &snapshot, requests, state));
-            }))
-            .map_err(|e| match e {
-                TrySubmitError::Full => EngineError::QueueFull,
-                TrySubmitError::Closed => EngineError::Closed,
-            })?;
         Ok(ticket)
     }
 
@@ -1203,25 +1194,10 @@ impl Engine {
         requests: Vec<QueryRequest>,
         snapshot: Arc<Snapshot>,
     ) -> BatchTicket {
-        for r in &requests {
-            assert!(
-                !r.query.is_empty(),
-                "a spatial skyline query needs at least one query point"
-            );
+        let (ticket, job) = self.batch_job(Some(snapshot), requests);
+        if let Some(job) = job {
+            self.send(job);
         }
-        let (ticket, cell) = Ticket::new();
-        if requests.is_empty() {
-            cell.fill(Vec::new());
-            return ticket;
-        }
-        let shared = Arc::clone(&self.shared);
-        let submitted = self.pool.submit(Box::new(move |state: &mut WorkerState| {
-            cell.fill(run_batch(&shared, &snapshot, requests, state));
-        }));
-        assert!(
-            submitted.is_ok(),
-            "engine pool closed while the engine was alive"
-        );
         ticket
     }
 
@@ -1446,31 +1422,58 @@ fn build_and_publish_diagram(shared: &EngineShared) {
     }
 }
 
-fn run_query(
+fn assert_non_empty(requests: &[QueryRequest]) {
+    for r in requests {
+        assert!(
+            !r.query.is_empty(),
+            "a spatial skyline query needs at least one query point"
+        );
+    }
+}
+
+/// Contexts already resolved for earlier requests of the same batch.
+type BatchMemo = Vec<(Vec<Point>, Arc<QueryContext>)>;
+
+/// Answers one request on the calling worker: diagram probe, else context
+/// (from `memo` when an earlier request of the batch had the same query
+/// set, else the shared cache — probed and counted once), then
+/// [`execute`]. Single submissions pass no memo.
+fn answer(
     shared: &Arc<EngineShared>,
     snapshot: &Arc<Snapshot>,
-    request: QueryRequest,
-    cell: &Cell<QueryResponse>,
+    request: &QueryRequest,
+    memo: Option<&mut BatchMemo>,
     state: &mut WorkerState,
-) {
+) -> QueryResponse {
     let start = Instant::now();
-    if let Some(response) = try_diagram(shared, snapshot, &request, start, state) {
-        cell.fill(response);
-        return;
+    if let Some(response) = try_diagram(shared, snapshot, request, start, state) {
+        return response;
     }
-    let (ctx, cache_hit) = shared
-        .cache
-        .get_or_build(snapshot.generation(), &request.query);
-    shared.metrics.record_cache(cache_hit);
-    cell.fill(execute(
+    let known = memo
+        .as_ref()
+        .and_then(|m| m.iter().find(|(q, _)| *q == request.query));
+    let (ctx, cache_hit) = match known {
+        Some((_, ctx)) => (Arc::clone(ctx), true),
+        None => {
+            let (ctx, hit) = shared
+                .cache
+                .get_or_build(snapshot.generation(), &request.query);
+            shared.metrics.record_cache(hit);
+            if let Some(memo) = memo {
+                memo.push((request.query.clone(), Arc::clone(&ctx)));
+            }
+            (ctx, hit)
+        }
+    };
+    execute(
         shared,
         snapshot,
-        &request,
+        request,
         &ctx,
         cache_hit,
         start,
         &mut state.scratch,
-    ));
+    )
 }
 
 /// Tries to answer `request` straight from the published skyline
@@ -1549,37 +1552,13 @@ fn try_diagram(
 fn run_batch(
     shared: &Arc<EngineShared>,
     snapshot: &Arc<Snapshot>,
-    requests: Vec<QueryRequest>,
+    requests: &[QueryRequest],
     state: &mut WorkerState,
 ) -> Vec<QueryResponse> {
-    let generation = snapshot.generation();
-    let mut memo: Vec<(Vec<Point>, Arc<QueryContext>)> = Vec::new();
+    let mut memo = BatchMemo::new();
     requests
-        .into_iter()
-        .map(|request| {
-            let start = Instant::now();
-            if let Some(response) = try_diagram(shared, snapshot, &request, start, state) {
-                return response;
-            }
-            let (ctx, cache_hit) = match memo.iter().find(|(q, _)| *q == request.query) {
-                Some((_, ctx)) => (Arc::clone(ctx), true),
-                None => {
-                    let (ctx, hit) = shared.cache.get_or_build(generation, &request.query);
-                    shared.metrics.record_cache(hit);
-                    memo.push((request.query.clone(), Arc::clone(&ctx)));
-                    (ctx, hit)
-                }
-            };
-            execute(
-                shared,
-                snapshot,
-                &request,
-                &ctx,
-                cache_hit,
-                start,
-                &mut state.scratch,
-            )
-        })
+        .iter()
+        .map(|request| answer(shared, snapshot, request, Some(&mut memo), state))
         .collect()
 }
 

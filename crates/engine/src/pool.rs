@@ -46,7 +46,7 @@ impl WorkerState {
 
 /// A unit of work: boxed closure run on one worker thread with that
 /// worker's private [`WorkerState`].
-type Job = Box<dyn FnOnce(&mut WorkerState) + Send + 'static>;
+pub(crate) type Job = Box<dyn FnOnce(&mut WorkerState) + Send + 'static>;
 
 /// Error returned by [`WorkerPool::submit`] after shutdown has begun.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

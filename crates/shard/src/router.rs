@@ -138,6 +138,8 @@ pub enum ShardError {
         /// Index of the shard that timed out.
         shard: usize,
     },
+    /// A query set had no points — a spatial skyline needs at least one.
+    EmptyQuery,
 }
 
 impl std::fmt::Display for ShardError {
@@ -146,6 +148,7 @@ impl std::fmt::Display for ShardError {
             ShardError::Engine(e) => write!(f, "shard engine: {e}"),
             ShardError::InvalidConfig(msg) => write!(f, "shard config: {msg}"),
             ShardError::Timeout { shard } => write!(f, "shard {shard} timed out"),
+            ShardError::EmptyQuery => write!(f, "a query set needs at least one point"),
         }
     }
 }
@@ -623,111 +626,39 @@ impl ShardedEngine {
         Ok((true, moves))
     }
 
-    /// Routes one query: seed the primary shard, prune, fan out, merge.
+    /// Routes one query — [`query_batch`](Self::query_batch) with a batch
+    /// of one: seed the primary shard, prune, fan out, merge.
     ///
     /// The whole fan-out runs against one pinned fleet generation, so
     /// the answer is exact for the dataset of
     /// [`ShardedResponse::generation`] even if a
     /// [`reindex`](ShardedEngine::reindex) publishes mid-flight.
     pub fn query(&self, q: &[Point]) -> Result<ShardedResponse, ShardError> {
-        let start = Instant::now();
-        let fleet = self.current_fleet();
-        let ctx = QueryContext::new(q);
-        let anchors = ctx.anchors();
-        let mut stats = QueryStats::default();
-
-        // Lower-bound vector and its sum per shard; the primary shard is
-        // the one the query can be served cheapest from.
-        let bounds: Vec<Vec<f64>> = fleet
-            .views
-            .iter()
-            .map(|v| rect_lower_bounds(&v.rect, anchors))
-            .collect();
-        let Some(primary) = (0..fleet.views.len()).min_by(|&a, &b| {
-            let (sa, sb) = (bounds[a].iter().sum::<f64>(), bounds[b].iter().sum::<f64>());
-            sa.total_cmp(&sb)
-        }) else {
-            // Unreachable in practice: new() and reindex() both refuse
-            // empty datasets, so every published fleet has a shard.
-            return Err(ShardError::InvalidConfig("fleet has no shards".into()));
-        };
-
-        // Seed: the primary shard's skyline points are real answers whose
-        // distance vectors prune distant shards.
-        let seed = self.wait_shard(
-            primary,
-            self.engines[primary].submit_on(
-                QueryRequest::new(q.to_vec()),
-                Arc::clone(&fleet.views[primary].snapshot),
-            ),
-        )?;
-        stats.absorb(&seed.stats);
-        let mut candidates: Vec<(u32, Point)> = remap(&fleet.views[primary], &seed.skyline);
-        let seed_vectors: Vec<Vec<f64>> = candidates
-            .iter()
-            .map(|&(_, p)| ctx.dist_vector(p, &mut stats))
-            .collect();
-
-        // Fan out to every other shard the seed cannot rule out.
-        let mut pruned = 0usize;
-        let mut pending: Vec<(usize, ssq_engine::QueryHandle)> = Vec::new();
-        for (i, view) in fleet.views.iter().enumerate() {
-            if i == primary {
-                continue;
-            }
-            let skip = self.prune && seed_vectors.iter().any(|v| dominates_rect(v, &bounds[i]));
-            if skip {
-                pruned += 1;
-            } else {
-                pending.push((
-                    i,
-                    self.engines[i]
-                        .submit_on(QueryRequest::new(q.to_vec()), Arc::clone(&view.snapshot)),
-                ));
-            }
-        }
-        let queried = 1 + pending.len();
-        for (i, handle) in pending {
-            let response = self.wait_shard(i, handle)?;
-            stats.absorb(&response.stats);
-            candidates.extend(remap(&fleet.views[i], &response.skyline));
-        }
-
-        // Merge to the exact global skyline through the warm arena.
-        let skyline = {
-            let mut scratch = self.merge_scratch.lock();
-            merge_candidates_with(&ctx, &candidates, &mut stats, &mut scratch)
-        };
-        let latency = start.elapsed();
-        self.metrics.record_query(
-            queried as u64,
-            pruned as u64,
-            candidates.len() as u64,
-            latency,
-        );
-        Ok(ShardedResponse {
-            skyline,
-            generation: fleet.generation,
-            shards_queried: queried,
-            shards_pruned: pruned,
-            latency,
-            stats,
-        })
+        let mut responses = self.query_batch(std::slice::from_ref(&q.to_vec()))?;
+        // Unreachable in practice: a batch answers one response per query.
+        responses
+            .pop()
+            .ok_or_else(|| ShardError::InvalidConfig("batch of one came back empty".into()))
     }
 
     /// Routes a batch of queries through one pinned fleet view, fanning
     /// whole batches out shard-wise.
     ///
-    /// The answer of each query is exactly what [`query`](Self::query)
-    /// would return for it, but the work is amortized: each shard engine
-    /// sees at most **two** batch submissions for the whole batch (one
-    /// carrying every query it is the primary shard of — the seeds — and
-    /// one carrying every query its bound could not rule out), so queue
-    /// hops, snapshot pins, and cache probes are paid per batch-per-shard
+    /// The answer of each query is exactly what a batch of its own would
+    /// return for it, but the work is amortized: each shard engine sees at
+    /// most **two** batch submissions for the whole batch (one carrying
+    /// every query it is the primary shard of — the seeds — and one
+    /// carrying every query its bound could not rule out), so queue hops,
+    /// snapshot pins, and cache probes are paid per batch-per-shard
     /// instead of per query. Pruning stays per-query and per-shard, driven
-    /// by each query's own seed skyline, so it is exactly as aggressive as
-    /// in the single-query path.
+    /// by each query's own seed skyline, so batching never prunes less.
+    ///
+    /// A query set with no points is [`ShardError::EmptyQuery`]; nothing
+    /// of the batch is routed.
     pub fn query_batch(&self, queries: &[Vec<Point>]) -> Result<Vec<ShardedResponse>, ShardError> {
+        if queries.iter().any(Vec::is_empty) {
+            return Err(ShardError::EmptyQuery);
+        }
         if queries.is_empty() {
             return Ok(Vec::new());
         }
@@ -855,19 +786,6 @@ impl ShardedEngine {
             .into_iter()
             .map(|(shard, ticket)| Ok((shard, self.wait_batch(shard, ticket)?)))
             .collect()
-    }
-
-    fn wait_shard(
-        &self,
-        shard: usize,
-        handle: ssq_engine::QueryHandle,
-    ) -> Result<ssq_engine::QueryResponse, ShardError> {
-        match self.timeout {
-            None => Ok(handle.wait()),
-            Some(t) => handle
-                .wait_timeout(t)
-                .map_err(|_| ShardError::Timeout { shard }),
-        }
     }
 
     fn wait_batch(
@@ -1126,6 +1044,24 @@ mod tests {
             ShardedEngine::new(&data, bad_engine),
             Err(ShardError::Engine(EngineError::ZeroWorkers))
         ));
+    }
+
+    #[test]
+    fn empty_query_sets_are_typed_errors() {
+        let data = cloud(50);
+        let config = ShardConfig::default()
+            .with_shards(2)
+            .with_engine(small_engines());
+        let engine = ShardedEngine::new(&data, config).unwrap();
+        assert!(matches!(engine.query(&[]), Err(ShardError::EmptyQuery)));
+        let batch = vec![vec![Point::new(4.0, 4.0)], vec![]];
+        assert!(matches!(
+            engine.query_batch(&batch),
+            Err(ShardError::EmptyQuery)
+        ));
+        // Nothing of the rejected batch was routed.
+        assert_eq!(engine.metrics().queries, 0);
+        engine.shutdown();
     }
 
     #[test]
