@@ -113,9 +113,10 @@ semicolons. `shard-stats` partitions the data into a ShardedEngine — one
 engine per spatial shard with dominance-based shard pruning — optionally
 applies `--ingest-batches` randomized delta batches first (publish cost
 shows up in the ingest counters), runs a probe workload, and reports
-per-shard sizes, rects, fan-out and prune rates, plus the fleet's
-snapshot generation, swap, and ingest counters. `warm` drives a probe
-workload through a diagram-enabled engine and saves the hottest
+per-shard sizes and rects, then every counter the fleet owns as
+`ssq_<group>_<name> <value>` lines (router, engine, lifecycle, work,
+diagram, ingest) with the derived fan-out, prune and hit rates. `warm`
+drives a probe workload through a diagram-enabled engine and saves the hottest
 canonical query keys to a warm file; `serve --warm <file>` loads it and
 materializes those contexts and skyline-diagram cells *before* accepting
 traffic, so a restarted server has no cold-cache latency spike
@@ -124,10 +125,12 @@ TCP socket (ephemeral port with `:0`, printed as `listening on <addr>`;
 `--threads 0` means one worker per CPU core) and speaks the ssq-net
 binary protocol — pipelined queries, batches, continuous sessions
 (single engine only), stats — until stdin closes, then drains in-flight
-work and reports the connection/shed counters. `net-throughput` is the
+work and reports the same counter lines plus the `net` group
+(connections, shedding, bytes, frame errors). `net-throughput` is the
 matching load generator: `--connections` clients each keep `--pipeline`
 requests in flight against a running `serve`, counting results and typed
-RetryLater shedding.";
+RetryLater shedding, then prints the server's counters from a final
+Stats frame.";
 
 /// Entry point: parses `args` (without the program name) and runs.
 pub fn run<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
@@ -546,66 +549,7 @@ fn shard_stats<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
     }
     let m = engine.metrics();
     writeln!(out, "probe:      {queries} queries ({count} points each)")?;
-    writeln!(
-        out,
-        "routing:    mean fan-out {:.2}, prune rate {:.1}% ({} of {} shard visits avoided)",
-        m.mean_fanout(),
-        m.prune_rate() * 100.0,
-        m.shards_pruned,
-        m.shards_pruned + m.shards_queried
-    )?;
-    writeln!(
-        out,
-        "merge:      {:.1} candidates/query",
-        if m.queries == 0 {
-            0.0
-        } else {
-            m.merge_candidates as f64 / m.queries as f64
-        }
-    )?;
-    writeln!(
-        out,
-        "fleet:      {} shard queries, {:.1}% cache hit rate",
-        m.engines.queries(),
-        m.engines.cache_hit_rate() * 100.0
-    )?;
-    writeln!(
-        out,
-        "diagram:    hits={} misses={} hit_rate={:.1}% cells={} warmed={} build={:.1}ms",
-        m.engines.diagram.hits,
-        m.engines.diagram.misses,
-        m.engines.diagram.hit_rate() * 100.0,
-        m.engines.diagram.cells,
-        m.engines.diagram.warmed,
-        m.engines.diagram.build.as_secs_f64() * 1e3
-    )?;
-    writeln!(
-        out,
-        "work:       dominance_checks={} distance_computations={} allocations={}",
-        m.engines.stats.dominance_checks,
-        m.engines.stats.distance_computations,
-        m.engines.stats.allocations
-    )?;
     writeln!(out, "kernel:     {} tile dispatch", m.engines.kernel_path)?;
-    writeln!(
-        out,
-        "snapshot:   generation {}, {} reindexes (last build {:.1}ms)",
-        m.generation,
-        m.swaps,
-        m.last_build.as_secs_f64() * 1e3
-    )?;
-    writeln!(
-        out,
-        "ingest:     batches={} (+{} -{}) incremental={} rebuilds={} dirty_cells={} last_publish={:.2}ms rebalance_moves={}",
-        m.ingest.batches,
-        m.ingest.inserts,
-        m.ingest.deletes,
-        m.ingest.incremental,
-        m.ingest.rebuilds,
-        m.ingest.dirty_cells,
-        m.ingest.last_build.as_secs_f64() * 1e3,
-        m.ingest.rebalance_moves
-    )?;
     let split: Vec<String> = m
         .engines
         .queries_per_generation
@@ -613,15 +557,8 @@ fn shard_stats<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
         .map(|(g, n)| format!("gen{g}={n}"))
         .collect();
     writeln!(out, "queries/gen: {}", split.join(" "))?;
-    writeln!(
-        out,
-        "net:        accepted={} active={} shed_conn={} shed_req={} frame_errors={}",
-        m.engines.net.accepted,
-        m.engines.net.active,
-        m.engines.net.shed_connections,
-        m.engines.net.shed_requests,
-        m.engines.net.frame_errors
-    )?;
+    // A local fleet has no socket front-end: every group but `net`.
+    out.write_all(m.counters.render(&["net"]).as_bytes())?;
     engine.shutdown();
     Ok(())
 }
@@ -880,37 +817,11 @@ pub fn serve_with_control<W: Write>(
         }
     }
 
-    let metrics = server.shutdown();
+    let counters = server.shutdown();
     writeln!(out, "shutdown:   drained clean")?;
-    writeln!(
-        out,
-        "served:     {} queries, {:.1}% cache hit rate",
-        metrics.queries() + metrics.diagram.hits,
-        metrics.cache_hit_rate() * 100.0
-    )?;
-    if diagram {
-        writeln!(
-            out,
-            "diagram:    hits={} misses={} hit_rate={:.1}% cells={} warmed={} build={:.1}ms",
-            metrics.diagram.hits,
-            metrics.diagram.misses,
-            metrics.diagram.hit_rate() * 100.0,
-            metrics.diagram.cells,
-            metrics.diagram.warmed,
-            metrics.diagram.build.as_secs_f64() * 1e3
-        )?;
-    }
-    writeln!(
-        out,
-        "net:        accepted={} shed_conn={} shed_req={} bytes_in={} bytes_out={} frame_errors={} write_timeouts={}",
-        metrics.net.accepted,
-        metrics.net.shed_connections,
-        metrics.net.shed_requests,
-        metrics.net.bytes_in,
-        metrics.net.bytes_out,
-        metrics.net.frame_errors,
-        metrics.net.write_timeouts
-    )?;
+    // Only a fleet has a router to report on.
+    let skip: &[&str] = if shards > 0 { &[] } else { &["router"] };
+    out.write_all(counters.render(skip).as_bytes())?;
     Ok(())
 }
 
@@ -997,11 +908,7 @@ fn net_throughput<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError
         .stats()
         .map_err(|e| CliError::Other(format!("stats request failed: {e}")))?;
     let _ = probe.goodbye();
-    writeln!(
-        out,
-        "target:     {} ({} points, generation {})",
-        addr, stats.data_len, stats.generation
-    )?;
+    writeln!(out, "target:     {} ({} points)", addr, stats.data_len)?;
 
     let query_sets: Vec<Vec<ssq_geom::Point>> = (0..distinct)
         .map(|i| {
@@ -1108,15 +1015,11 @@ fn net_throughput<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError
         .stats()
         .map_err(|e| CliError::Other(format!("final stats failed: {e}")))?;
     let _ = final_probe.goodbye();
-    writeln!(
-        out,
-        "server:     accepted={} shed_req={} bytes_in={} bytes_out={} frame_errors={}",
-        after.net.accepted,
-        after.net.shed_requests,
-        after.net.bytes_in,
-        after.net.bytes_out,
-        after.net.frame_errors
-    )?;
+    // The frame carries every group; behind a single engine `router`
+    // reads zero, and says nothing.
+    let sharded = after.groups.router != Default::default();
+    let skip: &[&str] = if sharded { &[] } else { &["router"] };
+    out.write_all(after.groups.render(skip).as_bytes())?;
     Ok(())
 }
 
@@ -1374,13 +1277,20 @@ mod tests {
             4,
             "missing per-shard rows: {outp}"
         );
-        assert!(outp.contains("prune rate"), "missing prune rate: {outp}");
         assert!(
-            outp.contains("work:       dominance_checks="),
-            "missing work line: {outp}"
+            outp.contains("ssq_router_queries 40\n"),
+            "missing routed-query count: {outp}"
         );
         assert!(
-            outp.contains("allocations="),
+            outp.contains("ssq_router_prune_rate 0."),
+            "missing prune rate: {outp}"
+        );
+        assert!(
+            outp.contains("ssq_work_dominance_checks "),
+            "missing work counters: {outp}"
+        );
+        assert!(
+            outp.contains("ssq_work_allocations "),
             "missing allocations counter: {outp}"
         );
         assert!(
@@ -1391,12 +1301,12 @@ mod tests {
             "missing kernel dispatch line: {outp}"
         );
         assert!(
-            outp.contains("snapshot:   generation 0, 0 reindexes"),
-            "missing snapshot counters: {outp}"
+            outp.contains("ssq_lifecycle_generation 0\nssq_lifecycle_swaps 0\n"),
+            "missing lifecycle counters: {outp}"
         );
         assert!(outp.contains("queries/gen: gen0="), "missing split: {outp}");
         assert!(
-            outp.contains("ingest:     batches=0"),
+            outp.contains("ssq_ingest_batches 0\n"),
             "missing ingest counters: {outp}"
         );
         std::fs::remove_file(&data).ok();
@@ -1420,11 +1330,11 @@ mod tests {
             "8",
         ]);
         assert!(
-            outp.contains("ingest:     batches=3"),
+            outp.contains("ssq_ingest_batches 3\n"),
             "ingest probe not recorded: {outp}"
         );
         assert!(
-            outp.contains("snapshot:   generation 3"),
+            outp.contains("ssq_lifecycle_generation 3\n"),
             "deltas did not advance the fleet generation: {outp}"
         );
         std::fs::remove_file(&data).ok();
@@ -1547,7 +1457,13 @@ mod tests {
         ]);
         assert!(report.contains("target:"), "report was: {report}");
         assert!(report.contains("results/s"), "report was: {report}");
-        assert!(report.contains("accepted="), "report was: {report}");
+        // The final probe renders the server's Stats answer; a single
+        // engine has no router to report on.
+        assert!(
+            report.contains("ssq_net_accepted ") && report.contains("ssq_engine_requests_vs2 "),
+            "report was: {report}"
+        );
+        assert!(!report.contains("ssq_router_"), "report was: {report}");
 
         // Batched drive over the same server.
         let batched = run_ok(&[
@@ -1583,7 +1499,14 @@ mod tests {
             text.contains("shutdown:   drained clean"),
             "serve said: {text}"
         );
-        assert!(text.contains("accepted="), "serve said: {text}");
+        // 1 + 3 + 1 connections for the first drive, 1 + 2 + 1 for the
+        // batched one; a single engine owns no `router` group.
+        assert!(text.contains("ssq_net_accepted 9\n"), "serve said: {text}");
+        assert!(
+            text.contains("ssq_net_frame_errors 0\n"),
+            "serve said: {text}"
+        );
+        assert!(!text.contains("ssq_router_"), "serve said: {text}");
         let _ = std::fs::remove_file(&data);
     }
 
@@ -1663,13 +1586,17 @@ mod tests {
             !text.contains("warm:       0 keys"),
             "nothing warmed: {text}"
         );
-        assert!(text.contains("diagram:    hits="), "serve said: {text}");
+        assert!(text.contains("ssq_diagram_warmed "), "serve said: {text}");
+        assert!(
+            !text.contains("ssq_diagram_warmed 0\n"),
+            "nothing materialized: {text}"
+        );
         let _ = std::fs::remove_file(&data);
         let _ = std::fs::remove_file(&warm_path);
     }
 
     #[test]
-    fn shard_stats_reports_net_counters() {
+    fn shard_stats_prints_only_the_groups_a_fleet_owns() {
         let data = tmpfile("shardnet");
         run_ok(&[
             "generate",
@@ -1689,12 +1616,16 @@ mod tests {
             "--queries",
             "10",
         ]);
-        // A local fleet has no socket front-end; the counters exist and
-        // read zero.
-        assert!(
-            report.contains("net:        accepted=0"),
-            "report was: {report}"
-        );
+        // A local fleet has no socket front-end: no `net` lines, which
+        // could only read zero. Everything else is there once.
+        assert!(!report.contains("ssq_net_"), "report was: {report}");
+        for group in ["router", "engine", "lifecycle", "work", "diagram", "ingest"] {
+            assert!(
+                report.contains(&format!("ssq_{group}_")),
+                "no {group} lines: {report}"
+            );
+        }
+        assert_eq!(report.matches("ssq_ingest_batches ").count(), 1);
         let _ = std::fs::remove_file(&data);
     }
 }

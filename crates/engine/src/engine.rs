@@ -541,8 +541,8 @@ fn publish_delta(
         .map_err(EngineError::Index)?;
     let build = start.elapsed();
     let generation = snapshot.generation();
-    shared.metrics.record_swap(generation, build);
-    shared.metrics.record_ingest(&stats, build);
+    shared.metrics.lifecycle.record_swap(generation, build);
+    shared.metrics.ingest.record_ingest(&stats, build);
     retire_diagram(shared);
     Ok(IngestReport {
         generation,
@@ -727,7 +727,7 @@ impl Engine {
             return Err(EngineError::EmptyDataset);
         }
         let metrics = EngineMetrics::new();
-        metrics.note_generation(snapshot.generation());
+        metrics.lifecycle.note_generation(snapshot.generation());
         // Pre-size every worker's scratch arena for the worst-case row
         // count (the naive kernel pushes one row per data point) so the
         // first query a worker serves runs growth-free instead of paying
@@ -911,7 +911,7 @@ impl Engine {
             .catalog
             .install(Arc::new(snapshot))
             .map_err(EngineError::Stale)?;
-        self.shared.metrics.record_swap(next, build);
+        self.shared.metrics.lifecycle.record_swap(next, build);
         retire_diagram(&self.shared);
         Ok(next)
     }
@@ -932,7 +932,7 @@ impl Engine {
             .catalog
             .install(snapshot)
             .map_err(EngineError::Stale)?;
-        self.shared.metrics.record_swap(generation, build);
+        self.shared.metrics.lifecycle.record_swap(generation, build);
         retire_diagram(&self.shared);
         Ok(())
     }
@@ -1273,7 +1273,7 @@ impl Engine {
             let shared = Arc::clone(&self.shared);
             let job_session = Arc::clone(&session);
             let submitted = self.pool.submit(Box::new(move |_state: &mut WorkerState| {
-                drain_session(&shared, &job_session)
+                drain_session(&shared, job_session)
             }));
             if submitted.is_err() {
                 session.pending.lock().scheduled = false;
@@ -1293,6 +1293,12 @@ impl Engine {
 
     /// Closes a session. Already-queued updates still apply (their
     /// handles resolve); the id stops resolving immediately.
+    ///
+    /// The session's pin on its generation's Voronoi index is released
+    /// here when no update is in flight: a drain job gives up its own
+    /// hold on the session *before* it resolves the last handle of the
+    /// drain, so once every [`UpdateHandle`] obtained so far has
+    /// resolved, this call drops the last reference.
     pub fn close_session(&self, id: SessionId) -> bool {
         self.shared.sessions.lock().remove(&id.0).is_some()
     }
@@ -1605,18 +1611,26 @@ fn execute(
 /// one drain job per session exists at a time (see `Pending::scheduled`),
 /// which is what serializes a session's updates without blocking a
 /// worker on a session-wide lock.
-fn drain_session(shared: &EngineShared, session: &Session) {
-    loop {
-        let (obj, new_loc, cell) = {
-            let mut pending = session.pending.lock();
-            match pending.updates.pop_front() {
-                Some(update) => update,
-                None => {
-                    pending.scheduled = false;
-                    return;
-                }
-            }
-        };
+///
+/// The job owns its `Arc<Session>` and drops it before filling the last
+/// cell of the drain: a caller that has seen every handle resolve can
+/// rely on the worker holding no reference to the session (or to the
+/// generation it pins) any more, so `close_session` then releases the
+/// pin deterministically.
+fn drain_session(shared: &EngineShared, session: Arc<Session>) {
+    // Pops the next update, or clears the in-flight flag when none is
+    // left (under the same lock, so a concurrent `update_session`
+    // either sees its update popped here or schedules a fresh drain).
+    let pop = |session: &Session| {
+        let mut pending = session.pending.lock();
+        let next = pending.updates.pop_front();
+        if next.is_none() {
+            pending.scheduled = false;
+        }
+        next
+    };
+    let mut next = pop(&session);
+    while let Some((obj, new_loc, cell)) = next {
         let (outcome, skyline, stats) = {
             let mut sky = session.sky.lock();
             let (outcome, stats) = sky.update(obj, new_loc);
@@ -1628,13 +1642,20 @@ fn drain_session(shared: &EngineShared, session: &Session) {
             pinned: session.generation,
             current,
         });
-        cell.fill(SessionUpdate {
+        let update = SessionUpdate {
             outcome,
             skyline,
             generation: session.generation,
             superseded,
             stats,
-        });
+        };
+        next = pop(&session);
+        if next.is_none() {
+            drop(session);
+            cell.fill(update);
+            return;
+        }
+        cell.fill(update);
     }
 }
 
@@ -1693,7 +1714,7 @@ mod tests {
         }
         let m = engine.metrics();
         for a in Algorithm::ALL {
-            assert_eq!(m.requests_for(a), 1);
+            assert_eq!(m.engine.requests_for(a), 1);
         }
     }
 
@@ -1740,8 +1761,14 @@ mod tests {
         );
         assert!(responses[1..].iter().all(|r| r.cache_hit()));
         let m = engine.metrics();
-        assert_eq!(m.cache_misses, 1, "one probe for five identical queries");
-        assert_eq!(m.cache_hits, 0, "memo hits never reach the shared cache");
+        assert_eq!(
+            m.engine.cache_misses, 1,
+            "one probe for five identical queries"
+        );
+        assert_eq!(
+            m.engine.cache_hits, 0,
+            "memo hits never reach the shared cache"
+        );
     }
 
     #[test]
@@ -1788,9 +1815,9 @@ mod tests {
         let second = engine.submit(QueryRequest::new(q)).wait();
         assert!(second.cache_hit());
         let m = engine.metrics();
-        assert_eq!(m.cache_hits, 1);
-        assert_eq!(m.cache_misses, 1);
-        assert!((m.cache_hit_rate() - 0.5).abs() < 1e-12);
+        assert_eq!(m.engine.cache_hits, 1);
+        assert_eq!(m.engine.cache_misses, 1);
+        assert!((m.engine.cache_hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -1854,8 +1881,8 @@ mod tests {
         let m = engine.metrics();
         assert_eq!(m.ingest.batches, 1);
         assert_eq!(m.ingest.incremental, 1);
-        assert_eq!(m.swaps, 1);
-        assert_eq!(m.generation, 1);
+        assert_eq!(m.lifecycle.swaps, 1);
+        assert_eq!(m.lifecycle.generation, 1);
     }
 
     #[test]
@@ -1929,7 +1956,7 @@ mod tests {
         drop(guard);
         assert_eq!(first.wait().unwrap().generation, 1);
         assert_eq!(second.wait().unwrap().generation, 2);
-        assert_eq!(engine.metrics().ingest.shed, 1);
+        assert_eq!(engine.metrics().engine.ingest_shed, 1);
     }
 
     #[test]
@@ -2024,9 +2051,12 @@ mod tests {
             assert_eq!(again.skyline, r.skyline);
         }
         let m = engine.metrics();
-        assert_eq!(m.generation, 110);
+        assert_eq!(m.lifecycle.generation, 110);
         assert_eq!(m.ingest.batches, 110);
-        assert!(m.cache_hits > 0, "repeats should hit the context cache");
+        assert!(
+            m.engine.cache_hits > 0,
+            "repeats should hit the context cache"
+        );
         engine.shutdown();
     }
 
@@ -2257,7 +2287,7 @@ mod tests {
             engine.session_skyline(id).unwrap(),
             naive_full(&data, &QueryContext::new(&mirror_q)).skyline
         );
-        assert_eq!(engine.metrics().session_updates, moves.len() as u64);
+        assert_eq!(engine.metrics().engine.session_updates, moves.len() as u64);
         assert!(engine.close_session(id));
         assert!(engine.session_skyline(id).is_none());
         assert!(matches!(
@@ -2314,8 +2344,8 @@ mod tests {
             naive_full(&new_data, &QueryContext::new(&q)).skyline
         );
         let m = engine.metrics();
-        assert_eq!(m.generation, 1);
-        assert_eq!(m.swaps, 1);
+        assert_eq!(m.lifecycle.generation, 1);
+        assert_eq!(m.lifecycle.swaps, 1);
         assert_eq!(m.queries_per_generation.get(&0), Some(&1));
         assert_eq!(m.queries_per_generation.get(&1), Some(&1));
     }

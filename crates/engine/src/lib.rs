@@ -84,8 +84,8 @@ pub use engine::{
     TicketFiller, UpdateHandle,
 };
 pub use metrics::{
-    DiagramCounters, EngineMetrics, IngestCounters, LatencyHistogram, LatencySnapshot,
-    MetricsSnapshot, NetCounters,
+    CounterSet, DiagramCounters, EngineCounters, EngineMetrics, IngestCounters, LatencyHistogram,
+    LatencySnapshot, LifecycleCounters, MetricsSnapshot, NetCounters, RouterCounters, WorkCounters,
 };
 pub use planner::{Algorithm, Planner};
 pub use pool::{PoolClosed, TrySubmitError, WorkerPool, WorkerState};

@@ -1,8 +1,14 @@
-//! Engine-side observability: request counters, cache hit/miss, a
-//! log-bucketed latency histogram, and aggregated [`QueryStats`].
+//! Observability for the whole serving stack, declared once.
 //!
-//! Everything is lock-free except the [`QueryStats`] aggregate (a plain
-//! mutex absorbed once per finished query — nanoseconds next to an
+//! Every scalar counter — the engine's, the shard router's, the socket
+//! front-end's — is one row of the `counter_groups!` table below: field
+//! name, merge rule, unit, doc line. The live atomic cells, the snapshot
+//! structs, the fleet merge, the `StatsResult` wire order and the
+//! `ssq_<group>_<name> <value>` rendering all expand from that row. The
+//! `record_*` methods stay ordinary code: they hold the semantics.
+//!
+//! Everything is lock-free except the per-generation query tally (a
+//! plain mutex bumped once per finished query — nanoseconds next to an
 //! algorithm run). Latencies go into power-of-two nanosecond buckets, so
 //! percentile estimates are upper bounds with at most 2× resolution —
 //! plenty for a throughput report, constant memory forever.
@@ -106,52 +112,364 @@ impl LatencySnapshot {
     }
 }
 
-/// The mutex-guarded slice of the metrics: everything that is not a
-/// single word. One lock (the engine's rank-600 leaf) instead of two so
-/// that a snapshot read never holds two guards at once.
-#[derive(Default)]
-struct Aggregates {
-    /// Queries served per snapshot generation — the observable form of
-    /// "dataset lifetime": a generation whose count stops moving has
-    /// fully drained.
-    per_generation: BTreeMap<u64, u64>,
-    stats: QueryStats,
+/// How a counter folds into a fleet view ([`CounterSet::absorb`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Merge {
+    /// The fleet value is the total (saturating, so a fold cannot panic).
+    Sum,
+    /// The fleet value is the largest: generations (a router stamps every
+    /// shard from one counter) and "most recent build took" durations
+    /// (the slowest shard is the fleet's effective cost).
+    Max,
 }
 
-/// Shared counters for one [`Engine`](crate::Engine).
+impl Merge {
+    /// Folds `b` into `a` by this rule.
+    pub fn apply(self, a: u64, b: u64) -> u64 {
+        match self {
+            Merge::Sum => a.saturating_add(b),
+            Merge::Max => a.max(b),
+        }
+    }
+}
+
+/// What a counter's value measures. The field name says it too
+/// (`*_nanos`, `bytes_*`); the registry test holds the two together.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Unit {
+    /// A dimensionless count (events, points, cells, a generation).
+    Count,
+    /// Wall-clock nanoseconds.
+    Nanos,
+    /// Bytes.
+    Bytes,
+}
+
+/// One row of the counter table, as [`CounterSet::ROWS`] lists it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Row {
+    /// The group the counter belongs to (a [`CounterSet`] field).
+    pub group: &'static str,
+    /// The field name, on the snapshot struct and on the live cells.
+    pub name: &'static str,
+    /// How the counter folds into a fleet view.
+    pub merge: Merge,
+    /// What the value measures.
+    pub unit: Unit,
+}
+
+/// Declares the counter table, one `name: merge unit "doc",` row per
+/// counter: per group a plain snapshot struct and its live [`AtomicU64`]
+/// cells, over all groups the [`CounterSet`]. The expansion is
+/// straight-line field access: no indexing, no `unwrap`, no allocation.
+macro_rules! counter_groups {
+    ($(
+        $(#[$gdoc:meta])*
+        $group:ident: $Counters:ident / $Cells:ident {
+            $( $field:ident: $merge:ident $unit:ident $doc:literal, )+
+        }
+    )+) => {
+        $(
+            $(#[$gdoc])*
+            #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+            pub struct $Counters {
+                $( #[doc = $doc] pub $field: u64, )+
+            }
+
+            #[doc = concat!("The live cells behind [`", stringify!($Counters), "`].")]
+            #[derive(Debug, Default)]
+            pub struct $Cells {
+                $( #[doc = $doc] pub $field: AtomicU64, )+
+            }
+
+            impl $Cells {
+                /// A point-in-time copy of every cell (relaxed loads).
+                pub fn snapshot(&self) -> $Counters {
+                    $Counters { $( $field: self.$field.load(Ordering::Relaxed), )+ }
+                }
+            }
+        )+
+
+        /// Every counter group side by side: the scalar counters of one
+        /// source (an engine, a fleet, a server) — what a `StatsResult`
+        /// frame carries and [`CounterSet::render`] prints. A group the
+        /// source does not record into reads zero.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct CounterSet {
+            $( $(#[$gdoc])* pub $group: $Counters, )+
+        }
+
+        impl CounterSet {
+            /// Every row in declaration order, which is also the order
+            /// of the wire encoding.
+            pub const ROWS: &'static [Row] = &[
+                $( $( Row {
+                    group: stringify!($group),
+                    name: stringify!($field),
+                    merge: Merge::$merge,
+                    unit: Unit::$unit,
+                }, )+ )+
+            ];
+
+            /// Folds another source's counters into this one, every row
+            /// by its declared [`Merge`] rule — the fleet view.
+            pub fn absorb(&mut self, other: &CounterSet) {
+                $( $(
+                    self.$group.$field = Merge::$merge.apply(self.$group.$field, other.$group.$field);
+                )+ )+
+            }
+
+            /// Calls `f` with every `(group, name, value)` in declaration
+            /// order.
+            pub fn each(&self, mut f: impl FnMut(&'static str, &'static str, u64)) {
+                $( $( f(stringify!($group), stringify!($field), self.$group.$field); )+ )+
+            }
+
+            /// Reads one word per row from `word`, in declaration order;
+            /// stops at the first error.
+            pub fn decode<E>(mut word: impl FnMut() -> Result<u64, E>) -> Result<CounterSet, E> {
+                let mut set = CounterSet::default();
+                $( $( set.$group.$field = word()?; )+ )+
+                Ok(set)
+            }
+
+            /// For the registry test: stores 1, 2, 3, … into fresh live
+            /// cells in declaration order and snapshots them.
+            #[cfg(test)]
+            fn snapshot_of_numbered_cells() -> CounterSet {
+                let mut n = 0;
+                $(
+                    let $group = $Cells::default();
+                    $( n += 1; $group.$field.store(n, Ordering::Relaxed); )+
+                )+
+                CounterSet { $( $group: $group.snapshot(), )+ }
+            }
+        }
+    };
+}
+
+counter_groups! {
+    /// The engine's front door: finished queries per algorithm, the
+    /// context cache, continuous sessions, ingest admission.
+    engine: EngineCounters / EngineCells {
+        requests_naive: Sum Count "Snapshot queries answered by the sorted naive scan.",
+        requests_bbs: Sum Count "Snapshot queries answered by BBS.",
+        requests_b2s2: Sum Count "Snapshot queries answered by B²S².",
+        requests_vs2: Sum Count "Snapshot queries answered by VS².",
+        cache_hits: Sum Count "Context-cache hits.",
+        cache_misses: Sum Count "Context-cache misses.",
+        sessions_opened: Sum Count "Continuous sessions opened over the engine's lifetime.",
+        session_updates: Sum Count "Motion updates applied across all sessions.",
+        ingest_shed: Sum Count "Delta batches refused because the ingest queue was full.",
+    }
+    /// Dataset lifetime: which generation is served and what publishing
+    /// it cost. An engine keeps one, and so does a shard router (whose
+    /// `swaps` count fleet-wide reindexes, whatever the shard count).
+    lifecycle: LifecycleCounters / LifecycleCells {
+        generation: Max Count "Snapshot generation being served.",
+        swaps: Sum Count "Reindexes published.",
+        last_build_nanos: Max Nanos "Cost of the most recent reindex build; 0 until the first.",
+    }
+    /// The paper's work counters ([`QueryStats`]), summed over every
+    /// finished query and session update.
+    work: WorkCounters / WorkCells {
+        dominance_checks: Sum Count "Pairwise dominance checks (Fig. 12b/e).",
+        distance_computations: Sum Count "Point-to-point distance evaluations.",
+        node_accesses: Sum Count "Index nodes read (Fig. 12c/f).",
+        points_examined: Sum Count "Data points whose dominance was actually examined.",
+        entries_visited: Sum Count "Entries visited by the traversal.",
+        allocations: Sum Count "Tracked heap allocations on the query path.",
+    }
+    /// The skyline diagram. All zero while the diagram is disabled.
+    diagram: DiagramCounters / DiagramCells {
+        hits: Sum Count "Queries answered straight from the diagram (no algorithm ran).",
+        misses: Sum Count "Probes that fell through to the planner.",
+        cells: Sum Count "Cells in the published diagram (location buckets + key cells).",
+        build_nanos: Max Nanos "Cost of the most recent diagram build.",
+        warmed: Sum Count "Hot keys materialized into the published diagram.",
+    }
+    /// Streaming ingest: the publish cost of the delta pipeline. An
+    /// engine counts batches applied to its own catalog; a shard router
+    /// counts batches routed through it (the shard engines' own groups
+    /// then stay zero: the router installs their snapshots itself).
+    ingest: IngestCounters / IngestCells {
+        batches: Sum Count "Delta batches published as new generations.",
+        inserts: Sum Count "Points inserted across all batches.",
+        deletes: Sum Count "Points deleted across all batches.",
+        incremental: Sum Count "Publishes that ran the incremental (delta) index path.",
+        rebuilds: Sum Count "Publishes that fell back to a full index rebuild.",
+        dirty_cells: Sum Count "Voronoi cells recomputed across all incremental publishes.",
+        last_batch_ops: Sum Count "Operations (inserts + deletes) in the most recent batch.",
+        last_build_nanos: Max Nanos "Cost of the most recent delta publish.",
+    }
+    /// The socket front-end, recorded by an `ssq-net` server.
+    net: NetCounters / NetCells {
+        accepted: Sum Count "Connections accepted over the server's lifetime.",
+        active: Sum Count "Connections currently open.",
+        shed_connections: Sum Count "Connections refused at the cap (sent `RetryLater`, closed).",
+        shed_requests: Sum Count "Requests refused: the client window or engine queue was full.",
+        bytes_in: Sum Bytes "Bytes read off sockets.",
+        bytes_out: Sum Bytes "Bytes written to sockets.",
+        frame_errors: Sum Count "Malformed, oversized or wrong-version frames (each one fatal).",
+        write_timeouts: Sum Count "Writes abandoned on a socket stalled past the write timeout.",
+    }
+    /// The shard router's fan-out, recorded by an `ssq-shard` router.
+    router: RouterCounters / RouterCells {
+        queries: Sum Count "Queries routed.",
+        shards_queried: Sum Count "Shard sub-queries actually executed, summed over queries.",
+        shards_pruned: Sum Count "Shards skipped by the dominance bound, summed over queries.",
+        merge_candidates: Sum Count "Candidates fed to the cross-shard merge, summed over queries.",
+        rebalance_moves: Sum Count "Points moved between shards by fleet rebalances.",
+    }
+}
+
+/// `part / whole`, or 0.0 while `whole` is still zero — the one shape
+/// every derived rate (hit rates, mean fan-out, prune rate) has.
+fn ratio(part: u64, whole: u64) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        part as f64 / whole as f64
+    }
+}
+
+/// A duration as saturating nanoseconds, the form a [`Unit::Nanos`]
+/// cell stores.
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+impl CounterSet {
+    /// Appends the encoding: every value as a little-endian `u64`, in
+    /// [`ROWS`](CounterSet::ROWS) order.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        self.each(|_, _, value| out.extend_from_slice(&value.to_le_bytes()));
+    }
+
+    /// One `ssq_<group>_<name> <value>` line per counter, then one per
+    /// derived rate, leaving out the groups in `skip` — the ones the
+    /// source does not record into (`net` without a server, `router`
+    /// without a fleet), which could only print zeros.
+    pub fn render(&self, skip: &[&str]) -> String {
+        use std::fmt::Write;
+        let mut out = String::new();
+        // Writing to a String cannot fail.
+        self.each(|group, name, value| {
+            if !skip.contains(&group) {
+                let _ = writeln!(out, "ssq_{group}_{name} {value}");
+            }
+        });
+        let rates = [
+            ("engine", "cache_hit_rate", self.engine.cache_hit_rate()),
+            ("diagram", "hit_rate", self.diagram.hit_rate()),
+            ("router", "mean_fanout", self.router.mean_fanout()),
+            ("router", "prune_rate", self.router.prune_rate()),
+        ];
+        for (group, name, value) in rates {
+            if !skip.contains(&group) {
+                let _ = writeln!(out, "ssq_{group}_{name} {value:.4}");
+            }
+        }
+        out
+    }
+}
+
+impl EngineCounters {
+    /// Requests served by `algorithm`.
+    pub fn requests_for(&self, algorithm: Algorithm) -> u64 {
+        match algorithm {
+            Algorithm::Naive => self.requests_naive,
+            Algorithm::Bbs => self.requests_bbs,
+            Algorithm::B2s2 => self.requests_b2s2,
+            Algorithm::Vs2 => self.requests_vs2,
+        }
+    }
+
+    /// Completed snapshot queries answered by a skyline algorithm (sum
+    /// over algorithms). Diagram hits are counted separately
+    /// ([`DiagramCounters::hits`]); total served is the two together.
+    pub fn queries(&self) -> u64 {
+        Algorithm::ALL.iter().map(|&a| self.requests_for(a)).sum()
+    }
+
+    /// Cache hits / lookups, or 0.0 before any lookup.
+    pub fn cache_hit_rate(&self) -> f64 {
+        ratio(self.cache_hits, self.cache_hits + self.cache_misses)
+    }
+}
+
+impl DiagramCounters {
+    /// Hits / probes, or 0.0 before any probe.
+    pub fn hit_rate(&self) -> f64 {
+        ratio(self.hits, self.hits + self.misses)
+    }
+}
+
+impl RouterCounters {
+    /// Mean shards executed per query, or 0.0 before any query.
+    pub fn mean_fanout(&self) -> f64 {
+        ratio(self.shards_queried, self.queries)
+    }
+
+    /// Fraction of shard visits avoided by pruning, or 0.0.
+    pub fn prune_rate(&self) -> f64 {
+        ratio(self.shards_pruned, self.shards_queried + self.shards_pruned)
+    }
+}
+
+impl LifecycleCells {
+    /// Records the generation being served (at construction and after
+    /// every install).
+    pub fn note_generation(&self, generation: u64) {
+        self.generation.store(generation, Ordering::Relaxed);
+    }
+
+    /// Records one published reindex: the new generation and how long
+    /// its off-line build took.
+    pub fn record_swap(&self, generation: u64, build: Duration) {
+        self.swaps.fetch_add(1, Ordering::Relaxed);
+        self.note_generation(generation);
+        self.last_build_nanos.store(nanos(build), Ordering::Relaxed);
+    }
+}
+
+impl IngestCells {
+    /// Records one delta batch published as a new generation: what the
+    /// batch contained, whether the incremental path ran, and how long
+    /// the publish (delta build + install) took.
+    pub fn record_ingest(&self, stats: &DeltaStats, build: Duration) {
+        let outcome = if stats.incremental {
+            &self.incremental
+        } else {
+            &self.rebuilds
+        };
+        for (cell, n) in [
+            (&self.batches, 1),
+            (&self.inserts, stats.inserts),
+            (&self.deletes, stats.deletes),
+            (outcome, 1),
+            (&self.dirty_cells, stats.dirty_cells),
+        ] {
+            cell.fetch_add(n as u64, Ordering::Relaxed);
+        }
+        self.last_batch_ops
+            .store((stats.inserts + stats.deletes) as u64, Ordering::Relaxed);
+        self.last_build_nanos.store(nanos(build), Ordering::Relaxed);
+    }
+}
+
+/// Shared counters for one [`Engine`](crate::Engine): five groups of
+/// the counter table plus the members that are not words.
 pub struct EngineMetrics {
-    requests: [AtomicU64; Algorithm::ALL.len()],
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    sessions_opened: AtomicU64,
-    session_updates: AtomicU64,
-    /// Current snapshot generation, mirrored here so one metrics read
-    /// answers "what is this engine serving right now".
-    generation: AtomicU64,
-    /// Snapshot swaps performed over the engine's lifetime.
-    swaps: AtomicU64,
-    /// Wall-clock nanoseconds the most recent reindex build took.
-    last_build_nanos: AtomicU64,
-    diagram_hits: AtomicU64,
-    diagram_misses: AtomicU64,
-    /// Cells in the most recently published skyline diagram.
-    diagram_cells: AtomicU64,
-    /// Wall-clock nanoseconds the most recent diagram build took.
-    diagram_build_nanos: AtomicU64,
-    /// Hot keys materialized into the most recent diagram.
-    diagram_warmed: AtomicU64,
-    ingest_batches: AtomicU64,
-    ingest_inserts: AtomicU64,
-    ingest_deletes: AtomicU64,
-    ingest_incremental: AtomicU64,
-    ingest_rebuilds: AtomicU64,
-    ingest_dirty_cells: AtomicU64,
-    ingest_shed: AtomicU64,
-    /// Operations in the most recently published delta batch.
-    ingest_last_ops: AtomicU64,
-    /// Wall-clock nanoseconds the most recent delta publish took.
-    ingest_last_build_nanos: AtomicU64,
-    aggregates: RankedMutex<Aggregates>,
+    engine: EngineCells,
+    pub(crate) lifecycle: LifecycleCells,
+    work: WorkCells,
+    diagram: DiagramCells,
+    pub(crate) ingest: IngestCells,
+    /// Queries served per snapshot generation — the observable form of
+    /// "dataset lifetime": a generation whose count stops moving has
+    /// fully drained. Behind the engine's rank-600 leaf lock.
+    per_generation: RankedMutex<BTreeMap<u64, u64>>,
     latency: LatencyHistogram,
 }
 
@@ -165,45 +483,47 @@ impl EngineMetrics {
     /// Creates zeroed metrics.
     pub fn new() -> EngineMetrics {
         EngineMetrics {
-            requests: std::array::from_fn(|_| AtomicU64::new(0)),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            sessions_opened: AtomicU64::new(0),
-            session_updates: AtomicU64::new(0),
-            generation: AtomicU64::new(0),
-            swaps: AtomicU64::new(0),
-            last_build_nanos: AtomicU64::new(0),
-            diagram_hits: AtomicU64::new(0),
-            diagram_misses: AtomicU64::new(0),
-            diagram_cells: AtomicU64::new(0),
-            diagram_build_nanos: AtomicU64::new(0),
-            diagram_warmed: AtomicU64::new(0),
-            ingest_batches: AtomicU64::new(0),
-            ingest_inserts: AtomicU64::new(0),
-            ingest_deletes: AtomicU64::new(0),
-            ingest_incremental: AtomicU64::new(0),
-            ingest_rebuilds: AtomicU64::new(0),
-            ingest_dirty_cells: AtomicU64::new(0),
-            ingest_shed: AtomicU64::new(0),
-            ingest_last_ops: AtomicU64::new(0),
-            ingest_last_build_nanos: AtomicU64::new(0),
-            aggregates: RankedMutex::new("engine.metrics", RANK_METRICS, Aggregates::default()),
+            engine: EngineCells::default(),
+            lifecycle: LifecycleCells::default(),
+            work: WorkCells::default(),
+            diagram: DiagramCells::default(),
+            ingest: IngestCells::default(),
+            per_generation: RankedMutex::new("engine.metrics", RANK_METRICS, BTreeMap::new()),
             latency: LatencyHistogram::new(),
         }
     }
 
     /// The metrics lock's `(name, rank)`, for lock-order assertions.
     pub fn lock_info(&self) -> (&'static str, u32) {
-        (self.aggregates.name(), self.aggregates.rank())
+        (self.per_generation.name(), self.per_generation.rank())
     }
 
     /// Records a cache lookup outcome.
     pub fn record_cache(&self, hit: bool) {
-        if hit {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.cache_misses.fetch_add(1, Ordering::Relaxed);
+        let e = &self.engine;
+        let cell = if hit { &e.cache_hits } else { &e.cache_misses };
+        cell.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// One query's or update's work counters into the aggregate.
+    fn record_work(&self, stats: &QueryStats) {
+        let w = &self.work;
+        for (cell, n) in [
+            (&w.dominance_checks, stats.dominance_checks),
+            (&w.distance_computations, stats.distance_computations),
+            (&w.node_accesses, stats.node_accesses),
+            (&w.points_examined, stats.points_examined),
+            (&w.entries_visited, stats.entries_visited),
+            (&w.allocations, stats.allocations),
+        ] {
+            cell.fetch_add(n, Ordering::Relaxed);
         }
+    }
+
+    /// One more answer served against `generation`.
+    fn record_served(&self, generation: u64, latency: Duration) {
+        *self.per_generation.lock().entry(generation).or_insert(0) += 1;
+        self.latency.record(latency);
     }
 
     /// Records one finished snapshot query: which algorithm ran, which
@@ -216,377 +536,122 @@ impl EngineMetrics {
         latency: Duration,
         stats: &QueryStats,
     ) {
-        self.requests[algorithm.index()].fetch_add(1, Ordering::Relaxed);
-        {
-            let mut agg = self.aggregates.lock();
-            *agg.per_generation.entry(generation).or_insert(0) += 1;
-            agg.stats.absorb(stats);
-        }
-        self.latency.record(latency);
-    }
-
-    /// Records the generation currently being served (at construction
-    /// and after every swap).
-    pub fn note_generation(&self, generation: u64) {
-        self.generation.store(generation, Ordering::Relaxed);
-    }
-
-    /// Records one completed snapshot swap: the new generation and how
-    /// long its off-line index build took.
-    pub fn record_swap(&self, generation: u64, build: Duration) {
-        self.swaps.fetch_add(1, Ordering::Relaxed);
-        self.generation.store(generation, Ordering::Relaxed);
-        let nanos = u64::try_from(build.as_nanos()).unwrap_or(u64::MAX);
-        self.last_build_nanos.store(nanos, Ordering::Relaxed);
+        let e = &self.engine;
+        let requests = match algorithm {
+            Algorithm::Naive => &e.requests_naive,
+            Algorithm::Bbs => &e.requests_bbs,
+            Algorithm::B2s2 => &e.requests_b2s2,
+            Algorithm::Vs2 => &e.requests_vs2,
+        };
+        requests.fetch_add(1, Ordering::Relaxed);
+        self.record_work(stats);
+        self.record_served(generation, latency);
     }
 
     /// Records one query answered straight from the skyline diagram.
     ///
     /// Diagram hits are deliberately *not* counted in the per-algorithm
-    /// request array — no algorithm ran — but they do join the latency
+    /// requests — no algorithm ran — but they do join the latency
     /// histogram and the per-generation tallies, so total served is
-    /// `queries() + diagram.hits`.
+    /// `engine.queries() + diagram.hits`.
     pub fn record_diagram_hit(&self, generation: u64, latency: Duration) {
-        self.diagram_hits.fetch_add(1, Ordering::Relaxed);
-        *self
-            .aggregates
-            .lock()
-            .per_generation
-            .entry(generation)
-            .or_insert(0) += 1;
-        self.latency.record(latency);
+        self.diagram.hits.fetch_add(1, Ordering::Relaxed);
+        self.record_served(generation, latency);
     }
 
     /// Records a diagram probe that fell through to the planner.
     pub fn record_diagram_miss(&self) {
-        self.diagram_misses.fetch_add(1, Ordering::Relaxed);
+        self.diagram.misses.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a skyline diagram being published: its total cell count,
     /// build wall-clock, and how many hot keys it materialized.
     pub fn record_diagram_publish(&self, cells: u64, build: Duration, warmed: u64) {
-        self.diagram_cells.store(cells, Ordering::Relaxed);
-        let nanos = u64::try_from(build.as_nanos()).unwrap_or(u64::MAX);
-        self.diagram_build_nanos.store(nanos, Ordering::Relaxed);
-        self.diagram_warmed.store(warmed, Ordering::Relaxed);
-    }
-
-    /// Records one delta batch published as a new generation: what the
-    /// batch contained, whether the incremental path ran, and how long
-    /// the publish (delta build + install) took.
-    pub fn record_ingest(&self, stats: &DeltaStats, build: Duration) {
-        self.ingest_batches.fetch_add(1, Ordering::Relaxed);
-        self.ingest_inserts
-            .fetch_add(stats.inserts as u64, Ordering::Relaxed);
-        self.ingest_deletes
-            .fetch_add(stats.deletes as u64, Ordering::Relaxed);
-        if stats.incremental {
-            self.ingest_incremental.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.ingest_rebuilds.fetch_add(1, Ordering::Relaxed);
-        }
-        self.ingest_dirty_cells
-            .fetch_add(stats.dirty_cells as u64, Ordering::Relaxed);
-        self.ingest_last_ops
-            .store((stats.inserts + stats.deletes) as u64, Ordering::Relaxed);
-        let nanos = u64::try_from(build.as_nanos()).unwrap_or(u64::MAX);
-        self.ingest_last_build_nanos.store(nanos, Ordering::Relaxed);
+        let d = &self.diagram;
+        d.cells.store(cells, Ordering::Relaxed);
+        d.build_nanos.store(nanos(build), Ordering::Relaxed);
+        d.warmed.store(warmed, Ordering::Relaxed);
     }
 
     /// Records a batch refused by ingest admission control (the ingest
     /// queue was at capacity).
     pub fn record_ingest_shed(&self) {
-        self.ingest_shed.fetch_add(1, Ordering::Relaxed);
+        self.engine.ingest_shed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a continuous session being opened.
     pub fn record_session_opened(&self) {
-        self.sessions_opened.fetch_add(1, Ordering::Relaxed);
+        self.engine.sessions_opened.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one applied motion update (kept out of the query latency
     /// histogram: updates and snapshot queries are different workloads).
     pub fn record_session_update(&self, stats: &QueryStats) {
-        self.session_updates.fetch_add(1, Ordering::Relaxed);
-        self.aggregates.lock().stats.absorb(stats);
+        self.engine.session_updates.fetch_add(1, Ordering::Relaxed);
+        self.record_work(stats);
     }
 
     /// A point-in-time copy of every counter.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        // Copy the guarded slice first and release the leaf lock before
-        // assembling the (lock-free) remainder.
-        let (queries_per_generation, stats) = {
-            let agg = self.aggregates.lock();
-            (agg.per_generation.clone(), agg.stats)
-        };
         MetricsSnapshot {
-            requests: std::array::from_fn(|i| self.requests[i].load(Ordering::Relaxed)),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            sessions_opened: self.sessions_opened.load(Ordering::Relaxed),
-            session_updates: self.session_updates.load(Ordering::Relaxed),
-            generation: self.generation.load(Ordering::Relaxed),
-            swaps: self.swaps.load(Ordering::Relaxed),
-            last_build: Duration::from_nanos(self.last_build_nanos.load(Ordering::Relaxed)),
-            queries_per_generation,
+            counters: CounterSet {
+                engine: self.engine.snapshot(),
+                lifecycle: self.lifecycle.snapshot(),
+                work: self.work.snapshot(),
+                diagram: self.diagram.snapshot(),
+                ingest: self.ingest.snapshot(),
+                ..CounterSet::default()
+            },
+            queries_per_generation: self.per_generation.lock().clone(),
             latency: self.latency.snapshot(),
-            stats,
             kernel_path: ssq_geom::simd::path_name(),
-            net: NetCounters::default(),
-            ingest: IngestCounters {
-                batches: self.ingest_batches.load(Ordering::Relaxed),
-                inserts: self.ingest_inserts.load(Ordering::Relaxed),
-                deletes: self.ingest_deletes.load(Ordering::Relaxed),
-                incremental: self.ingest_incremental.load(Ordering::Relaxed),
-                rebuilds: self.ingest_rebuilds.load(Ordering::Relaxed),
-                dirty_cells: self.ingest_dirty_cells.load(Ordering::Relaxed),
-                shed: self.ingest_shed.load(Ordering::Relaxed),
-                last_batch_ops: self.ingest_last_ops.load(Ordering::Relaxed),
-                last_build: Duration::from_nanos(
-                    self.ingest_last_build_nanos.load(Ordering::Relaxed),
-                ),
-                rebalance_moves: 0,
-            },
-            diagram: DiagramCounters {
-                hits: self.diagram_hits.load(Ordering::Relaxed),
-                misses: self.diagram_misses.load(Ordering::Relaxed),
-                cells: self.diagram_cells.load(Ordering::Relaxed),
-                build: Duration::from_nanos(self.diagram_build_nanos.load(Ordering::Relaxed)),
-                warmed: self.diagram_warmed.load(Ordering::Relaxed),
-            },
         }
     }
 }
 
-/// Skyline-diagram counters, carried inside [`MetricsSnapshot`]. All
-/// zero for an engine whose diagram is disabled.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DiagramCounters {
-    /// Queries answered straight from the diagram (no algorithm run).
-    pub hits: u64,
-    /// Probes that fell through to the planner.
-    pub misses: u64,
-    /// Cells in the published diagram (point-location buckets plus
-    /// materialized key cells); summed across the fleet by
-    /// [`absorb`](DiagramCounters::absorb).
-    pub cells: u64,
-    /// Wall-clock duration of the most recent diagram build (the
-    /// slowest across the fleet after [`absorb`](DiagramCounters::absorb)).
-    pub build: Duration,
-    /// Hot keys materialized into the published diagram.
-    pub warmed: u64,
-}
-
-impl DiagramCounters {
-    /// Folds another engine's counters into this one — the fleet view.
-    pub fn absorb(&mut self, other: &DiagramCounters) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.cells += other.cells;
-        self.build = self.build.max(other.build);
-        self.warmed += other.warmed;
-    }
-
-    /// Hits / probes, or 0.0 before any probe.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Streaming-ingest counters, carried inside [`MetricsSnapshot`]: the
-/// per-generation publish cost of the delta pipeline. All zero for an
-/// engine that never ingested a batch. `rebalance_moves` is zero at the
-/// engine level; the shard router fills it when it snapshots a fleet
-/// (points moved between shards belong to no single engine).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct IngestCounters {
-    /// Delta batches published as new generations.
-    pub batches: u64,
-    /// Points inserted across all batches.
-    pub inserts: u64,
-    /// Points deleted across all batches.
-    pub deletes: u64,
-    /// Publishes that ran the incremental (delta) index path.
-    pub incremental: u64,
-    /// Publishes that fell back to a full index rebuild.
-    pub rebuilds: u64,
-    /// Voronoi cells recomputed across all incremental publishes.
-    pub dirty_cells: u64,
-    /// Batches refused by ingest admission control (queue full).
-    pub shed: u64,
-    /// Operations (inserts + deletes) in the most recent batch.
-    pub last_batch_ops: u64,
-    /// Wall-clock duration of the most recent delta publish (the
-    /// slowest across the fleet after [`absorb`](IngestCounters::absorb)).
-    pub last_build: Duration,
-    /// Points moved between shards by fleet rebalances (router-level).
-    pub rebalance_moves: u64,
-}
-
-impl IngestCounters {
-    /// Folds another engine's counters into this one — the fleet view.
-    pub fn absorb(&mut self, other: &IngestCounters) {
-        self.batches += other.batches;
-        self.inserts += other.inserts;
-        self.deletes += other.deletes;
-        self.incremental += other.incremental;
-        self.rebuilds += other.rebuilds;
-        self.dirty_cells += other.dirty_cells;
-        self.shed += other.shed;
-        self.last_batch_ops += other.last_batch_ops;
-        self.last_build = self.last_build.max(other.last_build);
-        self.rebalance_moves += other.rebalance_moves;
-    }
-}
-
-/// Network front-end counters, carried inside [`MetricsSnapshot`] so
-/// one metrics read answers for the whole serving stack. All zero for
-/// an engine that is not served over a socket; the `ssq-net` crate
-/// fills them from its own atomics when it snapshots a server.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NetCounters {
-    /// Connections accepted over the server's lifetime.
-    pub accepted: u64,
-    /// Connections currently open.
-    pub active: u64,
-    /// Connections refused at the connection cap (greeted with a
-    /// `RetryLater` frame and closed).
-    pub shed_connections: u64,
-    /// Requests refused by admission control — the per-client in-flight
-    /// window or the engine job queue was full.
-    pub shed_requests: u64,
-    /// Bytes read off sockets.
-    pub bytes_in: u64,
-    /// Bytes written to sockets.
-    pub bytes_out: u64,
-    /// Malformed, oversized, or wrong-version frames received (each one
-    /// is fatal to its connection).
-    pub frame_errors: u64,
-    /// Writes abandoned because a client socket stalled past the write
-    /// timeout (the connection is then torn down).
-    pub write_timeouts: u64,
-}
-
-impl NetCounters {
-    /// Adds every counter of `other` into `self` — the fleet view over
-    /// several servers.
-    pub fn absorb(&mut self, other: &NetCounters) {
-        self.accepted += other.accepted;
-        self.active += other.active;
-        self.shed_connections += other.shed_connections;
-        self.shed_requests += other.shed_requests;
-        self.bytes_in += other.bytes_in;
-        self.bytes_out += other.bytes_out;
-        self.frame_errors += other.frame_errors;
-        self.write_timeouts += other.write_timeouts;
-    }
-}
-
-/// A point-in-time copy of an engine's metrics.
+/// A point-in-time copy of an engine's metrics: its counter groups
+/// (reachable directly, `m.diagram.hits`, through `Deref`) plus the
+/// three members that are not words.
 #[derive(Clone, Default)]
 pub struct MetricsSnapshot {
-    /// Completed requests per algorithm, indexed by [`Algorithm::index`].
-    pub requests: [u64; Algorithm::ALL.len()],
-    /// Context-cache hits.
-    pub cache_hits: u64,
-    /// Context-cache misses.
-    pub cache_misses: u64,
-    /// Continuous sessions opened over the engine's lifetime.
-    pub sessions_opened: u64,
-    /// Motion updates applied across all sessions.
-    pub session_updates: u64,
-    /// Snapshot generation being served when the snapshot was taken
-    /// (the newest generation across the fleet after
-    /// [`absorb`](MetricsSnapshot::absorb)).
-    pub generation: u64,
-    /// Snapshot swaps performed (reindexes published).
-    pub swaps: u64,
-    /// Wall-clock duration of the most recent reindex build (zero until
-    /// the first swap; the slowest last build across the fleet after
-    /// [`absorb`](MetricsSnapshot::absorb)).
-    pub last_build: Duration,
+    /// The scalar counters. `net` and `router` belong to the layers
+    /// above an engine and read zero here.
+    pub counters: CounterSet,
     /// Queries served per snapshot generation, in generation order.
     pub queries_per_generation: BTreeMap<u64, u64>,
     /// Latency histogram of snapshot queries.
     pub latency: LatencySnapshot,
-    /// Work counters absorbed from every query and update.
-    pub stats: QueryStats,
     /// The tile-kernel dispatch serving this engine's scratch kernels
     /// (`"scalar"`, `"tiled"`, `"sse2"`, or `"avx2"` — see
     /// [`ssq_geom::simd::path_name`]). Empty on a default snapshot that
     /// never came from a live engine.
     pub kernel_path: &'static str,
-    /// Socket front-end counters (zero unless this snapshot came from a
-    /// running `ssq-net` server).
-    pub net: NetCounters,
-    /// Streaming-ingest counters (zero unless deltas were published).
-    pub ingest: IngestCounters,
-    /// Skyline-diagram counters (zero unless the diagram is enabled).
-    pub diagram: DiagramCounters,
+}
+
+impl std::ops::Deref for MetricsSnapshot {
+    type Target = CounterSet;
+
+    fn deref(&self) -> &CounterSet {
+        &self.counters
+    }
 }
 
 impl MetricsSnapshot {
-    /// Completed snapshot queries answered by a skyline algorithm (sum
-    /// over algorithms). Diagram hits are counted separately in
-    /// [`diagram`](MetricsSnapshot::diagram); total served is
-    /// `queries() + diagram.hits`.
-    pub fn queries(&self) -> u64 {
-        self.requests.iter().sum()
-    }
-
-    /// Requests served by `algorithm`.
-    pub fn requests_for(&self, algorithm: Algorithm) -> u64 {
-        self.requests[algorithm.index()]
-    }
-
-    /// Cache hits / lookups, or 0.0 before any lookup.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
     /// Folds another snapshot into this one — the fleet view over many
-    /// engines. Counters add, histograms merge bucket-wise, and the
-    /// [`QueryStats`] aggregate absorbs; every derived quantity
-    /// ([`queries`](MetricsSnapshot::queries), percentiles, hit rate)
-    /// then reads as the combined population.
+    /// engines. Counters merge by their declared rule, histograms merge
+    /// bucket-wise; every derived quantity (queries, percentiles, hit
+    /// rates) then reads as the combined population.
     pub fn absorb(&mut self, other: &MetricsSnapshot) {
-        for (mine, theirs) in self.requests.iter_mut().zip(&other.requests) {
-            *mine += theirs;
-        }
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.sessions_opened += other.sessions_opened;
-        self.session_updates += other.session_updates;
-        // Generations are fleet-wide (the router stamps every shard's
-        // snapshot from one counter), so the max is the newest published
-        // anywhere; swap counts add, and the slowest last build is the
-        // fleet's effective reindex cost.
-        self.generation = self.generation.max(other.generation);
-        self.swaps += other.swaps;
-        self.last_build = self.last_build.max(other.last_build);
+        self.counters.absorb(&other.counters);
         for (&generation, &count) in &other.queries_per_generation {
             *self.queries_per_generation.entry(generation).or_insert(0) += count;
         }
         self.latency.absorb(&other.latency);
-        self.stats.absorb(&other.stats);
         // Every shard in a fleet shares one process, hence one detected
         // dispatch — absorbing just fills in an unset fleet view.
         if self.kernel_path.is_empty() {
             self.kernel_path = other.kernel_path;
         }
-        self.net.absorb(&other.net);
-        self.ingest.absorb(&other.ingest);
-        self.diagram.absorb(&other.diagram);
     }
 }
 
@@ -640,6 +705,69 @@ mod tests {
     }
 
     #[test]
+    fn registry_rows_cells_codec_and_merge_agree() {
+        let rows = CounterSet::ROWS;
+        // Live cells numbered 1, 2, 3, … in declaration order read back
+        // through snapshot() in `each` order, which is ROWS order.
+        let set = CounterSet::snapshot_of_numbered_cells();
+        let mut seen = Vec::new();
+        set.each(|group, name, value| seen.push((group, name, value)));
+        assert_eq!(seen.len(), rows.len(), "one word per row");
+        for (i, (row, &(group, name, value))) in rows.iter().zip(&seen).enumerate() {
+            assert_eq!((row.group, row.name), (group, name), "codec order");
+            assert_eq!(value, i as u64 + 1, "{group}.{name} did not read back");
+            let twins = rows.iter().filter(|r| (r.group, r.name) == (group, name));
+            assert_eq!(twins.count(), 1, "{group}.{name} declared twice");
+            assert_eq!(row.unit == Unit::Nanos, name.ends_with("_nanos"), "{name}");
+            assert_eq!(
+                row.unit == Unit::Bytes,
+                name.starts_with("bytes_"),
+                "{name}"
+            );
+        }
+
+        // decode(encode(s)) == s; one word short is an error, not a panic.
+        let mut bytes = Vec::new();
+        set.encode(&mut bytes);
+        assert_eq!(bytes.len(), 8 * rows.len());
+        let decode = |bytes: &[u8]| {
+            let mut words = bytes.chunks_exact(8);
+            CounterSet::decode(|| {
+                let word = words.next().ok_or("truncated")?;
+                Ok(u64::from_le_bytes(word.try_into().unwrap()))
+            })
+        };
+        assert_eq!(decode(&bytes), Ok(set));
+        assert_eq!(decode(&bytes[..bytes.len() - 8]), Err("truncated"));
+
+        // absorb obeys each row's rule: `sum` adds, `max` keeps the larger.
+        let other = CounterSet::decode(|| Ok::<u64, ()>(1000)).unwrap();
+        let mut fleet = set;
+        fleet.absorb(&other);
+        let mut merged = Vec::new();
+        fleet.each(|_, _, value| merged.push(value));
+        for ((row, &(_, _, mine)), &got) in rows.iter().zip(&seen).zip(&merged) {
+            let want = match row.merge {
+                Merge::Sum => mine + 1000,
+                Merge::Max => 1000,
+            };
+            assert_eq!(got, want, "{}.{}: {:?}", row.group, row.name, row.merge);
+        }
+        assert_eq!(Merge::Sum.apply(u64::MAX, 1), u64::MAX, "sums saturate");
+
+        // render: one line per counter and rate, minus the skipped groups.
+        let text = set.render(&["engine", "lifecycle", "work", "diagram", "ingest"]);
+        assert!(text.starts_with(&format!("ssq_net_accepted {}\n", set.net.accepted)));
+        assert!(text.ends_with(&format!(
+            "ssq_router_mean_fanout {:.4}\nssq_router_prune_rate {:.4}\n",
+            set.router.mean_fanout(),
+            set.router.prune_rate()
+        )));
+        assert_eq!(text.lines().count(), 8 + 5 + 2);
+        assert_eq!(set.render(&[]).lines().count(), rows.len() + 4);
+    }
+
+    #[test]
     fn cache_and_request_accounting() {
         let m = EngineMetrics::new();
         m.record_cache(true);
@@ -651,15 +779,19 @@ mod tests {
         };
         m.record_query(Algorithm::Vs2, 0, Duration::from_micros(3), &stats);
         m.record_query(Algorithm::Naive, 1, Duration::from_micros(1), &stats);
+        m.record_session_update(&stats);
         let s = m.snapshot();
-        assert_eq!(s.cache_hits, 2);
-        assert_eq!(s.cache_misses, 1);
-        assert!((s.cache_hit_rate() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(s.queries(), 2);
-        assert_eq!(s.requests_for(Algorithm::Vs2), 1);
-        assert_eq!(s.requests_for(Algorithm::Naive), 1);
-        assert_eq!(s.requests_for(Algorithm::B2s2), 0);
-        assert_eq!(s.stats.dominance_checks, 14);
+        assert_eq!(s.engine.cache_hits, 2);
+        assert_eq!(s.engine.cache_misses, 1);
+        assert!((s.engine.cache_hit_rate() - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(s.engine.queries(), 2);
+        assert_eq!(s.engine.requests_for(Algorithm::Vs2), 1);
+        assert_eq!(s.engine.requests_for(Algorithm::Naive), 1);
+        assert_eq!(s.engine.requests_for(Algorithm::B2s2), 0);
+        assert_eq!(s.engine.session_updates, 1);
+        // Queries and session updates both feed the work aggregate;
+        // only queries join the histogram and the generation tallies.
+        assert_eq!(s.work.dominance_checks, 21);
         assert_eq!(s.latency.count(), 2);
         assert_eq!(s.queries_per_generation.get(&0), Some(&1));
         assert_eq!(s.queries_per_generation.get(&1), Some(&1));
@@ -668,64 +800,19 @@ mod tests {
     #[test]
     fn swap_accounting() {
         let m = EngineMetrics::new();
-        m.note_generation(0);
-        assert_eq!(m.snapshot().swaps, 0);
-        assert_eq!(m.snapshot().last_build, Duration::ZERO);
-        m.record_swap(1, Duration::from_millis(7));
-        m.record_swap(2, Duration::from_millis(3));
-        let s = m.snapshot();
+        assert_eq!(m.snapshot().lifecycle, LifecycleCounters::default());
+        m.lifecycle.record_swap(1, Duration::from_millis(7));
+        m.lifecycle.record_swap(2, Duration::from_millis(3));
+        let s = m.snapshot().lifecycle;
         assert_eq!(s.generation, 2);
         assert_eq!(s.swaps, 2);
-        assert_eq!(s.last_build, Duration::from_millis(3));
+        assert_eq!(s.last_build_nanos, 3_000_000);
     }
 
     #[test]
-    fn net_counters_absorb_additively() {
-        let mut a = NetCounters {
-            accepted: 3,
-            active: 1,
-            shed_connections: 2,
-            shed_requests: 5,
-            bytes_in: 100,
-            bytes_out: 200,
-            frame_errors: 1,
-            write_timeouts: 0,
-        };
-        let b = NetCounters {
-            accepted: 7,
-            active: 2,
-            shed_connections: 0,
-            shed_requests: 1,
-            bytes_in: 50,
-            bytes_out: 25,
-            frame_errors: 0,
-            write_timeouts: 4,
-        };
-        a.absorb(&b);
-        assert_eq!(a.accepted, 10);
-        assert_eq!(a.active, 3);
-        assert_eq!(a.shed_connections, 2);
-        assert_eq!(a.shed_requests, 6);
-        assert_eq!(a.bytes_in, 150);
-        assert_eq!(a.bytes_out, 225);
-        assert_eq!(a.frame_errors, 1);
-        assert_eq!(a.write_timeouts, 4);
-
-        // And through the MetricsSnapshot fleet fold.
-        let mut fleet = MetricsSnapshot::default();
-        let one = MetricsSnapshot {
-            net: b,
-            ..MetricsSnapshot::default()
-        };
-        fleet.absorb(&one);
-        fleet.absorb(&one);
-        assert_eq!(fleet.net.accepted, 14);
-    }
-
-    #[test]
-    fn ingest_accounting_and_absorb() {
+    fn ingest_accounting() {
         let m = EngineMetrics::new();
-        m.record_ingest(
+        m.ingest.record_ingest(
             &DeltaStats {
                 inserts: 30,
                 deletes: 20,
@@ -734,7 +821,7 @@ mod tests {
             },
             Duration::from_millis(4),
         );
-        m.record_ingest(
+        m.ingest.record_ingest(
             &DeltaStats {
                 inserts: 500,
                 deletes: 0,
@@ -751,21 +838,13 @@ mod tests {
         assert_eq!(s.ingest.incremental, 1);
         assert_eq!(s.ingest.rebuilds, 1);
         assert_eq!(s.ingest.dirty_cells, 55);
-        assert_eq!(s.ingest.shed, 1);
         assert_eq!(s.ingest.last_batch_ops, 500);
-        assert_eq!(s.ingest.last_build, Duration::from_millis(90));
-
-        let mut fleet = MetricsSnapshot::default();
-        fleet.absorb(&s);
-        fleet.absorb(&s);
-        assert_eq!(fleet.ingest.batches, 4);
-        assert_eq!(fleet.ingest.inserts, 1060);
-        assert_eq!(fleet.ingest.last_build, Duration::from_millis(90));
-        assert_eq!(fleet.ingest.rebalance_moves, 0);
+        assert_eq!(s.ingest.last_build_nanos, 90_000_000);
+        assert_eq!(s.engine.ingest_shed, 1);
     }
 
     #[test]
-    fn diagram_accounting_and_absorb() {
+    fn diagram_accounting() {
         let m = EngineMetrics::new();
         m.record_diagram_publish(4100, Duration::from_millis(12), 4);
         m.record_diagram_hit(2, Duration::from_micros(1));
@@ -775,55 +854,39 @@ mod tests {
         assert_eq!(s.diagram.hits, 2);
         assert_eq!(s.diagram.misses, 1);
         assert_eq!(s.diagram.cells, 4100);
-        assert_eq!(s.diagram.build, Duration::from_millis(12));
+        assert_eq!(s.diagram.build_nanos, 12_000_000);
         assert_eq!(s.diagram.warmed, 4);
         assert!((s.diagram.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
         // Hits join the histogram and generation tallies, not requests.
-        assert_eq!(s.queries(), 0);
+        assert_eq!(s.engine.queries(), 0);
         assert_eq!(s.latency.count(), 2);
         assert_eq!(s.queries_per_generation.get(&2), Some(&2));
-
-        let mut fleet = MetricsSnapshot::default();
-        fleet.absorb(&s);
-        fleet.absorb(&s);
-        assert_eq!(fleet.diagram.hits, 4);
-        assert_eq!(fleet.diagram.misses, 2);
-        assert_eq!(fleet.diagram.cells, 8200);
-        assert_eq!(fleet.diagram.build, Duration::from_millis(12));
-        assert_eq!(fleet.diagram.warmed, 8);
     }
 
     #[test]
     fn snapshots_absorb_into_a_fleet_view() {
         let a = EngineMetrics::new();
         let b = EngineMetrics::new();
-        let stats = QueryStats {
-            dominance_checks: 3,
-            ..QueryStats::default()
-        };
-        a.record_cache(true);
+        let stats = QueryStats::default();
         a.record_query(Algorithm::Vs2, 1, Duration::from_micros(2), &stats);
-        a.record_swap(1, Duration::from_millis(5));
-        b.record_cache(false);
+        a.lifecycle.record_swap(1, Duration::from_millis(5));
         b.record_query(Algorithm::Naive, 0, Duration::from_micros(8), &stats);
         b.record_query(Algorithm::B2s2, 1, Duration::from_micros(1), &stats);
 
+        // The counters merge by their rows (the registry test); here:
+        // the whole set takes part, and the three members that are not
+        // words merge too.
         let mut fleet = MetricsSnapshot::default();
         fleet.absorb(&a.snapshot());
         fleet.absorb(&b.snapshot());
-        assert_eq!(fleet.queries(), 3);
-        assert_eq!(fleet.generation, 1);
-        assert_eq!(fleet.swaps, 1);
-        assert_eq!(fleet.last_build, Duration::from_millis(5));
+        let mut want = a.snapshot().counters;
+        want.absorb(&b.snapshot().counters);
+        assert_eq!(fleet.counters, want);
+        assert_eq!(fleet.engine.queries(), 3);
+        assert_eq!(fleet.lifecycle.generation, 1);
         assert_eq!(fleet.queries_per_generation.get(&0), Some(&1));
         assert_eq!(fleet.queries_per_generation.get(&1), Some(&2));
-        assert_eq!(fleet.requests_for(Algorithm::Vs2), 1);
-        assert_eq!(fleet.requests_for(Algorithm::Naive), 1);
-        assert_eq!(fleet.requests_for(Algorithm::B2s2), 1);
-        assert_eq!(fleet.cache_hits, 1);
-        assert_eq!(fleet.cache_misses, 1);
         assert_eq!(fleet.latency.count(), 3);
-        assert_eq!(fleet.stats.dominance_checks, 9);
         // Percentiles read the merged population.
         assert!(fleet.latency.percentile(1.0) >= Duration::from_micros(8));
     }

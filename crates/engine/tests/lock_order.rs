@@ -176,7 +176,7 @@ fn concurrent_traffic_acquires_all_locks_in_rank_order() {
         threads.push(std::thread::spawn(move || {
             while !stop.load(Ordering::Relaxed) {
                 let snapshot = engine.metrics();
-                let _ = snapshot.queries();
+                let _ = snapshot.engine.queries();
                 std::thread::sleep(Duration::from_millis(1));
             }
         }));

@@ -10,7 +10,7 @@
 //! client matches replies to requests by id, parking out-of-order
 //! frames so [`Client::await_id`] can interleave freely.
 
-use crate::wire::{self, Frame, FrameBuffer, QuerySpec, WireResult, WireStats, WireUpdate};
+use crate::wire::{self, Frame, FrameBuffer, QuerySpec, StatsResult, WireResult, WireUpdate};
 use crate::NetError;
 use ssq_engine::Algorithm;
 use ssq_geom::Point;
@@ -251,9 +251,9 @@ impl Client {
     }
 
     /// Server + engine counters in one round trip.
-    pub fn stats(&mut self) -> Result<WireStats, NetError> {
+    pub fn stats(&mut self) -> Result<StatsResult, NetError> {
         match self.round_trip(&Frame::Stats)? {
-            Frame::StatsResult(stats) => Ok(stats),
+            Frame::StatsResult(stats) => Ok(*stats),
             _ => Err(NetError::Unexpected {
                 context: "stats expected a StatsResult frame",
             }),

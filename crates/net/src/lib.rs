@@ -33,7 +33,7 @@ pub use client::Client;
 pub use metrics::NetMetrics;
 pub use server::{Server, ServerConfig};
 pub use wire::{
-    Envelope, ErrorCode, Frame, FrameBuffer, ProtocolError, QuerySpec, WireResult, WireStats,
+    Envelope, ErrorCode, Frame, FrameBuffer, ProtocolError, QuerySpec, StatsResult, WireResult,
     WireUpdate,
 };
 

@@ -1,22 +1,15 @@
-//! Lock-free server counters, snapshotted into the engine's
-//! [`NetCounters`] so `MetricsSnapshot` carries the whole serving
-//! stack's observability in one read.
+//! Lock-free server counters: the `net` group of the counter table in
+//! [`ssq_engine::metrics`], recorded here.
 
+use ssq_engine::metrics::NetCells;
 use ssq_engine::NetCounters;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
 /// Atomic counters for one [`Server`](crate::Server). Every recorder is
 /// a single relaxed `fetch_add`; nothing here is on a lock.
 #[derive(Debug, Default)]
 pub struct NetMetrics {
-    accepted: AtomicU64,
-    active: AtomicU64,
-    shed_connections: AtomicU64,
-    shed_requests: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
-    frame_errors: AtomicU64,
-    write_timeouts: AtomicU64,
+    cells: NetCells,
 }
 
 impl NetMetrics {
@@ -27,8 +20,8 @@ impl NetMetrics {
 
     /// Records an accepted connection (also bumps the active gauge).
     pub fn record_accept(&self) {
-        self.accepted.fetch_add(1, Ordering::Relaxed);
-        self.active.fetch_add(1, Ordering::Relaxed);
+        self.cells.accepted.fetch_add(1, Ordering::Relaxed);
+        self.cells.active.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a connection teardown.
@@ -36,57 +29,49 @@ impl NetMetrics {
         // Saturating decrement: a double-close bug must not wrap the
         // gauge to u64::MAX and poison every later report.
         let _ = self
+            .cells
             .active
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1));
     }
 
     /// Connections currently open.
     pub fn active(&self) -> u64 {
-        self.active.load(Ordering::Relaxed)
+        self.cells.active.load(Ordering::Relaxed)
     }
 
     /// Records a connection refused at the cap.
     pub fn record_shed_connection(&self) {
-        self.shed_connections.fetch_add(1, Ordering::Relaxed);
+        self.cells.shed_connections.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a request refused by admission control.
     pub fn record_shed_request(&self) {
-        self.shed_requests.fetch_add(1, Ordering::Relaxed);
+        self.cells.shed_requests.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records bytes read off a socket.
     pub fn record_bytes_in(&self, n: usize) {
-        self.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
+        self.cells.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
     }
 
     /// Records bytes written to a socket.
     pub fn record_bytes_out(&self, n: usize) {
-        self.bytes_out.fetch_add(n as u64, Ordering::Relaxed);
+        self.cells.bytes_out.fetch_add(n as u64, Ordering::Relaxed);
     }
 
     /// Records a malformed/oversized/wrong-version frame.
     pub fn record_frame_error(&self) {
-        self.frame_errors.fetch_add(1, Ordering::Relaxed);
+        self.cells.frame_errors.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a write abandoned on a stalled socket.
     pub fn record_write_timeout(&self) {
-        self.write_timeouts.fetch_add(1, Ordering::Relaxed);
+        self.cells.write_timeouts.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A point-in-time copy in the engine-metrics shape.
+    /// A point-in-time copy of every counter.
     pub fn snapshot(&self) -> NetCounters {
-        NetCounters {
-            accepted: self.accepted.load(Ordering::Relaxed),
-            active: self.active.load(Ordering::Relaxed),
-            shed_connections: self.shed_connections.load(Ordering::Relaxed),
-            shed_requests: self.shed_requests.load(Ordering::Relaxed),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-            frame_errors: self.frame_errors.load(Ordering::Relaxed),
-            write_timeouts: self.write_timeouts.load(Ordering::Relaxed),
-        }
+        self.cells.snapshot()
     }
 }
 

@@ -50,7 +50,7 @@
 
 use crate::metrics::NetMetrics;
 use crate::wire::{
-    self, ErrorCode, Frame, QuerySpec, WireResult, WireStats, WireUpdate, ALGORITHM_ROUTED,
+    self, ErrorCode, Frame, QuerySpec, StatsResult, WireResult, WireUpdate, ALGORITHM_ROUTED,
 };
 use crate::NetError;
 use ssq_core::UpdateOutcome;
@@ -58,9 +58,9 @@ use ssq_engine::sync::{
     lock_unpoisoned, wait_unpoisoned, RankedMutex, RANK_NET_CONNECTIONS, RANK_NET_WRITER,
 };
 use ssq_engine::{
-    BatchTicket, Engine, EngineError, MetricsSnapshot, QueryHandle, QueryRequest, QueryResponse,
-    ServedBy, SessionId, SessionUpdate, Ticket, TrySubmitError, UpdateHandle, WorkerPool,
-    WorkerState,
+    BatchTicket, CounterSet, Engine, EngineError, NetCounters, QueryHandle, QueryRequest,
+    QueryResponse, ServedBy, SessionId, SessionUpdate, Ticket, TrySubmitError, UpdateHandle,
+    WorkerPool, WorkerState,
 };
 use ssq_geom::{Point, Rect};
 use ssq_shard::{ShardError, ShardedEngine};
@@ -178,24 +178,10 @@ enum Backend {
 }
 
 impl Backend {
-    fn metrics(&self) -> MetricsSnapshot {
-        match self {
-            Backend::Single(e) => e.metrics(),
-            Backend::Sharded(s) => s.metrics().engines,
-        }
-    }
-
     fn data_len(&self) -> usize {
         match self {
             Backend::Single(e) => e.data_len(),
             Backend::Sharded(s) => s.data_len(),
-        }
-    }
-
-    fn generation(&self) -> u64 {
-        match self {
-            Backend::Single(e) => e.generation(),
-            Backend::Sharded(s) => s.generation(),
         }
     }
 
@@ -230,6 +216,21 @@ struct ServerShared {
     shutting_down: AtomicBool,
     connections: RankedMutex<HashMap<u64, ConnEntry>>,
     next_conn: AtomicU64,
+}
+
+impl ServerShared {
+    /// The backend's counters — an engine's, or a fleet's (the router's
+    /// groups beside its folded engines') — with `net` filled in.
+    fn counters(&self) -> CounterSet {
+        let backend = match &*self.backend {
+            Backend::Single(e) => e.metrics().counters,
+            Backend::Sharded(s) => s.metrics().counters,
+        };
+        CounterSet {
+            net: self.metrics.snapshot(),
+            ..backend
+        }
+    }
 }
 
 /// A running TCP front-end over an engine. See the [module
@@ -313,27 +314,24 @@ impl Server {
     }
 
     /// The socket front-end counters alone.
-    pub fn net_counters(&self) -> ssq_engine::NetCounters {
+    pub fn net_counters(&self) -> NetCounters {
         self.shared.metrics.snapshot()
     }
 
-    /// The backend's metrics with [`MetricsSnapshot::net`] filled in —
-    /// the whole serving stack in one read.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        let mut m = self.shared.backend.metrics();
-        m.net = self.shared.metrics.snapshot();
-        m
+    /// Every scalar counter of the serving stack in one read: the
+    /// backend's groups with `net` filled in — what a `Stats` frame
+    /// answers.
+    pub fn metrics(&self) -> CounterSet {
+        self.shared.counters()
     }
 
     /// Drains and stops the server: no new connections, every accepted
     /// request answered, every connection closed with a
     /// [`Frame::Goodbye`], every thread joined. Returns the final
-    /// metrics (net counters included).
-    pub fn shutdown(mut self) -> MetricsSnapshot {
+    /// counters.
+    pub fn shutdown(mut self) -> CounterSet {
         self.shutdown_inner();
-        let mut m = self.shared.backend.metrics();
-        m.net = self.shared.metrics.snapshot();
-        m
+        self.shared.counters()
     }
 
     fn shutdown_inner(&mut self) {
@@ -676,7 +674,7 @@ fn handle_frame(
             Flow::Continue
         }
         Frame::Stats => {
-            let frame = Frame::StatsResult(stats(shared));
+            let frame = Frame::StatsResult(Box::new(stats(shared)));
             send_frame(shared, conn, id, &frame);
             Flow::Continue
         }
@@ -1053,23 +1051,11 @@ fn update_frame(update: SessionUpdate) -> Frame {
     })
 }
 
-fn stats(shared: &ServerShared) -> WireStats {
-    let m = shared.backend.metrics();
-    WireStats {
+fn stats(shared: &ServerShared) -> StatsResult {
+    StatsResult {
         data_len: shared.backend.data_len() as u64,
-        generation: shared.backend.generation(),
-        queries: m.queries(),
-        cache_hits: m.cache_hits,
-        cache_misses: m.cache_misses,
-        sessions_opened: m.sessions_opened,
-        session_updates: m.session_updates,
-        diagram_hits: m.diagram.hits,
-        diagram_misses: m.diagram.misses,
-        diagram_cells: m.diagram.cells,
-        diagram_build_nanos: m.diagram.build.as_nanos() as u64,
-        diagram_warmed: m.diagram.warmed,
-        net: shared.metrics.snapshot(),
         universe: shared.backend.universe(),
+        groups: shared.counters(),
     }
 }
 

@@ -5,7 +5,7 @@
 //! ```text
 //! ┌───────────┬──────────┬─────────┬───────────────┬─────────────┐
 //! │ len: u32  │ ver: u8  │ kind:u8 │ request_id:u64│ payload …   │
-//! │ (LE)      │ (= 2)    │         │ (LE)          │ (per kind)  │
+//! │ (LE)      │ (= 3)    │         │ (LE)          │ (per kind)  │
 //! └───────────┴──────────┴─────────┴───────────────┴─────────────┘
 //! ```
 //!
@@ -25,13 +25,15 @@
 //! [`FrameBuffer`] is the shared incremental-reassembly helper both
 //! sides feed raw reads into.
 
-use ssq_engine::{Algorithm, NetCounters};
+use ssq_engine::{Algorithm, CounterSet};
 use ssq_geom::{Point, Rect};
 
 /// The one protocol version this build speaks. Version 2 replaced the
-/// result's cache-hit flag with a [`WireResult::served_by`] byte and
-/// added the skyline-diagram counters to [`WireStats`].
-pub const WIRE_VERSION: u8 = 2;
+/// result's cache-hit flag with a [`WireResult::served_by`] byte;
+/// version 3 replaced the `Stats` answer's hand-picked counter subset
+/// with every group of the counter table ([`StatsResult`]). A row added
+/// to that table lengthens the answer, so it comes with a bump here.
+pub const WIRE_VERSION: u8 = 3;
 
 /// Bytes of a frame counted by its `len` field but not part of the
 /// payload: version (1) + kind (1) + request id (8).
@@ -282,37 +284,23 @@ pub struct WireUpdate {
 }
 
 /// Server facts answered to a [`Frame::Stats`] request.
+///
+/// Payload layout: `data_len` (`u64`), `universe` (four `f64`: min x,
+/// min y, max x, max y), then `groups` — every row of the counter table
+/// in declaration order, one little-endian `u64` each
+/// ([`CounterSet::encode`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WireStats {
+pub struct StatsResult {
     /// Points in the served dataset (summed across shards).
     pub data_len: u64,
-    /// Snapshot generation being served.
-    pub generation: u64,
-    /// Snapshot queries completed.
-    pub queries: u64,
-    /// Context-cache hits.
-    pub cache_hits: u64,
-    /// Context-cache misses.
-    pub cache_misses: u64,
-    /// Continuous sessions opened.
-    pub sessions_opened: u64,
-    /// Motion updates applied.
-    pub session_updates: u64,
-    /// Skyline-diagram point-location hits.
-    pub diagram_hits: u64,
-    /// Skyline-diagram misses (probe fell through to the planner).
-    pub diagram_misses: u64,
-    /// Cells in the currently published diagram (summed across shards).
-    pub diagram_cells: u64,
-    /// Nanoseconds the last diagram build took (max across shards).
-    pub diagram_build_nanos: u64,
-    /// Hot keys the published diagram materialized cells for.
-    pub diagram_warmed: u64,
-    /// Socket front-end counters.
-    pub net: NetCounters,
     /// Bounding rect of the dataset — lets a remote load generator
     /// draw query points from the right region without the CSV.
     pub universe: Rect,
+    /// Every counter the server keeps. Behind a sharded backend
+    /// `router`, `lifecycle` and `ingest` are the router's and `engine`,
+    /// `work` and `diagram` the shard engines' folded together; behind a
+    /// single engine `router` reads zero.
+    pub groups: CounterSet,
 }
 
 /// Every frame of the protocol, both directions.
@@ -381,8 +369,10 @@ pub enum Frame {
         /// Whether the session existed.
         existed: bool,
     },
-    /// Answer to [`Frame::Stats`].
-    StatsResult(WireStats),
+    /// Answer to [`Frame::Stats`]. Boxed: the counter table is several
+    /// times the size of any other variant, and every frame on the
+    /// query path moves by value.
+    StatsResult(Box<StatsResult>),
     /// Admission control shed this request (window or queue full) or —
     /// with request id 0, before the connection closes — the whole
     /// connection (cap reached). Resubmit after the hint.
@@ -722,50 +712,14 @@ pub fn decode(
         K_SESSION_CLOSED => Frame::SessionClosed {
             existed: r.u8()? != 0,
         },
-        K_STATS_RESULT => {
-            let data_len = r.u64()?;
-            let generation = r.u64()?;
-            let queries = r.u64()?;
-            let cache_hits = r.u64()?;
-            let cache_misses = r.u64()?;
-            let sessions_opened = r.u64()?;
-            let session_updates = r.u64()?;
-            let diagram_hits = r.u64()?;
-            let diagram_misses = r.u64()?;
-            let diagram_cells = r.u64()?;
-            let diagram_build_nanos = r.u64()?;
-            let diagram_warmed = r.u64()?;
-            let net = NetCounters {
-                accepted: r.u64()?,
-                active: r.u64()?,
-                shed_connections: r.u64()?,
-                shed_requests: r.u64()?,
-                bytes_in: r.u64()?,
-                bytes_out: r.u64()?,
-                frame_errors: r.u64()?,
-                write_timeouts: r.u64()?,
-            };
-            let universe = Rect {
+        K_STATS_RESULT => Frame::StatsResult(Box::new(StatsResult {
+            data_len: r.u64()?,
+            universe: Rect {
                 min: Point::new(r.f64()?, r.f64()?),
                 max: Point::new(r.f64()?, r.f64()?),
-            };
-            Frame::StatsResult(WireStats {
-                data_len,
-                generation,
-                queries,
-                cache_hits,
-                cache_misses,
-                sessions_opened,
-                session_updates,
-                diagram_hits,
-                diagram_misses,
-                diagram_cells,
-                diagram_build_nanos,
-                diagram_warmed,
-                net,
-                universe,
-            })
-        }
+            },
+            groups: CounterSet::decode(|| r.u64())?,
+        })),
         K_RETRY_LATER => Frame::RetryLater {
             backoff_ms: r.u32()?,
         },
@@ -889,30 +843,7 @@ pub fn encode_frame(
         }
         Frame::SessionClosed { existed } => out.push(u8::from(*existed)),
         Frame::StatsResult(s) => {
-            for v in [
-                s.data_len,
-                s.generation,
-                s.queries,
-                s.cache_hits,
-                s.cache_misses,
-                s.sessions_opened,
-                s.session_updates,
-                s.diagram_hits,
-                s.diagram_misses,
-                s.diagram_cells,
-                s.diagram_build_nanos,
-                s.diagram_warmed,
-                s.net.accepted,
-                s.net.active,
-                s.net.shed_connections,
-                s.net.shed_requests,
-                s.net.bytes_in,
-                s.net.bytes_out,
-                s.net.frame_errors,
-                s.net.write_timeouts,
-            ] {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
+            out.extend_from_slice(&s.data_len.to_le_bytes());
             for v in [
                 s.universe.min.x,
                 s.universe.min.y,
@@ -921,6 +852,7 @@ pub fn encode_frame(
             ] {
                 out.extend_from_slice(&v.to_le_bytes());
             }
+            s.groups.encode(out);
         }
         Frame::RetryLater { backoff_ms } => out.extend_from_slice(&backoff_ms.to_le_bytes()),
         Frame::Error { code, message } => {
@@ -1015,6 +947,24 @@ impl FrameBuffer {
 mod tests {
     use super::*;
 
+    /// A `StatsResult` with every counter of every group distinct and
+    /// nonzero.
+    fn populated_stats() -> StatsResult {
+        let mut n = 1000u64;
+        StatsResult {
+            data_len: 1000,
+            universe: Rect {
+                min: Point::new(0.0, 0.0),
+                max: Point::new(10.0, 10.0),
+            },
+            groups: CounterSet::decode(|| {
+                n += 1;
+                Ok::<u64, ProtocolError>(n)
+            })
+            .unwrap(),
+        }
+    }
+
     fn roundtrip(frame: Frame) -> Frame {
         let mut buf = Vec::new();
         encode_frame(42, &frame, DEFAULT_MAX_FRAME_LEN, &mut buf).unwrap();
@@ -1096,34 +1046,7 @@ mod tests {
                 skyline: vec![],
             }),
             Frame::SessionClosed { existed: true },
-            Frame::StatsResult(WireStats {
-                data_len: 1000,
-                generation: 2,
-                queries: 31,
-                cache_hits: 20,
-                cache_misses: 11,
-                sessions_opened: 3,
-                session_updates: 17,
-                diagram_hits: 12,
-                diagram_misses: 7,
-                diagram_cells: 400,
-                diagram_build_nanos: 1_500_000,
-                diagram_warmed: 6,
-                net: NetCounters {
-                    accepted: 5,
-                    active: 2,
-                    shed_connections: 1,
-                    shed_requests: 9,
-                    bytes_in: 4096,
-                    bytes_out: 8192,
-                    frame_errors: 0,
-                    write_timeouts: 0,
-                },
-                universe: Rect {
-                    min: Point::new(0.0, 0.0),
-                    max: Point::new(10.0, 10.0),
-                },
-            }),
+            Frame::StatsResult(Box::new(populated_stats())),
             Frame::RetryLater { backoff_ms: 25 },
             Frame::Error {
                 code: ErrorCode::NoSuchSession,
@@ -1132,6 +1055,37 @@ mod tests {
         ];
         for frame in frames {
             assert_eq!(roundtrip(frame.clone()), frame, "{frame:?}");
+        }
+    }
+
+    #[test]
+    fn truncated_stats_result_is_a_typed_error() {
+        let mut buf = Vec::new();
+        let frame = Frame::StatsResult(Box::new(populated_stats()));
+        encode_frame(1, &frame, DEFAULT_MAX_FRAME_LEN, &mut buf).unwrap();
+        assert_eq!(buf.len(), HEADER_LEN + 8 + 32 + 8 * CounterSet::ROWS.len());
+        assert_eq!(
+            (WIRE_VERSION, CounterSet::ROWS.len()),
+            (3, 44),
+            "the counter table changed the StatsResult layout: bump WIRE_VERSION with it"
+        );
+        // Cut the payload anywhere and fix the length prefix up: the
+        // frame is complete, its payload is short.
+        for keep in HEADER_LEN..buf.len() {
+            let mut cut = buf[..keep].to_vec();
+            let len = (keep - 4) as u32;
+            cut[..4].copy_from_slice(&len.to_le_bytes());
+            assert!(
+                matches!(
+                    decode(&cut, DEFAULT_MAX_FRAME_LEN),
+                    Err(ProtocolError::Truncated {
+                        kind: K_STATS_RESULT,
+                        ..
+                    })
+                ),
+                "payload cut to {} bytes",
+                keep - HEADER_LEN
+            );
         }
     }
 

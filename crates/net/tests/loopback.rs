@@ -8,7 +8,7 @@ use ssq_geom::Point;
 use ssq_net::wire::ALGORITHM_ROUTED;
 use ssq_net::{Client, Frame, Server, ServerConfig};
 use ssq_rng::Xoshiro256;
-use ssq_shard::{ShardConfig, ShardedEngine};
+use ssq_shard::{PartitionPolicy, ShardConfig, ShardedEngine};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -122,8 +122,15 @@ fn batch_and_stats_round_trip() {
 
     let stats = client.stats().unwrap();
     assert_eq!(stats.data_len as usize, 300);
-    assert!(stats.queries >= queries.len() as u64);
-    assert_eq!(stats.net.accepted, 1);
+    assert!(stats.groups.engine.queries() >= queries.len() as u64);
+    assert_eq!(stats.groups.net.accepted, 1);
+    // Stats answers Server::metrics (the reply's own bytes land in
+    // `net` after the frame was built, so that group is compared above).
+    let local = ssq_engine::CounterSet {
+        net: stats.groups.net,
+        ..server.metrics()
+    };
+    assert_eq!(stats.groups, local);
 
     client.goodbye().unwrap();
     server.shutdown();
@@ -294,6 +301,36 @@ fn a_sharded_backend_serves_queries_and_rejects_sessions() {
         }
         other => panic!("expected Unsupported for sharded sessions, got {other:?}"),
     }
+
+    client.goodbye().unwrap();
+    server.shutdown();
+}
+
+#[test]
+fn a_sharded_backend_reports_routed_queries_in_stats() {
+    const QUERIES: u64 = 12;
+    let data = dataset(600, 0xF3);
+    let sharded = ShardedEngine::new(
+        &data,
+        ShardConfig::default()
+            .with_shards(4)
+            .with_policy(PartitionPolicy::Grid)
+            .with_engine(EngineConfig::default().with_workers(2)),
+    )
+    .unwrap();
+    let server = Server::serve_sharded("127.0.0.1:0", sharded, ServerConfig::default()).unwrap();
+    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+    let mut rng = Xoshiro256::seed_from_u64(0xF4);
+    for _ in 0..QUERIES {
+        client.query(&random_query(&mut rng)).unwrap();
+    }
+
+    // `router.queries` is what clients sent; the folded engines count
+    // the per-shard sub-queries the fan-out ran (at least one each).
+    let groups = client.stats().unwrap().groups;
+    assert_eq!(groups.router.queries, QUERIES);
+    assert!(groups.router.shards_queried >= QUERIES);
+    assert_eq!(groups.engine.queries(), groups.router.shards_queried);
 
     client.goodbye().unwrap();
     server.shutdown();

@@ -5,10 +5,10 @@
 //! [`ProtocolError`]; the decoder must never panic and never balloon
 //! memory on a hostile length or count.
 
-use ssq_engine::{Algorithm, NetCounters};
+use ssq_engine::{Algorithm, CounterSet};
 use ssq_geom::{Point, Rect};
 use ssq_net::wire::{
-    decode, encode_frame, Frame, ProtocolError, QuerySpec, WireResult, WireStats, WireUpdate,
+    decode, encode_frame, Frame, ProtocolError, QuerySpec, StatsResult, WireResult, WireUpdate,
     DEFAULT_MAX_FRAME_LEN, FRAME_OVERHEAD, SERVED_BY_CACHE, SERVED_BY_DIAGRAM, WIRE_VERSION,
 };
 use ssq_net::ErrorCode;
@@ -70,25 +70,22 @@ fn corpus() -> Vec<Vec<u8>> {
         Frame::SessionClose { session: 3 },
         Frame::SessionClosed { existed: true },
         Frame::Stats,
-        Frame::StatsResult(WireStats {
+        Frame::StatsResult(Box::new(StatsResult {
             data_len: 100,
-            generation: 4,
-            queries: 50,
-            cache_hits: 10,
-            cache_misses: 40,
-            sessions_opened: 2,
-            session_updates: 6,
-            diagram_hits: 3,
-            diagram_misses: 47,
-            diagram_cells: 128,
-            diagram_build_nanos: 900_000,
-            diagram_warmed: 2,
-            net: NetCounters::default(),
             universe: Rect {
                 min: Point::new(0.0, 0.0),
                 max: Point::new(10.0, 10.0),
             },
-        }),
+            // Every group populated: counter i of the table reads i.
+            groups: {
+                let mut next = 0u64;
+                CounterSet::decode(|| {
+                    next += 1;
+                    Ok::<u64, ProtocolError>(next)
+                })
+                .expect("an endless word source cannot truncate")
+            },
+        })),
         Frame::RetryLater { backoff_ms: 25 },
         Frame::Error {
             code: ErrorCode::Malformed,

@@ -1,42 +1,29 @@
 //! Router-side observability: per-query shard fan-out, pruning
 //! effectiveness, merge workload, and end-to-end latency — plus the
 //! aggregated fleet view over every shard engine's own metrics.
+//!
+//! The counters are rows of the table in [`ssq_engine::metrics`]: the
+//! `router` group, and a router-level instance of the `lifecycle` and
+//! `ingest` groups every engine also keeps.
 
 use ssq_core::DeltaStats;
-use ssq_engine::{IngestCounters, LatencyHistogram, LatencySnapshot, MetricsSnapshot};
-use std::sync::atomic::{AtomicU64, Ordering};
+use ssq_engine::metrics::{IngestCells, LifecycleCells, RouterCells};
+use ssq_engine::{CounterSet, LatencyHistogram, LatencySnapshot, MetricsSnapshot};
+use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 /// Shared counters for one [`ShardedEngine`](crate::ShardedEngine).
 #[derive(Default)]
 pub struct ShardMetrics {
-    queries: AtomicU64,
-    shards_queried: AtomicU64,
-    shards_pruned: AtomicU64,
-    merge_candidates: AtomicU64,
-    /// Fleet generation currently routed to.
-    generation: AtomicU64,
-    /// Fleet-wide reindexes published (one per
-    /// [`reindex`](crate::ShardedEngine::reindex), regardless of shard
-    /// count — the per-engine swap counters in the folded engine view
-    /// count each shard's install separately).
-    swaps: AtomicU64,
-    /// Wall-clock nanoseconds the most recent reindex took: partition
-    /// plus every shard's index build.
-    last_build_nanos: AtomicU64,
-    // Fleet-level delta ingest (see ShardedEngine::ingest). These count
-    // *batches* routed through the router, not per-shard applications:
-    // a batch touching three shards is one incremental batch here.
-    ingest_batches: AtomicU64,
-    ingest_inserts: AtomicU64,
-    ingest_deletes: AtomicU64,
-    ingest_incremental: AtomicU64,
-    ingest_rebuilds: AtomicU64,
-    ingest_dirty_cells: AtomicU64,
-    ingest_last_ops: AtomicU64,
-    ingest_last_build_nanos: AtomicU64,
-    /// Points that changed shard ownership across all rebalances.
-    rebalance_moves: AtomicU64,
+    router: RouterCells,
+    // Fleet generation routed to, and fleet-wide reindexes published
+    // (one per `reindex`, regardless of shard count — the folded engine
+    // view counts each shard's install).
+    pub(crate) lifecycle: LifecycleCells,
+    // Fleet-level delta ingest: *batches* routed through the router, not
+    // per-shard applications — a batch touching three shards is one
+    // incremental batch here.
+    ingest: IngestCells,
     latency: LatencyHistogram,
 }
 
@@ -50,21 +37,12 @@ impl ShardMetrics {
     /// pruning bound skipped, how many candidates the merge saw, and the
     /// end-to-end latency (routing + slowest shard + merge).
     pub fn record_query(&self, queried: u64, pruned: u64, candidates: u64, latency: Duration) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        self.shards_queried.fetch_add(queried, Ordering::Relaxed);
-        self.shards_pruned.fetch_add(pruned, Ordering::Relaxed);
-        self.merge_candidates
-            .fetch_add(candidates, Ordering::Relaxed);
+        let r = &self.router;
+        r.queries.fetch_add(1, Ordering::Relaxed);
+        r.shards_queried.fetch_add(queried, Ordering::Relaxed);
+        r.shards_pruned.fetch_add(pruned, Ordering::Relaxed);
+        r.merge_candidates.fetch_add(candidates, Ordering::Relaxed);
         self.latency.record(latency);
-    }
-
-    /// Records one published fleet reindex: the new generation and how
-    /// long the partition + per-shard builds took.
-    pub fn record_swap(&self, generation: u64, build: Duration) {
-        self.swaps.fetch_add(1, Ordering::Relaxed);
-        self.generation.store(generation, Ordering::Relaxed);
-        let nanos = u64::try_from(build.as_nanos()).unwrap_or(u64::MAX);
-        self.last_build_nanos.store(nanos, Ordering::Relaxed);
     }
 
     /// Records one fleet delta publish: the aggregated per-shard
@@ -73,23 +51,10 @@ impl ShardMetrics {
     /// how many points a rebalance moved between shards (zero when none
     /// fired).
     pub fn record_ingest(&self, stats: &DeltaStats, build: Duration, moves: u64) {
-        self.ingest_batches.fetch_add(1, Ordering::Relaxed);
-        self.ingest_inserts
-            .fetch_add(stats.inserts as u64, Ordering::Relaxed);
-        self.ingest_deletes
-            .fetch_add(stats.deletes as u64, Ordering::Relaxed);
-        if stats.incremental {
-            self.ingest_incremental.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.ingest_rebuilds.fetch_add(1, Ordering::Relaxed);
-        }
-        self.ingest_dirty_cells
-            .fetch_add(stats.dirty_cells as u64, Ordering::Relaxed);
-        self.ingest_last_ops
-            .store((stats.inserts + stats.deletes) as u64, Ordering::Relaxed);
-        let nanos = u64::try_from(build.as_nanos()).unwrap_or(u64::MAX);
-        self.ingest_last_build_nanos.store(nanos, Ordering::Relaxed);
-        self.rebalance_moves.fetch_add(moves, Ordering::Relaxed);
+        self.ingest.record_ingest(stats, build);
+        self.router
+            .rebalance_moves
+            .fetch_add(moves, Ordering::Relaxed);
     }
 
     /// A point-in-time copy, with the per-shard engine snapshots folded
@@ -103,26 +68,11 @@ impl ShardMetrics {
             fleet.absorb(snap);
         }
         ShardedMetricsSnapshot {
-            queries: self.queries.load(Ordering::Relaxed),
-            shards_queried: self.shards_queried.load(Ordering::Relaxed),
-            shards_pruned: self.shards_pruned.load(Ordering::Relaxed),
-            merge_candidates: self.merge_candidates.load(Ordering::Relaxed),
-            generation: self.generation.load(Ordering::Relaxed),
-            swaps: self.swaps.load(Ordering::Relaxed),
-            last_build: Duration::from_nanos(self.last_build_nanos.load(Ordering::Relaxed)),
-            ingest: IngestCounters {
-                batches: self.ingest_batches.load(Ordering::Relaxed),
-                inserts: self.ingest_inserts.load(Ordering::Relaxed),
-                deletes: self.ingest_deletes.load(Ordering::Relaxed),
-                incremental: self.ingest_incremental.load(Ordering::Relaxed),
-                rebuilds: self.ingest_rebuilds.load(Ordering::Relaxed),
-                dirty_cells: self.ingest_dirty_cells.load(Ordering::Relaxed),
-                shed: 0,
-                last_batch_ops: self.ingest_last_ops.load(Ordering::Relaxed),
-                last_build: Duration::from_nanos(
-                    self.ingest_last_build_nanos.load(Ordering::Relaxed),
-                ),
-                rebalance_moves: self.rebalance_moves.load(Ordering::Relaxed),
+            counters: CounterSet {
+                router: self.router.snapshot(),
+                lifecycle: self.lifecycle.snapshot(),
+                ingest: self.ingest.snapshot(),
+                ..fleet.counters
             },
             latency: self.latency.snapshot(),
             engines: fleet,
@@ -130,58 +80,29 @@ impl ShardMetrics {
     }
 }
 
-/// A point-in-time copy of a sharded engine's metrics.
+/// A point-in-time copy of a sharded engine's metrics; the counter
+/// groups are reachable directly (`m.router.queries`) through `Deref`.
 #[derive(Clone)]
 pub struct ShardedMetricsSnapshot {
-    /// Queries routed.
-    pub queries: u64,
-    /// Shard sub-queries actually executed, summed over queries.
-    pub shards_queried: u64,
-    /// Shards skipped by the dominance bound, summed over queries.
-    pub shards_pruned: u64,
-    /// Candidates fed to the cross-shard merge, summed over queries.
-    pub merge_candidates: u64,
-    /// Fleet generation being routed to when the snapshot was taken.
-    pub generation: u64,
-    /// Fleet reindexes published (one per router-level
-    /// [`reindex`](crate::ShardedEngine::reindex) call).
-    pub swaps: u64,
-    /// Wall-clock duration of the most recent reindex (partition plus
-    /// every shard's index build); zero until the first reindex.
-    pub last_build: Duration,
-    /// Fleet-level delta ingest counters
-    /// ([`ingest`](crate::ShardedEngine::ingest)): batches routed,
-    /// operations applied, incremental-vs-rebuild outcomes, last publish
-    /// cost, and points moved by shard rebalancing. Distinct from
-    /// `engines.ingest`, which counts batches applied *directly* to a
-    /// shard engine's own catalog (the router builds and installs shard
-    /// snapshots itself, so those stay zero under router-driven ingest).
-    pub ingest: IngestCounters,
+    /// The fleet's scalar counters: the router's own `router`,
+    /// `lifecycle` (one swap per fleet-wide reindex) and `ingest`
+    /// (batches routed), beside the shard engines' `engine`, `work` and
+    /// `diagram` folded together. `engines` keeps the shard engines' own
+    /// `lifecycle` and `ingest` (per-engine installs; batches applied
+    /// directly to a shard, zero under router-driven ingest).
+    pub counters: CounterSet,
     /// End-to-end latency histogram of routed queries.
     pub latency: LatencySnapshot,
-    /// Every shard engine's counters folded into one fleet view
+    /// Every shard engine's metrics folded into one fleet view
     /// (including per-engine swap counts and queries per generation).
     pub engines: MetricsSnapshot,
 }
 
-impl ShardedMetricsSnapshot {
-    /// Mean shards executed per query, or 0.0 before any query.
-    pub fn mean_fanout(&self) -> f64 {
-        if self.queries == 0 {
-            0.0
-        } else {
-            self.shards_queried as f64 / self.queries as f64
-        }
-    }
+impl std::ops::Deref for ShardedMetricsSnapshot {
+    type Target = CounterSet;
 
-    /// Fraction of shard visits avoided by pruning, or 0.0.
-    pub fn prune_rate(&self) -> f64 {
-        let total = self.shards_queried + self.shards_pruned;
-        if total == 0 {
-            0.0
-        } else {
-            self.shards_pruned as f64 / total as f64
-        }
+    fn deref(&self) -> &CounterSet {
+        &self.counters
     }
 }
 
@@ -196,17 +117,15 @@ mod tests {
         m.record_query(1, 3, 3, Duration::from_micros(2));
         let no_engines: [&MetricsSnapshot; 0] = [];
         let s = m.snapshot(no_engines);
-        assert_eq!(s.queries, 2);
-        assert_eq!(s.shards_queried, 5);
-        assert_eq!(s.shards_pruned, 3);
-        assert_eq!(s.merge_candidates, 13);
-        assert!((s.mean_fanout() - 2.5).abs() < 1e-12);
-        assert!((s.prune_rate() - 3.0 / 8.0).abs() < 1e-12);
+        assert_eq!(s.router.queries, 2);
+        assert_eq!(s.router.shards_queried, 5);
+        assert_eq!(s.router.shards_pruned, 3);
+        assert_eq!(s.router.merge_candidates, 13);
+        assert!((s.router.mean_fanout() - 2.5).abs() < 1e-12);
+        assert!((s.router.prune_rate() - 3.0 / 8.0).abs() < 1e-12);
         assert_eq!(s.latency.count(), 2);
-        assert_eq!(s.engines.queries(), 0);
-        assert_eq!(s.generation, 0);
-        assert_eq!(s.swaps, 0);
-        assert_eq!(s.last_build, Duration::ZERO);
+        assert_eq!(s.engines.engine.queries(), 0);
+        assert_eq!(s.lifecycle, Default::default());
     }
 
     #[test]
@@ -240,10 +159,9 @@ mod tests {
         assert_eq!(s.ingest.incremental, 1);
         assert_eq!(s.ingest.rebuilds, 1);
         assert_eq!(s.ingest.dirty_cells, 37);
-        assert_eq!(s.ingest.shed, 0);
         assert_eq!(s.ingest.last_batch_ops, 2);
-        assert_eq!(s.ingest.last_build, Duration::from_micros(300));
-        assert_eq!(s.ingest.rebalance_moves, 5);
+        assert_eq!(s.ingest.last_build_nanos, 300_000);
+        assert_eq!(s.router.rebalance_moves, 5);
         // The folded engine view stays untouched by router-level ingest.
         assert_eq!(s.engines.ingest.batches, 0);
     }
@@ -251,12 +169,28 @@ mod tests {
     #[test]
     fn swap_accounting() {
         let m = ShardMetrics::new();
-        m.record_swap(1, Duration::from_millis(9));
-        m.record_swap(2, Duration::from_millis(4));
+        m.lifecycle.record_swap(1, Duration::from_millis(9));
+        m.lifecycle.record_swap(2, Duration::from_millis(4));
         let no_engines: [&MetricsSnapshot; 0] = [];
-        let s = m.snapshot(no_engines);
+        let s = m.snapshot(no_engines).lifecycle;
         assert_eq!(s.generation, 2);
         assert_eq!(s.swaps, 2);
-        assert_eq!(s.last_build, Duration::from_millis(4));
+        assert_eq!(s.last_build_nanos, 4_000_000);
+    }
+
+    #[test]
+    fn counters_put_the_router_groups_beside_the_folded_engines() {
+        let m = ShardMetrics::new();
+        m.record_query(2, 2, 7, Duration::from_micros(3));
+        m.lifecycle.record_swap(3, Duration::from_millis(1));
+        let mut shard = MetricsSnapshot::default();
+        shard.counters.engine.cache_hits = 9;
+        shard.counters.lifecycle.swaps = 40; // per-engine installs: shadowed
+        let c = m.snapshot([&shard, &shard]).counters;
+        assert_eq!(c.router.queries, 1);
+        assert_eq!(c.lifecycle.generation, 3);
+        assert_eq!(c.lifecycle.swaps, 1);
+        assert_eq!(c.engine.cache_hits, 18);
+        assert_eq!(c.net, Default::default());
     }
 }

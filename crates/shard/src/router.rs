@@ -385,7 +385,7 @@ impl ShardedEngine {
             generation: next,
             views,
         });
-        self.metrics.record_swap(next, build);
+        self.metrics.lifecycle.record_swap(next, build);
         Ok(next)
     }
 
@@ -561,7 +561,7 @@ impl ShardedEngine {
             generation: next,
             views,
         });
-        self.metrics.record_swap(next, build);
+        self.metrics.lifecycle.record_swap(next, build);
         self.metrics.record_ingest(&stats, build, moves as u64);
         Ok(FleetIngestReport {
             generation: next,
@@ -966,10 +966,10 @@ mod tests {
         );
         assert!(got.shards_pruned > 0, "corner query should prune shards");
         let m = engine.metrics();
-        assert_eq!(m.queries, 1);
-        assert_eq!(m.shards_pruned, got.shards_pruned as u64);
-        assert!(m.prune_rate() > 0.0);
-        assert_eq!(m.engines.queries(), got.shards_queried as u64);
+        assert_eq!(m.router.queries, 1);
+        assert_eq!(m.router.shards_pruned, got.shards_pruned as u64);
+        assert!(m.router.prune_rate() > 0.0);
+        assert_eq!(m.engines.engine.queries(), got.shards_queried as u64);
         engine.shutdown();
     }
 
@@ -1060,7 +1060,7 @@ mod tests {
             Err(ShardError::EmptyQuery)
         ));
         // Nothing of the rejected batch was routed.
-        assert_eq!(engine.metrics().queries, 0);
+        assert_eq!(engine.metrics().router.queries, 0);
         engine.shutdown();
     }
 
@@ -1131,15 +1131,15 @@ mod tests {
         );
 
         let m = engine.metrics();
-        assert_eq!(m.generation, 1);
-        assert_eq!(m.swaps, 1, "one router-level reindex");
-        assert!(m.last_build > Duration::ZERO);
+        assert_eq!(m.lifecycle.generation, 1);
+        assert_eq!(m.lifecycle.swaps, 1, "one router-level reindex");
+        assert!(m.lifecycle.last_build_nanos > 0);
         assert_eq!(
-            m.engines.swaps,
+            m.engines.lifecycle.swaps,
             engine.shard_count() as u64,
             "every shard engine installed once"
         );
-        assert_eq!(m.engines.generation, 1);
+        assert_eq!(m.engines.lifecycle.generation, 1);
         engine.shutdown();
     }
 
@@ -1289,8 +1289,8 @@ mod tests {
                     }
                     let m = engine.metrics();
                     assert_eq!(m.ingest.batches, 2);
-                    assert_eq!(m.swaps, 2);
-                    assert_eq!(m.generation, 2);
+                    assert_eq!(m.lifecycle.swaps, 2);
+                    assert_eq!(m.lifecycle.generation, 2);
                     engine.shutdown();
                 }
             }
@@ -1381,7 +1381,7 @@ mod tests {
             "post-rebalance fleet diverged from the oracle"
         );
         assert_eq!(
-            engine.metrics().ingest.rebalance_moves,
+            engine.metrics().router.rebalance_moves,
             report.rebalance_moves as u64
         );
         engine.shutdown();
@@ -1511,7 +1511,7 @@ mod tests {
         ));
         assert_eq!(engine.generation(), 0);
         assert_eq!(engine.data_len(), data.len());
-        assert_eq!(engine.metrics().swaps, 0);
+        assert_eq!(engine.metrics().lifecycle.swaps, 0);
         let q = vec![Point::new(4.0, 4.0), Point::new(10.0, 6.0)];
         assert_eq!(
             engine.query(&q).unwrap().skyline,

@@ -75,8 +75,12 @@ done
     --connections 8 --pipeline 16 --requests 400
 exec 9>&-                           # EOF on stdin: drain and exit
 wait "$SERVE_PID"                   # exit 0 or the gate fails (set -e)
-grep -q "drained clean" "$NET_SMOKE_DIR/serve.log" \
-    || { echo "serve did not report a clean drain"; cat "$NET_SMOKE_DIR/serve.log"; exit 1; }
+# The drain report is the rendered counter table: a clean run shows the
+# wire never saw a bad frame and no client write stalled.
+for want in "drained clean" "ssq_net_frame_errors 0" "ssq_net_write_timeouts 0"; do
+    grep -qx ".*$want" "$NET_SMOKE_DIR/serve.log" \
+        || { echo "serve did not report '$want'"; cat "$NET_SMOKE_DIR/serve.log"; exit 1; }
+done
 
 if [[ "${SSQ_CI_DEEP:-0}" == "1" ]]; then
     echo "==> deep: miri (undefined-behavior check on the core unit tests)"

@@ -80,9 +80,12 @@ fn concurrent_clients_match_the_naive_oracle() {
 
     // The duplicate-heavy stream must have produced real cache traffic.
     let m = engine.metrics();
-    assert_eq!(m.queries(), 6 * 25);
-    assert!(m.cache_hits > 0, "shared query sets never hit the cache");
-    assert!(m.cache_misses > 0);
+    assert_eq!(m.engine.queries(), 6 * 25);
+    assert!(
+        m.engine.cache_hits > 0,
+        "shared query sets never hit the cache"
+    );
+    assert!(m.engine.cache_misses > 0);
     assert!(m.latency.count() == 6 * 25);
 }
 
@@ -161,7 +164,7 @@ fn pooled_sessions_match_serial_continuous_skylines() {
         );
     }
 
-    assert_eq!(engine.metrics().session_updates, UPDATES as u64);
+    assert_eq!(engine.metrics().engine.session_updates, UPDATES as u64);
     for &id in &ids {
         assert!(engine.close_session(id));
     }

@@ -157,8 +157,8 @@ fn corner_queries_prune_shards_and_stay_exact() {
         engine.shard_count()
     );
     let m = engine.metrics();
-    assert_eq!(m.shards_pruned as usize, total_pruned);
-    assert!(m.prune_rate() > 0.0);
+    assert_eq!(m.router.shards_pruned as usize, total_pruned);
+    assert!(m.router.prune_rate() > 0.0);
     engine.shutdown();
 }
 

@@ -119,9 +119,9 @@ fn clients_stay_exact_through_two_live_swaps() {
 
     // The metrics carry the swap history and the per-generation split.
     let m = engine.metrics();
-    assert_eq!(m.generation, 2);
-    assert_eq!(m.swaps, 2);
-    assert!(m.last_build > std::time::Duration::ZERO);
+    assert_eq!(m.lifecycle.generation, 2);
+    assert_eq!(m.lifecycle.swaps, 2);
+    assert!(m.lifecycle.last_build_nanos > 0);
     assert_eq!(
         m.queries_per_generation.values().sum::<u64>(),
         REQUESTS as u64
@@ -196,8 +196,8 @@ fn sharded_fleet_swaps_stay_exact_for_concurrent_clients() {
     assert_eq!(per_generation.iter().sum::<usize>(), REQUESTS);
 
     let m = engine.metrics();
-    assert_eq!(m.generation, 1);
-    assert_eq!(m.swaps, 1);
+    assert_eq!(m.lifecycle.generation, 1);
+    assert_eq!(m.lifecycle.swaps, 1);
     assert_eq!(engine.data_len(), new_points.len());
 }
 
