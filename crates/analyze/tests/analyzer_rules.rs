@@ -274,16 +274,20 @@ fn r9_direct_target_feature_call_fails() {
     let report = run_workspace(&[("crates/geom/src/simd.rs", "simd_dispatch_bad.rs")]);
     assert_eq!(
         unsuppressed_rules(&report),
-        [Rule::SimdDispatchGuard],
-        "exactly the undispatched kernel call: {:?}",
+        [Rule::SimdDispatchGuard, Rule::SimdDispatchGuard],
+        "exactly the two undispatched calls (per-tile kernel, range kernel), \
+         not the range kernel's own same-family call: {:?}",
         report.violations
     );
-    let v = report.unsuppressed().next().expect("one violation");
-    assert!(
-        v.message.contains("sum_lanes_avx2"),
-        "message names the kernel: {}",
-        v.message
-    );
+    for kernel in ["sum_lanes_avx2", "first_positive_lanes_avx2"] {
+        assert!(
+            report
+                .unsuppressed()
+                .any(|v| v.message.contains(&format!("`{kernel}` is a"))),
+            "a message names the kernel {kernel}: {:?}",
+            report.violations
+        );
+    }
 }
 
 #[test]

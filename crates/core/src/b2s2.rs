@@ -18,13 +18,15 @@ use ssq_geom::circle::search_region_mbr;
 use ssq_geom::Rect;
 use ssq_rtree::{Entry, NodeId};
 
-use crate::heap::MinHeap;
 use crate::index::RTreeIndex;
 use crate::query::QueryContext;
 use crate::scratch::DistanceScratch;
 use crate::stats::{QueryStats, SkylineResult};
 
-enum Work {
+/// One entry of the branch-and-bound heap: an R-tree node or a data
+/// point, each with its MBR.
+#[derive(Debug)]
+pub(crate) enum Work {
     Node(NodeId, Rect),
     Point(u32, Rect),
 }
@@ -41,19 +43,24 @@ pub fn b2s2(index: &RTreeIndex, ctx: &QueryContext) -> SkylineResult {
 /// serves a query without per-point allocations. Heap keys stay the *true*
 /// `mindist` sums — BBS-style popped-point finality needs dominators to
 /// pop first, which the true-sum order guarantees directly.
+///
+/// Node reads are counted into the query's own [`QueryStats`] (one per
+/// node whose entries are visited), never into the tree-wide counter, so
+/// the count is exact however many workers share the index. A warm arena
+/// allocates only for the returned id vector.
+// ssq-analyze: deny-alloc
 pub fn b2s2_kernel(
     index: &RTreeIndex,
     ctx: &QueryContext,
     scratch: &mut DistanceScratch,
 ) -> SkylineResult {
     let mut stats = QueryStats::default();
-    index.tree().reset_node_accesses();
     let anchors = ctx.anchors();
     scratch.begin(anchors.len());
 
     // Fig. 5 line 03: B starts as the MBR of the root (the data universe).
     let mut b = index.universe();
-    let mut heap: MinHeap<Work> = MinHeap::new();
+    let mut heap = scratch.take_work_heap();
     if let Some(root) = index.tree().root() {
         heap.push(0.0, Work::Node(root, index.universe()));
     }
@@ -91,7 +98,8 @@ pub fn b2s2_kernel(
                 {
                     continue;
                 }
-                for e in index.tree().entries(id) {
+                stats.node_accesses += 1;
+                for e in index.tree().entries_in_place(id) {
                     let embr = e.mbr();
                     // Line 15: child outside B.
                     if !embr.intersects(&b) {
@@ -114,7 +122,8 @@ pub fn b2s2_kernel(
         }
     }
 
-    stats.node_accesses = index.tree().node_accesses();
+    scratch.restore_work_heap(heap);
+    // ssq-analyze: allow(deny-alloc): the returned id vector is the kernel's one allocation
     let skyline = scratch.ids_sorted().to_vec();
     stats.allocations += scratch.take_allocations();
     SkylineResult { skyline, stats }

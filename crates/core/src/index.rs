@@ -238,12 +238,20 @@ impl VoronoiIndex {
         &self.cells[i as usize]
     }
 
-    /// Exact test "does the Voronoi cell of `i` intersect `r`?", tiered so
-    /// the overwhelmingly common cases cost four f64 comparisons: first
-    /// the cell's precomputed MBR (disjoint ⟹ no; fully inside `r` ⟹
-    /// yes), then the exact convex-polygon test only for boundary cells.
+    /// Exact test "does the Voronoi cell of `i` intersect `r`?", counting
+    /// an adjacency-page access like [`VoronoiIndex::neighbors`]; see
+    /// [`VoronoiIndex::cell_meets_rect`] for the test itself.
     pub fn cell_intersects_rect(&self, i: u32, r: &Rect) -> bool {
         self.pages.touch(i);
+        self.cell_meets_rect(i, r)
+    }
+
+    /// [`VoronoiIndex::cell_intersects_rect`] without the page-access
+    /// accounting. Tiered so the overwhelmingly common cases cost four
+    /// f64 comparisons: first the cell's precomputed MBR (disjoint ⟹ no;
+    /// fully inside `r` ⟹ yes), then the exact convex-polygon test only
+    /// for boundary cells.
+    pub fn cell_meets_rect(&self, i: u32, r: &Rect) -> bool {
         let mbr = &self.cell_mbrs[i as usize];
         if !mbr.intersects(r) {
             return false;
@@ -266,6 +274,13 @@ impl VoronoiIndex {
     /// slightly stale kd through [`seed_map`](Self::apply_delta): any
     /// valid id is a correct seed.
     pub fn nearest(&self, q: Point, hint: u32) -> u32 {
+        self.nearest_with(q, hint, |i| self.pages.touch(i))
+    }
+
+    /// [`VoronoiIndex::nearest`] with the caller's own accounting in
+    /// place of the index-wide page counter: `visit(i)` is called for
+    /// every point whose adjacency list the walk reads.
+    pub fn nearest_with(&self, q: Point, hint: u32, mut visit: impl FnMut(u32)) -> u32 {
         let mut cur = hint;
         if let Some(kd) = &self.start_index {
             if let Some(i) = kd.nearest(q) {
@@ -276,7 +291,8 @@ impl VoronoiIndex {
         loop {
             let mut best = cur;
             let mut best_d = cur_d;
-            for &j in self.neighbors(cur) {
+            visit(cur);
+            for &j in self.graph.neighbors(cur) {
                 let d = self.point(j).distance_sq(q);
                 if d < best_d {
                     best = j;
@@ -291,7 +307,24 @@ impl VoronoiIndex {
         }
     }
 
+    /// The adjacency page holding point `i`'s neighbour list — for
+    /// callers that keep a per-query page set of their own (see
+    /// [`DistanceScratch::touch_page`](crate::DistanceScratch::touch_page))
+    /// instead of the index-wide counter below.
+    #[inline]
+    pub fn page_of(&self, i: u32) -> u32 {
+        self.pages.page_of(i)
+    }
+
+    /// Total number of adjacency pages.
+    pub fn page_count(&self) -> usize {
+        self.pages.page_count() as usize
+    }
+
     /// Adjacency-page accesses since the last reset (the VS² I/O metric).
+    /// Index-wide, so only meaningful for one query at a time — the
+    /// scalar reference paths and the paper reproduction use it; the
+    /// kernel path counts into its own arena.
     pub fn page_accesses(&self) -> u64 {
         self.pages.accesses()
     }

@@ -24,10 +24,9 @@
 //! emitted, without materializing the full skyline.
 
 use ssq_geom::circle::search_region_mbr;
-use ssq_geom::Rect;
-use ssq_rtree::{Entry, NodeId};
+use ssq_rtree::Entry;
 
-use crate::heap::MinHeap;
+use crate::b2s2::Work;
 use crate::index::RTreeIndex;
 use crate::query::QueryContext;
 use crate::scratch::DistanceScratch;
@@ -122,17 +121,12 @@ pub fn b2s2_ranked_with<P: Preference>(
     scratch: &mut DistanceScratch,
 ) -> SkylineResult {
     let mut stats = QueryStats::default();
-    index.tree().reset_node_accesses();
     let anchors = ctx.anchors();
     scratch.begin(anchors.len());
 
-    enum Work {
-        Node(NodeId, Rect),
-        Point(u32, Rect),
-    }
     let mut b = index.universe();
     let mut ranked: Vec<u32> = Vec::new();
-    let mut heap: MinHeap<Work> = MinHeap::new();
+    let mut heap = scratch.take_work_heap();
     if let Some(root) = index.tree().root() {
         heap.push(0.0, Work::Node(root, index.universe()));
     }
@@ -163,7 +157,8 @@ pub fn b2s2_ranked_with<P: Preference>(
                 if !mbr.intersects(&b) {
                     continue;
                 }
-                for e in index.tree().entries(id) {
+                stats.node_accesses += 1;
+                for e in index.tree().entries_in_place(id) {
                     let embr = e.mbr();
                     if !embr.intersects(&b) {
                         continue;
@@ -181,7 +176,7 @@ pub fn b2s2_ranked_with<P: Preference>(
         }
     }
 
-    stats.node_accesses = index.tree().node_accesses();
+    scratch.restore_work_heap(heap);
     stats.allocations += scratch.take_allocations();
     SkylineResult {
         skyline: ranked,

@@ -17,11 +17,27 @@
 //! tile). Row `r`'s distance to anchor `j` lives at
 //! `tiles[(r / LANES) * width + j].0[r % LANES]`; a tile's trailing
 //! lanes are padded with `+inf`, which no finite row can be dominated
-//! by ([`Lane4::PAD`]). Every dominance sweep below — the resolve
-//! elimination loop, the staged-row test, the B²S² rectangle screen —
-//! runs over whole tiles through the runtime-dispatched SIMD kernels
-//! (scalar / tiled / SSE2 / AVX2) and consumes 4-wide survivor
-//! bitmasks.
+//! by ([`Lane4::PAD`]). Every dominance test below runs through the
+//! runtime-dispatched SIMD kernels (scalar / tiled / SSE2 / AVX2): the
+//! resolve pre-filter one tile per call, and the three early-exit scans
+//! — resolve's ordered scan against the rows it has accepted, the
+//! staged-row test, the B²S² rectangle screen — as **one** range-kernel
+//! call each (`first_dominator` / `first_all_lt`), the tile loop running
+//! inside the ISA-specific body until the first hit.
+//!
+//! [`DistanceScratch::resolve`] is the scalar
+//! [`resolve_candidates`](crate::query::resolve_candidates) rule on
+//! tiles: candidates in ascending key order, each tested against the
+//! accepted rows only, stopping at the first dominator. The accepted rows
+//! are kept compacted in a tile buffer of their own, so a test touches
+//! `|accepted| / 4` tiles at most and usually far fewer.
+//!
+//! Graph traversals (VS²) keep their visited / extracted sets and their
+//! distinct-page set here too, as **epoch-stamped marks**: one `u32` per
+//! site compared against a per-query epoch, so starting a query costs
+//! `O(1)` instead of clearing `|P|` flags, and the page-access count of
+//! a query lives in the worker's arena instead of in counters every
+//! worker on the same index would share.
 //!
 //! Rows hold **squared** Euclidean distances by default (see
 //! [`ssq_geom::kernel`] for why this preserves the dominance relation
@@ -34,14 +50,15 @@
 //! while the scalar path counts one allocation per materialized distance
 //! vector.
 
-use ssq_geom::simd::{self, live_lane_mask, Lane4, LANES};
+use ssq_geom::simd::{self, Lane4, LANES};
 use ssq_geom::{Point, Rect};
 
+use crate::b2s2::Work;
 use crate::heap::MinHeap;
 use crate::stats::QueryStats;
 
 /// A reusable arena of lane-tiled distance rows plus the auxiliary
-/// buffers (sort permutation, result ids, traversal flags, a min-heap)
+/// buffers (sort permutation, result ids, traversal marks, two min-heaps)
 /// the kernel algorithms need. See the module docs.
 #[derive(Debug, Default)]
 pub struct DistanceScratch {
@@ -62,14 +79,21 @@ pub struct DistanceScratch {
     order: Vec<u32>,
     /// Resolved skyline ids (the arena's output buffer).
     result: Vec<u32>,
-    /// Per-tile dominated-lane bitmasks for the resolve sweep.
-    dead: Vec<u8>,
-    /// Reusable traversal flags (VS² visited set).
-    visited: Vec<bool>,
-    /// Reusable traversal flags (VS² extracted set).
-    extracted: Vec<bool>,
+    /// The rows `resolve` has accepted so far, compacted into tiles of
+    /// their own in acceptance order (same layout as `tiles`).
+    sky: Vec<Lane4>,
+    /// Per-site traversal marks, stamped against `epoch`: `== epoch`
+    /// visited, `== epoch + 1` extracted, anything smaller untouched.
+    marks: Vec<u32>,
+    /// Per-adjacency-page marks: `== epoch` touched by this traversal.
+    page_marks: Vec<u32>,
+    /// The current traversal's stamp; advances by 2 per traversal, so
+    /// no mark of an earlier traversal can equal `epoch` or `epoch + 1`.
+    epoch: u32,
     /// Reusable traversal heap (VS²).
     heap: MinHeap<u32>,
+    /// Reusable branch-and-bound heap (B²S², ranked).
+    work_heap: MinHeap<Work>,
     /// Spare row for transient vectors (extracted rows, rect bounds).
     spare: Vec<f64>,
     /// Buffer-growth events since the last [`DistanceScratch::take_allocations`].
@@ -102,9 +126,10 @@ impl DistanceScratch {
         s.certain.reserve(rows);
         s.order.reserve(rows);
         s.result.reserve(rows);
-        s.dead.reserve(tiles);
-        s.visited.reserve(rows);
-        s.extracted.reserve(rows);
+        s.sky.reserve(tiles * width);
+        s.marks.reserve(rows);
+        // A page holds at least one site, so `rows` bounds the page count.
+        s.page_marks.reserve(rows);
         s.spare.reserve(width);
         s
     }
@@ -291,42 +316,30 @@ impl DistanceScratch {
         }
     }
 
-    /// `true` when the **last** row is dominated by any earlier row,
-    /// sweeping whole tiles through the dispatched `dominators_of`
-    /// bitmask kernel. Counting matches the scalar row-at-a-time scan
+    /// `true` when the **last** row is dominated by any earlier row: one
+    /// dispatched `first_dominator` call over the tiles holding the
+    /// earlier rows. Counting matches the scalar row-at-a-time scan
     /// exactly: one dominance check per earlier row up to and including
-    /// the first dominator (the mask's lowest set bit), one per earlier
-    /// row when there is none.
+    /// the first dominator, one per earlier row when there is none.
     // ssq-analyze: deny-alloc
     pub fn last_dominated(&mut self, stats: &mut QueryStats) -> bool {
         let last = self.keys.len() - 1;
         if last == 0 {
             return false;
         }
-        let d = simd::dispatch();
         let w = self.width;
         Self::ensure(&mut self.spare, w, &mut self.grown);
-        let mut spare = std::mem::take(&mut self.spare);
-        spare.clear();
-        spare.resize(w, 0.0);
-        Self::extract_row(&self.tiles, w, last, &mut spare);
-        let mut found = false;
+        self.spare.clear();
+        self.spare.resize(w, 0.0);
+        Self::extract_row(&self.tiles, w, last, &mut self.spare);
         // Tiles covering rows 0..last. The tile holding `last` itself is
-        // safe to sweep whole: the row never dominates itself (no strict
-        // anchor) and lanes past it are +inf pads, so no stray bits.
-        for t in 0..=(last - 1) / LANES {
-            let live = (last - t * LANES).min(LANES) as u64;
-            let mask = d.dominators_of(&spare, &self.tiles[t * w..(t + 1) * w]);
-            debug_assert_eq!(mask & !live_lane_mask(last - t * LANES), 0);
-            if mask != 0 {
-                stats.dominance_checks += u64::from(mask.trailing_zeros()) + 1;
-                found = true;
-                break;
-            }
-            stats.dominance_checks += live;
-        }
-        self.spare = spare;
-        found
+        // safe to include whole: the row never dominates itself (no
+        // strict anchor) and lanes past it are +inf pads.
+        let earlier = &self.tiles[..last.div_ceil(LANES) * w];
+        let first = simd::dispatch().first_dominator(&self.spare, earlier);
+        debug_assert!(first.is_none_or(|i| i < last));
+        stats.dominance_checks += first.map_or(last, |i| i + 1) as u64;
+        first.is_some()
     }
 
     /// `true` when rectangle `mbr` is dominated by any row: dominated by
@@ -334,8 +347,8 @@ impl DistanceScratch {
     /// B²S² pruning screen (§4.1) over **squared**-distance rows
     /// (squaring both sides of the scalar comparison; both are
     /// nonnegative, so the predicate is unchanged). The per-anchor
-    /// `mindist²` bounds are computed once into the spare row, then every
-    /// tile is screened with one `all_lt` bitmask sweep. Counting
+    /// `mindist²` bounds are computed once into the spare row, then one
+    /// dispatched `first_all_lt` call screens every tile. Counting
     /// replicates the scalar row-at-a-time scan: one dominance check and
     /// `|CHv(Q)|` distance computations per row up to and including the
     /// first dominating row.
@@ -350,54 +363,45 @@ impl DistanceScratch {
         if n == 0 {
             return false;
         }
-        let d = simd::dispatch();
-        let w = self.width;
-        let k = anchors.len() as u64;
-        Self::ensure(&mut self.spare, w, &mut self.grown);
-        let mut spare = std::mem::take(&mut self.spare);
-        spare.clear();
+        Self::ensure(&mut self.spare, self.width, &mut self.grown);
+        self.spare.clear();
         for &q in anchors {
             let m = mbr.mindist(q);
-            spare.push(m * m);
+            self.spare.push(m * m);
         }
-        let mut found = false;
-        for t in 0..n.div_ceil(LANES) {
-            let live = (n - t * LANES).min(LANES) as u64;
-            let mask = d.all_lt(&spare, &self.tiles[t * w..(t + 1) * w]);
-            debug_assert_eq!(mask & !live_lane_mask(n - t * LANES), 0);
-            if mask != 0 {
-                let first = u64::from(mask.trailing_zeros()) + 1;
-                stats.dominance_checks += first;
-                stats.distance_computations += first * k;
-                found = true;
-                break;
-            }
-            stats.dominance_checks += live;
-            stats.distance_computations += live * k;
-        }
-        self.spare = spare;
-        found
+        let first = simd::dispatch().first_all_lt(&self.spare, &self.tiles);
+        debug_assert!(first.is_none_or(|i| i < n));
+        let scanned = first.map_or(n, |i| i + 1) as u64;
+        stats.dominance_checks += scanned;
+        stats.distance_computations += scanned * anchors.len() as u64;
+        first.is_some()
     }
 
-    /// Resolves the pushed rows into the exact skyline as a two-phase
-    /// bitmask sweep:
+    /// Resolves the pushed rows into the exact skyline in two phases:
     ///
     /// 1. **Pre-filter** — the `(key, id)`-minimum row is found in one
     ///    linear pass (it is always skyline: dominance implies a
     ///    strictly smaller key, so nothing can dominate the key
     ///    minimum) and swept over every tile with the dispatched
-    ///    `dominated_by_ref` bitmask kernel, OR-ing survivor masks into
-    ///    per-tile dead masks. On typical workloads this one sweep
-    ///    eliminates the vast majority of rows, so the sort that
-    ///    follows is over dozens of survivors instead of every row —
-    ///    the full-row sort used to dominate the naive kernel's query
-    ///    time.
-    /// 2. **Sweep-out** — surviving rows (plus all certain rows, which
-    ///    bypass dominance entirely per Theorem 1) are sorted by
-    ///    `(key, id)` and processed in ascending key order; dominators
-    ///    always precede dominatees, each accepted row is swept over
-    ///    the tiles that still have live lanes, and later rows whose
-    ///    lane went dead are skipped without any per-row test.
+    ///    `dominated_by_ref` bitmask kernel. On the naive kernel's
+    ///    whole-dataset input this one sweep eliminates the vast
+    ///    majority of rows, so the sort that follows is over dozens of
+    ///    survivors instead of every row.
+    /// 2. **Ordered early-exit scan** — surviving rows (plus all certain
+    ///    rows, which bypass dominance entirely per Theorem 1) are
+    ///    sorted by `(key, id)` and walked in ascending key order. Each
+    ///    non-certain row is tested against the rows accepted so far —
+    ///    kept compacted in tiles of their own — with one dispatched
+    ///    `first_dominator` call that stops at the first dominator; a
+    ///    row nothing accepted dominates is accepted and appended.
+    ///    Exact because a dominator always has a strictly smaller key,
+    ///    and a dominator that was itself dropped was dropped for a row
+    ///    that dominates both (dominance is transitive) — the rule of
+    ///    the scalar [`resolve_candidates`](crate::query::resolve_candidates).
+    ///
+    /// Counts one dominance check per row for the pre-filter, then per
+    /// scanned row one per accepted row up to and including its first
+    /// dominator (every accepted row when there is none).
     ///
     /// Returns the surviving ids sorted ascending; the slice lives in
     /// the arena's result buffer — copy it out before the next
@@ -411,77 +415,61 @@ impl DistanceScratch {
         }
         let d = simd::dispatch();
         let w = self.width;
-        let keys = &self.keys;
-        let ids = &self.ids;
-        let mut min_r = 0usize;
-        for r in 1..n {
-            if keys[r]
-                .total_cmp(&keys[min_r])
-                .then(ids[r].cmp(&ids[min_r]))
-                .is_lt()
-            {
-                min_r = r;
-            }
-        }
-        let tiles = n.div_ceil(LANES);
-        Self::ensure(&mut self.dead, tiles, &mut self.grown);
-        self.dead.clear();
-        self.dead.resize(tiles, 0);
+        let (keys, ids) = (&self.keys, &self.ids);
+        let by_key = |a: usize, b: usize| keys[a].total_cmp(&keys[b]).then(ids[a].cmp(&ids[b]));
+        let min_r = (1..n).fold(0, |m, r| if by_key(r, m).is_lt() { r } else { m });
         Self::ensure(&mut self.spare, w, &mut self.grown);
-        let mut spare = std::mem::take(&mut self.spare);
-        spare.clear();
-        spare.resize(w, 0.0);
-        // Phase 1: sweep the key-minimum row. Its own lane never goes
-        // dead (a row has no strict anchor against itself), and bits set
-        // on +inf pad lanes are never read back.
-        Self::extract_row(&self.tiles, w, min_r, &mut spare);
-        for (t, dead) in self.dead.iter_mut().enumerate() {
-            let live = live_lane_mask(n - t * LANES);
-            stats.dominance_checks += u64::from(live.count_ones());
-            *dead |= d.dominated_by_ref(&spare, &self.tiles[t * w..(t + 1) * w]);
-        }
-        // Phase 2: sort the survivors and sweep outward. Rows the
-        // minimum dominated would have been skipped as dead anyway;
-        // certain rows stay in even when dominated.
+        self.spare.clear();
+        self.spare.resize(w, 0.0);
+        // Phase 1: sweep the key-minimum row. Its own lane is never
+        // reported (a row has no strict anchor against itself), and bits
+        // set on +inf pad lanes are never read. Certain rows stay in
+        // even when dominated.
+        Self::extract_row(&self.tiles, w, min_r, &mut self.spare);
         Self::ensure(&mut self.order, n, &mut self.grown);
         self.order.clear();
-        for r in 0..n {
-            if (self.dead[r / LANES] >> (r % LANES)) & 1 == 0 || self.certain[r] {
-                self.order.push(r as u32);
+        for (t, tile) in self.tiles.chunks_exact(w).enumerate() {
+            let base = t * LANES;
+            let live = (n - base).min(LANES);
+            stats.dominance_checks += live as u64;
+            let dead = d.dominated_by_ref(&self.spare, tile);
+            for l in 0..live {
+                if (dead >> l) & 1 == 0 || self.certain[base + l] {
+                    self.order.push((base + l) as u32);
+                }
             }
         }
-        self.order.sort_unstable_by(|&a, &b| {
-            keys[a as usize]
-                .total_cmp(&keys[b as usize])
-                .then(ids[a as usize].cmp(&ids[b as usize]))
-        });
-        Self::ensure(&mut self.result, n, &mut self.grown);
-        // The result buffer holds KEPT ROW INDICES during the sweep and
-        // is rewritten to point ids afterwards — no extra buffer needed.
-        for oi in 0..self.order.len() {
-            let r = self.order[oi] as usize;
-            let (t, l) = (r / LANES, r % LANES);
-            if !self.certain[r] && (self.dead[t] >> l) & 1 == 1 {
-                continue;
-            }
-            self.result.push(r as u32);
-            if r == min_r {
-                // Already swept in phase 1.
-                continue;
-            }
-            Self::extract_row(&self.tiles, w, r, &mut spare);
-            for (t2, dead) in self.dead.iter_mut().enumerate() {
-                let live = live_lane_mask(n - t2 * LANES) & !*dead;
-                if live == 0 {
+        // Phase 2: walk the survivors in key order against the compacted
+        // accepted rows.
+        self.order
+            .sort_unstable_by(|&a, &b| by_key(a as usize, b as usize));
+        let survivors = self.order.len();
+        Self::ensure(
+            &mut self.sky,
+            survivors.div_ceil(LANES) * w,
+            &mut self.grown,
+        );
+        self.sky.clear();
+        Self::ensure(&mut self.result, survivors, &mut self.grown);
+        for &r in &self.order {
+            let r = r as usize;
+            Self::extract_row(&self.tiles, w, r, &mut self.spare);
+            let accepted = self.result.len();
+            if !self.certain[r] {
+                let first = d.first_dominator(&self.spare, &self.sky);
+                stats.dominance_checks += first.map_or(accepted, |i| i + 1) as u64;
+                if first.is_some() {
                     continue;
                 }
-                stats.dominance_checks += u64::from(live.count_ones());
-                *dead |= d.dominated_by_ref(&spare, &self.tiles[t2 * w..(t2 + 1) * w]);
             }
-        }
-        self.spare = spare;
-        for slot in &mut self.result {
-            *slot = self.ids[*slot as usize];
+            let (t, l) = (accepted / LANES, accepted % LANES);
+            if l == 0 {
+                self.sky.resize((t + 1) * w, Lane4::PAD);
+            }
+            for (lane, &v) in self.sky[t * w..].iter_mut().zip(&self.spare) {
+                lane.0[l] = v;
+            }
+            self.result.push(ids[r]);
         }
         self.result.sort_unstable();
         &self.result
@@ -506,27 +494,75 @@ impl DistanceScratch {
         &self.result
     }
 
-    /// Takes the two reusable traversal-flag buffers, cleared and resized
-    /// to `n` `false` entries. Return them with
-    /// [`DistanceScratch::restore_flags`] so their capacity survives to
-    /// the next query. (Moved out rather than borrowed so the caller can
-    /// keep using the arena while holding them.)
-    pub fn take_flags(&mut self, n: usize) -> (Vec<bool>, Vec<bool>) {
-        Self::ensure(&mut self.visited, n, &mut self.grown);
-        Self::ensure(&mut self.extracted, n, &mut self.grown);
-        let mut visited = std::mem::take(&mut self.visited);
-        let mut extracted = std::mem::take(&mut self.extracted);
-        visited.clear();
-        visited.resize(n, false);
-        extracted.clear();
-        extracted.resize(n, false);
-        (visited, extracted)
+    /// Starts a graph traversal over `sites` points whose adjacency
+    /// lists lie on `pages` pages: every site becomes unvisited and
+    /// every page untouched by advancing the epoch — no per-query clear.
+    /// The mark buffers are really cleared only when one of them has to
+    /// grow or the epoch is about to wrap around.
+    // ssq-analyze: deny-alloc
+    pub fn begin_traversal(&mut self, sites: usize, pages: usize) {
+        let grows = self.marks.len() < sites || self.page_marks.len() < pages;
+        if grows || self.epoch > u32::MAX - 3 {
+            Self::ensure(&mut self.marks, sites, &mut self.grown);
+            self.marks.clear();
+            self.marks.resize(sites, 0);
+            Self::ensure(&mut self.page_marks, pages, &mut self.grown);
+            self.page_marks.clear();
+            self.page_marks.resize(pages, 0);
+            self.epoch = 0;
+        }
+        self.epoch += 2;
     }
 
-    /// Returns the flag buffers taken by [`DistanceScratch::take_flags`].
-    pub fn restore_flags(&mut self, visited: Vec<bool>, extracted: Vec<bool>) {
-        self.visited = visited;
-        self.extracted = extracted;
+    /// `true` once site `i` has been enqueued by the current traversal
+    /// (extracted sites stay visited).
+    #[inline]
+    // ssq-analyze: deny-alloc
+    pub fn is_visited(&self, i: u32) -> bool {
+        self.marks[i as usize] >= self.epoch
+    }
+
+    /// Hints that the mark of site `i` is about to be read
+    /// ([`simd::prefetch`]).
+    #[inline]
+    // ssq-analyze: deny-alloc
+    pub fn prefetch_mark(&self, i: u32) {
+        simd::prefetch(&self.marks[i as usize]);
+    }
+
+    /// Marks site `i` visited (enqueued).
+    #[inline]
+    // ssq-analyze: deny-alloc
+    pub fn mark_visited(&mut self, i: u32) {
+        self.marks[i as usize] = self.epoch;
+    }
+
+    /// `true` once site `i` has been extracted (its neighbours enqueued)
+    /// by the current traversal.
+    #[inline]
+    // ssq-analyze: deny-alloc
+    pub fn is_extracted(&self, i: u32) -> bool {
+        self.marks[i as usize] == self.epoch + 1
+    }
+
+    /// Marks site `i` extracted.
+    #[inline]
+    // ssq-analyze: deny-alloc
+    pub fn mark_extracted(&mut self, i: u32) {
+        self.marks[i as usize] = self.epoch + 1;
+    }
+
+    /// Records a read of adjacency page `page`; `true` the first time
+    /// the current traversal touches it — the per-query distinct-page
+    /// count behind [`QueryStats::node_accesses`], kept in the worker's
+    /// own arena so concurrent queries on one index never share it.
+    #[inline]
+    // ssq-analyze: deny-alloc
+    pub fn touch_page(&mut self, page: u32) -> bool {
+        let mark = &mut self.page_marks[page as usize];
+        let first = *mark != self.epoch;
+        *mark = self.epoch;
+        first
     }
 
     /// Takes the reusable traversal heap, cleared. Return it with
@@ -540,6 +576,19 @@ impl DistanceScratch {
     /// Returns the heap taken by [`DistanceScratch::take_heap`].
     pub fn restore_heap(&mut self, heap: MinHeap<u32>) {
         self.heap = heap;
+    }
+
+    /// Takes the reusable branch-and-bound heap, cleared. Return it with
+    /// [`DistanceScratch::restore_work_heap`].
+    pub(crate) fn take_work_heap(&mut self) -> MinHeap<Work> {
+        let mut heap = std::mem::take(&mut self.work_heap);
+        heap.clear();
+        heap
+    }
+
+    /// Returns the heap taken by [`DistanceScratch::take_work_heap`].
+    pub(crate) fn restore_work_heap(&mut self, heap: MinHeap<Work>) {
+        self.work_heap = heap;
     }
 
     /// Fills the spare row with `mbr.mindist(q)` per anchor (the
@@ -722,8 +771,7 @@ mod tests {
             }
             let mut stats = QueryStats::default();
             s.resolve(&mut stats);
-            let (v, e) = s.take_flags(64);
-            s.restore_flags(v, e);
+            s.begin_traversal(64, 2);
             let h = s.take_heap();
             s.restore_heap(h);
             s.take_allocations()
@@ -745,14 +793,56 @@ mod tests {
         }
         let mut stats = QueryStats::default();
         s.resolve(&mut stats);
-        let (v, e) = s.take_flags(64);
-        s.restore_flags(v, e);
+        s.begin_traversal(64, 2);
         s.fill_spare_mindist(&Rect::from_corners(p(0.0, 0.0), p(1.0, 1.0)), &anchors);
         assert_eq!(
             s.take_allocations(),
             0,
             "pre-sized arena must not grow on its first query"
         );
+    }
+
+    #[test]
+    fn marks_survive_index_size_changes_and_an_epoch_wrap() {
+        use crate::index::VoronoiIndex;
+        use crate::query::QueryContext;
+        use crate::vs2::vs2_kernel;
+
+        let cloud = |n: usize, seed: u64| -> Vec<Point> {
+            let mut s = seed;
+            let mut next = move || {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                (s >> 11) as f64 / (1u64 << 53) as f64
+            };
+            (0..n).map(|_| p(next(), next())).collect()
+        };
+        // One arena across indexes that grow, shrink, and then straddle
+        // the wrap: stamped just below it, round 3 leaves marks of
+        // `u32::MAX - 1` and `u32::MAX` behind, which round 4's restart
+        // from a small epoch must not read as visited.
+        let mut shared = DistanceScratch::new();
+        for (round, n) in [300usize, 520, 400, 400, 400].into_iter().enumerate() {
+            let index = VoronoiIndex::new(&cloud(n, 0xE90C + round as u64)).unwrap();
+            if round == 3 {
+                shared.epoch = u32::MAX - 3;
+            }
+            for trial in 0..4u64 {
+                let q = cloud(2 + trial as usize, 77 + 10 * round as u64 + trial);
+                let ctx = QueryContext::new(&q);
+                let want = vs2_kernel(&index, &ctx, &mut DistanceScratch::new());
+                let got = vs2_kernel(&index, &ctx, &mut shared);
+                assert_eq!(got.skyline, want.skyline, "round {round} trial {trial}");
+                assert_eq!(
+                    got.stats.node_accesses, want.stats.node_accesses,
+                    "round {round} trial {trial}"
+                );
+            }
+            if round == 3 {
+                assert!(shared.epoch < 16, "the epoch wrapped and restarted");
+            }
+        }
     }
 
     #[test]

@@ -31,9 +31,25 @@
 //! low-`mindist` point can hide behind higher-`mindist` cells on the
 //! graph). Neither policy ever produces a point outside the true skyline
 //! after this pass; `Paper` may miss points, `Safe` provably does not.
+//!
+//! # Two bodies
+//!
+//! [`vs2_with`] is the readable reference (true distances, a `Vec<f64>`
+//! per candidate, three `|P|`-sized flag vectors per call, the index-wide
+//! page counter) and the path the paper reproduction reports.
+//! [`vs2_kernel`] is what the engine serves: the same Safe traversal over
+//! a worker's [`DistanceScratch`] — squared-distance rows, epoch-stamped
+//! visited / extracted marks instead of per-query flag vectors, the
+//! query's page accesses counted in the arena, and the final pass run by
+//! [`DistanceScratch::resolve`], which is `resolve_candidates`' rule on
+//! SIMD tiles. Its per-query cost depends on the sites it visits and the
+//! rows it collects, not on `|P|`. Sites sit in memory in input order, so
+//! the walk's reads are scattered; the kernel prefetches each extracted
+//! site's neighbours (marks and points) and each enqueued site's
+//! adjacency list, so those cache misses overlap instead of adding up.
 
 use ssq_geom::circle::search_region_mbr;
-use ssq_geom::kernel;
+use ssq_geom::{kernel, simd};
 
 use crate::heap::MinHeap;
 use crate::index::VoronoiIndex;
@@ -58,36 +74,45 @@ pub fn vs2(index: &VoronoiIndex, ctx: &QueryContext) -> SkylineResult {
 }
 
 /// The kernel-path VS²: identical output to [`vs2`] (Safe expansion), but
-/// the traversal reuses the scratch arena's heap and flag buffers, keys
+/// the traversal reuses the scratch arena's heap and epoch-stamped
+/// traversal marks (nothing sized `|P|` is cleared per query), keys
 /// the heap by the **squared**-distance sum (no `sqrt` anywhere on the
 /// traversal — sound because any monotone-under-dominance key yields the
 /// same resolved skyline, see [`ssq_geom::kernel`]), and stores candidate
 /// vectors as squared-distance rows. Steady-state queries allocate only
 /// for the returned id vector.
+///
+/// Adjacency-page accesses are counted per query in the arena's own page
+/// set — the same distinct pages [`vs2_with`] counts through the
+/// index-wide counter — so [`QueryStats::node_accesses`] is exact however
+/// many workers share the index.
+// ssq-analyze: deny-alloc
 pub fn vs2_kernel(
     index: &VoronoiIndex,
     ctx: &QueryContext,
     scratch: &mut DistanceScratch,
 ) -> SkylineResult {
     let mut stats = QueryStats::default();
-    index.reset_page_accesses();
     if index.is_empty() {
         return SkylineResult::default();
     }
-    let n = index.len();
     let anchors = ctx.anchors();
     scratch.begin(anchors.len());
-    let (mut visited, mut extracted) = scratch.take_flags(n);
+    scratch.begin_traversal(index.len(), index.page_count());
     let mut heap = scratch.take_heap();
+    let mut pages = 0u64;
+    let mut touch = |scratch: &mut DistanceScratch, i: u32| {
+        pages += u64::from(scratch.touch_page(index.page_of(i)));
+    };
 
-    let start = index.nearest(ctx.query()[0], 0);
+    let start = index.nearest_with(ctx.query()[0], 0, |i| touch(scratch, i));
     let mut b = search_region_mbr(index.point(start), anchors);
     heap.push(kernel::dist_sq_sum(index.point(start), anchors), start);
     stats.distance_computations += anchors.len() as u64;
-    visited[start as usize] = true;
+    scratch.mark_visited(start);
 
     while let Some((_, &p)) = heap.peek() {
-        if extracted[p as usize] {
+        if scratch.is_extracted(p) {
             // Second phase: pop, collect the survivor as an arena row and
             // tighten B (Safe policy — see `vs2_with` for the comments).
             heap.pop();
@@ -101,15 +126,36 @@ pub fn vs2_kernel(
             b = b.intersection(&search_region_mbr(pt, anchors));
         } else {
             // First phase: extract, enqueue the Voronoi neighbours.
-            extracted[p as usize] = true;
+            scratch.mark_extracted(p);
             stats.entries_visited += 1;
-            for &nb in index.neighbors(p) {
-                if visited[nb as usize] {
+            touch(scratch, p);
+            let neighbors = index.graph().neighbors(p);
+            // Every neighbour's mark and point sit on a cache line of
+            // their own (sites are stored in input order, not along the
+            // walk): ask for all of them before the first is needed, so
+            // the misses overlap instead of queueing behind one another.
+            for &nb in neighbors {
+                scratch.prefetch_mark(nb);
+                simd::prefetch(&index.points()[nb as usize]);
+            }
+            for &nb in neighbors {
+                if scratch.is_visited(nb) {
                     continue;
                 }
                 let nbp = index.point(nb);
-                if b.contains(nbp) || index.cell_intersects_rect(nb, &b) {
-                    visited[nb as usize] = true;
+                let mut reaches_b = b.contains(nbp);
+                if !reaches_b {
+                    // The cell test reads `nb`'s page.
+                    touch(scratch, nb);
+                    reaches_b = index.cell_meets_rect(nb, &b);
+                }
+                if reaches_b {
+                    scratch.mark_visited(nb);
+                    // `nb` is extracted later on: start loading its
+                    // adjacency list now.
+                    if let Some(first) = index.graph().neighbors(nb).first() {
+                        simd::prefetch(first);
+                    }
                     heap.push(kernel::dist_sq_sum(nbp, anchors), nb);
                     stats.distance_computations += anchors.len() as u64;
                 }
@@ -117,10 +163,10 @@ pub fn vs2_kernel(
         }
     }
 
-    scratch.restore_flags(visited, extracted);
     scratch.restore_heap(heap);
+    // ssq-analyze: allow(deny-alloc): the returned id vector is the kernel's one allocation
     let skyline = scratch.resolve(&mut stats).to_vec();
-    stats.node_accesses = index.page_accesses();
+    stats.node_accesses = pages;
     stats.allocations += scratch.take_allocations();
     SkylineResult { skyline, stats }
 }

@@ -20,13 +20,15 @@
 //! Tile-remainder sizes (`n ≡ 0..7 mod` the lane width) and the
 //! dispatch-level dominance masks (vs the per-pair scalar
 //! [`kernel::dominates`], signed zeros and exact ties included) get
-//! their own sweeps below.
+//! their own sweeps below, as does `resolve` on hand-made rows
+//! (duplicates, equal keys, certain-but-dominated rows) against an
+//! `O(n²)` filter.
 
 use std::sync::Mutex;
 
 use ssq_core::{
     b2s2_kernel, naive_full, naive_sorted, naive_sorted_kernel, vs2_kernel, vs2_with,
-    DistanceScratch, QueryContext, RTreeIndex, VoronoiIndex, VsExpansion,
+    DistanceScratch, QueryContext, QueryStats, RTreeIndex, VoronoiIndex, VsExpansion,
 };
 use ssq_geom::kernel;
 use ssq_geom::simd::{self, Lane4, LANES};
@@ -94,6 +96,8 @@ fn kernel_paths_match_scalar_paths_exactly() {
         let rtree = RTreeIndex::new(points);
         let voronoi = VoronoiIndex::new(points).expect("distinct points");
         let mut rng = XorShift(0xC0FFEE ^ points.len() as u64);
+        // (kernel checks, scalar checks, kernel rows pushed), per mode.
+        let mut vs2_checks = [(0u64, 0u64, 0u64); 2];
         for k in [1usize, 3, 8] {
             for trial in 0..4 {
                 let q = anchors(k, &mut rng);
@@ -130,6 +134,10 @@ fn kernel_paths_match_scalar_paths_exactly() {
                         kern_vs2.skyline, oracle,
                         "vs2 kernel ({mode}) vs oracle [{tag}]"
                     );
+                    let tally = &mut vs2_checks[usize::from(forced)];
+                    tally.0 += kern_vs2.stats.dominance_checks;
+                    tally.1 += scalar_vs2.stats.dominance_checks;
+                    tally.2 += kern_vs2.stats.points_examined;
 
                     let kern_b2s2 = b2s2_kernel(&rtree, &ctx, &mut scratch);
                     assert_eq!(
@@ -144,6 +152,19 @@ fn kernel_paths_match_scalar_paths_exactly() {
                     "forced-scalar and detected dispatches disagree [{tag}]"
                 );
             }
+        }
+        // The kernel resolve is the scalar rule plus one pre-filter check
+        // per pushed row, so under one key order its count is at most
+        // scalar + rows. The two walk different orders (squared vs true
+        // distance sums), which moves the first-dominator positions a few
+        // percent either way — hence the 5 % margin. (A resolve that
+        // tests rows against more than the accepted set fails this by
+        // a factor, not by percents.)
+        for (kernel, scalar, rows) in vs2_checks {
+            assert!(
+                kernel * 20 <= (scalar + rows) * 21,
+                "vs2 kernel dominance checks {kernel} vs scalar {scalar} + {rows} rows [{shape}]"
+            );
         }
     }
 }
@@ -183,6 +204,51 @@ fn tile_remainders_match_the_oracle_in_both_dispatch_modes() {
                 assert_eq!(
                     per_mode[0], per_mode[1],
                     "dispatch modes disagree on a tile remainder [{tag}]"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn resolve_matches_a_quadratic_filter_on_adversarial_rows() {
+    let _guard = dispatch_guard();
+    // A three-value palette makes duplicate rows, equal keys (2+0 = 1+1)
+    // and dominated rows all common; every fifth row is marked certain
+    // whether or not something dominates it, and must survive anyway.
+    let mut rng = XorShift(0x5C4A7C);
+    let mut scratch = DistanceScratch::new();
+    for width in [1usize, 2, 3, 5] {
+        let slots: Vec<Point> = (0..width).map(|j| Point::new(j as f64, 0.0)).collect();
+        for n in [0usize, 1, 4, 5, 6, 7, 8, 31, 64] {
+            for trial in 0..20 {
+                let rows: Vec<Vec<f64>> = (0..n)
+                    .map(|_| (0..width).map(|_| (rng.next_f64() * 3.0).floor()).collect())
+                    .collect();
+                let certain = |r: usize| r % 5 == 4;
+                let want: Vec<u32> = (0..n)
+                    .filter(|&r| certain(r) || !rows.iter().any(|o| kernel::dominates(o, &rows[r])))
+                    .map(|r| r as u32)
+                    .collect();
+                let mut per_mode = Vec::with_capacity(2);
+                for forced in [true, false] {
+                    simd::set_force_scalar(forced);
+                    scratch.begin(width);
+                    for (r, row) in rows.iter().enumerate() {
+                        scratch.push_row_with(r as u32, certain(r), &slots, |q| row[q.x as usize]);
+                    }
+                    let mut stats = QueryStats::default();
+                    let got = scratch.resolve(&mut stats).to_vec();
+                    assert_eq!(
+                        got, want,
+                        "width {width} n {n} trial {trial} forced {forced}: rows {rows:?}"
+                    );
+                    per_mode.push(stats.dominance_checks);
+                }
+                simd::set_force_scalar(false);
+                assert_eq!(
+                    per_mode[0], per_mode[1],
+                    "dispatch modes count differently (width {width} n {n} trial {trial})"
                 );
             }
         }

@@ -20,7 +20,9 @@ use crate::hilbert;
 /// serve queries from many threads at once; under concurrent use the page
 /// counts are best-effort (a page touched simultaneously by two threads may
 /// be counted twice), which is fine for the paper's single-query I/O
-/// accounting the counter exists to reproduce.
+/// accounting the counter exists to reproduce. A query path that runs
+/// on several workers at once keeps its own page set instead, keyed by
+/// [`PagedAdjacency::page_of`], and leaves these counters alone.
 pub struct PagedAdjacency {
     /// `page_of[i]` is the page holding point `i`'s adjacency list.
     page_of: Vec<u32>,

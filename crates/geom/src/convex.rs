@@ -198,9 +198,7 @@ impl ConvexPolygon {
             return true;
         }
         let rc = r.corners();
-        let redges: Vec<Segment> = (0..4)
-            .map(|i| Segment::new(rc[i], rc[(i + 1) % 4]))
-            .collect();
+        let redges: [Segment; 4] = std::array::from_fn(|i| Segment::new(rc[i], rc[(i + 1) % 4]));
         self.edges()
             .any(|e| redges.iter().any(|re| e.intersects(re)))
     }

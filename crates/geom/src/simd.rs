@@ -24,6 +24,20 @@
 //!   (the arena's sweep never reads pad lanes back, so the stray bits
 //!   are harmless there).
 //!
+//! # Tile kernels and range kernels
+//!
+//! [`Dispatch::fill_tile`], [`Dispatch::dominated_by_ref`],
+//! [`Dispatch::dominators_of`] and [`Dispatch::all_lt`] each handle
+//! **one** tile per call and return a 4-bit lane mask. The searches that
+//! stop at the first hit — "which row is the first to dominate this
+//! candidate", "which row is the first strictly below these bounds" —
+//! have range forms, [`Dispatch::first_dominator`] and
+//! [`Dispatch::first_all_lt`], that take a run of whole tiles and keep
+//! the tile loop *inside* the ISA-specific body: one indirect call per
+//! search instead of one per tile, with the per-tile kernel inlined into
+//! the loop. They return a row index (lane `i % LANES` of tile
+//! `i / LANES`), never a pad lane.
+//!
 //! # Dispatch
 //!
 //! Four implementations of each kernel exist:
@@ -48,6 +62,9 @@
 //! every implementation, sums accumulate in anchor order, and the IEEE
 //! comparisons underlying the masks are total on the finite,
 //! non-NaN distances these kernels are fed.
+//!
+//! [`prefetch`] sits outside the table: a cache hint has one form per
+//! architecture and no result to keep identical.
 //!
 //! # Why lane compares preserve dominance
 //!
@@ -124,17 +141,22 @@ impl KernelPath {
 
 type FillTileFn = fn(&[Point; LANES], &[Point], &mut [Lane4], &mut [f64; LANES]);
 type MaskFn = fn(&[f64], &[Lane4]) -> u8;
+type FirstFn = fn(&[f64], &[Lane4]) -> Option<usize>;
 
 /// One implementation of every tile kernel, selected once per process.
 ///
-/// All entry points take `tile` as one tile's anchor-major lanes
-/// (`tile.len()` = the anchor count = the length of the row argument).
+/// The per-tile entry points take `tile` as one tile's anchor-major
+/// lanes (`tile.len()` = the anchor count = the length of the row
+/// argument); the range entry points take `tiles`, any number of such
+/// tiles back to back.
 pub struct Dispatch {
     path: KernelPath,
     fill_tile: FillTileFn,
     dominated_by_ref: MaskFn,
     dominators_of: MaskFn,
     all_lt: MaskFn,
+    first_dominator: FirstFn,
+    first_all_lt: FirstFn,
 }
 
 impl Dispatch {
@@ -185,6 +207,55 @@ impl Dispatch {
         debug_assert_eq!(bounds.len(), tile.len(), "tile width mismatch");
         (self.all_lt)(bounds, tile)
     }
+
+    /// Index of the first row of the tile run `tiles` that **dominates**
+    /// the candidate row `cand`, or `None` — [`Dispatch::dominators_of`]
+    /// over a whole run with the tile loop inside the ISA-specific body,
+    /// stopping at the first tile that reports a bit. `tiles` holds
+    /// whole tiles back to back (`tiles.len()` a multiple of
+    /// `cand.len()`); row `i` is lane `i % LANES` of tile `i / LANES`.
+    #[inline]
+    // ssq-analyze: deny-alloc
+    pub fn first_dominator(&self, cand: &[f64], tiles: &[Lane4]) -> Option<usize> {
+        if cand.is_empty() {
+            return None;
+        }
+        debug_assert_eq!(tiles.len() % cand.len(), 0, "ragged tile run");
+        (self.first_dominator)(cand, tiles)
+    }
+
+    /// Index of the first row of the tile run `tiles` strictly below
+    /// `bounds` on **every** anchor, or `None` — the range form of
+    /// [`Dispatch::all_lt`], same run layout as
+    /// [`Dispatch::first_dominator`].
+    #[inline]
+    // ssq-analyze: deny-alloc
+    pub fn first_all_lt(&self, bounds: &[f64], tiles: &[Lane4]) -> Option<usize> {
+        if bounds.is_empty() {
+            return None;
+        }
+        debug_assert_eq!(tiles.len() % bounds.len(), 0, "ragged tile run");
+        (self.first_all_lt)(bounds, tiles)
+    }
+}
+
+/// The range form of a per-tile mask kernel: the row index of the first
+/// set bit over a run of `width`-lane tiles. Always inlined, so inside
+/// a `#[target_feature]` body the loop and `mask_of` are compiled with
+/// that body's features.
+#[inline(always)]
+fn first_set_row(
+    width: usize,
+    tiles: &[Lane4],
+    mut mask_of: impl FnMut(&[Lane4]) -> u8,
+) -> Option<usize> {
+    for (t, tile) in tiles.chunks_exact(width).enumerate() {
+        let mask = mask_of(tile);
+        if mask != 0 {
+            return Some(t * LANES + mask.trailing_zeros() as usize);
+        }
+    }
+    None
 }
 
 // ---------------------------------------------------------------------
@@ -268,6 +339,16 @@ fn all_lt_scalar(bounds: &[f64], tile: &[Lane4]) -> u8 {
     mask
 }
 
+// ssq-analyze: deny-alloc
+fn first_dominator_scalar(cand: &[f64], tiles: &[Lane4]) -> Option<usize> {
+    first_set_row(cand.len(), tiles, |tile| dominators_of_scalar(cand, tile))
+}
+
+// ssq-analyze: deny-alloc
+fn first_all_lt_scalar(bounds: &[f64], tiles: &[Lane4]) -> Option<usize> {
+    first_set_row(bounds.len(), tiles, |tile| all_lt_scalar(bounds, tile))
+}
+
 // ---------------------------------------------------------------------
 // Tiled path: portable straight-line lane loops (autovectorizable).
 // ---------------------------------------------------------------------
@@ -347,13 +428,23 @@ fn all_lt_tiled(bounds: &[f64], tile: &[Lane4]) -> u8 {
     mask
 }
 
+// ssq-analyze: deny-alloc
+fn first_dominator_tiled(cand: &[f64], tiles: &[Lane4]) -> Option<usize> {
+    first_set_row(cand.len(), tiles, |tile| dominators_of_tiled(cand, tile))
+}
+
+// ssq-analyze: deny-alloc
+fn first_all_lt_tiled(bounds: &[f64], tiles: &[Lane4]) -> Option<usize> {
+    first_set_row(bounds.len(), tiles, |tile| all_lt_tiled(bounds, tile))
+}
+
 // ---------------------------------------------------------------------
 // x86-64 intrinsic paths.
 // ---------------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{Lane4, LANES};
+    use super::{first_set_row, Lane4, LANES};
     use crate::point::Point;
     use core::arch::x86_64::*;
 
@@ -455,6 +546,32 @@ mod x86 {
             }
             _mm256_movemask_pd(lt) as u8
         }
+    }
+
+    /// f64x4 `first_dominator`: [`dominators_of_avx2`] over a run of
+    /// tiles, with the loop inside the `avx2` body so one indirect call
+    /// covers the run and the per-tile kernel inlines.
+    #[target_feature(enable = "avx2")]
+    // SAFETY: callers must prove AVX2 — the dispatch table installs
+    // this fn only after runtime detection proves it.
+    pub(super) unsafe fn first_dominator_avx2(cand: &[f64], tiles: &[Lane4]) -> Option<usize> {
+        // SAFETY: same feature family, AVX2 proven by the caller;
+        // the closure inherits this body's features and gets whole tiles.
+        first_set_row(cand.len(), tiles, |tile| unsafe {
+            dominators_of_avx2(cand, tile)
+        })
+    }
+
+    /// f64x4 `first_all_lt`: [`all_lt_avx2`] over a run of tiles.
+    #[target_feature(enable = "avx2")]
+    // SAFETY: callers must prove AVX2 — the dispatch table installs
+    // this fn only after runtime detection proves it.
+    pub(super) unsafe fn first_all_lt_avx2(bounds: &[f64], tiles: &[Lane4]) -> Option<usize> {
+        // SAFETY: same feature family, AVX2 proven by the caller;
+        // the closure inherits this body's features and gets whole tiles.
+        first_set_row(bounds.len(), tiles, |tile| unsafe {
+            all_lt_avx2(bounds, tile)
+        })
     }
 
     /// f64x2 tile fill over the two 128-bit halves of each lane.
@@ -576,6 +693,30 @@ mod x86 {
             (_mm_movemask_pd(lt0) as u8) | ((_mm_movemask_pd(lt1) as u8) << 2)
         }
     }
+
+    /// f64x2 `first_dominator`: [`dominators_of_sse2`] over a run of
+    /// tiles, with the loop inside the `sse2` body so one indirect call
+    /// covers the run and the per-tile kernel inlines.
+    #[target_feature(enable = "sse2")]
+    // SAFETY: trivially callable — SSE2 is unconditionally available on x86-64
+    // (part of the base ABI) — callable from any safe wrapper.
+    pub(super) unsafe fn first_dominator_sse2(cand: &[f64], tiles: &[Lane4]) -> Option<usize> {
+        // SAFETY: SSE2 is x86-64 baseline; the closure gets whole tiles.
+        first_set_row(cand.len(), tiles, |tile| unsafe {
+            dominators_of_sse2(cand, tile)
+        })
+    }
+
+    /// f64x2 `first_all_lt`: [`all_lt_sse2`] over a run of tiles.
+    #[target_feature(enable = "sse2")]
+    // SAFETY: trivially callable — SSE2 is unconditionally available on x86-64
+    // (part of the base ABI) — callable from any safe wrapper.
+    pub(super) unsafe fn first_all_lt_sse2(bounds: &[f64], tiles: &[Lane4]) -> Option<usize> {
+        // SAFETY: SSE2 is x86-64 baseline; the closure gets whole tiles.
+        first_set_row(bounds.len(), tiles, |tile| unsafe {
+            all_lt_sse2(bounds, tile)
+        })
+    }
 }
 
 // Safe wrappers: each is installed in exactly one dispatch table, and
@@ -650,6 +791,34 @@ fn all_lt_sse2(bounds: &[f64], tile: &[Lane4]) -> u8 {
     unsafe { x86::all_lt_sse2(bounds, tile) }
 }
 
+#[cfg(target_arch = "x86_64")]
+// ssq-analyze: deny-alloc
+fn first_dominator_avx2(cand: &[f64], tiles: &[Lane4]) -> Option<usize> {
+    // SAFETY: only reachable through the runtime-detected AVX2 table.
+    unsafe { x86::first_dominator_avx2(cand, tiles) }
+}
+
+#[cfg(target_arch = "x86_64")]
+// ssq-analyze: deny-alloc
+fn first_all_lt_avx2(bounds: &[f64], tiles: &[Lane4]) -> Option<usize> {
+    // SAFETY: only reachable through the runtime-detected AVX2 table.
+    unsafe { x86::first_all_lt_avx2(bounds, tiles) }
+}
+
+#[cfg(target_arch = "x86_64")]
+// ssq-analyze: deny-alloc
+fn first_dominator_sse2(cand: &[f64], tiles: &[Lane4]) -> Option<usize> {
+    // SAFETY: SSE2 is unconditionally part of the x86-64 base ABI.
+    unsafe { x86::first_dominator_sse2(cand, tiles) }
+}
+
+#[cfg(target_arch = "x86_64")]
+// ssq-analyze: deny-alloc
+fn first_all_lt_sse2(bounds: &[f64], tiles: &[Lane4]) -> Option<usize> {
+    // SAFETY: SSE2 is unconditionally part of the x86-64 base ABI.
+    unsafe { x86::first_all_lt_sse2(bounds, tiles) }
+}
+
 // ---------------------------------------------------------------------
 // Dispatch tables and selection.
 // ---------------------------------------------------------------------
@@ -660,6 +829,8 @@ static SCALAR: Dispatch = Dispatch {
     dominated_by_ref: dominated_by_ref_scalar,
     dominators_of: dominators_of_scalar,
     all_lt: all_lt_scalar,
+    first_dominator: first_dominator_scalar,
+    first_all_lt: first_all_lt_scalar,
 };
 
 static TILED: Dispatch = Dispatch {
@@ -668,6 +839,8 @@ static TILED: Dispatch = Dispatch {
     dominated_by_ref: dominated_by_ref_tiled,
     dominators_of: dominators_of_tiled,
     all_lt: all_lt_tiled,
+    first_dominator: first_dominator_tiled,
+    first_all_lt: first_all_lt_tiled,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -677,6 +850,8 @@ static SSE2: Dispatch = Dispatch {
     dominated_by_ref: dominated_by_ref_sse2,
     dominators_of: dominators_of_sse2,
     all_lt: all_lt_sse2,
+    first_dominator: first_dominator_sse2,
+    first_all_lt: first_all_lt_sse2,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -686,6 +861,8 @@ static AVX2: Dispatch = Dispatch {
     dominated_by_ref: dominated_by_ref_avx2,
     dominators_of: dominators_of_avx2,
     all_lt: all_lt_avx2,
+    first_dominator: first_dominator_avx2,
+    first_all_lt: first_all_lt_avx2,
 };
 
 fn detect() -> &'static Dispatch {
@@ -768,6 +945,24 @@ pub fn available_dispatches() -> Vec<&'static Dispatch> {
 /// metrics, bench JSON, and serve logs).
 pub fn path_name() -> &'static str {
     dispatch().path().name()
+}
+
+/// Asks the CPU to start loading the cache line that holds `*r`, without
+/// waiting for it: a pure hint with no effect on any result, a no-op off
+/// x86-64. For index walks that know which scattered records they are
+/// about to read (the VS² traversal's marks, points and adjacency lists)
+/// and would otherwise take those cache misses one after the other.
+// ssq-analyze: deny-alloc
+#[inline(always)]
+pub fn prefetch<T>(r: &T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch never faults, and `r` is a live reference.
+    unsafe {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(r).cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = r;
 }
 
 #[cfg(test)]
@@ -886,6 +1081,81 @@ mod tests {
         assert_eq!(live_lane_mask(9), 0b1111);
     }
 
+    /// Rows (each `width` long) laid out as a run of whole tiles, the
+    /// tail padded with `+inf` lanes.
+    fn run_from_rows(rows: &[Vec<f64>], width: usize) -> Vec<Lane4> {
+        let mut tiles = vec![Lane4::PAD; rows.len().div_ceil(LANES) * width];
+        for (r, row) in rows.iter().enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                tiles[(r / LANES) * width + j].0[r % LANES] = v;
+            }
+        }
+        tiles
+    }
+
+    #[test]
+    fn range_kernels_agree_with_the_per_pair_kernel_on_every_table() {
+        // A palette with both signed zeros makes exact ties and ±0.0
+        // comparisons the common case; run lengths 0..=9 cover the empty
+        // run, every pad shape and runs of several tiles.
+        let palette = [0.0f64, -0.0, 1.0, 2.0, 3.0];
+        let mut rng = XorShift(0xF1257);
+        let mut pick = move || palette[(rng.next_f64() * 5.0) as usize % 5];
+        for width in 1..=8usize {
+            for n in 0..=9usize {
+                for _ in 0..40 {
+                    let rows: Vec<Vec<f64>> = (0..n)
+                        .map(|_| (0..width).map(|_| pick()).collect())
+                        .collect();
+                    let cand: Vec<f64> = (0..width).map(|_| pick()).collect();
+                    let tiles = run_from_rows(&rows, width);
+                    let want_dom = rows.iter().position(|r| kernel::dominates(r, &cand));
+                    let want_lt = rows
+                        .iter()
+                        .position(|r| r.iter().zip(&cand).all(|(t, b)| t < b));
+                    for d in available_dispatches() {
+                        let name = d.path().name();
+                        assert_eq!(
+                            d.first_dominator(&cand, &tiles),
+                            want_dom,
+                            "{name}: first_dominator width {width} rows {rows:?} cand {cand:?}"
+                        );
+                        assert_eq!(
+                            d.first_all_lt(&cand, &tiles),
+                            want_lt,
+                            "{name}: first_all_lt width {width} rows {rows:?} bounds {cand:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn range_kernels_find_the_last_lane_of_the_last_tile_and_skip_pads() {
+        for width in 1..=8usize {
+            let cand = vec![5.0; width];
+            // Eleven rows that tie the candidate everywhere (no strict
+            // anchor, so none dominates), then the one dominator in the
+            // last lane of the last tile.
+            let mut rows = vec![cand.clone(); 11];
+            rows.push(vec![4.0; width]);
+            let full = run_from_rows(&rows, width);
+            // Without it the third tile ends in a pad lane, which must
+            // neither dominate nor pass the strict screen.
+            let padded = run_from_rows(&rows[..11], width);
+            for d in available_dispatches() {
+                let name = d.path().name();
+                assert_eq!(d.first_dominator(&cand, &full), Some(11), "{name}");
+                assert_eq!(d.first_all_lt(&cand, &full), Some(11), "{name}");
+                assert_eq!(d.first_dominator(&cand, &padded), None, "{name}");
+                assert_eq!(d.first_all_lt(&cand, &padded), None, "{name}");
+                assert_eq!(d.first_dominator(&cand, &[]), None, "{name}");
+                assert_eq!(d.first_all_lt(&cand, &[]), None, "{name}");
+            }
+        }
+    }
+
     #[test]
     fn fill_tile_is_bit_identical_across_paths() {
         let mut rng = XorShift(0xF00D);
@@ -948,6 +1218,19 @@ mod tests {
         assert_eq!(KernelPath::Tiled.name(), "tiled");
         assert_eq!(KernelPath::Sse2.name(), "sse2");
         assert_eq!(KernelPath::Avx2.name(), "avx2");
+    }
+
+    #[test]
+    fn prefetch_is_only_a_hint() {
+        // Any referent will do — the last element of a buffer, a value
+        // narrower than a cache line, a zero-sized one — and nothing is
+        // written.
+        let lanes = vec![Lane4([1.0, 2.0, 3.0, 4.0]); 3];
+        prefetch(&lanes[2]);
+        prefetch(&lanes[2].0[3]);
+        prefetch(&7u8);
+        prefetch(&());
+        assert_eq!(lanes, vec![Lane4([1.0, 2.0, 3.0, 4.0]); 3]);
     }
 
     #[cfg(target_arch = "x86_64")]

@@ -119,7 +119,9 @@ impl<T> Node<T> {
 /// data point. Node accesses are counted on every [`RTree::entries`] call
 /// (and internally by the built-in queries), mirroring the paper's I/O
 /// metric; reset the counter with [`RTree::reset_node_accesses`] before
-/// each measured query.
+/// each measured query. The counter is tree-wide, so it is only
+/// meaningful for one query at a time; [`RTree::entries_in_place`] is
+/// the non-counting read for callers that account per query.
 #[derive(Debug)]
 pub struct RTree<T: Copy> {
     nodes: Vec<Node<T>>,
@@ -293,24 +295,35 @@ impl<T: Copy> RTree<T> {
     /// This is the primitive the skyline algorithms build their best-first
     /// traversals on.
     pub fn entries(&self, id: NodeId) -> Vec<Entry<T>> {
+        self.read_node(id).collect()
+    }
+
+    /// Counts one node access and visits the node's entries in place.
+    fn read_node(&self, id: NodeId) -> impl Iterator<Item = Entry<T>> + '_ {
         self.accesses.fetch_add(1, Ordering::Relaxed);
+        self.entries_in_place(id)
+    }
+
+    /// Visits the entries of a node in place: no `Vec`, and **no** node
+    /// access counted — for callers that keep their own per-query count
+    /// (the kernel algorithms add one to their `QueryStats` per node
+    /// read, so queries running concurrently on one shared tree never
+    /// see each other's accesses).
+    pub fn entries_in_place(&self, id: NodeId) -> impl Iterator<Item = Entry<T>> + '_ {
         let node = &self.nodes[id.0 as usize];
-        if node.is_leaf {
-            node.rects
-                .iter()
-                .zip(&node.items)
-                .map(|(&mbr, &item)| Entry::Item { mbr, item })
-                .collect()
-        } else {
-            node.rects
-                .iter()
-                .zip(&node.children)
-                .map(|(&mbr, &child)| Entry::Node {
+        node.rects.iter().enumerate().map(move |(i, &mbr)| {
+            if node.is_leaf {
+                Entry::Item {
                     mbr,
-                    child: NodeId(child),
-                })
-                .collect()
-        }
+                    item: node.items[i],
+                }
+            } else {
+                Entry::Node {
+                    mbr,
+                    child: NodeId(node.children[i]),
+                }
+            }
+        })
     }
 
     /// Node accesses since the last reset.
@@ -414,7 +427,7 @@ impl<T: Copy> RTree<T> {
         };
         let mut stack = vec![NodeId(root)];
         while let Some(id) = stack.pop() {
-            for e in self.entries(id) {
+            for e in self.read_node(id) {
                 match e {
                     Entry::Node { mbr, child } => {
                         if mbr.intersects(query) {
@@ -481,7 +494,7 @@ impl<T: Copy> RTree<T> {
             match entry {
                 HeapEntry::Item(t) => return Some(t),
                 HeapEntry::Node(id) => {
-                    for e in self.entries(id) {
+                    for e in self.read_node(id) {
                         seq += 1;
                         let entry = match e {
                             Entry::Node { child, .. } => HeapEntry::Node(child),

@@ -25,8 +25,9 @@ use spatial_skyline::engine::{
 use spatial_skyline::prelude::*;
 use spatial_skyline::shard::{ShardConfig, ShardedEngine, ShardedResponse};
 use ssq_rng::Xoshiro256;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn dataset(n: usize, seed: u64) -> Vec<Point> {
     let mut rng = Xoshiro256::seed_from_u64(seed);
@@ -67,22 +68,33 @@ fn clients_stay_exact_through_two_live_swaps() {
     let retired = Arc::downgrade(&engine.snapshot());
 
     const CLIENTS: usize = 4;
-    const REQUESTS: usize = 160;
+    /// Requests started between one publish and the next.
+    const SWAP_EVERY: usize = 53;
+    const FINAL_GENERATION: u64 = 2;
     let started = Arc::new(AtomicUsize::new(0));
+    let final_answered = Arc::new(AtomicBool::new(false));
+    // A wedged publish must fail the assertions below, not hang the suite.
+    let deadline = Instant::now() + Duration::from_secs(60);
 
     let clients: Vec<std::thread::JoinHandle<Outcomes<QueryResponse>>> = (0..CLIENTS)
         .map(|client| {
             let engine = Arc::clone(&engine);
             let started = Arc::clone(&started);
+            let final_answered = Arc::clone(&final_answered);
             std::thread::spawn(move || {
                 let mut rng = Xoshiro256::seed_from_u64(0xB0 + client as u64);
                 let mut outcomes = Vec::new();
-                // Claim requests from the shared budget so the stream
-                // keeps flowing across both swaps no matter how the
-                // scheduler interleaves the clients.
-                while started.fetch_add(1, Ordering::SeqCst) < REQUESTS {
+                // Keep the stream flowing until the final generation has
+                // answered a request: a fixed request budget can be spent
+                // before the second publish lands, however the scheduler
+                // interleaves clients and builds.
+                while !final_answered.load(Ordering::SeqCst) && Instant::now() < deadline {
+                    started.fetch_add(1, Ordering::SeqCst);
                     let q = random_query(&mut rng);
                     let response = engine.submit(QueryRequest::new(q.clone())).wait();
+                    if response.generation == FINAL_GENERATION {
+                        final_answered.store(true, Ordering::SeqCst);
+                    }
                     outcomes.push((q, response));
                 }
                 outcomes
@@ -90,9 +102,9 @@ fn clients_stay_exact_through_two_live_swaps() {
         })
         .collect();
 
-    // Publish generation 1 a third of the way through the stream and
-    // generation 2 at two thirds, while the clients keep querying.
-    for (generation, at) in [(1u64, REQUESTS / 3), (2u64, 2 * REQUESTS / 3)] {
+    // Publish generation 1 once `SWAP_EVERY` requests have started and
+    // generation 2 after as many again, while the clients keep querying.
+    for (generation, at) in [(1u64, SWAP_EVERY), (FINAL_GENERATION, 2 * SWAP_EVERY)] {
         wait_for(&started, at);
         let published = engine.reindex(&generations[generation as usize]).unwrap();
         assert_eq!(published, generation);
@@ -111,7 +123,7 @@ fn clients_stay_exact_through_two_live_swaps() {
             per_generation[generation] += 1;
         }
     }
-    assert_eq!(per_generation.iter().sum::<usize>(), REQUESTS);
+    let answered: usize = per_generation.iter().sum();
     assert!(
         per_generation[2] > 0,
         "no query was ever answered against the final generation"
@@ -124,7 +136,7 @@ fn clients_stay_exact_through_two_live_swaps() {
     assert!(m.lifecycle.last_build_nanos > 0);
     assert_eq!(
         m.queries_per_generation.values().sum::<u64>(),
-        REQUESTS as u64
+        answered as u64
     );
     for (generation, &count) in per_generation.iter().enumerate() {
         if count > 0 {
