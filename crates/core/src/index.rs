@@ -8,8 +8,11 @@
 //!   flat file paged by Hilbert value, used by VS² and VCS² — wrapped as
 //!   [`VoronoiIndex`].
 //!
-//! Both wrappers own the point set and expose access-counting so the bench
-//! harness can report I/O the way the paper does.
+//! Both wrappers own the point set. The R-tree counts node reads so the
+//! bench harness can report I/O the way the paper does; the Voronoi side
+//! only lays sites out on adjacency pages — a traversal counts the
+//! distinct pages it reads itself, so a published [`VoronoiIndex`] holds
+//! no interior mutability.
 
 use ssq_delaunay::paged::PagedAdjacency;
 use ssq_delaunay::{hilbert, DelaunayGraph, DeltaError, Triangulation};
@@ -225,32 +228,21 @@ impl VoronoiIndex {
         self.graph.is_empty()
     }
 
-    /// The Voronoi neighbours of point `i`, counting one adjacency-page
-    /// access when the page is cold.
+    /// The Voronoi neighbours of point `i`.
+    #[inline]
     pub fn neighbors(&self, i: u32) -> &[u32] {
-        self.pages.touch(i);
         self.graph.neighbors(i)
     }
 
     /// The Voronoi cell of `i` (precomputed, clipped to the default box).
     pub fn voronoi_cell(&self, i: u32) -> &ConvexPolygon {
-        self.pages.touch(i);
         &self.cells[i as usize]
     }
 
-    /// Exact test "does the Voronoi cell of `i` intersect `r`?", counting
-    /// an adjacency-page access like [`VoronoiIndex::neighbors`]; see
-    /// [`VoronoiIndex::cell_meets_rect`] for the test itself.
-    pub fn cell_intersects_rect(&self, i: u32, r: &Rect) -> bool {
-        self.pages.touch(i);
-        self.cell_meets_rect(i, r)
-    }
-
-    /// [`VoronoiIndex::cell_intersects_rect`] without the page-access
-    /// accounting. Tiered so the overwhelmingly common cases cost four
-    /// f64 comparisons: first the cell's precomputed MBR (disjoint ⟹ no;
-    /// fully inside `r` ⟹ yes), then the exact convex-polygon test only
-    /// for boundary cells.
+    /// Exact test "does the Voronoi cell of `i` intersect `r`?". Tiered so
+    /// the overwhelmingly common cases cost four f64 comparisons: first
+    /// the cell's precomputed MBR (disjoint ⟹ no; fully inside `r` ⟹
+    /// yes), then the exact convex-polygon test only for boundary cells.
     pub fn cell_meets_rect(&self, i: u32, r: &Rect) -> bool {
         let mbr = &self.cell_mbrs[i as usize];
         if !mbr.intersects(r) {
@@ -265,8 +257,7 @@ impl VoronoiIndex {
     /// Nearest data point to `q`: a greedy Delaunay walk seeded by the
     /// kd-tree start index when present (`O(log |P|)` to seed, then
     /// usually a single ring scan) and by `hint` otherwise (`O(√|P|)`
-    /// hops). The walk touches the adjacency page of every point visited,
-    /// so its I/O is accounted like any other adjacency access.
+    /// hops).
     ///
     /// The walk — not the kd answer — is what guarantees exactness
     /// (greedy routing on a Delaunay graph provably reaches the nearest
@@ -274,12 +265,12 @@ impl VoronoiIndex {
     /// slightly stale kd through [`seed_map`](Self::apply_delta): any
     /// valid id is a correct seed.
     pub fn nearest(&self, q: Point, hint: u32) -> u32 {
-        self.nearest_with(q, hint, |i| self.pages.touch(i))
+        self.nearest_with(q, hint, |_| ())
     }
 
-    /// [`VoronoiIndex::nearest`] with the caller's own accounting in
-    /// place of the index-wide page counter: `visit(i)` is called for
-    /// every point whose adjacency list the walk reads.
+    /// [`VoronoiIndex::nearest`] with the caller's page accounting:
+    /// `visit(i)` is called for every point whose adjacency list the
+    /// walk reads.
     pub fn nearest_with(&self, q: Point, hint: u32, mut visit: impl FnMut(u32)) -> u32 {
         let mut cur = hint;
         if let Some(kd) = &self.start_index {
@@ -307,10 +298,10 @@ impl VoronoiIndex {
         }
     }
 
-    /// The adjacency page holding point `i`'s neighbour list — for
-    /// callers that keep a per-query page set of their own (see
-    /// [`DistanceScratch::touch_page`](crate::DistanceScratch::touch_page))
-    /// instead of the index-wide counter below.
+    /// The adjacency page holding point `i`'s neighbour list. A traversal
+    /// counts the distinct pages it reads in its own per-query page set
+    /// ([`DistanceScratch::touch_page`](crate::DistanceScratch::touch_page));
+    /// the index itself keeps no counters.
     #[inline]
     pub fn page_of(&self, i: u32) -> u32 {
         self.pages.page_of(i)
@@ -319,19 +310,6 @@ impl VoronoiIndex {
     /// Total number of adjacency pages.
     pub fn page_count(&self) -> usize {
         self.pages.page_count() as usize
-    }
-
-    /// Adjacency-page accesses since the last reset (the VS² I/O metric).
-    /// Index-wide, so only meaningful for one query at a time — the
-    /// scalar reference paths and the paper reproduction use it; the
-    /// kernel path counts into its own arena.
-    pub fn page_accesses(&self) -> u64 {
-        self.pages.accesses()
-    }
-
-    /// Resets the page-access counter (call before each measured query).
-    pub fn reset_page_accesses(&self) {
-        self.pages.reset()
     }
 
     /// The retained Delaunay triangulation this generation was derived
@@ -592,10 +570,9 @@ mod tests {
         let points = pts();
         let idx = VoronoiIndex::new(&points).unwrap();
         assert_eq!(idx.len(), 100);
-        idx.reset_page_accesses();
         let n = idx.neighbors(0);
         assert!(!n.is_empty());
-        assert!(idx.page_accesses() >= 1);
+        assert!((idx.page_of(0) as usize) < idx.page_count());
         let cell = idx.voronoi_cell(0);
         assert!(cell.contains(idx.point(0)));
     }
@@ -617,11 +594,7 @@ mod tests {
         {
             for i in 0..idx.len() as u32 {
                 let exact = idx.voronoi_cell(i).intersects_rect(probe);
-                assert_eq!(
-                    idx.cell_intersects_rect(i, probe),
-                    exact,
-                    "probe {k}, cell {i}"
-                );
+                assert_eq!(idx.cell_meets_rect(i, probe), exact, "probe {k}, cell {i}");
             }
         }
     }

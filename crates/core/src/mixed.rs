@@ -28,8 +28,10 @@ use ssq_rtree::{Entry, NodeId};
 
 use crate::heap::MinHeap;
 use crate::index::{RTreeIndex, VoronoiIndex};
-use crate::query::{dominates, mutual_filter, QueryContext};
+use crate::query::{dominated_by_any, dominates, mutual_filter, QueryContext};
+use crate::scratch::DistanceScratch;
 use crate::stats::{QueryStats, SkylineResult};
+use crate::vs2::Walk;
 
 /// A prepared mixed query: the spatial context plus the attribute table,
 /// its static skyline `S(A)` and the Lemma-7 search bound.
@@ -197,64 +199,32 @@ pub fn mixed_b2s2(index: &RTreeIndex, mctx: &MixedContext<'_>) -> SkylineResult 
     }
 }
 
-/// Mixed VS²: the Delaunay traversal of VS² with the fixed Lemma-7 bound
-/// in place of the shrinking rectangle and combined dominance checks.
+/// Mixed VS²: VS²'s `Walk` on a throw-away arena, with the fixed
+/// Lemma-7 bound in place of the shrinking rectangle, true-sum keys and
+/// combined dominance checks on the popped sites.
 pub fn mixed_vs2(index: &VoronoiIndex, mctx: &MixedContext<'_>) -> SkylineResult {
     let mut stats = QueryStats::default();
-    index.reset_page_accesses();
     if index.is_empty() {
         return SkylineResult::default();
     }
     let ctx = mctx.ctx;
-    let n = index.len();
-    let bound = mctx.search_bound();
+    let scratch = &mut DistanceScratch::new();
+    let mut walk = Walk::begin(index, scratch, ctx.anchors().len(), |p| ctx.mindist(p));
+    walk.b = mctx.search_bound();
+    let start = walk.nearest_site(ctx.query()[0], 0);
+    walk.seed(start);
 
-    let start = index.nearest(ctx.query()[0], 0);
-    let mut visited = vec![false; n];
-    let mut extracted = vec![false; n];
     let mut skyline: Vec<(u32, Vec<f64>)> = Vec::new();
-    let mut heap: MinHeap<u32> = MinHeap::new();
-    heap.push(ctx.mindist(index.point(start)), start);
-    visited[start as usize] = true;
-
-    while let Some((_, &p)) = heap.peek() {
-        if extracted[p as usize] {
-            heap.pop();
-            let pt = index.point(p);
-            stats.points_examined += 1;
-            let v = mctx.combined_vector(p, pt, &mut stats);
-            let mut dominated = false;
-            if !ctx.hull().contains(pt) {
-                for (_, sv) in &skyline {
-                    stats.dominance_checks += 1;
-                    if dominates(sv, &v) {
-                        dominated = true;
-                        break;
-                    }
-                }
-            }
-            if !dominated {
-                skyline.push((p, v));
-            }
-        } else {
-            extracted[p as usize] = true;
-            stats.entries_visited += 1;
-            for &nb in index.neighbors(p) {
-                if visited[nb as usize] {
-                    continue;
-                }
-                let nbp = index.point(nb);
-                if bound.contains(nbp) || index.cell_intersects_rect(nb, &bound) {
-                    visited[nb as usize] = true;
-                    heap.push(ctx.mindist(nbp), nb);
-                    stats.distance_computations += ctx.anchors().len() as u64;
-                }
-            }
+    while let Some((p, _, pt)) = walk.next_popped(|_| true) {
+        stats.points_examined += 1;
+        let v = mctx.combined_vector(p, pt, &mut stats);
+        if ctx.hull().contains(pt) || !dominated_by_any(&v, &skyline, &mut stats) {
+            skyline.push((p, v));
         }
     }
+    walk.finish(&mut stats);
 
     let skyline = mutual_filter(skyline, &mut stats);
-    stats.node_accesses = index.page_accesses();
     let mut ids: Vec<u32> = skyline.into_iter().map(|(i, _)| i).collect();
     ids.sort_unstable();
     SkylineResult {

@@ -38,41 +38,19 @@ pub fn naive_full(points: &[Point], ctx: &QueryContext) -> SkylineResult {
 }
 
 /// A sort-based exact scan (the strongest index-free baseline): points are
-/// processed in ascending `Σ D(p, q)` order over the hull vertices, so a
-/// dominator always precedes its dominatees and each point only needs a
-/// check against the skyline found so far — `O(|P| · |S| · |CHv(Q)|)` plus
-/// the sort.
+/// processed in ascending key order over the hull vertices, so a dominator
+/// always precedes its dominatees and each point only needs a check
+/// against the skyline found so far — `O(|P| · |S| · |CHv(Q)|)` plus the
+/// sort. This is [`naive_sorted_kernel`] on a throw-away arena, for
+/// callers with no per-worker [`DistanceScratch`] to reuse.
 pub fn naive_sorted(points: &[Point], ctx: &QueryContext) -> SkylineResult {
-    let mut stats = QueryStats::default();
-    let mut order: Vec<u32> = (0..points.len() as u32).collect();
-    let keys: Vec<f64> = points.iter().map(|&p| ctx.mindist(p)).collect();
-    stats.distance_computations += (points.len() * ctx.anchors().len()) as u64;
-    order.sort_by(|&a, &b| keys[a as usize].total_cmp(&keys[b as usize]));
-
-    let mut skyline: Vec<(u32, Vec<f64>)> = Vec::new();
-    'next: for &i in &order {
-        stats.points_examined += 1;
-        let v = ctx.dist_vector(points[i as usize], &mut stats);
-        for (_, s) in &skyline {
-            stats.dominance_checks += 1;
-            if dominates(s, &v) {
-                continue 'next;
-            }
-        }
-        skyline.push((i, v));
-    }
-    let mut ids: Vec<u32> = skyline.into_iter().map(|(i, _)| i).collect();
-    ids.sort_unstable();
-    SkylineResult {
-        skyline: ids,
-        stats,
-    }
+    naive_sorted_kernel(points, ctx, &mut DistanceScratch::new())
 }
 
-/// The kernel-path sorted scan: identical output to
-/// [`naive_sorted`], but every distance vector lives as a squared-distance
-/// row of the scratch arena (sound — see [`ssq_geom::kernel`]) and the
-/// steady-state query performs no heap allocation beyond arena growth.
+/// The sorted scan over the caller's scratch arena: every distance vector
+/// lives as a squared-distance row (sound — see [`ssq_geom::kernel`]) and
+/// the steady-state query performs no heap allocation beyond arena growth
+/// and the returned id vector.
 pub fn naive_sorted_kernel(
     points: &[Point],
     ctx: &QueryContext,
@@ -193,9 +171,9 @@ mod tests {
             let scalar = naive_sorted(&points, &ctx);
             let kernel = naive_sorted_kernel(&points, &ctx, &mut scratch);
             assert_eq!(scalar.skyline, kernel.skyline, "trial {trial}");
-            // Skip trial 0: the cold arena's one-time growth events can
-            // outnumber the scalar Vecs on a tiny input. Once warm, the
-            // kernel path stops allocating entirely.
+            // `naive_sorted` runs on a fresh arena every time; the shared
+            // one must give the same answer warm, and once warm stops
+            // growing.
             if trial > 0 {
                 assert!(
                     kernel.stats.allocations <= scalar.stats.allocations,

@@ -803,6 +803,28 @@ mod tests {
     }
 
     #[test]
+    fn touch_page_counts_distinct_pages_once() {
+        let mut s = DistanceScratch::new();
+        s.begin_traversal(40, 4);
+        assert!(s.touch_page(0));
+        assert!(!s.touch_page(0));
+        // Touch every site's page (ten sites a page): each of the
+        // remaining pages is new exactly once.
+        let fresh = (0..40u32).filter(|i| s.touch_page(i / 10)).count();
+        assert_eq!(fresh, 3);
+    }
+
+    #[test]
+    fn begin_traversal_empties_the_page_set() {
+        let mut s = DistanceScratch::new();
+        s.begin_traversal(20, 4);
+        assert!(s.touch_page(3));
+        s.begin_traversal(20, 4);
+        assert!(s.touch_page(3), "a new traversal starts with no page read");
+        assert!(!s.touch_page(3));
+    }
+
+    #[test]
     fn marks_survive_index_size_changes_and_an_epoch_wrap() {
         use crate::index::VoronoiIndex;
         use crate::query::QueryContext;

@@ -13,25 +13,43 @@
 //!   can change status (Lemma 6): the visible region of `q` w.r.t.
 //!   `CH(Q)`, the visible region of `q'` w.r.t. `CH(Q')`, and the
 //!   symmetric difference of the hulls. VCS² re-examines exactly those
-//!   points via a Delaunay traversal seeded at `NN(q')`, `NN(q)` and the
-//!   old skyline members inside the region — with the pruning rectangle
-//!   `B` *pre-tightened* from the old skyline, which is what makes the
-//!   incremental update several times cheaper than a fresh VS² run.
+//!   points with VS²'s `Walk`, seeded at `NN(q')`, `NN(q)` and the old
+//!   skyline members inside the region, starting from a pruning rectangle
+//!   `B` *pre-tightened* by the old members: the old members and the
+//!   popped candidate-region sites become arena rows, and one
+//!   [`DistanceScratch::resolve`] over them is the new skyline.
 //! * **Anything else** (the paper's pattern (f) and other complex hull
-//!   changes) — fall back to a full VS² recomputation.
+//!   changes) — fall back to a full VS² recomputation
+//!   ([`vs2_kernel`](crate::vs2::vs2_kernel) on the session's arena).
 //!
-//! Every incremental update ends with the same key-ordered resolution
-//! pass as VS², so the maintained skyline is exact after every update
-//! (asserted against fresh recomputations by the test suite).
+//! Exactness of the incremental path: a new skyline point outside the
+//! candidate region was an old member (its status cannot change), so it
+//! has a row; one inside it lies in `B` (every skyline point lies in
+//! `MBR(SR(x, Q'))` of any data point `x`) and is reached by the walk for
+//! the reason VS² reaches it; and any other row is dominated by a skyline
+//! point, which `resolve` finds. The test suite asserts the maintained
+//! skyline equal to a fresh computation after every update.
+//!
+//! What the incremental path buys is measured, not assumed: the walk
+//! still spans `B` (the candidate region covers most of it), so the saving
+//! is the rows it does not collect and the head start of the pre-tightened
+//! rectangle, paid for with two visible regions, a second NN search and a
+//! region test per popped site. `reproduce`'s continuous table
+//! (`reproduce_output.txt`) puts an average update at 1.24–1.83× faster
+//! than a fresh *scalar* `vs2_with` run on the same positions, Pattern-I
+//! free passes included — not the paper's "factor of 3" — and against the
+//! kernel it does not win at all: on the benchmark's `moving` workload a
+//! session that reruns `vs2_kernel` on every non-Pattern-I update is
+//! faster than this path (47 vs 40 µs per update; ROADMAP.md has the
+//! runs).
 
-use ssq_geom::circle::search_region_mbr;
-use ssq_geom::{ConvexPolygon, Point, Rect};
+use ssq_geom::{kernel, Point};
 
-use crate::heap::MinHeap;
 use crate::index::VoronoiIndex;
-use crate::query::{dominates, resolve_candidates, Candidate, QueryContext};
+use crate::query::QueryContext;
+use crate::scratch::DistanceScratch;
 use crate::stats::{QueryStats, SkylineResult};
-use crate::vs2::{vs2_with, VsExpansion};
+use crate::vs2::{vs2_kernel_from, Walk};
 
 /// How an update was applied.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -77,17 +95,16 @@ where
     index: I,
     query: Vec<Point>,
     ctx: QueryContext,
-    /// Current skyline with distance vectors w.r.t. the current anchors.
-    skyline: Vec<(u32, Vec<f64>)>,
+    /// Current skyline ids, sorted ascending.
+    skyline: Vec<u32>,
     counts: OutcomeCounts,
     /// Walk hint for NN searches (any recently relevant point).
     hint: u32,
-    /// Epoch-stamped per-point scratch marks, reused across updates so an
-    /// incremental update does no `O(|P|)` work (the point of VCS²).
-    visited: Vec<u32>,
-    extracted: Vec<u32>,
-    in_current: Vec<u32>,
-    epoch: u32,
+    /// The session's own arena — traversal marks, heap, page set and
+    /// rows — reused across updates, so a warm update does no `O(|P|)`
+    /// work (the point of VCS²) and its page count is its own however
+    /// many sessions share the index.
+    scratch: DistanceScratch,
 }
 
 impl<I> ContinuousSkyline<I>
@@ -97,15 +114,9 @@ where
     /// Initializes the skyline for query set `q` with a fresh VS² run.
     pub fn new(index: I, q: &[Point]) -> ContinuousSkyline<I> {
         let ctx = QueryContext::new(q);
-        let result = vs2_with(&index, &ctx, VsExpansion::Safe, None);
-        let mut stats = QueryStats::default();
-        let skyline = result
-            .skyline
-            .iter()
-            .map(|&i| (i, ctx.dist_vector(index.point(i), &mut stats)))
-            .collect();
-        let hint = result.skyline.first().copied().unwrap_or(0);
-        let n = index.len();
+        let mut scratch = DistanceScratch::new();
+        let skyline = vs2_kernel_from(&index, &ctx, &mut scratch, 0).skyline;
+        let hint = skyline.first().copied().unwrap_or(0);
         ContinuousSkyline {
             index,
             query: q.to_vec(),
@@ -113,10 +124,7 @@ where
             skyline,
             counts: OutcomeCounts::default(),
             hint,
-            visited: vec![0; n],
-            extracted: vec![0; n],
-            in_current: vec![0; n],
-            epoch: 0,
+            scratch,
         }
     }
 
@@ -127,9 +135,7 @@ where
 
     /// The current skyline, sorted ascending.
     pub fn skyline(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> = self.skyline.iter().map(|&(i, _)| i).collect();
-        ids.sort_unstable();
-        ids
+        self.skyline.clone()
     }
 
     /// The current skyline as a [`SkylineResult`] (zeroed stats).
@@ -172,8 +178,7 @@ where
         let new_vertex = self.ctx.hull().vertex_index(new_loc);
 
         // Pattern I: both endpoints interior — hull unchanged, skyline
-        // unchanged, and the anchor set (hence the stored distance
-        // vectors) is identical.
+        // unchanged.
         if old_vertex.is_none() && new_vertex.is_none() {
             debug_assert_eq!(old_ctx.anchors(), self.ctx.anchors());
             self.counts.unchanged += 1;
@@ -189,18 +194,13 @@ where
         }
 
         // Complex pattern: recompute with VS².
-        let result = vs2_with(&self.index, &self.ctx, VsExpansion::Safe, Some(self.hint));
-        let mut stats = result.stats;
-        self.skyline = result
-            .skyline
-            .iter()
-            .map(|&i| (i, self.ctx.dist_vector(self.index.point(i), &mut stats)))
-            .collect();
-        if let Some(&h) = result.skyline.first() {
+        let result = vs2_kernel_from(&self.index, &self.ctx, &mut self.scratch, self.hint);
+        self.skyline = result.skyline;
+        if let Some(&h) = self.skyline.first() {
             self.hint = h;
         }
         self.counts.recomputed += 1;
-        (UpdateOutcome::Recomputed, stats)
+        (UpdateOutcome::Recomputed, result.stats)
     }
 
     /// The incremental (patterns II–V) path.
@@ -213,12 +213,10 @@ where
         new_vertex: Option<usize>,
     ) -> QueryStats {
         let mut stats = QueryStats::default();
-        self.index.reset_page_accesses();
         let index = &*self.index;
-        let n = index.len();
-        let anchors = self.ctx.anchors().to_vec();
-        let new_hull = self.ctx.hull().clone();
-        let old_hull = old_ctx.hull().clone();
+        let anchors = self.ctx.anchors();
+        let (old_hull, new_hull) = (old_ctx.hull(), self.ctx.hull());
+        let members = &self.skyline;
 
         // Candidate-region membership test (Lemma 6 + hull difference).
         let vis_old = old_vertex.map(|i| old_hull.visible_region(i));
@@ -235,135 +233,51 @@ where
         // and measured it *slower* here — the wedges cover most of the
         // pruning rectangle B, so the extra per-cell tests bought almost no
         // pruning. Expansion therefore stays gated by B alone (provably
-        // complete), and the candidate region gates only the per-point
-        // examinations below, which is where the dominance-check savings
+        // complete), and the candidate region gates only which popped
+        // sites become rows, which is where the dominance-check savings
         // are.
 
-        // Refresh the stored skyline vectors against the new anchors and
-        // pre-tighten B from the old skyline: for ANY data point x, every
-        // point not dominated by x (in particular every new skyline point)
-        // lies inside MBR(SR(x, Q')), so intersecting with stale members'
-        // boxes is safe and gives the incremental path its head start.
-        let mut b = Rect::EVERYTHING;
-        let mut current: Vec<(u32, Vec<f64>)> = Vec::with_capacity(self.skyline.len());
-        for &(i, _) in &self.skyline {
-            let pt = index.point(i);
-            let v = self.ctx.dist_vector(pt, &mut stats);
-            b = b.intersection(&search_region_mbr(pt, &anchors));
-            current.push((i, v));
+        let scratch = &mut self.scratch;
+        scratch.begin(anchors.len());
+        let mut walk = Walk::begin(index, scratch, anchors.len(), |p| {
+            kernel::dist_sq_sum(p, anchors)
+        });
+        // Every old member gets a row against the new anchors and
+        // pre-tightens B — stale members are data points like any other,
+        // so `Walk::keep`'s rule covers them — which gives the
+        // incremental path its head start.
+        for &i in members {
+            walk.keep(&self.ctx, i, index.point(i));
         }
-        // Advance the scratch epoch; on wraparound, clear the stamp arrays
-        // once (every ~4 billion updates).
-        let _ = n;
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.visited.fill(0);
-            self.extracted.fill(0);
-            self.in_current.fill(0);
-            self.epoch = 1;
-        }
-        let epoch = self.epoch;
-        for &(i, _) in &current {
-            self.in_current[i as usize] = epoch;
-        }
-        let mindist_of = |pt: Point| -> f64 { anchors.iter().map(|&q| q.distance(pt)).sum() };
 
         // Seeds: NN of both endpoints of the move, plus every old skyline
         // member inside the candidate region.
-        let mut heap: MinHeap<u32> = MinHeap::new();
-        let nn_new = index.nearest(new_loc, self.hint);
-        let nn_old = index.nearest(old_loc, nn_new);
-        let mut seeds: Vec<u32> = vec![nn_new, nn_old];
-        seeds.extend(
-            current
-                .iter()
-                .map(|&(i, _)| i)
-                .filter(|&i| may_change(index.point(i))),
-        );
-        for i in seeds {
-            if self.visited[i as usize] != epoch {
-                self.visited[i as usize] = epoch;
-                heap.push(mindist_of(index.point(i)), i);
+        let nn_new = walk.nearest_site(new_loc, self.hint);
+        let nn_old = walk.nearest_site(old_loc, nn_new);
+        walk.seed(nn_new);
+        walk.seed(nn_old);
+        for &i in members {
+            if may_change(index.point(i)) {
+                walk.seed(i);
             }
         }
         self.hint = nn_new;
 
-        // VS²-style two-phase traversal, restricted by B; only candidate
-        // points are (re-)examined, everything else keeps its status.
-        while let Some((_, &p)) = heap.peek() {
-            if self.extracted[p as usize] == epoch {
-                heap.pop();
-                let pt = index.point(p);
-                if !may_change(pt) {
-                    continue;
-                }
-                // Outside B ⟹ strictly farther than some (possibly stale)
-                // member from every anchor ⟹ dominated: drop without a
-                // full check, evicting it if it was a member.
-                if !b.contains(pt) {
-                    if self.in_current[p as usize] == epoch {
-                        self.in_current[p as usize] = 0;
-                        current.retain(|&(j, _)| j != p);
-                    }
-                    continue;
-                }
+        // Only candidate-region sites are (re-)examined; everything else
+        // keeps its status, and the old members already have their rows.
+        while let Some((p, _, pt)) = walk.next_popped(|_| true) {
+            if may_change(pt) && members.binary_search(&p).is_err() {
                 stats.points_examined += 1;
-                let v = self.ctx.dist_vector(pt, &mut stats);
-                let keep = if new_hull.contains(pt) {
-                    true
-                } else {
-                    let mut dominated = false;
-                    for (j, sv) in &current {
-                        if *j == p {
-                            continue;
-                        }
-                        stats.dominance_checks += 1;
-                        if dominates(sv, &v) {
-                            dominated = true;
-                            break;
-                        }
-                    }
-                    !dominated
-                };
-                if keep && self.in_current[p as usize] != epoch {
-                    self.in_current[p as usize] = epoch;
-                    b = b.intersection(&search_region_mbr(pt, &anchors));
-                    current.push((p, v));
-                } else if !keep && self.in_current[p as usize] == epoch {
-                    self.in_current[p as usize] = 0;
-                    current.retain(|&(j, _)| j != p);
-                }
-            } else {
-                self.extracted[p as usize] = epoch;
-                stats.entries_visited += 1;
-                for &nb in index.neighbors(p) {
-                    if self.visited[nb as usize] == epoch {
-                        continue;
-                    }
-                    let nbp = index.point(nb);
-                    if b.contains(nbp) || index.cell_intersects_rect(nb, &b) {
-                        self.visited[nb as usize] = epoch;
-                        heap.push(mindist_of(nbp), nb);
-                        stats.distance_computations += anchors.len() as u64;
-                    }
-                }
+                walk.keep(&self.ctx, p, pt);
             }
         }
+        walk.finish(&mut stats);
 
-        // Paper's final check: evict members dominated by other members —
-        // one pass in ascending mindist order (the key is the sum of the
-        // stored anchor distances, so no extra distance computations).
-        let candidates: Vec<Candidate> = current
-            .into_iter()
-            .map(|(i, v)| Candidate {
-                id: i,
-                key: v.iter().sum(),
-                certain: new_hull.contains(index.point(i)),
-                vector: v,
-            })
-            .collect();
-        self.skyline = resolve_candidates(candidates, &mut stats);
-        stats.node_accesses = index.page_accesses();
+        // Paper's final check: evict the rows dominated by other rows.
+        let resolved = scratch.resolve(&mut stats);
+        self.skyline.clear();
+        self.skyline.extend_from_slice(resolved);
+        stats.allocations += scratch.take_allocations();
         stats
     }
 }
@@ -388,11 +302,6 @@ fn hulls_differ_only_at(
     };
     strip(old_anchors, old_loc) == strip(new_anchors, new_loc)
 }
-
-/// A convenience wrapper mirroring the `ConvexPolygon` naming used in the
-/// module docs (kept private; exists to document the hull types in play).
-#[allow(dead_code)]
-type Hull = ConvexPolygon;
 
 #[cfg(test)]
 mod tests {

@@ -32,28 +32,41 @@
 //! graph). Neither policy ever produces a point outside the true skyline
 //! after this pass; `Paper` may miss points, `Safe` provably does not.
 //!
-//! # Two bodies
+//! # One walk, two row handlings
 //!
-//! [`vs2_with`] is the readable reference (true distances, a `Vec<f64>`
-//! per candidate, three `|P|`-sized flag vectors per call, the index-wide
-//! page counter) and the path the paper reproduction reports.
-//! [`vs2_kernel`] is what the engine serves: the same Safe traversal over
-//! a worker's [`DistanceScratch`] — squared-distance rows, epoch-stamped
-//! visited / extracted marks instead of per-query flag vectors, the
-//! query's page accesses counted in the arena, and the final pass run by
-//! [`DistanceScratch::resolve`], which is `resolve_candidates`' rule on
-//! SIMD tiles. Its per-query cost depends on the sites it visits and the
-//! rows it collects, not on `|P|`. Sites sit in memory in input order, so
-//! the walk's reads are scattered; the kernel prefetches each extracted
-//! site's neighbours (marks and points) and each enqueued site's
-//! adjacency list, so those cache misses overlap instead of adding up.
+//! Fig. 7's traversal exists once, as `Walk`: the two-phase loop over a
+//! [`DistanceScratch`]'s epoch-stamped visited / extracted marks, its
+//! reusable heap and its per-query page set. VS², VCS² (§5: "traverses
+//! only specific portions of the graph") and the mixed VS² (§6) are that
+//! walk with different seeds, initial rectangle, heap key and line-16
+//! gate, and each decides in its own loop body what a popped site becomes
+//! and whether it tightens `B`. Its cost depends on the sites it visits,
+//! not on `|P|`. Sites sit in memory in input order, so the walk's reads
+//! are scattered; it prefetches each extracted site's neighbours (marks
+//! and points) and each enqueued site's adjacency list, so those cache
+//! misses overlap instead of adding up.
+//!
+//! What VS² keeps twice is the handling of the collected *rows*:
+//!
+//! * [`vs2_kernel`] is what the engine serves: squared-distance arena
+//!   rows under squared-sum keys, resolved by
+//!   [`DistanceScratch::resolve`] — `resolve_candidates`' rule on SIMD
+//!   tiles, behind a one-check-per-row pre-filter;
+//! * [`vs2_with`] is the counted reference the paper reproduction and
+//!   `kernel_equiv.rs` pin: true-distance [`Candidate`]s under true-sum
+//!   keys, resolved by the scalar [`resolve_candidates`], with `Paper`'s
+//!   in-loop dominance check. Routing the reproduction through the kernel
+//!   instead leaves Fig. 12c/12f byte-identical but moves Fig. 12b's VS²
+//!   column at `|Q|` = 2 from 405.95 to 839.35 (the pre-filter's check per
+//!   row; B²S² reads 399.40 there) — so the scalar resolution stays, and
+//!   only the traversal is shared.
 
 use ssq_geom::circle::search_region_mbr;
-use ssq_geom::{kernel, simd};
+use ssq_geom::{kernel, simd, Point, Rect};
 
 use crate::heap::MinHeap;
 use crate::index::VoronoiIndex;
-use crate::query::{dominated_by_any, resolve_candidates, Candidate, QueryContext};
+use crate::query::{dominates, resolve_candidates, Candidate, QueryContext};
 use crate::scratch::DistanceScratch;
 use crate::stats::{QueryStats, SkylineResult};
 
@@ -68,29 +81,221 @@ pub enum VsExpansion {
     Safe,
 }
 
+/// Fig. 7's two-phase Visited/Extracted traversal of the Delaunay graph,
+/// gated by the rectangle [`Walk::b`]. A site is enqueued when it lies in
+/// `b` or its Voronoi cell meets `b`; the first time it reaches the top of
+/// the heap it is *extracted* (its neighbours enqueued, lines 15-21), the
+/// second time it is *popped* and handed to the caller (lines 09-13) —
+/// [`Walk::next_popped`] returns it, and the caller's loop body does the
+/// rest, tightening `b` if its algorithm shrinks the rectangle.
+///
+/// Visited / extracted marks, the heap and the distinct-page set all live
+/// in the caller's [`DistanceScratch`], so a traversal clears nothing
+/// sized `|P|` and its page count is its own however many threads share
+/// the index.
+pub(crate) struct Walk<'a, K> {
+    index: &'a VoronoiIndex,
+    /// The arena the walk runs on (and [`Walk::keep`] pushes rows to).
+    scratch: &'a mut DistanceScratch,
+    heap: MinHeap<u32>,
+    /// The heap key of a site — any key monotone under the caller's
+    /// dominance relation.
+    key: K,
+    /// Anchor distances one key or one collected row costs.
+    width: u64,
+    /// The pruning rectangle (Fig. 7's `B`, Lemma 7's fixed bound).
+    pub(crate) b: Rect,
+    pages: u64,
+    extracted: u64,
+    keyed: u64,
+}
+
+impl<'a, K: Fn(Point) -> f64> Walk<'a, K> {
+    /// Starts a traversal of `index` with nothing enqueued and an
+    /// unbounded rectangle.
+    #[inline]
+    pub(crate) fn begin(
+        index: &'a VoronoiIndex,
+        scratch: &'a mut DistanceScratch,
+        width: usize,
+        key: K,
+    ) -> Walk<'a, K> {
+        scratch.begin_traversal(index.len(), index.page_count());
+        let heap = scratch.take_heap();
+        Walk {
+            index,
+            scratch,
+            heap,
+            key,
+            width: width as u64,
+            b: Rect::EVERYTHING,
+            pages: 0,
+            extracted: 0,
+            keyed: 0,
+        }
+    }
+
+    /// Records a read of site `i`'s adjacency page.
+    #[inline]
+    fn touch(&mut self, i: u32) {
+        self.pages += u64::from(self.scratch.touch_page(self.index.page_of(i)));
+    }
+
+    /// `NN(q)` by the index's greedy walk, its page reads counted with
+    /// the traversal's.
+    #[inline]
+    pub(crate) fn nearest_site(&mut self, q: Point, hint: u32) -> u32 {
+        // The closure borrows the arena and a local count, not `self`:
+        // handing the whole walk to the out-of-line search would pin
+        // every field of it (rectangle, heap, counters) in memory for
+        // the traversal that follows.
+        let (index, scratch) = (self.index, &mut *self.scratch);
+        let mut pages = 0;
+        let nn = index.nearest_with(q, hint, |i| {
+            pages += u64::from(scratch.touch_page(index.page_of(i)));
+        });
+        self.pages += pages;
+        nn
+    }
+
+    #[inline]
+    fn enqueue(&mut self, i: u32, p: Point) {
+        self.scratch.mark_visited(i);
+        self.heap.push((self.key)(p), i);
+        self.keyed += 1;
+    }
+
+    /// Enqueues seed site `i` unless it already is.
+    #[inline]
+    pub(crate) fn seed(&mut self, i: u32) {
+        if !self.scratch.is_visited(i) {
+            self.enqueue(i, self.index.point(i));
+        }
+    }
+
+    /// The Safe rule for a site that may be in the skyline: keep it as
+    /// a squared-distance arena row against `ctx`'s anchors and tighten
+    /// `b` by its search region — sound for ANY data point `x`, because
+    /// every true skyline point lies inside `MBR(SR(x, Q))` (it beats `x`
+    /// on at least one anchor, so it sits in one of `x`'s circles).
+    #[inline]
+    pub(crate) fn keep(&mut self, ctx: &QueryContext, id: u32, pt: Point) {
+        let anchors = ctx.anchors();
+        self.scratch
+            .push_row(id, ctx.hull().contains(pt), pt, anchors);
+        self.keyed += 1;
+        self.b = self.b.intersection(&search_region_mbr(pt, anchors));
+    }
+
+    /// Runs the traversal up to its next second-phase pop of a site
+    /// inside `b` and returns `(site, heap key, location)`; `None` once
+    /// the heap is empty. `expands` is Fig. 7's line-16 gate: given the
+    /// neighbours of the site being extracted, whether to enqueue them.
+    #[inline]
+    pub(crate) fn next_popped(
+        &mut self,
+        expands: impl Fn(&[u32]) -> bool,
+    ) -> Option<(u32, f64, Point)> {
+        let index = self.index;
+        while let Some((key, &p)) = self.heap.peek() {
+            if self.scratch.is_extracted(p) {
+                self.heap.pop();
+                let pt = index.point(p);
+                // B may have shrunk since p was enqueued; a point outside
+                // B is outside some point's search region, i.e. strictly
+                // farther than that point from every anchor — dominated,
+                // no check needed (the same O(d) discard B²S² applies,
+                // Fig. 5 line 07).
+                if self.b.contains(pt) {
+                    return Some((p, key, pt));
+                }
+                continue;
+            }
+            self.scratch.mark_extracted(p);
+            self.extracted += 1;
+            self.touch(p);
+            let neighbors = index.neighbors(p);
+            if !expands(neighbors) {
+                continue;
+            }
+            // Every neighbour's mark and point sit on a cache line of
+            // their own (sites are stored in input order, not along the
+            // walk): ask for all of them before the first is needed, so
+            // the misses overlap instead of queueing behind one another.
+            for &nb in neighbors {
+                self.scratch.prefetch_mark(nb);
+                simd::prefetch(&index.points()[nb as usize]);
+            }
+            for &nb in neighbors {
+                if self.scratch.is_visited(nb) {
+                    continue;
+                }
+                let nbp = index.point(nb);
+                // Line 19: inside B, or Voronoi cell intersecting B.
+                let mut reaches_b = self.b.contains(nbp);
+                if !reaches_b {
+                    // The cell test reads `nb`'s page.
+                    self.touch(nb);
+                    reaches_b = index.cell_meets_rect(nb, &self.b);
+                }
+                if reaches_b {
+                    // `nb` is extracted later on: start loading its
+                    // adjacency list now.
+                    if let Some(first) = index.neighbors(nb).first() {
+                        simd::prefetch(first);
+                    }
+                    self.enqueue(nb, nbp);
+                }
+            }
+        }
+        None
+    }
+
+    /// Ends the traversal: hands the heap back to the arena and books
+    /// the walk's own work — sites extracted, keys and rows computed,
+    /// distinct adjacency pages read — into `stats`.
+    #[inline]
+    pub(crate) fn finish(self, stats: &mut QueryStats) {
+        self.scratch.restore_heap(self.heap);
+        stats.entries_visited += self.extracted;
+        stats.distance_computations += self.keyed * self.width;
+        stats.node_accesses = self.pages;
+    }
+}
+
 /// Runs VS² with the default (provably exact) expansion policy.
 pub fn vs2(index: &VoronoiIndex, ctx: &QueryContext) -> SkylineResult {
     vs2_with(index, ctx, VsExpansion::Safe, None)
 }
 
 /// The kernel-path VS²: identical output to [`vs2`] (Safe expansion), but
-/// the traversal reuses the scratch arena's heap and epoch-stamped
-/// traversal marks (nothing sized `|P|` is cleared per query), keys
-/// the heap by the **squared**-distance sum (no `sqrt` anywhere on the
-/// traversal — sound because any monotone-under-dominance key yields the
-/// same resolved skyline, see [`ssq_geom::kernel`]), and stores candidate
-/// vectors as squared-distance rows. Steady-state queries allocate only
-/// for the returned id vector.
+/// the `Walk` runs on the caller's arena (nothing sized `|P|` is cleared
+/// per query), keys the heap by the **squared**-distance sum (no `sqrt`
+/// anywhere on the traversal — sound because any monotone-under-dominance
+/// key yields the same resolved skyline, see [`ssq_geom::kernel`]), and
+/// stores candidate vectors as squared-distance rows. Steady-state queries
+/// allocate only for the returned id vector.
 ///
-/// Adjacency-page accesses are counted per query in the arena's own page
-/// set — the same distinct pages [`vs2_with`] counts through the
-/// index-wide counter — so [`QueryStats::node_accesses`] is exact however
-/// many workers share the index.
+/// [`QueryStats::node_accesses`] is the walk's own distinct-page count —
+/// the same pages [`vs2_with`] reads — so it is exact however many
+/// workers share the index.
 // ssq-analyze: deny-alloc
 pub fn vs2_kernel(
     index: &VoronoiIndex,
     ctx: &QueryContext,
     scratch: &mut DistanceScratch,
+) -> SkylineResult {
+    vs2_kernel_from(index, ctx, scratch, 0)
+}
+
+/// [`vs2_kernel`] with a walk hint: a site near `q₁` for the `NN(q₁)`
+/// search to start from when the index has no kd start index.
+// ssq-analyze: deny-alloc
+pub(crate) fn vs2_kernel_from(
+    index: &VoronoiIndex,
+    ctx: &QueryContext,
+    scratch: &mut DistanceScratch,
+    hint: u32,
 ) -> SkylineResult {
     let mut stats = QueryStats::default();
     if index.is_empty() {
@@ -98,81 +303,27 @@ pub fn vs2_kernel(
     }
     let anchors = ctx.anchors();
     scratch.begin(anchors.len());
-    scratch.begin_traversal(index.len(), index.page_count());
-    let mut heap = scratch.take_heap();
-    let mut pages = 0u64;
-    let mut touch = |scratch: &mut DistanceScratch, i: u32| {
-        pages += u64::from(scratch.touch_page(index.page_of(i)));
-    };
-
-    let start = index.nearest_with(ctx.query()[0], 0, |i| touch(scratch, i));
-    let mut b = search_region_mbr(index.point(start), anchors);
-    heap.push(kernel::dist_sq_sum(index.point(start), anchors), start);
-    stats.distance_computations += anchors.len() as u64;
-    scratch.mark_visited(start);
-
-    while let Some((_, &p)) = heap.peek() {
-        if scratch.is_extracted(p) {
-            // Second phase: pop, collect the survivor as an arena row and
-            // tighten B (Safe policy — see `vs2_with` for the comments).
-            heap.pop();
-            let pt = index.point(p);
-            if !b.contains(pt) {
-                continue;
-            }
-            stats.points_examined += 1;
-            scratch.push_row(p, ctx.hull().contains(pt), pt, anchors);
-            stats.distance_computations += anchors.len() as u64;
-            b = b.intersection(&search_region_mbr(pt, anchors));
-        } else {
-            // First phase: extract, enqueue the Voronoi neighbours.
-            scratch.mark_extracted(p);
-            stats.entries_visited += 1;
-            touch(scratch, p);
-            let neighbors = index.graph().neighbors(p);
-            // Every neighbour's mark and point sit on a cache line of
-            // their own (sites are stored in input order, not along the
-            // walk): ask for all of them before the first is needed, so
-            // the misses overlap instead of queueing behind one another.
-            for &nb in neighbors {
-                scratch.prefetch_mark(nb);
-                simd::prefetch(&index.points()[nb as usize]);
-            }
-            for &nb in neighbors {
-                if scratch.is_visited(nb) {
-                    continue;
-                }
-                let nbp = index.point(nb);
-                let mut reaches_b = b.contains(nbp);
-                if !reaches_b {
-                    // The cell test reads `nb`'s page.
-                    touch(scratch, nb);
-                    reaches_b = index.cell_meets_rect(nb, &b);
-                }
-                if reaches_b {
-                    scratch.mark_visited(nb);
-                    // `nb` is extracted later on: start loading its
-                    // adjacency list now.
-                    if let Some(first) = index.graph().neighbors(nb).first() {
-                        simd::prefetch(first);
-                    }
-                    heap.push(kernel::dist_sq_sum(nbp, anchors), nb);
-                    stats.distance_computations += anchors.len() as u64;
-                }
-            }
-        }
+    let mut walk = Walk::begin(index, scratch, anchors.len(), |p| {
+        kernel::dist_sq_sum(p, anchors)
+    });
+    let start = walk.nearest_site(ctx.query()[0], hint);
+    walk.b = search_region_mbr(index.point(start), anchors);
+    walk.seed(start);
+    while let Some((p, _, pt)) = walk.next_popped(|_| true) {
+        stats.points_examined += 1;
+        walk.keep(ctx, p, pt);
     }
-
-    scratch.restore_heap(heap);
+    walk.finish(&mut stats);
     // ssq-analyze: allow(deny-alloc): the returned id vector is the kernel's one allocation
     let skyline = scratch.resolve(&mut stats).to_vec();
-    stats.node_accesses = pages;
     stats.allocations += scratch.take_allocations();
     SkylineResult { skyline, stats }
 }
 
 /// Runs VS² with an explicit expansion policy and an optional walk hint
-/// (a point index near `q₁`, e.g. carried over from a previous query).
+/// (a point index near `q₁`, e.g. carried over from a previous query):
+/// the `Walk` on a throw-away arena, with the scalar row handling the
+/// module docs describe.
 pub fn vs2_with(
     index: &VoronoiIndex,
     ctx: &QueryContext,
@@ -180,110 +331,58 @@ pub fn vs2_with(
     start_hint: Option<u32>,
 ) -> SkylineResult {
     let mut stats = QueryStats::default();
-    index.reset_page_accesses();
     if index.is_empty() {
         return SkylineResult::default();
     }
-    let n = index.len();
     let anchors = ctx.anchors();
+    let scratch = &mut DistanceScratch::new();
+    let mut walk = Walk::begin(index, scratch, anchors.len(), |p| ctx.mindist(p));
 
     // Fig. 7 lines 03-05: start at NN(q1), initialize B from its search
     // region.
-    let start = index.nearest(ctx.query()[0], start_hint.unwrap_or(0));
-    let mut b = search_region_mbr(index.point(start), anchors);
+    let start = walk.nearest_site(ctx.query()[0], start_hint.unwrap_or(0));
+    walk.b = search_region_mbr(index.point(start), anchors);
+    walk.seed(start);
 
-    let mut visited = vec![false; n];
-    let mut extracted = vec![false; n];
-    let mut in_skyline = vec![false; n];
     // Paper mode resolves dominance in-loop (the gate on line 16 needs to
-    // know skyline membership during the traversal); Safe mode defers all
-    // dominance work to one exact key-ordered pass at the end and instead
-    // tightens B with EVERY surviving popped point — sound because every
-    // true skyline point lies inside MBR(SR(x, Q)) of *any* data point x
-    // (it beats x on at least one anchor, so it sits in one of x's
-    // circles).
-    let mut skyline: Vec<(u32, Vec<f64>)> = Vec::new();
+    // know skyline membership during the traversal), so there
+    // `candidates` is the skyline so far; Safe mode defers all dominance
+    // work to one exact key-ordered pass at the end and instead tightens
+    // B with EVERY surviving popped point (sound: see `Walk::keep`).
     let mut candidates: Vec<Candidate> = Vec::new();
-    let mut heap: MinHeap<u32> = MinHeap::new();
-    heap.push(ctx.mindist(index.point(start)), start);
-    stats.distance_computations += anchors.len() as u64;
-    visited[start as usize] = true;
-
-    while let Some((key, &p)) = heap.peek() {
-        if extracted[p as usize] {
-            // Second phase: pop and resolve (Fig. 7 lines 09-13).
-            heap.pop();
-            let pt = index.point(p);
-            // B may have shrunk since p was enqueued; a point outside B is
-            // outside some point's search region, i.e. strictly farther
-            // than that point from every anchor — dominated, no check
-            // needed (the same O(d) discard B²S² applies, Fig. 5 line 07).
-            if !b.contains(pt) {
+    while let Some((id, key, pt)) = walk.next_popped(|neighbors| match expansion {
+        VsExpansion::Safe => true,
+        VsExpansion::Paper => {
+            candidates.is_empty() || candidates.iter().any(|c| neighbors.contains(&c.id))
+        }
+    }) {
+        stats.points_examined += 1;
+        let vector = ctx.dist_vector(pt, &mut stats);
+        let certain = ctx.hull().contains(pt);
+        if expansion == VsExpansion::Paper && !certain {
+            let dominated = candidates.iter().any(|c| {
+                stats.dominance_checks += 1;
+                dominates(&c.vector, &vector)
+            });
+            if dominated {
                 continue;
             }
-            stats.points_examined += 1;
-            let v = ctx.dist_vector(pt, &mut stats);
-            let certain = ctx.hull().contains(pt);
-            match expansion {
-                VsExpansion::Safe => {
-                    b = b.intersection(&search_region_mbr(pt, anchors));
-                    candidates.push(Candidate {
-                        id: p,
-                        key,
-                        vector: v,
-                        certain,
-                    });
-                }
-                VsExpansion::Paper => {
-                    if certain || !dominated_by_any(&v, &skyline, &mut stats) {
-                        in_skyline[p as usize] = true;
-                        skyline.push((p, v.clone()));
-                        candidates.push(Candidate {
-                            id: p,
-                            key,
-                            vector: v,
-                            certain,
-                        });
-                        b = b.intersection(&search_region_mbr(pt, anchors));
-                    }
-                }
-            }
-        } else {
-            // First phase: extract, i.e. enqueue the Voronoi neighbours
-            // (Fig. 7 lines 15-21).
-            extracted[p as usize] = true;
-            stats.entries_visited += 1;
-            let expand = match expansion {
-                VsExpansion::Safe => true,
-                VsExpansion::Paper => {
-                    skyline.is_empty()
-                        || index.neighbors(p).iter().any(|&nb| in_skyline[nb as usize])
-                }
-            };
-            if expand {
-                for &nb in index.neighbors(p) {
-                    if visited[nb as usize] {
-                        continue;
-                    }
-                    let nbp = index.point(nb);
-                    // Line 19: inside B, or Voronoi cell intersecting B.
-                    if b.contains(nbp) || index.cell_intersects_rect(nb, &b) {
-                        visited[nb as usize] = true;
-                        heap.push(ctx.mindist(nbp), nb);
-                        stats.distance_computations += anchors.len() as u64;
-                    }
-                }
-            }
         }
+        walk.b = walk.b.intersection(&search_region_mbr(pt, anchors));
+        candidates.push(Candidate {
+            id,
+            key,
+            vector,
+            certain,
+        });
     }
+    walk.finish(&mut stats);
 
     // Final exactness pass (see module docs). Both modes resolve their
     // collected set with one pass in ascending key order — spatial
     // dominance implies a strictly smaller key, so dominators always come
     // first and a single filtered sweep is exact.
-    drop(skyline);
     let skyline = resolve_candidates(candidates, &mut stats);
-    stats.node_accesses = index.page_accesses();
     let mut ids: Vec<u32> = skyline.into_iter().map(|(i, _)| i).collect();
     ids.sort_unstable();
     SkylineResult {

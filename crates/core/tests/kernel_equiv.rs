@@ -8,8 +8,9 @@
 //! skyline id. This test sweeps uniform and clustered datasets crossed
 //! with 1, 3, and 8 query anchors and asserts, for every cell:
 //!
-//! - `naive_sorted_kernel == naive_sorted == naive_full` (oracle),
-//! - `vs2_kernel == vs2_with(Safe, None)`,
+//! - `naive_sorted_kernel == naive_full` (the oracle; `naive_sorted` is
+//!   `naive_sorted_kernel` on a fresh arena),
+//! - `vs2_kernel == vs2_with(Safe, None)` (one walk, two row handlings),
 //! - `b2s2_kernel == naive_full` (`b2s2` is `b2s2_kernel` on a fresh arena),
 //!
 //! with the shared arena carried warm from one query to the next, so any
@@ -105,11 +106,6 @@ fn kernel_paths_match_scalar_paths_exactly() {
                 let tag = format!("{shape}/k={k}/trial={trial}");
 
                 let oracle = naive_full(points, &ctx).skyline;
-                let scalar_naive = naive_sorted(points, &ctx);
-                assert_eq!(
-                    scalar_naive.skyline, oracle,
-                    "scalar naive vs oracle [{tag}]"
-                );
 
                 // Every kernel runs under both tile dispatches; the
                 // skyline ids must be bit-identical across them.
@@ -311,9 +307,9 @@ fn warm_kernel_allocates_less_than_scalar() {
         let mut kernel_allocs = 0u64;
         for trial in 0..3 {
             let ctx = QueryContext::new(&anchors(k, &mut rng));
+            // `naive_sorted` pays for a throw-away arena on every call.
             let s = naive_sorted(&points, &ctx);
             let kr = naive_sorted_kernel(&points, &ctx, &mut scratch);
-            assert_eq!(s.skyline, kr.skyline);
             // Trial 0 may grow a cold arena; steady state is what the
             // arena is for.
             if trial > 0 {

@@ -11,20 +11,32 @@
 //! elsewhere.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+// Per thread, so the tests of this binary can run side by side without
+// counting each other's allocations. `const` initializers and no
+// destructors: reading these never allocates or registers anything.
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Largest single request (bytes) since the last `reset_largest`.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn record(size: usize) {
+    ALLOCS.with(|c| c.set(c.get() + 1));
+    LARGEST.with(|c| c.set(c.get().max(size)));
+}
 
 // SAFETY: delegates every operation to `System`, which upholds the
-// `GlobalAlloc` contract; the counter increment has no effect on
+// `GlobalAlloc` contract; the counter updates have no effect on
 // allocation semantics.
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: caller upholds the `GlobalAlloc::alloc` contract
     // (non-zero-sized layout); forwarded verbatim to `System`.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        record(layout.size());
         System.alloc(layout)
     }
 
@@ -38,7 +50,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: caller upholds the `GlobalAlloc::realloc` contract;
     // forwarded verbatim to `System`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        record(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -47,11 +59,24 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn heap_allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
-use ssq_core::{naive_sorted_into, DistanceScratch, QueryContext, QueryStats};
+fn reset_largest() {
+    LARGEST.with(|c| c.set(0));
+}
+
+fn largest_request() -> usize {
+    LARGEST.with(Cell::get)
+}
+
+use ssq_core::{
+    naive_sorted_into, ContinuousSkyline, DistanceScratch, QueryContext, QueryStats, UpdateOutcome,
+    VoronoiIndex,
+};
 use ssq_geom::Point;
+use ssq_workload::motion::{MotionConfig, MovingQuerySet, Update};
+use ssq_workload::usgs::uniform_points;
 
 struct XorShift(u64);
 
@@ -111,5 +136,56 @@ fn warm_kernel_core_performs_zero_heap_allocations() {
         scratch.take_allocations(),
         0,
         "arena must not regrow when warm"
+    );
+}
+
+#[test]
+fn warm_session_makes_no_point_count_sized_allocation() {
+    // The point of VCS² is that an update costs what the move disturbs,
+    // not `|P|`: the session's marks, heap and rows live in its own arena
+    // and are reused, so once warm no single request reaches `|P|` bytes
+    // (one `bool` per site) — recomputations included.
+    let n = 20_000;
+    let index = VoronoiIndex::new(&uniform_points(n, 17)).expect("distinct points");
+    // Steps of 10 % of the universe, as in
+    // `tests/continuous.rs::large_steps_force_recomputations`: complex
+    // hull changes, hence `Recomputed` outcomes, are common.
+    let mut team = MovingQuerySet::new(MotionConfig {
+        count: 4,
+        step: 0.1,
+        start_box: 0.2,
+        seed: 3,
+        ..MotionConfig::default()
+    });
+    let mut session = ContinuousSkyline::new(&index, team.positions());
+    let start: Vec<Point> = team.positions().to_vec();
+    let script: Vec<Update> = (0..60).map(|_| team.next_update()).collect();
+    let play = |session: &mut ContinuousSkyline<&VoronoiIndex>| {
+        let outcomes: Vec<UpdateOutcome> = script
+            .iter()
+            .map(|up| session.update(up.index, up.location).0)
+            .collect();
+        // Back to the opening positions, so the next pass replays the
+        // same states.
+        for (obj, &loc) in start.iter().enumerate() {
+            session.update(obj, loc);
+        }
+        outcomes
+    };
+
+    // Warm-up: the arena grows to the script's high-water mark.
+    play(&mut session);
+
+    reset_largest();
+    let outcomes = play(&mut session);
+    let largest = largest_request();
+    assert!(
+        outcomes.contains(&UpdateOutcome::Recomputed)
+            && outcomes.contains(&UpdateOutcome::Incremental),
+        "the script must exercise both non-trivial paths: {outcomes:?}"
+    );
+    assert!(
+        largest < n,
+        "a warm session requested {largest} bytes at once on {n} points"
     );
 }

@@ -21,9 +21,8 @@
 //! * [`hilbert`] — Hilbert-curve ordering, both for insertion locality and
 //!   for the paper's page layout ("points are organized in pages according
 //!   to their Hilbert values");
-//! * [`paged::PagedAdjacency`] — a page-access-counting view of the
-//!   adjacency file, so VS²'s I/O can be accounted like the paper does for
-//!   the R-tree.
+//! * [`paged::PagedAdjacency`] — the page layout of the adjacency file,
+//!   so VS²'s I/O can be accounted like the paper does for the R-tree.
 //!
 //! Degenerate inputs (all points collinear, fewer than three points) have
 //! no triangulation; [`DelaunayGraph`] still exists for them (a path graph
