@@ -37,7 +37,7 @@ impl<'a> ContinuousMixedSkyline<'a> {
     ) -> ContinuousMixedSkyline<'a> {
         let ctx = QueryContext::new(q);
         let skyline = {
-            let mctx = MixedContext::new(index.points(), attrs, &ctx);
+            let mctx = MixedContext::over(index, attrs, &ctx);
             mixed_vs2(index, &mctx).skyline
         };
         ContinuousMixedSkyline {
@@ -88,7 +88,7 @@ impl<'a> ContinuousMixedSkyline<'a> {
             return (UpdateOutcome::Unchanged, QueryStats::default());
         }
 
-        let mctx = MixedContext::new(self.index.points(), self.attrs, &self.ctx);
+        let mctx = MixedContext::over(self.index, self.attrs, &self.ctx);
         let result = mixed_vs2(self.index, &mctx);
         self.skyline = result.skyline;
         self.counts.recomputed += 1;

@@ -12,7 +12,7 @@
 //!   operation lands next to the previous one on the Hilbert curve), and
 //! * the resulting point order is a deterministic function of the old
 //!   generation and the batch, which is what lets a delta-built snapshot
-//!   be compared bit-for-bit against a full rebuild over the same points.
+//!   be compared id for id against a full rebuild over the same points.
 //!
 //! ## Id semantics
 //!
@@ -113,9 +113,7 @@ impl UpdateBatch {
     /// tags exactly as a downstream index's internal normalization will
     /// permute the points.
     pub fn insert_order(&self, bbox: &Rect) -> Vec<u32> {
-        let mut order: Vec<u32> = (0..self.inserts.len() as u32).collect();
-        order.sort_by_key(|&j| (hilbert::hilbert_index(self.inserts[j as usize], bbox), j));
-        order
+        hilbert::sort_by_hilbert(&self.inserts, bbox)
     }
 
     /// `true` when `normalize` has (or trivially would have) run: deletes

@@ -8,11 +8,13 @@
 //!   flat file paged by Hilbert value, used by VS² and VCS² — wrapped as
 //!   [`VoronoiIndex`].
 //!
-//! Both wrappers own the point set. The R-tree counts node reads so the
-//! bench harness can report I/O the way the paper does; the Voronoi side
-//! only lays sites out on adjacency pages — a traversal counts the
-//! distinct pages it reads itself, so a published [`VoronoiIndex`] holds
-//! no interior mutability.
+//! Both wrappers own the point set and name a point by its **id**, its
+//! position in the input. The R-tree stores its points in that order and
+//! counts node reads so the bench harness can report I/O the way the paper
+//! does; the Voronoi side stores them along the Hilbert curve (see
+//! [`VoronoiIndex`]) and only lays them out on adjacency pages — a
+//! traversal counts the distinct pages it reads itself, so a published
+//! [`VoronoiIndex`] holds no interior mutability.
 
 use ssq_delaunay::paged::PagedAdjacency;
 use ssq_delaunay::{hilbert, DelaunayGraph, DeltaError, Triangulation};
@@ -120,31 +122,54 @@ impl RTreeIndex {
 /// Voronoi cells are materialized at build time — the paper's "pre-built
 /// Delaunay graph" file stores each point's neighbourhood, and the cell
 /// polygon is derived data the query loop should never recompute.
+///
+/// Callers name a point by its **id** (its position in the input; after a
+/// delta, [`UpdateBatch`]'s numbering). Every array in here is stored by
+/// **site** — the point's rank along the Hilbert curve at build time, ties
+/// broken by id — which is the Delaunay insertion order, the memory order
+/// and, over the page capacity, the adjacency page, so a traversal reads
+/// neighbouring lines for neighbouring points whatever order the dataset
+/// arrived in. [`VoronoiIndex::site_of`] / [`VoronoiIndex::id_of`] are the
+/// only bridge; traversals run on sites ([`VoronoiIndex::graph`]) and
+/// translate where an id leaves them.
 pub struct VoronoiIndex {
     /// The triangulation the graph was derived from, retained (compacted)
     /// so the next generation can be produced by local repair instead of
-    /// a rebuild.
+    /// a rebuild. Vertex `s` is site `s`.
     tri: Triangulation,
     graph: DelaunayGraph,
     pages: PagedAdjacency,
     cells: Vec<ConvexPolygon>,
     cell_mbrs: Vec<Rect>,
+    /// `site_to_id[s]` is the id of site `s`; `id_to_site` is its inverse.
+    site_to_id: Vec<u32>,
+    id_to_site: Vec<u32>,
     /// Optional O(log n) start-point index (paper §4.2: "Φ(|P|) is
     /// O(log |P|) if an index structure is used"). `None` reproduces the
     /// index-free O(√|P|) greedy-walk mode.
     start_index: Option<KdTree>,
-    /// Translates kd answers (ids of the generation the kd was built
-    /// over) into current ids. Identity right after a build; delta
+    /// Translates kd answers (sites of the generation the kd was built
+    /// over) into current sites. Identity right after a build; delta
     /// generations compose their renumbering into it so a stale kd keeps
     /// yielding valid walk seeds.
     seed_map: Vec<u32>,
     /// Operations absorbed since the kd was last rebuilt.
     seed_staleness: usize,
-    per_page: usize,
+}
+
+/// The inverse of permutation `perm`.
+fn inverse(perm: &[u32]) -> Vec<u32> {
+    let mut inv = vec![0u32; perm.len()];
+    for (i, &p) in (0u32..).zip(perm) {
+        inv[p as usize] = i;
+    }
+    inv
 }
 
 impl VoronoiIndex {
-    /// Builds the Delaunay graph and its Hilbert-paged adjacency layout.
+    /// Sorts the points along the Hilbert curve (the build's one sort) and
+    /// builds the Delaunay graph, the cells and the start index over them
+    /// in that order.
     ///
     /// `per_page` mirrors the paper's 50-entries-per-page R-tree nodes so
     /// the two physical designs report comparable I/O; use
@@ -153,12 +178,27 @@ impl VoronoiIndex {
         points: &[Point],
         per_page: usize,
     ) -> Result<VoronoiIndex, ssq_delaunay::BuildError> {
-        let mut tri = Triangulation::new(points)?;
+        use ssq_delaunay::BuildError;
+        if let Some(i) = points.iter().position(|p| !p.is_finite()) {
+            return Err(BuildError::NonFiniteCoordinate(i));
+        }
+        let bbox = Rect::bounding(points.iter().copied());
+        let site_to_id = hilbert::sort_by_hilbert(points, &bbox);
+        let mut tri = {
+            let sites: Vec<Point> = site_to_id.iter().map(|&i| points[i as usize]).collect();
+            Triangulation::new(&sites).map_err(|e| match e {
+                // Equal points have equal keys, so the two sites are in id
+                // order and name the pair the input-order check would.
+                BuildError::DuplicatePoint(a, b) => {
+                    BuildError::DuplicatePoint(site_to_id[a] as usize, site_to_id[b] as usize)
+                }
+                e => e,
+            })?
+        };
         // Drop the construction garbage (dead cavity slots) so the copy
         // every delta generation starts from is as small as possible.
         tri.compact(&[]);
         let graph = DelaunayGraph::from_triangulation(&tri);
-        let pages = PagedAdjacency::new(points, per_page);
         let clip = graph.default_clip();
         // Fast path: trace cells from circumcenters (O(deg) per site);
         // individual numerically-degenerate cells — and fully collinear
@@ -166,24 +206,25 @@ impl VoronoiIndex {
         let cells: Vec<ConvexPolygon> = match ssq_delaunay::voronoi::voronoi_cells(&tri, &clip) {
             Some(fast) => fast
                 .into_iter()
-                .enumerate()
-                .map(|(i, c)| c.unwrap_or_else(|| graph.voronoi_cell(i as u32, &clip)))
+                .zip(0u32..)
+                .map(|(c, s)| c.unwrap_or_else(|| graph.voronoi_cell(s, &clip)))
                 .collect(),
-            None => (0..points.len() as u32)
-                .map(|i| graph.voronoi_cell(i, &clip))
+            None => (0..graph.len() as u32)
+                .map(|s| graph.voronoi_cell(s, &clip))
                 .collect(),
         };
         let cell_mbrs = cells.iter().map(|c| c.mbr()).collect();
         Ok(VoronoiIndex {
+            pages: PagedAdjacency::new(graph.len(), per_page),
+            start_index: Some(KdTree::build(graph.points())),
+            seed_map: (0..graph.len() as u32).collect(),
+            seed_staleness: 0,
             tri,
             graph,
-            pages,
             cells,
             cell_mbrs,
-            start_index: Some(KdTree::build(points)),
-            seed_map: (0..points.len() as u32).collect(),
-            seed_staleness: 0,
-            per_page,
+            id_to_site: inverse(&site_to_id),
+            site_to_id,
         })
     }
 
@@ -202,20 +243,28 @@ impl VoronoiIndex {
         Ok(idx)
     }
 
-    /// The underlying Delaunay graph.
+    /// The underlying Delaunay graph. Its vertices are **sites**:
+    /// translate with [`VoronoiIndex::site_of`] / [`VoronoiIndex::id_of`].
     pub fn graph(&self) -> &DelaunayGraph {
         &self.graph
     }
 
-    /// The indexed points.
-    pub fn points(&self) -> &[Point] {
-        self.graph.points()
+    /// The site holding the point with id `id`.
+    #[inline]
+    pub fn site_of(&self, id: u32) -> u32 {
+        self.id_to_site[id as usize]
     }
 
-    /// The point with index `i`.
+    /// The id of the point stored at `site`.
     #[inline]
-    pub fn point(&self, i: u32) -> Point {
-        self.graph.point(i)
+    pub fn id_of(&self, site: u32) -> u32 {
+        self.site_to_id[site as usize]
+    }
+
+    /// The point with id `id`.
+    #[inline]
+    pub fn point(&self, id: u32) -> Point {
+        self.graph.point(self.site_of(id))
     }
 
     /// Number of indexed points.
@@ -228,83 +277,57 @@ impl VoronoiIndex {
         self.graph.is_empty()
     }
 
-    /// The Voronoi neighbours of point `i`.
-    #[inline]
-    pub fn neighbors(&self, i: u32) -> &[u32] {
-        self.graph.neighbors(i)
+    /// The Voronoi cell of the point with id `id` (precomputed, clipped
+    /// to the default box).
+    pub fn voronoi_cell(&self, id: u32) -> &ConvexPolygon {
+        &self.cells[self.site_of(id) as usize]
     }
 
-    /// The Voronoi cell of `i` (precomputed, clipped to the default box).
-    pub fn voronoi_cell(&self, i: u32) -> &ConvexPolygon {
-        &self.cells[i as usize]
-    }
-
-    /// Exact test "does the Voronoi cell of `i` intersect `r`?". Tiered so
-    /// the overwhelmingly common cases cost four f64 comparisons: first
+    /// Exact test "does the Voronoi cell of `site` intersect `r`?". Tiered
+    /// so the overwhelmingly common cases cost four f64 comparisons: first
     /// the cell's precomputed MBR (disjoint ⟹ no; fully inside `r` ⟹
     /// yes), then the exact convex-polygon test only for boundary cells.
-    pub fn cell_meets_rect(&self, i: u32, r: &Rect) -> bool {
-        let mbr = &self.cell_mbrs[i as usize];
+    pub(crate) fn cell_meets_rect(&self, site: u32, r: &Rect) -> bool {
+        let mbr = &self.cell_mbrs[site as usize];
         if !mbr.intersects(r) {
             return false;
         }
         if r.contains_rect(mbr) {
             return true;
         }
-        self.cells[i as usize].intersects_rect(r)
+        self.cells[site as usize].intersects_rect(r)
     }
 
-    /// Nearest data point to `q`: a greedy Delaunay walk seeded by the
-    /// kd-tree start index when present (`O(log |P|)` to seed, then
-    /// usually a single ring scan) and by `hint` otherwise (`O(√|P|)`
-    /// hops).
+    /// The id of the nearest data point to `q`: a greedy Delaunay walk
+    /// seeded by the kd-tree start index when present (`O(log |P|)` to
+    /// seed, then usually a single ring scan) and by the point with id
+    /// `hint` otherwise (`O(√|P|)` hops).
     ///
     /// The walk — not the kd answer — is what guarantees exactness
     /// (greedy routing on a Delaunay graph provably reaches the nearest
     /// neighbour), which is why delta generations may keep serving a
     /// slightly stale kd through [`seed_map`](Self::apply_delta): any
-    /// valid id is a correct seed.
+    /// valid site is a correct seed.
     pub fn nearest(&self, q: Point, hint: u32) -> u32 {
-        self.nearest_with(q, hint, |_| ())
+        self.id_of(self.nearest_site_with(q, self.site_of(hint), |_| ()))
     }
 
-    /// [`VoronoiIndex::nearest`] with the caller's page accounting:
-    /// `visit(i)` is called for every point whose adjacency list the
-    /// walk reads.
-    pub fn nearest_with(&self, q: Point, hint: u32, mut visit: impl FnMut(u32)) -> u32 {
-        let mut cur = hint;
-        if let Some(kd) = &self.start_index {
-            if let Some(i) = kd.nearest(q) {
-                cur = self.seed_map[i as usize];
-            }
-        }
-        let mut cur_d = self.point(cur).distance_sq(q);
-        loop {
-            let mut best = cur;
-            let mut best_d = cur_d;
-            visit(cur);
-            for &j in self.graph.neighbors(cur) {
-                let d = self.point(j).distance_sq(q);
-                if d < best_d {
-                    best = j;
-                    best_d = d;
-                }
-            }
-            if best == cur {
-                return cur;
-            }
-            cur = best;
-            cur_d = best_d;
-        }
+    /// [`VoronoiIndex::nearest`] in site space (hint and answer are
+    /// sites) with the caller's page accounting: `visit(s)` is called for
+    /// every site whose adjacency list the walk reads.
+    pub(crate) fn nearest_site_with(&self, q: Point, hint: u32, visit: impl FnMut(u32)) -> u32 {
+        let kd_seed = self.start_index.as_ref().and_then(|kd| kd.nearest(q));
+        let seed = kd_seed.map_or(hint, |i| self.seed_map[i as usize]);
+        self.graph.greedy_nearest_with(q, seed, visit)
     }
 
-    /// The adjacency page holding point `i`'s neighbour list. A traversal
+    /// The adjacency page holding `site`'s neighbour list. A traversal
     /// counts the distinct pages it reads in its own per-query page set
     /// ([`DistanceScratch::touch_page`](crate::DistanceScratch::touch_page));
     /// the index itself keeps no counters.
     #[inline]
-    pub fn page_of(&self, i: u32) -> u32 {
-        self.pages.page_of(i)
+    pub(crate) fn page_of(&self, site: u32) -> u32 {
+        self.pages.page_of(site)
     }
 
     /// Total number of adjacency pages.
@@ -312,30 +335,27 @@ impl VoronoiIndex {
         self.pages.page_count() as usize
     }
 
-    /// The retained Delaunay triangulation this generation was derived
-    /// from.
-    pub fn triangulation(&self) -> &Triangulation {
-        &self.tri
-    }
-
     /// Applies a validated, normalized [`UpdateBatch`], producing the
     /// next generation's index.
     ///
     /// The incremental path costs `O(|batch| log n)` plus the memory
     /// copies of generation publishing: the triangulation is cloned and
-    /// repaired locally (Hilbert-ordered removals by cavity
-    /// retriangulation, then compaction, then Hilbert-ordered inserts),
-    /// the CSR adjacency is refilled, and only *dirty* Voronoi cells —
-    /// sites whose neighbour set changed, plus any cell not strictly
-    /// interior to both generations' clip boxes — are recomputed;
-    /// everything else is carried over. The kd start index is reused
-    /// through a composed id translation until churn exceeds
-    /// `1/16` of the point count.
+    /// repaired locally (removals in site order by cavity
+    /// retriangulation, then compaction, then the Hilbert-ordered
+    /// inserts, appended as the last sites *and* the last ids), the CSR
+    /// adjacency is refilled, the batch's renumbering is composed into the
+    /// two id maps, and only *dirty* Voronoi cells — sites whose
+    /// neighbour set changed, plus any cell not strictly interior to both
+    /// generations' clip boxes — are recomputed; everything else is
+    /// carried over. The kd start index is reused through a composed site
+    /// translation until churn exceeds `1/16` of the point count.
     ///
-    /// Falls back to a full rebuild (identical resulting index, higher
-    /// cost) when the batch exceeds `1/8` of the index, the
-    /// triangulation is degenerate, or a local repair cannot express the
-    /// operation (reported via [`DeltaStats::incremental`]).
+    /// Falls back to a full rebuild — the same points under the same ids,
+    /// laid out along the curve afresh, at higher cost — when the batch
+    /// exceeds `1/8` of the index, the triangulation is degenerate, or a
+    /// local repair cannot express the operation (reported via
+    /// [`DeltaStats::incremental`]). A delta-built index and a rebuilt one
+    /// answer every id-level question alike but differ in site order.
     pub fn apply_delta(
         &self,
         batch: &UpdateBatch,
@@ -365,29 +385,24 @@ impl VoronoiIndex {
         }
     }
 
-    /// The points of the next generation: survivors in order, then
-    /// inserts.
-    fn delta_points(&self, batch: &UpdateBatch, remap: &[u32]) -> Vec<Point> {
-        let pts = self.points();
-        let mut out = Vec::with_capacity(pts.len() - batch.deletes.len() + batch.inserts.len());
-        out.extend(
-            pts.iter()
-                .zip(remap)
-                .filter(|(_, &r)| r != u32::MAX)
-                .map(|(&p, _)| p),
-        );
-        out.extend(batch.inserts.iter().copied());
-        out
+    /// The ids `batch` keeps, ascending — the next generation's ids
+    /// `0, 1, …` in order.
+    fn survivors<'a>(&self, batch: &'a UpdateBatch) -> impl Iterator<Item = u32> + 'a {
+        let mut deletes = batch.deletes.iter().peekable();
+        (0..self.len() as u32).filter(move |id| deletes.next_if_eq(&id).is_none())
     }
 
+    /// Rebuilds over the next generation's points in id order — survivors,
+    /// then inserts — which re-sorts the sites.
     fn delta_full_rebuild(
         &self,
         batch: &UpdateBatch,
         stats: DeltaStats,
     ) -> Result<(VoronoiIndex, DeltaStats), ssq_delaunay::BuildError> {
-        let remap = batch.survivor_remap(self.len());
-        let pts = self.delta_points(batch, &remap);
-        let mut idx = VoronoiIndex::with_page_size(&pts, self.per_page)?;
+        let mut pts = Vec::with_capacity(self.len() - batch.deletes.len() + batch.inserts.len());
+        pts.extend(self.survivors(batch).map(|id| self.point(id)));
+        pts.extend_from_slice(&batch.inserts);
+        let mut idx = VoronoiIndex::with_page_size(&pts, self.pages.per_page())?;
         if self.start_index.is_none() {
             idx.start_index = None;
             idx.seed_map = Vec::new();
@@ -400,18 +415,18 @@ impl VoronoiIndex {
         let n_surv = n_old - batch.deletes.len();
         let n_new = n_surv + batch.inserts.len();
 
-        // 1. Repair the triangulation: removals in Hilbert order (each
-        //    locate walk starts where the previous op ended), compaction
-        //    to the dense survivor numbering, then the already
-        //    Hilbert-ordered inserts, which land at ids `n_surv..n_new`.
+        // 1. Repair the triangulation: removals in site order — the curve
+        //    order, so each locate walk starts where the previous op
+        //    ended — compaction to the dense survivor numbering, then the
+        //    already Hilbert-ordered inserts, which land at sites
+        //    `n_surv..n_new`.
         let mut tri = self.tri.clone();
-        let span = self.graph.default_clip();
-        let mut victims = batch.deletes.clone();
-        victims.sort_by_key(|&d| hilbert::hilbert_index(self.point(d), &span));
-        for &d in &victims {
-            tri.remove_point(d)?;
+        let mut victims: Vec<u32> = batch.deletes.iter().map(|&d| self.site_of(d)).collect();
+        victims.sort_unstable();
+        for &s in &victims {
+            tri.remove_point(s)?;
         }
-        let remap = tri.compact(&batch.deletes);
+        let remap = tri.compact(&victims);
         for &p in &batch.inserts {
             tri.insert_point(p)?;
         }
@@ -422,35 +437,27 @@ impl VoronoiIndex {
         let clip = graph.default_clip();
         let old_clip = self.graph.default_clip();
 
-        // Inverse renumbering: the old id of each surviving new id.
-        let mut inv = vec![0u32; n_surv];
-        for (old, &r) in remap.iter().enumerate() {
-            if r != u32::MAX {
-                inv[r as usize] = old as u32;
-            }
-        }
-
         // 3. Voronoi cells: recompute the dirty ones, carry the rest. A
         //    survivor's cell is clean when its neighbour set is unchanged
         //    and its old cell was strictly interior to both clip boxes
         //    (so neither the old nor the new clip binds it); hull cells
         //    always recompute, which also absorbs clip drift when the
-        //    data MBR changes.
+        //    data MBR changes. The renumbering is monotone, so the old
+        //    sites that survive, in order, are the new sites `0..n_surv`.
+        let mut old_sites = (0..n_old as u32).filter(|&s| remap[s as usize] != u32::MAX);
         let mut dirty_cells = 0usize;
         let mut cells = Vec::with_capacity(n_new);
         let mut cell_mbrs = Vec::with_capacity(n_new);
         for i in 0..n_new as u32 {
-            let clean = (i as usize) < n_surv && {
-                let old_i = inv[i as usize];
-                let mbr = &self.cell_mbrs[old_i as usize];
+            let clean = old_sites.next().filter(|&old| {
+                let mbr = &self.cell_mbrs[old as usize];
                 strictly_inside(mbr, &old_clip)
                     && strictly_inside(mbr, &clip)
-                    && same_neighbors(self.graph.neighbors(old_i), &remap, graph.neighbors(i))
-            };
-            if clean {
-                let old_i = inv[i as usize] as usize;
-                cells.push(self.cells[old_i].clone());
-                cell_mbrs.push(self.cell_mbrs[old_i]);
+                    && same_neighbors(self.graph.neighbors(old), &remap, graph.neighbors(i))
+            });
+            if let Some(old) = clean {
+                cells.push(self.cells[old as usize].clone());
+                cell_mbrs.push(self.cell_mbrs[old as usize]);
             } else {
                 dirty_cells += 1;
                 let c = graph.voronoi_cell(i, &clip);
@@ -459,23 +466,16 @@ impl VoronoiIndex {
             }
         }
 
-        // 4. Page layout carried forward: survivors keep their page,
-        //    inserts join the page of an (already placed) Delaunay
-        //    neighbour. Pages are access-accounting only, so any
-        //    assignment is sound.
-        let mut page_of = vec![0u32; n_new];
-        for (i, slot) in page_of.iter_mut().take(n_surv).enumerate() {
-            *slot = self.pages.page_of(inv[i]);
-        }
-        for i in n_surv..n_new {
-            page_of[i] = graph
-                .neighbors(i as u32)
-                .iter()
-                .find(|&&j| (j as usize) < i)
-                .map(|&j| page_of[j as usize])
-                .unwrap_or(0);
-        }
-        let pages = PagedAdjacency::with_layout(page_of, self.pages.page_count());
+        // 4. Id maps: the batch's monotone id renumbering composed with
+        //    the monotone site renumbering; insert `j` is both id and
+        //    site `n_surv + j`.
+        let mut id_to_site = Vec::with_capacity(n_new);
+        id_to_site.extend(
+            self.survivors(batch)
+                .map(|id| remap[self.site_of(id) as usize]),
+        );
+        id_to_site.extend(n_surv as u32..n_new as u32);
+        let site_to_id = inverse(&id_to_site);
 
         // 5. kd seeds: compose the renumbering into the seed map; deleted
         //    seeds redirect to a surviving old neighbour (locality-
@@ -516,13 +516,14 @@ impl VoronoiIndex {
             VoronoiIndex {
                 tri,
                 graph,
-                pages,
+                pages: PagedAdjacency::new(n_new, self.pages.per_page()),
                 cells,
                 cell_mbrs,
+                site_to_id,
+                id_to_site,
                 start_index,
                 seed_map,
                 seed_staleness,
-                per_page: self.per_page,
             },
             dirty_cells,
         ))
@@ -570,9 +571,10 @@ mod tests {
         let points = pts();
         let idx = VoronoiIndex::new(&points).unwrap();
         assert_eq!(idx.len(), 100);
-        let n = idx.neighbors(0);
-        assert!(!n.is_empty());
-        assert!((idx.page_of(0) as usize) < idx.page_count());
+        assert_eq!(idx.point(7), points[7]);
+        let s = idx.site_of(0);
+        assert!(!idx.graph().neighbors(s).is_empty());
+        assert!((idx.page_of(s) as usize) < idx.page_count());
         let cell = idx.voronoi_cell(0);
         assert!(cell.contains(idx.point(0)));
     }
@@ -594,7 +596,11 @@ mod tests {
         {
             for i in 0..idx.len() as u32 {
                 let exact = idx.voronoi_cell(i).intersects_rect(probe);
-                assert_eq!(idx.cell_meets_rect(i, probe), exact, "probe {k}, cell {i}");
+                assert_eq!(
+                    idx.cell_meets_rect(idx.site_of(i), probe),
+                    exact,
+                    "probe {k}, cell {i}"
+                );
             }
         }
     }
@@ -645,15 +651,39 @@ mod tests {
         out
     }
 
+    /// The two id maps are inverse permutations and `point(id)` is
+    /// `points[id]`.
+    fn assert_maps(idx: &VoronoiIndex, points: &[Point]) {
+        assert_eq!(idx.len(), points.len());
+        for (id, &p) in (0u32..).zip(points) {
+            assert_eq!(idx.id_of(idx.site_of(id)), id);
+            assert_eq!(idx.site_of(idx.id_of(id)), id);
+            assert_eq!(idx.point(id), p, "point {id}");
+        }
+    }
+
+    /// A delta-built index and a rebuild differ in site order, so they are
+    /// compared through ids: points, neighbour sets, cells, `nearest`.
     fn assert_same_index(got: &VoronoiIndex, want: &VoronoiIndex) {
-        assert_eq!(got.points(), want.points());
+        let neighbor_ids = |idx: &VoronoiIndex, id: u32| {
+            let mut ns: Vec<u32> = idx
+                .graph()
+                .neighbors(idx.site_of(id))
+                .iter()
+                .map(|&s| idx.id_of(s))
+                .collect();
+            ns.sort_unstable();
+            ns
+        };
+        assert_eq!(got.len(), want.len());
         for i in 0..want.len() as u32 {
+            assert_eq!(got.point(i), want.point(i), "point {i}");
             assert_eq!(
-                got.graph().neighbors(i),
-                want.graph().neighbors(i),
+                neighbor_ids(got, i),
+                neighbor_ids(want, i),
                 "adjacency of {i}"
             );
-            let (gc, wc) = (&got.cells[i as usize], &want.cells[i as usize]);
+            let (gc, wc) = (got.voronoi_cell(i), want.voronoi_cell(i));
             assert!(
                 (gc.area() - wc.area()).abs() <= 1e-9 * wc.area().max(1.0),
                 "cell {i} area {} vs {}",
@@ -694,8 +724,15 @@ mod tests {
         let (got, stats) = idx.apply_delta(&batch).unwrap();
         assert!(stats.incremental, "small batch must take the delta path");
         assert!(stats.dirty_cells < got.len(), "most cells carried over");
-        let want = VoronoiIndex::new(&expected_points(&pts, &batch)).unwrap();
-        assert_same_index(&got, &want);
+        let expect = expected_points(&pts, &batch);
+        assert_maps(&got, &expect);
+        // Survivors keep their relative site order; inserts are the last
+        // sites and the last ids.
+        let n_surv = pts.len() - batch.deletes.len();
+        for j in n_surv as u32..got.len() as u32 {
+            assert_eq!(got.site_of(j), j);
+        }
+        assert_same_index(&got, &VoronoiIndex::new(&expect).unwrap());
     }
 
     #[test]
@@ -705,8 +742,9 @@ mod tests {
         let batch = make_batch(&pts, 40, 10, 31);
         let (got, stats) = idx.apply_delta(&batch).unwrap();
         assert!(!stats.incremental);
-        let want = VoronoiIndex::new(&expected_points(&pts, &batch)).unwrap();
-        assert_same_index(&got, &want);
+        let expect = expected_points(&pts, &batch);
+        assert_maps(&got, &expect);
+        assert_same_index(&got, &VoronoiIndex::new(&expect).unwrap());
     }
 
     #[test]
@@ -720,7 +758,7 @@ mod tests {
             pts = expected_points(&pts, &batch);
             let (next, _) = idx.apply_delta(&batch).unwrap();
             idx = next;
-            assert_eq!(idx.points(), &pts[..]);
+            assert_maps(&idx, &pts);
         }
         let want = VoronoiIndex::new(&pts).unwrap();
         assert_same_index(&idx, &want);

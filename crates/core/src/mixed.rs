@@ -48,11 +48,26 @@ impl<'a> MixedContext<'a> {
     /// Prepares the mixed query. `attrs[i]` are the static attributes of
     /// data point `i` (minimize semantics); all rows must share one arity.
     pub fn new(points: &[Point], attrs: &'a [Vec<f64>], ctx: &'a QueryContext) -> MixedContext<'a> {
-        assert_eq!(
-            points.len(),
-            attrs.len(),
-            "one attribute row per data point"
-        );
+        Self::build(points.len(), |i| points[i], attrs, ctx)
+    }
+
+    /// [`MixedContext::new`] over the points of `index`, which hands them
+    /// out by id but holds no slice of them in id order.
+    pub(crate) fn over(
+        index: &VoronoiIndex,
+        attrs: &'a [Vec<f64>],
+        ctx: &'a QueryContext,
+    ) -> MixedContext<'a> {
+        Self::build(index.len(), |i| index.point(i as u32), attrs, ctx)
+    }
+
+    fn build(
+        n: usize,
+        point: impl Fn(usize) -> Point,
+        attrs: &'a [Vec<f64>],
+        ctx: &'a QueryContext,
+    ) -> MixedContext<'a> {
+        assert_eq!(n, attrs.len(), "one attribute row per data point");
         let static_skyline = ssq_skyline::bnl(attrs);
         let radii = ctx
             .anchors()
@@ -60,7 +75,7 @@ impl<'a> MixedContext<'a> {
             .map(|&q| {
                 static_skyline
                     .iter()
-                    .map(|&s| q.distance(points[s]))
+                    .map(|&s| q.distance(point(s)))
                     .fold(0.0f64, f64::max)
             })
             .collect();
@@ -214,12 +229,14 @@ pub fn mixed_vs2(index: &VoronoiIndex, mctx: &MixedContext<'_>) -> SkylineResult
     let start = walk.nearest_site(ctx.query()[0], 0);
     walk.seed(start);
 
+    // The attribute table and the answer are by id.
     let mut skyline: Vec<(u32, Vec<f64>)> = Vec::new();
-    while let Some((p, _, pt)) = walk.next_popped(|_| true) {
+    while let Some((site, _, pt)) = walk.next_popped(|_| true) {
         stats.points_examined += 1;
-        let v = mctx.combined_vector(p, pt, &mut stats);
+        let id = index.id_of(site);
+        let v = mctx.combined_vector(id, pt, &mut stats);
         if ctx.hull().contains(pt) || !dominated_by_any(&v, &skyline, &mut stats) {
-            skyline.push((p, v));
+            skyline.push((id, v));
         }
     }
     walk.finish(&mut stats);

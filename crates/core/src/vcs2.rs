@@ -98,7 +98,8 @@ where
     /// Current skyline ids, sorted ascending.
     skyline: Vec<u32>,
     counts: OutcomeCounts,
-    /// Walk hint for NN searches (any recently relevant point).
+    /// Walk hint for NN searches (the site of any recently relevant
+    /// point).
     hint: u32,
     /// The session's own arena — traversal marks, heap, page set and
     /// rows — reused across updates, so a warm update does no `O(|P|)`
@@ -116,7 +117,7 @@ where
         let ctx = QueryContext::new(q);
         let mut scratch = DistanceScratch::new();
         let skyline = vs2_kernel_from(&index, &ctx, &mut scratch, 0).skyline;
-        let hint = skyline.first().copied().unwrap_or(0);
+        let hint = skyline.first().map_or(0, |&id| index.site_of(id));
         ContinuousSkyline {
             index,
             query: q.to_vec(),
@@ -196,8 +197,8 @@ where
         // Complex pattern: recompute with VS².
         let result = vs2_kernel_from(&self.index, &self.ctx, &mut self.scratch, self.hint);
         self.skyline = result.skyline;
-        if let Some(&h) = self.skyline.first() {
-            self.hint = h;
+        if let Some(&id) = self.skyline.first() {
+            self.hint = self.index.site_of(id);
         }
         self.counts.recomputed += 1;
         (UpdateOutcome::Recomputed, result.stats)
@@ -242,31 +243,31 @@ where
         let mut walk = Walk::begin(index, scratch, anchors.len(), |p| {
             kernel::dist_sq_sum(p, anchors)
         });
-        // Every old member gets a row against the new anchors and
-        // pre-tightens B — stale members are data points like any other,
-        // so `Walk::keep`'s rule covers them — which gives the
-        // incremental path its head start.
-        for &i in members {
-            walk.keep(&self.ctx, i, index.point(i));
-        }
-
         // Seeds: NN of both endpoints of the move, plus every old skyline
         // member inside the candidate region.
         let nn_new = walk.nearest_site(new_loc, self.hint);
         let nn_old = walk.nearest_site(old_loc, nn_new);
         walk.seed(nn_new);
         walk.seed(nn_old);
-        for &i in members {
-            if may_change(index.point(i)) {
-                walk.seed(i);
+        self.hint = nn_new;
+        // Every old member gets a row against the new anchors and
+        // pre-tightens B — stale members are data points like any other,
+        // so `Walk::keep`'s rule covers them — which gives the
+        // incremental path its head start. The member list holds ids (it
+        // is the session's answer); the walk takes their sites.
+        for &id in members {
+            let site = index.site_of(id);
+            let pt = index.graph().point(site);
+            walk.keep(&self.ctx, site, pt);
+            if may_change(pt) {
+                walk.seed(site);
             }
         }
-        self.hint = nn_new;
 
         // Only candidate-region sites are (re-)examined; everything else
         // keeps its status, and the old members already have their rows.
         while let Some((p, _, pt)) = walk.next_popped(|_| true) {
-            if may_change(pt) && members.binary_search(&p).is_err() {
+            if may_change(pt) && members.binary_search(&index.id_of(p)).is_err() {
                 stats.points_examined += 1;
                 walk.keep(&self.ctx, p, pt);
             }

@@ -41,10 +41,23 @@
 //! walk with different seeds, initial rectangle, heap key and line-16
 //! gate, and each decides in its own loop body what a popped site becomes
 //! and whether it tightens `B`. Its cost depends on the sites it visits,
-//! not on `|P|`. Sites sit in memory in input order, so the walk's reads
-//! are scattered; it prefetches each extracted site's neighbours (marks
-//! and points) and each enqueued site's adjacency list, so those cache
-//! misses overlap instead of adding up.
+//! not on `|P|`.
+//!
+//! The walk runs on **sites** — [`VoronoiIndex`]'s internal numbering, the
+//! points' order along the Hilbert curve — from the seeds to the popped
+//! site: marks, heap payloads, neighbour lists, points and cell tests are
+//! all indexed by site, so a walk over a compact region reads a few
+//! compact stretches of each array whatever order the dataset arrived
+//! in. An id appears only where one leaves the walk: the row
+//! `Walk::keep` pushes (or the caller's `Candidate`) carries
+//! [`VoronoiIndex::id_of`] the site, so `resolve`'s `(key, id)` order and
+//! the ascending-id answer are those of the input numbering; keys, `B`
+//! and every count depend on points alone. What the curve cannot do is
+//! put all ~6 neighbours of a site on its own line — the next row of the
+//! curve is a stride away — so the walk still prefetches each extracted
+//! site's neighbours (marks and points) and each enqueued site's
+//! adjacency list; those misses, fewer now, overlap instead of adding
+//! up.
 //!
 //! What VS² keeps twice is the handling of the collected *rows*:
 //!
@@ -151,7 +164,7 @@ impl<'a, K: Fn(Point) -> f64> Walk<'a, K> {
         // the traversal that follows.
         let (index, scratch) = (self.index, &mut *self.scratch);
         let mut pages = 0;
-        let nn = index.nearest_with(q, hint, |i| {
+        let nn = index.nearest_site_with(q, hint, |i| {
             pages += u64::from(scratch.touch_page(index.page_of(i)));
         });
         self.pages += pages;
@@ -169,20 +182,21 @@ impl<'a, K: Fn(Point) -> f64> Walk<'a, K> {
     #[inline]
     pub(crate) fn seed(&mut self, i: u32) {
         if !self.scratch.is_visited(i) {
-            self.enqueue(i, self.index.point(i));
+            self.enqueue(i, self.index.graph().point(i));
         }
     }
 
     /// The Safe rule for a site that may be in the skyline: keep it as
-    /// a squared-distance arena row against `ctx`'s anchors and tighten
-    /// `b` by its search region — sound for ANY data point `x`, because
-    /// every true skyline point lies inside `MBR(SR(x, Q))` (it beats `x`
-    /// on at least one anchor, so it sits in one of `x`'s circles).
+    /// a squared-distance arena row — under its id — against `ctx`'s
+    /// anchors and tighten `b` by its search region — sound for ANY data
+    /// point `x`, because every true skyline point lies inside
+    /// `MBR(SR(x, Q))` (it beats `x` on at least one anchor, so it sits in
+    /// one of `x`'s circles).
     #[inline]
-    pub(crate) fn keep(&mut self, ctx: &QueryContext, id: u32, pt: Point) {
+    pub(crate) fn keep(&mut self, ctx: &QueryContext, site: u32, pt: Point) {
         let anchors = ctx.anchors();
         self.scratch
-            .push_row(id, ctx.hull().contains(pt), pt, anchors);
+            .push_row(self.index.id_of(site), ctx.hull().contains(pt), pt, anchors);
         self.keyed += 1;
         self.b = self.b.intersection(&search_region_mbr(pt, anchors));
     }
@@ -196,11 +210,11 @@ impl<'a, K: Fn(Point) -> f64> Walk<'a, K> {
         &mut self,
         expands: impl Fn(&[u32]) -> bool,
     ) -> Option<(u32, f64, Point)> {
-        let index = self.index;
+        let (index, graph) = (self.index, self.index.graph());
         while let Some((key, &p)) = self.heap.peek() {
             if self.scratch.is_extracted(p) {
                 self.heap.pop();
-                let pt = index.point(p);
+                let pt = graph.point(p);
                 // B may have shrunk since p was enqueued; a point outside
                 // B is outside some point's search region, i.e. strictly
                 // farther than that point from every anchor — dominated,
@@ -214,23 +228,24 @@ impl<'a, K: Fn(Point) -> f64> Walk<'a, K> {
             self.scratch.mark_extracted(p);
             self.extracted += 1;
             self.touch(p);
-            let neighbors = index.neighbors(p);
+            let neighbors = graph.neighbors(p);
             if !expands(neighbors) {
                 continue;
             }
-            // Every neighbour's mark and point sit on a cache line of
-            // their own (sites are stored in input order, not along the
-            // walk): ask for all of them before the first is needed, so
-            // the misses overlap instead of queueing behind one another.
+            // Neighbours along the curve share `p`'s lines, the ones a
+            // curve row away do not: ask for every mark and point before
+            // the first is needed, so what misses there are overlap
+            // instead of queueing behind one another.
+            let points = graph.points();
             for &nb in neighbors {
                 self.scratch.prefetch_mark(nb);
-                simd::prefetch(&index.points()[nb as usize]);
+                simd::prefetch(&points[nb as usize]);
             }
             for &nb in neighbors {
                 if self.scratch.is_visited(nb) {
                     continue;
                 }
-                let nbp = index.point(nb);
+                let nbp = points[nb as usize];
                 // Line 19: inside B, or Voronoi cell intersecting B.
                 let mut reaches_b = self.b.contains(nbp);
                 if !reaches_b {
@@ -241,7 +256,7 @@ impl<'a, K: Fn(Point) -> f64> Walk<'a, K> {
                 if reaches_b {
                     // `nb` is extracted later on: start loading its
                     // adjacency list now.
-                    if let Some(first) = index.neighbors(nb).first() {
+                    if let Some(first) = graph.neighbors(nb).first() {
                         simd::prefetch(first);
                     }
                     self.enqueue(nb, nbp);
@@ -288,7 +303,7 @@ pub fn vs2_kernel(
     vs2_kernel_from(index, ctx, scratch, 0)
 }
 
-/// [`vs2_kernel`] with a walk hint: a site near `q₁` for the `NN(q₁)`
+/// [`vs2_kernel`] with a walk hint: a **site** near `q₁` for the `NN(q₁)`
 /// search to start from when the index has no kd start index.
 // ssq-analyze: deny-alloc
 pub(crate) fn vs2_kernel_from(
@@ -307,7 +322,7 @@ pub(crate) fn vs2_kernel_from(
         kernel::dist_sq_sum(p, anchors)
     });
     let start = walk.nearest_site(ctx.query()[0], hint);
-    walk.b = search_region_mbr(index.point(start), anchors);
+    walk.b = search_region_mbr(index.graph().point(start), anchors);
     walk.seed(start);
     while let Some((p, _, pt)) = walk.next_popped(|_| true) {
         stats.points_examined += 1;
@@ -340,8 +355,8 @@ pub fn vs2_with(
 
     // Fig. 7 lines 03-05: start at NN(q1), initialize B from its search
     // region.
-    let start = walk.nearest_site(ctx.query()[0], start_hint.unwrap_or(0));
-    walk.b = search_region_mbr(index.point(start), anchors);
+    let start = walk.nearest_site(ctx.query()[0], index.site_of(start_hint.unwrap_or(0)));
+    walk.b = search_region_mbr(index.graph().point(start), anchors);
     walk.seed(start);
 
     // Paper mode resolves dominance in-loop (the gate on line 16 needs to
@@ -349,12 +364,14 @@ pub fn vs2_with(
     // `candidates` is the skyline so far; Safe mode defers all dominance
     // work to one exact key-ordered pass at the end and instead tightens
     // B with EVERY surviving popped point (sound: see `Walk::keep`).
+    // Candidates carry ids; Paper's gate asks about the extracted site's
+    // neighbours, which are sites, so the candidates' sites are kept beside
+    // them.
     let mut candidates: Vec<Candidate> = Vec::new();
-    while let Some((id, key, pt)) = walk.next_popped(|neighbors| match expansion {
+    let mut sites: Vec<u32> = Vec::new();
+    while let Some((site, key, pt)) = walk.next_popped(|neighbors| match expansion {
         VsExpansion::Safe => true,
-        VsExpansion::Paper => {
-            candidates.is_empty() || candidates.iter().any(|c| neighbors.contains(&c.id))
-        }
+        VsExpansion::Paper => sites.is_empty() || sites.iter().any(|s| neighbors.contains(s)),
     }) {
         stats.points_examined += 1;
         let vector = ctx.dist_vector(pt, &mut stats);
@@ -369,8 +386,9 @@ pub fn vs2_with(
             }
         }
         walk.b = walk.b.intersection(&search_region_mbr(pt, anchors));
+        sites.push(site);
         candidates.push(Candidate {
-            id,
+            id: index.id_of(site),
             key,
             vector,
             certain,
@@ -499,9 +517,9 @@ mod tests {
         let idx2 = VoronoiIndex::new(&[]).unwrap();
         assert!(vs2(&idx2, &ctx).skyline.is_empty());
         // Collinear dataset (degenerate Delaunay -> path graph).
-        let idx3 =
-            VoronoiIndex::new(&[p(0.0, 0.0), p(0.5, 0.0), p(1.0, 0.0), p(0.25, 0.0)]).unwrap();
-        let want = naive_full(idx3.points(), &ctx);
+        let line = [p(0.0, 0.0), p(0.5, 0.0), p(1.0, 0.0), p(0.25, 0.0)];
+        let idx3 = VoronoiIndex::new(&line).unwrap();
+        let want = naive_full(&line, &ctx);
         assert_eq!(vs2(&idx3, &ctx).skyline, want.skyline);
     }
 }

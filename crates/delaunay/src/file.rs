@@ -26,7 +26,7 @@ use std::fs::File;
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use ssq_geom::Point;
+use ssq_geom::{Point, Rect};
 
 use crate::graph::DelaunayGraph;
 use crate::hilbert;
@@ -75,8 +75,7 @@ pub fn write_adjacency_file(
     let points = graph.points();
 
     // Hilbert layout of the records.
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    hilbert::sort_by_hilbert(points, &mut order);
+    let order = hilbert::sort_by_hilbert(points, &Rect::bounding(points.iter().copied()));
 
     // Assign records to pages greedily in Hilbert order.
     let record_len = |i: u32| 4 + 8 + 8 + 4 + 4 * graph.neighbors(i).len();

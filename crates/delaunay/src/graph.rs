@@ -87,7 +87,7 @@ impl DelaunayGraph {
         }
     }
 
-    /// The underlying points, in input order.
+    /// The underlying points, in the order they were given.
     pub fn points(&self) -> &[Point] {
         &self.points
     }
@@ -161,12 +161,21 @@ impl DelaunayGraph {
     /// is exactly the nearest neighbour. This is the `Φ(√|P|)`-step entry
     /// point the paper describes when no index is available (§4.2).
     pub fn greedy_nearest(&self, q: Point, start: u32) -> (u32, usize) {
+        let mut visited = 0;
+        let nearest = self.greedy_nearest_with(q, start, |_| visited += 1);
+        (nearest, visited - 1)
+    }
+
+    /// [`DelaunayGraph::greedy_nearest`] for a caller that accounts the
+    /// reads itself: `visit(i)` is called for every point whose adjacency
+    /// list the walk scans, `start` first and the answer last.
+    pub fn greedy_nearest_with(&self, q: Point, start: u32, mut visit: impl FnMut(u32)) -> u32 {
         let mut cur = start;
         let mut cur_d = self.point(cur).distance_sq(q);
-        let mut hops = 0;
         loop {
             let mut best = cur;
             let mut best_d = cur_d;
+            visit(cur);
             for &j in self.neighbors(cur) {
                 let d = self.point(j).distance_sq(q);
                 if d < best_d {
@@ -175,11 +184,10 @@ impl DelaunayGraph {
                 }
             }
             if best == cur {
-                return (cur, hops);
+                return cur;
             }
             cur = best;
             cur_d = best_d;
-            hops += 1;
         }
     }
 

@@ -18,11 +18,12 @@
 //! * Voronoi cells ([`DelaunayGraph::voronoi_cell`]) as clipped convex
 //!   polygons, obtained by intersecting bisector half-planes of the
 //!   Delaunay neighbours;
-//! * [`hilbert`] — Hilbert-curve ordering, both for insertion locality and
-//!   for the paper's page layout ("points are organized in pages according
-//!   to their Hilbert values");
-//! * [`paged::PagedAdjacency`] — the page layout of the adjacency file,
-//!   so VS²'s I/O can be accounted like the paper does for the R-tree.
+//! * [`hilbert`] — the one cached-key Hilbert sort: insertion order,
+//!   memory layout and the paper's page layout ("points are organized in
+//!   pages according to their Hilbert values") are all its result;
+//! * [`paged::PagedAdjacency`] — that order cut into the pages of the
+//!   adjacency file, so VS²'s I/O can be accounted like the paper does
+//!   for the R-tree.
 //!
 //! Degenerate inputs (all points collinear, fewer than three points) have
 //! no triangulation; [`DelaunayGraph`] still exists for them (a path graph

@@ -143,10 +143,10 @@ impl Triangulation {
             return Ok(t);
         }
 
-        // Hilbert insertion order over the data MBR.
+        // Hilbert insertion order over the data MBR (the identity when the
+        // caller already laid the points out along the curve).
         let bbox = Rect::bounding(points.iter().copied());
-        let mut insert_order: Vec<u32> = (0..points.len() as u32).collect();
-        insert_order.sort_by_key(|&i| hilbert::hilbert_index(points[i as usize], &bbox));
+        let insert_order = hilbert::sort_by_hilbert(points, &bbox);
 
         // Find the first non-collinear triple in insertion order to seed the
         // triangulation: (first two distinct points, first point off their
@@ -183,7 +183,7 @@ impl Triangulation {
         Ok(t)
     }
 
-    /// The input points, in their original order.
+    /// The input points, in the order they were given.
     pub fn points(&self) -> &[Point] {
         &self.points
     }

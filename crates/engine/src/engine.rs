@@ -2014,6 +2014,19 @@ mod tests {
         *mirror = next;
     }
 
+    /// The Voronoi side of `snapshot` names `mirror`'s points by
+    /// `mirror`'s ids: its site ↔ id maps are inverse permutations and
+    /// `point(id)` is `mirror[id]`, however many deltas composed them.
+    fn assert_voronoi_ids(snapshot: &Snapshot, mirror: &[Point]) {
+        let voronoi = snapshot.voronoi();
+        assert_eq!(voronoi.len(), mirror.len());
+        for (id, &p) in (0u32..).zip(mirror) {
+            assert_eq!(voronoi.id_of(voronoi.site_of(id)), id);
+            assert_eq!(voronoi.site_of(voronoi.id_of(id)), id);
+            assert_eq!(voronoi.point(id), p, "point {id}");
+        }
+    }
+
     #[test]
     fn a_hundred_delta_generations_keep_cached_contexts_exact() {
         // Each publish retires a generation whose query contexts may
@@ -2037,6 +2050,7 @@ mod tests {
             let report = engine.apply_delta(&batch).unwrap();
             assert_eq!(report.generation, round + 1);
             apply_to_mirror(&mut mirror, &batch, &universe);
+            assert_voronoi_ids(&engine.snapshot(), &mirror);
             let r = engine.submit(QueryRequest::new(q.clone())).wait();
             assert_eq!(r.generation, round + 1);
             assert_eq!(
@@ -2132,6 +2146,7 @@ mod tests {
             let universe = engine.snapshot().universe();
             engine.apply_delta(&batch).unwrap();
             apply_to_mirror(&mut mirror, &batch, &universe);
+            assert_voronoi_ids(&engine.snapshot(), &mirror);
             let r = engine.submit(QueryRequest::new(q.clone())).wait();
             assert_eq!(r.generation, round + 1);
             assert_eq!(

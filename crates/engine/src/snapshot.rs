@@ -75,15 +75,21 @@ impl Snapshot {
     ///
     /// # Panics
     ///
-    /// Panics if the two indexes cover different numbers of points.
+    /// Panics if the two indexes cover different numbers of points, or
+    /// name different points by the first, middle or last id — a skyline
+    /// id must mean one point whichever index answered, and two indexes
+    /// built over differently ordered copies of a dataset agree on
+    /// everything but that.
     pub fn from_indexes(
         generation: u64,
         rtree: Arc<RTreeIndex>,
         voronoi: Arc<VoronoiIndex>,
     ) -> Snapshot {
-        assert_eq!(
-            rtree.len(),
-            voronoi.len(),
+        let n = rtree.len();
+        let probes = [0, n / 2, n.saturating_sub(1)].map(|i| i as u32);
+        assert!(
+            n == voronoi.len()
+                && (n == 0 || probes.iter().all(|&i| rtree.point(i) == voronoi.point(i))),
             "R-tree and Voronoi snapshots index different datasets"
         );
         Snapshot {
@@ -104,7 +110,8 @@ impl Snapshot {
     /// generation's universe), so the resulting point order — survivors
     /// densely renumbered, then inserts — is a deterministic function of
     /// `(self, batch)`: rebuilding from scratch over
-    /// [`points`](Snapshot::points) of the result reproduces it exactly.
+    /// [`points`](Snapshot::points) of the result reproduces it id for id
+    /// (the Voronoi half of a rebuild sorts its internal sites afresh).
     pub fn apply_delta(
         &self,
         generation: u64,
@@ -284,6 +291,30 @@ mod tests {
         assert_eq!(snap.len(), 50);
         assert_eq!(snap.rtree().len(), snap.voronoi().len());
         assert!(!snap.is_empty());
+    }
+
+    #[test]
+    fn from_indexes_accepts_a_pair_over_one_ordering() {
+        let points = pts(50);
+        let snap = Snapshot::from_indexes(
+            2,
+            Arc::new(RTreeIndex::new(&points)),
+            Arc::new(VoronoiIndex::new(&points).unwrap()),
+        );
+        assert_eq!(snap.generation(), 2);
+        assert_eq!(snap.points(), &points[..]);
+    }
+
+    #[test]
+    #[should_panic(expected = "R-tree and Voronoi snapshots index different datasets")]
+    fn from_indexes_rejects_differently_ordered_copies() {
+        let points = pts(50);
+        let reversed: Vec<Point> = points.iter().rev().copied().collect();
+        Snapshot::from_indexes(
+            0,
+            Arc::new(RTreeIndex::new(&points)),
+            Arc::new(VoronoiIndex::new(&reversed).unwrap()),
+        );
     }
 
     #[test]

@@ -40,14 +40,24 @@ echo "==> cargo test (SSQ_FORCE_SCALAR=1 — scalar tile-kernel oracle)"
 # tile kernels above, the scalar oracle here. Same binaries, no rebuild.
 SSQ_FORCE_SCALAR=1 cargo test --workspace -q
 
-echo "==> reproduce count pin (Fig. 12b/12c/12e/12f must print reproduce_output.txt's columns)"
-# The dominance-check and node-access columns are seeded counts, not
+echo "==> reproduce count pin (Fig. 12b/12c/12e/12f, VCS² outcome mix, mixed |S| must print reproduce_output.txt's columns)"
+# The dominance-check and node-access columns, the continuous table's
+# outcome mix and the mixed table's skyline sizes are seeded counts, not
 # timings: a traversal or resolve change that moves them is a behaviour
-# change and must update the checked-in file on purpose.
-count_blocks() { awk '/^== /{keep = /Figure 12[bcef]:/} keep && !/^done\.$/' "$1"; }
+# change and must update the checked-in file on purpose. Between them they
+# cover every caller of the Delaunay walk (VS², VCS², mixed VS²). The ms
+# columns of the last two tables are dropped.
+count_blocks() {
+    awk '/^== /{ whole = /Figure 12[bcef]:/; counts = /Continuous SSQ|Mixed skylines/
+                 if (whole || counts) print
+                 next }
+         /^done\.$/ { next }
+         whole
+         counts && NF { print $1, $2, $3, $4 }' "$1"
+}
 diff <(count_blocks reproduce_output.txt) \
-    <(./target/release/reproduce --fig12b --fig12c --fig12e --fig12f --n 30000 --batch 20 \
-        2>/dev/null | count_blocks /dev/stdin)
+    <(./target/release/reproduce --fig12b --fig12c --fig12e --fig12f --continuous --mixed \
+        --n 30000 --batch 20 2>/dev/null | count_blocks /dev/stdin)
 
 echo "==> cargo doc (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
