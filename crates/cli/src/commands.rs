@@ -364,9 +364,9 @@ fn continuous<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
         dt,
         c.total() as f64 / (dt * 1e3)
     )?;
-    writeln!(out, "  unchanged (pattern I):     {}", c.unchanged)?;
-    writeln!(out, "  incremental (II-V):        {}", c.incremental)?;
-    writeln!(out, "  full recomputations:       {}", c.recomputed)?;
+    writeln!(out, "  hull unchanged (I, free):    {}", c.unchanged)?;
+    writeln!(out, "  simple change (II-V, VS²):   {}", c.incremental)?;
+    writeln!(out, "  complex change (VS²):        {}", c.recomputed)?;
     writeln!(out, "final skyline: {} points", cont.skyline().len())?;
     Ok(())
 }

@@ -7,7 +7,8 @@
 //! `S(Q)` is the set of points of `P` not *spatially dominated* by any
 //! other point — where `p` dominates `p'` iff `p` is at least as close to
 //! every query point and strictly closer to one (§2.2). This crate
-//! implements every algorithm in the paper:
+//! implements the paper's algorithms (of VCS², the classification and the
+//! free pass; its incremental patch lost to a rerun here — see [`vcs2`]):
 //!
 //! | paper | here | index |
 //! |---|---|---|
@@ -15,7 +16,7 @@
 //! | BBS (competitor, §7) | [`bbs::bbs`] | [`RTreeIndex`] |
 //! | B²S² (§4.1, Fig. 5) | [`b2s2::b2s2`] | [`RTreeIndex`] |
 //! | VS² (§4.2, Fig. 7) | [`vs2::vs2`] | [`VoronoiIndex`] |
-//! | VCS² (§5) | [`vcs2::ContinuousSkyline`] | [`VoronoiIndex`] |
+//! | continuous SSQ (§5) | [`vcs2::ContinuousSkyline`] | [`VoronoiIndex`] |
 //! | mixed `S(A, Q)` (§6) | [`mixed`] | both |
 //!
 //! All algorithms return identical skylines (asserted by the test suite
@@ -51,7 +52,6 @@
 pub mod ann;
 pub mod b2s2;
 pub mod bbs;
-pub mod continuous_mixed;
 pub mod delta;
 pub mod heap;
 pub mod index;
@@ -69,7 +69,6 @@ pub mod vs2;
 pub use ann::{aggregate_nearest_neighbor, Aggregate};
 pub use b2s2::{b2s2, b2s2_kernel};
 pub use bbs::bbs;
-pub use continuous_mixed::ContinuousMixedSkyline;
 pub use delta::{BatchError, DeltaStats, UpdateBatch};
 pub use index::{RTreeIndex, VoronoiIndex};
 pub use key::{KeyScratch, QueryKey};

@@ -48,26 +48,11 @@ impl<'a> MixedContext<'a> {
     /// Prepares the mixed query. `attrs[i]` are the static attributes of
     /// data point `i` (minimize semantics); all rows must share one arity.
     pub fn new(points: &[Point], attrs: &'a [Vec<f64>], ctx: &'a QueryContext) -> MixedContext<'a> {
-        Self::build(points.len(), |i| points[i], attrs, ctx)
-    }
-
-    /// [`MixedContext::new`] over the points of `index`, which hands them
-    /// out by id but holds no slice of them in id order.
-    pub(crate) fn over(
-        index: &VoronoiIndex,
-        attrs: &'a [Vec<f64>],
-        ctx: &'a QueryContext,
-    ) -> MixedContext<'a> {
-        Self::build(index.len(), |i| index.point(i as u32), attrs, ctx)
-    }
-
-    fn build(
-        n: usize,
-        point: impl Fn(usize) -> Point,
-        attrs: &'a [Vec<f64>],
-        ctx: &'a QueryContext,
-    ) -> MixedContext<'a> {
-        assert_eq!(n, attrs.len(), "one attribute row per data point");
+        assert_eq!(
+            points.len(),
+            attrs.len(),
+            "one attribute row per data point"
+        );
         let static_skyline = ssq_skyline::bnl(attrs);
         let radii = ctx
             .anchors()
@@ -75,7 +60,7 @@ impl<'a> MixedContext<'a> {
             .map(|&q| {
                 static_skyline
                     .iter()
-                    .map(|&s| q.distance(point(s)))
+                    .map(|&s| q.distance(points[s]))
                     .fold(0.0f64, f64::max)
             })
             .collect();

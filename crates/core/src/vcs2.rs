@@ -1,75 +1,78 @@
-//! VCS² — Voronoi-based Continuous Spatial Skyline (paper §5).
+//! Continuous spatial skylines (paper §5): `S(Q)` maintained while the
+//! query points move, one single-point location update at a time.
 //!
-//! The continuous setting: the query points are moving objects streaming
-//! single-point location updates, and the skyline must be maintained
-//! without recomputing from scratch on every update. VCS² classifies each
-//! update `q → q'` by how it changes `CH(Q)` (the paper's change patterns,
-//! Fig. 10) and reacts accordingly:
+//! An update `q → q'` is either free or one run of VS²:
 //!
-//! * **Pattern I** — neither `q` nor `q'` is a hull vertex: by Theorem 2
-//!   the skyline is untouched; the update is free.
-//! * **Patterns II–V** ("simple" moves) — the two hulls share every vertex
-//!   except possibly `q`/`q'`: only points inside the **candidate region**
-//!   can change status (Lemma 6): the visible region of `q` w.r.t.
-//!   `CH(Q)`, the visible region of `q'` w.r.t. `CH(Q')`, and the
-//!   symmetric difference of the hulls. VCS² re-examines exactly those
-//!   points with VS²'s `Walk`, seeded at `NN(q')`, `NN(q)` and the old
-//!   skyline members inside the region, starting from a pruning rectangle
-//!   `B` *pre-tightened* by the old members: the old members and the
-//!   popped candidate-region sites become arena rows, and one
-//!   [`DistanceScratch::resolve`] over them is the new skyline.
-//! * **Anything else** (the paper's pattern (f) and other complex hull
-//!   changes) — fall back to a full VS² recomputation
-//!   ([`vs2_kernel`](crate::vs2::vs2_kernel) on the session's arena).
+//! * **Pattern I** — neither `q` nor `q'` is a vertex of `CH(Q)`: by
+//!   Theorem 2 the hull, and with it the skyline, is untouched. The
+//!   update costs one hull build and nothing else.
+//! * **Anything else** — [`vs2_kernel`](crate::vs2::vs2_kernel) on the
+//!   session's own arena, started from the previous answer's first
+//!   member.
 //!
-//! Exactness of the incremental path: a new skyline point outside the
-//! candidate region was an old member (its status cannot change), so it
-//! has a row; one inside it lies in `B` (every skyline point lies in
-//! `MBR(SR(x, Q'))` of any data point `x`) and is reached by the walk for
-//! the reason VS² reaches it; and any other row is dominated by a skyline
-//! point, which `resolve` finds. The test suite asserts the maintained
-//! skyline equal to a fresh computation after every update.
+//! Fig. 10's classification is kept as *accounting*: an update whose two
+//! hulls share every vertex except possibly `q`/`q'` (patterns II–V) is
+//! reported as [`UpdateOutcome::Incremental`], any other hull change as
+//! [`UpdateOutcome::Recomputed`]. That split is what reproduces the
+//! paper's "fewer than 3 % of movements force a recomputation"
+//! (`reproduce --continuous`, the benchmark's `core.vcs2_recompute_frac`)
+//! — it selects no code.
 //!
-//! What the incremental path buys is measured, not assumed: the walk
-//! still spans `B` (the candidate region covers most of it), so the saving
-//! is the rows it does not collect and the head start of the pre-tightened
-//! rectangle, paid for with two visible regions, a second NN search and a
-//! region test per popped site. `reproduce`'s continuous table
-//! (`reproduce_output.txt`) puts an average update at 1.24–1.83× faster
-//! than a fresh *scalar* `vs2_with` run on the same positions, Pattern-I
-//! free passes included — not the paper's "factor of 3" — and against the
-//! kernel it does not win at all: on the benchmark's `moving` workload a
-//! session that reruns `vs2_kernel` on every non-Pattern-I update is
-//! faster than this path (47 vs 40 µs per update; ROADMAP.md has the
-//! runs).
+//! The paper's VCS² handles patterns II–V by re-examining only Lemma 6's
+//! candidate region (the visible regions of `q` and `q'` plus the hulls'
+//! symmetric difference), and §5 reports it 3× faster than re-running
+//! VS². This crate carried that path until PR 21 (its CHANGES.md entry
+//! describes it); on this substrate it lost to the rerun it was meant to
+//! avoid. The walk spans the pruning rectangle `B` either way — the
+//! candidate region covers most of it — so what the path saved was a share
+//! of the rows, paid for with two visible regions, a second NN search and
+//! a region test per popped site. The benchmark's `moving` workload (64
+//! sessions over 200 000 points, seed 42, medians of 10 alternating
+//! runs):
+//!
+//! | patterns II–V handled by | updates/s | p50 µs | p99 µs |
+//! |---|---|---|---|
+//! | candidate-region walk (removed) | 47 693 | 39.2 | 124.8 |
+//! | `vs2_kernel` rerun (this module) | 57 336 | 31.4 | 110.1 |
+//!
+//! EXPERIMENTS.md reports §5's ratio as not reproduced.
+//! [`ConvexPolygon::visible_region`](ssq_geom::ConvexPolygon::visible_region)
+//! stays in `ssq-geom`: `tests/theorems.rs` holds Lemma 6 with it.
 
-use ssq_geom::{kernel, Point};
+use ssq_geom::Point;
 
 use crate::index::VoronoiIndex;
 use crate::query::QueryContext;
 use crate::scratch::DistanceScratch;
 use crate::stats::{QueryStats, SkylineResult};
-use crate::vs2::{vs2_kernel_from, Walk};
+use crate::vs2::vs2_kernel_from;
 
-/// How an update was applied.
+/// How an update changed `CH(Q)` (Fig. 10). Only `Unchanged` is handled
+/// differently; the other two both re-run VS² and differ in what they
+/// count.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum UpdateOutcome {
     /// Pattern I: the hull (hence the skyline) did not change.
     Unchanged,
-    /// Patterns II–V: the skyline was patched incrementally.
+    /// Simple hull change, patterns II–V: the hulls agree on every vertex
+    /// except the moved point. The movements the paper's VCS² patches
+    /// incrementally.
     Incremental,
-    /// Complex hull change: VS² was re-run from scratch.
+    /// Complex hull change (the paper's pattern (f) and the like): the
+    /// movements for which the paper, too, re-runs VS².
     Recomputed,
 }
 
 /// Aggregate counters over the lifetime of a [`ContinuousSkyline`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct OutcomeCounts {
-    /// Updates resolved as [`UpdateOutcome::Unchanged`].
+    /// Updates classified [`UpdateOutcome::Unchanged`] (free).
     pub unchanged: u64,
-    /// Updates resolved as [`UpdateOutcome::Incremental`].
+    /// Updates classified [`UpdateOutcome::Incremental`] (simple hull
+    /// change, patterns II–V).
     pub incremental: u64,
-    /// Updates resolved as [`UpdateOutcome::Recomputed`].
+    /// Updates classified [`UpdateOutcome::Recomputed`] (complex hull
+    /// change).
     pub recomputed: u64,
 }
 
@@ -98,13 +101,13 @@ where
     /// Current skyline ids, sorted ascending.
     skyline: Vec<u32>,
     counts: OutcomeCounts,
-    /// Walk hint for NN searches (the site of any recently relevant
-    /// point).
+    /// Walk hint for the rerun's NN search: the site of the current
+    /// skyline's first member.
     hint: u32,
     /// The session's own arena — traversal marks, heap, page set and
     /// rows — reused across updates, so a warm update does no `O(|P|)`
-    /// work (the point of VCS²) and its page count is its own however
-    /// many sessions share the index.
+    /// work and its page count is its own however many sessions share
+    /// the index.
     scratch: DistanceScratch,
 }
 
@@ -114,19 +117,38 @@ where
 {
     /// Initializes the skyline for query set `q` with a fresh VS² run.
     pub fn new(index: I, q: &[Point]) -> ContinuousSkyline<I> {
-        let ctx = QueryContext::new(q);
-        let mut scratch = DistanceScratch::new();
-        let skyline = vs2_kernel_from(&index, &ctx, &mut scratch, 0).skyline;
-        let hint = skyline.first().map_or(0, |&id| index.site_of(id));
-        ContinuousSkyline {
+        let mut session = ContinuousSkyline {
             index,
             query: q.to_vec(),
-            ctx,
-            skyline,
+            ctx: QueryContext::new(q),
+            skyline: Vec::new(),
             counts: OutcomeCounts::default(),
-            hint,
-            scratch,
+            hint: 0,
+            scratch: DistanceScratch::new(),
+        };
+        session.rerun();
+        session
+    }
+
+    /// Moves the session onto `index` — the next generation of the
+    /// dataset — and recomputes the skyline there. Ids of the old index
+    /// mean nothing in the new one, and Theorem 2's free pass holds only
+    /// while the data stands still, so this is always one VS² run. The
+    /// previous index handle is dropped.
+    pub fn rehome(&mut self, index: I) -> QueryStats {
+        self.index = index;
+        self.hint = 0;
+        self.rerun()
+    }
+
+    /// VS² for the current query set on the session's arena.
+    fn rerun(&mut self) -> QueryStats {
+        let result = vs2_kernel_from(&self.index, &self.ctx, &mut self.scratch, self.hint);
+        self.skyline = result.skyline;
+        if let Some(&id) = self.skyline.first() {
+            self.hint = self.index.site_of(id);
         }
+        result.stats
     }
 
     /// The current query set.
@@ -163,7 +185,8 @@ where
             return (UpdateOutcome::Unchanged, QueryStats::default());
         }
         if self.index.is_empty() {
-            // No data points: the skyline is trivially empty forever.
+            // No data points: the skyline is empty wherever the query
+            // moves, so the hull change is not classified.
             self.query[obj] = new_loc;
             self.ctx = QueryContext::new(&self.query);
             self.counts.unchanged += 1;
@@ -175,111 +198,28 @@ where
             QueryContext::new(&self.query)
         });
 
-        let old_vertex = old_ctx.hull().vertex_index(old_loc);
-        let new_vertex = self.ctx.hull().vertex_index(new_loc);
-
         // Pattern I: both endpoints interior — hull unchanged, skyline
         // unchanged.
-        if old_vertex.is_none() && new_vertex.is_none() {
+        if old_ctx.hull().vertex_index(old_loc).is_none()
+            && self.ctx.hull().vertex_index(new_loc).is_none()
+        {
             debug_assert_eq!(old_ctx.anchors(), self.ctx.anchors());
             self.counts.unchanged += 1;
             return (UpdateOutcome::Unchanged, QueryStats::default());
         }
 
-        // "Simple" patterns II-V: the hulls agree on every vertex except
-        // q/q'.
-        if hulls_differ_only_at(old_ctx.anchors(), old_loc, self.ctx.anchors(), new_loc) {
-            let stats = self.incremental_update(&old_ctx, old_loc, new_loc, old_vertex, new_vertex);
-            self.counts.incremental += 1;
-            return (UpdateOutcome::Incremental, stats);
-        }
-
-        // Complex pattern: recompute with VS².
-        let result = vs2_kernel_from(&self.index, &self.ctx, &mut self.scratch, self.hint);
-        self.skyline = result.skyline;
-        if let Some(&id) = self.skyline.first() {
-            self.hint = self.index.site_of(id);
-        }
-        self.counts.recomputed += 1;
-        (UpdateOutcome::Recomputed, result.stats)
-    }
-
-    /// The incremental (patterns II–V) path.
-    fn incremental_update(
-        &mut self,
-        old_ctx: &QueryContext,
-        old_loc: Point,
-        new_loc: Point,
-        old_vertex: Option<usize>,
-        new_vertex: Option<usize>,
-    ) -> QueryStats {
-        let mut stats = QueryStats::default();
-        let index = &*self.index;
-        let anchors = self.ctx.anchors();
-        let (old_hull, new_hull) = (old_ctx.hull(), self.ctx.hull());
-        let members = &self.skyline;
-
-        // Candidate-region membership test (Lemma 6 + hull difference).
-        let vis_old = old_vertex.map(|i| old_hull.visible_region(i));
-        let vis_new = new_vertex.map(|i| new_hull.visible_region(i));
-        let may_change = |pt: Point| -> bool {
-            vis_old.as_ref().is_some_and(|v| v.contains(pt))
-                || vis_new.as_ref().is_some_and(|v| v.contains(pt))
-                || old_hull.contains(pt) != new_hull.contains(pt)
-        };
-        // Note on expansion gating: the paper suggests traversing "only
-        // specific portions of the graph". We experimented with gating
-        // neighbour expansion by a convex over-approximation of the
-        // candidate region (visible-region wedges plus the two hull caps)
-        // and measured it *slower* here — the wedges cover most of the
-        // pruning rectangle B, so the extra per-cell tests bought almost no
-        // pruning. Expansion therefore stays gated by B alone (provably
-        // complete), and the candidate region gates only which popped
-        // sites become rows, which is where the dominance-check savings
-        // are.
-
-        let scratch = &mut self.scratch;
-        scratch.begin(anchors.len());
-        let mut walk = Walk::begin(index, scratch, anchors.len(), |p| {
-            kernel::dist_sq_sum(p, anchors)
-        });
-        // Seeds: NN of both endpoints of the move, plus every old skyline
-        // member inside the candidate region.
-        let nn_new = walk.nearest_site(new_loc, self.hint);
-        let nn_old = walk.nearest_site(old_loc, nn_new);
-        walk.seed(nn_new);
-        walk.seed(nn_old);
-        self.hint = nn_new;
-        // Every old member gets a row against the new anchors and
-        // pre-tightens B — stale members are data points like any other,
-        // so `Walk::keep`'s rule covers them — which gives the
-        // incremental path its head start. The member list holds ids (it
-        // is the session's answer); the walk takes their sites.
-        for &id in members {
-            let site = index.site_of(id);
-            let pt = index.graph().point(site);
-            walk.keep(&self.ctx, site, pt);
-            if may_change(pt) {
-                walk.seed(site);
-            }
-        }
-
-        // Only candidate-region sites are (re-)examined; everything else
-        // keeps its status, and the old members already have their rows.
-        while let Some((p, _, pt)) = walk.next_popped(|_| true) {
-            if may_change(pt) && members.binary_search(&index.id_of(p)).is_err() {
-                stats.points_examined += 1;
-                walk.keep(&self.ctx, p, pt);
-            }
-        }
-        walk.finish(&mut stats);
-
-        // Paper's final check: evict the rows dominated by other rows.
-        let resolved = scratch.resolve(&mut stats);
-        self.skyline.clear();
-        self.skyline.extend_from_slice(resolved);
-        stats.allocations += scratch.take_allocations();
-        stats
+        // Every other move re-runs VS²; whether the hulls agree on every
+        // vertex except q/q' ("simple", patterns II-V) only decides which
+        // counter it lands in.
+        let outcome =
+            if hulls_differ_only_at(old_ctx.anchors(), old_loc, self.ctx.anchors(), new_loc) {
+                self.counts.incremental += 1;
+                UpdateOutcome::Incremental
+            } else {
+                self.counts.recomputed += 1;
+                UpdateOutcome::Recomputed
+            };
+        (outcome, self.rerun())
     }
 }
 

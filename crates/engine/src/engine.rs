@@ -280,34 +280,19 @@ impl QueryResponse {
     }
 }
 
-/// Notice that a continuous session's pinned snapshot generation is no
-/// longer the engine's current one: a reindex was published since the
-/// session opened. The session keeps answering — exactly, against its
-/// pinned generation, whose indexes its `Arc` keeps alive — but callers
-/// that want fresh data should close it and re-open against the current
-/// generation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SnapshotSuperseded {
-    /// The generation the session pinned at open.
-    pub pinned: u64,
-    /// The generation the engine serves now.
-    pub current: u64,
-}
-
 /// The result of one applied motion update in a continuous session.
 #[derive(Clone, Debug)]
 pub struct SessionUpdate {
-    /// How VCS² classified the update (pattern I–V machinery).
+    /// How the move changed the query hull (Fig. 10's patterns).
     pub outcome: UpdateOutcome,
-    /// The session's skyline after this update, ascending — indexes
-    /// into the session's pinned generation.
+    /// The session's skyline after this update, ascending — ids of
+    /// `generation`'s dataset.
     pub skyline: Vec<u32>,
-    /// The snapshot generation this session is pinned to.
+    /// The snapshot generation this update was answered at: the one
+    /// current when the update was applied.
     pub generation: u64,
-    /// `Some` when a newer snapshot has been published since the
-    /// session opened — the resubscription signal.
-    pub superseded: Option<SnapshotSuperseded>,
-    /// Work counters for this update.
+    /// Work counters for this update, the re-homing run included when a
+    /// publish preceded it.
     pub stats: QueryStats,
 }
 
@@ -565,13 +550,16 @@ struct Pending {
 }
 
 struct Session {
-    /// The snapshot generation this session pinned at open. The
-    /// `ContinuousSkyline` below holds the generation's Voronoi index
-    /// alive; this field is what lets update results report it and
-    /// compare it against the catalog's current generation.
-    generation: u64,
-    sky: RankedMutex<ContinuousSkyline<Arc<VoronoiIndex>>>,
+    sky: RankedMutex<Homed>,
     pending: RankedMutex<Pending>,
+}
+
+/// A session's skyline with the generation whose Voronoi index it holds
+/// (and keeps alive) — under one lock, so an answer and the generation
+/// its ids belong to are always read together.
+struct Homed {
+    generation: u64,
+    sky: ContinuousSkyline<Arc<VoronoiIndex>>,
 }
 
 /// The published skyline diagram and its knobs. `config` is `None`
@@ -1201,22 +1189,26 @@ impl Engine {
         ticket
     }
 
-    /// Opens a continuous (VCS²) session for query set `q`, pinned to
-    /// the snapshot generation current at this moment.
+    /// Opens a continuous session for query set `q` on the snapshot
+    /// generation current at this moment.
     ///
     /// The initial skyline is computed synchronously; motion updates are
     /// applied through the worker pool via [`Engine::update_session`].
-    /// The session's `Arc` on the pinned Voronoi index keeps that
-    /// generation alive for the session's lifetime; when a reindex is
-    /// published, every subsequent [`SessionUpdate`] carries a
-    /// [`SnapshotSuperseded`] notice so the caller can re-open.
+    /// A session follows the data: an update applied after a publish
+    /// first moves the session to the current generation, then applies
+    /// the move, and reports that generation. Between updates the
+    /// session's `Arc` keeps the Voronoi index it last answered from
+    /// alive, so an idle session holds one old generation until it is
+    /// moved or closed.
     pub fn open_session(&self, q: &[Point]) -> SessionId {
         let snapshot = self.shared.catalog.current();
-        let sky = ContinuousSkyline::new(Arc::clone(snapshot.voronoi()), q);
+        let homed = Homed {
+            generation: snapshot.generation(),
+            sky: ContinuousSkyline::new(Arc::clone(snapshot.voronoi()), q),
+        };
         let id = self.shared.next_session.fetch_add(1, Ordering::Relaxed) + 1;
         let session = Arc::new(Session {
-            generation: snapshot.generation(),
-            sky: RankedMutex::new("session.sky", RANK_SESSION_SKY, sky),
+            sky: RankedMutex::new("session.sky", RANK_SESSION_SKY, homed),
             pending: RankedMutex::new(
                 "session.pending",
                 RANK_SESSION_PENDING,
@@ -1231,11 +1223,13 @@ impl Engine {
         SessionId(id)
     }
 
-    /// The snapshot generation a session pinned at open, or `None` for
-    /// an unknown id.
+    /// The snapshot generation a session last answered at (the one its
+    /// [`Engine::session_skyline`] ids belong to), or `None` for an
+    /// unknown id.
     pub fn session_generation(&self, id: SessionId) -> Option<u64> {
-        let sessions = self.shared.sessions.lock();
-        sessions.get(&id.0).map(|s| s.generation)
+        let session = self.shared.sessions.lock().get(&id.0).cloned()?;
+        let homed = session.sky.lock();
+        Some(homed.generation)
     }
 
     /// Queues a motion update — query object `obj` of the session moves
@@ -1287,14 +1281,14 @@ impl Engine {
     /// reflected), or `None` for an unknown id.
     pub fn session_skyline(&self, id: SessionId) -> Option<Vec<u32>> {
         let session = self.shared.sessions.lock().get(&id.0).cloned()?;
-        let sky = session.sky.lock();
-        Some(sky.skyline())
+        let homed = session.sky.lock();
+        Some(homed.sky.skyline())
     }
 
     /// Closes a session. Already-queued updates still apply (their
     /// handles resolve); the id stops resolving immediately.
     ///
-    /// The session's pin on its generation's Voronoi index is released
+    /// The session's hold on its generation's Voronoi index is released
     /// here when no update is in flight: a drain job gives up its own
     /// hold on the session *before* it resolves the last handle of the
     /// drain, so once every [`UpdateHandle`] obtained so far has
@@ -1614,9 +1608,9 @@ fn execute(
 ///
 /// The job owns its `Arc<Session>` and drops it before filling the last
 /// cell of the drain: a caller that has seen every handle resolve can
-/// rely on the worker holding no reference to the session (or to the
-/// generation it pins) any more, so `close_session` then releases the
-/// pin deterministically.
+/// rely on the worker holding no reference to the session (or to any
+/// generation) any more, so `close_session` then releases the session's
+/// index deterministically.
 fn drain_session(shared: &EngineShared, session: Arc<Session>) {
     // Pops the next update, or clears the in-flight flag when none is
     // left (under the same lock, so a concurrent `update_session`
@@ -1631,24 +1625,29 @@ fn drain_session(shared: &EngineShared, session: Arc<Session>) {
     };
     let mut next = pop(&session);
     while let Some((obj, new_loc, cell)) = next {
-        let (outcome, skyline, stats) = {
-            let mut sky = session.sky.lock();
-            let (outcome, stats) = sky.update(obj, new_loc);
-            (outcome, sky.skyline(), stats)
+        // Follow the data: read the catalog (rank 200) before taking
+        // the session's skyline (rank 460). Re-homing comes first because
+        // a free pass — a no-op or Pattern-I move — is only valid within
+        // one generation. The job's hold on the snapshot ends with the
+        // block, before any cell is filled.
+        let update = {
+            let snapshot = shared.catalog.current();
+            let mut homed = session.sky.lock();
+            let mut stats = QueryStats::default();
+            if snapshot.generation() > homed.generation {
+                stats = homed.sky.rehome(Arc::clone(snapshot.voronoi()));
+                homed.generation = snapshot.generation();
+            }
+            let (outcome, moved) = homed.sky.update(obj, new_loc);
+            stats.absorb(&moved);
+            SessionUpdate {
+                outcome,
+                skyline: homed.sky.skyline(),
+                generation: homed.generation,
+                stats,
+            }
         };
-        shared.metrics.record_session_update(&stats);
-        let current = shared.catalog.generation();
-        let superseded = (current > session.generation).then_some(SnapshotSuperseded {
-            pinned: session.generation,
-            current,
-        });
-        let update = SessionUpdate {
-            outcome,
-            skyline,
-            generation: session.generation,
-            superseded,
-            stats,
-        };
+        shared.metrics.record_session_update(&update.stats);
         next = pop(&session);
         if next.is_none() {
             drop(session);
@@ -2075,48 +2074,63 @@ mod tests {
     }
 
     #[test]
-    fn sessions_outlive_a_hundred_delta_publishes_and_flag_supersession() {
-        let data = grid(150);
-        let engine = Engine::new(&data, EngineConfig::default().with_workers(1)).unwrap();
+    fn sessions_follow_a_hundred_delta_publishes() {
+        // A publish before every move: each update must be answered at
+        // the generation just published, exactly. The moved object cycles
+        // through three hull vertices and one interior point, so re-homing
+        // precedes free passes as well as reruns.
+        let mut mirror = grid(150);
+        let engine = Engine::new(&mirror, EngineConfig::default().with_workers(1)).unwrap();
         let mut q = vec![
             Point::new(3.0, 3.0),
             Point::new(9.0, 4.0),
             Point::new(6.0, 8.0),
+            Point::new(6.0, 5.0),
         ];
         let id = engine.open_session(&q);
+        let mut skyline = engine.session_skyline(id).unwrap();
         for round in 0..100u64 {
-            engine
-                .apply_delta(&UpdateBatch {
-                    inserts: vec![Point::new(0.31 + 0.0021 * round as f64, 8.6)],
-                    deletes: vec![],
-                })
-                .unwrap();
+            // One in, one out. Every fifth batch deletes a current member;
+            // every seventh lands its insert inside CH(Q), which makes it
+            // a member (Theorem 1).
+            let lands_a_member = round % 7 == 0;
+            let batch = UpdateBatch {
+                inserts: vec![if lands_a_member {
+                    Point::new(6.1 + 0.003 * round as f64, 5.3 + 0.001 * round as f64)
+                } else {
+                    Point::new(0.31 + 0.0021 * round as f64, 8.6)
+                }],
+                deletes: vec![if round % 5 == 0 {
+                    skyline[round as usize % skyline.len()]
+                } else {
+                    ((round * 37) % 150) as u32
+                }],
+            };
+            let universe = engine.snapshot().universe();
+            engine.apply_delta(&batch).unwrap();
+            apply_to_mirror(&mut mirror, &batch, &universe);
+
+            let obj = round as usize % q.len();
+            q[obj] = Point::new(
+                q[obj].x + 0.05 * ((round % 3) as f64 - 1.0),
+                q[obj].y + 0.03 * ((round % 5) as f64 - 2.0),
+            );
+            let update = engine.update_session(id, obj, q[obj]).unwrap().wait();
+            assert_eq!(update.generation, round + 1);
+            assert_eq!(update.generation, engine.generation());
+            assert_eq!(
+                update.skyline,
+                naive_full(&mirror, &QueryContext::new(&q)).skyline,
+                "generation {} (outcome {:?})",
+                round + 1,
+                update.outcome
+            );
+            if lands_a_member {
+                assert!(update.skyline.contains(&(mirror.len() as u32 - 1)));
+            }
+            skyline = update.skyline;
         }
-        assert_eq!(engine.generation(), 100);
-        // The session stayed pinned to generation 0 the whole time: its
-        // VCS² update answers exactly against the *original* data and
-        // reports how far the catalog has moved on.
-        assert_eq!(engine.session_generation(id), Some(0));
-        let update = engine
-            .update_session(id, 0, Point::new(3.5, 3.25))
-            .unwrap()
-            .wait();
-        q[0] = Point::new(3.5, 3.25);
-        assert_eq!(update.generation, 0);
-        assert_eq!(
-            update.superseded,
-            Some(SnapshotSuperseded {
-                pinned: 0,
-                current: 100
-            })
-        );
-        assert_eq!(
-            update.skyline,
-            naive_full(&data, &QueryContext::new(&q)).skyline
-        );
-        // Re-opening pins the newest delta-built generation.
-        let fresh = engine.open_session(&q);
-        assert_eq!(engine.session_generation(fresh), Some(100));
+        assert_eq!(engine.session_generation(id), Some(100));
         engine.shutdown();
     }
 
@@ -2393,47 +2407,68 @@ mod tests {
 
     #[test]
     fn sessions_pin_their_generation_and_learn_of_swaps() {
-        let old_data = grid(150);
-        let engine = Engine::new(&old_data, EngineConfig::default().with_workers(2)).unwrap();
+        // No session holds a generation older than its last update.
+        let engine = Engine::new(&grid(150), EngineConfig::default().with_workers(2)).unwrap();
         let mut q = vec![
             Point::new(3.0, 3.0),
             Point::new(9.0, 4.0),
             Point::new(6.0, 8.0),
+            Point::new(6.0, 5.0),
         ];
         let id = engine.open_session(&q);
         assert_eq!(engine.session_generation(id), Some(0));
+        let generation_0 = Arc::downgrade(engine.snapshot().voronoi());
 
-        engine.reindex(&grid(220)).unwrap();
+        // A full reindex onto a differently sized dataset. Idle, the
+        // session keeps the index it last answered from.
+        let mut data = grid(220);
+        engine.reindex(&data).unwrap();
+        assert_eq!(engine.session_generation(id), Some(0));
+        assert!(generation_0.upgrade().is_some());
 
-        // The session still answers exactly against its pinned
-        // generation's data, and flags the supersession.
-        let update = engine
-            .update_session(id, 0, Point::new(3.5, 3.25))
-            .unwrap()
-            .wait();
-        q[0] = Point::new(3.5, 3.25);
-        assert_eq!(update.generation, 0);
-        assert_eq!(
-            update.superseded,
-            Some(SnapshotSuperseded {
-                pinned: 0,
-                current: 1
-            })
-        );
+        // A move to where the object already is is a free pass only
+        // within one generation: after a publish it answers on the new
+        // data, and the old index dies with the session still open.
+        let update = engine.update_session(id, 0, q[0]).unwrap().wait();
+        assert_eq!(update.outcome, UpdateOutcome::Unchanged);
+        assert_eq!(update.generation, 1);
         assert_eq!(
             update.skyline,
-            naive_full(&old_data, &QueryContext::new(&q)).skyline
+            naive_full(&data, &QueryContext::new(&q)).skyline
+        );
+        assert_eq!(engine.session_generation(id), Some(1));
+        assert_eq!(engine.session_skyline(id).unwrap(), update.skyline);
+        assert!(
+            generation_0.upgrade().is_none(),
+            "an open session kept generation 0 alive past its first update on generation 1"
         );
 
-        // A fresh session pins the new generation and reports no notice.
-        let fresh = engine.open_session(&q);
-        assert_eq!(engine.session_generation(fresh), Some(1));
-        let update = engine
-            .update_session(fresh, 1, Point::new(8.5, 4.5))
-            .unwrap()
-            .wait();
-        assert_eq!(update.generation, 1);
-        assert_eq!(update.superseded, None);
+        // The same for a Pattern-I move right after a delta publish that
+        // deletes a current member.
+        let batch = UpdateBatch {
+            inserts: vec![Point::new(5.9, 5.6)],
+            deletes: vec![update.skyline[0]],
+        };
+        let universe = engine.snapshot().universe();
+        engine.apply_delta(&batch).unwrap();
+        apply_to_mirror(&mut data, &batch, &universe);
+        q[3] = Point::new(6.2, 5.1);
+        let update = engine.update_session(id, 3, q[3]).unwrap().wait();
+        assert_eq!(update.outcome, UpdateOutcome::Unchanged);
+        assert_eq!(update.generation, 2);
+        assert_eq!(
+            update.skyline,
+            naive_full(&data, &QueryContext::new(&q)).skyline
+        );
+
+        // With no publish in between, the next update stays where it is.
+        q[1] = Point::new(8.5, 4.5);
+        let update = engine.update_session(id, 1, q[1]).unwrap().wait();
+        assert_eq!(update.generation, 2);
+        assert_eq!(
+            update.skyline,
+            naive_full(&data, &QueryContext::new(&q)).skyline
+        );
     }
 
     #[test]

@@ -39,13 +39,14 @@
 //!   diagram hit/miss counters, a log-bucketed latency histogram, and
 //!   aggregated [`QueryStats`](ssq_core::QueryStats).
 //!
-//! Continuous queries (VCS², §5 of the paper) are served by the
+//! Continuous queries (§5 of the paper) are served by the
 //! [session manager](Engine::open_session): each session owns a
 //! [`ContinuousSkyline`](ssq_core::ContinuousSkyline) over the Voronoi
-//! index of the generation it pinned at open, and motion updates are
+//! index of the generation it last answered at, and motion updates are
 //! applied through the same worker pool, in submission order per
-//! session. After a reindex, updates carry a [`SnapshotSuperseded`]
-//! notice so callers can re-open against fresh data.
+//! session. A session follows the data: an update applied after a
+//! publish first re-homes the session onto the current generation, and
+//! every [`SessionUpdate`] names the generation its ids belong to.
 //!
 //! ```
 //! use ssq_engine::{Engine, EngineConfig, QueryRequest};
@@ -80,8 +81,8 @@ pub mod warm;
 pub use cache::{CacheKey, ContextCache, QueryKey};
 pub use engine::{
     BatchTicket, Engine, EngineConfig, EngineError, IngestHandle, IngestReport, QueryHandle,
-    QueryRequest, QueryResponse, ServedBy, SessionId, SessionUpdate, SnapshotSuperseded, Ticket,
-    TicketFiller, UpdateHandle,
+    QueryRequest, QueryResponse, ServedBy, SessionId, SessionUpdate, Ticket, TicketFiller,
+    UpdateHandle,
 };
 pub use metrics::{
     CounterSet, DiagramCounters, EngineCounters, EngineMetrics, IngestCounters, LatencyHistogram,

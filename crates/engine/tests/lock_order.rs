@@ -67,6 +67,25 @@ fn all_engine_locks_carry_their_documented_ranks() {
     }
 }
 
+/// A session update that finds the catalog ahead re-homes first: the
+/// drain job reads the catalog (200), then takes the session's skyline
+/// (460). The concurrent test below only meets this path when a reindex
+/// happens to land between two of its updates; here it is certain.
+#[test]
+fn a_rehoming_session_update_reads_the_catalog_before_the_session() {
+    let engine = Engine::new(&grid(120, 0.0), EngineConfig::default().with_workers(1)).unwrap();
+    let id = engine.open_session(&query(3));
+    assert_eq!(engine.reindex(&grid(140, 0.002)).unwrap(), 1);
+    // A rank violation panics on the worker and the handle never resolves.
+    let update = engine
+        .update_session(id, 0, Point::new(2.5, 1.5))
+        .unwrap()
+        .wait_timeout(WAIT)
+        .unwrap_or_else(|_| panic!("re-homing update never resolved"));
+    assert_eq!(update.generation, 1);
+    assert!(!update.skyline.is_empty());
+}
+
 /// Queries, batches, session updates, skyline reads, reindexes, and
 /// metrics snapshots all at once. Debug builds run the rank checker on
 /// every acquisition, so this test doubles as a machine-checked proof
@@ -125,7 +144,8 @@ fn concurrent_traffic_acquires_all_locks_in_rank_order() {
     }
 
     // A session thread: open (sessions 400) → update (pending 450 →
-    // sky 460 → metrics 600 on the drain path) → read → close.
+    // catalog 200 → sky 460 → metrics 600 on the drain path, none of
+    // them nested) → read → close.
     {
         let engine = Arc::clone(&engine);
         let stop = Arc::clone(&stop);

@@ -1046,7 +1046,6 @@ fn update_frame(update: SessionUpdate) -> Frame {
             UpdateOutcome::Recomputed => 2,
         },
         generation: update.generation,
-        superseded: update.superseded.map(|s| (s.pinned, s.current)),
         skyline: update.skyline,
     })
 }

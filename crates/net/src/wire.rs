@@ -31,9 +31,11 @@ use ssq_geom::{Point, Rect};
 /// The one protocol version this build speaks. Version 2 replaced the
 /// result's cache-hit flag with a [`WireResult::served_by`] byte;
 /// version 3 replaced the `Stats` answer's hand-picked counter subset
-/// with every group of the counter table ([`StatsResult`]). A row added
-/// to that table lengthens the answer, so it comes with a bump here.
-pub const WIRE_VERSION: u8 = 3;
+/// with every group of the counter table ([`StatsResult`]) — a row added
+/// to that table lengthens the answer, so it comes with a bump here;
+/// version 4 dropped [`WireUpdate`]'s supersession notice (a session
+/// follows the data, so `generation` says everything).
+pub const WIRE_VERSION: u8 = 4;
 
 /// Bytes of a frame counted by its `len` field but not part of the
 /// payload: version (1) + kind (1) + request id (8).
@@ -272,14 +274,13 @@ pub struct WireResult {
 /// One applied session update on the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireUpdate {
-    /// VCS² outcome: 0 unchanged, 1 incremental, 2 recomputed.
+    /// How the move changed the query hull: 0 unchanged, 1 incremental
+    /// (simple change), 2 recomputed (complex change).
     pub outcome: u8,
-    /// The generation the session is pinned to.
+    /// The generation the update was answered at.
     pub generation: u64,
-    /// `Some((pinned, current))` when a newer snapshot has been
-    /// published since the session opened.
-    pub superseded: Option<(u64, u64)>,
-    /// The session's skyline after the update, ascending.
+    /// The session's skyline after the update, ascending — ids of
+    /// `generation`.
     pub skyline: Vec<u32>,
 }
 
@@ -696,16 +697,10 @@ pub fn decode(
                 return Err(ProtocolError::BadOutcome { code: outcome });
             }
             let generation = r.u64()?;
-            let superseded = if r.u8()? != 0 {
-                Some((r.u64()?, r.u64()?))
-            } else {
-                None
-            };
             let skyline = r.ids()?;
             Frame::SessionUpdated(WireUpdate {
                 outcome,
                 generation,
-                superseded,
                 skyline,
             })
         }
@@ -831,14 +826,6 @@ pub fn encode_frame(
         Frame::SessionUpdated(u) => {
             out.push(u.outcome);
             out.extend_from_slice(&u.generation.to_le_bytes());
-            match u.superseded {
-                Some((pinned, current)) => {
-                    out.push(1);
-                    out.extend_from_slice(&pinned.to_le_bytes());
-                    out.extend_from_slice(&current.to_le_bytes());
-                }
-                None => out.push(0),
-            }
             put_ids(out, &u.skyline);
         }
         Frame::SessionClosed { existed } => out.push(u8::from(*existed)),
@@ -1035,14 +1022,12 @@ mod tests {
             },
             Frame::SessionUpdated(WireUpdate {
                 outcome: 2,
-                generation: 4,
-                superseded: Some((4, 6)),
+                generation: 6,
                 skyline: vec![8],
             }),
             Frame::SessionUpdated(WireUpdate {
                 outcome: 0,
                 generation: 1,
-                superseded: None,
                 skyline: vec![],
             }),
             Frame::SessionClosed { existed: true },
@@ -1066,7 +1051,7 @@ mod tests {
         assert_eq!(buf.len(), HEADER_LEN + 8 + 32 + 8 * CounterSet::ROWS.len());
         assert_eq!(
             (WIRE_VERSION, CounterSet::ROWS.len()),
-            (3, 44),
+            (4, 44),
             "the counter table changed the StatsResult layout: bump WIRE_VERSION with it"
         );
         // Cut the payload anywhere and fix the length prefix up: the

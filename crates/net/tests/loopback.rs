@@ -3,6 +3,7 @@
 //! (8 connections × 16-deep pipelining), and overload must shed with
 //! typed `RetryLater` — never a hang, never an unbounded buffer.
 
+use ssq_core::{naive_full, QueryContext, UpdateBatch};
 use ssq_engine::{Algorithm, Engine, EngineConfig, QueryRequest};
 use ssq_geom::Point;
 use ssq_net::wire::ALGORITHM_ROUTED;
@@ -138,30 +139,74 @@ fn batch_and_stats_round_trip() {
 
 #[test]
 fn sessions_over_the_wire_track_the_engine() {
+    // The engine's data changes under the session: a chain of delta
+    // batches is queued for the ingestor before the server takes the
+    // engine (nothing on the wire publishes), so generations land while
+    // the client talks — the session opens some tens of generations in.
+    // Wherever they land, every reply must be exact for the generation
+    // it names, generations never go back, and once the last publish is
+    // known to be done the session answers on it.
+    const PUBLISHES: usize = 400;
     let data = dataset(250, 0xC1);
-    let engine = Engine::new(&data, EngineConfig::default().with_workers(2)).unwrap();
+    let config = EngineConfig::default()
+        .with_workers(2)
+        .with_ingest_capacity(PUBLISHES);
+    let engine = Engine::new(&data, config).unwrap();
+    let mut generations = vec![data];
+    let mut batches = Vec::new();
+    for round in 0..PUBLISHES {
+        // One out, one in; survivors close ranks and the insert takes
+        // the last id.
+        let mut next = generations[round].clone();
+        let insert = Point::new(4.0 + 0.01 * round as f64, 5.0 + 0.007 * round as f64);
+        let delete = (round * 37) % next.len();
+        next.remove(delete);
+        next.push(insert);
+        generations.push(next);
+        batches.push(UpdateBatch {
+            inserts: vec![insert],
+            deletes: vec![delete as u32],
+        });
+    }
+    // Queued in one go, last thing before the server starts, so most of
+    // the chain is still ahead when the session opens.
+    let mut publishes: Vec<_> = batches
+        .into_iter()
+        .map(|batch| engine.ingest(batch).unwrap())
+        .collect();
     let server = Server::serve("127.0.0.1:0", engine, ServerConfig::default()).unwrap();
     let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
 
-    let q = vec![
+    let mut q = vec![
         Point::new(2.0, 2.0),
         Point::new(7.0, 6.0),
         Point::new(4.0, 8.0),
     ];
-    // A session's initial skyline is the answer to its own query set.
-    let oracle = client.query_with(&q, Some(Algorithm::Vs2)).unwrap();
-    let (session, generation, skyline) = client.open_session(&q).unwrap();
-    assert_eq!(skyline, oracle.skyline);
-    assert_eq!(generation, oracle.generation);
+    let exact = |generation: u64, q: &[Point]| {
+        naive_full(&generations[generation as usize], &QueryContext::new(q)).skyline
+    };
+    let (session, mut generation, skyline) = client.open_session(&q).unwrap();
+    assert_eq!(skyline, exact(generation, &q));
 
     let mut rng = Xoshiro256::seed_from_u64(0xC2);
-    for step in 0..10 {
-        let obj = rng.range_usize(q.len()) as u32;
+    for step in 0..20 {
+        if step == 10 {
+            for publish in publishes.drain(..) {
+                publish.wait().unwrap();
+            }
+        }
+        let obj = rng.range_usize(q.len());
+        q[obj] = Point::new(rng.f64() * 10.0, rng.f64() * 10.0);
         let update = client
-            .session_next(session, obj, rng.f64() * 10.0, rng.f64() * 10.0)
+            .session_next(session, obj as u32, q[obj].x, q[obj].y)
             .unwrap();
         assert!(update.outcome <= 2, "step {step}");
-        assert_eq!(update.generation, generation, "no reindex happened");
+        assert!(update.generation >= generation, "step {step} went back");
+        if step >= 10 {
+            assert_eq!(update.generation, PUBLISHES as u64, "step {step}");
+        }
+        generation = update.generation;
+        assert_eq!(update.skyline, exact(generation, &q), "step {step}");
     }
 
     assert!(client.close_session(session).unwrap());
@@ -242,7 +287,13 @@ fn a_tiny_engine_queue_sheds_with_retry_later_and_recovers() {
 
 #[test]
 fn the_per_client_window_sheds_before_the_engine_sees_anything() {
-    let data = dataset(200, 0xE1);
+    // The burst's first request keeps the single worker busy for longer
+    // than the reader thread needs for the other fifteen: a query set
+    // spanning the universe over 20 000 points is tens of milliseconds of
+    // VS², and all sixteen frames are in the socket before the client
+    // reads anything. Replies leave in request order, so the window's two
+    // slots stay taken by requests 1 and 2 until that query is done.
+    let data = dataset(20_000, 0xE1);
     let engine = Engine::new(&data, EngineConfig::default().with_workers(1)).unwrap();
     let server = Server::serve(
         "127.0.0.1:0",
@@ -252,17 +303,29 @@ fn the_per_client_window_sheds_before_the_engine_sees_anything() {
     .unwrap();
     let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
 
-    // One slow-ish burst: with a window of 2, a 16-deep burst must see
-    // RetryLater for most of it.
-    let q = vec![Point::new(1.0, 1.0), Point::new(8.0, 8.0)];
-    let ids: Vec<u64> = (0..16).map(|_| client.submit(&q, None).unwrap()).collect();
+    let spanning = vec![
+        Point::new(0.0, 0.0),
+        Point::new(10.0, 1.0),
+        Point::new(4.0, 10.0),
+    ];
+    let small = vec![Point::new(1.0, 1.0), Point::new(8.0, 8.0)];
+    let ids: Vec<u64> = (0..16)
+        .map(|i| {
+            let q = if i == 0 { &spanning } else { &small };
+            client.submit(q, None).unwrap()
+        })
+        .collect();
     let mut shed = 0usize;
     for id in ids {
         if let Frame::RetryLater { .. } = client.await_id(id).unwrap() {
             shed += 1;
         }
     }
-    assert!(shed > 0, "a 16-deep burst into a 2-wide window must shed");
+    assert!(
+        shed > 0,
+        "a 16-deep burst into a 2-wide window behind a slow first request must shed \
+         (expected 14 of 16, got {shed})"
+    );
     client.goodbye().unwrap();
     server.shutdown();
 }

@@ -63,8 +63,7 @@ fn corpus() -> Vec<Vec<u8>> {
         },
         Frame::SessionUpdated(WireUpdate {
             outcome: 1,
-            generation: 9,
-            superseded: Some((9, 11)),
+            generation: 11,
             skyline: vec![4],
         }),
         Frame::SessionClose { session: 3 },

@@ -1,11 +1,12 @@
-//! Continuous SSQ over moving query points — VCS² (paper §5).
+//! Continuous SSQ over moving query points (paper §5).
 //!
 //! The motivating scenario "becomes even more challenging when the team
 //! members are mobile and change location over time": each GPS report
 //! moves one team member, and the list of interesting meeting places must
-//! be maintained on the fly. VCS² classifies each movement by how it
-//! changes the convex hull of the team (patterns I–V) and patches the
-//! skyline incrementally instead of recomputing it.
+//! be maintained on the fly. `ContinuousSkyline` classifies each movement
+//! by how it changes the convex hull of the team (patterns I–V): a move
+//! that leaves the hull alone is free (Theorem 2), any other re-runs VS²
+//! on the session's warm arena.
 //!
 //! Run with: `cargo run --example continuous_navigation`
 
@@ -65,17 +66,17 @@ fn main() {
         pct(counts.unchanged)
     );
     println!(
-        "  patterns II-V (incremental patch):        {:>4}  ({:.1}%)",
+        "  patterns II-V (simple change, VS² run):   {:>4}  ({:.1}%)",
         counts.incremental,
         pct(counts.incremental)
     );
     println!(
-        "  complex (full VS² recomputation):         {:>4}  ({:.1}%)",
+        "  complex hull change (VS² run):            {:>4}  ({:.1}%)",
         counts.recomputed,
         pct(counts.recomputed)
     );
     println!(
-        "\ntotal incremental work: {} dominance checks, {} graph vertices visited",
+        "\ntotal maintenance work: {} dominance checks, {} graph vertices visited",
         total_stats.dominance_checks, total_stats.entries_visited
     );
 

@@ -11,17 +11,16 @@
 //! * **Fleet swaps** — the sharded router republishes its whole fleet
 //!   mid-stream; responses stay exact against the union dataset of the
 //!   generation they report.
-//! * **Session pinning** — a VCS² session opened before a swap keeps
-//!   answering exactly against its pinned generation, reports
-//!   `SnapshotSuperseded`, and releases the pinned indexes on close.
+//! * **Session pinning** — a continuous session holds the index of the
+//!   generation it last answered at and nothing older: its first update
+//!   after a swap answers exactly on the new generation and frees the old
+//!   one with the session still open; close frees the rest.
 //!
 //! Deterministic and hermetic: all randomness comes from the in-repo
 //! `ssq_rng` generator; swap timing only shifts *which* generation a
 //! response reports, never whether it is correct.
 
-use spatial_skyline::engine::{
-    Engine, EngineConfig, QueryRequest, QueryResponse, SnapshotSuperseded,
-};
+use spatial_skyline::engine::{Engine, EngineConfig, QueryRequest, QueryResponse};
 use spatial_skyline::prelude::*;
 use spatial_skyline::shard::{ShardConfig, ShardedEngine, ShardedResponse};
 use ssq_rng::Xoshiro256;
@@ -224,7 +223,7 @@ fn sessions_pin_their_generation_and_release_it_on_close() {
     let weak_voronoi = Arc::downgrade(snapshot0.voronoi());
     drop(snapshot0);
 
-    let q = vec![
+    let mut q = vec![
         Point::new(2.0, 2.0),
         Point::new(7.0, 3.0),
         Point::new(5.0, 8.0),
@@ -235,38 +234,37 @@ fn sessions_pin_their_generation_and_release_it_on_close() {
     assert_eq!(engine.reindex(&d1).unwrap(), 1);
     assert_eq!(engine.generation(), 1);
     // The catalog dropped the generation-0 snapshot wrapper at install;
-    // only the Voronoi index the session pinned stays alive.
+    // only the Voronoi index the idle session last answered from stays
+    // alive.
     assert!(weak_snapshot.upgrade().is_none());
     assert!(
         weak_voronoi.upgrade().is_some(),
-        "the open session lost its pinned Voronoi index"
+        "the open session lost its Voronoi index"
     );
 
-    // The session still answers exactly — against its pinned generation 0.
-    let index = VoronoiIndex::new(&d0).unwrap();
-    let mut mirror = ContinuousSkyline::new(&index, &q);
-    let moved = Point::new(3.1, 2.4);
-    let update = engine.update_session(id, 0, moved).unwrap().wait();
-    mirror.update(0, moved);
-    assert_eq!(update.generation, 0);
-    assert_eq!(
-        update.superseded,
-        Some(SnapshotSuperseded {
-            pinned: 0,
-            current: 1
-        })
-    );
-    assert_eq!(update.skyline, mirror.skyline());
+    // Its next update follows the data: answered on generation 1,
+    // exactly, and generation 0 is gone while the session is still open.
+    q[0] = Point::new(3.1, 2.4);
+    let update = engine.update_session(id, 0, q[0]).unwrap().wait();
+    assert_eq!(update.generation, 1);
+    assert_eq!(engine.session_generation(id), Some(1));
     assert_eq!(
         update.skyline,
-        naive_full(&d0, &QueryContext::new(mirror.query())).skyline,
-        "the pinned session diverged from its own generation's oracle"
+        naive_full(&d1, &QueryContext::new(&q)).skyline,
+        "the re-homed session diverged from generation 1's oracle"
+    );
+    assert!(
+        weak_voronoi.upgrade().is_none(),
+        "an open session kept generation 0 alive past its first update on generation 1"
     );
 
-    // Closing the session releases the last pin on generation 0.
+    // Closing an idle session releases the index it held.
+    let weak_voronoi = Arc::downgrade(engine.snapshot().voronoi());
+    assert_eq!(engine.reindex(&d0).unwrap(), 2);
+    assert!(weak_voronoi.upgrade().is_some());
     assert!(engine.close_session(id));
     assert!(
         weak_voronoi.upgrade().is_none(),
-        "closing the session did not release the pinned generation-0 index"
+        "closing the session did not release the generation-1 index"
     );
 }
