@@ -49,7 +49,6 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(clippy::all)]
 
-pub mod ann;
 pub mod b2s2;
 pub mod bbs;
 pub mod delta;
@@ -66,7 +65,6 @@ pub mod stats;
 pub mod vcs2;
 pub mod vs2;
 
-pub use ann::{aggregate_nearest_neighbor, Aggregate};
 pub use b2s2::{b2s2, b2s2_kernel};
 pub use bbs::bbs;
 pub use delta::{BatchError, DeltaStats, UpdateBatch};

@@ -6,15 +6,15 @@
 //! The *Skyline Diagram* (Liu et al., arXiv 1812.01663) and *Skyline
 //! Queries in O(1) time?* (Sioutas et al., arXiv 1709.03949) both
 //! precompute a partition of query space whose skyline is constant per
-//! cell, so a query reduces to locating its cell. This crate does the
-//! same for the spatial-skyline setting, restricted to the query shapes
-//! that dominate hot serving traffic — low anchor counts:
+//! cell, so a query reduces to locating its cell. In the spatial-skyline
+//! setting that partition depends on the anchor count:
 //!
 //! * **one anchor** (`|CHv(Q)| = 1`): the skyline is the set of nearest
-//!   sites, so the diagram is exactly the Voronoi diagram of `P`. It is
-//!   materialized as a grid-bucketed candidate index over the dataset
-//!   MBR (the `grid` module) answering *any* single-point query inside
-//!   the universe;
+//!   sites (Lemma 1), so the diagram is exactly the Voronoi diagram of
+//!   `P` — which every `VoronoiIndex` already stores. Point location
+//!   there is [`ssq_core::VoronoiIndex::nearest_ties`], exact over the
+//!   whole plane and current for every generation; this crate
+//!   materializes nothing for it;
 //! * **two or three anchors**: the exact continuous diagram has 4–6
 //!   degrees of freedom and is not worth materializing wholesale.
 //!   Instead, cells are materialized *per canonical
@@ -24,35 +24,30 @@
 //!   in a materialized key cell is answered by copying the precomputed
 //!   skyline.
 //!
-//! Anything else — more anchors, a query outside the universe, a key
-//!   with no materialized cell — is a **miss**, and the caller falls back
-//! to its planner. Hits are exact: the single-anchor path scans true
-//! distances over a provably sufficient candidate superset, and key
-//! cells share the context cache's documented quantization contract.
+//! A [`SkylineDiagram`] is those key cells. Anything else — one anchor,
+//! more anchors than configured, a key with no materialized cell — is a
+//! **miss** here, and the caller falls back to the Voronoi index or its
+//! planner. Hits are exact: key cells share the context cache's
+//! documented quantization contract.
 //!
 //! A diagram is immutable and generation-stamped: it answers only for
 //! the snapshot it was built against, and the owning engine retires it
-//! together with that snapshot on reindex.
+//! together with that snapshot.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 #![warn(clippy::all)]
 
-mod grid;
-
-use grid::PointGrid;
 use ssq_core::{naive_sorted_kernel, DistanceScratch, KeyScratch, QueryContext, QueryKey};
-use ssq_geom::{Point, Rect};
+use ssq_geom::Point;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Construction knobs for a [`SkylineDiagram`].
 #[derive(Clone, Copy, Debug)]
 pub struct DiagramConfig {
-    /// Buckets per axis of the single-anchor point-location grid.
-    pub grid: usize,
     /// Largest `|CHv(Q)|` the diagram materializes key cells for; larger
-    /// shapes always miss. The single-anchor grid is unaffected.
+    /// shapes always miss.
     pub max_anchors: usize,
     /// Cap on materialized key cells per diagram; excess warm keys are
     /// dropped (hottest first wins, in the order the caller supplies).
@@ -62,7 +57,6 @@ pub struct DiagramConfig {
 impl Default for DiagramConfig {
     fn default() -> DiagramConfig {
         DiagramConfig {
-            grid: 64,
             max_anchors: 3,
             max_cells: 4096,
         }
@@ -72,30 +66,10 @@ impl Default for DiagramConfig {
 impl DiagramConfig {
     /// Validates the knobs, returning a description of the first problem.
     pub fn validate(&self) -> Result<(), String> {
-        if self.grid == 0 {
-            return Err("diagram grid must have at least one bucket per axis".into());
-        }
         if self.max_anchors == 0 {
             return Err("diagram max_anchors must be at least 1".into());
         }
         Ok(())
-    }
-}
-
-/// Reusable buffers for [`SkylineDiagram::lookup`].
-///
-/// One per worker; after a warm-up lookup per query shape, lookups
-/// through the same scratch are allocation-free.
-#[derive(Debug, Default)]
-pub struct LookupScratch {
-    key: KeyScratch,
-    ties: Vec<u32>,
-}
-
-impl LookupScratch {
-    /// An empty scratch; buffers grow on first use and are then reused.
-    pub fn new() -> LookupScratch {
-        LookupScratch::default()
     }
 }
 
@@ -128,11 +102,8 @@ pub struct SkylineDiagram {
     generation: u64,
     quantum: f64,
     max_anchors: usize,
-    sites: Vec<Point>,
-    grid: Option<PointGrid>,
     cells: KeyCells,
     build_time: Duration,
-    warmed: u64,
 }
 
 impl SkylineDiagram {
@@ -142,8 +113,8 @@ impl SkylineDiagram {
     /// cells and cache entries partition query space identically. `keys`
     /// are the hot canonical keys to materialize cells for (from warm
     /// start or observed traffic); single-anchor keys are skipped (the
-    /// grid already answers every single-anchor query), as are keys wider
-    /// than `config.max_anchors`, and at most `config.max_cells` cells
+    /// Voronoi index answers every single-anchor query), as are keys
+    /// wider than `config.max_anchors`, and at most `config.max_cells` cells
     /// are materialized in the order given. Returns `None` for an empty
     /// dataset.
     pub fn build(
@@ -158,10 +129,8 @@ impl SkylineDiagram {
             return None;
         }
         let start = Instant::now();
-        let grid = PointGrid::build(points, config.grid);
         let mut cells = KeyCells::default();
         let mut scratch = DistanceScratch::new();
-        let mut warmed = 0u64;
         for key in keys {
             if key.len() < 2 || key.len() > config.max_anchors {
                 continue;
@@ -182,17 +151,13 @@ impl SkylineDiagram {
             let mut result = naive_sorted_kernel(points, &ctx, &mut scratch);
             result.skyline.sort_unstable();
             cells.insert(canonical, &result.skyline);
-            warmed += 1;
         }
         Some(SkylineDiagram {
             generation,
             quantum,
             max_anchors: config.max_anchors,
-            sites: points.to_vec(),
-            grid,
             cells,
             build_time: start.elapsed(),
-            warmed,
         })
     }
 
@@ -206,47 +171,15 @@ impl SkylineDiagram {
         self.quantum
     }
 
-    /// Total cells: point-location buckets plus materialized key cells.
-    pub fn cell_count(&self) -> u64 {
-        let buckets = self.grid.as_ref().map_or(0, |g| g.bucket_count()) as u64;
-        buckets + self.cells.map.len() as u64
-    }
-
-    /// Materialized multi-anchor key cells.
+    /// Materialized multi-anchor key cells: the hot keys construction
+    /// warmed.
     pub fn key_cell_count(&self) -> u64 {
         self.cells.map.len() as u64
-    }
-
-    /// Keys actually materialized during construction.
-    pub fn warmed_keys(&self) -> u64 {
-        self.warmed
     }
 
     /// Wall-clock time construction took.
     pub fn build_time(&self) -> Duration {
         self.build_time
-    }
-
-    /// Total candidate entries across the point-location buckets — a
-    /// memory/diagnostics gauge.
-    pub fn candidate_entries(&self) -> usize {
-        self.grid.as_ref().map_or(0, |g| g.candidate_entries())
-    }
-
-    /// The dataset MBR the single-anchor grid covers.
-    pub fn universe(&self) -> Option<&Rect> {
-        self.grid.as_ref().map(|g| g.universe())
-    }
-
-    /// Single-anchor lookup: point-locates `q` and writes the skyline
-    /// ids (all exact ties, ascending) into `ties`. Returns `false` —
-    /// leaving `ties` unspecified — when `q` is outside the universe.
-    // ssq-analyze: deny-alloc
-    pub fn lookup_point(&self, q: Point, ties: &mut Vec<u32>) -> bool {
-        match &self.grid {
-            Some(grid) => grid.lookup(q, &self.sites, ties),
-            None => false,
-        }
     }
 
     /// Multi-anchor lookup by pre-canonicalized key cells (as produced
@@ -258,37 +191,30 @@ impl SkylineDiagram {
     pub fn lookup_cells(&self, cells: &[(i64, i64)]) -> Option<&[u32]> {
         if cells.len() < 2 {
             // A query collapsing to one canonical vertex has sub-quantum
-            // spread; the single-anchor grid would answer for the rounded
-            // representative, not the true anchors. Miss.
+            // spread; no key cell stands for its true anchors. Miss.
             return None;
         }
         self.cells.lookup(cells)
     }
 
-    /// Answers `query` by point location, or returns `None` (a miss).
+    /// Answers a query of two or more points by its key cell, or returns
+    /// `None` (a miss; single-anchor queries always miss — they belong to
+    /// [`ssq_core::VoronoiIndex::nearest_ties`]).
     ///
-    /// On a hit the returned slice is the exact skyline ids, ascending;
-    /// it borrows either the diagram's materialized pool or `scratch`.
-    /// With a warm `scratch` the whole call is allocation-free.
+    /// On a hit the returned slice is the exact skyline ids, ascending,
+    /// borrowed from the diagram's materialized pool. `scratch` holds the
+    /// query's canonical key; one per worker, and once warm for a query
+    /// shape the whole call is allocation-free.
     // ssq-analyze: deny-alloc
-    pub fn lookup<'a>(
-        &'a self,
-        query: &[Point],
-        scratch: &'a mut LookupScratch,
-    ) -> Option<&'a [u32]> {
-        if query.len() == 1 {
-            if self.lookup_point(query[0], &mut scratch.ties) {
-                return Some(&scratch.ties);
-            }
+    pub fn lookup(&self, query: &[Point], scratch: &mut KeyScratch) -> Option<&[u32]> {
+        if query.len() < 2 || query.len() > self.max_anchors {
+            // One anchor is the Voronoi index's to answer. Wider raw
+            // query sets can still collapse to few hull vertices, but
+            // canonicalizing them costs the hull pass the planner path
+            // would pay anyway — not worth probing.
             return None;
         }
-        if query.is_empty() || query.len() > self.max_anchors {
-            // Wider raw query sets can still collapse to few hull
-            // vertices, but canonicalizing them costs the hull pass the
-            // planner path would pay anyway — not worth probing.
-            return None;
-        }
-        let cells = QueryKey::canonical_cells_into(query, self.quantum, &mut scratch.key);
+        let cells = QueryKey::canonical_cells_into(query, self.quantum, scratch);
         self.lookup_cells(cells)
     }
 }
@@ -296,7 +222,8 @@ impl SkylineDiagram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssq_core::naive_full;
+    use ssq_core::{naive_full, VoronoiIndex};
+    use ssq_geom::Rect;
 
     /// Irregularly spaced points with no duplicate coordinates.
     fn sites(n: usize) -> Vec<Point> {
@@ -324,29 +251,35 @@ mod tests {
         assert!(SkylineDiagram::build(0, &[], &[], QUANTUM, &DiagramConfig::default()).is_none());
     }
 
+    /// The one-anchor diagram is the Voronoi index's point location.
+    fn single(pts: &[Point], q: Point) -> Vec<u32> {
+        let mut ties = Vec::new();
+        VoronoiIndex::new(pts).unwrap().nearest_ties(q, &mut ties);
+        ties
+    }
+
     #[test]
     fn single_anchor_lookup_matches_oracle_everywhere() {
         let pts = sites(200);
+        let index = VoronoiIndex::new(&pts).unwrap();
         let diagram =
             SkylineDiagram::build(3, &pts, &[], QUANTUM, &DiagramConfig::default()).unwrap();
         assert_eq!(diagram.generation(), 3);
-        let mut scratch = LookupScratch::new();
-        // A dense probe sweep across the universe, including bucket
-        // boundaries and site positions themselves.
-        let u = *diagram.universe().unwrap();
-        for i in 0..40 {
-            for j in 0..40 {
-                let q = Point::new(
-                    u.min.x + u.width() * (i as f64 + 0.37) / 40.0,
-                    u.min.y + u.height() * (j as f64 + 0.61) / 40.0,
-                );
-                let got = diagram.lookup(&[q], &mut scratch).expect("inside universe");
-                assert_eq!(got, oracle(&pts, &[q]).as_slice(), "query {q:?}");
-            }
-        }
-        for &p in pts.iter().step_by(7) {
-            let got = diagram.lookup(&[p], &mut scratch).expect("site is inside");
-            assert_eq!(got, oracle(&pts, &[p]).as_slice(), "site query {p:?}");
+        let mut scratch = KeyScratch::new();
+        let mut ties = Vec::new();
+        // A dense probe sweep across the data MBR and the site positions
+        // themselves: the diagram misses, the index answers exactly.
+        let u = Rect::bounding(pts.iter().copied());
+        let sweep = (0..1600).map(|k| {
+            Point::new(
+                u.min.x + u.width() * ((k / 40) as f64 + 0.37) / 40.0,
+                u.min.y + u.height() * ((k % 40) as f64 + 0.61) / 40.0,
+            )
+        });
+        for q in sweep.chain(pts.iter().step_by(7).copied()) {
+            assert!(diagram.lookup(&[q], &mut scratch).is_none());
+            index.nearest_ties(q, &mut ties);
+            assert_eq!(ties, oracle(&pts, &[q]), "query {q:?}");
         }
     }
 
@@ -359,24 +292,19 @@ mod tests {
             Point::new(0.0, 2.0),
             Point::new(2.0, 2.0),
         ];
-        let diagram =
-            SkylineDiagram::build(0, &pts, &[], QUANTUM, &DiagramConfig::default()).unwrap();
-        let mut scratch = LookupScratch::new();
-        let got = diagram
-            .lookup(&[Point::new(1.0, 1.0)], &mut scratch)
-            .unwrap();
-        assert_eq!(got, &[0, 1, 2, 3]);
+        assert_eq!(single(&pts, Point::new(1.0, 1.0)), [0, 1, 2, 3]);
     }
 
     #[test]
-    fn outside_universe_misses() {
+    fn a_single_anchor_probe_outside_the_mbr_is_an_exact_hit() {
         let pts = sites(50);
-        let diagram =
-            SkylineDiagram::build(0, &pts, &[], QUANTUM, &DiagramConfig::default()).unwrap();
-        let mut scratch = LookupScratch::new();
-        assert!(diagram
-            .lookup(&[Point::new(-100.0, 0.0)], &mut scratch)
-            .is_none());
+        for q in [
+            Point::new(-100.0, 0.0),
+            Point::new(8.0, 1e6),
+            Point::new(-3e5, -2e5),
+        ] {
+            assert_eq!(single(&pts, q), oracle(&pts, &[q]), "query {q:?}");
+        }
     }
 
     #[test]
@@ -397,8 +325,7 @@ mod tests {
         let diagram =
             SkylineDiagram::build(0, &pts, &keys, QUANTUM, &DiagramConfig::default()).unwrap();
         assert_eq!(diagram.key_cell_count(), 2);
-        assert_eq!(diagram.warmed_keys(), 2);
-        let mut scratch = LookupScratch::new();
+        let mut scratch = KeyScratch::new();
         for q in &queries {
             let got = diagram.lookup(q, &mut scratch).expect("materialized key");
             assert_eq!(got, oracle(&pts, q).as_slice(), "query {q:?}");
@@ -427,7 +354,7 @@ mod tests {
             SkylineDiagram::build(0, &pts, &keys, QUANTUM, &DiagramConfig::default()).unwrap();
         // max_anchors = 3: the 4-vertex key is not materialized...
         assert_eq!(diagram.key_cell_count(), 0);
-        let mut scratch = LookupScratch::new();
+        let mut scratch = KeyScratch::new();
         // ...and the 4-point query misses outright.
         assert!(diagram.lookup(&wide, &mut scratch).is_none());
     }

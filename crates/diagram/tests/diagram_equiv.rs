@@ -2,8 +2,9 @@
 //! to the planner's answer for the same query on the same snapshot.
 //!
 //! The matrix: {uniform, clustered} datasets × {1, 2, 3} anchors ×
-//! {single engine, 4-shard fleet}, plus generation scoping — after a
-//! reindex the old diagram must never answer for the new snapshot.
+//! {single engine, 4-shard fleet}, single anchors also outside the data
+//! MBR, plus generation scoping — after a reindex the old diagram must
+//! never answer for the new snapshot.
 
 use ssq_core::{naive_full, QueryContext, QueryKey};
 use ssq_engine::{DiagramConfig, Engine, EngineConfig, QueryRequest, ServedBy};
@@ -28,8 +29,7 @@ fn datasets() -> Vec<(&'static str, Vec<Point>)> {
     ]
 }
 
-/// Query sets of `anchors` points each, placed inside the dataset MBR
-/// so single-anchor probes stay within the diagram's universe.
+/// Query sets of `anchors` points each, placed inside the dataset MBR.
 fn shapes(universe: Rect, anchors: usize, n: usize, seed: u64) -> Vec<Vec<Point>> {
     (0..n)
         .map(|i| {
@@ -41,6 +41,23 @@ fn shapes(universe: Rect, anchors: usize, n: usize, seed: u64) -> Vec<Vec<Point>
             })
         })
         .collect()
+}
+
+/// Single anchors outside the dataset MBR: beside each side, past each
+/// corner and far away.
+fn outside(universe: Rect) -> Vec<Vec<Point>> {
+    let (w, h) = (universe.width(), universe.height());
+    let c = universe.center();
+    [
+        Point::new(universe.min.x - 0.1 * w, c.y),
+        Point::new(universe.max.x + 0.3 * w, c.y + 0.2 * h),
+        Point::new(c.x, universe.min.y - 0.05 * h),
+        Point::new(c.x - 0.1 * w, universe.max.y + 2.0 * h),
+        Point::new(universe.min.x - w, universe.min.y - h),
+        Point::new(universe.max.x + 1e3 * w, universe.max.y + 1e3 * h),
+    ]
+    .map(|q| vec![q])
+    .to_vec()
 }
 
 fn oracle(points: &[Point], q: &[Point]) -> Vec<u32> {
@@ -96,10 +113,20 @@ fn diagram_answers_equal_the_planner_on_every_shape() {
                 );
             }
         }
+        // Single anchors hit everywhere, outside the MBR too.
+        for q in outside(universe) {
+            let resp = engine.submit(QueryRequest::new(q.clone())).wait();
+            assert_eq!(resp.served_by, ServedBy::Diagram, "{name}: {q:?} missed");
+            assert_eq!(
+                resp.skyline,
+                oracle(&points, &q),
+                "{name} outside-MBR answer diverged for {q:?}"
+            );
+        }
         let m = engine.metrics();
         assert!(
-            m.diagram.hits >= 18,
-            "expected 18+ hits, got {}",
+            m.diagram.hits >= 24,
+            "expected 24+ hits, got {}",
             m.diagram.hits
         );
         engine.shutdown();
@@ -138,8 +165,11 @@ fn sharded_fleet_with_warm_start_equals_the_oracle() {
                 "{name} sharded answer diverged for {q:?}"
             );
         }
-        // Single-anchor probes route through each shard's grid.
-        for q in shapes(universe, 1, 4, 0xF5) {
+        // Single-anchor probes are located in each shard's Voronoi index.
+        for q in shapes(universe, 1, 4, 0xF5)
+            .into_iter()
+            .chain(outside(universe))
+        {
             let resp = fleet.query(&q).unwrap();
             let mut ids = resp.skyline.clone();
             ids.sort_unstable();

@@ -1,8 +1,11 @@
 //! Counting-allocator proof that warm diagram lookups never touch the
 //! heap — the property the `ssq-analyze` deny-alloc gate pins
-//! statically, pinned here dynamically. One warm-up lookup per query
-//! shape sizes the scratch buffers; after that, every hit and every
-//! miss must perform zero allocations.
+//! statically, pinned here dynamically. Both halves of the served
+//! diagram are covered: key cells ([`SkylineDiagram::lookup`]) and the
+//! single-anchor point location of the Voronoi index
+//! ([`VoronoiIndex::nearest_ties`]). One warm-up lookup per query shape
+//! sizes the scratch buffers; after that, every hit and every miss must
+//! perform zero allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,8 +47,8 @@ fn heap_allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
-use ssq_core::QueryKey;
-use ssq_diagram::{DiagramConfig, LookupScratch, SkylineDiagram};
+use ssq_core::{KeyScratch, QueryKey, VoronoiIndex};
+use ssq_diagram::{DiagramConfig, SkylineDiagram};
 use ssq_geom::Point;
 
 const QUANTUM: f64 = 1e-9;
@@ -74,34 +77,41 @@ fn warm_lookups_perform_zero_heap_allocations() {
         .collect();
     let diagram =
         SkylineDiagram::build(0, &points, &keys, QUANTUM, &DiagramConfig::default()).unwrap();
+    let index = VoronoiIndex::new(&points).unwrap();
 
     let singles: Vec<Vec<Point>> = (0..5)
         .map(|i| vec![Point::new(1.0 + 2.9 * i as f64, 0.5 + 2.7 * i as f64)])
         .collect();
     let miss = vec![Point::new(0.25, 0.75), Point::new(12.5, 9.25)];
 
-    // Warm-up: one lookup per shape grows the scratch to its high-water
-    // mark (tie buffer, canonical key cells), and a separate warm tie
-    // buffer covers the granular `lookup_point` entry point.
-    let mut scratch = LookupScratch::new();
+    // Warm-up: one lookup per shape grows the scratch (canonical key
+    // cells) and the tie buffer to their high-water marks.
+    let mut scratch = KeyScratch::new();
     let mut ties: Vec<u32> = Vec::new();
-    for q in hot.iter().chain(singles.iter()) {
+    for q in &hot {
         assert!(diagram.lookup(q, &mut scratch).is_some(), "{q:?} missed");
     }
+    for q in &singles {
+        assert!(diagram.lookup(q, &mut scratch).is_none());
+        index.nearest_ties(q[0], &mut ties);
+    }
     assert!(diagram.lookup(&miss, &mut scratch).is_none());
-    assert!(diagram.lookup_point(singles[0][0], &mut ties));
 
-    // Steady state: hits, misses, and the granular entry points — zero
-    // heap traffic allowed.
+    // Steady state: key-cell hits, single-anchor hits, misses and the
+    // granular entry point — zero heap traffic allowed.
     let before = heap_allocs();
     let mut served = 0usize;
     for _ in 0..3 {
-        for q in hot.iter().chain(singles.iter()) {
+        for q in &hot {
             served += diagram.lookup(q, &mut scratch).map_or(0, <[u32]>::len);
         }
+        for q in &singles {
+            assert!(diagram.lookup(q, &mut scratch).is_none());
+            index.nearest_ties(q[0], &mut ties);
+            assert!(!ties.is_empty());
+            served += ties.len();
+        }
         assert!(diagram.lookup(&miss, &mut scratch).is_none());
-        assert!(diagram.lookup_point(singles[0][0], &mut ties));
-        assert!(!ties.is_empty());
         assert!(diagram.lookup_cells(&[(i64::MIN, 0), (0, 0)]).is_none());
     }
     let after = heap_allocs();

@@ -1322,9 +1322,10 @@ impl Engine {
     }
 }
 
-/// Clears the published diagram — it answered for a snapshot that just
-/// got superseded, and its sites copy should die with that generation —
-/// then schedules a background rebuild for the new one.
+/// Clears the published diagram — its key cells answered for a snapshot
+/// that just got superseded — then schedules a background rebuild for the
+/// new one. Single-anchor hits need no rebuild: they locate the query in
+/// whichever snapshot the worker pinned.
 fn retire_diagram(shared: &Arc<EngineShared>) {
     let enabled = {
         let mut slot = shared.diagram.lock();
@@ -1383,11 +1384,7 @@ fn build_and_publish_diagram(shared: &EngineShared) {
             &config,
         );
         let Some(diagram) = built else { return };
-        let (cells, build, warmed) = (
-            diagram.cell_count(),
-            diagram.build_time(),
-            diagram.warmed_keys(),
-        );
+        let (cells, build) = (diagram.key_cell_count(), diagram.build_time());
         // Rank order: read the catalog (rank 200) before taking the
         // diagram slot (rank 240). A swap landing between the two just
         // publishes a stale diagram that no probe will accept (probes
@@ -1413,7 +1410,8 @@ fn build_and_publish_diagram(shared: &EngineShared) {
             slot.current = Some(Arc::new(diagram));
             slot.keys_seq = seq;
             drop(slot);
-            shared.metrics.record_diagram_publish(cells, build, warmed);
+            // Every materialized cell is a warmed key.
+            shared.metrics.record_diagram_publish(cells, build, cells);
         }
     }));
     shared.diagram_building.store(false, Ordering::Release);
@@ -1476,10 +1474,11 @@ fn answer(
     )
 }
 
-/// Tries to answer `request` straight from the published skyline
-/// diagram. `None` falls through to the cache + planner path; when the
-/// diagram is enabled, that fall-through also counts a miss and records
-/// the query's canonical key as a materialization candidate.
+/// Tries to answer `request` straight from the skyline diagram: the
+/// pinned snapshot's Voronoi index for one anchor, the published key
+/// cells otherwise. `None` falls through to the cache + planner path;
+/// when the diagram is enabled, that fall-through also counts a miss and
+/// records the query's canonical key as a materialization candidate.
 ///
 /// Forced requests (per-request or engine-wide) never probe: pinning an
 /// algorithm means that algorithm must actually run.
@@ -1501,14 +1500,25 @@ fn try_diagram(
             None => return None,
         }
     };
-    // Generation scoping: a diagram answers only for the snapshot it was
-    // built against. A stale one (reindex published, rebuild still in
-    // flight) is a miss, never a wrong answer.
-    let live = diagram.filter(|d| d.generation() == snapshot.generation());
-    let hit = live
-        .as_ref()
-        .and_then(|d| d.lookup(&request.query, &mut state.diagram))
-        .map(|ids| ids.to_vec());
+    let hit = match request.query[..] {
+        // One anchor: the skyline diagram is the Voronoi diagram the
+        // pinned snapshot stores, so every such query hits, on every
+        // generation.
+        [q] => {
+            let mut ties = Vec::new();
+            snapshot.voronoi().nearest_ties(q, &mut ties);
+            Some(ties)
+        }
+        // Key cells answer only for the snapshot they were built against.
+        // A stale diagram (publish landed, rebuild still in flight) is a
+        // miss, never a wrong answer.
+        _ => diagram
+            .filter(|d| d.generation() == snapshot.generation())
+            .and_then(|d| {
+                d.lookup(&request.query, &mut state.diagram)
+                    .map(<[u32]>::to_vec)
+            }),
+    };
     match hit {
         Some(skyline) => {
             let generation = snapshot.generation();
@@ -2026,30 +2036,64 @@ mod tests {
         }
     }
 
+    /// `snapshot`'s Voronoi `nearest(q, 0)` sits at the brute-force
+    /// minimum distance over `mirror` for every probe.
+    fn assert_nearest_exact(snapshot: &Snapshot, mirror: &[Point], probes: &[Point]) {
+        let voronoi = snapshot.voronoi();
+        for &q in probes {
+            let best = mirror
+                .iter()
+                .map(|p| p.distance_sq(q))
+                .fold(f64::INFINITY, f64::min);
+            let got = voronoi.point(voronoi.nearest(q, 0)).distance_sq(q);
+            assert_eq!(got, best, "nearest to {q:?} at {snapshot:?}");
+        }
+    }
+
     #[test]
     fn a_hundred_delta_generations_keep_cached_contexts_exact() {
         // Each publish retires a generation whose query contexts may
         // still sit in the context cache under (generation, key); the
         // cache must never serve a retired generation's context for a
         // fresh one. 110 one-in-one-out generations, every answer checked
-        // against a naive oracle over a mirrored point set.
+        // against a naive oracle over a mirrored point set. Round 55
+        // swaps 12 points out and in, past 1/8 of the index, so the chain
+        // crosses the full-rebuild fallback; after every generation the
+        // Voronoi side's `nearest` is exact at fixed probes, at every
+        // deleted point so far and at the inserts.
         let mut mirror = grid(150);
         let engine = Engine::new(&mirror, EngineConfig::default().with_workers(1)).unwrap();
         let q = vec![Point::new(3.0, 4.0), Point::new(9.0, 2.0)];
+        let mut probes = vec![
+            Point::new(5.5, 5.5),
+            Point::new(-40.0, 3.0),
+            Point::new(0.06, 7.31),
+        ];
         engine.submit(QueryRequest::new(q.clone())).wait();
         for round in 0..110u64 {
+            let swapped = if round == 55 { 12 } else { 1 };
             let batch = UpdateBatch {
-                inserts: vec![Point::new(
-                    0.05 + 0.002 * round as f64,
-                    7.3 + 1e-3 * round as f64,
-                )],
-                deletes: vec![((round * 37) % 150) as u32],
+                inserts: (0..swapped)
+                    .map(|k| {
+                        Point::new(
+                            0.05 + 0.002 * round as f64 + 0.3 * k as f64,
+                            7.3 + 1e-3 * round as f64,
+                        )
+                    })
+                    .collect(),
+                deletes: (0..swapped)
+                    .map(|k| ((round * 37 + k * 11) % 150) as u32)
+                    .collect(),
             };
+            probes.extend(batch.deletes.iter().map(|&d| mirror[d as usize]));
             let universe = engine.snapshot().universe();
             let report = engine.apply_delta(&batch).unwrap();
             assert_eq!(report.generation, round + 1);
+            assert_eq!(report.stats.incremental, round != 55, "round {round}");
             apply_to_mirror(&mut mirror, &batch, &universe);
             assert_voronoi_ids(&engine.snapshot(), &mirror);
+            assert_nearest_exact(&engine.snapshot(), &mirror, &probes);
+            assert_nearest_exact(&engine.snapshot(), &mirror, &batch.inserts);
             let r = engine.submit(QueryRequest::new(q.clone())).wait();
             assert_eq!(r.generation, round + 1);
             assert_eq!(
@@ -2089,6 +2133,9 @@ mod tests {
         ];
         let id = engine.open_session(&q);
         let mut skyline = engine.session_skyline(id).unwrap();
+        // The Voronoi side's `nearest` must stay exact at fixed probes and
+        // at every point deleted so far.
+        let mut probes = vec![Point::new(6.2, 5.4), Point::new(20.0, -9.0)];
         for round in 0..100u64 {
             // One in, one out. Every fifth batch deletes a current member;
             // every seventh lands its insert inside CH(Q), which makes it
@@ -2106,9 +2153,12 @@ mod tests {
                     ((round * 37) % 150) as u32
                 }],
             };
+            probes.extend(batch.deletes.iter().map(|&d| mirror[d as usize]));
             let universe = engine.snapshot().universe();
             engine.apply_delta(&batch).unwrap();
             apply_to_mirror(&mut mirror, &batch, &universe);
+            assert_nearest_exact(&engine.snapshot(), &mirror, &probes);
+            assert_nearest_exact(&engine.snapshot(), &mirror, &batch.inserts);
 
             let obj = round as usize % q.len();
             q[obj] = Point::new(
@@ -2560,8 +2610,8 @@ mod tests {
         assert!(m.diagram.hits >= 1);
         assert!(m.diagram.misses >= 1);
         assert!(m.diagram.cells > 0);
-        // Single-anchor queries are answered by the point-location grid
-        // without any per-key materialization.
+        // Single-anchor queries are located in the Voronoi index without
+        // any per-key materialization.
         let single = engine
             .submit(QueryRequest::new(vec![Point::new(5.0, 5.0)]))
             .wait();
@@ -2570,6 +2620,54 @@ mod tests {
             single.skyline,
             naive_full(&data, &QueryContext::new(&[Point::new(5.0, 5.0)])).skyline
         );
+        engine.shutdown();
+    }
+
+    #[test]
+    fn a_single_anchor_query_after_a_publish_hits_with_the_new_answer() {
+        // One-anchor hits need no diagram build: right after a delta
+        // publishes — its rebuild still pending or never run — the query
+        // is located in the new generation's Voronoi index. The first
+        // batch inserts the corners of a square; the probes sit on the
+        // deleted point, on an insert, at the square's centre (a 4-way
+        // tie) and far outside the data.
+        let mut mirror = grid(150);
+        let engine = Engine::new(&mirror, diagram_config()).unwrap();
+        for round in 0..6u64 {
+            let inserts = if round == 0 {
+                vec![
+                    Point::new(30.0, 30.0),
+                    Point::new(32.0, 30.0),
+                    Point::new(30.0, 32.0),
+                    Point::new(32.0, 32.0),
+                ]
+            } else {
+                vec![Point::new(4.3 + 0.1 * round as f64, 20.5)]
+            };
+            let batch = UpdateBatch {
+                inserts,
+                deletes: vec![(round * 23 % 150) as u32],
+            };
+            let gone = mirror[batch.deletes[0] as usize];
+            let universe = engine.snapshot().universe();
+            let report = engine.apply_delta(&batch).unwrap();
+            apply_to_mirror(&mut mirror, &batch, &universe);
+            for q in [
+                gone,
+                batch.inserts[0],
+                Point::new(31.0, 31.0),
+                Point::new(-300.0, 1e4),
+            ] {
+                let r = engine.submit(QueryRequest::new(vec![q])).wait();
+                assert_eq!(r.served_by, ServedBy::Diagram, "round {round}, {q:?}");
+                assert_eq!(r.generation, report.generation);
+                assert_eq!(
+                    r.skyline,
+                    naive_full(&mirror, &QueryContext::new(&[q])).skyline,
+                    "round {round}, {q:?}"
+                );
+            }
+        }
         engine.shutdown();
     }
 

@@ -29,12 +29,15 @@
 //!   from `|P|` and the shape of `CH(Q)`, with a forced-algorithm
 //!   override for experiments.
 //! * **Skyline diagram** (optional; [`ssq_diagram`], wired in by
-//!   [`EngineConfig::with_diagram`]) — materialized skyline cells probed
-//!   *before* the cache: hot, low-anchor-count query shapes are answered
-//!   by point location without running any algorithm, and misses fall
-//!   through to the planner while feeding the hot-key tracker the next
-//!   background build materializes from. [`Engine::warm_start`] rebuilds
-//!   yesterday's hot set ([`warm`]) before the first request lands.
+//!   [`EngineConfig::with_diagram`]) — probed *before* the cache, it
+//!   answers by point location without running any algorithm. A
+//!   single-anchor query is located in the pinned snapshot's Voronoi
+//!   diagram ([`VoronoiIndex::nearest_ties`](ssq_core::VoronoiIndex::nearest_ties)),
+//!   so it hits on every generation; hot two- and three-anchor shapes hit
+//!   materialized key cells, and their misses fall through to the planner
+//!   while feeding the hot-key tracker the next background build
+//!   materializes from. [`Engine::warm_start`] rebuilds yesterday's hot
+//!   set ([`warm`]) before the first request lands.
 //! * **Metrics** ([`metrics`]) — per-algorithm request counts, cache and
 //!   diagram hit/miss counters, a log-bucketed latency histogram, and
 //!   aggregated [`QueryStats`](ssq_core::QueryStats).

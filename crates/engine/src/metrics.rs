@@ -284,7 +284,7 @@ counter_groups! {
     diagram: DiagramCounters / DiagramCells {
         hits: Sum Count "Queries answered straight from the diagram (no algorithm ran).",
         misses: Sum Count "Probes that fell through to the planner.",
-        cells: Sum Count "Cells in the published diagram (location buckets + key cells).",
+        cells: Sum Count "Materialized key cells in the published diagram.",
         build_nanos: Max Nanos "Cost of the most recent diagram build.",
         warmed: Sum Count "Hot keys materialized into the published diagram.",
     }

@@ -14,7 +14,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use crate::sync::{lock_unpoisoned, wait_unpoisoned};
-use ssq_core::DistanceScratch;
+use ssq_core::{DistanceScratch, KeyScratch};
 
 /// Per-worker mutable state handed to every job.
 ///
@@ -28,8 +28,8 @@ pub struct WorkerState {
     /// [`ssq_core::DistanceScratch`]).
     pub scratch: DistanceScratch,
     /// Reusable buffers for skyline-diagram probes (canonical-key
-    /// quantization and point-location tie lists).
-    pub diagram: ssq_diagram::LookupScratch,
+    /// quantization).
+    pub diagram: KeyScratch,
 }
 
 impl WorkerState {
@@ -39,7 +39,7 @@ impl WorkerState {
     pub fn presized(rows: usize, width: usize) -> WorkerState {
         WorkerState {
             scratch: DistanceScratch::with_capacity(rows, width),
-            diagram: ssq_diagram::LookupScratch::default(),
+            diagram: KeyScratch::default(),
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Moderate-scale end-to-end test: all algorithms must agree on a
 //! clustered 20k-point dataset across a spread of query shapes, and the
-//! two VS² start-point modes (kd-tree vs greedy walk) must be
+//! two VS² start-point modes (directory vs walk-from-hint) must be
 //! indistinguishable in results.
 
 use spatial_skyline::prelude::*;
