@@ -1032,10 +1032,10 @@ impl Engine {
         (ticket, job)
     }
 
-    /// The job behind `submit` / `try_submit` / `submit_on`.
-    fn single_job(&self, pin: Option<Arc<Snapshot>>, request: QueryRequest) -> (QueryHandle, Job) {
+    /// The job behind `submit` / `try_submit`.
+    fn single_job(&self, request: QueryRequest) -> (QueryHandle, Job) {
         assert_non_empty(std::slice::from_ref(&request));
-        self.pool_job(pin, move |shared, snapshot, state| {
+        self.pool_job(None, move |shared, snapshot, state| {
             answer(shared, snapshot, &request, None, state)
         })
     }
@@ -1087,7 +1087,7 @@ impl Engine {
     ///
     /// Panics if the request's query set is empty.
     pub fn submit(&self, request: QueryRequest) -> QueryHandle {
-        let (ticket, job) = self.single_job(None, request);
+        let (ticket, job) = self.single_job(request);
         self.send(job);
         ticket
     }
@@ -1104,26 +1104,9 @@ impl Engine {
     ///
     /// Panics if the request's query set is empty.
     pub fn try_submit(&self, request: QueryRequest) -> Result<QueryHandle, EngineError> {
-        let (ticket, job) = self.single_job(None, request);
+        let (ticket, job) = self.single_job(request);
         self.try_send(job)?;
         Ok(ticket)
-    }
-
-    /// Like [`Engine::submit`] but answers against a caller-pinned
-    /// snapshot instead of the catalog's current one.
-    ///
-    /// This is how a routing layer keeps a multi-engine fan-out
-    /// consistent: it pins one generation's view up front and submits
-    /// every per-shard query against it, so pruning bounds derived from
-    /// that view stay sound even if a shard's catalog swaps mid-request.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the request's query set is empty.
-    pub fn submit_on(&self, request: QueryRequest, snapshot: Arc<Snapshot>) -> QueryHandle {
-        let (ticket, job) = self.single_job(Some(snapshot), request);
-        self.send(job);
-        ticket
     }
 
     /// Submits a batch as **one** pool job, resolving to one response per
@@ -1171,8 +1154,8 @@ impl Engine {
     }
 
     /// Like [`Engine::submit_batch`] but answers against a caller-pinned
-    /// snapshot (see [`Engine::submit_on`]) — the shard router's fan-out
-    /// primitive.
+    /// snapshot, so a router's pruning bounds and answers describe one
+    /// generation even if the catalog swaps mid-request.
     ///
     /// # Panics
     ///
@@ -1187,6 +1170,23 @@ impl Engine {
             self.send(job);
         }
         ticket
+    }
+
+    /// [`Engine::submit_batch_on`]'s job body run on the **calling**
+    /// thread with `state` as its arena: no queue hop, no wake-ups, not
+    /// counted in [`EngineConfig::workers`]; a panic unwinds to the caller.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any request's query set is empty.
+    pub fn run_batch_on(
+        &self,
+        requests: &[QueryRequest],
+        snapshot: &Arc<Snapshot>,
+        state: &mut WorkerState,
+    ) -> Vec<QueryResponse> {
+        assert_non_empty(requests);
+        run_batch(&self.shared, snapshot, requests, state)
     }
 
     /// Opens a continuous session for query set `q` on the snapshot
@@ -1799,15 +1799,16 @@ mod tests {
             Point::new(10.0, 5.0),
             Point::new(6.0, 9.0),
         ];
-        let responses = engine
-            .submit_batch_on(vec![QueryRequest::new(q.clone()); 2], pinned)
+        let requests = vec![QueryRequest::new(q.clone()); 2];
+        let mut state = WorkerState::default();
+        let pooled = engine
+            .submit_batch_on(requests.clone(), Arc::clone(&pinned))
             .wait();
-        for r in &responses {
+        let on_caller = engine.run_batch_on(&requests, &pinned, &mut state);
+        let want = naive_full(&old_data, &QueryContext::new(&q)).skyline;
+        for r in pooled.iter().chain(&on_caller) {
             assert_eq!(r.generation, 0, "caller pin beats the catalog");
-            assert_eq!(
-                r.skyline,
-                naive_full(&old_data, &QueryContext::new(&q)).skyline
-            );
+            assert_eq!(r.skyline, want);
         }
     }
 
@@ -2563,27 +2564,6 @@ mod tests {
             assert!(!r.skyline.is_empty());
             assert!(r.skyline.iter().all(|&i| (i as usize) < data.len()));
         }
-    }
-
-    #[test]
-    fn submit_on_answers_against_the_caller_pinned_snapshot() {
-        let old_data = grid(130);
-        let engine = Engine::new(&old_data, EngineConfig::default().with_workers(2)).unwrap();
-        let pinned = engine.snapshot();
-        engine.reindex(&grid(260)).unwrap();
-        let q = vec![
-            Point::new(4.0, 2.0),
-            Point::new(10.0, 5.0),
-            Point::new(6.0, 9.0),
-        ];
-        let r = engine
-            .submit_on(QueryRequest::new(q.clone()), pinned)
-            .wait();
-        assert_eq!(r.generation, 0, "caller pin beats the catalog");
-        assert_eq!(
-            r.skyline,
-            naive_full(&old_data, &QueryContext::new(&q)).skyline
-        );
     }
 
     fn diagram_config() -> EngineConfig {

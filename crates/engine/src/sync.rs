@@ -27,7 +27,7 @@
 //! | 400 | `engine.sessions` | session map |
 //! | 450 | `session.pending` | per-session pending batch |
 //! | 460 | `session.sky` | per-session continuous skyline |
-//! | 500 | `shard.merge` | cross-shard merge scratch arena |
+//! | 500 | `shard.merge` | router's per-caller arenas, held only to pop/push |
 //! | 600 | `engine.metrics` | aggregated metrics (histogram + per-gen) |
 //! | 700 | `net.conn.writer` | per-connection socket write half + encode scratch |
 //!
@@ -84,7 +84,8 @@ pub const RANK_SESSION_MAP: u32 = 400;
 pub const RANK_SESSION_PENDING: u32 = 450;
 /// Rank of a session's continuous-skyline state.
 pub const RANK_SESSION_SKY: u32 = 460;
-/// Rank of the sharded router's merge scratch arena.
+/// Rank of the sharded router's per-caller arena pool, held only to pop
+/// or push an arena, never across an engine call.
 pub const RANK_SHARD_MERGE: u32 = 500;
 /// Rank of the engine's aggregated metrics — the universal leaf among
 /// engine locks.

@@ -63,7 +63,7 @@ use ssq_engine::{
     WorkerPool, WorkerState,
 };
 use ssq_geom::{Point, Rect};
-use ssq_shard::{ShardError, ShardedEngine};
+use ssq_shard::{ShardError, ShardedEngine, ShardedResponse};
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -92,8 +92,10 @@ pub struct ServerConfig {
     /// Accept-loop poll interval while idle (the listener is
     /// non-blocking so shutdown is prompt).
     pub accept_poll: Duration,
-    /// Dispatcher threads for a sharded backend (each runs one blocking
-    /// fan-out at a time; unused for single-engine backends).
+    /// Dispatcher threads for a sharded backend (each routes one call at
+    /// a time and runs that call's last shard batch per phase itself, so
+    /// they run kernels beside the shard pools; unused for single-engine
+    /// backends).
     pub dispatchers: usize,
     /// Pending-fan-out queue bound for a sharded backend; a full queue
     /// sheds like a full engine queue.
@@ -688,23 +690,9 @@ fn handle_frame(
                     Ok(handle) => enqueue(conn, replies, id, PendingReply::Query(handle)),
                     Err(e) => submit_rejected(shared, conn, id, &e),
                 },
-                Backend::Sharded(_) => {
-                    let backoff_ms = shared.config.retry_backoff_ms;
-                    dispatch_routed(shared, conn, replies, id, move |backend| {
-                        let Backend::Sharded(engine) = backend else {
-                            return internal_frame("dispatch without a sharded backend");
-                        };
-                        match engine.query(&query) {
-                            Ok(resp) => Frame::QueryResult(WireResult {
-                                generation: resp.generation,
-                                algorithm: ALGORITHM_ROUTED,
-                                served_by: wire::SERVED_BY_PLANNER,
-                                skyline: resp.skyline,
-                            }),
-                            Err(e) => shard_error_frame(&e, backoff_ms),
-                        }
-                    })
-                }
+                Backend::Sharded(_) => dispatch_routed(shared, conn, replies, id, move |engine| {
+                    Ok(Frame::QueryResult(routed_result(engine.query(&query)?)))
+                }),
             }
         }
         Frame::Batch { queries } => {
@@ -722,30 +710,13 @@ fn handle_frame(
                         Err(e) => submit_rejected(shared, conn, id, &e),
                     }
                 }
-                Backend::Sharded(_) => {
-                    let backoff_ms = shared.config.retry_backoff_ms;
-                    dispatch_routed(shared, conn, replies, id, move |backend| {
-                        let Backend::Sharded(engine) = backend else {
-                            return internal_frame("dispatch without a sharded backend");
-                        };
-                        let qs: Vec<Vec<Point>> =
-                            queries.into_iter().map(|spec| spec.query).collect();
-                        match engine.query_batch(&qs) {
-                            Ok(responses) => Frame::BatchResult(
-                                responses
-                                    .into_iter()
-                                    .map(|resp| WireResult {
-                                        generation: resp.generation,
-                                        algorithm: ALGORITHM_ROUTED,
-                                        served_by: wire::SERVED_BY_PLANNER,
-                                        skyline: resp.skyline,
-                                    })
-                                    .collect(),
-                            ),
-                            Err(e) => shard_error_frame(&e, backoff_ms),
-                        }
-                    })
-                }
+                Backend::Sharded(_) => dispatch_routed(shared, conn, replies, id, move |engine| {
+                    let qs: Vec<Vec<Point>> = queries.into_iter().map(|spec| spec.query).collect();
+                    let responses = engine.query_batch(&qs)?;
+                    Ok(Frame::BatchResult(
+                        responses.into_iter().map(routed_result).collect(),
+                    ))
+                }),
             }
         }
         Frame::SessionOpen { query } => {
@@ -919,14 +890,17 @@ fn submit_rejected(
     }
 }
 
-/// Hands a sharded fan-out to the dispatcher pool, window-booked like a
-/// single-engine submission; a full dispatcher queue sheds.
+/// Hands a sharded call to the dispatcher pool, window-booked like a
+/// single-engine submission; a full dispatcher queue sheds. That is the
+/// only sharded shed point: the router submits to shard pools with the
+/// blocking send and runs its own batches on the dispatcher, so every
+/// [`ShardError`] it returns becomes an `Internal` error frame.
 fn dispatch_routed(
     shared: &Arc<ServerShared>,
     conn: &ConnShared,
     replies: &ReplyQueue,
     id: u64,
-    job: impl FnOnce(&Backend) -> Frame + Send + 'static,
+    job: impl FnOnce(&ShardedEngine) -> Result<Frame, ShardError> + Send + 'static,
 ) -> Flow {
     let Some(dispatch) = shared.dispatch.as_ref() else {
         send_frame(shared, conn, id, &internal_frame("no dispatcher pool"));
@@ -935,7 +909,12 @@ fn dispatch_routed(
     let backend = Arc::clone(&shared.backend);
     let (ticket, filler) = Ticket::pair();
     let submitted = dispatch.try_submit(Box::new(move |_state: &mut WorkerState| {
-        filler.fill(job(&backend));
+        filler.fill(match &*backend {
+            Backend::Sharded(engine) => {
+                job(engine).unwrap_or_else(|e| internal_frame(&e.to_string()))
+            }
+            Backend::Single(_) => internal_frame("dispatch without a sharded backend"),
+        });
     }));
     match submitted {
         Ok(()) => enqueue(conn, replies, id, PendingReply::Routed(ticket)),
@@ -973,16 +952,13 @@ fn internal_frame(message: &str) -> Frame {
     }
 }
 
-/// Maps a sharded-router failure to a wire frame. A shard engine's
-/// full queue is backpressure, so it sheds; everything else is typed
-/// internal detail.
-fn shard_error_frame(error: &ShardError, backoff_ms: u32) -> Frame {
-    match error {
-        ShardError::Engine(EngineError::QueueFull) => Frame::RetryLater { backoff_ms },
-        other => Frame::Error {
-            code: ErrorCode::Internal,
-            message: other.to_string(),
-        },
+/// A routed answer as a wire result.
+fn routed_result(resp: ShardedResponse) -> WireResult {
+    WireResult {
+        generation: resp.generation,
+        algorithm: ALGORITHM_ROUTED,
+        served_by: wire::SERVED_BY_PLANNER,
+        skyline: resp.skyline,
     }
 }
 

@@ -8,21 +8,20 @@
 //! 1. **Bound** — compute each shard rect's lower-bound distance vector
 //!    to `CHv(Q)` ([`rect_lower_bounds`]).
 //! 2. **Seed** — query the *primary* shard (smallest lower-bound sum,
-//!    i.e. the shard the query sits in or nearest to) synchronously;
-//!    its skyline points are real, so their distance vectors become
-//!    pruning ammunition.
+//!    i.e. the shard the query sits in or nearest to) before anything
+//!    else; its skyline points are real, so their distance vectors
+//!    become pruning ammunition.
 //! 3. **Fan out** — every remaining shard whose bound is dominated by a
-//!    seed vector is skipped ([`dominates_rect`]);
-//!    the rest are queried concurrently through their engines' tickets,
-//!    bounded by [`ShardConfig::shard_timeout`] when set.
+//!    seed vector is skipped ([`dominates_rect`]); the rest are queried
+//!    concurrently.
 //! 4. **Merge** — per-shard skylines, remapped to global ids, pass
-//!    through the exact dominance filter, run in the router's warm
-//!    scratch arena ([`merge_candidates_with`]).
+//!    through the exact dominance filter ([`merge_candidates_with`]).
 //!
-//! [`ShardedEngine::query_batch`] routes many queries at once: whole
-//! batches are fanned out shard-wise through
-//! [`Engine::submit_batch_on`], so queue hops, snapshot pins, and cache
-//! probes are paid once per batch-per-shard instead of once per query.
+//! Steps 2 and 3 send one batch per shard ([`ShardedEngine::query_batch`]
+//! routes many queries at once). Every batch of a step but the last goes
+//! to its shard's pool ([`Engine::submit_batch_on`]); the calling thread
+//! runs the last itself ([`Engine::run_batch_on`]), then waits for the
+//! pools, bounded by [`ShardConfig::shard_timeout`] when set.
 //!
 //! Pruning never affects the answer (the bound is sound — see
 //! [`prune`](crate::prune)); it only avoids work, which the metrics
@@ -45,9 +44,12 @@ use crate::merge::merge_candidates_with;
 use crate::metrics::{ShardMetrics, ShardedMetricsSnapshot};
 use crate::partition::{partition, PartitionPolicy, ShardSpec};
 use crate::prune::{dominates_rect, rect_lower_bounds};
-use ssq_core::{DeltaStats, DistanceScratch, QueryContext, QueryKey, QueryStats, UpdateBatch};
+use ssq_core::{DeltaStats, QueryContext, QueryKey, QueryStats, UpdateBatch};
 use ssq_engine::sync::{RankedMutex, RANK_SHARD_FLEET, RANK_SHARD_MERGE, RANK_SHARD_REINDEX};
-use ssq_engine::{BatchTicket, Engine, EngineConfig, EngineError, QueryRequest, Snapshot};
+use ssq_engine::{
+    BatchTicket, Engine, EngineConfig, EngineError, QueryRequest, QueryResponse, Snapshot,
+    WorkerState,
+};
 use ssq_geom::{Point, Rect};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -72,9 +74,10 @@ pub struct ShardConfig {
     pub policy: PartitionPolicy,
     /// Per-shard engine configuration (workers, cache, queue).
     pub engine: EngineConfig,
-    /// Upper bound on waiting for any one shard's sub-query; `None`
+    /// Upper bound on waiting for any one pool-run shard batch; `None`
     /// waits indefinitely. On expiry the query fails with
-    /// [`ShardError::Timeout`] instead of wedging the router.
+    /// [`ShardError::Timeout`] instead of wedging the router. The batch
+    /// the calling thread runs itself is not a wait and is not bounded.
     pub shard_timeout: Option<Duration>,
     /// Whether the dominance bound may skip shards (on by default;
     /// turning it off forces full fan-out, useful for A/B measurement).
@@ -112,7 +115,7 @@ impl ShardConfig {
         self
     }
 
-    /// This config with a bound on each shard sub-query wait.
+    /// This config with a bound on each wait for a pool-run shard batch.
     pub fn with_shard_timeout(mut self, timeout: Duration) -> ShardConfig {
         self.shard_timeout = Some(timeout);
         self
@@ -132,7 +135,7 @@ pub enum ShardError {
     Engine(EngineError),
     /// The dataset was empty or the shard count zero.
     InvalidConfig(String),
-    /// Shard `shard` did not answer within
+    /// Shard `shard`'s pool did not answer within
     /// [`ShardConfig::shard_timeout`].
     Timeout {
         /// Index of the shard that timed out.
@@ -231,6 +234,16 @@ struct Fleet {
     views: Vec<ShardView>,
 }
 
+/// One routed query's answers so far: candidates remapped to global ids,
+/// summed work counters, and its shard visits.
+#[derive(Clone, Default)]
+struct Partial {
+    candidates: Vec<(u32, Point)>,
+    stats: QueryStats,
+    queried: usize,
+    pruned: usize,
+}
+
 /// One [`Engine`] per spatial shard behind a pruning router.
 ///
 /// The engines (worker pools, caches, metrics) persist across
@@ -241,10 +254,10 @@ pub struct ShardedEngine {
     fleet: RankedMutex<Arc<Fleet>>,
     /// Serializes reindex calls so generation numbers stay monotone.
     reindex_lock: RankedMutex<()>,
-    /// The router's merge arena: cross-shard candidate filtering runs
-    /// through one warm [`DistanceScratch`] instead of allocating a
-    /// distance vector per candidate per query.
-    merge_scratch: RankedMutex<DistanceScratch>,
+    /// Per-caller arenas: a routed call pops one (or a fresh one) for its
+    /// caller-run shard batches and its merge, and pushes it back. Held
+    /// only to pop and push, never across an engine call.
+    arenas: RankedMutex<Vec<WorkerState>>,
     policy: PartitionPolicy,
     metrics: ShardMetrics,
     timeout: Option<Duration>,
@@ -294,11 +307,7 @@ impl ShardedEngine {
                 }),
             ),
             reindex_lock: RankedMutex::new("shard.reindex", RANK_SHARD_REINDEX, ()),
-            merge_scratch: RankedMutex::new(
-                "shard.merge",
-                RANK_SHARD_MERGE,
-                DistanceScratch::new(),
-            ),
+            arenas: RankedMutex::new("shard.merge", RANK_SHARD_MERGE, Vec::new()),
             policy: config.policy,
             metrics: ShardMetrics::new(),
             timeout: config.shard_timeout,
@@ -646,12 +655,11 @@ impl ShardedEngine {
     ///
     /// The answer of each query is exactly what a batch of its own would
     /// return for it, but the work is amortized: each shard engine sees at
-    /// most **two** batch submissions for the whole batch (one carrying
-    /// every query it is the primary shard of — the seeds — and one
-    /// carrying every query its bound could not rule out), so queue hops,
-    /// snapshot pins, and cache probes are paid per batch-per-shard
-    /// instead of per query. Pruning stays per-query and per-shard, driven
-    /// by each query's own seed skyline, so batching never prunes less.
+    /// most **two** batches for the whole batch (one carrying every query
+    /// it is the primary shard of — the seeds — and one carrying every
+    /// query its bound could not rule out), so snapshot pins and cache
+    /// probes are paid per batch-per-shard instead of per query. Pruning
+    /// stays per-query and per-shard, so batching never prunes less.
     ///
     /// A query set with no points is [`ShardError::EmptyQuery`]; nothing
     /// of the batch is routed.
@@ -662,51 +670,57 @@ impl ShardedEngine {
         if queries.is_empty() {
             return Ok(Vec::new());
         }
+        let mut arena = self.arenas.lock().pop().unwrap_or_default();
+        let routed = self.route(queries, &mut arena);
+        self.arenas.lock().push(arena);
+        routed
+    }
+
+    /// [`query_batch`](Self::query_batch) on a validated, non-empty batch,
+    /// with `arena` for the caller-run shard batches and the merge.
+    fn route(
+        &self,
+        queries: &[Vec<Point>],
+        arena: &mut WorkerState,
+    ) -> Result<Vec<ShardedResponse>, ShardError> {
         let start = Instant::now();
         let fleet = self.current_fleet();
         let shards = fleet.views.len();
         let ctxs: Vec<QueryContext> = queries.iter().map(|q| QueryContext::new(q)).collect();
-        let mut stats: Vec<QueryStats> = vec![QueryStats::default(); queries.len()];
 
-        // Per-query lower-bound vectors and primary shard.
-        let mut bounds: Vec<Vec<Vec<f64>>> = Vec::with_capacity(queries.len());
-        let mut primaries: Vec<usize> = Vec::with_capacity(queries.len());
-        for ctx in &ctxs {
-            let b: Vec<Vec<f64>> = fleet
-                .views
-                .iter()
-                .map(|v| rect_lower_bounds(&v.rect, ctx.anchors()))
-                .collect();
-            let Some(primary) = (0..shards).min_by(|&i, &j| {
-                let (si, sj) = (b[i].iter().sum::<f64>(), b[j].iter().sum::<f64>());
-                si.total_cmp(&sj)
-            }) else {
+        // Seed phase: one batch per distinct primary shard, the one with
+        // the smallest lower-bound sum.
+        let bounds: Vec<Vec<Vec<f64>>> = ctxs
+            .iter()
+            .map(|ctx| {
+                fleet
+                    .views
+                    .iter()
+                    .map(|v| rect_lower_bounds(&v.rect, ctx.anchors()))
+                    .collect()
+            })
+            .collect();
+        let sum = |b: &[f64]| b.iter().sum::<f64>();
+        let mut members: Vec<Vec<usize>> = vec![Vec::new(); shards];
+        let mut primaries = Vec::with_capacity(queries.len());
+        for (qi, b) in bounds.iter().enumerate() {
+            let Some(primary) = (0..shards).min_by(|&i, &j| sum(&b[i]).total_cmp(&sum(&b[j])))
+            else {
                 return Err(ShardError::InvalidConfig("fleet has no shards".into()));
             };
-            bounds.push(b);
+            members[primary].push(qi);
             primaries.push(primary);
         }
-
-        // Seed phase: one batch per distinct primary shard.
-        let mut members: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        for (qi, &p) in primaries.iter().enumerate() {
-            members[p].push(qi);
-        }
-        let mut candidates: Vec<Vec<(u32, Point)>> = vec![Vec::new(); queries.len()];
-        for (shard, responses) in self.fan_batches(&fleet, queries, &members)? {
-            for (&qi, resp) in members[shard].iter().zip(responses) {
-                stats[qi].absorb(&resp.stats);
-                candidates[qi] = remap(&fleet.views[shard], &resp.skyline);
-            }
-        }
+        let mut partials = vec![Partial::default(); queries.len()];
+        self.fan_batches(&fleet, queries, &members, arena, &mut partials)?;
 
         // Prune per query, then one batch per remaining shard.
         let mut fanout: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        let mut pruned: Vec<usize> = vec![0; queries.len()];
-        for (qi, ctx) in ctxs.iter().enumerate() {
-            let seed_vectors: Vec<Vec<f64>> = candidates[qi]
+        for (qi, (ctx, part)) in ctxs.iter().zip(&mut partials).enumerate() {
+            let seed_vectors: Vec<Vec<f64>> = part
+                .candidates
                 .iter()
-                .map(|&(_, p)| ctx.dist_vector(p, &mut stats[qi]))
+                .map(|&(_, p)| ctx.dist_vector(p, &mut part.stats))
                 .collect();
             for shard in 0..shards {
                 if shard == primaries[qi] {
@@ -717,88 +731,89 @@ impl ShardedEngine {
                         .iter()
                         .any(|v| dominates_rect(v, &bounds[qi][shard]));
                 if skip {
-                    pruned[qi] += 1;
+                    part.pruned += 1;
                 } else {
                     fanout[shard].push(qi);
                 }
             }
         }
-        let mut queried: Vec<usize> = vec![1; queries.len()];
-        for (shard, responses) in self.fan_batches(&fleet, queries, &fanout)? {
-            for (&qi, resp) in fanout[shard].iter().zip(responses) {
-                queried[qi] += 1;
-                stats[qi].absorb(&resp.stats);
-                candidates[qi].extend(remap(&fleet.views[shard], &resp.skyline));
-            }
-        }
+        self.fan_batches(&fleet, queries, &fanout, arena, &mut partials)?;
 
-        // Merge every query through the same warm arena.
-        let mut scratch = self.merge_scratch.lock();
-        let mut out = Vec::with_capacity(queries.len());
-        for (qi, ctx) in ctxs.iter().enumerate() {
-            let skyline = merge_candidates_with(ctx, &candidates[qi], &mut stats[qi], &mut scratch);
+        // Merge every query through the caller's warm arena.
+        let merged = ctxs.iter().zip(partials).map(|(ctx, mut part)| {
+            let skyline =
+                merge_candidates_with(ctx, &part.candidates, &mut part.stats, &mut arena.scratch);
             let latency = start.elapsed();
             self.metrics.record_query(
-                queried[qi] as u64,
-                pruned[qi] as u64,
-                candidates[qi].len() as u64,
+                part.queried as u64,
+                part.pruned as u64,
+                part.candidates.len() as u64,
                 latency,
             );
-            out.push(ShardedResponse {
+            ShardedResponse {
                 skyline,
                 generation: fleet.generation,
-                shards_queried: queried[qi],
-                shards_pruned: pruned[qi],
+                shards_queried: part.queried,
+                shards_pruned: part.pruned,
                 latency,
-                stats: stats[qi],
-            });
-        }
-        Ok(out)
+                stats: part.stats,
+            }
+        });
+        Ok(merged.collect())
     }
 
-    /// Submits one [`Engine::submit_batch_on`] per shard with a nonempty
-    /// member list and waits for them all, returning each shard's
-    /// responses in member order. Submission happens before any wait so
-    /// the shards run concurrently.
+    /// Answers one batch per shard with a nonempty member list — the last
+    /// on the caller through `arena`, the rest on their pools — and folds
+    /// every response into its query's partial, in shard order.
     fn fan_batches(
         &self,
         fleet: &Fleet,
         queries: &[Vec<Point>],
         members: &[Vec<usize>],
-    ) -> Result<Vec<(usize, Vec<ssq_engine::QueryResponse>)>, ShardError> {
-        let tickets: Vec<(usize, BatchTicket)> = members
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| !m.is_empty())
-            .map(|(shard, m)| {
-                let requests = m
-                    .iter()
-                    .map(|&qi| QueryRequest::new(queries[qi].clone()))
-                    .collect();
+        arena: &mut WorkerState,
+        partials: &mut [Partial],
+    ) -> Result<(), ShardError> {
+        let requests = |shard: usize| -> Vec<QueryRequest> {
+            members[shard]
+                .iter()
+                .map(|&qi| QueryRequest::new(queries[qi].clone()))
+                .collect()
+        };
+        let mut busy = (0..members.len()).filter(|&shard| !members[shard].is_empty());
+        let Some(last) = busy.next_back() else {
+            return Ok(());
+        };
+        let tickets: Vec<(usize, BatchTicket)> = busy
+            .map(|shard| {
+                let snapshot = Arc::clone(&fleet.views[shard].snapshot);
                 (
                     shard,
-                    self.engines[shard]
-                        .submit_batch_on(requests, Arc::clone(&fleet.views[shard].snapshot)),
+                    self.engines[shard].submit_batch_on(requests(shard), snapshot),
                 )
             })
             .collect();
-        tickets
-            .into_iter()
-            .map(|(shard, ticket)| Ok((shard, self.wait_batch(shard, ticket)?)))
-            .collect()
-    }
-
-    fn wait_batch(
-        &self,
-        shard: usize,
-        ticket: BatchTicket,
-    ) -> Result<Vec<ssq_engine::QueryResponse>, ShardError> {
-        match self.timeout {
-            None => Ok(ticket.wait()),
-            Some(t) => ticket
-                .wait_timeout(t)
-                .map_err(|_| ShardError::Timeout { shard }),
+        let own =
+            self.engines[last].run_batch_on(&requests(last), &fleet.views[last].snapshot, arena);
+        let mut absorb = |shard: usize, responses: Vec<QueryResponse>| {
+            let view = &fleet.views[shard];
+            for (&qi, resp) in members[shard].iter().zip(responses) {
+                let part = &mut partials[qi];
+                part.queried += 1;
+                part.stats.absorb(&resp.stats);
+                part.candidates.extend(remap(view, &resp.skyline));
+            }
+        };
+        for (shard, ticket) in tickets {
+            let responses = match self.timeout {
+                None => ticket.wait(),
+                Some(t) => ticket
+                    .wait_timeout(t)
+                    .map_err(|_| ShardError::Timeout { shard })?,
+            };
+            absorb(shard, responses);
         }
+        absorb(last, own);
+        Ok(())
     }
 
     /// Router metrics plus the folded per-shard engine metrics.
@@ -1077,6 +1092,68 @@ mod tests {
         assert_eq!(
             got.skyline,
             naive_full(&data, &QueryContext::new(&q)).skyline
+        );
+        engine.shutdown();
+    }
+
+    fn random_queries(count: usize, seed: u64) -> Vec<Vec<Point>> {
+        let mut rng = ssq_rng::Xoshiro256::seed_from_u64(seed);
+        (0..count)
+            .map(|_| {
+                (0..1 + rng.range_usize(5))
+                    .map(|_| Point::new(rng.f64() * 19.0, rng.f64() * 16.0))
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_lone_shard_batch_runs_on_the_caller_so_no_timeout_can_fire() {
+        // One shard: every phase has one batch, the caller runs it, and
+        // the timeout — which bounds only waits on pool-run batches —
+        // has nothing to interrupt, however short it is.
+        let data = cloud(300);
+        let config = ShardConfig::default()
+            .with_shards(1)
+            .with_engine(small_engines())
+            .with_shard_timeout(Duration::from_nanos(1));
+        let engine = ShardedEngine::new(&data, config).unwrap();
+        for q in random_queries(50, 0x71) {
+            let got = engine.query(&q).unwrap();
+            assert_eq!(
+                got.skyline,
+                naive_full(&data, &QueryContext::new(&q)).skyline
+            );
+        }
+        engine.shutdown();
+    }
+
+    #[test]
+    fn the_arena_pool_holds_at_most_one_arena_per_routing_thread() {
+        const THREADS: usize = 3;
+        let data = cloud(400);
+        let config = ShardConfig::default()
+            .with_shards(4)
+            .with_engine(EngineConfig::default().with_workers(1));
+        let engine = ShardedEngine::new(&data, config).unwrap();
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (engine, data) = (&engine, &data);
+                scope.spawn(move || {
+                    for q in random_queries(40, 0x80 + t as u64) {
+                        let got = engine.query(&q).unwrap();
+                        assert_eq!(
+                            got.skyline,
+                            naive_full(data, &QueryContext::new(&q)).skyline
+                        );
+                    }
+                });
+            }
+        });
+        let pooled = engine.arenas.lock().len();
+        assert!(
+            (1..=THREADS).contains(&pooled),
+            "{pooled} arenas after {THREADS} routing threads"
         );
         engine.shutdown();
     }

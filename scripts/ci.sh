@@ -70,36 +70,45 @@ cargo test --release --offline --manifest-path crates/bench/src/bin/benchmark/Ca
 echo "==> benchmark smoke (all five workloads; fails on wrong answers, frame errors or non-finite metrics)"
 cargo run --release --offline --quiet --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- --smoke
 
-echo "==> net serve smoke (real ssq binary, ephemeral port, clean shutdown)"
 # ssq-analyze already covers crates/net (no-panic gate) in the first
 # stage; this drives the shipped binary end to end: serve on :0 with
 # stdin on a FIFO, burst a pipelined client at it, close the FIFO (EOF
-# = shutdown), and require the clean-drain report and exit 0.
+# = shutdown), and require the clean-drain report and exit 0. It runs
+# once per backend: the single engine, and a 4-shard fleet whose
+# dispatcher threads run shard batches themselves.
 NET_SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$NET_SMOKE_DIR"' EXIT
 ./target/release/ssq generate --n 500 --out "$NET_SMOKE_DIR/points.csv" --seed 7
-mkfifo "$NET_SMOKE_DIR/control"
-./target/release/ssq serve --data "$NET_SMOKE_DIR/points.csv" --addr 127.0.0.1:0 \
-    < "$NET_SMOKE_DIR/control" > "$NET_SMOKE_DIR/serve.log" &
-SERVE_PID=$!
-exec 9> "$NET_SMOKE_DIR/control"   # hold the write end: serve runs until we close it
-SERVE_ADDR=""
-for _ in $(seq 1 100); do
-    SERVE_ADDR="$(sed -n 's/^listening on //p' "$NET_SMOKE_DIR/serve.log" | head -n1)"
-    [[ -n "$SERVE_ADDR" ]] && break
-    sleep 0.1
-done
-[[ -n "$SERVE_ADDR" ]] || { echo "serve never printed its address"; exit 1; }
-./target/release/ssq net-throughput --addr "$SERVE_ADDR" \
-    --connections 8 --pipeline 16 --requests 400
-exec 9>&-                           # EOF on stdin: drain and exit
-wait "$SERVE_PID"                   # exit 0 or the gate fails (set -e)
-# The drain report is the rendered counter table: a clean run shows the
-# wire never saw a bad frame and no client write stalled.
-for want in "drained clean" "ssq_net_frame_errors 0" "ssq_net_write_timeouts 0"; do
-    grep -qx ".*$want" "$NET_SMOKE_DIR/serve.log" \
-        || { echo "serve did not report '$want'"; cat "$NET_SMOKE_DIR/serve.log"; exit 1; }
-done
+net_smoke() {   # net_smoke <label> [extra serve flags...]
+    local label="$1"; shift
+    local log="$NET_SMOKE_DIR/$label.log" control="$NET_SMOKE_DIR/$label.control"
+    mkfifo "$control"
+    ./target/release/ssq serve --data "$NET_SMOKE_DIR/points.csv" --addr 127.0.0.1:0 "$@" \
+        < "$control" > "$log" &
+    local serve_pid=$!
+    exec 9> "$control"   # hold the write end: serve runs until we close it
+    local addr=""
+    for _ in $(seq 1 100); do
+        addr="$(sed -n 's/^listening on //p' "$log" | head -n1)"
+        [[ -n "$addr" ]] && break
+        sleep 0.1
+    done
+    [[ -n "$addr" ]] || { echo "serve ($label) never printed its address"; exit 1; }
+    ./target/release/ssq net-throughput --addr "$addr" \
+        --connections 8 --pipeline 16 --requests 400
+    exec 9>&-            # EOF on stdin: drain and exit
+    wait "$serve_pid"    # exit 0 or the gate fails (set -e)
+    # The drain report is the rendered counter table: a clean run shows
+    # the wire never saw a bad frame and no client write stalled.
+    for want in "drained clean" "ssq_net_frame_errors 0" "ssq_net_write_timeouts 0"; do
+        grep -qx ".*$want" "$log" \
+            || { echo "serve ($label) did not report '$want'"; cat "$log"; exit 1; }
+    done
+}
+echo "==> net serve smoke, single engine (real ssq binary, ephemeral port, clean shutdown)"
+net_smoke single
+echo "==> net serve smoke, 4 shards"
+net_smoke sharded --shards 4
 
 if [[ "${SSQ_CI_DEEP:-0}" == "1" ]]; then
     echo "==> deep: miri (undefined-behavior check on the core unit tests)"

@@ -8,9 +8,9 @@
 //!   must be *exactly* the naive-oracle skyline of the dataset belonging
 //!   to the generation it reports, and the retired generation's snapshot
 //!   must be freed (its `Weak` dies) once nothing pins it.
-//! * **Fleet swaps** — the sharded router republishes its whole fleet
-//!   mid-stream; responses stay exact against the union dataset of the
-//!   generation they report.
+//! * **Fleet swaps** — the sharded router republishes its fleet twice
+//!   mid-stream, by full reindex and by delta ingest; responses stay
+//!   exact against the union dataset of the generation they report.
 //! * **Session pinning** — a continuous session holds the index of the
 //!   generation it last answered at and nothing older: its first update
 //!   after a swap answers exactly on the new generation and frees the old
@@ -20,6 +20,7 @@
 //! `ssq_rng` generator; swap timing only shifts *which* generation a
 //! response reports, never whether it is correct.
 
+use spatial_skyline::core::UpdateBatch;
 use spatial_skyline::engine::{Engine, EngineConfig, QueryRequest, QueryResponse};
 use spatial_skyline::prelude::*;
 use spatial_skyline::shard::{ShardConfig, ShardedEngine, ShardedResponse};
@@ -155,15 +156,52 @@ fn clients_stay_exact_through_two_live_swaps() {
     );
 }
 
-#[test]
-fn sharded_fleet_swaps_stay_exact_for_concurrent_clients() {
-    let old_points = dataset(380, 0xC1);
-    let new_points = dataset(460, 0xC2);
-    let config = ShardConfig::default().with_shards(4);
-    let engine = Arc::new(ShardedEngine::new(&old_points, config).unwrap());
+/// One mid-stream fleet publish: changes a fleet serving `data` into
+/// generation `generation` and returns the dataset that generation serves.
+type Publish = fn(&ShardedEngine, &[Point], u64) -> Vec<Point>;
 
-    const CLIENTS: usize = 4;
-    const REQUESTS: usize = 120;
+/// A whole-fleet rebuild onto a fresh dataset of a different size.
+fn reindex_publish(engine: &ShardedEngine, _data: &[Point], generation: u64) -> Vec<Point> {
+    let next = dataset(380 + 80 * generation as usize, 0xC1 + generation);
+    assert_eq!(engine.reindex(&next).unwrap(), generation);
+    next
+}
+
+/// A delta publish: every 9th point deleted, 24 random points inserted.
+fn ingest_publish(engine: &ShardedEngine, data: &[Point], generation: u64) -> Vec<Point> {
+    let mut rng = Xoshiro256::seed_from_u64(0xC5 + generation);
+    let mut batch = UpdateBatch {
+        inserts: (0..24)
+            .map(|_| Point::new(rng.f64() * 10.0, rng.f64() * 10.0))
+            .collect(),
+        deletes: (0..data.len() as u32).step_by(9).collect(),
+    };
+    assert_eq!(engine.ingest(&batch).unwrap().generation, generation);
+    // The fleet's id order: survivors in id order, then the inserts in
+    // the order normalization over the old footprint gives them.
+    batch.normalize(&Rect::bounding(data.iter().copied()));
+    let mut next: Vec<Point> = data
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| batch.deletes.binary_search(&(*i as u32)).is_err())
+        .map(|(_, &p)| p)
+        .collect();
+    next.extend(&batch.inserts);
+    next
+}
+
+/// More clients than shards against 1-worker shard engines, so batches
+/// the router runs on its callers interleave with pool-run ones while
+/// `publish` swaps the engine catalogs twice mid-stream.
+fn fleet_swaps_stay_exact(publish: Publish) {
+    const CLIENTS: usize = 6;
+    const REQUESTS: usize = 180;
+    const PUBLISHES: u64 = 2;
+    let config = ShardConfig::default()
+        .with_shards(4)
+        .with_engine(EngineConfig::default().with_workers(1));
+    let mut generations = vec![dataset(380, 0xC1)];
+    let engine = Arc::new(ShardedEngine::new(&generations[0], config).unwrap());
     let started = Arc::new(AtomicUsize::new(0));
 
     let clients: Vec<std::thread::JoinHandle<Outcomes<ShardedResponse>>> = (0..CLIENTS)
@@ -183,33 +221,37 @@ fn sharded_fleet_swaps_stay_exact_for_concurrent_clients() {
         })
         .collect();
 
-    // Republish the whole fleet halfway through the stream.
-    wait_for(&started, REQUESTS / 2);
-    assert_eq!(engine.reindex(&new_points).unwrap(), 1);
+    // Publish at the thirds of the stream.
+    for generation in 1..=PUBLISHES {
+        wait_for(&started, REQUESTS * generation as usize / 3);
+        let next = publish(&engine, &generations[generations.len() - 1], generation);
+        generations.push(next);
+    }
 
-    let mut per_generation = [0usize; 2];
+    let mut answered = 0;
     for client in clients {
         for (q, response) in client.join().unwrap() {
             let generation = usize::try_from(response.generation).unwrap();
-            let data = if generation == 0 {
-                &old_points
-            } else {
-                &new_points
-            };
-            let want = naive_full(data, &QueryContext::new(&q)).skyline;
+            let want = naive_full(&generations[generation], &QueryContext::new(&q)).skyline;
             assert_eq!(
                 response.skyline, want,
                 "fleet generation {generation} diverged from the union-dataset oracle on {q:?}"
             );
-            per_generation[generation] += 1;
+            answered += 1;
         }
     }
-    assert_eq!(per_generation.iter().sum::<usize>(), REQUESTS);
+    assert_eq!(answered, REQUESTS);
 
     let m = engine.metrics();
-    assert_eq!(m.lifecycle.generation, 1);
-    assert_eq!(m.lifecycle.swaps, 1);
-    assert_eq!(engine.data_len(), new_points.len());
+    assert_eq!(m.lifecycle.generation, PUBLISHES);
+    assert_eq!(m.lifecycle.swaps, PUBLISHES);
+    assert_eq!(engine.data_len(), generations[generations.len() - 1].len());
+}
+
+#[test]
+fn sharded_fleet_swaps_stay_exact_for_concurrent_clients() {
+    fleet_swaps_stay_exact(reindex_publish);
+    fleet_swaps_stay_exact(ingest_publish);
 }
 
 #[test]
