@@ -1049,7 +1049,7 @@ fn render_cmd<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
     let result = vs2(&index, &ctx);
     let cells: Vec<ssq_geom::ConvexPolygon> = if want_voronoi {
         (0..table.points.len() as u32)
-            .map(|i| index.voronoi_cell(i).clone())
+            .map(|i| index.voronoi_cell(i))
             .collect()
     } else {
         Vec::new()

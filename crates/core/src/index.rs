@@ -24,15 +24,21 @@
 //! ([`VoronoiIndex::nearest_ties`]).
 
 use ssq_delaunay::paged::PagedAdjacency;
+use ssq_delaunay::rows::Rows;
+use ssq_delaunay::voronoi::{incident_triangles, CellTracer};
 use ssq_delaunay::{hilbert, DelaunayGraph, DeltaError, Triangulation};
+use ssq_geom::convex::ring_intersects_rect;
 use ssq_geom::{ConvexPolygon, Point, Rect};
 use ssq_rtree::{RTree, RTreeConfig};
 
 use crate::delta::{DeltaStats, UpdateBatch};
 
-/// A batch larger than `1/DELTA_REBUILD_DENOM` of the index is rebuilt
-/// from scratch instead of repaired incrementally: past that point the
-/// locate walks and cell recomputation cost more than the bulk path.
+/// The rebuild rule: a delta is rebuilt from scratch instead of repaired
+/// once tombstones plus sites appended since the last full build, its own
+/// included, exceed `1/DELTA_REBUILD_DENOM` of the index. That bounds the
+/// garbage and the layout's decay (a rebuild re-sorts the sites along the
+/// curve), and past that size a batch's locate walks and cell
+/// recomputation cost more than the bulk path anyway.
 const DELTA_REBUILD_DENOM: usize = 8;
 
 /// Sites per entry of the start directory: every `DIRECTORY_STRIDE`-th
@@ -102,10 +108,12 @@ impl RTreeIndex {
     }
 
     /// Applies a normalized [`UpdateBatch`], producing the next
-    /// generation's index in `O(|batch| log n)`: the tree is cloned
-    /// (node-copy, freed slots recycled), deleted entries removed with
-    /// reinsertion of underfull siblings, surviving payloads renumbered
-    /// densely, and inserts added through the regular R* path.
+    /// generation's index. The tree edits are `O(|batch| log n)` —
+    /// deleted entries removed with reinsertion of underfull siblings,
+    /// inserts added through the regular R* path — but the generation
+    /// costs `O(n)` around them: the whole tree is cloned (every node,
+    /// three `Vec`s each, freed slots recycled), every surviving payload is
+    /// renumbered to the batch's dense ids, and the point list is copied.
     pub fn apply_delta(&self, batch: &UpdateBatch) -> RTreeIndex {
         debug_assert!(batch.is_normalized());
         let n_old = self.points.len();
@@ -141,41 +149,56 @@ impl RTreeIndex {
 ///
 /// Callers name a point by its **id** (its position in the input; after a
 /// delta, [`UpdateBatch`]'s numbering). Every array in here is stored by
-/// **site** — the point's rank along the Hilbert curve at build time, ties
-/// broken by id — which is the Delaunay insertion order, the memory order
-/// and, over the page capacity, the adjacency page, so a traversal reads
-/// neighbouring lines for neighbouring points whatever order the dataset
-/// arrived in. [`VoronoiIndex::site_of`] / [`VoronoiIndex::id_of`] are the
-/// only bridge; traversals run on sites ([`VoronoiIndex::graph`]) and
-/// translate where an id leaves them.
+/// **site** — at a full build, the point's rank along the Hilbert curve,
+/// ties broken by id — which is the Delaunay insertion order, the memory
+/// order and, over the page capacity, the adjacency page, so a traversal
+/// reads neighbouring lines for neighbouring points whatever order the
+/// dataset arrived in. [`VoronoiIndex::site_of`] / [`VoronoiIndex::id_of`]
+/// are the only bridge; traversals run on sites ([`VoronoiIndex::graph`])
+/// and translate where an id leaves them.
+///
+/// A delta ([`VoronoiIndex::apply_delta`]) moves no site. A deleted
+/// point's site becomes a *tombstone* — no neighbours, no cell, never a
+/// walk seed — and an inserted point is appended as a new site. So
+/// [`VoronoiIndex::len`] counts live points (the ids) while
+/// [`VoronoiIndex::site_bound`], one past the last site, sizes per-site
+/// marks and pages. Per-site rows — neighbour lists and cells — live in
+/// `Arc`-shared chunks of [`CHUNK`](ssq_delaunay::rows::CHUNK) sites, and a
+/// delta copies only the chunks it writes.
 pub struct VoronoiIndex {
-    /// The triangulation the graph was derived from, retained (compacted)
-    /// so the next generation can be produced by local repair instead of
-    /// a rebuild. Vertex `s` is site `s`.
-    tri: Triangulation,
+    /// Vertex `s` is site `s`. The graph keeps its triangulation, so the
+    /// next generation can be produced by local repair instead of a
+    /// rebuild.
     graph: DelaunayGraph,
     pages: PagedAdjacency,
-    cells: Vec<ConvexPolygon>,
-    cell_mbrs: Vec<Rect>,
-    /// `site_to_id[s]` is the id of site `s`; `id_to_site` is its inverse.
+    /// Row `s` is site `s`'s cell, clipped to the graph's default box: the
+    /// `min` and `max` corners of its MBR, then its ring (counter-clockwise).
+    /// Empty for a tombstone.
+    cells: Rows<Point>,
+    /// `site_to_id[s]` is the id of site `s` (`u32::MAX` for a tombstone);
+    /// `id_to_site` maps the ids back.
     site_to_id: Vec<u32>,
     id_to_site: Vec<u32>,
     /// The start index (paper §4.2: "Φ(|P|) is O(log |P|) if an index
     /// structure is used"). `None` reproduces the index-free `O(√|P|)`
     /// greedy-walk mode.
     directory: Option<Directory>,
+    /// Tombstones plus sites appended since the last full build — the
+    /// layout decay the rebuild rule bounds.
+    decay: usize,
 }
 
 /// The start index: the curve keys of every [`DIRECTORY_STRIDE`]-th
 /// site. Sites are laid out in key order, so the entries are sorted, and
 /// a binary search for a query's key lands between two sites near it on
 /// the curve — a walk seed that is usually a few hops from the answer.
-/// Seeds only: the greedy walk from any site is exact.
+/// Seeds only: the greedy walk from any live site is exact.
 struct Directory {
     /// The box the keys are taken over: the data MBR at build time.
     /// Queries and later inserts outside it clamp to its boundary.
     bbox: Rect,
-    /// Entry keys, ascending; `sites[j]` is the site entry `j` seeds.
+    /// Entry keys, ascending; `sites[j]` is the site entry `j` seeds — a
+    /// live one.
     keys: Vec<u64>,
     sites: Vec<u32>,
 }
@@ -204,23 +227,19 @@ impl Directory {
         Some(if closer { hi } else { lo })
     }
 
-    /// The directory over the next generation's sites, `remap` being the
-    /// old → new site renumbering (`u32::MAX` for a deleted site) and
-    /// `old` the previous graph. An entry whose site was deleted keeps its
-    /// key and moves to a surviving neighbour — still a seed near that
-    /// point of the curve; one with no surviving neighbour is dropped.
-    /// The remap is monotone, so the keys stay sorted.
-    fn remap(&self, remap: &[u32], old: &DelaunayGraph) -> Directory {
+    /// The directory once the sites `site_to_id` maps to `u32::MAX` are
+    /// tombstones: an entry on one keeps its key and moves to a live
+    /// neighbour in `old`, the graph it was live in — still a seed near
+    /// that point of the curve — or is dropped when it has none.
+    fn moved_off(&self, site_to_id: &[u32], old: &DelaunayGraph) -> Directory {
+        let live = |s: u32| site_to_id[s as usize] != u32::MAX;
         let mut keys = Vec::with_capacity(self.keys.len());
         let mut sites = Vec::with_capacity(self.sites.len());
         for (&key, &s) in self.keys.iter().zip(&self.sites) {
-            let moved = match remap[s as usize] {
-                u32::MAX => old
-                    .neighbors(s)
-                    .iter()
-                    .map(|&u| remap[u as usize])
-                    .find(|&m| m != u32::MAX),
-                m => Some(m),
+            let moved = if live(s) {
+                Some(s)
+            } else {
+                old.neighbors(s).iter().copied().find(|&u| live(u))
             };
             if let Some(m) = moved {
                 keys.push(key);
@@ -235,13 +254,21 @@ impl Directory {
     }
 }
 
-/// The inverse of permutation `perm`.
-fn inverse(perm: &[u32]) -> Vec<u32> {
-    let mut inv = vec![0u32; perm.len()];
-    for (i, &p) in (0u32..).zip(perm) {
-        inv[p as usize] = i;
+/// The inverse of `map` over `len` slots: `inv[map[i]] = i`, `u32::MAX`
+/// where nothing maps.
+fn inverse(map: &[u32], len: usize) -> Vec<u32> {
+    let mut inv = vec![u32::MAX; len];
+    for (i, &m) in (0u32..).zip(map) {
+        inv[m as usize] = i;
     }
     inv
+}
+
+/// Appends `cell`'s row: its MBR's corners, then its ring.
+fn push_cell(out: &mut Vec<Point>, cell: &ConvexPolygon) {
+    let mbr = cell.mbr();
+    out.extend([mbr.min, mbr.max]);
+    out.extend_from_slice(cell.vertices());
 }
 
 impl VoronoiIndex {
@@ -262,7 +289,7 @@ impl VoronoiIndex {
         }
         let bbox = Rect::bounding(points.iter().copied());
         let site_to_id = hilbert::sort_by_hilbert(points, &bbox);
-        let mut tri = {
+        let tri = {
             let sites: Vec<Point> = site_to_id.iter().map(|&i| points[i as usize]).collect();
             Triangulation::new(&sites).map_err(|e| match e {
                 // Equal points have equal keys, so the two sites are in id
@@ -273,34 +300,30 @@ impl VoronoiIndex {
                 e => e,
             })?
         };
-        // Drop the construction garbage (dead cavity slots) so the copy
-        // every delta generation starts from is as small as possible.
-        tri.compact(&[]);
-        let graph = DelaunayGraph::from_triangulation(&tri);
-        let clip = graph.default_clip();
-        // Fast path: trace cells from circumcenters (O(deg) per site);
-        // individual numerically-degenerate cells — and fully collinear
-        // inputs — fall back to the bisector half-plane construction.
-        let cells: Vec<ConvexPolygon> = match ssq_delaunay::voronoi::voronoi_cells(&tri, &clip) {
-            Some(fast) => fast
-                .into_iter()
-                .zip(0u32..)
-                .map(|(c, s)| c.unwrap_or_else(|| graph.voronoi_cell(s, &clip)))
-                .collect(),
-            None => (0..graph.len() as u32)
-                .map(|s| graph.voronoi_cell(s, &clip))
-                .collect(),
+        let graph = DelaunayGraph::from_triangulation(tri);
+        let cells = {
+            let (tri, clip) = (graph.triangulation(), graph.default_clip());
+            // Fast path: trace cells from circumcenters (O(deg) per site);
+            // individual numerically-degenerate cells — and fully
+            // collinear inputs — fall back to the bisector half-plane
+            // construction.
+            let tracer = CellTracer::new(tri, &clip);
+            let incident = incident_triangles(tri);
+            Rows::new(graph.len(), |s, out| {
+                let traced = tracer
+                    .as_ref()
+                    .and_then(|t| t.cell(s, incident[s as usize]));
+                push_cell(out, &traced.unwrap_or_else(|| graph.voronoi_cell(s, &clip)));
+            })
         };
-        let cell_mbrs = cells.iter().map(|c| c.mbr()).collect();
         Ok(VoronoiIndex {
             pages: PagedAdjacency::new(graph.len(), per_page),
             directory: Some(Directory::build(graph.points(), bbox)),
-            tri,
             graph,
             cells,
-            cell_mbrs,
-            id_to_site: inverse(&site_to_id),
+            id_to_site: inverse(&site_to_id, points.len()),
             site_to_id,
+            decay: 0,
         })
     }
 
@@ -320,6 +343,7 @@ impl VoronoiIndex {
 
     /// The underlying Delaunay graph. Its vertices are **sites**:
     /// translate with [`VoronoiIndex::site_of`] / [`VoronoiIndex::id_of`].
+    /// A tombstone is a vertex with no neighbours that no list names.
     pub fn graph(&self) -> &DelaunayGraph {
         &self.graph
     }
@@ -330,7 +354,7 @@ impl VoronoiIndex {
         self.id_to_site[id as usize]
     }
 
-    /// The id of the point stored at `site`.
+    /// The id of the point stored at `site` (`u32::MAX` for a tombstone).
     #[inline]
     pub fn id_of(&self, site: u32) -> u32 {
         self.site_to_id[site as usize]
@@ -342,35 +366,69 @@ impl VoronoiIndex {
         self.graph.point(self.site_of(id))
     }
 
-    /// Number of indexed points.
+    /// Number of indexed points — the live sites; ids are `0..len()`.
     pub fn len(&self) -> usize {
-        self.graph.len()
+        self.id_to_site.len()
     }
 
     /// `true` when the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.graph.is_empty()
+        self.id_to_site.is_empty()
+    }
+
+    /// One past the last site, tombstones included: the size of anything
+    /// indexed by site, such as a traversal's marks.
+    pub fn site_bound(&self) -> usize {
+        self.site_to_id.len()
     }
 
     /// The Voronoi cell of the point with id `id` (precomputed, clipped
     /// to the default box).
-    pub fn voronoi_cell(&self, id: u32) -> &ConvexPolygon {
-        &self.cells[self.site_of(id) as usize]
+    pub fn voronoi_cell(&self, id: u32) -> ConvexPolygon {
+        ConvexPolygon::from_ccw_dirty(self.cell(self.site_of(id)).1.to_vec(), 0.0)
+    }
+
+    /// Site `s`'s cell: its MBR and its ring (empty for a tombstone).
+    #[inline]
+    // ssq-analyze: deny-alloc
+    fn cell(&self, site: u32) -> (Rect, &[Point]) {
+        match self.cells.row(site) {
+            [min, max, ring @ ..] => (
+                Rect {
+                    min: *min,
+                    max: *max,
+                },
+                ring,
+            ),
+            _ => (Rect::EMPTY, &[]),
+        }
     }
 
     /// Exact test "does the Voronoi cell of `site` intersect `r`?". Tiered
     /// so the overwhelmingly common cases cost four f64 comparisons: first
-    /// the cell's precomputed MBR (disjoint ⟹ no; fully inside `r` ⟹
-    /// yes), then the exact convex-polygon test only for boundary cells.
+    /// the cell's MBR, stored beside its ring (disjoint ⟹ no; fully inside
+    /// `r` ⟹ yes), then the exact convex-polygon test only for boundary
+    /// cells.
     pub(crate) fn cell_meets_rect(&self, site: u32, r: &Rect) -> bool {
-        let mbr = &self.cell_mbrs[site as usize];
+        let (mbr, ring) = self.cell(site);
         if !mbr.intersects(r) {
             return false;
         }
-        if r.contains_rect(mbr) {
+        if r.contains_rect(&mbr) {
             return true;
         }
-        self.cells[site as usize].intersects_rect(r)
+        ring_intersects_rect(ring, r)
+    }
+
+    /// The share of per-site chunks — neighbour lists and cells — this
+    /// index holds by pointer from `prev`, as `(shared, total)`: for a
+    /// delta-built index and its predecessor, what the delta did not copy.
+    pub fn chunks_shared_with(&self, prev: &VoronoiIndex) -> (usize, usize) {
+        let (adj, prev_adj) = (self.graph.rows(), prev.graph.rows());
+        (
+            adj.shared_chunks(prev_adj) + self.cells.shared_chunks(&prev.cells),
+            adj.chunk_count() + self.cells.chunk_count(),
+        )
     }
 
     /// The id of the nearest data point to `q`: a greedy Delaunay walk
@@ -380,23 +438,28 @@ impl VoronoiIndex {
     ///
     /// The walk — not the seed — is what guarantees exactness (greedy
     /// routing on a Delaunay graph provably reaches the nearest
-    /// neighbour), which is why a delta generation only remaps the
-    /// directory: any valid site is a correct seed.
+    /// neighbour), which is why a delta only moves the directory entries
+    /// that landed on tombstones: any live site is a correct seed.
     pub fn nearest(&self, q: Point, hint: u32) -> u32 {
         self.id_of(self.nearest_site_with(q, self.site_of(hint), |_| ()))
     }
 
     /// [`VoronoiIndex::nearest`] in site space (hint and answer are
     /// sites) with the caller's page accounting: `visit(s)` is called for
-    /// every site whose adjacency list the walk reads.
+    /// every site whose adjacency list the walk reads. Without a
+    /// directory, a tombstone hint (site 0 once its point is deleted, say)
+    /// is replaced by the site of id 0, so every walk starts live.
     // ssq-analyze: deny-alloc
     pub(crate) fn nearest_site_with(&self, q: Point, hint: u32, visit: impl FnMut(u32)) -> u32 {
         let seed = self
             .directory
             .as_ref()
             .and_then(|d| d.seed(q, self.graph.points()));
-        self.graph
-            .greedy_nearest_with(q, seed.unwrap_or(hint), visit)
+        let start = seed.unwrap_or_else(|| match self.site_to_id[hint as usize] {
+            u32::MAX => self.id_to_site[0],
+            _ => hint,
+        });
+        self.graph.greedy_nearest_with(q, start, visit)
     }
 
     /// Writes the ids of every point nearest to `q` — each whose
@@ -455,25 +518,34 @@ impl VoronoiIndex {
     /// Applies a validated, normalized [`UpdateBatch`], producing the
     /// next generation's index.
     ///
-    /// The incremental path costs `O(|batch| log n)` plus the memory
-    /// copies of generation publishing: the triangulation is cloned and
-    /// repaired locally (removals in site order by cavity
-    /// retriangulation, then compaction, then the Hilbert-ordered
-    /// inserts, appended as the last sites *and* the last ids), the CSR
-    /// adjacency is refilled, the batch's renumbering is composed into the
-    /// two id maps, and only *dirty* Voronoi cells — sites whose
-    /// neighbour set changed, plus any cell not strictly interior to both
-    /// generations' clip boxes — are recomputed; everything else is
-    /// carried over. The start directory is remapped onto the surviving
-    /// sites, one pass over its `|P| / 8` entries; inserts get no entry of
-    /// their own — the walk reaches them from their neighbours'.
+    /// The incremental path moves no site and shares everything the batch
+    /// did not change with `self`. Its cost, besides the local repairs:
+    ///
+    /// * one copy of the triangulation (points and triangle arena — the
+    ///   one `O(n)` memcpy), repaired in place: removals in site order by
+    ///   cavity retriangulation, each leaving a tombstone, then the
+    ///   Hilbert-ordered inserts appended as new sites (and the last ids);
+    /// * two flat `O(n)` passes for the id maps (the batch's dense id
+    ///   renumbering);
+    /// * the written chunks: a neighbour list is re-read off its star and
+    ///   a Voronoi cell traced from it for each site a repair reported,
+    ///   plus — only when the live points' MBR, and with it the clip box,
+    ///   moved — every cell not strictly inside both generations' boxes;
+    ///   every chunk holding neither is shared;
+    /// * one pass over the start directory's `|P| / 8` entries, moving
+    ///   those on tombstones to a live neighbour; inserts get no entry of
+    ///   their own — the walk reaches them from their neighbours' — and an
+    ///   appended site is accounted to its nearest neighbour's page.
     ///
     /// Falls back to a full rebuild — the same points under the same ids,
-    /// laid out along the curve afresh, at higher cost — when the batch
-    /// exceeds `1/8` of the index, the triangulation is degenerate, or a
-    /// local repair cannot express the operation (reported via
-    /// [`DeltaStats::incremental`]). A delta-built index and a rebuilt one
-    /// answer every id-level question alike but differ in site order.
+    /// laid out along the curve afresh, at higher cost — when tombstones
+    /// plus sites appended since the last full build, this batch's
+    /// included, exceed `1/8` of the points (which bounds both the garbage
+    /// and the layout's decay, and covers a batch that large on its own),
+    /// when the triangulation is degenerate, or when a local repair cannot
+    /// express the operation (reported via [`DeltaStats::incremental`]). A
+    /// delta-built index and a rebuilt one answer every id-level question
+    /// alike but differ in site order.
     pub fn apply_delta(
         &self,
         batch: &UpdateBatch,
@@ -485,10 +557,11 @@ impl VoronoiIndex {
             incremental: false,
             dirty_cells: 0,
         };
-        if batch.op_count() * DELTA_REBUILD_DENOM > self.len() || self.tri.is_degenerate() {
+        let decay = self.decay + batch.op_count();
+        if decay * DELTA_REBUILD_DENOM > self.len() || self.graph.triangulation().is_degenerate() {
             return self.delta_full_rebuild(batch, stats);
         }
-        match self.delta_incremental(batch) {
+        match self.delta_incremental(batch, decay) {
             Ok((idx, dirty_cells)) => Ok((
                 idx,
                 DeltaStats {
@@ -527,86 +600,138 @@ impl VoronoiIndex {
         Ok((idx, stats))
     }
 
-    fn delta_incremental(&self, batch: &UpdateBatch) -> Result<(VoronoiIndex, usize), DeltaError> {
-        let n_old = self.len();
-        let n_surv = n_old - batch.deletes.len();
-        let n_new = n_surv + batch.inserts.len();
-
-        // 1. Repair the triangulation: removals in site order — the curve
-        //    order, so each locate walk starts where the previous op
-        //    ended — compaction to the dense survivor numbering, then the
-        //    already Hilbert-ordered inserts, which land at sites
-        //    `n_surv..n_new`.
-        let mut tri = self.tri.clone();
+    fn delta_incremental(
+        &self,
+        batch: &UpdateBatch,
+        decay: usize,
+    ) -> Result<(VoronoiIndex, usize), DeltaError> {
+        // 1. Repair a copy of the triangulation: removals in site order —
+        //    the curve order, so each locate walk starts where the previous
+        //    op ended — then the already Hilbert-ordered inserts, appended
+        //    as sites `first..`. Keep each touched site's latest report,
+        //    ascending.
+        let mut tri = self.graph.triangulation().clone();
+        let mut touched = Vec::new();
         let mut victims: Vec<u32> = batch.deletes.iter().map(|&d| self.site_of(d)).collect();
         victims.sort_unstable();
         for &s in &victims {
-            tri.remove_point(s)?;
+            tri.remove_point(s, &mut touched)?;
         }
-        let remap = tri.compact(&victims);
+        let first = self.site_bound() as u32;
         for &p in &batch.inserts {
-            tri.insert_point(p)?;
+            tri.insert_point(p, &mut touched)?;
         }
+        touched.reverse();
+        touched.sort_by_key(|t| t.vertex);
+        touched.dedup_by_key(|t| t.vertex);
 
-        // 2. Fresh adjacency; `O(|edges|)` with no global sort.
-        let graph = DelaunayGraph::from_triangulation(&tri);
-        debug_assert_eq!(graph.len(), n_new);
-        let clip = graph.default_clip();
-        let old_clip = self.graph.default_clip();
+        // 2. Id maps: the survivors, renumbered densely, keep their sites;
+        //    insert `j` is the id after them at site `first + j`.
+        let mut id_to_site = Vec::with_capacity(self.len() - victims.len() + batch.inserts.len());
+        id_to_site.extend(self.survivors(batch).map(|id| self.site_of(id)));
+        id_to_site.extend((first..).take(batch.inserts.len()));
+        let site_to_id = inverse(&id_to_site, tri.points().len());
 
-        // 3. Voronoi cells: recompute the dirty ones, carry the rest. A
-        //    survivor's cell is clean when its neighbour set is unchanged
-        //    and its old cell was strictly interior to both clip boxes
-        //    (so neither the old nor the new clip binds it); hull cells
-        //    always recompute, which also absorbs clip drift when the
-        //    data MBR changes. The renumbering is monotone, so the old
-        //    sites that survive, in order, are the new sites `0..n_surv`.
-        let mut old_sites = (0..n_old as u32).filter(|&s| remap[s as usize] != u32::MAX);
-        let mut dirty_cells = 0usize;
-        let mut cells = Vec::with_capacity(n_new);
-        let mut cell_mbrs = Vec::with_capacity(n_new);
-        for i in 0..n_new as u32 {
-            let clean = old_sites.next().filter(|&old| {
-                let mbr = &self.cell_mbrs[old as usize];
-                strictly_inside(mbr, &old_clip)
-                    && strictly_inside(mbr, &clip)
-                    && same_neighbors(self.graph.neighbors(old), &remap, graph.neighbors(i))
-            });
-            if let Some(old) = clean {
-                cells.push(self.cells[old as usize].clone());
-                cell_mbrs.push(self.cell_mbrs[old as usize]);
-            } else {
-                dirty_cells += 1;
-                let c = graph.voronoi_cell(i, &clip);
-                cell_mbrs.push(c.mbr());
-                cells.push(c);
+        // 3. Adjacency over the live points' MBR (tombstones keep stale
+        //    coordinates, which must not count). Inserts only grow it. A
+        //    delete on one of its sides shrinks it unless a live neighbour
+        //    holds that side — collinear points along a side of the hull
+        //    are joined by hull edges, so the next one is a neighbour —
+        //    and then it is recomputed over the live points.
+        let old_bounds = self.graph.bounds();
+        let on_side = |p: Point, side: usize| match side {
+            0 => p.x == old_bounds.min.x,
+            1 => p.y == old_bounds.min.y,
+            2 => p.x == old_bounds.max.x,
+            _ => p.y == old_bounds.max.y,
+        };
+        let live = |s: u32| site_to_id[s as usize] != u32::MAX;
+        let shrinks = victims.iter().any(|&s| {
+            (0..4).any(|side| {
+                on_side(self.graph.point(s), side)
+                    && !self
+                        .graph
+                        .neighbors(s)
+                        .iter()
+                        .any(|&u| live(u) && on_side(self.graph.point(u), side))
+            })
+        });
+        let bounds = if shrinks {
+            let points = tri.points().iter().zip(&site_to_id);
+            Rect::bounding(points.filter(|(_, &id)| id != u32::MAX).map(|(&p, _)| p))
+        } else {
+            let mut grown = old_bounds;
+            batch.inserts.iter().for_each(|&p| grown.expand_to(p));
+            grown
+        };
+        let graph = self.graph.patched(tri, &touched, bounds);
+        let tri = graph.triangulation();
+
+        // 4. Cells: a touched site's cell is traced from its star, and —
+        //    when the clip box moved — every live cell the box may bind,
+        //    i.e. not strictly inside both generations' boxes (one strictly
+        //    inside both is the true cell in each), is rebuilt from its
+        //    neighbours. Any other cell kept its neighbours and its box,
+        //    hence its polygon.
+        let (clip, old_clip) = (graph.default_clip(), self.graph.default_clip());
+        let mut dirty: Vec<(u32, Option<u32>)> =
+            touched.iter().map(|t| (t.vertex, t.star)).collect();
+        if clip != old_clip {
+            dirty.extend((0..first).filter_map(|s| {
+                let mbr = self.cell(s).0;
+                let bound = !(strictly_inside(&mbr, &old_clip) && strictly_inside(&mbr, &clip));
+                (bound && site_to_id[s as usize] != u32::MAX).then_some((s, None))
+            }));
+            // A touched site's entry, which names a star, sorts first.
+            dirty.sort_unstable_by_key(|&(s, star)| (s, star.is_none()));
+            dirty.dedup_by_key(|d| d.0);
+        }
+        let sites: Vec<u32> = dirty.iter().map(|d| d.0).collect();
+        let tracer = CellTracer::new(tri, &clip);
+        let mut stars = dirty.iter().map(|d| d.1);
+        let cells = self.cells.patched(graph.len(), &sites, |s, out| {
+            let star = stars.next().flatten();
+            if site_to_id[s as usize] != u32::MAX {
+                let traced = star.and_then(|t| tracer.as_ref()?.cell(s, t));
+                push_cell(out, &traced.unwrap_or_else(|| graph.voronoi_cell(s, &clip)));
             }
-        }
+        });
+        let dirty_cells = sites.len() - victims.len();
 
-        // 4. Id maps: the batch's monotone id renumbering composed with
-        //    the monotone site renumbering; insert `j` is both id and
-        //    site `n_surv + j`.
-        let mut id_to_site = Vec::with_capacity(n_new);
-        id_to_site.extend(
-            self.survivors(batch)
-                .map(|id| remap[self.site_of(id) as usize]),
-        );
-        id_to_site.extend(n_surv as u32..n_new as u32);
-        let site_to_id = inverse(&id_to_site);
+        // 5. Pages: an appended site is accounted to the page of its
+        //    nearest neighbour already placed (any site before it) — the
+        //    page a file organized by Hilbert value would insert it into —
+        //    or, with none, to the last page.
+        let mut pages = self.pages.clone();
+        for s in first..graph.len() as u32 {
+            let p = graph.point(s);
+            let nearest = graph
+                .neighbors(s)
+                .iter()
+                .copied()
+                .filter(|&u| u < s)
+                .min_by(|&a, &b| {
+                    graph
+                        .point(a)
+                        .distance_sq(p)
+                        .total_cmp(&graph.point(b).distance_sq(p))
+                });
+            let last = pages.page_count().saturating_sub(1);
+            pages.append(nearest.map_or(last, |u| pages.page_of(u)));
+        }
 
         Ok((
             VoronoiIndex {
-                tri,
-                graph,
-                pages: PagedAdjacency::new(n_new, self.pages.per_page()),
-                cells,
-                cell_mbrs,
-                site_to_id,
-                id_to_site,
+                pages,
                 directory: self
                     .directory
                     .as_ref()
-                    .map(|d| d.remap(&remap, &self.graph)),
+                    .map(|d| d.moved_off(&site_to_id, &self.graph)),
+                graph,
+                cells,
+                site_to_id,
+                id_to_site,
+                decay,
             },
             dirty_cells,
         ))
@@ -616,14 +741,6 @@ impl VoronoiIndex {
 /// `true` when `r` lies strictly inside `clip` (no shared boundary).
 fn strictly_inside(r: &Rect, clip: &Rect) -> bool {
     r.min.x > clip.min.x && r.min.y > clip.min.y && r.max.x < clip.max.x && r.max.y < clip.max.y
-}
-
-/// `true` when the renumbered old neighbour list equals the new one.
-/// Both lists are sorted and the renumbering is monotone on survivors, so
-/// an element-wise comparison suffices (a deleted old neighbour maps to
-/// `u32::MAX` and can never match).
-fn same_neighbors(old: &[u32], remap: &[u32], new: &[u32]) -> bool {
-    old.len() == new.len() && old.iter().zip(new).all(|(&o, &n)| remap[o as usize] == n)
 }
 
 #[cfg(test)]
@@ -734,15 +851,27 @@ mod tests {
         out
     }
 
-    /// The two id maps are inverse permutations and `point(id)` is
+    /// The two id maps are inverse on the live sites, every other site is
+    /// a tombstone with no neighbours and no cell, and `point(id)` is
     /// `points[id]`.
     fn assert_maps(idx: &VoronoiIndex, points: &[Point]) {
         assert_eq!(idx.len(), points.len());
         for (id, &p) in (0u32..).zip(points) {
             assert_eq!(idx.id_of(idx.site_of(id)), id);
-            assert_eq!(idx.site_of(idx.id_of(id)), id);
             assert_eq!(idx.point(id), p, "point {id}");
         }
+        let tombstones = (0..idx.site_bound() as u32).filter(|&s| idx.id_of(s) == u32::MAX);
+        for s in tombstones {
+            assert!(
+                idx.graph().neighbors(s).is_empty(),
+                "tombstone {s} has neighbours"
+            );
+            assert_eq!(idx.cell(s).0, Rect::EMPTY, "tombstone {s} has a cell");
+        }
+        assert!(
+            idx.site_bound() - idx.len() <= idx.decay,
+            "tombstones count as decay"
+        );
     }
 
     /// A delta-built index and a rebuild differ in site order, so they are
@@ -809,11 +938,18 @@ mod tests {
         assert!(stats.dirty_cells < got.len(), "most cells carried over");
         let expect = expected_points(&pts, &batch);
         assert_maps(&got, &expect);
-        // Survivors keep their relative site order; inserts are the last
-        // sites and the last ids.
+        // Survivors keep their sites; inserts are appended as the last
+        // sites and the last ids; the deleted points' sites are tombstones.
+        let mut survivors = idx.survivors(&batch);
+        for id in 0..(pts.len() - batch.deletes.len()) as u32 {
+            assert_eq!(got.site_of(id), idx.site_of(survivors.next().unwrap()));
+        }
         let n_surv = pts.len() - batch.deletes.len();
-        for j in n_surv as u32..got.len() as u32 {
-            assert_eq!(got.site_of(j), j);
+        for (j, id) in (n_surv as u32..got.len() as u32).enumerate() {
+            assert_eq!(got.site_of(id), (idx.site_bound() + j) as u32);
+        }
+        for &d in &batch.deletes {
+            assert_eq!(got.id_of(idx.site_of(d)), u32::MAX);
         }
         assert_same_index(&got, &VoronoiIndex::new(&expect).unwrap());
     }
@@ -846,18 +982,20 @@ mod tests {
     fn chained_deltas_stay_exact() {
         // Twelve generations on one index. Every batch deletes the points
         // of two directory entries, so incremental deltas must move those
-        // entries to surviving neighbours; round 6's batch exceeds 1/8 of
-        // the index and takes the rebuild fallback, which builds a fresh
-        // directory. After each generation `nearest` must reach the
-        // brute-force minimum at fixed probes (two outside the MBR), at
-        // every deleted entry's point so far and at the fresh inserts.
+        // entries to live neighbours; round 6's batch alone exceeds 1/8 of
+        // the index. Which rounds rebuild is re-derived from the rule:
+        // tombstones plus appended sites since the last full build, this
+        // batch's included, past 1/8 of the points. After each generation
+        // `nearest` must reach the brute-force minimum at fixed probes
+        // (two outside the MBR), at every deleted entry's point so far and
+        // at the fresh inserts.
         let mut pts = pseudorandom(300, 41);
         let mut idx = VoronoiIndex::new(&pts).unwrap();
         let mut probes = pseudorandom(40, 77);
         probes.extend([Point::new(-50.0, 20.0), Point::new(180.0, 240.0)]);
+        let (mut decay, mut rebuilds) = (0, 0);
         for round in 0..12 {
-            let rebuild = round == 6;
-            let (n_del, n_ins) = if rebuild { (25, 20) } else { (6, 8) };
+            let (n_del, n_ins) = if round == 6 { (25, 20) } else { (6, 8) };
             let mut batch = make_batch(&pts, n_del, n_ins, 1000 + round as u64);
             let dir = idx.directory.as_ref().unwrap();
             for &s in dir.sites.iter().skip(round).step_by(9).take(2) {
@@ -866,22 +1004,57 @@ mod tests {
             }
             batch.normalize(&Rect::bounding(pts.iter().copied()));
             let entries = dir.sites.len();
+            let rebuild = (decay + batch.op_count()) * DELTA_REBUILD_DENOM > pts.len();
+            decay = if rebuild { 0 } else { decay + batch.op_count() };
+            rebuilds += usize::from(rebuild);
             pts = expected_points(&pts, &batch);
             let (next, stats) = idx.apply_delta(&batch).unwrap();
             assert_eq!(stats.incremental, !rebuild, "round {round}");
             idx = next;
+            assert_eq!(idx.decay, decay, "round {round}");
             assert_maps(&idx, &pts);
             let dir = idx.directory.as_ref().unwrap();
             assert!(dir.keys.windows(2).all(|w| w[0] <= w[1]));
-            assert!(dir.sites.iter().all(|&s| (s as usize) < idx.len()));
+            assert!(
+                dir.sites.iter().all(|&s| idx.id_of(s) != u32::MAX),
+                "a dead seed"
+            );
             if !rebuild {
                 assert_eq!(dir.sites.len(), entries, "an entry was dropped");
             }
             assert_nearest_exact(&idx, &pts, &probes);
             assert_nearest_exact(&idx, &pts, &batch.inserts);
         }
+        assert!((2..12).contains(&rebuilds), "{rebuilds} rebuilds");
         let want = VoronoiIndex::new(&pts).unwrap();
         assert_same_index(&idx, &want);
+    }
+
+    #[test]
+    fn index_free_walks_start_live_after_deletes() {
+        // Without a directory every walk starts at its hint, and the
+        // kernels' default hint is site 0. Delete the point there (and its
+        // curve neighbours) and the walks must still start live: `nearest`
+        // and `nearest_ties` stay exact.
+        let pts = pseudorandom(400, 53);
+        let idx = VoronoiIndex::without_start_index(&pts).unwrap();
+        let mut batch = UpdateBatch {
+            inserts: pseudorandom(5, 54),
+            deletes: (0..4).map(|s| idx.id_of(s)).collect(),
+        };
+        batch.validate(pts.len()).unwrap();
+        batch.normalize(&Rect::bounding(pts.iter().copied()));
+        let (next, stats) = idx.apply_delta(&batch).unwrap();
+        assert!(stats.incremental && next.directory.is_none());
+        assert_eq!(next.id_of(0), u32::MAX, "site 0 is a tombstone");
+        let expect = expected_points(&pts, &batch);
+        let probes = pseudorandom(30, 55);
+        assert_nearest_exact(&next, &expect, &probes);
+        let mut ties = Vec::new();
+        for &q in &probes {
+            next.nearest_ties(q, &mut ties);
+            assert_eq!(ties, brute_ties(&expect, q));
+        }
     }
 
     /// Every id at the minimum `distance_sq` to `q`, ascending.

@@ -497,19 +497,24 @@ impl DistanceScratch {
     /// Starts a graph traversal over `sites` points whose adjacency
     /// lists lie on `pages` pages: every site becomes unvisited and
     /// every page untouched by advancing the epoch — no per-query clear.
-    /// The mark buffers are really cleared only when one of them has to
-    /// grow or the epoch is about to wrap around.
+    /// A mark added for a grown index (a delta generation appends sites)
+    /// starts unvisited beside the old ones, which keep their epochs; the
+    /// buffers are really cleared only when the epoch is about to wrap
+    /// around.
     // ssq-analyze: deny-alloc
     pub fn begin_traversal(&mut self, sites: usize, pages: usize) {
-        let grows = self.marks.len() < sites || self.page_marks.len() < pages;
-        if grows || self.epoch > u32::MAX - 3 {
-            Self::ensure(&mut self.marks, sites, &mut self.grown);
-            self.marks.clear();
-            self.marks.resize(sites, 0);
-            Self::ensure(&mut self.page_marks, pages, &mut self.grown);
-            self.page_marks.clear();
-            self.page_marks.resize(pages, 0);
+        if self.epoch > u32::MAX - 3 {
+            self.marks.fill(0);
+            self.page_marks.fill(0);
             self.epoch = 0;
+        }
+        if self.marks.len() < sites {
+            Self::ensure(&mut self.marks, sites, &mut self.grown);
+            self.marks.resize(sites, 0);
+        }
+        if self.page_marks.len() < pages {
+            Self::ensure(&mut self.page_marks, pages, &mut self.grown);
+            self.page_marks.resize(pages, 0);
         }
         self.epoch += 2;
     }

@@ -133,7 +133,7 @@ impl<'a, K: Fn(Point) -> f64> Walk<'a, K> {
         width: usize,
         key: K,
     ) -> Walk<'a, K> {
-        scratch.begin_traversal(index.len(), index.page_count());
+        scratch.begin_traversal(index.site_bound(), index.page_count());
         let heap = scratch.take_heap();
         Walk {
             index,

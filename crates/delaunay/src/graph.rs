@@ -3,14 +3,22 @@
 //! VS² (paper §4.2) assumes "the Voronoi neighbors of each data point is
 //! known. To be specific, the adjacency list of the Delaunay graph of the
 //! points in P is stored in a flat file". [`DelaunayGraph`] is that
-//! structure: a compressed sparse row (CSR) adjacency built once from the
+//! structure: one sorted neighbour list per vertex, built from the
 //! triangulation, with the two geometric queries the SSQ algorithms need —
 //! Voronoi cells (for the Theorem 3/4 pruning tests) and greedy
 //! nearest-neighbour walks (to find the traversal's entry point `NN(q₁)`).
+//!
+//! The graph keeps the triangulation it was read from — the points live
+//! there, once — so an edited copy of it can be patched in. The lists are
+//! [`Rows`] — `Arc`-shared chunks of consecutive vertices — so the graph of
+//! an edited triangulation ([`DelaunayGraph::patched`]) rewrites the chunks
+//! holding a vertex whose star changed and shares the rest with the graph
+//! it was patched from.
 
 use ssq_geom::{ConvexPolygon, HalfPlane, Point, Rect};
 
-use crate::triangulation::{BuildError, Triangulation};
+use crate::rows::Rows;
+use crate::triangulation::{BuildError, Touched, Triangulation};
 
 /// The Delaunay graph of a point set.
 ///
@@ -18,112 +26,155 @@ use crate::triangulation::{BuildError, Triangulation};
 /// the graph is the path connecting consecutive points along their common
 /// line — exactly the Delaunay graph limit — so every query below still
 /// behaves correctly.
+///
+/// A graph patched after removals keeps the removed vertices' slots: they
+/// have no neighbours, no other vertex lists them, and a walk must not
+/// start from one.
 pub struct DelaunayGraph {
-    points: Vec<Point>,
-    /// CSR offsets: neighbours of `i` are `adj[offsets[i]..offsets[i+1]]`.
-    offsets: Vec<u32>,
-    adj: Vec<u32>,
-    /// MBR of the points, inflated; used as the default Voronoi clip box.
-    clip: Rect,
+    /// The triangulation the lists were read from; it holds every vertex
+    /// slot's coordinates (stale for a removed vertex).
+    tri: Triangulation,
+    /// Neighbours of `i`, ascending: `adj.row(i)`.
+    adj: Rows<u32>,
+    /// MBR of the live vertices; the default Voronoi clip box is derived
+    /// from it.
+    bounds: Rect,
 }
 
 impl DelaunayGraph {
     /// Builds the Delaunay graph of `points`.
     pub fn new(points: &[Point]) -> Result<DelaunayGraph, BuildError> {
-        let tri = Triangulation::new(points)?;
-        Ok(Self::from_triangulation(&tri))
+        Ok(Self::from_triangulation(Triangulation::new(points)?))
     }
 
-    /// Builds the graph from an existing triangulation.
-    pub fn from_triangulation(tri: &Triangulation) -> DelaunayGraph {
-        let points = tri.points().to_vec();
+    /// Builds the graph of a triangulation no vertex has been removed
+    /// from, keeping it.
+    pub fn from_triangulation(tri: Triangulation) -> DelaunayGraph {
+        let points = tri.points();
         let n = points.len();
 
-        let (offsets, mut adj);
-        if tri.is_degenerate() {
-            let edges = degenerate_path_edges(&points);
-            let mut degree = vec![0u32; n];
-            for &(a, b) in &edges {
-                degree[a as usize] += 1;
-                degree[b as usize] += 1;
-            }
-            offsets = prefix_sum(&degree);
-            adj = vec![0u32; offsets[n] as usize];
-            let mut cursor = offsets.clone();
-            for &(a, b) in &edges {
-                adj[cursor[a as usize] as usize] = b;
-                cursor[a as usize] += 1;
-                adj[cursor[b as usize] as usize] = a;
-                cursor[b as usize] += 1;
-            }
+        // A CSR fill first: every finite *directed* edge `a → b` occurs
+        // exactly once over the alive triangles (the reverse edge lives in
+        // the adjacent triangle — a ghost, for hull edges), so two passes
+        // over the triangle corners place every list without
+        // materializing and sorting a global edge list.
+        let edges = if tri.is_degenerate() {
+            degenerate_path_edges(points)
         } else {
-            // Direct CSR fill: every finite *directed* edge `a → b` occurs
-            // exactly once over the alive triangles (the reverse edge lives
-            // in the adjacent triangle — a ghost, for hull edges), so two
-            // passes over the triangle corners build the adjacency without
-            // materializing and sorting a global edge list.
-            let mut degree = vec![0u32; n];
-            tri.for_each_directed_edge(|a, _| degree[a as usize] += 1);
-            offsets = prefix_sum(&degree);
-            adj = vec![0u32; offsets[n] as usize];
-            let mut cursor = offsets.clone();
-            tri.for_each_directed_edge(|a, b| {
-                adj[cursor[a as usize] as usize] = b;
-                cursor[a as usize] += 1;
-            });
-        }
-        // Sort each neighbour list for determinism and binary search.
-        for i in 0..n {
-            adj[offsets[i] as usize..offsets[i + 1] as usize].sort_unstable();
-        }
-
-        let span = Rect::bounding(points.iter().copied());
-        let margin = (span.width().max(span.height())).max(1.0);
+            Vec::new()
+        };
+        let each_edge = |f: &mut dyn FnMut(u32, u32)| {
+            if tri.is_degenerate() {
+                for &(a, b) in &edges {
+                    f(a, b);
+                    f(b, a);
+                }
+            } else {
+                tri.for_each_directed_edge(f);
+            }
+        };
+        let mut degree = vec![0u32; n];
+        each_edge(&mut |a, _| degree[a as usize] += 1);
+        let offsets = prefix_sum(&degree);
+        let mut csr = vec![0u32; offsets[n] as usize];
+        let mut cursor = offsets.clone();
+        each_edge(&mut |a, b| {
+            csr[cursor[a as usize] as usize] = b;
+            cursor[a as usize] += 1;
+        });
+        // Each list sorted, for determinism and binary search.
+        let adj = Rows::new(n, |i, out| {
+            let start = out.len();
+            out.extend_from_slice(
+                &csr[offsets[i as usize] as usize..offsets[i as usize + 1] as usize],
+            );
+            out[start..].sort_unstable();
+        });
         DelaunayGraph {
-            points,
-            offsets,
+            bounds: Rect::bounding(points.iter().copied()),
             adj,
-            clip: span.inflate(margin),
+            tri,
         }
     }
 
-    /// The underlying points, in the order they were given.
-    pub fn points(&self) -> &[Point] {
-        &self.points
+    /// The graph of `tri`, an edited copy of [`DelaunayGraph::triangulation`]:
+    /// the lists of the `touched` vertices — ascending, one entry each, the
+    /// latest report of every vertex an edit reported — are read off their
+    /// stars (a removed vertex's is empty), every other list is shared
+    /// with `self`. `bounds` is the MBR of `tri`'s live vertices.
+    /// `O(|touched| + n / CHUNK)`.
+    pub fn patched(&self, tri: Triangulation, touched: &[Touched], bounds: Rect) -> DelaunayGraph {
+        debug_assert!(touched.windows(2).all(|w| w[0].vertex < w[1].vertex));
+        let dirty: Vec<u32> = touched.iter().map(|t| t.vertex).collect();
+        let mut stars = touched.iter();
+        let adj = self.adj.patched(tri.points().len(), &dirty, |i, out| {
+            let touched = stars.next();
+            debug_assert_eq!(touched.map(|t| t.vertex), Some(i));
+            if let Some(t) = touched.and_then(|t| t.star) {
+                let start = out.len();
+                tri.star(i, t, out);
+                out[start..].sort_unstable();
+            }
+        });
+        DelaunayGraph { tri, adj, bounds }
     }
 
-    /// Number of points.
+    /// The triangulation the graph was read from.
+    pub fn triangulation(&self) -> &Triangulation {
+        &self.tri
+    }
+
+    /// The underlying points by vertex slot: the input order, then any
+    /// inserted points (a removed vertex keeps its stale coordinates).
+    #[inline]
+    pub fn points(&self) -> &[Point] {
+        self.tri.points()
+    }
+
+    /// Number of vertex slots, removed vertices included.
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.points().len()
     }
 
     /// `true` when the graph has no points.
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.points().is_empty()
     }
 
     /// The point with index `i`.
     #[inline]
     pub fn point(&self, i: u32) -> Point {
-        self.points[i as usize]
+        self.points()[i as usize]
     }
 
     /// The Voronoi (Delaunay) neighbours of point `i`, sorted by index.
     #[inline]
+    // ssq-analyze: deny-alloc
     pub fn neighbors(&self, i: u32) -> &[u32] {
-        &self.adj[self.offsets[i as usize] as usize..self.offsets[i as usize + 1] as usize]
+        self.adj.row(i)
+    }
+
+    /// The neighbour lists themselves.
+    pub fn rows(&self) -> &Rows<u32> {
+        &self.adj
     }
 
     /// Total number of undirected Delaunay edges.
     pub fn edge_count(&self) -> usize {
-        self.adj.len() / 2
+        self.adj.item_count() / 2
     }
 
-    /// The default clipping rectangle for Voronoi cells: the data MBR
-    /// inflated by its own larger side (so boundary cells comfortably cover
-    /// the data universe).
+    /// The MBR of the live points.
+    pub fn bounds(&self) -> Rect {
+        self.bounds
+    }
+
+    /// The default clipping rectangle for Voronoi cells: the live points'
+    /// MBR inflated by its own larger side (so boundary cells comfortably
+    /// cover the data universe).
     pub fn default_clip(&self) -> Rect {
-        self.clip
+        let margin = (self.bounds.width().max(self.bounds.height())).max(1.0);
+        self.bounds.inflate(margin)
     }
 
     /// The Voronoi cell of point `i`, clipped to `clip`.
@@ -146,11 +197,6 @@ impl DelaunayGraph {
         poly
     }
 
-    /// The Voronoi cell of point `i` with the default clip box.
-    pub fn voronoi_cell_default(&self, i: u32) -> ConvexPolygon {
-        self.voronoi_cell(i, &self.clip.clone())
-    }
-
     /// Greedy nearest-neighbour walk: starting from `start`, repeatedly
     /// moves to any neighbour strictly closer to `q`, stopping at a local
     /// (= global, on Delaunay graphs) minimum. Returns the index of the
@@ -168,7 +214,9 @@ impl DelaunayGraph {
 
     /// [`DelaunayGraph::greedy_nearest`] for a caller that accounts the
     /// reads itself: `visit(i)` is called for every point whose adjacency
-    /// list the walk scans, `start` first and the answer last.
+    /// list the walk scans, `start` first and the answer last. `start`
+    /// must be a live vertex: a removed one has no neighbours and would be
+    /// returned as it is.
     pub fn greedy_nearest_with(&self, q: Point, start: u32, mut visit: impl FnMut(u32)) -> u32 {
         let mut cur = start;
         let mut cur_d = self.point(cur).distance_sq(q);
@@ -191,9 +239,10 @@ impl DelaunayGraph {
         }
     }
 
-    /// Exact nearest neighbour of `q` by greedy walk from point 0.
+    /// Exact nearest neighbour of `q` by greedy walk from point 0 (of a
+    /// graph no vertex was removed from).
     pub fn nearest(&self, q: Point) -> Option<u32> {
-        if self.points.is_empty() {
+        if self.is_empty() {
             return None;
         }
         Some(self.greedy_nearest(q, 0).0)

@@ -13,8 +13,11 @@
 //!   triangulation built on the exact predicates of `ssq-geom`, using a
 //!   symbolic *ghost vertex* instead of a super-triangle so hull handling
 //!   is exact;
-//! * [`DelaunayGraph`] — the CSR adjacency ("the adjacency list of the
-//!   Delaunay graph", §4.2) with greedy nearest-neighbour walks;
+//! * [`DelaunayGraph`] — the adjacency ("the adjacency list of the
+//!   Delaunay graph", §4.2) with greedy nearest-neighbour walks, its
+//!   neighbour lists held as [`rows::Rows`] — per-site rows in
+//!   `Arc`-shared chunks, so an edited graph shares what an edit left
+//!   alone with its predecessor;
 //! * Voronoi cells ([`DelaunayGraph::voronoi_cell`]) as clipped convex
 //!   polygons, obtained by intersecting bisector half-planes of the
 //!   Delaunay neighbours;
@@ -37,8 +40,9 @@ pub mod file;
 pub mod graph;
 pub mod hilbert;
 pub mod paged;
+pub mod rows;
 pub mod triangulation;
 pub mod voronoi;
 
 pub use graph::DelaunayGraph;
-pub use triangulation::{BuildError, DeltaError, Triangulation};
+pub use triangulation::{BuildError, DeltaError, Touched, Triangulation};

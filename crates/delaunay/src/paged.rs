@@ -12,12 +12,23 @@
 //! accounting the R-tree side uses — in a page set of its own, keyed by
 //! [`PagedAdjacency::page_of`], so queries running side by side on one
 //! index share no counter.
+//!
+//! A site appended after the layout — a point inserted by a delta — has no
+//! position on the curve's pages. It is accounted to a page chosen for it
+//! ([`PagedAdjacency::append`]): a file organized by Hilbert value stores
+//! a new point beside its neighbours, so that is the page it would be
+//! inserted into, and the page count stays as laid out.
 
-/// Page assignment for a sequence of sites in Hilbert order.
-#[derive(Clone, Copy, Debug)]
+/// Page assignment for a sequence of sites in Hilbert order, plus any
+/// sites appended since.
+#[derive(Clone, Debug)]
 pub struct PagedAdjacency {
     per_page: u32,
     page_count: u32,
+    /// Sites `0..laid_out` are on the pages by position.
+    laid_out: u32,
+    /// The page of each site appended after them, in order.
+    appended: Vec<u32>,
 }
 
 impl PagedAdjacency {
@@ -30,7 +41,15 @@ impl PagedAdjacency {
         PagedAdjacency {
             per_page: per_page as u32,
             page_count: sites.div_ceil(per_page) as u32,
+            laid_out: sites as u32,
+            appended: Vec::new(),
         }
+    }
+
+    /// Accounts the next site to `page`, one of the laid-out pages.
+    pub fn append(&mut self, page: u32) {
+        debug_assert!(page < self.page_count);
+        self.appended.push(page);
     }
 
     /// Total number of pages.
@@ -46,7 +65,11 @@ impl PagedAdjacency {
     /// The page holding site `i`.
     #[inline]
     pub fn page_of(&self, i: u32) -> u32 {
-        i / self.per_page
+        if i < self.laid_out {
+            i / self.per_page
+        } else {
+            self.appended[(i - self.laid_out) as usize]
+        }
     }
 }
 
@@ -65,6 +88,13 @@ mod tests {
         assert_eq!(paged.page_of(10), 1);
         assert_eq!(paged.page_of(102), 10);
         assert_eq!(PagedAdjacency::new(0, 10).page_count(), 0);
+        // Appended sites take the pages they are given.
+        let mut grown = paged.clone();
+        grown.append(4);
+        grown.append(0);
+        assert_eq!((grown.page_of(103), grown.page_of(104)), (4, 0));
+        assert_eq!(grown.page_of(57), 5);
+        assert_eq!(grown.page_count(), 11);
     }
 
     #[test]

@@ -18,6 +18,19 @@
 //!
 //! Points are inserted in Hilbert-curve order, which keeps the locate walks
 //! short and makes construction effectively linear time in practice.
+//!
+//! # Edits keep slots
+//!
+//! After construction the triangulation can be edited one point at a time
+//! ([`Triangulation::insert_point`], [`Triangulation::remove_point`]).
+//! Vertex ids never move: a removed vertex stays in its slot as a
+//! *tombstone* — its stale coordinates kept, no triangle referring to it —
+//! and an inserted point is appended. Dead triangle slots go on a free
+//! list that the next allocation reuses, so the arena holds exactly the
+//! live triangles (`2·v − 2` over `v` live vertices, ghosts included) plus
+//! whatever a removal just freed. Each edit reports the vertices whose
+//! star it changed ([`Touched`]), which is how a caller keeping per-vertex
+//! data learns what to rewrite without comparing every vertex.
 
 use ssq_geom::predicates::{incircle_sign, orient2d_sign};
 use ssq_geom::{Point, Rect};
@@ -78,6 +91,20 @@ impl std::fmt::Display for DeltaError {
 
 impl std::error::Error for DeltaError {}
 
+/// A vertex whose star an edit changed: the ring of a removed vertex, the
+/// cavity boundary of an inserted one, the inserted vertex itself — and
+/// the removed vertex, whose star became empty.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Touched {
+    /// The vertex.
+    pub vertex: u32,
+    /// One live triangle of its new star (possibly a ghost), from which
+    /// [`Triangulation::star`] reads its neighbours; `None` for a removed
+    /// vertex. The latest report of a vertex stays valid through later
+    /// edits: an edit that frees a triangle reports every vertex it had.
+    pub star: Option<u32>,
+}
+
 /// A triangle record: vertex indices (CCW for finite triangles; ghost
 /// triangles keep `GHOST` in slot 2) and the neighbour opposite each
 /// vertex.
@@ -104,6 +131,8 @@ const NO_TRI: u32 = u32::MAX;
 pub struct Triangulation {
     points: Vec<Point>,
     tris: Vec<Tri>,
+    /// Dead slots of `tris`, reused last-freed first.
+    free: Vec<u32>,
     /// Some alive triangle, used as the default walk start.
     seed: u32,
     /// True when the input was collinear/too small to triangulate.
@@ -135,6 +164,7 @@ impl Triangulation {
         let mut t = Triangulation {
             points: points.to_vec(),
             tris: Vec::new(),
+            free: Vec::new(),
             seed: NO_TRI,
             degenerate: true,
             epoch: 0,
@@ -178,14 +208,22 @@ impl Triangulation {
             if i == i1 || i == i2 {
                 continue;
             }
-            t.insert(i);
+            t.insert(i, None);
         }
         Ok(t)
     }
 
-    /// The input points, in the order they were given.
+    /// The vertices' coordinates by id: the input points in the order they
+    /// were given, then the inserted ones. A removed vertex keeps its
+    /// stale coordinates.
     pub fn points(&self) -> &[Point] {
         &self.points
+    }
+
+    /// Number of triangle slots, dead ones included (construction leaves
+    /// none dead; a removal frees two).
+    pub fn slot_count(&self) -> usize {
+        self.tris.len()
     }
 
     /// `true` when the input had no non-collinear triple.
@@ -245,11 +283,16 @@ impl Triangulation {
     /// Appends `p` as a new vertex and inserts it into the triangulation
     /// (visibility-walk locate + Bowyer–Watson cavity). Returns the new
     /// vertex id. `O(log n)` expected for well-distributed inserts.
+    /// Pushes the new vertex and the cavity boundary onto `touched`.
     ///
     /// Fails with [`DeltaError::NeedsRebuild`] on a degenerate
     /// triangulation (the caller rebuilds from the full point set, which
     /// also resolves a formerly-collinear set gaining an off-line point).
-    pub fn insert_point(&mut self, p: Point) -> Result<u32, DeltaError> {
+    pub fn insert_point(
+        &mut self,
+        p: Point,
+        touched: &mut Vec<Touched>,
+    ) -> Result<u32, DeltaError> {
         if !p.is_finite() {
             return Err(DeltaError::NonFinite);
         }
@@ -267,22 +310,22 @@ impl Triangulation {
         }
         let pi = self.points.len() as u32;
         self.points.push(p);
-        self.insert(pi);
+        self.insert(pi, Some(touched));
         Ok(pi)
     }
 
     /// Removes vertex `vi`, retriangulating the star-shaped hole left by
     /// its incident triangles (cavity retriangulation by Delaunay ear
     /// clipping; hull vertices are handled through their ghost ring).
+    /// Pushes `vi` (with no star) and its link ring onto `touched`.
     ///
-    /// The vertex's `points` slot becomes stale but keeps its index so
-    /// later operations in the same batch can still use old ids; call
-    /// [`Triangulation::compact`] once the batch is done. Fails with
-    /// [`DeltaError::NeedsRebuild`] — leaving the triangulation unchanged
-    /// — when the hole admits no valid ear (collinear residue). Callers
+    /// The vertex becomes a tombstone: its slot and stale coordinates stay,
+    /// and no other vertex moves. Fails with [`DeltaError::NeedsRebuild`] —
+    /// leaving the triangulation unchanged — when `vi` is not a live
+    /// vertex or the hole admits no valid ear (collinear residue). Callers
     /// must keep at least three finite vertices with a non-collinear
     /// triple; batches shrinking the set below that must rebuild instead.
-    pub fn remove_point(&mut self, vi: u32) -> Result<(), DeltaError> {
+    pub fn remove_point(&mut self, vi: u32, touched: &mut Vec<Touched>) -> Result<(), DeltaError> {
         if self.degenerate {
             return Err(DeltaError::NeedsRebuild);
         }
@@ -392,7 +435,7 @@ impl Triangulation {
         // neighbour links through an undirected-edge map seeded with the
         // ring boundary (the same scheme the insertion cavity uses).
         for &t in &incident {
-            self.tris[t as usize].alive = false;
+            self.kill(t);
         }
         let mut edge_map: std::collections::HashMap<(u32, u32), (u32, usize)> =
             std::collections::HashMap::with_capacity(m * 2);
@@ -402,6 +445,7 @@ impl Triangulation {
             edge_map.insert((a.min(b), a.max(b)), outs[i]);
         }
         let mut new_seed = NO_TRI;
+        let mut made: Vec<u32> = Vec::with_capacity(planned.len());
         for &[x, y, z] in &planned {
             let (v, rot) = if x == GHOST {
                 ([y, z, GHOST], 1)
@@ -411,6 +455,7 @@ impl Triangulation {
                 ([x, y, z], 0)
             };
             let nt = self.alloc(v);
+            made.push(nt);
             if new_seed == NO_TRI || v[2] != GHOST {
                 new_seed = nt;
             }
@@ -430,73 +475,48 @@ impl Triangulation {
         }
         debug_assert!(edge_map.is_empty(), "hole stitching must close");
         self.seed = new_seed;
+        touched.push(Touched {
+            vertex: vi,
+            star: None,
+        });
+        for &r in ring.iter().filter(|&&r| r != GHOST) {
+            // The hole's triangulation uses every ring vertex.
+            let star = made
+                .iter()
+                .copied()
+                .find(|&t| self.tris[t as usize].v.contains(&r));
+            debug_assert!(star.is_some(), "ring vertex {r} left out of the hole");
+            touched.push(Touched { vertex: r, star });
+        }
         Ok(())
     }
 
-    /// Compacts vertex ids and the triangle arena after a batch of
-    /// [`Triangulation::remove_point`] / [`Triangulation::insert_point`]
-    /// calls.
-    ///
-    /// `deleted` lists the removed vertex ids in ascending order.
-    /// Surviving vertices slide down to fill the gaps (the id map is
-    /// monotone, so sorted id lists stay sorted under it); dead triangle
-    /// slots are dropped so the arena does not grow across generations.
-    /// Returns the old-id → new-id map, with `u32::MAX` for deleted ids.
-    pub fn compact(&mut self, deleted: &[u32]) -> Vec<u32> {
-        debug_assert!(deleted.windows(2).all(|w| w[0] < w[1]));
-        let n = self.points.len();
-        let mut remap = vec![u32::MAX; n];
-        let mut kept = Vec::with_capacity(n - deleted.len());
-        let mut di = 0usize;
-        for (i, &p) in self.points.iter().enumerate() {
-            if di < deleted.len() && deleted[di] as usize == i {
-                di += 1;
-                continue;
+    /// Appends the neighbours of vertex `v` to `out`, in rotational order,
+    /// reading them off its star from `t`, one of its live triangles (a
+    /// [`Touched::star`]). `O(deg v)`.
+    pub fn star(&self, v: u32, t: u32, out: &mut Vec<u32>) {
+        let mut cur = t;
+        loop {
+            let tri = &self.tris[cur as usize];
+            debug_assert!(
+                tri.alive && tri.v.contains(&v),
+                "{cur} is not in the star of {v}"
+            );
+            let Some(k) = (0..3).find(|&j| tri.v[j] == v) else {
+                return;
+            };
+            let a = tri.v[(k + 1) % 3];
+            if a != GHOST {
+                out.push(a);
             }
-            remap[i] = kept.len() as u32;
-            kept.push(p);
-        }
-        debug_assert_eq!(di, deleted.len(), "deleted ids must be in range");
-        self.points = kept;
-
-        let mut tri_remap = vec![NO_TRI; self.tris.len()];
-        let mut kept_tris: Vec<Tri> = Vec::with_capacity(self.tris.len());
-        for (i, t) in self.tris.iter().enumerate() {
-            if t.alive {
-                tri_remap[i] = kept_tris.len() as u32;
-                kept_tris.push(*t);
+            cur = tri.nbr[(k + 1) % 3];
+            if cur == t {
+                return;
             }
         }
-        for t in &mut kept_tris {
-            for k in 0..3 {
-                if t.v[k] != GHOST {
-                    debug_assert_ne!(
-                        remap[t.v[k] as usize],
-                        u32::MAX,
-                        "live triangle references a deleted vertex"
-                    );
-                    t.v[k] = remap[t.v[k] as usize];
-                }
-                t.nbr[k] = tri_remap[t.nbr[k] as usize];
-            }
-            t.stamp = 0;
-        }
-        self.tris = kept_tris;
-        self.epoch = 0;
-        self.seed = if self.tris.is_empty() {
-            NO_TRI
-        } else {
-            tri_remap[self.seed as usize]
-        };
-        remap
     }
 
     // -- crate-internal accessors (used by the Voronoi extraction) ---------
-
-    /// Number of triangle slots (alive or dead).
-    pub(crate) fn slot_count(&self) -> usize {
-        self.tris.len()
-    }
 
     /// Is slot `t` an alive triangle?
     pub(crate) fn slot_alive(&self, t: u32) -> bool {
@@ -553,15 +573,30 @@ impl Triangulation {
         self.seed = f;
     }
 
+    /// A slot for a new triangle `v`: the last one freed, else a new one.
     fn alloc(&mut self, v: [u32; 3]) -> u32 {
-        let id = self.tris.len() as u32;
-        self.tris.push(Tri {
+        let tri = Tri {
             v,
             nbr: [NO_TRI; 3],
             alive: true,
             stamp: 0,
-        });
-        id
+        };
+        match self.free.pop() {
+            Some(id) => {
+                self.tris[id as usize] = tri;
+                id
+            }
+            None => {
+                self.tris.push(tri);
+                self.tris.len() as u32 - 1
+            }
+        }
+    }
+
+    /// Frees slot `t` for reuse.
+    fn kill(&mut self, t: u32) {
+        self.tris[t as usize].alive = false;
+        self.free.push(t);
     }
 
     #[inline]
@@ -651,8 +686,8 @@ impl Triangulation {
     }
 
     /// Inserts point index `pi` (which must not duplicate an existing
-    /// vertex).
-    fn insert(&mut self, pi: u32) {
+    /// vertex), pushing it and the cavity boundary onto `touched` if given.
+    fn insert(&mut self, pi: u32, mut touched: Option<&mut Vec<Touched>>) {
         let p = self.pt(pi);
         let seed = self.locate(p, self.seed);
         debug_assert!(
@@ -717,7 +752,7 @@ impl Triangulation {
 
         // Delete the cavity and fan new triangles (x, y, p) around p.
         for &t in &cavity {
-            self.tris[t as usize].alive = false;
+            self.kill(t);
         }
         let mut edge_map: std::collections::HashMap<(u32, u32), (u32, usize)> =
             std::collections::HashMap::with_capacity(boundary.len() * 2);
@@ -736,6 +771,13 @@ impl Triangulation {
             let nt = self.alloc(v);
             if first_new == NO_TRI {
                 first_new = nt;
+            }
+            // Each boundary vertex starts exactly one boundary edge.
+            if let Some(touched) = touched.as_deref_mut().filter(|_| b.x != GHOST) {
+                touched.push(Touched {
+                    vertex: b.x,
+                    star: Some(nt),
+                });
             }
             // In (x, y, p) coordinates: edge opposite p (index 2) borders
             // `outside`; edge opposite x (index 0) is (y, p); edge opposite
@@ -757,6 +799,12 @@ impl Triangulation {
         }
         debug_assert!(first_new != NO_TRI);
         self.seed = first_new;
+        if let Some(touched) = touched {
+            touched.push(Touched {
+                vertex: pi,
+                star: Some(first_new),
+            });
+        }
     }
 
     /// Checks the structural invariants (symmetric neighbour links, CCW
@@ -826,10 +874,20 @@ mod tests {
     /// hull *boundary* (corner vertices plus collinear boundary points),
     /// #triangles = 2n - h - 2 and #edges = 3n - h - 3.
     fn assert_euler(t: &Triangulation) {
-        let n = t.points().len();
-        let hull = ssq_geom::convex_hull(t.points());
-        let h = t
-            .points()
+        assert_euler_sparse(t, &[]);
+    }
+
+    /// Like `assert_euler` over the vertices not in `removed`; the arena
+    /// holds the live triangles plus what the last removal freed.
+    fn assert_euler_sparse(t: &Triangulation, removed: &[u32]) {
+        let live: Vec<Point> = (0u32..)
+            .zip(t.points())
+            .filter(|(i, _)| !removed.contains(i))
+            .map(|(_, &p)| p)
+            .collect();
+        let n = live.len();
+        let hull = ssq_geom::convex_hull(&live);
+        let h = live
             .iter()
             .filter(|&&p| hull.contains(p) && !hull.contains_strict(p))
             .count();
@@ -837,6 +895,7 @@ mod tests {
         let edge_count = t.edges().len();
         assert_eq!(tri_count, 2 * n - h - 2, "triangle count (n={n}, h={h})");
         assert_eq!(edge_count, 3 * n - h - 3, "edge count (n={n}, h={h})");
+        assert!(t.slot_count() <= 2 * (n + removed.len()) - 2, "arena");
     }
 
     #[test]
@@ -961,15 +1020,28 @@ mod tests {
     #[test]
     fn insert_point_extends_the_triangulation() {
         let mut t = Triangulation::new(&[p(0.0, 0.0), p(4.0, 0.0), p(0.0, 4.0)]).unwrap();
+        let mut touched = Vec::new();
         // Interior, on-edge, outside-hull, and collinear-beyond inserts.
         for q in [p(1.0, 1.0), p(2.0, 0.0), p(5.0, 5.0), p(8.0, 0.0)] {
-            let id = t.insert_point(q).unwrap();
+            touched.clear();
+            let id = t.insert_point(q, &mut touched).unwrap();
             assert_eq!(t.points()[id as usize], q);
             assert_delaunay(&t);
             assert_euler(&t);
+            // The new vertex is reported with a triangle of its star.
+            let new = touched.iter().find(|r| r.vertex == id).unwrap();
+            let mut star = Vec::new();
+            t.star(id, new.star.unwrap(), &mut star);
+            assert!(!star.is_empty() && star.iter().all(|&v| v < id));
         }
-        assert_eq!(t.insert_point(p(1.0, 1.0)), Err(DeltaError::Duplicate));
-        assert_eq!(t.insert_point(p(f64::NAN, 0.0)), Err(DeltaError::NonFinite));
+        assert_eq!(
+            t.insert_point(p(1.0, 1.0), &mut touched),
+            Err(DeltaError::Duplicate)
+        );
+        assert_eq!(
+            t.insert_point(p(f64::NAN, 0.0), &mut touched),
+            Err(DeltaError::NonFinite)
+        );
     }
 
     #[test]
@@ -982,12 +1054,25 @@ mod tests {
             p(2.0, 2.0),
         ])
         .unwrap();
-        t.remove_point(4).unwrap();
+        let mut touched = Vec::new();
+        t.remove_point(4, &mut touched).unwrap();
         assert_delaunay_sparse(&t, &[4]);
-        let _ = t.compact(&[4]);
-        assert_delaunay(&t);
-        assert_euler(&t);
+        assert_euler_sparse(&t, &[4]);
         assert_eq!(t.triangles().count(), 2);
+        // The removed vertex and its four-vertex ring.
+        assert_eq!(touched.len(), 5);
+        assert_eq!(
+            touched[0],
+            Touched {
+                vertex: 4,
+                star: None
+            }
+        );
+        // A removed vertex is gone for good.
+        assert_eq!(
+            t.remove_point(4, &mut touched),
+            Err(DeltaError::NeedsRebuild)
+        );
     }
 
     #[test]
@@ -1000,18 +1085,16 @@ mod tests {
             p(2.0, 2.0),
         ])
         .unwrap();
-        t.remove_point(0).unwrap();
+        t.remove_point(0, &mut Vec::new()).unwrap();
         assert_delaunay_sparse(&t, &[0]);
-        let _ = t.compact(&[0]);
-        assert_delaunay(&t);
-        assert_euler(&t);
+        assert_euler_sparse(&t, &[0]);
         // 4 remaining points, all on the hull boundary of the residue
         // ((2,2) sits exactly on the new hull edge (0,4)-(4,0)).
         assert_eq!(t.triangles().count(), 2);
     }
 
     #[test]
-    fn remove_then_compact_keeps_delaunay() {
+    fn removals_keep_slots_and_delaunay() {
         let mut pts = Vec::new();
         let mut seed = 0x5EEDu64;
         let mut next = move || {
@@ -1024,18 +1107,15 @@ mod tests {
             pts.push(p(next() * 100.0, next() * 100.0));
         }
         let mut t = Triangulation::new(&pts).unwrap();
+        assert_eq!(t.slot_count(), 2 * 60 - 2, "construction leaves no garbage");
         let deleted: Vec<u32> = vec![3, 17, 18, 30, 44, 59];
         for (applied, &d) in deleted.iter().enumerate() {
-            t.remove_point(d).unwrap();
+            t.remove_point(d, &mut Vec::new()).unwrap();
             assert_delaunay_sparse(&t, &deleted[..=applied]);
         }
-        let remap = t.compact(&deleted);
-        assert_eq!(t.points().len(), 54);
-        // Monotone on survivors.
-        let survivors: Vec<u32> = remap.iter().copied().filter(|&r| r != u32::MAX).collect();
-        assert!(survivors.windows(2).all(|w| w[0] < w[1]));
-        assert_delaunay(&t);
-        assert_euler(&t);
+        // Every vertex kept its slot; the removed ones their coordinates.
+        assert_eq!(t.points(), pts.as_slice());
+        assert_euler_sparse(&t, &deleted);
     }
 
     /// Like `assert_delaunay` but skips deleted (stale) point slots.
@@ -1070,40 +1150,40 @@ mod tests {
             seed ^= seed << 17;
             (seed >> 11) as f64 / (1u64 << 53) as f64
         };
-        let mut pts: Vec<Point> = (0..50).map(|_| p(next() * 100.0, next() * 100.0)).collect();
+        let pts: Vec<Point> = (0..50).map(|_| p(next() * 100.0, next() * 100.0)).collect();
         let mut t = Triangulation::new(&pts).unwrap();
 
-        // Delete 12 scattered old ids, insert 15 new points, compact.
+        // Delete 12 scattered old ids, insert 15 new points.
         let deleted: Vec<u32> = vec![0, 4, 9, 13, 21, 22, 23, 30, 38, 44, 48, 49];
+        let mut touched = Vec::new();
         for &d in &deleted {
-            t.remove_point(d).unwrap();
+            t.remove_point(d, &mut touched).unwrap();
         }
         let mut inserts = Vec::new();
         for _ in 0..15 {
             let q = p(next() * 100.0, next() * 100.0);
-            let id = t.insert_point(q).unwrap();
-            assert_eq!(id as usize, pts.len() + inserts.len());
+            let id = t.insert_point(q, &mut touched).unwrap();
+            assert_eq!(id as usize, pts.len() + inserts.len(), "inserts append");
             inserts.push(q);
         }
-        let _ = t.compact(&deleted);
-        assert_delaunay(&t);
-        assert_euler(&t);
+        assert_delaunay_sparse(&t, &deleted);
+        assert_euler_sparse(&t, &deleted);
 
-        // The surviving point sequence matches the delta semantics.
-        let mut expect: Vec<Point> = Vec::new();
-        for (i, &q) in pts.iter().enumerate() {
-            if !deleted.contains(&(i as u32)) {
-                expect.push(q);
-            }
-        }
-        expect.append(&mut inserts);
-        assert_eq!(t.points(), expect.as_slice());
-
-        // Same edge set as a fresh build (no exact cocircularities in
-        // random data, so the Delaunay triangulation is unique).
+        // Same edge set as a fresh build over the live points (no exact
+        // cocircularities in random data, so the Delaunay triangulation is
+        // unique), through the live ids.
+        let live: Vec<u32> = (0..t.points().len() as u32)
+            .filter(|i| !deleted.contains(i))
+            .collect();
+        let expect: Vec<Point> = live.iter().map(|&i| t.points()[i as usize]).collect();
         let fresh = Triangulation::new(&expect).unwrap();
-        assert_eq!(t.edges(), fresh.edges());
-        pts.clear();
+        let mut fresh_edges: Vec<(u32, u32)> = fresh
+            .edges()
+            .into_iter()
+            .map(|(a, b)| (live[a as usize], live[b as usize]))
+            .collect();
+        fresh_edges.sort_unstable();
+        assert_eq!(t.edges(), fresh_edges);
     }
 
     #[test]
@@ -1118,19 +1198,26 @@ mod tests {
         // Corner (hull), edge-midpoint (hull), and center (interior).
         let deleted = vec![0u32, 3, 14, 21, 35];
         for &d in &deleted {
-            t.remove_point(d).unwrap();
+            t.remove_point(d, &mut Vec::new()).unwrap();
         }
-        let _ = t.compact(&deleted);
-        assert_delaunay(&t);
-        assert_euler(&t);
+        assert_delaunay_sparse(&t, &deleted);
+        assert_euler_sparse(&t, &deleted);
     }
 
     #[test]
     fn degenerate_states_demand_rebuild() {
         let mut t = Triangulation::new(&[p(0.0, 0.0), p(1.0, 1.0), p(2.0, 2.0)]).unwrap();
         assert!(t.is_degenerate());
-        assert_eq!(t.insert_point(p(1.0, 0.0)), Err(DeltaError::NeedsRebuild));
-        assert_eq!(t.remove_point(0), Err(DeltaError::NeedsRebuild));
+        let mut touched = Vec::new();
+        assert_eq!(
+            t.insert_point(p(1.0, 0.0), &mut touched),
+            Err(DeltaError::NeedsRebuild)
+        );
+        assert_eq!(
+            t.remove_point(0, &mut touched),
+            Err(DeltaError::NeedsRebuild)
+        );
+        assert!(touched.is_empty());
     }
 
     #[test]

@@ -36,50 +36,76 @@ pub fn circumcenter(a: Point, b: Point, c: Point) -> Option<Point> {
     cc.is_finite().then_some(cc)
 }
 
-/// Computes the Voronoi cell polygons of every site, clipped to `clip`.
+/// Traces the Voronoi cells of a triangulation's sites from their
+/// incident triangles' circumcenters, clipped to one rectangle.
 ///
-/// Returns `None` for degenerate triangulations (collinear input) — the
-/// caller should fall back to [`crate::DelaunayGraph::voronoi_cell`]'s
-/// half-plane construction, which handles those. Individual cells whose
-/// circumcenters are numerically unusable are also built by the fallback,
-/// signalled with `None` in the per-site vector.
-pub fn voronoi_cells(tri: &Triangulation, clip: &Rect) -> Option<Vec<Option<ConvexPolygon>>> {
-    if tri.is_degenerate() {
-        return None;
-    }
-    let points = tri.points();
-    let n = points.len();
+/// [`CellTracer::new`] returns `None` for degenerate triangulations
+/// (collinear input) — the caller should fall back to
+/// [`crate::DelaunayGraph::voronoi_cell`]'s half-plane construction, which
+/// handles those — and [`CellTracer::cell`] returns `None` for an
+/// individual cell whose circumcenters are numerically unusable, which the
+/// fallback builds too.
+pub struct CellTracer<'a> {
+    tri: &'a Triangulation,
+    clip: Rect,
+    /// Scale for the synthetic "far" endpoints of unbounded edges:
+    /// anything that comfortably exits the clip rectangle.
+    clip_diag: f64,
+}
 
-    // One incident (finite) triangle per site, with the site's slot index.
-    let mut incident: Vec<(u32, u8)> = vec![(u32::MAX, 0); n];
+/// One finite triangle incident to each vertex — the last in slot order —
+/// or `u32::MAX` for a vertex in none: where [`CellTracer::cell`] starts
+/// when a whole triangulation's cells are traced.
+pub fn incident_triangles(tri: &Triangulation) -> Vec<u32> {
+    let mut incident = vec![u32::MAX; tri.points().len()];
     for t in 0..tri.slot_count() as u32 {
-        if !tri.slot_alive(t) {
-            continue;
-        }
         let v = tri.slot_verts(t);
-        if v[2] == GHOST {
-            continue;
-        }
-        for (k, &vi) in v.iter().enumerate() {
-            incident[vi as usize] = (t, k as u8);
+        if tri.slot_alive(t) && v[2] != GHOST {
+            for vi in v {
+                incident[vi as usize] = t;
+            }
         }
     }
+    incident
+}
 
-    // Scale for the synthetic "far" endpoints of unbounded edges: anything
-    // that comfortably exits the clip rectangle.
-    let clip_diag = (clip.width() + clip.height()).max(1.0);
+impl<'a> CellTracer<'a> {
+    /// A tracer over `tri`'s sites, clipping to `clip`.
+    pub fn new(tri: &'a Triangulation, clip: &Rect) -> Option<CellTracer<'a>> {
+        (!tri.is_degenerate()).then(|| CellTracer {
+            tri,
+            clip: *clip,
+            clip_diag: (clip.width() + clip.height()).max(1.0),
+        })
+    }
 
-    let mut cells: Vec<Option<ConvexPolygon>> = Vec::with_capacity(n);
-    'site: for site in 0..n as u32 {
-        let (t0, k0) = incident[site as usize];
-        if t0 == u32::MAX {
-            cells.push(None);
-            continue;
+    /// The cell of `site`, clipped, traced from `t` — any live triangle of
+    /// its star, such as a [`Touched::star`](crate::Touched::star) or an
+    /// entry of [`incident_triangles`] (`u32::MAX`: none); `None` when the
+    /// fallback must build it.
+    pub fn cell(&self, site: u32, t: u32) -> Option<ConvexPolygon> {
+        let (tri, clip) = (self.tri, &self.clip);
+        let points = tri.points();
+        if t == u32::MAX {
+            return None;
         }
+        // A finite start: a hull vertex's star holds two ghosts, so at
+        // most two CCW steps leave them.
+        let mut t0 = t;
+        for _ in 0..2 {
+            if tri.slot_verts(t0)[2] != GHOST {
+                break;
+            }
+            t0 = tri.slot_nbr(t0, (vertex_index(tri, t0, site) + 1) % 3);
+        }
+        if tri.slot_verts(t0)[2] == GHOST {
+            return None;
+        }
+        let k0 = vertex_index(tri, t0, site);
 
         // Rotate clockwise around the site to find the CW-most finite
         // triangle (or detect a full interior loop).
-        let mut start = (t0, k0 as usize);
+        let mut start = (t0, k0);
         let mut interior = false;
         {
             let mut cur = start;
@@ -114,20 +140,18 @@ pub fn voronoi_cells(tri: &Triangulation, clip: &Rect) -> Option<Vec<Option<Conv
             }
         }
 
-        // Collect circumcenters rotating counter-clockwise from `start`.
+        // Collect circumcenters rotating counter-clockwise from `start`; a
+        // numerically flat triangle sends the cell to the fallback.
         let mut ccs: Vec<Point> = Vec::with_capacity(8);
         let mut fan: Vec<(u32, usize)> = Vec::with_capacity(8);
         let mut cur = start;
         loop {
             let v = tri.slot_verts(cur.0);
-            let Some(cc) = circumcenter(
+            let cc = circumcenter(
                 points[v[0] as usize],
                 points[v[1] as usize],
                 points[v[2] as usize],
-            ) else {
-                cells.push(None); // numerically flat triangle: fallback
-                continue 'site;
-            };
+            )?;
             ccs.push(cc);
             fan.push(cur);
             // CCW neighbour: across edge (site, v[k+2]).
@@ -143,7 +167,7 @@ pub fn voronoi_cells(tri: &Triangulation, clip: &Rect) -> Option<Vec<Option<Conv
         }
 
         let poly = if interior {
-            ConvexPolygon::from_ccw_dirty(ccs, 1e-12)
+            ConvexPolygon::from_ccw_dirty(ccs, 1e-12).clip_rect(clip)
         } else {
             // Hull site: prepend/append far points along the two unbounded
             // bisector rays. The CW-most triangle's hull edge is
@@ -151,7 +175,7 @@ pub fn voronoi_cells(tri: &Triangulation, clip: &Rect) -> Option<Vec<Option<Conv
             // (site, v[k+2]).
             let site_pt = points[site as usize];
             let big = 4.0
-                * (clip_diag
+                * (self.clip_diag
                     + ccs
                         .iter()
                         .map(|c| c.distance(clip.center()))
@@ -177,16 +201,10 @@ pub fn voronoi_cells(tri: &Triangulation, clip: &Rect) -> Option<Vec<Option<Conv
             ring.push(*ccs.last().expect("nonempty") + ray_last * big);
             ConvexPolygon::from_ccw_dirty(ring, 1e-12).clip_rect(clip)
         };
-        let poly = if interior { poly.clip_rect(clip) } else { poly };
-        if poly.is_empty() || !poly.contains(points[site as usize]) {
-            // Numerical trouble (e.g. huge circumcenters collapsing the
-            // ring): let the caller rebuild this cell by half-planes.
-            cells.push(None);
-        } else {
-            cells.push(Some(poly));
-        }
+        // Numerical trouble (e.g. huge circumcenters collapsing the ring):
+        // let the caller rebuild this cell by half-planes.
+        (!poly.is_empty() && poly.contains(points[site as usize])).then_some(poly)
     }
-    Some(cells)
 }
 
 /// Index of `site` within triangle `t`'s vertex array.
@@ -249,13 +267,14 @@ mod tests {
     fn cells_match_halfplane_construction() {
         for seed in [1u64, 7, 42] {
             let pts = pseudorandom(60, seed);
-            let tri = Triangulation::new(&pts).unwrap();
-            let graph = DelaunayGraph::from_triangulation(&tri);
+            let graph = DelaunayGraph::new(&pts).unwrap();
+            let tri = graph.triangulation();
             let clip = graph.default_clip();
-            let fast = voronoi_cells(&tri, &clip).expect("non-degenerate");
-            for (i, cell) in fast.iter().enumerate() {
-                let slow = graph.voronoi_cell(i as u32, &clip);
-                let Some(cell) = cell else {
+            let fast = CellTracer::new(tri, &clip).expect("non-degenerate");
+            let incident = incident_triangles(tri);
+            for i in 0..pts.len() as u32 {
+                let slow = graph.voronoi_cell(i, &clip);
+                let Some(cell) = fast.cell(i, incident[i as usize]) else {
                     continue; // fallback case, nothing to compare
                 };
                 assert!(
@@ -283,14 +302,15 @@ mod tests {
                 pts.push(p(i as f64, j as f64));
             }
         }
-        let tri = Triangulation::new(&pts).unwrap();
-        let graph = DelaunayGraph::from_triangulation(&tri);
+        let graph = DelaunayGraph::new(&pts).unwrap();
+        let tri = graph.triangulation();
         let clip = graph.default_clip();
-        let fast = voronoi_cells(&tri, &clip).expect("non-degenerate");
+        let fast = CellTracer::new(tri, &clip).expect("non-degenerate");
+        let incident = incident_triangles(tri);
         let mut total = 0.0;
-        for (i, cell) in fast.iter().enumerate() {
-            let cell = cell
-                .clone()
+        for i in 0..pts.len() {
+            let cell = fast
+                .cell(i as u32, incident[i])
                 .unwrap_or_else(|| graph.voronoi_cell(i as u32, &clip));
             assert!(cell.contains(pts[i]));
             total += cell.area();
@@ -304,6 +324,6 @@ mod tests {
     #[test]
     fn degenerate_input_returns_none() {
         let tri = Triangulation::new(&[p(0.0, 0.0), p(1.0, 1.0), p(2.0, 2.0)]).unwrap();
-        assert!(voronoi_cells(&tri, &Rect::from_corners(p(-1.0, -1.0), p(3.0, 3.0))).is_none());
+        assert!(CellTracer::new(&tri, &Rect::from_corners(p(-1.0, -1.0), p(3.0, 3.0))).is_none());
     }
 }

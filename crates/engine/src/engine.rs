@@ -2025,15 +2025,19 @@ mod tests {
     }
 
     /// The Voronoi side of `snapshot` names `mirror`'s points by
-    /// `mirror`'s ids: its site ↔ id maps are inverse permutations and
-    /// `point(id)` is `mirror[id]`, however many deltas composed them.
+    /// `mirror`'s ids: its site ↔ id maps are inverse on the live sites
+    /// (every other site a tombstone) and `point(id)` is `mirror[id]`,
+    /// however many deltas composed them.
     fn assert_voronoi_ids(snapshot: &Snapshot, mirror: &[Point]) {
         let voronoi = snapshot.voronoi();
         assert_eq!(voronoi.len(), mirror.len());
         for (id, &p) in (0u32..).zip(mirror) {
             assert_eq!(voronoi.id_of(voronoi.site_of(id)), id);
-            assert_eq!(voronoi.site_of(voronoi.id_of(id)), id);
             assert_eq!(voronoi.point(id), p, "point {id}");
+        }
+        for site in 0..voronoi.site_bound() as u32 {
+            let id = voronoi.id_of(site);
+            assert!(id == u32::MAX || voronoi.site_of(id) == site, "site {site}");
         }
     }
 
@@ -2058,10 +2062,13 @@ mod tests {
         // cache must never serve a retired generation's context for a
         // fresh one. 110 one-in-one-out generations, every answer checked
         // against a naive oracle over a mirrored point set. Round 55
-        // swaps 12 points out and in, past 1/8 of the index, so the chain
-        // crosses the full-rebuild fallback; after every generation the
-        // Voronoi side's `nearest` is exact at fixed probes, at every
-        // deleted point so far and at the inserts.
+        // swaps 12 points out and in, past 1/8 of the index on its own;
+        // the chain also crosses the full-rebuild fallback whenever the
+        // tombstones plus appended sites since the last full build would
+        // pass 1/8, and which rounds those are is re-derived from that
+        // rule. After every generation the Voronoi side's `nearest` is
+        // exact at fixed probes, at every deleted point so far and at the
+        // inserts.
         let mut mirror = grid(150);
         let engine = Engine::new(&mirror, EngineConfig::default().with_workers(1)).unwrap();
         let q = vec![Point::new(3.0, 4.0), Point::new(9.0, 2.0)];
@@ -2071,8 +2078,16 @@ mod tests {
             Point::new(0.06, 7.31),
         ];
         engine.submit(QueryRequest::new(q.clone())).wait();
+        let (mut decay, mut rebuilds) = (0, 0);
         for round in 0..110u64 {
             let swapped = if round == 55 { 12 } else { 1 };
+            let rebuild = (decay + 2 * swapped as usize) * 8 > mirror.len();
+            decay = if rebuild {
+                0
+            } else {
+                decay + 2 * swapped as usize
+            };
+            rebuilds += usize::from(rebuild);
             let batch = UpdateBatch {
                 inserts: (0..swapped)
                     .map(|k| {
@@ -2090,7 +2105,7 @@ mod tests {
             let universe = engine.snapshot().universe();
             let report = engine.apply_delta(&batch).unwrap();
             assert_eq!(report.generation, round + 1);
-            assert_eq!(report.stats.incremental, round != 55, "round {round}");
+            assert_eq!(report.stats.incremental, !rebuild, "round {round}");
             apply_to_mirror(&mut mirror, &batch, &universe);
             assert_voronoi_ids(&engine.snapshot(), &mirror);
             assert_nearest_exact(&engine.snapshot(), &mirror, &probes);
@@ -2108,6 +2123,7 @@ mod tests {
             let again = engine.submit(QueryRequest::new(q.clone())).wait();
             assert_eq!(again.skyline, r.skyline);
         }
+        assert!(rebuilds > 1 && rebuilds < 55, "{rebuilds} rebuilds");
         let m = engine.metrics();
         assert_eq!(m.lifecycle.generation, 110);
         assert_eq!(m.ingest.batches, 110);

@@ -101,9 +101,13 @@ impl Snapshot {
 
     /// Produces the next generation by applying an [`UpdateBatch`] as a
     /// copy-on-write delta: both indexes of `self` stay untouched (and
-    /// keep serving pinned readers), while the new bundle is built in
-    /// `O(|batch| log n)` plus the memory copies of generation
-    /// publishing — not a full rebuild.
+    /// keep serving pinned readers), while the new bundle is repaired
+    /// locally instead of rebuilt. It is still `O(n)`: the R-tree half
+    /// clones every node and renumbers every payload
+    /// ([`RTreeIndex::apply_delta`]); the Voronoi half copies the
+    /// triangulation once, rebuilds its two flat id maps and writes only the
+    /// per-site chunks the batch touched, sharing the rest with `self`
+    /// ([`VoronoiIndex::apply_delta`], which also says when it rebuilds).
     ///
     /// The batch is validated against this snapshot and normalized
     /// (deletes sorted/deduplicated, inserts Hilbert-ordered over this

@@ -130,9 +130,7 @@ impl ConvexPolygon {
 
     /// The edges as segments, in counter-clockwise order.
     pub fn edges(&self) -> impl Iterator<Item = Segment> + '_ {
-        let n = self.vertices.len();
-        (0..if n >= 3 { n } else { n.saturating_sub(1) })
-            .map(move |i| Segment::new(self.vertices[i], self.vertices[(i + 1) % n]))
+        ring_edges(&self.vertices)
     }
 
     /// Index of `p` among the vertices, if it is one.
@@ -142,26 +140,7 @@ impl ConvexPolygon {
 
     /// `true` when `p` lies inside the polygon or on its boundary.
     pub fn contains(&self, p: Point) -> bool {
-        match self.vertices.len() {
-            0 => false,
-            1 => self.vertices[0] == p,
-            2 => {
-                let (a, b) = (self.vertices[0], self.vertices[1]);
-                orient2d_sign(a, b, p) == 0
-                    && p.x >= a.x.min(b.x)
-                    && p.x <= a.x.max(b.x)
-                    && p.y >= a.y.min(b.y)
-                    && p.y <= a.y.max(b.y)
-            }
-            n => {
-                for i in 0..n {
-                    if orient2d_sign(self.vertices[i], self.vertices[(i + 1) % n], p) < 0 {
-                        return false;
-                    }
-                }
-                true
-            }
-        }
+        ring_contains(&self.vertices, p)
     }
 
     /// `true` when `p` lies strictly inside the polygon.
@@ -186,21 +165,7 @@ impl ConvexPolygon {
 
     /// `true` when the polygon and the rectangle share at least one point.
     pub fn intersects_rect(&self, r: &Rect) -> bool {
-        if r.is_empty() || self.is_empty() {
-            return false;
-        }
-        // Any polygon vertex inside the rect, or any rect corner inside the
-        // polygon, or any pair of edges crossing.
-        if self.vertices.iter().any(|&v| r.contains(v)) {
-            return true;
-        }
-        if r.corners().iter().any(|&c| self.contains(c)) {
-            return true;
-        }
-        let rc = r.corners();
-        let redges: [Segment; 4] = std::array::from_fn(|i| Segment::new(rc[i], rc[(i + 1) % 4]));
-        self.edges()
-            .any(|e| redges.iter().any(|re| e.intersects(re)))
+        ring_intersects_rect(&self.vertices, r)
     }
 
     /// `true` when the two convex polygons share at least one point
@@ -335,6 +300,11 @@ impl ConvexPolygon {
         if r.is_empty() {
             return ConvexPolygon::empty();
         }
+        if r.contains_rect(&self.mbr()) {
+            // Every vertex is inside every edge's half-plane: each step
+            // below would keep the ring as it is.
+            return self.clone();
+        }
         let c = r.corners();
         let mut poly = self.clone();
         for i in 0..4 {
@@ -421,6 +391,55 @@ impl VisibleRegion {
             }
         }
     }
+}
+
+/// The edges of the convex polygon with counter-clockwise vertices
+/// `ring`, as [`ConvexPolygon::edges`] lists them.
+fn ring_edges(ring: &[Point]) -> impl Iterator<Item = Segment> + '_ {
+    let n = ring.len();
+    (0..if n >= 3 { n } else { n.saturating_sub(1) })
+        .map(move |i| Segment::new(ring[i], ring[(i + 1) % n]))
+}
+
+/// [`ConvexPolygon::contains`] on a borrowed ring: `true` when `p` lies
+/// inside the convex polygon with counter-clockwise vertices `ring` (as a
+/// [`ConvexPolygon`] stores them) or on its boundary.
+// ssq-analyze: deny-alloc
+fn ring_contains(ring: &[Point], p: Point) -> bool {
+    match ring.len() {
+        0 => false,
+        1 => ring[0] == p,
+        2 => {
+            let (a, b) = (ring[0], ring[1]);
+            orient2d_sign(a, b, p) == 0
+                && p.x >= a.x.min(b.x)
+                && p.x <= a.x.max(b.x)
+                && p.y >= a.y.min(b.y)
+                && p.y <= a.y.max(b.y)
+        }
+        n => (0..n).all(|i| orient2d_sign(ring[i], ring[(i + 1) % n], p) >= 0),
+    }
+}
+
+/// [`ConvexPolygon::intersects_rect`] on a borrowed ring: `true` when the
+/// convex polygon with counter-clockwise vertices `ring` and `r` share at
+/// least one point.
+// ssq-analyze: deny-alloc
+pub fn ring_intersects_rect(ring: &[Point], r: &Rect) -> bool {
+    if r.is_empty() || ring.is_empty() {
+        return false;
+    }
+    // Any polygon vertex inside the rect, or any rect corner inside the
+    // polygon, or any pair of edges crossing.
+    if ring.iter().any(|&v| r.contains(v)) {
+        return true;
+    }
+    let rc = r.corners();
+    if rc.iter().any(|&c| ring_contains(ring, c)) {
+        return true;
+    }
+    let redges: [Segment; 4] = std::array::from_fn(|i| Segment::new(rc[i], rc[(i + 1) % 4]));
+    ring_edges(ring).any(|e| redges.iter().any(|re| e.intersects(re)))
 }
 
 /// Pushes `p` unless it duplicates the last pushed vertex.

@@ -3,6 +3,9 @@
 //! come from the in-repo `ssq_rng` generator) plus targeted deterministic
 //! cases.
 
+mod oracle;
+
+use spatial_skyline::core::{b2s2_kernel, naive_sorted_kernel, vs2_kernel, DistanceScratch};
 use spatial_skyline::prelude::*;
 use spatial_skyline::rtree::RTreeConfig;
 use ssq_rng::Xoshiro256;
@@ -30,6 +33,11 @@ fn all_algorithms_agree() {
         let ctx = QueryContext::new(&q);
         let want = naive_full(&points, &ctx).skyline;
 
+        assert_eq!(
+            oracle::dominator_region_skyline(&points, &q),
+            want,
+            "case {case}"
+        );
         assert_eq!(naive_sorted(&points, &ctx).skyline, want, "case {case}");
 
         let rt = RTreeIndex::with_config(&points, RTreeConfig::with_max_entries(4));
@@ -187,4 +195,57 @@ fn large_clustered_instance_all_agree() {
     assert_eq!(bbs(&rt, &ctx).skyline, want);
     assert_eq!(b2s2(&rt, &ctx).skyline, want);
     assert_eq!(vs2(&vi, &ctx).skyline, want);
+}
+
+/// The independent oracle as one more column, at a scale `naive_full`'s
+/// `O(n²)` cannot reach: every algorithm and kernel on 24 000 clustered
+/// points must return the dominator-region scan's skyline.
+#[test]
+fn every_kernel_matches_the_dominator_region_oracle_at_scale() {
+    use spatial_skyline::workload::usgs::{synthetic_usgs_points, UsgsConfig};
+    use spatial_skyline::workload::{random_query_set, QueryConfig};
+    let points = synthetic_usgs_points(&UsgsConfig {
+        n: 24_000,
+        seed: 2906,
+        ..UsgsConfig::default()
+    });
+    let rt = RTreeIndex::new(&points);
+    let vi = VoronoiIndex::new(&points).unwrap();
+    let mut scratch = DistanceScratch::new();
+    for (case, (count, area)) in [(1, 0.001), (2, 0.002), (4, 0.001), (7, 0.005), (12, 0.01)]
+        .into_iter()
+        .enumerate()
+    {
+        let q = random_query_set(&QueryConfig {
+            count,
+            mbr_area_fraction: area,
+            ..QueryConfig::paper_default(count, 100 + case as u64)
+        });
+        let ctx = QueryContext::new(&q);
+        let want = oracle::dominator_region_skyline(&points, &q);
+        assert!(!want.is_empty(), "case {case}");
+        assert_eq!(
+            naive_sorted(&points, &ctx).skyline,
+            want,
+            "naive, case {case}"
+        );
+        assert_eq!(
+            naive_sorted_kernel(&points, &ctx, &mut scratch).skyline,
+            want,
+            "naive kernel, case {case}"
+        );
+        assert_eq!(bbs(&rt, &ctx).skyline, want, "BBS, case {case}");
+        assert_eq!(b2s2(&rt, &ctx).skyline, want, "B²S², case {case}");
+        assert_eq!(
+            b2s2_kernel(&rt, &ctx, &mut scratch).skyline,
+            want,
+            "B²S² kernel, case {case}"
+        );
+        assert_eq!(vs2(&vi, &ctx).skyline, want, "VS², case {case}");
+        assert_eq!(
+            vs2_kernel(&vi, &ctx, &mut scratch).skyline,
+            want,
+            "VS² kernel, case {case}"
+        );
+    }
 }
