@@ -117,9 +117,9 @@ per-shard sizes and rects, then every counter the fleet owns as
 `ssq_<group>_<name> <value>` lines (router, engine, lifecycle, work,
 diagram, ingest) with the derived fan-out, prune and hit rates. `warm`
 drives a probe workload through a diagram-enabled engine and saves the hottest
-canonical query keys to a warm file; `serve --warm <file>` loads it and
-materializes those contexts and skyline-diagram cells *before* accepting
-traffic, so a restarted server has no cold-cache latency spike
+canonical query keys to a warm file; `serve --warm <file>` loads it,
+pre-builds those contexts and admits their skyline-diagram cells *before*
+accepting traffic, so a restarted server has no cold-cache latency spike
 (`--diagram` enables the diagram without a warm file). `serve` binds a
 TCP socket (ephemeral port with `:0`, printed as `listening on <addr>`;
 `--threads 0` means one worker per CPU core) and speaks the ssq-net

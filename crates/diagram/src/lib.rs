@@ -17,40 +17,43 @@
 //!   materializes nothing for it;
 //! * **two or three anchors**: the exact continuous diagram has 4–6
 //!   degrees of freedom and is not worth materializing wholesale.
-//!   Instead, cells are materialized *per canonical
-//!   [`QueryKey`]* — the same quantized-hull
-//!   partition the engine's context cache uses — for the hot keys
-//!   observed in traffic or persisted by warm start. Every query landing
-//!   in a materialized key cell is answered by copying the precomputed
+//!   Instead, cells are held *per canonical [`QueryKey`]* — the same
+//!   quantized-hull partition the engine's context cache uses — for the
+//!   keys traffic or a warm start brings. A query landing in a held key
+//!   cell of its own generation is answered by copying the stored
 //!   skyline.
 //!
-//! A [`SkylineDiagram`] is those key cells. Anything else — one anchor,
-//! more anchors than configured, a key with no materialized cell — is a
-//! **miss** here, and the caller falls back to the Voronoi index or its
-//! planner. Hits are exact: key cells share the context cache's
-//! documented quantization contract.
+//! A [`SkylineDiagram`] is that table of key cells. Each cell holds
+//! `(generation, ids, probes)`, and one admission rule maintains it: a
+//! miss that just computed its exact answer stores it
+//! ([`SkylineDiagram::admit`]) when the key is new and the table has
+//! room, or when the key's cell holds an older generation. A cell is a
+//! hit only for the generation it holds, so a publish needs no
+//! retirement: the next query of each key misses once, and its answer
+//! refreshes the cell. Anything else — one anchor, more anchors than
+//! configured, a key with no cell — is a **miss** here, and the caller
+//! falls back to the Voronoi index or its planner.
 //!
-//! A diagram is immutable and generation-stamped: it answers only for
-//! the snapshot it was built against, and the owning engine retires it
-//! together with that snapshot.
+//! Hits are exact up to the context cache's quantization contract: a
+//! cell stores the answer of the query that admitted it, and hulls that
+//! differ by less than the quantum share the cell (first-built wins).
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 #![warn(clippy::all)]
 
-use ssq_core::{naive_sorted_kernel, DistanceScratch, KeyScratch, QueryContext, QueryKey};
+use ssq_core::{KeyScratch, QueryKey};
 use ssq_geom::Point;
 use std::collections::HashMap;
-use std::time::{Duration, Instant};
 
-/// Construction knobs for a [`SkylineDiagram`].
+/// Knobs of a [`SkylineDiagram`].
 #[derive(Clone, Copy, Debug)]
 pub struct DiagramConfig {
-    /// Largest `|CHv(Q)|` the diagram materializes key cells for; larger
-    /// shapes always miss.
+    /// Largest `|CHv(Q)|` the diagram holds key cells for; larger shapes
+    /// always miss.
     pub max_anchors: usize,
-    /// Cap on materialized key cells per diagram; excess warm keys are
-    /// dropped (hottest first wins, in the order the caller supplies).
+    /// Cap on key cells held; a new key past it is not admitted (the
+    /// keys already held keep refreshing).
     pub max_cells: usize,
 }
 
@@ -71,142 +74,18 @@ impl DiagramConfig {
         }
         Ok(())
     }
-}
 
-/// Materialized multi-anchor cells: canonical query key → precomputed
-/// skyline, stored as ranges into one flat id pool.
-#[derive(Debug, Default)]
-struct KeyCells {
-    map: HashMap<QueryKey, (u32, u32)>,
-    pool: Vec<u32>,
-}
-
-impl KeyCells {
-    fn insert(&mut self, key: QueryKey, ids: &[u32]) {
-        let start = self.pool.len() as u32;
-        self.pool.extend_from_slice(ids);
-        self.map.insert(key, (start, ids.len() as u32));
-    }
-
+    /// The canonical key cells `query` is held under, canonicalized with
+    /// `quantum` into `scratch`, or `None` for a shape the diagram holds
+    /// no cell for. Once `scratch` is warm for the shape the call is
+    /// allocation-free.
     // ssq-analyze: deny-alloc
-    fn lookup(&self, cells: &[(i64, i64)]) -> Option<&[u32]> {
-        let &(start, len) = self.map.get(cells)?;
-        Some(&self.pool[start as usize..(start + len) as usize])
-    }
-}
-
-/// An immutable, generation-stamped skyline diagram over one dataset
-/// snapshot. See the crate docs for what it can and cannot answer.
-#[derive(Debug)]
-pub struct SkylineDiagram {
-    generation: u64,
-    quantum: f64,
-    max_anchors: usize,
-    cells: KeyCells,
-    build_time: Duration,
-}
-
-impl SkylineDiagram {
-    /// Builds a diagram for `points` as snapshot `generation`.
-    ///
-    /// `quantum` must be the owning cache's coordinate quantum so key
-    /// cells and cache entries partition query space identically. `keys`
-    /// are the hot canonical keys to materialize cells for (from warm
-    /// start or observed traffic); single-anchor keys are skipped (the
-    /// Voronoi index answers every single-anchor query), as are keys
-    /// wider than `config.max_anchors`, and at most `config.max_cells` cells
-    /// are materialized in the order given. Returns `None` for an empty
-    /// dataset.
-    pub fn build(
-        generation: u64,
-        points: &[Point],
-        keys: &[QueryKey],
+    pub fn key_cells<'s>(
+        &self,
+        query: &[Point],
         quantum: f64,
-        config: &DiagramConfig,
-    ) -> Option<SkylineDiagram> {
-        assert!(quantum > 0.0, "quantum must be positive");
-        if points.is_empty() {
-            return None;
-        }
-        let start = Instant::now();
-        let mut cells = KeyCells::default();
-        let mut scratch = DistanceScratch::new();
-        for key in keys {
-            if key.len() < 2 || key.len() > config.max_anchors {
-                continue;
-            }
-            if cells.map.len() >= config.max_cells {
-                break;
-            }
-            let reps = key.representative_points(quantum);
-            // Re-canonicalize the representatives: the key the probe
-            // computes for an incoming query is derived the same way, so
-            // storing under the round-tripped key guarantees agreement
-            // even if the caller's key predates a quantum change.
-            let canonical = QueryKey::canonical(&reps, quantum);
-            if cells.map.contains_key(&canonical) {
-                continue;
-            }
-            let ctx = QueryContext::new(&reps);
-            let mut result = naive_sorted_kernel(points, &ctx, &mut scratch);
-            result.skyline.sort_unstable();
-            cells.insert(canonical, &result.skyline);
-        }
-        Some(SkylineDiagram {
-            generation,
-            quantum,
-            max_anchors: config.max_anchors,
-            cells,
-            build_time: start.elapsed(),
-        })
-    }
-
-    /// The snapshot generation this diagram answers for.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// The coordinate quantum key cells are canonicalized with.
-    pub fn quantum(&self) -> f64 {
-        self.quantum
-    }
-
-    /// Materialized multi-anchor key cells: the hot keys construction
-    /// warmed.
-    pub fn key_cell_count(&self) -> u64 {
-        self.cells.map.len() as u64
-    }
-
-    /// Wall-clock time construction took.
-    pub fn build_time(&self) -> Duration {
-        self.build_time
-    }
-
-    /// Multi-anchor lookup by pre-canonicalized key cells (as produced
-    /// by [`QueryKey::canonical_cells_into`] with this diagram's
-    /// [`quantum`](Self::quantum)). Returns the materialized skyline
-    /// ids, ascending, or `None` when no cell is materialized for the
-    /// key.
-    // ssq-analyze: deny-alloc
-    pub fn lookup_cells(&self, cells: &[(i64, i64)]) -> Option<&[u32]> {
-        if cells.len() < 2 {
-            // A query collapsing to one canonical vertex has sub-quantum
-            // spread; no key cell stands for its true anchors. Miss.
-            return None;
-        }
-        self.cells.lookup(cells)
-    }
-
-    /// Answers a query of two or more points by its key cell, or returns
-    /// `None` (a miss; single-anchor queries always miss — they belong to
-    /// [`ssq_core::VoronoiIndex::nearest_ties`]).
-    ///
-    /// On a hit the returned slice is the exact skyline ids, ascending,
-    /// borrowed from the diagram's materialized pool. `scratch` holds the
-    /// query's canonical key; one per worker, and once warm for a query
-    /// shape the whole call is allocation-free.
-    // ssq-analyze: deny-alloc
-    pub fn lookup(&self, query: &[Point], scratch: &mut KeyScratch) -> Option<&[u32]> {
+        scratch: &'s mut KeyScratch,
+    ) -> Option<&'s [(i64, i64)]> {
         if query.len() < 2 || query.len() > self.max_anchors {
             // One anchor is the Voronoi index's to answer. Wider raw
             // query sets can still collapse to few hull vertices, but
@@ -214,15 +93,105 @@ impl SkylineDiagram {
             // would pay anyway — not worth probing.
             return None;
         }
-        let cells = QueryKey::canonical_cells_into(query, self.quantum, scratch);
-        self.lookup_cells(cells)
+        let cells = QueryKey::canonical_cells_into(query, quantum, scratch);
+        // A query collapsing to one canonical vertex has sub-quantum
+        // spread; no key cell stands for its true anchors.
+        (cells.len() >= 2).then_some(cells)
+    }
+}
+
+/// One key's stored answer.
+#[derive(Debug)]
+struct KeyCell {
+    /// The snapshot generation `ids` is the answer for.
+    generation: u64,
+    /// The skyline ids, ascending.
+    ids: Vec<u32>,
+    /// Lookups that found this cell, hits and stale misses alike.
+    probes: u64,
+}
+
+/// Key cells: canonical query key → the exact skyline of one snapshot
+/// generation. See the crate docs for the admission rule.
+#[derive(Debug)]
+pub struct SkylineDiagram {
+    max_cells: usize,
+    cells: HashMap<QueryKey, KeyCell>,
+}
+
+impl SkylineDiagram {
+    /// An empty table admitting at most `config.max_cells` keys.
+    pub fn new(config: &DiagramConfig) -> SkylineDiagram {
+        SkylineDiagram {
+            max_cells: config.max_cells,
+            cells: HashMap::new(),
+        }
+    }
+
+    /// Key cells held, whatever their generation.
+    pub fn key_cell_count(&self) -> u64 {
+        self.cells.len() as u64
+    }
+
+    /// The stored skyline ids (ascending) of the key `cells` (as produced
+    /// by [`DiagramConfig::key_cells`]) when its cell holds `generation`,
+    /// else `None`. Every lookup that finds the cell counts as one of its
+    /// probes.
+    // ssq-analyze: deny-alloc
+    pub fn lookup(&mut self, generation: u64, cells: &[(i64, i64)]) -> Option<&[u32]> {
+        let cell = self.cells.get_mut(cells)?;
+        cell.probes += 1;
+        (cell.generation == generation).then_some(cell.ids.as_slice())
+    }
+
+    /// Offers `ids`, the exact skyline of the key `cells` under snapshot
+    /// `generation`. It is stored when the key is absent and fewer than
+    /// `max_cells` keys are held, or when the key's cell holds an older
+    /// generation; a cell of an equal or newer generation is never
+    /// overwritten. Returns whether the offer was stored.
+    ///
+    /// A refresh reuses the cell's buffer, so only a new key — or an
+    /// answer longer than any the cell held before — allocates.
+    pub fn admit(&mut self, generation: u64, cells: &[(i64, i64)], ids: &[u32]) -> bool {
+        if let Some(cell) = self.cells.get_mut(cells) {
+            if cell.generation >= generation {
+                return false;
+            }
+            cell.generation = generation;
+            cell.ids.clear();
+            cell.ids.extend_from_slice(ids);
+            return true;
+        }
+        if self.cells.len() >= self.max_cells {
+            return false;
+        }
+        let cell = KeyCell {
+            generation,
+            ids: ids.to_vec(),
+            probes: 0,
+        };
+        self.cells
+            .insert(QueryKey::from_cells(cells.to_vec()), cell);
+        true
+    }
+
+    /// The `limit` most-probed keys, most-probed first (ties by key).
+    pub fn hottest(&self, limit: usize) -> Vec<QueryKey> {
+        let mut ranked: Vec<(&QueryKey, u64)> =
+            self.cells.iter().map(|(k, c)| (k, c.probes)).collect();
+        ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cells().cmp(b.0.cells())));
+        ranked
+            .into_iter()
+            .take(limit)
+            .map(|(k, _)| k.clone())
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssq_core::{naive_full, VoronoiIndex};
+    use ssq_core::{naive_full, QueryContext, VoronoiIndex};
     use ssq_geom::Rect;
 
     /// Irregularly spaced points with no duplicate coordinates.
@@ -246,9 +215,13 @@ mod tests {
 
     const QUANTUM: f64 = 1e-9;
 
-    #[test]
-    fn empty_dataset_builds_nothing() {
-        assert!(SkylineDiagram::build(0, &[], &[], QUANTUM, &DiagramConfig::default()).is_none());
+    /// The key cells of `q` under the default config, owned.
+    fn key(q: &[Point]) -> Vec<(i64, i64)> {
+        let mut scratch = KeyScratch::new();
+        DiagramConfig::default()
+            .key_cells(q, QUANTUM, &mut scratch)
+            .expect("a shape the diagram holds")
+            .to_vec()
     }
 
     /// The one-anchor diagram is the Voronoi index's point location.
@@ -262,13 +235,12 @@ mod tests {
     fn single_anchor_lookup_matches_oracle_everywhere() {
         let pts = sites(200);
         let index = VoronoiIndex::new(&pts).unwrap();
-        let diagram =
-            SkylineDiagram::build(3, &pts, &[], QUANTUM, &DiagramConfig::default()).unwrap();
-        assert_eq!(diagram.generation(), 3);
+        let config = DiagramConfig::default();
         let mut scratch = KeyScratch::new();
         let mut ties = Vec::new();
         // A dense probe sweep across the data MBR and the site positions
-        // themselves: the diagram misses, the index answers exactly.
+        // themselves: the diagram holds no key for them, the index
+        // answers exactly.
         let u = Rect::bounding(pts.iter().copied());
         let sweep = (0..1600).map(|k| {
             Point::new(
@@ -277,7 +249,7 @@ mod tests {
             )
         });
         for q in sweep.chain(pts.iter().step_by(7).copied()) {
-            assert!(diagram.lookup(&[q], &mut scratch).is_none());
+            assert!(config.key_cells(&[q], QUANTUM, &mut scratch).is_none());
             index.nearest_ties(q, &mut ties);
             assert_eq!(ties, oracle(&pts, &[q]), "query {q:?}");
         }
@@ -318,66 +290,106 @@ mod tests {
                 Point::new(5.5, 8.1),
             ],
         ];
-        let keys: Vec<QueryKey> = queries
-            .iter()
-            .map(|q| QueryKey::canonical(q, QUANTUM))
-            .collect();
-        let diagram =
-            SkylineDiagram::build(0, &pts, &keys, QUANTUM, &DiagramConfig::default()).unwrap();
-        assert_eq!(diagram.key_cell_count(), 2);
-        let mut scratch = KeyScratch::new();
+        let mut diagram = SkylineDiagram::new(&DiagramConfig::default());
         for q in &queries {
-            let got = diagram.lookup(q, &mut scratch).expect("materialized key");
+            assert!(diagram.admit(0, &key(q), &oracle(&pts, q)));
+        }
+        assert_eq!(diagram.key_cell_count(), 2);
+        for q in &queries {
+            let got = diagram.lookup(0, &key(q)).expect("admitted key");
             assert_eq!(got, oracle(&pts, q).as_slice(), "query {q:?}");
+            // The cell answers for its own generation only.
+            assert!(diagram.lookup(1, &key(q)).is_none());
         }
         // A permutation of the same query set hits the same cell.
         let mut permuted = queries[1].clone();
         permuted.reverse();
-        assert!(diagram.lookup(&permuted, &mut scratch).is_some());
-        // An unmaterialized key misses.
-        assert!(diagram
-            .lookup(&[Point::new(0.5, 0.5), Point::new(11.0, 7.0)], &mut scratch)
-            .is_none());
+        assert!(diagram.lookup(0, &key(&permuted)).is_some());
+        // A key never admitted misses.
+        let cold = key(&[Point::new(0.5, 0.5), Point::new(11.0, 7.0)]);
+        assert!(diagram.lookup(0, &cold).is_none());
+    }
+
+    #[test]
+    fn a_cell_is_refreshed_only_by_a_newer_generation() {
+        let k = key(&[Point::new(3.1, 2.2), Point::new(7.4, 5.9)]);
+        let mut diagram = SkylineDiagram::new(&DiagramConfig::default());
+        assert!(diagram.admit(2, &k, &[1, 2]));
+        // Equal and older generations neither overwrite nor re-stamp.
+        assert!(!diagram.admit(2, &k, &[9]));
+        assert!(!diagram.admit(1, &k, &[9]));
+        assert_eq!(diagram.lookup(2, &k), Some(&[1, 2][..]));
+        assert!(diagram.lookup(1, &k).is_none());
+        // A newer generation replaces the answer, longer or shorter.
+        assert!(diagram.admit(3, &k, &[4, 5, 6]));
+        assert!(diagram.lookup(2, &k).is_none());
+        assert_eq!(diagram.lookup(3, &k), Some(&[4, 5, 6][..]));
+        assert!(diagram.admit(7, &k, &[8]));
+        assert_eq!(diagram.lookup(7, &k), Some(&[8][..]));
+        assert_eq!(diagram.key_cell_count(), 1);
     }
 
     #[test]
     fn anchor_limits_are_enforced() {
-        let pts = sites(80);
         let wide: Vec<Point> = vec![
             Point::new(0.0, 0.0),
             Point::new(10.0, 0.0),
             Point::new(10.0, 8.0),
             Point::new(0.0, 8.0),
         ];
-        let keys = [QueryKey::canonical(&wide, QUANTUM)];
-        let diagram =
-            SkylineDiagram::build(0, &pts, &keys, QUANTUM, &DiagramConfig::default()).unwrap();
-        // max_anchors = 3: the 4-vertex key is not materialized...
-        assert_eq!(diagram.key_cell_count(), 0);
         let mut scratch = KeyScratch::new();
-        // ...and the 4-point query misses outright.
-        assert!(diagram.lookup(&wide, &mut scratch).is_none());
+        let config = DiagramConfig::default();
+        // max_anchors = 3: the 4-point query has no key cell...
+        assert!(config.key_cells(&wide, QUANTUM, &mut scratch).is_none());
+        // ...and neither has one whose hull collapses below a quantum.
+        let collapsed = [Point::new(1.0, 1.0), Point::new(1.0 + 1e-12, 1.0)];
+        assert!(config
+            .key_cells(&collapsed, QUANTUM, &mut scratch)
+            .is_none());
+        // Three points are held.
+        assert!(config
+            .key_cells(&wide[..3], QUANTUM, &mut scratch)
+            .is_some());
     }
 
     #[test]
     fn max_cells_caps_materialization() {
-        let pts = sites(60);
-        let keys: Vec<QueryKey> = (0..10)
+        let keys: Vec<Vec<(i64, i64)>> = (0..10)
             .map(|i| {
-                QueryKey::canonical(
-                    &[
-                        Point::new(i as f64 + 0.1, 0.2),
-                        Point::new(i as f64 + 3.3, 4.4),
-                    ],
-                    QUANTUM,
-                )
+                key(&[
+                    Point::new(i as f64 + 0.1, 0.2),
+                    Point::new(i as f64 + 3.3, 4.4),
+                ])
             })
             .collect();
         let config = DiagramConfig {
             max_cells: 4,
             ..DiagramConfig::default()
         };
-        let diagram = SkylineDiagram::build(0, &pts, &keys, QUANTUM, &config).unwrap();
+        let mut diagram = SkylineDiagram::new(&config);
+        let admitted = keys.iter().filter(|k| diagram.admit(0, k, &[0])).count();
+        assert_eq!(admitted, 4);
         assert_eq!(diagram.key_cell_count(), 4);
+        // A full table still refreshes the keys it holds.
+        assert!(diagram.admit(1, &keys[0], &[1]));
+        assert!(!diagram.admit(1, &keys[9], &[1]));
+    }
+
+    #[test]
+    fn hottest_ranks_keys_by_probes() {
+        let a = key(&[Point::new(3.1, 2.2), Point::new(7.4, 5.9)]);
+        let b = key(&[Point::new(1.3, 1.7), Point::new(9.2, 3.4)]);
+        let mut diagram = SkylineDiagram::new(&DiagramConfig::default());
+        diagram.admit(0, &a, &[0]);
+        diagram.admit(0, &b, &[0]);
+        // Hits and stale misses both count.
+        diagram.lookup(0, &b);
+        diagram.lookup(1, &b);
+        diagram.lookup(0, &a);
+        assert_eq!(
+            diagram.hottest(2),
+            [QueryKey::from_cells(b.clone()), QueryKey::from_cells(a)]
+        );
+        assert_eq!(diagram.hottest(1), [QueryKey::from_cells(b)]);
     }
 }

@@ -3,8 +3,9 @@
 //!
 //! The matrix: {uniform, clustered} datasets × {1, 2, 3} anchors ×
 //! {single engine, 4-shard fleet}, single anchors also outside the data
-//! MBR, plus generation scoping — after a reindex the old diagram must
-//! never answer for the new snapshot.
+//! MBR, plus generation scoping — after a reindex a cell holding the old
+//! snapshot's answer must never answer for the new one, and the first
+//! miss refreshes it.
 
 use ssq_core::{naive_full, QueryContext, QueryKey};
 use ssq_engine::{DiagramConfig, Engine, EngineConfig, QueryRequest, ServedBy};
@@ -80,10 +81,10 @@ fn diagram_answers_equal_the_planner_on_every_shape() {
         .unwrap();
         for anchors in [1usize, 2, 3] {
             let queries = shapes(universe, anchors, 6, 0xE0 + anchors as u64);
-            // Pass 1: record the shapes as hot (multi-anchor keys reach
-            // the diagram only after a rebuild; single-anchor queries
-            // need none). These answers come from the planner and are
-            // themselves checked against the oracle.
+            // Pass 1: a multi-anchor key's first query misses and admits
+            // its answer (single-anchor queries need no cell). These
+            // answers come from the planner and are themselves checked
+            // against the oracle.
             for q in &queries {
                 let resp = engine.submit(QueryRequest::new(q.clone())).wait();
                 let mut ids = resp.skyline.clone();
@@ -94,7 +95,6 @@ fn diagram_answers_equal_the_planner_on_every_shape() {
                     "{name}/{anchors}-anchor planner answer diverged"
                 );
             }
-            engine.rebuild_diagram().unwrap();
             // Pass 2: the same shapes must now be diagram hits with the
             // exact same skyline.
             for q in &queries {
@@ -203,7 +203,6 @@ fn a_reindex_retires_the_diagram_with_its_snapshot() {
     let q = shapes(universe, 2, 1, 0xC2).remove(0);
 
     engine.submit(QueryRequest::new(q.clone())).wait();
-    engine.rebuild_diagram().unwrap();
     let hit = engine.submit(QueryRequest::new(q.clone())).wait();
     assert_eq!(hit.served_by, ServedBy::Diagram);
     assert_eq!(
@@ -215,10 +214,11 @@ fn a_reindex_retires_the_diagram_with_its_snapshot() {
         oracle(&old, &q)
     );
 
-    // Publish a new generation: the old diagram must not answer for it.
+    // Publish a new generation: the old cell must not answer for it.
     let generation = engine.reindex(&new).unwrap();
     let resp = engine.submit(QueryRequest::new(q.clone())).wait();
     assert_eq!(resp.generation, generation);
+    assert_ne!(resp.served_by, ServedBy::Diagram);
     assert_eq!(
         {
             let mut ids = resp.skyline.clone();
@@ -229,9 +229,8 @@ fn a_reindex_retires_the_diagram_with_its_snapshot() {
         "post-reindex answer must be exact for the new snapshot"
     );
 
-    // Once rebuilt against the new snapshot, hits resume — and match
-    // the new oracle, not the old one.
-    engine.rebuild_diagram().unwrap();
+    // That miss refreshed the cell, so the second query hits — and
+    // matches the new oracle, not the old one.
     let rehit = engine.submit(QueryRequest::new(q.clone())).wait();
     assert_eq!(rehit.served_by, ServedBy::Diagram);
     assert_eq!(rehit.generation, generation);

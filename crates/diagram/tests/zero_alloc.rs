@@ -1,11 +1,11 @@
 //! Counting-allocator proof that warm diagram lookups never touch the
 //! heap — the property the `ssq-analyze` deny-alloc gate pins
 //! statically, pinned here dynamically. Both halves of the served
-//! diagram are covered: key cells ([`SkylineDiagram::lookup`]) and the
-//! single-anchor point location of the Voronoi index
-//! ([`VoronoiIndex::nearest_ties`]). One warm-up lookup per query shape
-//! sizes the scratch buffers; after that, every hit and every miss must
-//! perform zero allocations.
+//! diagram are covered: key cells ([`DiagramConfig::key_cells`], then
+//! [`SkylineDiagram::lookup`]) and the single-anchor point location of
+//! the Voronoi index ([`VoronoiIndex::nearest_ties`]). One warm-up lookup
+//! per query shape sizes the scratch buffers; after that, every hit and
+//! every miss must perform zero allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,7 +47,7 @@ fn heap_allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
-use ssq_core::{KeyScratch, QueryKey, VoronoiIndex};
+use ssq_core::{naive_full, KeyScratch, QueryContext, VoronoiIndex};
 use ssq_diagram::{DiagramConfig, SkylineDiagram};
 use ssq_geom::Point;
 
@@ -71,12 +71,14 @@ fn warm_lookups_perform_zero_heap_allocations() {
             Point::new(5.5, 8.1),
         ],
     ];
-    let keys: Vec<QueryKey> = hot
-        .iter()
-        .map(|q| QueryKey::canonical(q, QUANTUM))
-        .collect();
-    let diagram =
-        SkylineDiagram::build(0, &points, &keys, QUANTUM, &DiagramConfig::default()).unwrap();
+    let config = DiagramConfig::default();
+    let mut diagram = SkylineDiagram::new(&config);
+    let mut scratch = KeyScratch::new();
+    for q in &hot {
+        let cells = config.key_cells(q, QUANTUM, &mut scratch).unwrap();
+        let skyline = naive_full(&points, &QueryContext::new(q)).skyline;
+        assert!(diagram.admit(0, cells, &skyline));
+    }
     let index = VoronoiIndex::new(&points).unwrap();
 
     let singles: Vec<Vec<Point>> = (0..5)
@@ -84,35 +86,41 @@ fn warm_lookups_perform_zero_heap_allocations() {
         .collect();
     let miss = vec![Point::new(0.25, 0.75), Point::new(12.5, 9.25)];
 
+    // One key-cell probe, as the engine runs it: canonicalize, then look
+    // the key up for the pinned generation.
+    let mut probe = |q: &[Point], generation: u64, scratch: &mut KeyScratch| {
+        let cells = config.key_cells(q, QUANTUM, scratch)?;
+        diagram.lookup(generation, cells).map(<[u32]>::len)
+    };
+
     // Warm-up: one lookup per shape grows the scratch (canonical key
     // cells) and the tie buffer to their high-water marks.
-    let mut scratch = KeyScratch::new();
     let mut ties: Vec<u32> = Vec::new();
     for q in &hot {
-        assert!(diagram.lookup(q, &mut scratch).is_some(), "{q:?} missed");
+        assert!(probe(q, 0, &mut scratch).is_some(), "{q:?} missed");
     }
     for q in &singles {
-        assert!(diagram.lookup(q, &mut scratch).is_none());
+        assert!(probe(q, 0, &mut scratch).is_none());
         index.nearest_ties(q[0], &mut ties);
     }
-    assert!(diagram.lookup(&miss, &mut scratch).is_none());
+    assert!(probe(&miss, 0, &mut scratch).is_none());
 
-    // Steady state: key-cell hits, single-anchor hits, misses and the
-    // granular entry point — zero heap traffic allowed.
+    // Steady state: key-cell hits, stale-generation misses, cold-key
+    // misses and single-anchor hits — zero heap traffic allowed.
     let before = heap_allocs();
     let mut served = 0usize;
     for _ in 0..3 {
         for q in &hot {
-            served += diagram.lookup(q, &mut scratch).map_or(0, <[u32]>::len);
+            served += probe(q, 0, &mut scratch).unwrap_or(0);
+            assert!(probe(q, 1, &mut scratch).is_none());
         }
         for q in &singles {
-            assert!(diagram.lookup(q, &mut scratch).is_none());
+            assert!(probe(q, 0, &mut scratch).is_none());
             index.nearest_ties(q[0], &mut ties);
             assert!(!ties.is_empty());
             served += ties.len();
         }
-        assert!(diagram.lookup(&miss, &mut scratch).is_none());
-        assert!(diagram.lookup_cells(&[(i64::MIN, 0), (0, 0)]).is_none());
+        assert!(probe(&miss, 0, &mut scratch).is_none());
     }
     let after = heap_allocs();
     assert!(served > 0, "lookups must produce skylines");

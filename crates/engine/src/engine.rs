@@ -7,19 +7,18 @@ use crate::pool::{Job, TrySubmitError, WorkerPool, WorkerState};
 use crate::snapshot::{Snapshot, SnapshotCatalog, StaleSnapshot};
 use crate::sync::{
     lock_unpoisoned, wait_timeout_unpoisoned, wait_unpoisoned, RankedMutex, RANK_DIAGRAM,
-    RANK_DIAGRAM_BUILDERS, RANK_ENGINE_REINDEX, RANK_HOT_KEYS, RANK_SESSION_MAP,
-    RANK_SESSION_PENDING, RANK_SESSION_SKY,
+    RANK_ENGINE_REINDEX, RANK_SESSION_MAP, RANK_SESSION_PENDING, RANK_SESSION_SKY,
 };
 use ssq_core::{
     b2s2_kernel, bbs, naive_sorted_kernel, vs2_kernel, ContinuousSkyline, DeltaStats,
-    DistanceScratch, QueryContext, QueryKey, QueryStats, RTreeIndex, SkylineResult, UpdateBatch,
-    UpdateOutcome, VoronoiIndex,
+    DistanceScratch, KeyScratch, QueryContext, QueryKey, QueryStats, RTreeIndex, SkylineResult,
+    UpdateBatch, UpdateOutcome, VoronoiIndex,
 };
 use ssq_diagram::{DiagramConfig, SkylineDiagram};
 use ssq_geom::Point;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -513,7 +512,7 @@ fn ingest_loop(shared: &Arc<EngineShared>, q: &IngestShared) {
 /// The single publish path for delta batches, shared by the synchronous
 /// [`Engine::apply_delta`] and the ingestor thread: serialize under the
 /// reindex lock, build the next generation copy-on-write, install it,
-/// record the publish cost, retire the diagram.
+/// record the publish cost.
 fn publish_delta(
     shared: &Arc<EngineShared>,
     batch: &UpdateBatch,
@@ -528,7 +527,6 @@ fn publish_delta(
     let generation = snapshot.generation();
     shared.metrics.lifecycle.record_swap(generation, build);
     shared.metrics.ingest.record_ingest(&stats, build);
-    retire_diagram(shared);
     Ok(IngestReport {
         generation,
         stats,
@@ -562,77 +560,6 @@ struct Homed {
     sky: ContinuousSkyline<Arc<VoronoiIndex>>,
 }
 
-/// The published skyline diagram and its knobs. `config` is `None`
-/// while the diagram is disabled (the default); `current` is `None`
-/// until the first build publishes, and is cleared — the diagram
-/// retires with its snapshot — whenever a new generation installs.
-struct DiagramState {
-    config: Option<DiagramConfig>,
-    current: Option<Arc<SkylineDiagram>>,
-    /// [`HotKeys::build_seq`] of the key snapshot the published diagram
-    /// was built from. Two builders can race on the *same* generation
-    /// (a slow background build spawned earlier vs. a synchronous
-    /// [`Engine::rebuild_diagram`]); last-write-wins would let the one
-    /// holding the staler key snapshot clobber the fresher diagram, so
-    /// publication requires a strictly newer key sequence instead.
-    keys_seq: u64,
-}
-
-/// Canonical query keys seen missing the diagram, with hit counts —
-/// the materialization candidates for the next diagram build.
-struct HotKeys {
-    counts: HashMap<QueryKey, u64>,
-    /// Keys recorded since the last build consumed this tracker; the
-    /// background-rebuild trigger.
-    since_build: u64,
-    /// Monotone counter of key snapshots taken by diagram builds,
-    /// incremented under this lock together with the
-    /// [`HotKeys::hottest`] read — so seq order *is* key-freshness
-    /// order, and a publish guarded on it can never replace a diagram
-    /// with one built from staler keys.
-    build_seq: u64,
-}
-
-impl HotKeys {
-    /// Distinct keys tracked at most; new keys beyond this are dropped
-    /// (existing ones keep counting) so one scan of cold shapes cannot
-    /// evict genuinely hot keys.
-    const CAP: usize = 4096;
-    /// Misses recorded since the last build that trigger a background
-    /// rebuild.
-    const REBUILD_AFTER: u64 = 32;
-
-    fn new() -> HotKeys {
-        HotKeys {
-            counts: HashMap::new(),
-            since_build: 0,
-            build_seq: 0,
-        }
-    }
-
-    /// Counts one miss on `key`; `true` when enough misses accumulated
-    /// that a rebuild is worth scheduling.
-    fn record(&mut self, key: QueryKey) -> bool {
-        if self.counts.len() >= Self::CAP && !self.counts.contains_key(&key) {
-            return false;
-        }
-        *self.counts.entry(key).or_insert(0) += 1;
-        self.since_build += 1;
-        self.since_build >= Self::REBUILD_AFTER
-    }
-
-    /// The hottest `limit` keys, most-counted first.
-    fn hottest(&self, limit: usize) -> Vec<QueryKey> {
-        let mut ranked: Vec<(&QueryKey, u64)> = self.counts.iter().map(|(k, &c)| (k, c)).collect();
-        ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cells().cmp(b.0.cells())));
-        ranked
-            .into_iter()
-            .take(limit)
-            .map(|(k, _)| k.clone())
-            .collect()
-    }
-}
-
 struct EngineShared {
     /// Owns the *current* dataset generation. Workers pin a snapshot
     /// here at dequeue time; nothing else in the engine holds indexes.
@@ -646,14 +573,11 @@ struct EngineShared {
     metrics: EngineMetrics,
     sessions: RankedMutex<HashMap<u64, Arc<Session>>>,
     next_session: AtomicU64,
-    diagram: RankedMutex<DiagramState>,
-    hot_keys: RankedMutex<HotKeys>,
-    /// Join handles of background diagram builders; finished handles are
-    /// pruned on each spawn, the rest joined at shutdown.
-    builders: RankedMutex<Vec<JoinHandle<()>>>,
-    /// `true` while a background diagram build is in flight — at most
-    /// one at a time, so a burst of misses schedules one rebuild.
-    diagram_building: AtomicBool,
+    /// The skyline diagram's knobs; `None` while it is disabled (the
+    /// default). Fixed at construction, so a probe reads it unlocked.
+    diagram_config: Option<DiagramConfig>,
+    /// The diagram's key cells, admitted by misses and warm starts.
+    diagram: RankedMutex<SkylineDiagram>,
 }
 
 /// A concurrent spatial-skyline serving engine over a versioned dataset
@@ -729,22 +653,12 @@ impl Engine {
             metrics,
             sessions: RankedMutex::new("engine.sessions", RANK_SESSION_MAP, HashMap::new()),
             next_session: AtomicU64::new(0),
+            diagram_config: config.diagram,
             diagram: RankedMutex::new(
                 "engine.diagram",
                 RANK_DIAGRAM,
-                DiagramState {
-                    config: None,
-                    current: None,
-                    keys_seq: 0,
-                },
+                SkylineDiagram::new(&config.diagram.unwrap_or_default()),
             ),
-            hot_keys: RankedMutex::new("engine.hotkeys", RANK_HOT_KEYS, HotKeys::new()),
-            builders: RankedMutex::new(
-                "engine.diagram.builders",
-                RANK_DIAGRAM_BUILDERS,
-                Vec::new(),
-            ),
-            diagram_building: AtomicBool::new(false),
         });
         let pool = WorkerPool::presized(
             config.workers,
@@ -753,28 +667,21 @@ impl Engine {
             PRESIZE_ANCHOR_WIDTH,
         )
         .map_err(|e| EngineError::Spawn(e.to_string()))?;
-        let engine = Engine {
+        Ok(Engine {
             shared,
             pool,
             ingestor: Ingestor::new(config.ingest_capacity),
-        };
-        if let Some(diagram) = config.diagram {
-            engine.enable_diagram(diagram)?;
-        }
-        Ok(engine)
+        })
     }
 
     /// The `(name, rank)` pairs of the engine's long-lived locks in
-    /// ascending rank order — diagram builders, catalog, diagram, hot
-    /// keys, context cache, session map, metrics. Exposed so tests can
-    /// assert the lock-order table the [`sync`](crate::sync) module
-    /// documents.
-    pub fn lock_ranks(&self) -> [(&'static str, u32); 7] {
+    /// ascending rank order — catalog, diagram, context cache, session
+    /// map, metrics. Exposed so tests can assert the lock-order table the
+    /// [`sync`](crate::sync) module documents.
+    pub fn lock_ranks(&self) -> [(&'static str, u32); 5] {
         [
-            (self.shared.builders.name(), self.shared.builders.rank()),
             self.shared.catalog.lock_info(),
             (self.shared.diagram.name(), self.shared.diagram.rank()),
-            (self.shared.hot_keys.name(), self.shared.hot_keys.rank()),
             self.shared.cache.lock_info(),
             (self.shared.sessions.name(), self.shared.sessions.rank()),
             self.shared.metrics.lock_info(),
@@ -816,69 +723,56 @@ impl Engine {
         self.shared.metrics.snapshot()
     }
 
-    /// Enables the materialized skyline diagram and schedules its first
-    /// build in the background (queries keep flowing; they miss into
-    /// the planner until the build publishes).
-    pub fn enable_diagram(&self, config: DiagramConfig) -> Result<(), EngineError> {
-        config.validate().map_err(EngineError::Diagram)?;
-        self.shared.diagram.lock().config = Some(config);
-        spawn_diagram_builder(&self.shared);
-        Ok(())
-    }
-
-    /// Builds and publishes a diagram for the current snapshot
-    /// *synchronously*, from the hot keys observed so far. Returns the
-    /// number of key cells materialized, or an error when the diagram
-    /// is disabled.
-    pub fn rebuild_diagram(&self) -> Result<u64, EngineError> {
-        if self.shared.diagram.lock().config.is_none() {
-            return Err(EngineError::Diagram("diagram is not enabled".into()));
-        }
-        build_and_publish_diagram(&self.shared);
-        let slot = self.shared.diagram.lock();
-        Ok(slot.current.as_ref().map_or(0, |d| d.key_cell_count()))
-    }
-
-    /// Warm start: seeds `keys` as hot, pre-builds their query contexts
-    /// in the context cache, and synchronously builds and publishes a
-    /// diagram materializing them — so a freshly started server answers
-    /// its known-hot traffic without a cold-cache latency spike.
+    /// Warm start: pre-builds the query context of each key in the
+    /// context cache and admits its exact answer for the current
+    /// snapshot into the diagram, synchronously — so a freshly started
+    /// server answers its known-hot traffic without a cold-cache latency
+    /// spike.
     ///
     /// Keys may come from [`Engine::hot_keys`] of a previous run (see
-    /// the [`warm`](crate::warm) module for the on-disk format); they
-    /// are re-canonicalized against this engine's quantum, so a file
-    /// written under a different quantum still warms correctly. Returns
-    /// the number of keys seeded.
+    /// the [`warm`](crate::warm) module for the on-disk format); each is
+    /// answered for its representative points under this engine's
+    /// quantum, so a file written under a different quantum still warms
+    /// correctly. Admission is the miss path's: keys past `max_cells`,
+    /// or of shapes the diagram holds no cells for, are not stored.
+    /// Returns the number of keys seeded.
     pub fn warm_start(&self, keys: &[QueryKey]) -> Result<usize, EngineError> {
-        if self.shared.diagram.lock().config.is_none() {
+        let Some(config) = self.shared.diagram_config else {
             return Err(EngineError::Diagram("diagram is not enabled".into()));
-        }
-        let generation = self.shared.catalog.generation();
+        };
+        let start = Instant::now();
+        let snapshot = self.shared.catalog.current();
+        let generation = snapshot.generation();
         let quantum = self.shared.cache.quantum();
-        let mut seeded = 0usize;
+        let (mut scratch, mut key_scratch) = (DistanceScratch::new(), KeyScratch::new());
+        let (mut seeded, mut admitted) = (0usize, 0u64);
         for key in keys {
             let reps = key.representative_points(quantum);
             if reps.is_empty() {
                 continue;
             }
+            seeded += 1;
             // Pre-build the query context so even planner-served repeats
             // of this shape start warm. Deliberately not counted as a
             // cache miss: nobody asked a query.
-            let _ = self.shared.cache.get_or_build(generation, &reps);
-            self.shared
-                .hot_keys
-                .lock()
-                .record(QueryKey::canonical(&reps, quantum));
-            seeded += 1;
+            let (ctx, _) = self.shared.cache.get_or_build(generation, &reps);
+            let Some(cells) = config.key_cells(&reps, quantum, &mut key_scratch) else {
+                continue;
+            };
+            let (_, result) = run_kernel(&self.shared, &snapshot, None, &ctx, &mut scratch);
+            admitted += u64::from(admit(&self.shared, generation, cells, &result.skyline));
         }
-        build_and_publish_diagram(&self.shared);
+        self.shared
+            .metrics
+            .record_warm_start(admitted, start.elapsed());
         Ok(seeded)
     }
 
-    /// The hottest canonical query keys observed missing the diagram,
-    /// most-counted first — what a warm-start file should persist.
+    /// The most-probed canonical query keys the diagram holds — hits and
+    /// misses alike, most-probed first — what a warm-start file should
+    /// persist.
     pub fn hot_keys(&self, limit: usize) -> Vec<QueryKey> {
-        self.shared.hot_keys.lock().hottest(limit)
+        self.shared.diagram.lock().hottest(limit)
     }
 
     /// Builds indexes over `points` as the next generation and publishes
@@ -900,7 +794,6 @@ impl Engine {
             .install(Arc::new(snapshot))
             .map_err(EngineError::Stale)?;
         self.shared.metrics.lifecycle.record_swap(next, build);
-        retire_diagram(&self.shared);
         Ok(next)
     }
 
@@ -921,7 +814,6 @@ impl Engine {
             .install(snapshot)
             .map_err(EngineError::Stale)?;
         self.shared.metrics.lifecycle.record_swap(generation, build);
-        retire_diagram(&self.shared);
         Ok(())
     }
 
@@ -1302,121 +1194,14 @@ impl Engine {
         self.shared.sessions.lock().len()
     }
 
-    /// Drains every queued delta batch and joins the ingestor, drains
-    /// every queued job and joins the workers, then joins any background
-    /// diagram builders.
+    /// Drains every queued delta batch and joins the ingestor, then
+    /// drains every queued job and joins the workers.
     ///
     /// Every handle obtained before this call resolves; dropping the
-    /// engine performs the same drain (builders then finish detached —
-    /// they hold only a weak reference to the engine and exit early).
+    /// engine performs the same drain.
     pub fn shutdown(self) {
         self.ingestor.close_and_join();
         self.pool.shutdown();
-        let handles: Vec<JoinHandle<()>> = {
-            let mut builders = self.shared.builders.lock();
-            builders.drain(..).collect()
-        };
-        for handle in handles {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// Clears the published diagram — its key cells answered for a snapshot
-/// that just got superseded — then schedules a background rebuild for the
-/// new one. Single-anchor hits need no rebuild: they locate the query in
-/// whichever snapshot the worker pinned.
-fn retire_diagram(shared: &Arc<EngineShared>) {
-    let enabled = {
-        let mut slot = shared.diagram.lock();
-        slot.current = None;
-        slot.config.is_some()
-    };
-    if enabled {
-        spawn_diagram_builder(shared);
-    }
-}
-
-/// Spawns a background thread that builds and publishes a diagram for
-/// the catalog's current snapshot, unless one is already in flight. The
-/// thread holds only a [`Weak`] on the engine internals, so an engine
-/// dropped mid-build just ends the build.
-fn spawn_diagram_builder(shared: &Arc<EngineShared>) {
-    if shared.diagram_building.swap(true, Ordering::AcqRel) {
-        return;
-    }
-    let weak: Weak<EngineShared> = Arc::downgrade(shared);
-    let handle = std::thread::spawn(move || {
-        if let Some(shared) = weak.upgrade() {
-            build_and_publish_diagram(&shared);
-        }
-    });
-    let mut builders = shared.builders.lock();
-    builders.retain(|h| !h.is_finished());
-    builders.push(handle);
-}
-
-/// Builds a diagram for the current snapshot from the hottest observed
-/// keys and publishes it — unless the snapshot moved on mid-build, in
-/// which case the work is discarded (the retire hook has already
-/// scheduled a fresh build). Clears the in-flight flag on every exit.
-fn build_and_publish_diagram(shared: &EngineShared) {
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let config = match shared.diagram.lock().config {
-            Some(config) => config,
-            None => return,
-        };
-        let snapshot = shared.catalog.current();
-        // seq is taken under the same lock as the key snapshot, so a
-        // build holding a higher seq is guaranteed to have read keys at
-        // least as fresh — the publish guard below leans on that.
-        let (keys, seq) = {
-            let mut hot = shared.hot_keys.lock();
-            hot.since_build = 0;
-            hot.build_seq += 1;
-            (hot.hottest(config.max_cells), hot.build_seq)
-        };
-        let built = SkylineDiagram::build(
-            snapshot.generation(),
-            snapshot.points(),
-            &keys,
-            shared.cache.quantum(),
-            &config,
-        );
-        let Some(diagram) = built else { return };
-        let (cells, build) = (diagram.key_cell_count(), diagram.build_time());
-        // Rank order: read the catalog (rank 200) before taking the
-        // diagram slot (rank 240). A swap landing between the two just
-        // publishes a stale diagram that no probe will accept (probes
-        // check the generation) and the swap's own rebuild replaces.
-        if shared.catalog.generation() != diagram.generation() {
-            return;
-        }
-        let mut slot = shared.diagram.lock();
-        if slot.config.is_none() {
-            return;
-        }
-        // A published diagram is replaced only by one for a newer
-        // generation or one built from a strictly fresher key snapshot.
-        // Without the seq guard, a slow background build (e.g. the
-        // empty-keys build spawned by enable_diagram) could land *after*
-        // a synchronous rebuild on the same generation and silently
-        // un-materialize its cells.
-        let superseded = slot.current.as_ref().is_some_and(|d| {
-            d.generation() > diagram.generation()
-                || (d.generation() == diagram.generation() && slot.keys_seq >= seq)
-        });
-        if !superseded {
-            slot.current = Some(Arc::new(diagram));
-            slot.keys_seq = seq;
-            drop(slot);
-            // Every materialized cell is a warmed key.
-            shared.metrics.record_diagram_publish(cells, build, cells);
-        }
-    }));
-    shared.diagram_building.store(false, Ordering::Release);
-    if let Err(panic) = result {
-        std::panic::resume_unwind(panic);
     }
 }
 
@@ -1435,7 +1220,11 @@ type BatchMemo = Vec<(Vec<Point>, Arc<QueryContext>)>;
 /// Answers one request on the calling worker: diagram probe, else context
 /// (from `memo` when an earlier request of the batch had the same query
 /// set, else the shared cache — probed and counted once), then
-/// [`execute`]. Single submissions pass no memo.
+/// [`execute`], whose exact answer the diagram may then [`admit`].
+/// Single submissions pass no memo.
+///
+/// Forced requests (per-request or engine-wide) neither probe nor admit:
+/// pinning an algorithm means that algorithm must actually run.
 fn answer(
     shared: &Arc<EngineShared>,
     snapshot: &Arc<Snapshot>,
@@ -1444,8 +1233,16 @@ fn answer(
     state: &mut WorkerState,
 ) -> QueryResponse {
     let start = Instant::now();
-    if let Some(response) = try_diagram(shared, snapshot, request, start, state) {
-        return response;
+    let forced = request.force.is_some() || shared.planner.forced().is_some();
+    let mut key = None;
+    if let Some(config) = shared.diagram_config.filter(|_| !forced) {
+        // Canonicalized here, outside the diagram lock; the key stays in
+        // the worker's scratch for the admission after a miss.
+        key = config.key_cells(&request.query, shared.cache.quantum(), &mut state.diagram);
+        if let Some(response) = try_diagram(shared, snapshot, request, key, start) {
+            return response;
+        }
+        shared.metrics.record_diagram_miss();
     }
     let known = memo
         .as_ref()
@@ -1463,7 +1260,7 @@ fn answer(
             (ctx, hit)
         }
     };
-    execute(
+    let response = execute(
         shared,
         snapshot,
         request,
@@ -1471,87 +1268,68 @@ fn answer(
         cache_hit,
         start,
         &mut state.scratch,
-    )
+    );
+    if let Some(cells) = key {
+        admit(shared, snapshot.generation(), cells, &response.skyline);
+    }
+    response
 }
 
 /// Tries to answer `request` straight from the skyline diagram: the
-/// pinned snapshot's Voronoi index for one anchor, the published key
-/// cells otherwise. `None` falls through to the cache + planner path;
-/// when the diagram is enabled, that fall-through also counts a miss and
-/// records the query's canonical key as a materialization candidate.
-///
-/// Forced requests (per-request or engine-wide) never probe: pinning an
-/// algorithm means that algorithm must actually run.
+/// pinned snapshot's Voronoi index for one anchor, else the key cell of
+/// `key` (the request's canonical key, `None` for a shape the diagram
+/// holds no cells for). `None` is a miss and falls through to the cache +
+/// planner path. The key-cell probe takes `engine.diagram` once.
 fn try_diagram(
-    shared: &Arc<EngineShared>,
-    snapshot: &Arc<Snapshot>,
+    shared: &EngineShared,
+    snapshot: &Snapshot,
     request: &QueryRequest,
+    key: Option<&[(i64, i64)]>,
     start: Instant,
-    state: &mut WorkerState,
 ) -> Option<QueryResponse> {
-    if request.force.is_some() || shared.planner.forced().is_some() {
-        return None;
-    }
-    let (config, diagram) = {
-        let slot = shared.diagram.lock();
-        match slot.config {
-            Some(config) => (config, slot.current.clone()),
-            // Disabled: no probe, no counters.
-            None => return None,
-        }
-    };
-    let hit = match request.query[..] {
+    let generation = snapshot.generation();
+    let skyline = match request.query[..] {
         // One anchor: the skyline diagram is the Voronoi diagram the
         // pinned snapshot stores, so every such query hits, on every
         // generation.
         [q] => {
             let mut ties = Vec::new();
             snapshot.voronoi().nearest_ties(q, &mut ties);
-            Some(ties)
+            ties
         }
-        // Key cells answer only for the snapshot they were built against.
-        // A stale diagram (publish landed, rebuild still in flight) is a
-        // miss, never a wrong answer.
-        _ => diagram
-            .filter(|d| d.generation() == snapshot.generation())
-            .and_then(|d| {
-                d.lookup(&request.query, &mut state.diagram)
-                    .map(<[u32]>::to_vec)
-            }),
+        // A key cell answers only for the generation it holds: one left
+        // by an earlier generation, or refreshed by a later one than the
+        // worker pinned, is a miss, never a wrong answer.
+        _ => shared.diagram.lock().lookup(generation, key?)?.to_vec(),
     };
-    match hit {
-        Some(skyline) => {
-            let generation = snapshot.generation();
-            let latency = start.elapsed();
-            shared.metrics.record_diagram_hit(generation, latency);
-            Some(QueryResponse {
-                skyline,
-                generation,
-                algorithm: shared
-                    .planner
-                    .choose_for_anchors(snapshot.len(), request.query.len()),
-                served_by: ServedBy::Diagram,
-                latency,
-                stats: QueryStats::default(),
-            })
-        }
-        None => {
-            shared.metrics.record_diagram_miss();
-            // Track shapes the diagram *could* materialize so the next
-            // build serves them. Wider query sets are skipped without
-            // canonicalizing — the planner path pays the hull cost anyway.
-            if request.query.len() >= 2 && request.query.len() <= config.max_anchors {
-                let key = QueryKey::canonical(&request.query, shared.cache.quantum());
-                if key.len() >= 2 && key.len() <= config.max_anchors {
-                    let rebuild = shared.hot_keys.lock().record(key);
-                    if rebuild {
-                        spawn_diagram_builder(shared);
-                    }
-                }
-            }
-            None
-        }
+    let latency = start.elapsed();
+    shared.metrics.record_diagram_hit(generation, latency);
+    Some(QueryResponse {
+        skyline,
+        generation,
+        algorithm: shared
+            .planner
+            .choose_for_anchors(snapshot.len(), request.query.len()),
+        served_by: ServedBy::Diagram,
+        latency,
+        stats: QueryStats::default(),
+    })
+}
+
+/// Offers `skyline`, the exact answer of the key `cells` under snapshot
+/// `generation`, to the diagram (see [`SkylineDiagram::admit`] for the
+/// rule) — the one admission path of a miss's answer and a warm start's.
+/// Returns whether it was stored.
+fn admit(shared: &EngineShared, generation: u64, cells: &[(i64, i64)], skyline: &[u32]) -> bool {
+    let (admitted, held) = {
+        let mut diagram = shared.diagram.lock();
+        let admitted = diagram.admit(generation, cells, skyline);
+        (admitted, diagram.key_cell_count())
+    };
+    if admitted {
+        shared.metrics.record_diagram_cells(held);
     }
+    admitted
 }
 
 /// Runs every request of a batch on the calling worker against one pinned
@@ -1584,15 +1362,8 @@ fn execute(
     scratch: &mut DistanceScratch,
 ) -> QueryResponse {
     let generation = snapshot.generation();
-    let algorithm = request
-        .force
-        .unwrap_or_else(|| shared.planner.choose(snapshot.len(), ctx));
-    let SkylineResult { skyline, stats } = match algorithm {
-        Algorithm::Naive => naive_sorted_kernel(snapshot.points(), ctx, scratch),
-        Algorithm::Bbs => bbs(snapshot.rtree(), ctx),
-        Algorithm::B2s2 => b2s2_kernel(snapshot.rtree(), ctx, scratch),
-        Algorithm::Vs2 => vs2_kernel(snapshot.voronoi(), ctx, scratch),
-    };
+    let (algorithm, SkylineResult { skyline, stats }) =
+        run_kernel(shared, snapshot, request.force, ctx, scratch);
     let latency = start.elapsed();
     shared
         .metrics
@@ -1609,6 +1380,25 @@ fn execute(
         latency,
         stats,
     }
+}
+
+/// Plans `ctx` (unless `force` pins the algorithm) and runs the chosen
+/// kernel on `snapshot` through `scratch`.
+fn run_kernel(
+    shared: &EngineShared,
+    snapshot: &Snapshot,
+    force: Option<Algorithm>,
+    ctx: &QueryContext,
+    scratch: &mut DistanceScratch,
+) -> (Algorithm, SkylineResult) {
+    let algorithm = force.unwrap_or_else(|| shared.planner.choose(snapshot.len(), ctx));
+    let result = match algorithm {
+        Algorithm::Naive => naive_sorted_kernel(snapshot.points(), ctx, scratch),
+        Algorithm::Bbs => bbs(snapshot.rtree(), ctx),
+        Algorithm::B2s2 => b2s2_kernel(snapshot.rtree(), ctx, scratch),
+        Algorithm::Vs2 => vs2_kernel(snapshot.voronoi(), ctx, scratch),
+    };
+    (algorithm, result)
 }
 
 /// Applies every pending update of one session, in FIFO order. At most
@@ -2203,17 +1993,15 @@ mod tests {
 
     #[test]
     fn rapid_delta_publishes_never_let_a_stale_diagram_answer() {
-        // Every delta publish retires the published diagram with its
-        // generation and schedules a background rebuild; under a rapid
-        // stream those rebuilds keep losing the race. Whichever path
-        // serves — diagram when a rebuild lands, planner fallback when
-        // not — the answer must match the naive oracle for the *current*
-        // point set every single generation.
+        // A key cell answers only for the generation it holds, so after
+        // every delta publish the key's first query misses and refreshes
+        // the cell. Whichever path serves, the answer must match the
+        // naive oracle for the *current* point set every single
+        // generation.
         let mut mirror = grid(150);
         let engine = Engine::new(&mirror, diagram_config()).unwrap();
         let q = vec![Point::new(2.0, 2.0), Point::new(11.0, 3.0)];
         engine.submit(QueryRequest::new(q.clone())).wait();
-        engine.rebuild_diagram().unwrap();
         let warm = engine.submit(QueryRequest::new(q.clone())).wait();
         assert_eq!(warm.served_by, ServedBy::Diagram);
         for round in 0..100u64 {
@@ -2230,16 +2018,16 @@ mod tests {
             assert_voronoi_ids(&engine.snapshot(), &mirror);
             let r = engine.submit(QueryRequest::new(q.clone())).wait();
             assert_eq!(r.generation, round + 1);
+            assert_ne!(r.served_by, ServedBy::Diagram);
             assert_eq!(
                 r.skyline,
                 naive_full(&mirror, &QueryContext::new(&q)).skyline,
-                "generation {} served a retired diagram's skyline",
+                "generation {} served a stale cell's skyline",
                 round + 1
             );
         }
-        // After the stream settles, a synchronous rebuild serves the
-        // final generation from the diagram again — and still exactly.
-        engine.rebuild_diagram().unwrap();
+        // The final generation's first query refreshed the cell, so the
+        // next one is served from the diagram again — and still exactly.
         let settled = engine.submit(QueryRequest::new(q.clone())).wait();
         assert_eq!(settled.served_by, ServedBy::Diagram);
         assert_eq!(
@@ -2589,23 +2377,21 @@ mod tests {
     }
 
     #[test]
-    fn diagram_serves_hot_queries_after_a_rebuild() {
+    fn diagram_serves_a_hot_query_from_its_second_probe() {
         let data = grid(200);
         let engine = Engine::new(&data, diagram_config()).unwrap();
         let q = vec![Point::new(3.0, 4.0), Point::new(9.0, 2.0)];
-        // Cold: the key has no materialized cell yet, so the planner
-        // answers and the miss feeds the hot-key tracker.
+        // Cold: the key has no cell yet, so the planner answers and the
+        // miss admits that answer.
         let first = engine.submit(QueryRequest::new(q.clone())).wait();
         assert_ne!(first.served_by, ServedBy::Diagram);
-        engine.rebuild_diagram().unwrap();
         let second = engine.submit(QueryRequest::new(q.clone())).wait();
         assert_eq!(second.served_by, ServedBy::Diagram);
         assert_eq!(second.skyline, first.skyline);
         assert_eq!(second.stats, QueryStats::default());
         let m = engine.metrics();
-        assert!(m.diagram.hits >= 1);
-        assert!(m.diagram.misses >= 1);
-        assert!(m.diagram.cells > 0);
+        assert_eq!((m.diagram.hits, m.diagram.misses), (1, 1));
+        assert_eq!(m.diagram.cells, 1);
         // Single-anchor queries are located in the Voronoi index without
         // any per-key materialization.
         let single = engine
@@ -2621,9 +2407,9 @@ mod tests {
 
     #[test]
     fn a_single_anchor_query_after_a_publish_hits_with_the_new_answer() {
-        // One-anchor hits need no diagram build: right after a delta
-        // publishes — its rebuild still pending or never run — the query
-        // is located in the new generation's Voronoi index. The first
+        // One-anchor hits need no key cell: right after a delta
+        // publishes, the query is located in the new generation's
+        // Voronoi index. The first
         // batch inserts the corners of a square; the probes sit on the
         // deleted point, on an insert, at the square's centre (a 4-way
         // tie) and far outside the data.
@@ -2682,7 +2468,94 @@ mod tests {
         let r = engine.submit(QueryRequest::new(q.clone())).wait();
         assert_eq!(r.served_by, ServedBy::Diagram);
         assert_eq!(r.skyline, naive_full(&data, &QueryContext::new(&q)).skyline);
-        assert!(engine.metrics().diagram.warmed >= 1);
+        let m = engine.metrics();
+        assert_eq!((m.diagram.warmed, m.diagram.cells), (1, 1));
+        engine.shutdown();
+    }
+
+    #[test]
+    fn hot_keys_rank_by_probes_so_hits_count() {
+        let data = grid(150);
+        let engine = Engine::new(&data, diagram_config()).unwrap();
+        let a = vec![Point::new(2.5, 3.5), Point::new(8.5, 2.5)];
+        let b = vec![Point::new(1.5, 6.5), Point::new(12.5, 4.5)];
+        let key_a = QueryKey::canonical(&a, ContextCache::DEFAULT_QUANTUM);
+        engine.warm_start(std::slice::from_ref(&key_a)).unwrap();
+        // A hits ten times; B misses once and then hits twice. A key
+        // that hits keeps counting, so A stays the hotter one.
+        for _ in 0..10 {
+            engine.submit(QueryRequest::new(a.clone())).wait();
+        }
+        for _ in 0..3 {
+            engine.submit(QueryRequest::new(b.clone())).wait();
+        }
+        assert_eq!(engine.hot_keys(1), [key_a]);
+        assert_eq!(engine.hot_keys(5).len(), 2);
+        engine.shutdown();
+    }
+
+    #[test]
+    fn a_publish_stream_costs_each_hot_key_one_miss_per_generation() {
+        let mut mirror = grid(150);
+        let engine = Engine::new(&mirror, diagram_config()).unwrap();
+        let shapes: Vec<Vec<Point>> = (0..8)
+            .map(|k| {
+                let x = 0.5 + 1.6 * k as f64;
+                let mut q = vec![
+                    Point::new(x, 1.5 + 0.3 * k as f64),
+                    Point::new(x + 3.1, 6.2 - 0.4 * k as f64),
+                ];
+                if k % 2 == 1 {
+                    q.push(Point::new(x + 1.2, 8.0));
+                }
+                q
+            })
+            .collect();
+        let oracle = |points: &[Point], q: &[Point]| naive_full(points, &QueryContext::new(q));
+        let mut previous = None;
+        for round in 0..=60u64 {
+            if round > 0 {
+                let batch = UpdateBatch {
+                    inserts: vec![Point::new(
+                        0.07 + 0.0019 * round as f64,
+                        9.2 + 1e-3 * round as f64,
+                    )],
+                    deletes: vec![((round * 53) % 150) as u32],
+                };
+                previous = Some((engine.snapshot(), mirror.clone()));
+                let universe = engine.snapshot().universe();
+                engine.apply_delta(&batch).unwrap();
+                apply_to_mirror(&mut mirror, &batch, &universe);
+            }
+            // Each key's first query of the generation misses and
+            // refreshes its cell; the second hits.
+            for q in &shapes {
+                let want = oracle(&mirror, q).skyline;
+                let first = engine.submit(QueryRequest::new(q.clone())).wait();
+                let second = engine.submit(QueryRequest::new(q.clone())).wait();
+                assert_ne!(first.served_by, ServedBy::Diagram, "round {round}");
+                assert_eq!(second.served_by, ServedBy::Diagram, "round {round}");
+                assert_eq!((first.generation, second.generation), (round, round));
+                assert_eq!(first.skyline, want, "round {round}, {q:?}");
+                assert_eq!(second.skyline, want, "round {round}, {q:?}");
+            }
+        }
+        assert_eq!(engine.metrics().diagram.misses, 8 * 61);
+        // A caller pinning the previous generation is answered exactly
+        // for it, without hitting or overwriting the current cells.
+        let (pinned, old_points) = previous.unwrap();
+        let requests: Vec<QueryRequest> = shapes.iter().cloned().map(QueryRequest::new).collect();
+        let replies = engine.submit_batch_on(requests, pinned).wait();
+        for (q, reply) in shapes.iter().zip(&replies) {
+            assert_eq!(reply.generation, 59);
+            assert_ne!(reply.served_by, ServedBy::Diagram);
+            assert_eq!(reply.skyline, oracle(&old_points, q).skyline);
+        }
+        for q in &shapes {
+            let reply = engine.submit(QueryRequest::new(q.clone())).wait();
+            assert_eq!(reply.served_by, ServedBy::Diagram);
+            assert_eq!(reply.skyline, oracle(&mirror, q).skyline);
+        }
         engine.shutdown();
     }
 
@@ -2692,13 +2565,21 @@ mod tests {
         let engine = Engine::new(&data, diagram_config()).unwrap();
         let q = vec![Point::new(2.0, 2.0), Point::new(11.0, 3.0)];
         engine.submit(QueryRequest::new(q.clone())).wait();
-        engine.rebuild_diagram().unwrap();
         let forced = engine
             .submit(QueryRequest::forced(q.clone(), Algorithm::Naive))
             .wait();
         // The context cache may still serve it — but never the diagram.
         assert_ne!(forced.served_by, ServedBy::Diagram);
         assert_eq!(forced.algorithm, Algorithm::Naive);
+        // Nor does a forced miss admit its answer: the key's first
+        // unforced query still misses.
+        let cold = vec![Point::new(4.0, 1.0), Point::new(9.0, 7.0)];
+        engine
+            .submit(QueryRequest::forced(cold.clone(), Algorithm::Vs2))
+            .wait();
+        let unforced = engine.submit(QueryRequest::new(cold)).wait();
+        assert_ne!(unforced.served_by, ServedBy::Diagram);
+        assert_eq!(engine.metrics().diagram.cells, 2);
         engine.shutdown();
     }
 
@@ -2726,10 +2607,6 @@ mod tests {
     fn diagram_calls_error_when_disabled() {
         let engine = Engine::new(&grid(40), EngineConfig::default().with_workers(1)).unwrap();
         assert!(matches!(
-            engine.rebuild_diagram(),
-            Err(EngineError::Diagram(_))
-        ));
-        assert!(matches!(
             engine.warm_start(&[]),
             Err(EngineError::Diagram(_))
         ));
@@ -2747,43 +2624,54 @@ mod tests {
         let engine = Engine::new(&data, diagram_config()).unwrap();
         let q = vec![Point::new(4.0, 3.0), Point::new(10.0, 6.0)];
         engine.submit(QueryRequest::new(q.clone())).wait();
-        engine.rebuild_diagram().unwrap();
         assert_eq!(
             engine.submit(QueryRequest::new(q.clone())).wait().served_by,
             ServedBy::Diagram
         );
         let new_data = grid(240);
         engine.reindex(&new_data).unwrap();
-        // The old diagram answered for generation 0; it must not answer
-        // for generation 1 even while the background rebuild runs. The
-        // answer must come from the planner and be exact for the new
-        // data — or, if the rebuild already published, from a diagram
-        // stamped with the new generation. Either way: exact.
+        // The cell holds generation 0's answer; it must not answer for
+        // generation 1. The planner answers, exactly for the new data,
+        // and that answer refreshes the cell.
         let after = engine.submit(QueryRequest::new(q.clone())).wait();
+        let want = naive_full(&new_data, &QueryContext::new(&q)).skyline;
         assert_eq!(after.generation, 1);
-        assert_eq!(
-            after.skyline,
-            naive_full(&new_data, &QueryContext::new(&q)).skyline
-        );
+        assert_ne!(after.served_by, ServedBy::Diagram);
+        assert_eq!(after.skyline, want);
+        let rehit = engine.submit(QueryRequest::new(q.clone())).wait();
+        assert_eq!(rehit.served_by, ServedBy::Diagram);
+        assert_eq!(rehit.skyline, want);
         engine.shutdown();
     }
 
     #[test]
     fn retired_generations_are_freed_once_unpinned() {
-        let engine = Engine::new(&grid(80), EngineConfig::default().with_workers(1)).unwrap();
-        let weak = Arc::downgrade(&engine.snapshot());
-        engine.reindex(&grid(100)).unwrap();
-        // Drain the pool so no worker still holds a pin.
-        engine
-            .submit(QueryRequest::new(vec![
-                Point::new(1.0, 1.0),
-                Point::new(5.0, 2.0),
-                Point::new(3.0, 6.0),
-            ]))
-            .wait();
-        assert!(
-            weak.upgrade().is_none(),
-            "generation 0 leaked after retirement"
-        );
+        let q = vec![
+            Point::new(1.0, 1.0),
+            Point::new(5.0, 2.0),
+            Point::new(3.0, 6.0),
+        ];
+        for diagram in [false, true] {
+            let config = if diagram {
+                diagram_config()
+            } else {
+                EngineConfig::default().with_workers(1)
+            };
+            let engine = Engine::new(&grid(80), config).unwrap();
+            if diagram {
+                // Key cells hold ids, not snapshots, and no diagram
+                // thread pins a generation.
+                let key = QueryKey::canonical(&q, ContextCache::DEFAULT_QUANTUM);
+                assert_eq!(engine.warm_start(&[key]).unwrap(), 1);
+            }
+            let weak = Arc::downgrade(&engine.snapshot());
+            engine.reindex(&grid(100)).unwrap();
+            // Drain the pool so no worker still holds a pin.
+            engine.submit(QueryRequest::new(q.clone())).wait();
+            assert!(
+                weak.upgrade().is_none(),
+                "generation 0 leaked after retirement (diagram: {diagram})"
+            );
+        }
     }
 }

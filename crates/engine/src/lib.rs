@@ -33,11 +33,14 @@
 //!   answers by point location without running any algorithm. A
 //!   single-anchor query is located in the pinned snapshot's Voronoi
 //!   diagram ([`VoronoiIndex::nearest_ties`](ssq_core::VoronoiIndex::nearest_ties)),
-//!   so it hits on every generation; hot two- and three-anchor shapes hit
-//!   materialized key cells, and their misses fall through to the planner
-//!   while feeding the hot-key tracker the next background build
-//!   materializes from. [`Engine::warm_start`] rebuilds yesterday's hot
-//!   set ([`warm`]) before the first request lands.
+//!   so it hits on every generation. Two- and three-anchor shapes hit key
+//!   cells: a miss falls through to the planner, and its exact answer is
+//!   then admitted as its key's cell for the generation the worker
+//!   pinned. A cell answers only for that generation, so a publish
+//!   touches no cell: each key's first query afterwards misses once and
+//!   refreshes it. [`Engine::warm_start`] admits yesterday's hot set
+//!   ([`warm`]) through the same admission before the first request
+//!   lands.
 //! * **Metrics** ([`metrics`]) — per-algorithm request counts, cache and
 //!   diagram hit/miss counters, a log-bucketed latency histogram, and
 //!   aggregated [`QueryStats`](ssq_core::QueryStats).

@@ -284,9 +284,9 @@ counter_groups! {
     diagram: DiagramCounters / DiagramCells {
         hits: Sum Count "Queries answered straight from the diagram (no algorithm ran).",
         misses: Sum Count "Probes that fell through to the planner.",
-        cells: Sum Count "Materialized key cells in the published diagram.",
-        build_nanos: Max Nanos "Cost of the most recent diagram build.",
-        warmed: Sum Count "Hot keys materialized into the published diagram.",
+        cells: Sum Count "Key cells the diagram holds, of any generation.",
+        build_nanos: Max Nanos "Duration of the most recent warm start.",
+        warmed: Sum Count "Keys warm starts admitted into the diagram.",
     }
     /// Streaming ingest: the publish cost of the delta pipeline. An
     /// engine counts batches applied to its own catalog; a shard router
@@ -564,13 +564,18 @@ impl EngineMetrics {
         self.diagram.misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a skyline diagram being published: its total cell count,
-    /// build wall-clock, and how many hot keys it materialized.
-    pub fn record_diagram_publish(&self, cells: u64, build: Duration, warmed: u64) {
+    /// Records the number of key cells the diagram holds after an
+    /// admission.
+    pub fn record_diagram_cells(&self, cells: u64) {
+        self.diagram.cells.store(cells, Ordering::Relaxed);
+    }
+
+    /// Records a warm start: the keys it admitted into the diagram and
+    /// its wall-clock duration.
+    pub fn record_warm_start(&self, admitted: u64, took: Duration) {
         let d = &self.diagram;
-        d.cells.store(cells, Ordering::Relaxed);
-        d.build_nanos.store(nanos(build), Ordering::Relaxed);
-        d.warmed.store(warmed, Ordering::Relaxed);
+        d.warmed.fetch_add(admitted, Ordering::Relaxed);
+        d.build_nanos.store(nanos(took), Ordering::Relaxed);
     }
 
     /// Records a batch refused by ingest admission control (the ingest
@@ -846,7 +851,9 @@ mod tests {
     #[test]
     fn diagram_accounting() {
         let m = EngineMetrics::new();
-        m.record_diagram_publish(4100, Duration::from_millis(12), 4);
+        m.record_warm_start(3, Duration::from_millis(30));
+        m.record_warm_start(1, Duration::from_millis(12));
+        m.record_diagram_cells(4100);
         m.record_diagram_hit(2, Duration::from_micros(1));
         m.record_diagram_hit(2, Duration::from_micros(2));
         m.record_diagram_miss();

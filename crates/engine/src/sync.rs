@@ -19,10 +19,8 @@
 //! | 100 | `shard.reindex` | serializes fleet-wide reindex |
 //! | 110 | `shard.fleet` | current [`Fleet`] snapshot pointer |
 //! | 150 | `engine.reindex` | serializes per-engine reindex |
-//! | 160 | `engine.diagram.builders` | background diagram-builder join handles |
 //! | 200 | `engine.catalog` | [`SnapshotCatalog`] current pointer |
-//! | 240 | `engine.diagram` | published skyline diagram + its config |
-//! | 250 | `engine.hotkeys` | hot canonical-query-key tracker |
+//! | 240 | `engine.diagram` | skyline-diagram key cells |
 //! | 300 | `engine.cache` | context-cache LRU state |
 //! | 400 | `engine.sessions` | session map |
 //! | 450 | `session.pending` | per-session pending batch |
@@ -63,19 +61,12 @@ pub const RANK_SHARD_REINDEX: u32 = 100;
 pub const RANK_SHARD_FLEET: u32 = 110;
 /// Rank of the per-engine reindex serialization lock.
 pub const RANK_ENGINE_REINDEX: u32 = 150;
-/// Rank of the engine's background diagram-builder handle list.
-/// Between reindex and catalog: reindex spawns builders while holding
-/// its lock, and a builder reads the catalog after registering.
-pub const RANK_DIAGRAM_BUILDERS: u32 = 160;
 /// Rank of the engine's snapshot-catalog pointer.
 pub const RANK_CATALOG: u32 = 200;
-/// Rank of the engine's published skyline diagram slot. Above the
-/// catalog: publishers stamp the diagram with the generation they read
-/// from the catalog before taking this lock.
+/// Rank of the engine's skyline-diagram key cells. Above the catalog:
+/// a worker pins its snapshot before it probes or admits under the
+/// generation it pinned.
 pub const RANK_DIAGRAM: u32 = 240;
-/// Rank of the engine's hot-query-key tracker, recorded on diagram
-/// misses just before the context-cache probe.
-pub const RANK_HOT_KEYS: u32 = 250;
 /// Rank of the engine's context-cache interior state.
 pub const RANK_CONTEXT_CACHE: u32 = 300;
 /// Rank of the engine's session map.

@@ -5,7 +5,7 @@
 //! loads the file and hands the keys to
 //! [`Engine::warm_start`](crate::Engine::warm_start) before accepting
 //! traffic, so known-hot query shapes have their contexts cached and
-//! their diagram cells materialized from the first request.
+//! their diagram cells admitted, before the first request.
 //!
 //! # Format
 //!

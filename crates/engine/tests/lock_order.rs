@@ -6,13 +6,12 @@
 //! rank table and the deadlock-freedom argument). These tests first pin
 //! the rank assignment of the engine's long-lived locks, then drive
 //! every code path that nests locks — queries, batches, reindexes,
-//! diagram probes and rebuilds, and continuous sessions, all
+//! diagram probes and admissions, and continuous sessions, all
 //! concurrently — so a regression that acquires locks out of order
 //! fails loudly as a panicked thread instead of a hung test.
 
 use ssq_engine::sync::{
-    RANK_CATALOG, RANK_CONTEXT_CACHE, RANK_DIAGRAM, RANK_DIAGRAM_BUILDERS, RANK_HOT_KEYS,
-    RANK_METRICS, RANK_SESSION_MAP,
+    RANK_CATALOG, RANK_CONTEXT_CACHE, RANK_DIAGRAM, RANK_METRICS, RANK_SESSION_MAP,
 };
 use ssq_engine::{DiagramConfig, Engine, EngineConfig, QueryRequest};
 use ssq_geom::Point;
@@ -49,13 +48,11 @@ fn query(seed: usize) -> Vec<Point> {
 fn all_engine_locks_carry_their_documented_ranks() {
     let engine = Engine::new(&grid(120, 0.0), EngineConfig::default().with_workers(2)).unwrap();
     let ranks = engine.lock_ranks();
-    assert_eq!(ranks[0], ("engine.diagram.builders", RANK_DIAGRAM_BUILDERS));
-    assert_eq!(ranks[1], ("engine.catalog", RANK_CATALOG));
-    assert_eq!(ranks[2], ("engine.diagram", RANK_DIAGRAM));
-    assert_eq!(ranks[3], ("engine.hotkeys", RANK_HOT_KEYS));
-    assert_eq!(ranks[4], ("engine.cache", RANK_CONTEXT_CACHE));
-    assert_eq!(ranks[5], ("engine.sessions", RANK_SESSION_MAP));
-    assert_eq!(ranks[6], ("engine.metrics", RANK_METRICS));
+    assert_eq!(ranks[0], ("engine.catalog", RANK_CATALOG));
+    assert_eq!(ranks[1], ("engine.diagram", RANK_DIAGRAM));
+    assert_eq!(ranks[2], ("engine.cache", RANK_CONTEXT_CACHE));
+    assert_eq!(ranks[3], ("engine.sessions", RANK_SESSION_MAP));
+    assert_eq!(ranks[4], ("engine.metrics", RANK_METRICS));
     // The assignment must be strictly ascending: equal ranks would make
     // the checker reject a legal reacquisition pattern, and a descending
     // pair would legalize a cycle.
@@ -94,9 +91,9 @@ fn a_rehoming_session_update_reads_the_catalog_before_the_session() {
 #[test]
 fn concurrent_traffic_acquires_all_locks_in_rank_order() {
     let data = grid(260, 0.0);
-    // Diagram on: every query now also exercises the probe (diagram 240
-    // → hotkeys 250 on a miss) and reindexes retire + rebuild through
-    // the builders (160) lock.
+    // Diagram on: every query also takes the diagram (240) for its
+    // probe and, after a miss, again for the admission of its answer,
+    // with nothing held either time; reindexes leave the diagram alone.
     let config = EngineConfig::default()
         .with_workers(3)
         .with_diagram(DiagramConfig::default());
