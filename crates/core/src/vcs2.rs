@@ -7,8 +7,16 @@
 //!   Theorem 2 the hull, and with it the skyline, is untouched. The
 //!   update costs one hull build and nothing else.
 //! * **Anything else** — [`vs2_kernel`](crate::vs2::vs2_kernel) on the
-//!   session's own arena, started from the previous answer's first
-//!   member.
+//!   caller's arena, started from the previous answer's first member.
+//!
+//! A session holds its query set, its context, its answer and that walk
+//! hint — state sized by `|Q|` and `|S(Q)|`, never by `|P|`. Every VS² run
+//! borrows a [`DistanceScratch`]: the `_in` forms ([`ContinuousSkyline::new_in`],
+//! [`ContinuousSkyline::update_in`], [`ContinuousSkyline::rehome_in`]) take
+//! the caller's, so a serving engine runs each of its sessions on the arena
+//! of whichever worker drains it. [`ContinuousSkyline::new`] and
+//! [`ContinuousSkyline::update`] are those same bodies on an arena the
+//! session keeps for itself, for callers with no arena of their own.
 //!
 //! Fig. 10's classification is kept as *accounting*: an update whose two
 //! hulls share every vertex except possibly `q`/`q'` (patterns II–V) is
@@ -91,6 +99,10 @@ impl OutcomeCounts {
 /// latter lets long-lived serving layers (see the `ssq-engine` crate)
 /// keep many concurrent sessions alive over one immutable index snapshot
 /// without tying session lifetimes to a stack borrow.
+///
+/// Each operation has one body, run on an arena the caller lends (the
+/// `_in` forms); the plain forms lend the session's own. See the module
+/// docs.
 pub struct ContinuousSkyline<I = &'static VoronoiIndex>
 where
     I: std::ops::Deref<Target = VoronoiIndex>,
@@ -104,10 +116,9 @@ where
     /// Walk hint for the rerun's NN search: the site of the current
     /// skyline's first member.
     hint: u32,
-    /// The session's own arena — traversal marks, heap, page set and
-    /// rows — reused across updates, so a warm update does no `O(|P|)`
-    /// work and its page count is its own however many sessions share
-    /// the index.
+    /// The arena [`ContinuousSkyline::new`] and
+    /// [`ContinuousSkyline::update`] lend, warm across their calls. A
+    /// session driven only through the `_in` forms never grows it.
     scratch: DistanceScratch,
 }
 
@@ -115,8 +126,18 @@ impl<I> ContinuousSkyline<I>
 where
     I: std::ops::Deref<Target = VoronoiIndex>,
 {
-    /// Initializes the skyline for query set `q` with a fresh VS² run.
+    /// Initializes the skyline for query set `q` with a fresh VS² run on
+    /// an arena the session keeps for its later [`ContinuousSkyline::update`]s.
     pub fn new(index: I, q: &[Point]) -> ContinuousSkyline<I> {
+        let mut scratch = DistanceScratch::new();
+        let mut session = Self::new_in(&mut scratch, index, q);
+        session.scratch = scratch;
+        session
+    }
+
+    /// Initializes the skyline for query set `q` with a fresh VS² run on
+    /// `scratch`; the session itself holds no arena.
+    pub fn new_in(scratch: &mut DistanceScratch, index: I, q: &[Point]) -> ContinuousSkyline<I> {
         let mut session = ContinuousSkyline {
             index,
             query: q.to_vec(),
@@ -124,26 +145,26 @@ where
             skyline: Vec::new(),
             counts: OutcomeCounts::default(),
             hint: 0,
-            scratch: DistanceScratch::new(),
+            scratch: DistanceScratch::default(),
         };
-        session.rerun();
+        session.rerun(scratch);
         session
     }
 
     /// Moves the session onto `index` — the next generation of the
-    /// dataset — and recomputes the skyline there. Ids of the old index
-    /// mean nothing in the new one, and Theorem 2's free pass holds only
-    /// while the data stands still, so this is always one VS² run. The
-    /// previous index handle is dropped.
-    pub fn rehome(&mut self, index: I) -> QueryStats {
+    /// dataset — and recomputes the skyline there on `scratch`. Ids of
+    /// the old index mean nothing in the new one, and Theorem 2's free
+    /// pass holds only while the data stands still, so this is always one
+    /// VS² run. The previous index handle is dropped.
+    pub fn rehome_in(&mut self, scratch: &mut DistanceScratch, index: I) -> QueryStats {
         self.index = index;
         self.hint = 0;
-        self.rerun()
+        self.rerun(scratch)
     }
 
-    /// VS² for the current query set on the session's arena.
-    fn rerun(&mut self) -> QueryStats {
-        let result = vs2_kernel_from(&self.index, &self.ctx, &mut self.scratch, self.hint);
+    /// VS² for the current query set on `scratch`.
+    fn rerun(&mut self, scratch: &mut DistanceScratch) -> QueryStats {
+        let result = vs2_kernel_from(&self.index, &self.ctx, scratch, self.hint);
         self.skyline = result.skyline;
         if let Some(&id) = self.skyline.first() {
             self.hint = self.index.site_of(id);
@@ -175,9 +196,27 @@ where
         self.counts
     }
 
-    /// Applies one location update: query object `obj` moved to `new_loc`.
-    /// Returns how the update was handled plus its cost.
+    /// [`ContinuousSkyline::update_in`] on the session's own arena.
     pub fn update(&mut self, obj: usize, new_loc: Point) -> (UpdateOutcome, QueryStats) {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let updated = self.update_in(&mut scratch, obj, new_loc);
+        self.scratch = scratch;
+        updated
+    }
+
+    /// Applies one location update: query object `obj` moved to `new_loc`.
+    /// A rerun, if the move needs one, runs on `scratch`. Returns how the
+    /// update was handled plus its cost.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `obj` is not below `self.query().len()`.
+    pub fn update_in(
+        &mut self,
+        scratch: &mut DistanceScratch,
+        obj: usize,
+        new_loc: Point,
+    ) -> (UpdateOutcome, QueryStats) {
         assert!(obj < self.query.len(), "query object index out of range");
         let old_loc = self.query[obj];
         if old_loc == new_loc {
@@ -219,7 +258,7 @@ where
                 self.counts.recomputed += 1;
                 UpdateOutcome::Recomputed
             };
-        (outcome, self.rerun())
+        (outcome, self.rerun(scratch))
     }
 }
 
@@ -380,6 +419,72 @@ mod tests {
             assert_eq!(outcome, UpdateOutcome::Unchanged);
             assert!(cont.skyline().is_empty());
         }
+    }
+
+    #[test]
+    fn sessions_sharing_one_arena_match_their_owned_arena_twins() {
+        // Three sessions take turns on one arena across two indexes of
+        // different site bounds, one of them re-homed mid-stream; each
+        // twin runs the same moves on an arena of its own.
+        let data = [pseudorandom(300, 41), pseudorandom(520, 43)];
+        let indexes = [
+            VoronoiIndex::new(&data[0]).unwrap(),
+            VoronoiIndex::new(&data[1]).unwrap(),
+        ];
+        assert_ne!(indexes[0].site_bound(), indexes[1].site_bound());
+        let mut home = [0usize, 1, 0];
+        let mut qs: Vec<Vec<Point>> = (0..3u64)
+            .map(|s| {
+                pseudorandom(3 + s as usize, 700 + s)
+                    .into_iter()
+                    .map(|v| p(0.35 + v.x * 0.3, 0.35 + v.y * 0.3))
+                    .collect()
+            })
+            .collect();
+        let mut shared = DistanceScratch::new();
+        let mut sessions: Vec<ContinuousSkyline<&VoronoiIndex>> = (0..3)
+            .map(|s| ContinuousSkyline::new_in(&mut shared, &indexes[home[s]], &qs[s]))
+            .collect();
+        let mut twins: Vec<ContinuousSkyline<&VoronoiIndex>> = (0..3)
+            .map(|s| ContinuousSkyline::new(&indexes[home[s]], &qs[s]))
+            .collect();
+        let exact = |home: usize, q: &[Point]| naive_full(&data[home], &QueryContext::new(q));
+        for s in 0..3 {
+            assert_eq!(sessions[s].skyline(), twins[s].skyline(), "open {s}");
+            assert_eq!(sessions[s].skyline(), exact(home[s], &qs[s]).skyline);
+        }
+        let mut moves = pseudorandom(60, 0x5CA7).into_iter();
+        let mut reruns = 0;
+        for step in 0..60 {
+            let s = step % 3;
+            if step == 30 {
+                // Session 0 follows its data onto the larger index.
+                home[0] = 1;
+                let got = sessions[0].rehome_in(&mut shared, &indexes[1]);
+                let want = twins[0].rehome_in(&mut DistanceScratch::new(), &indexes[1]);
+                assert_eq!(sessions[0].skyline(), twins[0].skyline(), "rehome");
+                assert_eq!(sessions[0].skyline(), exact(1, &qs[0]).skyline);
+                assert_eq!(got.node_accesses, want.node_accesses, "rehome");
+            }
+            let obj = (step / 3) % qs[s].len();
+            let (d, cur) = (moves.next().unwrap(), qs[s][obj]);
+            qs[s][obj] = p(
+                (cur.x + (d.x - 0.5) * 0.1).clamp(0.0, 1.0),
+                (cur.y + (d.y - 0.5) * 0.1).clamp(0.0, 1.0),
+            );
+            let (outcome, got) = sessions[s].update_in(&mut shared, obj, qs[s][obj]);
+            let (twin_outcome, want) = twins[s].update(obj, qs[s][obj]);
+            assert_eq!(outcome, twin_outcome, "step {step}");
+            assert_eq!(sessions[s].skyline(), twins[s].skyline(), "step {step}");
+            assert_eq!(
+                sessions[s].skyline(),
+                exact(home[s], &qs[s]).skyline,
+                "step {step}"
+            );
+            assert_eq!(got.node_accesses, want.node_accesses, "step {step}");
+            reruns += usize::from(outcome != UpdateOutcome::Unchanged);
+        }
+        assert!(reruns > 20, "most moves must re-run VS²: {reruns}");
     }
 
     #[test]

@@ -63,6 +63,14 @@ pub enum EngineError {
     QueueFull,
     /// The session id is unknown (never opened, or already closed).
     NoSuchSession,
+    /// A session update named query object `object`, but the session's
+    /// query set has only `objects` points.
+    NoSuchObject {
+        /// The object index the update named.
+        object: usize,
+        /// The session's `|Q|`, fixed when it was opened.
+        objects: usize,
+    },
     /// A skyline-diagram operation failed: an invalid
     /// [`DiagramConfig`], or a diagram call on an engine whose diagram
     /// is disabled.
@@ -94,6 +102,10 @@ impl std::fmt::Display for EngineError {
             EngineError::Closed => write!(f, "engine is shut down"),
             EngineError::QueueFull => write!(f, "engine job queue is full"),
             EngineError::NoSuchSession => write!(f, "unknown session id"),
+            EngineError::NoSuchObject { object, objects } => write!(
+                f,
+                "session query object {object} out of range (the session has {objects})"
+            ),
             EngineError::Diagram(msg) => write!(f, "skyline diagram: {msg}"),
             EngineError::Spawn(msg) => write!(f, "failed to spawn worker thread: {msg}"),
         }
@@ -547,7 +559,13 @@ struct Pending {
     scheduled: bool,
 }
 
+/// An open session: its skyline and its queue of moves. It owns no
+/// arena: the first VS² runs on a transient one, every later run on the
+/// arena of the worker that drains the session.
 struct Session {
+    /// `|Q|`, fixed at open, so a move of a nonexistent object is refused
+    /// before it is queued.
+    objects: usize,
     sky: RankedMutex<Homed>,
     pending: RankedMutex<Pending>,
 }
@@ -1084,8 +1102,12 @@ impl Engine {
     /// Opens a continuous session for query set `q` on the snapshot
     /// generation current at this moment.
     ///
-    /// The initial skyline is computed synchronously; motion updates are
-    /// applied through the worker pool via [`Engine::update_session`].
+    /// The initial skyline is computed synchronously, on the calling
+    /// thread and a transient arena: a session keeps its query set, hint
+    /// and answer, never a per-site arena, so opening costs one zeroing
+    /// of per-site marks and an update costs none. Motion updates are
+    /// applied through the worker pool via [`Engine::update_session`], each
+    /// on the draining worker's arena.
     /// A session follows the data: an update applied after a publish
     /// first moves the session to the current generation, then applies
     /// the move, and reports that generation. Between updates the
@@ -1096,10 +1118,15 @@ impl Engine {
         let snapshot = self.shared.catalog.current();
         let homed = Homed {
             generation: snapshot.generation(),
-            sky: ContinuousSkyline::new(Arc::clone(snapshot.voronoi()), q),
+            sky: ContinuousSkyline::new_in(
+                &mut DistanceScratch::new(),
+                Arc::clone(snapshot.voronoi()),
+                q,
+            ),
         };
         let id = self.shared.next_session.fetch_add(1, Ordering::Relaxed) + 1;
         let session = Arc::new(Session {
+            objects: q.len(),
             sky: RankedMutex::new("session.sky", RANK_SESSION_SKY, homed),
             pending: RankedMutex::new(
                 "session.pending",
@@ -1128,7 +1155,9 @@ impl Engine {
     /// to `new_loc` — and returns a handle to its result.
     ///
     /// Updates to one session are applied in submission order; distinct
-    /// sessions proceed in parallel across the pool.
+    /// sessions proceed in parallel across the pool. An `obj` outside the
+    /// session's query set is refused here with
+    /// [`EngineError::NoSuchObject`], and the session keeps serving.
     pub fn update_session(
         &self,
         id: SessionId,
@@ -1142,6 +1171,12 @@ impl Engine {
             .get(&id.0)
             .cloned()
             .ok_or(EngineError::NoSuchSession)?;
+        if obj >= session.objects {
+            return Err(EngineError::NoSuchObject {
+                object: obj,
+                objects: session.objects,
+            });
+        }
         let (ticket, cell) = Ticket::new();
         let need_submit = {
             let mut pending = session.pending.lock();
@@ -1158,8 +1193,8 @@ impl Engine {
             // and the drain job needs that lock to make progress.
             let shared = Arc::clone(&self.shared);
             let job_session = Arc::clone(&session);
-            let submitted = self.pool.submit(Box::new(move |_state: &mut WorkerState| {
-                drain_session(&shared, job_session)
+            let submitted = self.pool.submit(Box::new(move |state: &mut WorkerState| {
+                drain_session(&shared, job_session, &mut state.scratch)
             }));
             if submitted.is_err() {
                 session.pending.lock().scheduled = false;
@@ -1401,17 +1436,17 @@ fn run_kernel(
     (algorithm, result)
 }
 
-/// Applies every pending update of one session, in FIFO order. At most
-/// one drain job per session exists at a time (see `Pending::scheduled`),
-/// which is what serializes a session's updates without blocking a
-/// worker on a session-wide lock.
+/// Applies every pending update of one session, in FIFO order, on the
+/// worker's arena `scratch`. At most one drain job per session exists at
+/// a time (see `Pending::scheduled`), which is what serializes a
+/// session's updates without blocking a worker on a session-wide lock.
 ///
 /// The job owns its `Arc<Session>` and drops it before filling the last
 /// cell of the drain: a caller that has seen every handle resolve can
 /// rely on the worker holding no reference to the session (or to any
 /// generation) any more, so `close_session` then releases the session's
 /// index deterministically.
-fn drain_session(shared: &EngineShared, session: Arc<Session>) {
+fn drain_session(shared: &EngineShared, session: Arc<Session>, scratch: &mut DistanceScratch) {
     // Pops the next update, or clears the in-flight flag when none is
     // left (under the same lock, so a concurrent `update_session`
     // either sees its update popped here or schedules a fresh drain).
@@ -1435,10 +1470,10 @@ fn drain_session(shared: &EngineShared, session: Arc<Session>) {
             let mut homed = session.sky.lock();
             let mut stats = QueryStats::default();
             if snapshot.generation() > homed.generation {
-                stats = homed.sky.rehome(Arc::clone(snapshot.voronoi()));
+                stats = homed.sky.rehome_in(scratch, Arc::clone(snapshot.voronoi()));
                 homed.generation = snapshot.generation();
             }
-            let (outcome, moved) = homed.sky.update(obj, new_loc);
+            let (outcome, moved) = homed.sky.update_in(scratch, obj, new_loc);
             stats.absorb(&moved);
             SessionUpdate {
                 outcome,
@@ -2178,6 +2213,43 @@ mod tests {
             engine.update_session(id, 0, Point::new(0.0, 0.0)),
             Err(EngineError::NoSuchSession)
         ));
+    }
+
+    #[test]
+    fn an_out_of_range_object_is_refused_and_the_session_keeps_serving() {
+        let data = grid(200);
+        let engine = Engine::new(&data, EngineConfig::default().with_workers(1)).unwrap();
+        let mut q = vec![
+            Point::new(4.0, 4.0),
+            Point::new(10.0, 5.0),
+            Point::new(7.0, 9.0),
+        ];
+        let id = engine.open_session(&q);
+        // Refused before it is queued: nothing reaches a worker, so no
+        // drain job can die holding the session's queue.
+        match engine.update_session(id, 99, Point::new(5.0, 5.0)) {
+            Err(e) => assert_eq!(
+                e,
+                EngineError::NoSuchObject {
+                    object: 99,
+                    objects: 3
+                }
+            ),
+            Ok(_) => panic!("object 99 of a 3-point session was accepted"),
+        }
+        // Bounded waits: a wedged session fails the test instead of
+        // hanging it.
+        q[1] = Point::new(9.5, 5.5);
+        let update = engine
+            .update_session(id, 1, q[1])
+            .unwrap()
+            .wait_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("the session stopped serving"));
+        assert_eq!(
+            update.skyline,
+            naive_full(&data, &QueryContext::new(&q)).skyline
+        );
+        assert_eq!(engine.metrics().engine.session_updates, 1);
     }
 
     #[test]

@@ -50,9 +50,11 @@
 //! [`ContinuousSkyline`](ssq_core::ContinuousSkyline) over the Voronoi
 //! index of the generation it last answered at, and motion updates are
 //! applied through the same worker pool, in submission order per
-//! session. A session follows the data: an update applied after a
-//! publish first re-homes the session onto the current generation, and
-//! every [`SessionUpdate`] names the generation its ids belong to.
+//! session, each rerun on the draining worker's arena — a session holds
+//! no per-site state of its own. A session follows the data: an update
+//! applied after a publish first re-homes the session onto the current
+//! generation, and every [`SessionUpdate`] names the generation its ids
+//! belong to.
 //!
 //! ```
 //! use ssq_engine::{Engine, EngineConfig, QueryRequest};

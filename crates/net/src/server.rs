@@ -733,7 +733,9 @@ fn handle_frame(
                 return Flow::Continue;
             };
             // Synchronous by design: the initial VS² run happens on the
-            // reader thread, bounding one open per connection at a time.
+            // reader thread, on a transient arena the open drops (the
+            // session keeps none), bounding one open — and one such
+            // arena — per connection at a time.
             let sid = engine.open_session(&query);
             *next_session += 1;
             let wire_sid = *next_session;

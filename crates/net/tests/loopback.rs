@@ -226,6 +226,51 @@ fn sessions_over_the_wire_track_the_engine() {
 }
 
 #[test]
+fn an_out_of_range_session_object_is_an_error_and_the_connection_keeps_serving() {
+    let data = dataset(250, 0xC3);
+    let engine = Engine::new(&data, EngineConfig::default().with_workers(2)).unwrap();
+    let server = Server::serve("127.0.0.1:0", engine, ServerConfig::default()).unwrap();
+    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+    let mut q = vec![
+        Point::new(2.0, 2.0),
+        Point::new(7.0, 6.0),
+        Point::new(4.0, 8.0),
+    ];
+    let (session, _, _) = client.open_session(&q).unwrap();
+    q[1] = Point::new(6.5, 5.0);
+    let moved = q[1];
+
+    // The client has no read timeout, so the exchange runs on a thread
+    // with a deadline: a wedged reply queue fails the test instead of
+    // hanging it.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let bad = client.session_next(session, 99, 5.0, 5.0);
+        let good = client.session_next(session, 1, moved.x, moved.y);
+        let _ = tx.send((bad, good, client));
+    });
+    let Ok((bad, good, client)) = rx.recv_timeout(Duration::from_secs(20)) else {
+        // Dropping the server would wait for the wedged connection.
+        std::mem::forget(server);
+        panic!("the connection stopped answering after an out-of-range object");
+    };
+    match bad {
+        Err(ssq_net::NetError::Server { code, message }) => {
+            assert_eq!(code, ssq_net::ErrorCode::Internal);
+            assert!(message.contains("out of range"), "{message}");
+        }
+        other => panic!("expected a server error for object 99, got {other:?}"),
+    }
+    let good = good.unwrap();
+    assert_eq!(
+        good.skyline,
+        naive_full(&data, &QueryContext::new(&q)).skyline
+    );
+    client.goodbye().unwrap();
+    server.shutdown();
+}
+
+#[test]
 fn a_tiny_engine_queue_sheds_with_retry_later_and_recovers() {
     // Worker starvation by construction: one worker, queue depth one,
     // forced BBS on a big dataset so each query takes real time. A

@@ -67,6 +67,18 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 # The benchmark BENCHMARK.json declares is a package of its own, outside
 # the workspace, so the workspace stages above never build or test it.
+# Building it rewrites its Cargo.lock, so the lock is saved before the two
+# benchmark stages and put back on exit, however the gate ends: the
+# package stays byte-identical.
+BENCH_LOCK=crates/bench/src/bin/benchmark/Cargo.lock
+BENCH_LOCK_SAVED="$(mktemp)"
+cp "$BENCH_LOCK" "$BENCH_LOCK_SAVED"
+NET_SMOKE_DIR=""
+on_exit() {
+    cp "$BENCH_LOCK_SAVED" "$BENCH_LOCK"
+    rm -rf "$BENCH_LOCK_SAVED" ${NET_SMOKE_DIR:+"$NET_SMOKE_DIR"}
+}
+trap on_exit EXIT
 echo "==> benchmark tests"
 cargo test --release --offline --manifest-path crates/bench/src/bin/benchmark/Cargo.toml
 
@@ -80,7 +92,6 @@ cargo run --release --offline --quiet --manifest-path crates/bench/src/bin/bench
 # once per backend: the single engine, and a 4-shard fleet whose
 # dispatcher threads run shard batches themselves.
 NET_SMOKE_DIR="$(mktemp -d)"
-trap 'rm -rf "$NET_SMOKE_DIR"' EXIT
 ./target/release/ssq generate --n 500 --out "$NET_SMOKE_DIR/points.csv" --seed 7
 net_smoke() {   # net_smoke <label> [extra serve flags...]
     local label="$1"; shift
