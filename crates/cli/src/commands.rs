@@ -371,11 +371,12 @@ fn continuous<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
     Ok(())
 }
 
-/// A randomized update batch over the dataset mirror: `ops` operations,
-/// `insert_ratio` of them inserts placed uniformly in the mirror's
-/// bounding rect, the rest deletes of distinct random current ids.
+/// A randomized update batch over a generation of `n` points: `ops`
+/// operations, `insert_ratio` of them inserts placed uniformly in
+/// `universe`, the rest deletes of distinct random current ids.
 fn synth_batch(
-    mirror: &[ssq_geom::Point],
+    n: usize,
+    universe: &Rect,
     ops: usize,
     insert_ratio: f64,
     rng: &mut ssq_workload::rng::Xoshiro256,
@@ -383,11 +384,10 @@ fn synth_batch(
     use ssq_geom::Point;
     let n_ins = ((ops as f64) * insert_ratio).round() as usize;
     // Never drain the dataset: an index needs at least one point.
-    let n_del = (ops - n_ins).min(mirror.len().saturating_sub(1));
-    let universe = Rect::bounding(mirror.iter().copied());
+    let n_del = (ops - n_ins).min(n.saturating_sub(1));
     let mut deletes = std::collections::HashSet::with_capacity(n_del);
     while deletes.len() < n_del {
-        deletes.insert(rng.range_usize(mirror.len()) as u32);
+        deletes.insert(rng.range_usize(n) as u32);
     }
     ssq_core::UpdateBatch {
         inserts: (0..n_ins)
@@ -400,23 +400,6 @@ fn synth_batch(
             .collect(),
         deletes: deletes.into_iter().collect(),
     }
-}
-
-/// Applies `batch` to the CLI's dataset mirror with the engine's exact
-/// id semantics (survivors in order, densely renumbered, then inserts in
-/// normalized order), so the driver always knows byte-for-byte what the
-/// published generation holds.
-fn apply_to_mirror(mirror: &mut Vec<ssq_geom::Point>, batch: &ssq_core::UpdateBatch) {
-    let mut b = batch.clone();
-    b.normalize(&Rect::bounding(mirror.iter().copied()));
-    let mut out = Vec::with_capacity(mirror.len() + b.inserts.len() - b.deletes.len());
-    for (i, &p) in mirror.iter().enumerate() {
-        if b.deletes.binary_search(&(i as u32)).is_err() {
-            out.push(p);
-        }
-    }
-    out.extend(b.inserts.iter().copied());
-    *mirror = out;
 }
 
 fn shard_stats<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
@@ -523,14 +506,17 @@ fn shard_stats<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
             })
             .transpose()?
             .unwrap_or_else(|| (table.points.len() / 200).max(1));
-        let mut mirror = table.points.clone();
         let mut rng = ssq_workload::rng::Xoshiro256::seed_from_u64(seed ^ 0x1965);
-        for _ in 0..ingest_batches {
-            let batch = synth_batch(&mirror, ops, 0.5, &mut rng);
+        for round in 0..ingest_batches {
+            // Net shrinking (top ids move into the holes) and net growing
+            // in turn, so a pair leaves the size where it was.
+            let insert_ratio = if round % 2 == 0 { 1.0 / 3.0 } else { 2.0 / 3.0 };
+            let infos = engine.shard_infos();
+            let footprint = infos.iter().fold(Rect::EMPTY, |r, i| r.union(&i.rect));
+            let batch = synth_batch(engine.data_len(), &footprint, ops, insert_ratio, &mut rng);
             engine
                 .ingest(&batch)
                 .map_err(|e| CliError::Other(format!("ingest batch failed: {e}")))?;
-            apply_to_mirror(&mut mirror, &batch);
         }
     }
 

@@ -16,11 +16,12 @@
 //!
 //! ## Id semantics
 //!
-//! Applying a batch to a generation with points `P` (ids `0..n`) yields
-//! `P' = survivors ++ inserts`: surviving points keep their relative
-//! order and are renumbered densely (`id' = id - |{deleted < id}|`),
-//! then normalized inserts follow. Delete ids always refer to the *old*
-//! generation.
+//! Ids are dense `0..len`, and a surviving point keeps its id: a
+//! normalized batch's inserts take its deleted ids in ascending order,
+//! then `n, n+1, …`, and surplus holes close as `Vec::swap_remove` closes
+//! them, highest first, so only the `|D| − |I|` top ids move. Delete ids
+//! refer to the *old* generation. [`UpdateBatch::id_plan`] states the rule
+//! once; every layer applies it with [`IdPlan::patch`].
 
 use ssq_delaunay::hilbert;
 use ssq_geom::{Point, Rect};
@@ -30,7 +31,7 @@ use ssq_geom::{Point, Rect};
 #[derive(Clone, Debug, Default)]
 pub struct UpdateBatch {
     /// Points to add. After [`UpdateBatch::normalize`] these are in
-    /// Hilbert order, and their new ids are `n_survivors + position`.
+    /// Hilbert order, and they take the deleted ids, then `n..`.
     pub inserts: Vec<Point>,
     /// Ids (in the generation the batch applies to) of points to remove.
     pub deletes: Vec<u32>,
@@ -124,23 +125,61 @@ impl UpdateBatch {
         self.deletes.windows(2).all(|w| w[0] < w[1])
     }
 
-    /// The monotone survivor renumbering for this (normalized) batch over
-    /// `n` old points: `remap[old] = new` or `u32::MAX` for deleted ids.
-    pub fn survivor_remap(&self, n: usize) -> Vec<u32> {
+    /// Where this (normalized) batch puts the ids of a generation of `n`
+    /// points, in `O(|batch|)`.
+    pub fn id_plan(&self, n: usize) -> IdPlan {
         debug_assert!(self.is_normalized());
-        let mut remap = Vec::with_capacity(n);
-        let mut di = 0usize;
-        let mut next = 0u32;
-        for old in 0..n as u32 {
-            if di < self.deletes.len() && self.deletes[di] == old {
-                remap.push(u32::MAX);
-                di += 1;
-            } else {
-                remap.push(next);
-                next += 1;
+        let refills = self.deletes.len().min(self.inserts.len());
+        let len = n + self.inserts.len() - self.deletes.len();
+        let mut inserted = self.deletes[..refills].to_vec();
+        inserted.extend((n as u32..).take(self.inserts.len() - refills));
+        // `swap_remove` the surplus holes, highest first. `tail` holds the
+        // slots from `len` up: a hole there is removed from it, and a hole
+        // below `len` takes the point in its last slot.
+        let mut tail: Vec<u32> = (len as u32..n as u32).collect();
+        let mut moves = Vec::new();
+        for &hole in self.deletes[refills..].iter().rev() {
+            if hole as usize >= len {
+                tail.swap_remove(hole as usize - len);
+            } else if let Some(from) = tail.pop() {
+                moves.push((from, hole));
             }
         }
-        remap
+        IdPlan {
+            inserted,
+            moves,
+            len,
+        }
+    }
+}
+
+/// What a normalized batch does to a generation's ids
+/// ([`UpdateBatch::id_plan`]).
+#[derive(Clone, Debug)]
+pub struct IdPlan {
+    /// `inserted[k]` is the id normalized insert `k` takes.
+    pub inserted: Vec<u32>,
+    /// `(from, to)`: the surviving point with id `from` (`>= len`) takes
+    /// id `to` (`< len`).
+    pub moves: Vec<(u32, u32)>,
+    /// The next generation's point count.
+    pub len: usize,
+}
+
+impl IdPlan {
+    /// Applies the plan to `table`, indexed by the old generation's ids;
+    /// `inserted` yields the rows of the normalized inserts, in order.
+    pub fn patch<T>(&self, table: &mut Vec<T>, inserted: impl IntoIterator<Item = T>) {
+        for (&id, row) in self.inserted.iter().zip(inserted) {
+            match table.get_mut(id as usize) {
+                Some(slot) => *slot = row,
+                None => table.push(row),
+            }
+        }
+        for &(from, to) in &self.moves {
+            table.swap(from as usize, to as usize);
+        }
+        table.truncate(self.len);
     }
 }
 
@@ -216,14 +255,110 @@ mod tests {
         assert_eq!(again.inserts, b.inserts);
     }
 
-    #[test]
-    fn survivor_remap_is_monotone() {
+    /// The id rule by brute force: refill the deleted slots with the
+    /// inserts, append the rest, `swap_remove` the surplus holes highest
+    /// first. Returns what each new id holds: an old id, or `n + k` for
+    /// insert `k`.
+    fn reference(n: usize, batch: &UpdateBatch) -> Vec<usize> {
+        let mut table: Vec<usize> = (0..n).collect();
+        let mut inserts = n..n + batch.inserts.len();
+        let mut holes = Vec::new();
+        for &d in &batch.deletes {
+            match inserts.next() {
+                Some(k) => table[d as usize] = k,
+                None => holes.push(d),
+            }
+        }
+        table.extend(inserts);
+        for &h in holes.iter().rev() {
+            table.swap_remove(h as usize);
+        }
+        table
+    }
+
+    fn check_plan(n: usize, batch: &UpdateBatch) {
+        let want = reference(n, batch);
+        let plan = batch.id_plan(n);
+        assert_eq!(plan.len, want.len(), "n {n}, {batch:?}");
+        for (k, &id) in plan.inserted.iter().enumerate() {
+            assert_eq!(want[id as usize], n + k, "insert {k}: n {n}, {batch:?}");
+        }
+        let mut moved = vec![false; n];
+        for &(from, to) in &plan.moves {
+            assert!(from as usize >= plan.len && (to as usize) < plan.len);
+            assert_eq!(want[to as usize], from as usize, "move: n {n}, {batch:?}");
+            moved[from as usize] = true;
+        }
+        // Every other survivor keeps its id.
+        for id in 0..n {
+            if batch.deletes.binary_search(&(id as u32)).is_err() && !moved[id] {
+                assert_eq!(want[id], id, "id {id}: n {n}, {batch:?}");
+            }
+        }
+        let mut table: Vec<usize> = (0..n).collect();
+        plan.patch(&mut table, n..);
+        assert_eq!(table, want, "patch: n {n}, {batch:?}");
+    }
+
+    fn batch(deletes: Vec<u32>, inserts: usize) -> UpdateBatch {
         let mut b = UpdateBatch {
-            inserts: vec![],
-            deletes: vec![0, 3],
+            inserts: (0..inserts)
+                .map(|k| Point::new(k as f64, (k * 7 % 11) as f64))
+                .collect(),
+            deletes,
         };
         b.normalize(&bbox());
-        let remap = b.survivor_remap(5);
-        assert_eq!(remap, vec![u32::MAX, 0, 1, u32::MAX, 2]);
+        b
+    }
+
+    #[test]
+    fn id_plan_matches_swap_remove_on_every_batch_shape() {
+        // Deletes of the top ids, of the bottom ids, duplicates, and a
+        // batch that leaves one point.
+        for (n, deletes, inserts) in [
+            (5, vec![0, 3], 0),
+            (10, vec![5, 8], 0),
+            (10, vec![9, 8, 7], 1),
+            (10, vec![0, 1, 2], 1),
+            (10, vec![2, 3, 9], 0),
+            (10, vec![4, 4, 6, 6], 1),
+            (6, vec![0, 1, 2, 3, 4], 0),
+            (6, vec![1, 2, 3, 4, 5], 0),
+            (6, vec![5, 4, 3, 2, 1, 0], 1),
+            (3, vec![], 4),
+            (3, vec![2], 4),
+        ] {
+            check_plan(n, &batch(deletes, inserts));
+        }
+        // Random shapes: |I| > |D|, |I| = |D| and |I| < |D|.
+        let mut s = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |m: usize| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s % m as u64) as usize
+        };
+        for round in 0..600 {
+            let n = 1 + next(40);
+            let d = next(n);
+            let i = match round % 3 {
+                0 => d + 1 + next(5),
+                1 => d,
+                _ => d.saturating_sub(1 + next(4)),
+            };
+            let deletes = (0..d).map(|_| next(n) as u32).collect();
+            check_plan(n, &batch(deletes, i));
+        }
+    }
+
+    #[test]
+    fn a_balanced_batch_moves_no_survivor() {
+        let b = batch(vec![7, 2], 2);
+        let plan = b.id_plan(9);
+        assert_eq!(plan.inserted, vec![2, 7]);
+        assert!(plan.moves.is_empty());
+        assert_eq!(plan.len, 9);
+        let b = batch(vec![0, 3], 0);
+        assert_eq!(b.id_plan(5).moves, vec![(4, 0)]);
     }
 }

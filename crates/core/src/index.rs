@@ -108,34 +108,24 @@ impl RTreeIndex {
     }
 
     /// Applies a normalized [`UpdateBatch`], producing the next
-    /// generation's index. The tree edits are `O(|batch| log n)` —
-    /// deleted entries removed with reinsertion of underfull siblings,
-    /// inserts added through the regular R* path — but the generation
-    /// costs `O(n)` around them: the whole tree is cloned (every node,
-    /// three `Vec`s each, freed slots recycled), every surviving payload is
-    /// renumbered to the batch's dense ids, and the point list is copied.
+    /// generation's index under [`UpdateBatch::id_plan`]'s ids. The tree
+    /// edits are `O(|batch| log n)` — deletes with reinsertion of underfull
+    /// siblings, then every id the plan wrote inserted through the R* path
+    /// — but the generation costs `O(n)` around them: the whole tree is
+    /// cloned (every node, three `Vec`s each, freed slots recycled) and the
+    /// point list is copied.
     pub fn apply_delta(&self, batch: &UpdateBatch) -> RTreeIndex {
         debug_assert!(batch.is_normalized());
-        let n_old = self.points.len();
-        let remap = batch.survivor_remap(n_old);
+        let plan = batch.id_plan(self.points.len());
+        let mut points = self.points.clone();
+        plan.patch(&mut points, batch.inserts.iter().copied());
         let mut tree = self.tree.clone();
-        for &d in &batch.deletes {
-            let hit = tree.delete(Rect::from_point(self.points[d as usize]), d);
-            debug_assert!(hit, "validated delete id {d} missing from the tree");
+        for d in batch.deletes.iter().chain(plan.moves.iter().map(|m| &m.0)) {
+            let hit = tree.delete(Rect::from_point(self.points[*d as usize]), *d);
+            debug_assert!(hit, "id {d} missing from the tree");
         }
-        tree.map_items(|i| remap[i as usize]);
-        let n_surv = n_old - batch.deletes.len();
-        let mut points = Vec::with_capacity(n_surv + batch.inserts.len());
-        points.extend(
-            self.points
-                .iter()
-                .zip(&remap)
-                .filter(|(_, &r)| r != u32::MAX)
-                .map(|(&p, _)| p),
-        );
-        for (j, &p) in batch.inserts.iter().enumerate() {
-            tree.insert(Rect::from_point(p), (n_surv + j) as u32);
-            points.push(p);
+        for id in plan.inserted.iter().chain(plan.moves.iter().map(|m| &m.1)) {
+            tree.insert(Rect::from_point(points[*id as usize]), *id);
         }
         RTreeIndex { points, tree }
     }
@@ -254,16 +244,6 @@ impl Directory {
     }
 }
 
-/// The inverse of `map` over `len` slots: `inv[map[i]] = i`, `u32::MAX`
-/// where nothing maps.
-fn inverse(map: &[u32], len: usize) -> Vec<u32> {
-    let mut inv = vec![u32::MAX; len];
-    for (i, &m) in (0u32..).zip(map) {
-        inv[m as usize] = i;
-    }
-    inv
-}
-
 /// Appends `cell`'s row: its MBR's corners, then its ring.
 fn push_cell(out: &mut Vec<Point>, cell: &ConvexPolygon) {
     let mbr = cell.mbr();
@@ -316,12 +296,16 @@ impl VoronoiIndex {
                 push_cell(out, &traced.unwrap_or_else(|| graph.voronoi_cell(s, &clip)));
             })
         };
+        let mut id_to_site = vec![0; points.len()];
+        for (s, &id) in (0u32..).zip(&site_to_id) {
+            id_to_site[id as usize] = s;
+        }
         Ok(VoronoiIndex {
             pages: PagedAdjacency::new(graph.len(), per_page),
             directory: Some(Directory::build(graph.points(), bbox)),
             graph,
             cells,
-            id_to_site: inverse(&site_to_id, points.len()),
+            id_to_site,
             site_to_id,
             decay: 0,
         })
@@ -524,9 +508,10 @@ impl VoronoiIndex {
     /// * one copy of the triangulation (points and triangle arena — the
     ///   one `O(n)` memcpy), repaired in place: removals in site order by
     ///   cavity retriangulation, each leaving a tombstone, then the
-    ///   Hilbert-ordered inserts appended as new sites (and the last ids);
-    /// * two flat `O(n)` passes for the id maps (the batch's dense id
-    ///   renumbering);
+    ///   Hilbert-ordered inserts appended as new sites, under the ids
+    ///   [`UpdateBatch::id_plan`] gives them;
+    /// * one flat `O(n)` copy of each id map, patched only at the batch's
+    ///   ids: surviving points keep theirs;
     /// * the written chunks: a neighbour list is re-read off its star and
     ///   a Voronoi cell traced from it for each site a repair reported,
     ///   plus — only when the live points' MBR, and with it the clip box,
@@ -576,23 +561,16 @@ impl VoronoiIndex {
         }
     }
 
-    /// The ids `batch` keeps, ascending — the next generation's ids
-    /// `0, 1, …` in order.
-    fn survivors<'a>(&self, batch: &'a UpdateBatch) -> impl Iterator<Item = u32> + 'a {
-        let mut deletes = batch.deletes.iter().peekable();
-        (0..self.len() as u32).filter(move |id| deletes.next_if_eq(&id).is_none())
-    }
-
-    /// Rebuilds over the next generation's points in id order — survivors,
-    /// then inserts — which re-sorts the sites.
+    /// Rebuilds over the next generation's points in id order
+    /// ([`UpdateBatch::id_plan`]), which re-sorts the sites.
     fn delta_full_rebuild(
         &self,
         batch: &UpdateBatch,
         stats: DeltaStats,
     ) -> Result<(VoronoiIndex, DeltaStats), ssq_delaunay::BuildError> {
-        let mut pts = Vec::with_capacity(self.len() - batch.deletes.len() + batch.inserts.len());
-        pts.extend(self.survivors(batch).map(|id| self.point(id)));
-        pts.extend_from_slice(&batch.inserts);
+        let mut pts: Vec<Point> = (0..self.len() as u32).map(|id| self.point(id)).collect();
+        let inserts = batch.inserts.iter().copied();
+        batch.id_plan(self.len()).patch(&mut pts, inserts);
         let mut idx = VoronoiIndex::with_page_size(&pts, self.pages.per_page())?;
         if self.directory.is_none() {
             idx.directory = None;
@@ -625,12 +603,18 @@ impl VoronoiIndex {
         touched.sort_by_key(|t| t.vertex);
         touched.dedup_by_key(|t| t.vertex);
 
-        // 2. Id maps: the survivors, renumbered densely, keep their sites;
-        //    insert `j` is the id after them at site `first + j`.
-        let mut id_to_site = Vec::with_capacity(self.len() - victims.len() + batch.inserts.len());
-        id_to_site.extend(self.survivors(batch).map(|id| self.site_of(id)));
-        id_to_site.extend((first..).take(batch.inserts.len()));
-        let site_to_id = inverse(&id_to_site, tri.points().len());
+        // 2. Id maps, patched by the batch's id plan: insert `k` is at
+        //    site `first + k`, and a moved point keeps its site.
+        let plan = batch.id_plan(self.len());
+        let mut id_to_site = self.id_to_site.clone();
+        plan.patch(&mut id_to_site, first..);
+        let mut site_to_id = [&self.site_to_id[..], &plan.inserted].concat();
+        for &s in &victims {
+            site_to_id[s as usize] = u32::MAX;
+        }
+        for &(from, to) in &plan.moves {
+            site_to_id[self.site_of(from) as usize] = to;
+        }
 
         // 3. Adjacency over the live points' MBR (tombstones keep stale
         //    coordinates, which must not count). Inserts only grow it. A
@@ -840,14 +824,23 @@ mod tests {
         batch
     }
 
+    /// `pts` after the normalized `batch`: inserts refill the deleted
+    /// ids in order, the rest append, surplus holes close by
+    /// `swap_remove` from the top.
     fn expected_points(pts: &[Point], batch: &UpdateBatch) -> Vec<Point> {
-        let mut out: Vec<Point> = pts
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !batch.deletes.contains(&(*i as u32)))
-            .map(|(_, &p)| p)
-            .collect();
-        out.extend(batch.inserts.iter().copied());
+        let mut out = pts.to_vec();
+        let mut inserts = batch.inserts.iter().copied();
+        let mut holes = Vec::new();
+        for &d in &batch.deletes {
+            match inserts.next() {
+                Some(p) => out[d as usize] = p,
+                None => holes.push(d),
+            }
+        }
+        out.extend(inserts);
+        for &h in holes.iter().rev() {
+            out.swap_remove(h as usize);
+        }
         out
     }
 
@@ -913,18 +906,21 @@ mod tests {
     fn rtree_apply_delta_matches_fresh_bulk_load() {
         let pts = pseudorandom(400, 11);
         let idx = RTreeIndex::new(&pts);
-        let batch = make_batch(&pts, 30, 25, 17);
-        let got = idx.apply_delta(&batch);
-        let want = RTreeIndex::new(&expected_points(&pts, &batch));
-        assert_eq!(got.points(), want.points());
-        got.tree().check_invariants();
-        for probe in pseudorandom(30, 5) {
-            let r = Rect::from_corners(probe, Point::new(probe.x + 9.0, probe.y + 9.0));
-            let mut a = got.tree().query_rect(&r);
-            let mut b = want.tree().query_rect(&r);
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
+        // Net shrinking (surplus holes move top ids), net growing.
+        for (n_del, n_ins) in [(30, 25), (25, 30)] {
+            let batch = make_batch(&pts, n_del, n_ins, 17);
+            let got = idx.apply_delta(&batch);
+            let want = RTreeIndex::new(&expected_points(&pts, &batch));
+            assert_eq!(got.points(), want.points());
+            got.tree().check_invariants();
+            for probe in pseudorandom(30, 5) {
+                let r = Rect::from_corners(probe, Point::new(probe.x + 9.0, probe.y + 9.0));
+                let mut a = got.tree().query_rect(&r);
+                let mut b = want.tree().query_rect(&r);
+                a.sort_unstable();
+                b.sort_unstable();
+                assert_eq!(a, b);
+            }
         }
     }
 
@@ -932,26 +928,31 @@ mod tests {
     fn voronoi_apply_delta_incremental_matches_full_rebuild() {
         let pts = pseudorandom(600, 3);
         let idx = VoronoiIndex::new(&pts).unwrap();
-        let batch = make_batch(&pts, 25, 30, 7);
-        let (got, stats) = idx.apply_delta(&batch).unwrap();
-        assert!(stats.incremental, "small batch must take the delta path");
-        assert!(stats.dirty_cells < got.len(), "most cells carried over");
-        let expect = expected_points(&pts, &batch);
-        assert_maps(&got, &expect);
-        // Survivors keep their sites; inserts are appended as the last
-        // sites and the last ids; the deleted points' sites are tombstones.
-        let mut survivors = idx.survivors(&batch);
-        for id in 0..(pts.len() - batch.deletes.len()) as u32 {
-            assert_eq!(got.site_of(id), idx.site_of(survivors.next().unwrap()));
+        for (n_del, n_ins) in [(25, 30), (30, 25)] {
+            let batch = make_batch(&pts, n_del, n_ins, 7);
+            let (got, stats) = idx.apply_delta(&batch).unwrap();
+            assert!(stats.incremental, "small batch must take the delta path");
+            assert!(stats.dirty_cells < got.len(), "most cells carried over");
+            let expect = expected_points(&pts, &batch);
+            assert_maps(&got, &expect);
+            // Every surviving point keeps its site; insert `k` is appended
+            // as site `site_bound + k`; the deleted points' sites are
+            // tombstones.
+            for (id, &p) in (0u32..).zip(&expect) {
+                let site = got.site_of(id);
+                match pts.iter().position(|&q| q == p) {
+                    Some(old) => assert_eq!(site, idx.site_of(old as u32), "id {id}"),
+                    None => {
+                        let k = batch.inserts.iter().position(|&q| q == p).unwrap();
+                        assert_eq!(site, (idx.site_bound() + k) as u32, "id {id}");
+                    }
+                }
+            }
+            for &d in &batch.deletes {
+                assert_eq!(got.id_of(idx.site_of(d)), u32::MAX);
+            }
+            assert_same_index(&got, &VoronoiIndex::new(&expect).unwrap());
         }
-        let n_surv = pts.len() - batch.deletes.len();
-        for (j, id) in (n_surv as u32..got.len() as u32).enumerate() {
-            assert_eq!(got.site_of(id), (idx.site_bound() + j) as u32);
-        }
-        for &d in &batch.deletes {
-            assert_eq!(got.id_of(idx.site_of(d)), u32::MAX);
-        }
-        assert_same_index(&got, &VoronoiIndex::new(&expect).unwrap());
     }
 
     #[test]

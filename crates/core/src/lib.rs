@@ -67,7 +67,7 @@ pub mod vs2;
 
 pub use b2s2::{b2s2, b2s2_kernel};
 pub use bbs::bbs;
-pub use delta::{BatchError, DeltaStats, UpdateBatch};
+pub use delta::{BatchError, DeltaStats, IdPlan, UpdateBatch};
 pub use index::{RTreeIndex, VoronoiIndex};
 pub use key::{KeyScratch, QueryKey};
 pub use metric_naive::{naive_metric, naive_metric_with};

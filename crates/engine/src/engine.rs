@@ -524,16 +524,17 @@ fn ingest_loop(shared: &Arc<EngineShared>, q: &IngestShared) {
 /// The single publish path for delta batches, shared by the synchronous
 /// [`Engine::apply_delta`] and the ingestor thread: serialize under the
 /// reindex lock, build the next generation copy-on-write, install it,
-/// record the publish cost.
+/// record the publish cost. A build that panics installs nothing and comes
+/// back as [`EngineError::Index`], so the ingestor keeps serving.
 fn publish_delta(
     shared: &Arc<EngineShared>,
     batch: &UpdateBatch,
 ) -> Result<IngestReport, EngineError> {
     let _guard = shared.reindex_lock.lock();
     let start = Instant::now();
-    let (snapshot, stats) = shared
-        .catalog
-        .apply_delta(batch)
+    let apply = || shared.catalog.apply_delta(batch);
+    let (snapshot, stats) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(apply))
+        .unwrap_or_else(|_| Err("the delta build panicked".into()))
         .map_err(EngineError::Index)?;
     let build = start.elapsed();
     let generation = snapshot.generation();
@@ -1815,6 +1816,92 @@ mod tests {
     }
 
     #[test]
+    fn a_panicking_publish_resolves_its_handle_and_the_ingestor_keeps_serving() {
+        let data = grid(120);
+        let engine = Engine::new(&data, EngineConfig::default().with_workers(1)).unwrap();
+        // Finite, so `validate` passes; the cell repair's orientation
+        // assertions fire on it in a debug build, while a release build
+        // publishes it.
+        let hostile = engine
+            .ingest(UpdateBatch {
+                inserts: vec![Point::new(f64::MAX, f64::MAX)],
+                deletes: vec![],
+            })
+            .unwrap();
+        let published = match hostile.wait_timeout(Duration::from_secs(5)) {
+            Ok(Ok(report)) => report.generation,
+            Ok(Err(e)) => {
+                assert!(matches!(e, EngineError::Index(_)), "{e:?}");
+                0
+            }
+            Err(_) => panic!("the hostile batch's handle never resolved"),
+        };
+        assert_eq!(engine.generation(), published);
+        let mut mirror = engine.snapshot().points().to_vec();
+        let batch = UpdateBatch {
+            inserts: vec![Point::new(0.43, 0.61)],
+            deletes: if published == 1 {
+                vec![data.len() as u32]
+            } else {
+                vec![7]
+            },
+        };
+        let universe = engine.snapshot().universe();
+        let next = engine.ingest(batch.clone()).unwrap();
+        let report = match next.wait_timeout(Duration::from_secs(5)) {
+            Ok(report) => report.unwrap(),
+            Err(_) => panic!("the ingestor stopped after the hostile batch"),
+        };
+        assert_eq!(report.generation, published + 1);
+        apply_to_mirror(&mut mirror, &batch, &universe);
+        assert_eq!(engine.snapshot().points(), &mirror[..]);
+        let q = vec![Point::new(3.0, 4.0), Point::new(9.0, 2.0)];
+        let got = engine.submit(QueryRequest::new(q.clone())).wait();
+        assert_eq!(got.generation, published + 1);
+        assert_eq!(
+            got.skyline,
+            naive_full(&mirror, &QueryContext::new(&q)).skyline
+        );
+        engine.shutdown();
+    }
+
+    #[test]
+    fn a_surviving_id_keeps_its_point_across_a_hundred_ingests() {
+        let engine = Engine::new(&grid(200), EngineConfig::default().with_workers(1)).unwrap();
+        for round in 0..100u32 {
+            let before = engine.snapshot();
+            let k = 1 + round as usize % 3;
+            let batch = UpdateBatch {
+                inserts: (0..k)
+                    .map(|j| Point::new(0.37 + 0.0031 * round as f64, 0.29 + 0.07 * j as f64))
+                    .collect(),
+                deletes: (0..k as u32).map(|j| (round * 41 + j * 67) % 200).collect(),
+            };
+            engine.ingest(batch.clone()).unwrap().wait().unwrap();
+            let after = engine.snapshot();
+            assert_eq!(after.len(), before.len());
+            for (id, (was, now)) in before.points().iter().zip(after.points()).enumerate() {
+                if !batch.deletes.contains(&(id as u32)) {
+                    assert_eq!(was, now, "round {round}: id {id} lost its point");
+                }
+            }
+            let mut refilled: Vec<Point> = batch
+                .deletes
+                .iter()
+                .map(|&d| after.points()[d as usize])
+                .collect();
+            let mut inserted = batch.inserts.clone();
+            refilled.sort_by(|a, b| a.x.total_cmp(&b.x).then(a.y.total_cmp(&b.y)));
+            inserted.sort_by(|a, b| a.x.total_cmp(&b.x).then(a.y.total_cmp(&b.y)));
+            assert_eq!(
+                refilled, inserted,
+                "round {round}: inserts refill the deleted ids"
+            );
+        }
+        engine.shutdown();
+    }
+
+    #[test]
     fn shutdown_drains_pending_ingest_batches() {
         let engine = Engine::new(&grid(150), EngineConfig::default().with_workers(1)).unwrap();
         let handles: Vec<IngestHandle> = (0..5)
@@ -1833,20 +1920,25 @@ mod tests {
         }
     }
 
-    /// Applies `batch` to `mirror` with the exact id semantics of
-    /// `Snapshot::apply_delta`: survivors keep their relative order and
-    /// are renumbered densely, normalized inserts follow.
+    /// Applies `batch` to `mirror` with the exact ids of
+    /// `Snapshot::apply_delta`: normalized inserts refill the deleted ids
+    /// in order, the rest append, and surplus holes close by
+    /// `swap_remove` from the top.
     fn apply_to_mirror(mirror: &mut Vec<Point>, batch: &UpdateBatch, universe: &ssq_geom::Rect) {
         let mut norm = batch.clone();
         norm.normalize(universe);
-        let mut next = Vec::with_capacity(mirror.len());
-        for (i, &p) in mirror.iter().enumerate() {
-            if norm.deletes.binary_search(&(i as u32)).is_err() {
-                next.push(p);
+        let mut inserts = norm.inserts.iter().copied();
+        let mut holes = Vec::new();
+        for &d in &norm.deletes {
+            match inserts.next() {
+                Some(p) => mirror[d as usize] = p,
+                None => holes.push(d),
             }
         }
-        next.extend(norm.inserts.iter().copied());
-        *mirror = next;
+        mirror.extend(inserts);
+        for &h in holes.iter().rev() {
+            mirror.swap_remove(h as usize);
+        }
     }
 
     /// The Voronoi side of `snapshot` names `mirror`'s points by
@@ -1885,9 +1977,12 @@ mod tests {
         // Each publish retires a generation whose query contexts may
         // still sit in the context cache under (generation, key); the
         // cache must never serve a retired generation's context for a
-        // fresh one. 110 one-in-one-out generations, every answer checked
-        // against a naive oracle over a mirrored point set. Round 55
-        // swaps 12 points out and in, past 1/8 of the index on its own;
+        // fresh one. 110 generations, every answer checked against a
+        // naive oracle over a mirrored point set. Most are one in, one
+        // out; every tenth round from the 3rd deletes three and inserts
+        // one (the top ids move into the holes), every tenth from the
+        // 7th deletes one and inserts three. Round 55 swaps 12 points out
+        // and in, past 1/8 of the index on its own;
         // the chain also crosses the full-rebuild fallback whenever the
         // tombstones plus appended sites since the last full build would
         // pass 1/8, and which rounds those are is re-derived from that
@@ -1905,16 +2000,17 @@ mod tests {
         engine.submit(QueryRequest::new(q.clone())).wait();
         let (mut decay, mut rebuilds) = (0, 0);
         for round in 0..110u64 {
-            let swapped = if round == 55 { 12 } else { 1 };
-            let rebuild = (decay + 2 * swapped as usize) * 8 > mirror.len();
-            decay = if rebuild {
-                0
-            } else {
-                decay + 2 * swapped as usize
+            let (dels, ins) = match round {
+                55 => (12, 12),
+                r if r % 10 == 3 => (3, 1),
+                r if r % 10 == 7 => (1, 3),
+                _ => (1, 1),
             };
+            let rebuild = (decay + dels + ins) * 8 > mirror.len();
+            decay = if rebuild { 0 } else { decay + dels + ins };
             rebuilds += usize::from(rebuild);
             let batch = UpdateBatch {
-                inserts: (0..swapped)
+                inserts: (0..ins)
                     .map(|k| {
                         Point::new(
                             0.05 + 0.002 * round as f64 + 0.3 * k as f64,
@@ -1922,8 +2018,8 @@ mod tests {
                         )
                     })
                     .collect(),
-                deletes: (0..swapped)
-                    .map(|k| ((round * 37 + k * 11) % 150) as u32)
+                deletes: (0..dels)
+                    .map(|k| ((round as usize * 37 + k * 11) % mirror.len()) as u32)
                     .collect(),
             };
             probes.extend(batch.deletes.iter().map(|&d| mirror[d as usize]));
@@ -2018,7 +2114,8 @@ mod tests {
                 update.outcome
             );
             if lands_a_member {
-                assert!(update.skyline.contains(&(mirror.len() as u32 - 1)));
+                // One in, one out: the insert took the deleted id.
+                assert!(update.skyline.contains(&batch.deletes[0]));
             }
             skyline = update.skyline;
         }

@@ -103,17 +103,18 @@ impl Snapshot {
     /// copy-on-write delta: both indexes of `self` stay untouched (and
     /// keep serving pinned readers), while the new bundle is repaired
     /// locally instead of rebuilt. It is still `O(n)`: the R-tree half
-    /// clones every node and renumbers every payload
+    /// clones every node and copies the point list
     /// ([`RTreeIndex::apply_delta`]); the Voronoi half copies the
-    /// triangulation once, rebuilds its two flat id maps and writes only the
-    /// per-site chunks the batch touched, sharing the rest with `self`
-    /// ([`VoronoiIndex::apply_delta`], which also says when it rebuilds).
+    /// triangulation and its two flat id maps once, patches the maps at
+    /// the batch's ids and writes only the per-site chunks the batch
+    /// touched, sharing the rest with `self` ([`VoronoiIndex::apply_delta`],
+    /// which also says when it rebuilds).
     ///
     /// The batch is validated against this snapshot and normalized
     /// (deletes sorted/deduplicated, inserts Hilbert-ordered over this
-    /// generation's universe), so the resulting point order — survivors
-    /// densely renumbered, then inserts — is a deterministic function of
-    /// `(self, batch)`: rebuilding from scratch over
+    /// generation's universe), and both halves follow [`UpdateBatch::id_plan`]
+    /// (a surviving point keeps its id), so the resulting point order is a
+    /// deterministic function of `(self, batch)`: rebuilding from scratch over
     /// [`points`](Snapshot::points) of the result reproduces it id for id
     /// (the Voronoi half of a rebuild sorts its internal sites afresh).
     pub fn apply_delta(
@@ -376,6 +377,32 @@ mod tests {
         // Determinism: a full rebuild over the delta's points matches.
         let rebuilt = Snapshot::build(5, next.points()).unwrap();
         assert_eq!(rebuilt.points(), next.points());
+    }
+
+    #[test]
+    fn a_surviving_id_keeps_its_point_across_a_hundred_publishes() {
+        let mut snap = Snapshot::build(0, &pts(300)).unwrap();
+        for round in 0..100u32 {
+            let k = 1 + round as usize % 4;
+            let batch = UpdateBatch {
+                inserts: (0..k)
+                    .map(|j| Point::new(0.5 + 0.11 * round as f64, 0.5 + 0.9 * j as f64))
+                    .collect(),
+                deletes: (0..k as u32).map(|j| (round * 29 + j * 71) % 300).collect(),
+            };
+            let (next, _) = snap.apply_delta(u64::from(round) + 1, &batch).unwrap();
+            assert_eq!(next.len(), snap.len());
+            for (id, (was, now)) in snap.points().iter().zip(next.points()).enumerate() {
+                if !batch.deletes.contains(&(id as u32)) {
+                    assert_eq!(was, now, "round {round}: id {id} lost its point");
+                }
+            }
+            // Both halves name every point by the same id.
+            for id in 0..next.len() as u32 {
+                assert_eq!(next.voronoi().point(id), next.points()[id as usize]);
+            }
+            snap = next;
+        }
     }
 
     #[test]

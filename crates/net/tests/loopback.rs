@@ -155,13 +155,12 @@ fn sessions_over_the_wire_track_the_engine() {
     let mut generations = vec![data];
     let mut batches = Vec::new();
     for round in 0..PUBLISHES {
-        // One out, one in; survivors close ranks and the insert takes
-        // the last id.
+        // One out, one in: the insert takes the deleted id and every
+        // other point keeps its own.
         let mut next = generations[round].clone();
         let insert = Point::new(4.0 + 0.01 * round as f64, 5.0 + 0.007 * round as f64);
         let delete = (round * 37) % next.len();
-        next.remove(delete);
-        next.push(insert);
+        next[delete] = insert;
         generations.push(next);
         batches.push(UpdateBatch {
             inserts: vec![insert],

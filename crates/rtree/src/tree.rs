@@ -404,21 +404,6 @@ impl<T: Copy> RTree<T> {
         true
     }
 
-    /// Applies `f` to every stored item payload in place.
-    ///
-    /// Delta builds use this to relabel point ids after deletions compact
-    /// the id space; the geometry (and therefore the tree structure) is
-    /// untouched.
-    pub fn map_items(&mut self, mut f: impl FnMut(T) -> T) {
-        for node in &mut self.nodes {
-            if node.is_leaf {
-                for item in &mut node.items {
-                    *item = f(*item);
-                }
-            }
-        }
-    }
-
     /// All items whose MBR intersects `query`.
     pub fn query_rect(&self, query: &Rect) -> Vec<T> {
         let mut out = Vec::new();
@@ -1096,18 +1081,6 @@ mod tests {
         orig.sort_unstable();
         assert!(orig.contains(&0));
         assert!(!c.query_rect(&Rect::from_point(pts[0])).contains(&0));
-    }
-
-    #[test]
-    fn map_items_relabels_payloads() {
-        let pts = pseudorandom(80, 73);
-        let mut t = RTree::<u32>::bulk_load_points(&pts, small_config());
-        t.map_items(|i| i + 1000);
-        let mut got = t.query_rect(&Rect::EVERYTHING);
-        got.sort_unstable();
-        let want: Vec<u32> = (1000..1080).collect();
-        assert_eq!(got, want);
-        t.check_invariants();
     }
 
     /// Property test: pseudorandom interleavings of insert / delete /

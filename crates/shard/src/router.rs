@@ -39,6 +39,9 @@
 //! catalogs are being swapped underneath it; the answer is always
 //! exactly the single-engine answer on one real dataset generation
 //! (the one [`ShardedResponse::generation`] reports).
+//! [`ShardedEngine::ingest`] publishes a delta the same way, under the
+//! single-engine id rule ([`UpdateBatch::id_plan`]): a surviving point
+//! keeps its global id, so a shard the batch leaves alone keeps its view.
 
 use crate::merge::merge_candidates_with;
 use crate::metrics::{ShardMetrics, ShardedMetricsSnapshot};
@@ -221,6 +224,7 @@ pub struct FleetIngestReport {
 /// its engine answers from, the local→global id map, and the rect the
 /// router prunes against. All three describe the *same* dataset, which
 /// is what keeps pruning sound across swaps.
+#[derive(Clone)]
 struct ShardView {
     snapshot: Arc<Snapshot>,
     ids: Vec<u32>,
@@ -231,7 +235,7 @@ struct ShardView {
 /// pins one `Arc<Fleet>` for its whole fan-out.
 struct Fleet {
     generation: u64,
-    views: Vec<ShardView>,
+    views: Vec<Arc<ShardView>>,
 }
 
 /// One routed query's answers so far: candidates remapped to global ids,
@@ -290,11 +294,11 @@ impl ShardedEngine {
                 Arc::clone(&snapshot),
                 config.engine.clone(),
             )?);
-            views.push(ShardView {
+            views.push(Arc::new(ShardView {
                 snapshot,
                 ids,
                 rect,
-            });
+            }));
         }
         Ok(ShardedEngine {
             engines,
@@ -380,11 +384,11 @@ impl ShardedEngine {
                 Snapshot::build(next, &points)
                     .map_err(|e| ShardError::Engine(EngineError::Index(e)))?,
             );
-            views.push(ShardView {
+            views.push(Arc::new(ShardView {
                 snapshot,
                 ids,
                 rect,
-            });
+            }));
         }
         let build = start.elapsed();
         for (engine, view) in self.engines.iter().zip(&views) {
@@ -402,18 +406,17 @@ impl ShardedEngine {
     /// deletes are routed to the shards that own them, inserts to the
     /// shard whose footprint each point is inside (or nearest to), and
     /// every touched shard's next snapshot is built *incrementally* from
-    /// its current one ([`Snapshot::apply_delta`]). Untouched shards
-    /// carry their snapshot `Arc` into the new generation unchanged —
-    /// only their id tables are renumbered — so the publish costs
-    /// O(|delta| log |shard|) plus memory copies, not a fleet rebuild.
+    /// its current one ([`Snapshot::apply_delta`]). A shard with no
+    /// operation and no moved id carries its whole view, id table
+    /// included, into the new generation by `Arc`, so the publish costs
+    /// O(|delta| log |shard|) plus the owner table, not a fleet rebuild.
     ///
-    /// Delete ids refer to the current generation's global id space; the
-    /// new generation's ids are survivors densely renumbered (in global
-    /// id order) followed by the batch's inserts in fleet-normalized
-    /// order — exactly the id semantics of a single
-    /// [`Snapshot::apply_delta`] over the union dataset, so a query
-    /// against the delta-built fleet matches a fresh build over
-    /// [`UpdateBatch`]-applied points byte for byte.
+    /// Delete ids refer to the current generation's global id space. The
+    /// new generation's ids follow [`UpdateBatch::id_plan`] over the whole
+    /// fleet, the batch normalized over the fleet's footprint — exactly
+    /// the ids of a single [`Snapshot::apply_delta`] over the union
+    /// dataset, so a query against the delta-built fleet matches a fresh
+    /// build over [`UpdateBatch`]-applied points byte for byte.
     ///
     /// After the delta lands the router checks size skew: when the
     /// hottest shard holds more than `REBALANCE_SKEW` (2)× the coldest
@@ -451,8 +454,7 @@ impl ShardedEngine {
         let mut batch = batch.clone();
         batch.normalize(&universe);
         let next = fleet.generation + 1;
-        let remap_global = batch.survivor_remap(n);
-        let n_surv = n - batch.deletes.len();
+        let plan = batch.id_plan(n);
 
         // Owner table: global id -> (shard, local position).
         let shards = fleet.views.len();
@@ -467,12 +469,18 @@ impl ShardedEngine {
             let (s, l) = owner[d as usize];
             local_deletes[s as usize].push(l);
         }
+        // A moved point stays in its shard under its new global id.
+        let mut local_moves: Vec<Vec<(u32, u32)>> = vec![Vec::new(); shards];
+        for &(from, to) in &plan.moves {
+            let (s, l) = owner[from as usize];
+            local_moves[s as usize].push((l, to));
+        }
         // Route each insert to the shard it falls inside or is nearest
         // to (ties to the lower index). Its new global id is fixed by
-        // the fleet-wide normalization above, independent of the shard
-        // chosen, so routing only shapes locality, never the answer.
+        // the fleet-wide plan above, independent of the shard chosen, so
+        // routing only shapes locality, never the answer.
         let mut local_inserts: Vec<Vec<(Point, u32)>> = vec![Vec::new(); shards];
-        for (j, &p) in batch.inserts.iter().enumerate() {
+        for (&p, &g) in batch.inserts.iter().zip(&plan.inserted) {
             // `unwrap_or(0)` is unreachable in practice: the fleet was
             // validated non-empty above, so the range is never empty.
             let s = (0..shards)
@@ -483,38 +491,22 @@ impl ShardedEngine {
                         .total_cmp(&fleet.views[b].rect.mindist(p))
                 })
                 .unwrap_or(0);
-            local_inserts[s].push((p, (n_surv + j) as u32));
+            local_inserts[s].push((p, g));
         }
 
-        let mut views: Vec<ShardView> = Vec::with_capacity(shards);
+        let mut views: Vec<Arc<ShardView>> = Vec::with_capacity(shards);
         let mut stats = DeltaStats {
             incremental: true,
             ..DeltaStats::default()
         };
         let mut touched = 0usize;
         for (s, view) in fleet.views.iter().enumerate() {
-            let ins = &local_inserts[s];
-            // Survivors keep their local order, renumbered into the next
-            // generation's dense global id space.
-            let mut ids: Vec<u32> = view
-                .ids
-                .iter()
-                .filter_map(|&g| {
-                    let r = remap_global[g as usize];
-                    (r != u32::MAX).then_some(r)
-                })
-                .collect();
-            if local_deletes[s].is_empty() && ins.is_empty() {
-                // Untouched: the snapshot rides into the new generation
-                // by Arc, only the id table is rewritten.
-                views.push(ShardView {
-                    snapshot: Arc::clone(&view.snapshot),
-                    ids,
-                    rect: view.rect,
-                });
+            let (dels, ins) = (&local_deletes[s], &local_inserts[s]);
+            if dels.is_empty() && ins.is_empty() && local_moves[s].is_empty() {
+                views.push(Arc::clone(view));
                 continue;
             }
-            if ids.is_empty() && ins.is_empty() {
+            if dels.len() == view.ids.len() && ins.is_empty() {
                 // The batch emptied this shard: dropping its view *is*
                 // the whole delta (every point it held was deleted), and
                 // its engine idles until a later generation routes
@@ -523,29 +515,36 @@ impl ShardedEngine {
                 stats.deletes += view.ids.len();
                 continue;
             }
-            touched += 1;
-            let local = UpdateBatch {
-                inserts: ins.iter().map(|&(p, _)| p).collect(),
-                deletes: local_deletes[s].clone(),
-            };
-            // The snapshot normalizes the local batch over its own
-            // universe; permute the global-id tail by that same order so
-            // the id table stays parallel to the new snapshot's points.
-            let order = local.insert_order(&view.snapshot.universe());
-            ids.extend(order.iter().map(|&k| ins[k as usize].1));
-            let (snap, shard_stats) = view
-                .snapshot
-                .apply_delta(next, &local)
-                .map_err(|e| ShardError::Engine(EngineError::Index(e)))?;
-            stats.inserts += shard_stats.inserts;
-            stats.deletes += shard_stats.deletes;
-            stats.incremental &= shard_stats.incremental;
-            stats.dirty_cells += shard_stats.dirty_cells;
-            views.push(ShardView {
-                rect: Rect::bounding(snap.points().iter().copied()),
-                snapshot: Arc::new(snap),
-                ids,
-            });
+            let mut next_view = ShardView::clone(view);
+            for &(l, g) in &local_moves[s] {
+                next_view.ids[l as usize] = g;
+            }
+            if !dels.is_empty() || !ins.is_empty() {
+                touched += 1;
+                let mut local = UpdateBatch {
+                    inserts: ins.iter().map(|&(p, _)| p).collect(),
+                    deletes: dels.clone(),
+                };
+                local.deletes.sort_unstable();
+                // The snapshot normalizes the local batch over its own
+                // universe; hand the global ids to the local plan in that
+                // order so the id table stays parallel to its points.
+                let order = local.insert_order(&view.snapshot.universe());
+                local
+                    .id_plan(view.ids.len())
+                    .patch(&mut next_view.ids, order.iter().map(|&k| ins[k as usize].1));
+                let (snap, shard_stats) = view
+                    .snapshot
+                    .apply_delta(next, &local)
+                    .map_err(|e| ShardError::Engine(EngineError::Index(e)))?;
+                stats.inserts += shard_stats.inserts;
+                stats.deletes += shard_stats.deletes;
+                stats.incremental &= shard_stats.incremental;
+                stats.dirty_cells += shard_stats.dirty_cells;
+                next_view.rect = Rect::bounding(snap.points().iter().copied());
+                next_view.snapshot = Arc::new(snap);
+            }
+            views.push(Arc::new(next_view));
         }
         if views.is_empty() {
             // Unreachable: validate() rejects batches emptying the fleet.
@@ -597,18 +596,18 @@ impl ShardedEngine {
     ///   median-split into two balanced shards, rebuilt in place.
     fn maybe_rebalance(
         &self,
-        views: &mut Vec<ShardView>,
+        views: &mut Vec<Arc<ShardView>>,
         generation: u64,
     ) -> Result<(bool, usize), String> {
         let Some(hot) = (0..views.len()).max_by_key(|&i| views[i].ids.len()) else {
             return Ok((false, 0));
         };
         if views.len() < self.engines.len() && views[hot].ids.len() >= 2 * REBALANCE_MIN_GAP {
-            let pairs = id_point_pairs([&views[hot]]);
+            let pairs = id_point_pairs([&*views[hot]]);
             let [low, high] = kd_halves(pairs, generation)?;
             let moves = high.ids.len();
-            views[hot] = low;
-            views.push(high);
+            views[hot] = Arc::new(low);
+            views.push(Arc::new(high));
             return Ok((true, moves));
         }
         // `unwrap_or(hot)` is unreachable in practice (`hot` indexes into
@@ -626,12 +625,12 @@ impl ShardedEngine {
         }
         let old_hot: HashSet<u32> = views[hot].ids.iter().copied().collect();
         let old_cold: HashSet<u32> = views[cold].ids.iter().copied().collect();
-        let pairs = id_point_pairs([&views[hot], &views[cold]]);
+        let pairs = id_point_pairs([&*views[hot], &*views[cold]]);
         let [low, high] = kd_halves(pairs, generation)?;
         let moves = low.ids.iter().filter(|g| !old_hot.contains(g)).count()
             + high.ids.iter().filter(|g| !old_cold.contains(g)).count();
-        views[hot] = low;
-        views[cold] = high;
+        views[hot] = Arc::new(low);
+        views[cold] = Arc::new(high);
         Ok((true, moves))
     }
 
@@ -1273,20 +1272,40 @@ mod tests {
             .collect()
     }
 
-    /// The dataset `ingest` publishes: survivors in global id order, then
-    /// the batch's inserts normalized over the old dataset's footprint —
-    /// the same id semantics as a single-engine `Snapshot::apply_delta`.
+    /// The dataset `ingest` publishes: the batch's inserts, normalized
+    /// over the old dataset's footprint, refill the deleted global ids in
+    /// order, the rest append, and surplus holes close by `swap_remove`
+    /// from the top — the same ids as a single-engine
+    /// `Snapshot::apply_delta`.
     fn apply_expected(data: &[Point], batch: &UpdateBatch) -> Vec<Point> {
         let mut b = batch.clone();
         b.normalize(&Rect::bounding(data.iter().copied()));
-        let mut out: Vec<Point> = data
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| b.deletes.binary_search(&(*i as u32)).is_err())
-            .map(|(_, &p)| p)
-            .collect();
-        out.extend(b.inserts.iter().copied());
+        let mut out = data.to_vec();
+        let mut inserts = b.inserts.iter().copied();
+        let mut holes = Vec::new();
+        for &d in &b.deletes {
+            match inserts.next() {
+                Some(p) => out[d as usize] = p,
+                None => holes.push(d),
+            }
+        }
+        out.extend(inserts);
+        for &h in holes.iter().rev() {
+            out.swap_remove(h as usize);
+        }
         out
+    }
+
+    /// The point every global id names in the current fleet.
+    fn fleet_points(engine: &ShardedEngine) -> Vec<Point> {
+        let fleet = engine.current_fleet();
+        let mut points = vec![Point::new(f64::NAN, f64::NAN); engine.data_len()];
+        for view in &fleet.views {
+            for (&g, &p) in view.ids.iter().zip(view.snapshot.points()) {
+                points[g as usize] = p;
+            }
+        }
+        points
     }
 
     #[test]
@@ -1304,9 +1323,11 @@ mod tests {
                         .with_policy(policy)
                         .with_engine(small_engines());
                     let engine = ShardedEngine::new(&data, config).unwrap();
-                    // Two stacked deltas: deletes spread across shards,
-                    // inserts spread across the universe; the second
-                    // applies on top of the first's generation.
+                    // Three stacked deltas: deletes spread across shards,
+                    // inserts spread across the universe, each on top of
+                    // the previous generation. The first two grow the
+                    // fleet; the third shrinks it, so top ids move into
+                    // the holes below.
                     let mut expected = data.clone();
                     for (round, batch) in [
                         UpdateBatch {
@@ -1330,6 +1351,12 @@ mod tests {
                                 })
                                 .collect(),
                             deletes: vec![0, 3, 5, 8, 13, 100, 200, 300],
+                        },
+                        UpdateBatch {
+                            inserts: (0..6)
+                                .map(|i| Point::new(3.3 + i as f64 * 2.9, 17.1 - i as f64))
+                                .collect(),
+                            deletes: (2..400).step_by(7).collect(),
                         },
                     ]
                     .into_iter()
@@ -1365,9 +1392,9 @@ mod tests {
                         fresh.shutdown();
                     }
                     let m = engine.metrics();
-                    assert_eq!(m.ingest.batches, 2);
-                    assert_eq!(m.lifecycle.swaps, 2);
-                    assert_eq!(m.lifecycle.generation, 2);
+                    assert_eq!(m.ingest.batches, 3);
+                    assert_eq!(m.lifecycle.swaps, 3);
+                    assert_eq!(m.lifecycle.generation, 3);
                     engine.shutdown();
                 }
             }
@@ -1386,12 +1413,16 @@ mod tests {
         )
         .unwrap();
         let before = engine.current_fleet();
-        // Delete one point owned by shard 0 — every other shard must ride
-        // into the new generation by Arc, untouched.
-        let victim = before.views[0].ids[0];
+        // One out, one in, both in shard 0: the batch moves no id, so
+        // every other shard rides into the new generation whole — its
+        // snapshot and its id table by Arc.
+        let (a, b) = (
+            before.views[0].snapshot.points()[0],
+            before.views[0].snapshot.points()[1],
+        );
         let batch = UpdateBatch {
-            inserts: vec![],
-            deletes: vec![victim],
+            inserts: vec![Point::new((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)],
+            deletes: vec![before.views[0].ids[0]],
         };
         let report = engine.ingest(&batch).unwrap();
         assert_eq!(report.shards_touched, 1);
@@ -1407,7 +1438,81 @@ mod tests {
                 Arc::ptr_eq(&before.views[s].snapshot, &after.views[s].snapshot),
                 "shard {s} was rebuilt despite an empty local delta"
             );
+            assert_eq!(
+                before.views[s].ids.as_ptr(),
+                after.views[s].ids.as_ptr(),
+                "shard {s}'s id table was rewritten"
+            );
         }
+        // A delete alone moves the top id into the hole: its shard keeps
+        // its snapshot and patches one entry of its id table.
+        let top = data.len() as u32 - 1;
+        let owner = (0..after.views.len())
+            .find(|&s| after.views[s].ids.contains(&top))
+            .unwrap();
+        let victim = after.views[(owner + 1) % after.views.len()].ids[0];
+        engine
+            .ingest(&UpdateBatch {
+                inserts: vec![],
+                deletes: vec![victim],
+            })
+            .unwrap();
+        let last = engine.current_fleet();
+        assert!(Arc::ptr_eq(
+            &after.views[owner].snapshot,
+            &last.views[owner].snapshot
+        ));
+        let l = after.views[owner]
+            .ids
+            .iter()
+            .position(|&g| g == top)
+            .unwrap();
+        assert_eq!(last.views[owner].ids[l], victim);
+        engine.shutdown();
+    }
+
+    #[test]
+    fn a_surviving_global_id_keeps_its_point_across_a_hundred_publishes() {
+        let data = clustered(600);
+        let engine = ShardedEngine::new(
+            &data,
+            ShardConfig::default()
+                .with_shards(4)
+                .with_engine(small_engines()),
+        )
+        .unwrap();
+        let mut points = data;
+        for round in 0..100u32 {
+            let k = 1 + round as usize % 3;
+            let batch = UpdateBatch {
+                inserts: (0..k)
+                    .map(|j| {
+                        Point::new(
+                            20.0 + 0.13 * round as f64 + 0.011 * j as f64,
+                            15.0 + 0.07 * j as f64,
+                        )
+                    })
+                    .collect(),
+                deletes: (0..k as u32)
+                    .map(|j| (round * 53 + j * 191) % points.len() as u32)
+                    .collect(),
+            };
+            engine.ingest(&batch).unwrap();
+            let next = fleet_points(&engine);
+            assert_eq!(next.len(), points.len());
+            for (id, (&was, &now)) in points.iter().zip(&next).enumerate() {
+                if !batch.deletes.contains(&(id as u32)) {
+                    assert_eq!(was, now, "round {round}: id {id} lost its point");
+                }
+            }
+            assert_eq!(next, apply_expected(&points, &batch), "round {round}");
+            points = next;
+        }
+        let q = vec![Point::new(20.0, 15.0), Point::new(41.0, 31.0)];
+        assert_eq!(
+            engine.query(&q).unwrap().skyline,
+            naive_full(&points, &QueryContext::new(&q)).skyline
+        );
         engine.shutdown();
     }
 

@@ -124,6 +124,12 @@ net_smoke single
 echo "==> net serve smoke, 4 shards"
 net_smoke sharded --shards 4
 
+echo "==> fleet ingest through the shipped binary (4 shards, 40 delta batches; the net-shrinking ones move ids)"
+./target/release/ssq shard-stats --data "$NET_SMOKE_DIR/points.csv" --shards 4 \
+    --ingest-batches 40 --ops 30 > "$NET_SMOKE_DIR/ingest.log"
+grep -qx "ssq_ingest_batches 40" "$NET_SMOKE_DIR/ingest.log" \
+    || { echo "shard-stats did not publish 40 ingest batches"; cat "$NET_SMOKE_DIR/ingest.log"; exit 1; }
+
 if [[ "${SSQ_CI_DEEP:-0}" == "1" ]]; then
     echo "==> deep: miri (undefined-behavior check on the core unit tests)"
     if cargo +nightly miri --version >/dev/null 2>&1; then

@@ -34,14 +34,23 @@ fn batch(rng: &mut Xoshiro256, n: usize) -> UpdateBatch {
     UpdateBatch { inserts, deletes }
 }
 
-/// `points` after `batch` (normalized): survivors in order, then inserts.
+/// `points` after `batch` (normalized): the inserts refill the deleted
+/// ids in order, the rest append, surplus holes close by `swap_remove`
+/// from the top.
 fn apply(points: &[Point], batch: &UpdateBatch) -> Vec<Point> {
-    let mut next: Vec<Point> = (0u32..)
-        .zip(points)
-        .filter(|(i, _)| batch.deletes.binary_search(i).is_err())
-        .map(|(_, &p)| p)
-        .collect();
-    next.extend_from_slice(&batch.inserts);
+    let mut next = points.to_vec();
+    let mut inserts = batch.inserts.iter().copied();
+    let mut holes = Vec::new();
+    for &d in &batch.deletes {
+        match inserts.next() {
+            Some(p) => next[d as usize] = p,
+            None => holes.push(d),
+        }
+    }
+    next.extend(inserts);
+    for &h in holes.iter().rev() {
+        next.swap_remove(h as usize);
+    }
     next
 }
 

@@ -177,16 +177,23 @@ fn ingest_publish(engine: &ShardedEngine, data: &[Point], generation: u64) -> Ve
         deletes: (0..data.len() as u32).step_by(9).collect(),
     };
     assert_eq!(engine.ingest(&batch).unwrap().generation, generation);
-    // The fleet's id order: survivors in id order, then the inserts in
-    // the order normalization over the old footprint gives them.
+    // The fleet's ids: the inserts, in the order normalization over the
+    // old footprint gives them, refill the deleted ids; the surplus holes
+    // close by `swap_remove` from the top.
     batch.normalize(&Rect::bounding(data.iter().copied()));
-    let mut next: Vec<Point> = data
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| batch.deletes.binary_search(&(*i as u32)).is_err())
-        .map(|(_, &p)| p)
-        .collect();
-    next.extend(&batch.inserts);
+    let mut next = data.to_vec();
+    let mut inserts = batch.inserts.iter().copied();
+    let mut holes = Vec::new();
+    for &d in &batch.deletes {
+        match inserts.next() {
+            Some(p) => next[d as usize] = p,
+            None => holes.push(d),
+        }
+    }
+    next.extend(inserts);
+    for &h in holes.iter().rev() {
+        next.swap_remove(h as usize);
+    }
     next
 }
 
