@@ -111,9 +111,11 @@ impl RTreeIndex {
     /// generation's index under [`UpdateBatch::id_plan`]'s ids. The tree
     /// edits are `O(|batch| log n)` — deletes with reinsertion of underfull
     /// siblings, then every id the plan wrote inserted through the R* path
-    /// — but the generation costs `O(n)` around them: the whole tree is
-    /// cloned (every node, three `Vec`s each, freed slots recycled) and the
-    /// point list is copied.
+    /// — and copy only the nodes they write: the tree is cloned by node
+    /// pointer, and every node the batch leaves alone stays shared with
+    /// `self` ([`RTree::shared_nodes`]). What stays `O(n)` is the pointer
+    /// copy itself and the point list, copied flat and patched at the
+    /// batch's ids.
     pub fn apply_delta(&self, batch: &UpdateBatch) -> RTreeIndex {
         debug_assert!(batch.is_normalized());
         let plan = batch.id_plan(self.points.len());
@@ -404,14 +406,18 @@ impl VoronoiIndex {
         ring_intersects_rect(ring, r)
     }
 
-    /// The share of per-site chunks — neighbour lists and cells — this
-    /// index holds by pointer from `prev`, as `(shared, total)`: for a
-    /// delta-built index and its predecessor, what the delta did not copy.
+    /// The share of chunks — per-site neighbour lists and cells, and the
+    /// triangulation's triangle slots — this index holds by pointer from
+    /// `prev`, as `(shared, total)`: for a delta-built index and its
+    /// predecessor, what the delta did not copy.
     pub fn chunks_shared_with(&self, prev: &VoronoiIndex) -> (usize, usize) {
         let (adj, prev_adj) = (self.graph.rows(), prev.graph.rows());
+        let (tri, prev_tri) = (self.graph.triangulation(), prev.graph.triangulation());
         (
-            adj.shared_chunks(prev_adj) + self.cells.shared_chunks(&prev.cells),
-            adj.chunk_count() + self.cells.chunk_count(),
+            adj.shared_chunks(prev_adj)
+                + self.cells.shared_chunks(&prev.cells)
+                + tri.shared_chunks(prev_tri),
+            adj.chunk_count() + self.cells.chunk_count() + tri.chunk_count(),
         )
     }
 
@@ -505,11 +511,12 @@ impl VoronoiIndex {
     /// The incremental path moves no site and shares everything the batch
     /// did not change with `self`. Its cost, besides the local repairs:
     ///
-    /// * one copy of the triangulation (points and triangle arena — the
-    ///   one `O(n)` memcpy), repaired in place: removals in site order by
-    ///   cavity retriangulation, each leaving a tombstone, then the
-    ///   Hilbert-ordered inserts appended as new sites, under the ids
-    ///   [`UpdateBatch::id_plan`] gives them;
+    /// * one clone of the triangulation — its flat point list plus one
+    ///   pointer per chunk of triangle slots — repaired in place: removals
+    ///   in site order by cavity retriangulation, each leaving a
+    ///   tombstone, then the Hilbert-ordered inserts appended as new
+    ///   sites, under the ids [`UpdateBatch::id_plan`] gives them; the
+    ///   repairs copy only the slot chunks they write;
     /// * one flat `O(n)` copy of each id map, patched only at the batch's
     ///   ids: surviving points keep theirs;
     /// * the written chunks: a neighbour list is re-read off its star and

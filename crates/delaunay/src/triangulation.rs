@@ -31,9 +31,25 @@
 //! whatever a removal just freed. Each edit reports the vertices whose
 //! star it changed ([`Touched`]), which is how a caller keeping per-vertex
 //! data learns what to rewrite without comparing every vertex.
+//!
+//! # Clones share triangle chunks
+//!
+//! A built triangulation keeps its triangle slots in `Arc`-shared chunks
+//! of [`SLOT_CHUNK`] slots. Cloning copies the vertex coordinates (one
+//! flat `Vec`, read on every query path) and one pointer per chunk; an
+//! edit copies a chunk only when it writes one the original still holds.
+//! Reads never write — the locate walk takes `&self`, and the cavity
+//! stamps are set only on triangles the edit replaces — so an edited
+//! clone shares every chunk its edits did not touch
+//! ([`Triangulation::shared_chunks`]). A build allocates every chunk it
+//! will fill up front (it ends with exactly `2n − 2` slots) and borrows
+//! each one `&mut` once, so its inner loop pays no copy-on-write check:
+//! through `Arc::make_mut` on every write, the same build measured ≈ 45 %
+//! slower.
 
 use ssq_geom::predicates::{incircle_sign, orient2d_sign};
 use ssq_geom::{Point, Rect};
+use std::sync::Arc;
 
 use crate::hilbert;
 
@@ -107,19 +123,172 @@ pub struct Touched {
 
 /// A triangle record: vertex indices (CCW for finite triangles; ghost
 /// triangles keep `GHOST` in slot 2) and the neighbour opposite each
-/// vertex.
-#[derive(Clone, Copy, Debug)]
+/// vertex. 28 bytes: a dead slot is marked by `GHOST` in slot 0, which
+/// no live triangle holds.
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Tri {
     v: [u32; 3],
     /// `nbr[i]` is the triangle sharing the edge opposite `v[i]`;
     /// `u32::MAX` means "none" (only during construction).
     nbr: [u32; 3],
-    alive: bool,
     /// Cavity-search stamp (epoch marking instead of clearing a bitmap).
     stamp: u32,
 }
 
+impl Tri {
+    #[inline]
+    fn alive(&self) -> bool {
+        self.v[0] != GHOST
+    }
+}
+
 const NO_TRI: u32 = u32::MAX;
+
+/// What a chunk holds past the last slot.
+const UNUSED: Tri = Tri {
+    v: [GHOST; 3],
+    nbr: [NO_TRI; 3],
+    stamp: 0,
+};
+
+/// Triangle slots per chunk of a built triangulation (1.75 KiB of 28-byte
+/// slots). Measured on 100k / 200k clustered points with the benchmark's
+/// 200-op batches (100 uniform inserts, 100 random deletes): one batch
+/// writes 20 % / 11 % of 64-slot chunks, against 13 % / 7 % for 32,
+/// 31 % / 17 % for 128, 45 % / 26 % for 256 and 81 % / 55 % for 1 024.
+/// At 200k points that is 1.1 MiB copied per batch for 64, against
+/// 2.7 MiB for 256 and 0.7 MiB for 32, which doubles the chunk table that
+/// every clone and every drop walks. At 1M points a batch writes 2.3 %
+/// of the 64-slot chunks.
+pub const SLOT_CHUNK: usize = 64;
+
+/// Triangle storage: the chunks a build fills ([`Building`]) and the
+/// `Arc`-shared chunks a triangulation keeps and edits ([`Slots`]). Only
+/// the write path differs; one Bowyer–Watson implementation ([`Mesh`])
+/// runs on both.
+trait Arena: std::ops::Index<u32, Output = Tri> {
+    /// Slot `t` for writing.
+    fn get_mut(&mut self, t: u32) -> &mut Tri;
+    /// Appends `tri` in a new slot and returns the slot.
+    fn push(&mut self, tri: Tri) -> u32;
+}
+
+/// The arena of a build in progress: the chunks of the [`Slots`] it
+/// fills, each borrowed `&mut` once (a build knows its final slot count,
+/// so every chunk exists from the start). The ≈ 30 slot writes of each
+/// insertion pay no copy-on-write check, and no second copy of the arena
+/// is ever made.
+struct Building<'a> {
+    chunks: Vec<&'a mut [Tri; SLOT_CHUNK]>,
+    len: usize,
+}
+
+impl std::ops::Index<u32> for Building<'_> {
+    type Output = Tri;
+
+    #[inline]
+    fn index(&self, t: u32) -> &Tri {
+        &self.chunks[t as usize / SLOT_CHUNK][t as usize % SLOT_CHUNK]
+    }
+}
+
+impl Arena for Building<'_> {
+    #[inline]
+    fn get_mut(&mut self, t: u32) -> &mut Tri {
+        &mut self.chunks[t as usize / SLOT_CHUNK][t as usize % SLOT_CHUNK]
+    }
+
+    fn push(&mut self, tri: Tri) -> u32 {
+        let t = self.len as u32;
+        self.len += 1;
+        *self.get_mut(t) = tri;
+        t
+    }
+}
+
+/// The arena of a built triangulation: slot `t` is entry
+/// `t % SLOT_CHUNK` of chunk `t / SLOT_CHUNK`, each chunk behind an
+/// `Arc`. A clone copies one pointer per chunk; a write copies the chunk
+/// it lands on first when another arena still holds it
+/// (`Arc::make_mut`), so an edited clone shares every chunk it did not
+/// write.
+#[derive(Clone, Debug)]
+struct Slots {
+    chunks: Vec<Arc<[Tri; SLOT_CHUNK]>>,
+    len: usize,
+}
+
+impl Slots {
+    /// Empty slots, in chunks enough for `room` of them, to be filled
+    /// through [`Slots::building`].
+    fn with_room(room: usize) -> Slots {
+        let chunks = (0..room.div_ceil(SLOT_CHUNK))
+            .map(|_| Arc::new([UNUSED; SLOT_CHUNK]))
+            .collect();
+        Slots { chunks, len: 0 }
+    }
+
+    /// Every chunk borrowed for writing: unshared, since only
+    /// [`Slots::with_room`] made them.
+    fn building(&mut self) -> Building<'_> {
+        Building {
+            chunks: self.chunks.iter_mut().map(Arc::make_mut).collect(),
+            len: self.len,
+        }
+    }
+
+    /// The first `len` slots, without the chunks past them.
+    fn truncated(mut self, len: usize) -> Slots {
+        self.chunks.truncate(len.div_ceil(SLOT_CHUNK));
+        self.len = len;
+        self
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Tri> + '_ {
+        self.chunks.iter().flat_map(|c| c.iter()).take(self.len)
+    }
+
+    /// Chunks `self` shares with `other`: the same allocation at the same
+    /// position, not equal contents.
+    fn shared_chunks(&self, other: &Slots) -> usize {
+        self.chunks
+            .iter()
+            .zip(&other.chunks)
+            .filter(|(a, b)| Arc::ptr_eq(a, b))
+            .count()
+    }
+}
+
+impl std::ops::Index<u32> for Slots {
+    type Output = Tri;
+
+    #[inline]
+    fn index(&self, t: u32) -> &Tri {
+        &self.chunks[t as usize / SLOT_CHUNK][t as usize % SLOT_CHUNK]
+    }
+}
+
+impl Arena for Slots {
+    #[inline]
+    fn get_mut(&mut self, t: u32) -> &mut Tri {
+        let (c, i) = (t as usize / SLOT_CHUNK, t as usize % SLOT_CHUNK);
+        &mut Arc::make_mut(&mut self.chunks[c])[i]
+    }
+
+    fn push(&mut self, tri: Tri) -> u32 {
+        let t = self.len as u32;
+        if self.len.is_multiple_of(SLOT_CHUNK) {
+            self.chunks.push(Arc::new([UNUSED; SLOT_CHUNK]));
+        }
+        self.len += 1;
+        *self.get_mut(t) = tri;
+        t
+    }
+}
 
 /// A Delaunay triangulation of a set of distinct points.
 ///
@@ -127,17 +296,39 @@ const NO_TRI: u32 = u32::MAX;
 /// triangle exists; [`Triangulation::is_degenerate`] reports this and
 /// [`Triangulation::triangles`] is empty. [`crate::DelaunayGraph`] handles
 /// that case with a path graph, so SSQ algorithms never need to care.
+///
+/// A clone costs the vertex list plus one pointer per chunk of
+/// [`SLOT_CHUNK`] triangle slots; see the module docs.
 #[derive(Clone, Debug)]
 pub struct Triangulation {
+    mesh: Mesh<Slots>,
+    /// True when the input was collinear/too small to triangulate.
+    degenerate: bool,
+}
+
+/// The vertices and triangles of a triangulation, over arena `A`.
+#[derive(Clone, Debug)]
+struct Mesh<A> {
     points: Vec<Point>,
-    tris: Vec<Tri>,
+    tris: A,
     /// Dead slots of `tris`, reused last-freed first.
     free: Vec<u32>,
     /// Some alive triangle, used as the default walk start.
     seed: u32,
-    /// True when the input was collinear/too small to triangulate.
-    degenerate: bool,
     epoch: u32,
+}
+
+impl<A> Mesh<A> {
+    /// The same mesh over the arena `f` makes of this one's.
+    fn map_tris<B>(self, f: impl FnOnce(A) -> B) -> Mesh<B> {
+        Mesh {
+            points: self.points,
+            tris: f(self.tris),
+            free: self.free,
+            seed: self.seed,
+            epoch: self.epoch,
+        }
+    }
 }
 
 impl Triangulation {
@@ -161,69 +352,35 @@ impl Triangulation {
             }
         }
 
-        let mut t = Triangulation {
+        // The build fills `2n − 2` slots (ghosts included) and never more:
+        // each insertion frees its cavity and takes two slots beyond it.
+        let mut slots = Slots::with_room(2 * points.len());
+        let mut mesh = Mesh {
             points: points.to_vec(),
-            tris: Vec::new(),
+            tris: slots.building(),
             free: Vec::new(),
             seed: NO_TRI,
-            degenerate: true,
             epoch: 0,
         };
-        if points.len() < 3 {
-            return Ok(t);
-        }
-
-        // Hilbert insertion order over the data MBR (the identity when the
-        // caller already laid the points out along the curve).
-        let bbox = Rect::bounding(points.iter().copied());
-        let insert_order = hilbert::sort_by_hilbert(points, &bbox);
-
-        // Find the first non-collinear triple in insertion order to seed the
-        // triangulation: (first two distinct points, first point off their
-        // line).
-        let i0 = insert_order[0];
-        let mut i1 = None;
-        let mut i2 = None;
-        for &i in &insert_order[1..] {
-            if i1.is_none() {
-                i1 = Some(i);
-                continue;
-            }
-            let a = points[i0 as usize];
-            // ssq-analyze: allow(no-panic-transitive): i1 is assigned on a previous iteration before this arm is reachable
-            let b = points[i1.expect("set above") as usize];
-            if orient2d_sign(a, b, points[i as usize]) != 0 {
-                i2 = Some(i);
-                break;
-            }
-        }
-        let Some(i2) = i2 else {
-            return Ok(t); // all points collinear: degenerate
-        };
-        // ssq-analyze: allow(no-panic-transitive): i2 is only found after i1 was set, so i1 is Some here
-        let i1 = i1.expect("at least two points");
-        t.degenerate = false;
-        t.init_first_triangle(i0, i1, i2);
-        for &i in &insert_order[1..] {
-            if i == i1 || i == i2 {
-                continue;
-            }
-            t.insert(i, None);
-        }
-        Ok(t)
+        let degenerate = !mesh.triangulate();
+        let mesh = mesh.map_tris(|b| b.len);
+        Ok(Triangulation {
+            mesh: mesh.map_tris(|len| slots.truncated(len)),
+            degenerate,
+        })
     }
 
     /// The vertices' coordinates by id: the input points in the order they
     /// were given, then the inserted ones. A removed vertex keeps its
     /// stale coordinates.
     pub fn points(&self) -> &[Point] {
-        &self.points
+        &self.mesh.points
     }
 
     /// Number of triangle slots, dead ones included (construction leaves
     /// none dead; a removal frees two).
     pub fn slot_count(&self) -> usize {
-        self.tris.len()
+        self.mesh.tris.len()
     }
 
     /// `true` when the input had no non-collinear triple.
@@ -231,11 +388,24 @@ impl Triangulation {
         self.degenerate
     }
 
+    /// Number of chunks of [`SLOT_CHUNK`] triangle slots.
+    pub fn chunk_count(&self) -> usize {
+        self.mesh.tris.chunks.len()
+    }
+
+    /// Triangle chunks `self` shares with `other` — the same allocation
+    /// at the same position, not equal contents: for an edited clone and
+    /// its original, the chunks the edits did not write.
+    pub fn shared_chunks(&self, other: &Triangulation) -> usize {
+        self.mesh.tris.shared_chunks(&other.mesh.tris)
+    }
+
     /// Iterates over the finite triangles as CCW vertex-index triples.
     pub fn triangles(&self) -> impl Iterator<Item = [u32; 3]> + '_ {
-        self.tris
+        self.mesh
+            .tris
             .iter()
-            .filter(|t| t.alive && t.v[2] != GHOST)
+            .filter(|t| t.alive() && t.v[2] != GHOST)
             .map(|t| t.v)
     }
 
@@ -243,7 +413,7 @@ impl Triangulation {
     /// `a < b`).
     pub fn edges(&self) -> Vec<(u32, u32)> {
         let mut edges = Vec::new();
-        for t in self.tris.iter().filter(|t| t.alive) {
+        for t in self.mesh.tris.iter().filter(|t| t.alive()) {
             for k in 0..3 {
                 let a = t.v[k];
                 let b = t.v[(k + 1) % 3];
@@ -267,7 +437,7 @@ impl Triangulation {
     /// edges) contributes `b → a`. This lets callers build adjacency
     /// structures in `O(|edges|)` without a global sort.
     pub fn for_each_directed_edge(&self, mut f: impl FnMut(u32, u32)) {
-        for t in self.tris.iter().filter(|t| t.alive) {
+        for t in self.mesh.tris.iter().filter(|t| t.alive()) {
             for k in 0..3 {
                 let a = t.v[k];
                 let b = t.v[(k + 1) % 3];
@@ -302,15 +472,15 @@ impl Triangulation {
         // Duplicate check: a coinciding vertex must be a corner of the
         // located (closed-containing) triangle. A point strictly outside
         // the hull lands on a ghost and cannot coincide with anything.
-        let t = self.locate(p, self.seed);
-        for &v in &self.tris[t as usize].v {
-            if v != GHOST && self.pt(v) == p {
+        let t = self.mesh.locate(p, self.mesh.seed);
+        for &v in &self.mesh.tris[t].v {
+            if v != GHOST && self.mesh.pt(v) == p {
                 return Err(DeltaError::Duplicate);
             }
         }
-        let pi = self.points.len() as u32;
-        self.points.push(p);
-        self.insert(pi, Some(touched));
+        let pi = self.mesh.points.len() as u32;
+        self.mesh.points.push(p);
+        self.mesh.insert(pi, Some(touched));
         Ok(pi)
     }
 
@@ -329,8 +499,17 @@ impl Triangulation {
         if self.degenerate {
             return Err(DeltaError::NeedsRebuild);
         }
+        self.mesh.remove(vi, touched)
+    }
+}
+
+/// The Bowyer–Watson machinery, over either arena: a build runs it on
+/// [`Building`], the edits of a built triangulation on its [`Slots`].
+impl<A: Arena> Mesh<A> {
+    /// [`Triangulation::remove_point`] on a non-degenerate triangulation.
+    fn remove(&mut self, vi: u32, touched: &mut Vec<Touched>) -> Result<(), DeltaError> {
         let start = self.locate(self.pt(vi), self.seed);
-        if self.is_ghost(start) || !self.tris[start as usize].v.contains(&vi) {
+        if self.is_ghost(start) || !self.tris[start].v.contains(&vi) {
             // `vi` is not a vertex of the triangulation (stale id).
             return Err(DeltaError::NeedsRebuild);
         }
@@ -346,14 +525,14 @@ impl Triangulation {
         let mut incident: Vec<u32> = Vec::with_capacity(8);
         let mut cur = start;
         loop {
-            let t = self.tris[cur as usize];
+            let t = self.tris[cur];
             let Some(k) = (0..3).find(|&j| t.v[j] == vi) else {
                 return Err(DeltaError::NeedsRebuild);
             };
             let a = t.v[(k + 1) % 3];
             let out = t.nbr[k];
             let out_edge = (0..3)
-                .find(|&j| self.tris[out as usize].nbr[j] == cur)
+                .find(|&j| self.tris[out].nbr[j] == cur)
                 // ssq-analyze: allow(no-panic-transitive): neighbour links are symmetric by construction; asymmetry is structural corruption where fail-fast beats silent miscounting
                 .expect("neighbour links must be symmetric");
             ring.push(a);
@@ -464,8 +643,8 @@ impl Triangulation {
                 let key = (ea.min(eb), ea.max(eb));
                 match edge_map.remove(&key) {
                     Some((other, other_edge)) => {
-                        self.tris[nt as usize].nbr[opp(orig_idx)] = other;
-                        self.tris[other as usize].nbr[other_edge] = nt;
+                        self.tris.get_mut(nt).nbr[opp(orig_idx)] = other;
+                        self.tris.get_mut(other).nbr[other_edge] = nt;
                     }
                     None => {
                         edge_map.insert(key, (nt, opp(orig_idx)));
@@ -481,59 +660,61 @@ impl Triangulation {
         });
         for &r in ring.iter().filter(|&&r| r != GHOST) {
             // The hole's triangulation uses every ring vertex.
-            let star = made
-                .iter()
-                .copied()
-                .find(|&t| self.tris[t as usize].v.contains(&r));
+            let star = made.iter().copied().find(|&t| self.tris[t].v.contains(&r));
             debug_assert!(star.is_some(), "ring vertex {r} left out of the hole");
             touched.push(Touched { vertex: r, star });
         }
         Ok(())
     }
 
-    /// Appends the neighbours of vertex `v` to `out`, in rotational order,
-    /// reading them off its star from `t`, one of its live triangles (a
-    /// [`Touched::star`]). `O(deg v)`.
-    pub fn star(&self, v: u32, t: u32, out: &mut Vec<u32>) {
-        let mut cur = t;
-        loop {
-            let tri = &self.tris[cur as usize];
-            debug_assert!(
-                tri.alive && tri.v.contains(&v),
-                "{cur} is not in the star of {v}"
-            );
-            let Some(k) = (0..3).find(|&j| tri.v[j] == v) else {
-                return;
-            };
-            let a = tri.v[(k + 1) % 3];
-            if a != GHOST {
-                out.push(a);
+    // -- construction internals --------------------------------------------
+
+    /// Triangulates `self.points` from an empty arena; `false` when they
+    /// have no non-collinear triple (no triangle is made).
+    fn triangulate(&mut self) -> bool {
+        let points = &self.points;
+        if points.len() < 3 {
+            return false;
+        }
+
+        // Hilbert insertion order over the data MBR (the identity when the
+        // caller already laid the points out along the curve).
+        let bbox = Rect::bounding(points.iter().copied());
+        let insert_order = hilbert::sort_by_hilbert(points, &bbox);
+
+        // Find the first non-collinear triple in insertion order to seed the
+        // triangulation: (first two distinct points, first point off their
+        // line).
+        let i0 = insert_order[0];
+        let mut i1 = None;
+        let mut i2 = None;
+        for &i in &insert_order[1..] {
+            if i1.is_none() {
+                i1 = Some(i);
+                continue;
             }
-            cur = tri.nbr[(k + 1) % 3];
-            if cur == t {
-                return;
+            let a = points[i0 as usize];
+            // ssq-analyze: allow(no-panic-transitive): i1 is assigned on a previous iteration before this arm is reachable
+            let b = points[i1.expect("set above") as usize];
+            if orient2d_sign(a, b, points[i as usize]) != 0 {
+                i2 = Some(i);
+                break;
             }
         }
+        let Some(i2) = i2 else {
+            return false; // all points collinear
+        };
+        // ssq-analyze: allow(no-panic-transitive): i2 is only found after i1 was set, so i1 is Some here
+        let i1 = i1.expect("at least two points");
+        self.init_first_triangle(i0, i1, i2);
+        for &i in &insert_order[1..] {
+            if i == i1 || i == i2 {
+                continue;
+            }
+            self.insert(i, None);
+        }
+        true
     }
-
-    // -- crate-internal accessors (used by the Voronoi extraction) ---------
-
-    /// Is slot `t` an alive triangle?
-    pub(crate) fn slot_alive(&self, t: u32) -> bool {
-        self.tris[t as usize].alive
-    }
-
-    /// Vertex indices of slot `t` (slot 2 is `GHOST` for ghost triangles).
-    pub(crate) fn slot_verts(&self, t: u32) -> [u32; 3] {
-        self.tris[t as usize].v
-    }
-
-    /// Neighbour of slot `t` opposite its vertex `k`.
-    pub(crate) fn slot_nbr(&self, t: u32, k: usize) -> u32 {
-        self.tris[t as usize].nbr[k]
-    }
-
-    // -- construction internals --------------------------------------------
 
     fn init_first_triangle(&mut self, i0: u32, i1: u32, i2: u32) {
         let (a, b, c) = (
@@ -558,8 +739,8 @@ impl Triangulation {
             *g = self.alloc([b, a, GHOST]);
         }
         for k in 0..3 {
-            self.tris[f as usize].nbr[k] = ghosts[k];
-            self.tris[ghosts[k] as usize].nbr[2] = f;
+            self.tris.get_mut(f).nbr[k] = ghosts[k];
+            self.tris.get_mut(ghosts[k]).nbr[2] = f;
             // Ghost (b, a, GHOST) for hull edge a->b:
             //  - edge opposite v0=b is (a, GHOST): shared with the ghost of
             //    the previous CCW hull edge (the one ending at a);
@@ -567,8 +748,8 @@ impl Triangulation {
             //    the next CCW hull edge (the one starting at b).
             // Hull edge k goes v[k+1] -> v[k+2]; the previous edge is k-1
             // (ends at v[k+1]), the next is k+1 (starts at v[k+2]).
-            self.tris[ghosts[k] as usize].nbr[0] = ghosts[(k + 2) % 3];
-            self.tris[ghosts[k] as usize].nbr[1] = ghosts[(k + 1) % 3];
+            self.tris.get_mut(ghosts[k]).nbr[0] = ghosts[(k + 2) % 3];
+            self.tris.get_mut(ghosts[k]).nbr[1] = ghosts[(k + 1) % 3];
         }
         self.seed = f;
     }
@@ -578,24 +759,20 @@ impl Triangulation {
         let tri = Tri {
             v,
             nbr: [NO_TRI; 3],
-            alive: true,
             stamp: 0,
         };
         match self.free.pop() {
             Some(id) => {
-                self.tris[id as usize] = tri;
+                *self.tris.get_mut(id) = tri;
                 id
             }
-            None => {
-                self.tris.push(tri);
-                self.tris.len() as u32 - 1
-            }
+            None => self.tris.push(tri),
         }
     }
 
     /// Frees slot `t` for reuse.
     fn kill(&mut self, t: u32) {
-        self.tris[t as usize].alive = false;
+        self.tris.get_mut(t).v[0] = GHOST;
         self.free.push(t);
     }
 
@@ -606,13 +783,13 @@ impl Triangulation {
 
     #[inline]
     fn is_ghost(&self, t: u32) -> bool {
-        self.tris[t as usize].v[2] == GHOST
+        self.tris[t].v[2] == GHOST
     }
 
     /// Is `p` inside the (open, plus the degenerate boundary cases discussed
     /// in the module docs) circumdisk of triangle `t`?
     fn in_disk(&self, t: u32, p: Point) -> bool {
-        let tri = &self.tris[t as usize];
+        let tri = &self.tris[t];
         if tri.v[2] == GHOST {
             // Ghost (u, w, GHOST) for CCW hull edge w -> u: its "disk" is
             // the open half-plane strictly left of u -> w (strictly outside
@@ -650,14 +827,14 @@ impl Triangulation {
     /// Delaunay triangulation.
     fn locate(&self, p: Point, start: u32) -> u32 {
         let mut cur = if self.is_ghost(start) {
-            self.tris[start as usize].nbr[2]
+            self.tris[start].nbr[2]
         } else {
             start
         };
         let mut prev = NO_TRI;
         loop {
-            let tri = &self.tris[cur as usize];
-            debug_assert!(tri.alive);
+            let tri = &self.tris[cur];
+            debug_assert!(tri.alive());
             let mut next = NO_TRI;
             for k in 0..3 {
                 let a = tri.v[(k + 1) % 3];
@@ -700,16 +877,16 @@ impl Triangulation {
         let epoch = self.epoch;
         let mut cavity: Vec<u32> = Vec::with_capacity(8);
         let mut stack = vec![seed];
-        self.tris[seed as usize].stamp = epoch;
+        self.tris.get_mut(seed).stamp = epoch;
         while let Some(t) = stack.pop() {
             cavity.push(t);
             for k in 0..3 {
-                let n = self.tris[t as usize].nbr[k];
-                if n == NO_TRI || self.tris[n as usize].stamp == epoch {
+                let n = self.tris[t].nbr[k];
+                if n == NO_TRI || self.tris[n].stamp == epoch {
                     continue;
                 }
                 if self.in_disk(n, p) {
-                    self.tris[n as usize].stamp = epoch;
+                    self.tris.get_mut(n).stamp = epoch;
                     stack.push(n);
                 }
             }
@@ -726,17 +903,17 @@ impl Triangulation {
         }
         let mut boundary: Vec<Boundary> = Vec::with_capacity(cavity.len() + 2);
         for &t in &cavity {
-            let tri = self.tris[t as usize];
+            let tri = self.tris[t];
             for k in 0..3 {
                 let n = tri.nbr[k];
                 debug_assert_ne!(n, NO_TRI, "triangulation boundary is closed by ghosts");
-                if self.tris[n as usize].stamp == epoch {
+                if self.tris[n].stamp == epoch {
                     continue; // internal cavity edge
                 }
                 let x = tri.v[(k + 1) % 3];
                 let y = tri.v[(k + 2) % 3];
                 // Which edge of `n` faces back to the cavity?
-                let ntri = &self.tris[n as usize];
+                let ntri = &self.tris[n];
                 let outside_edge = (0..3)
                     .find(|&j| ntri.nbr[j] == t)
                     // ssq-analyze: allow(no-panic-transitive): neighbour links are symmetric by construction; asymmetry is structural corruption where fail-fast beats silent miscounting
@@ -783,15 +960,15 @@ impl Triangulation {
             // `outside`; edge opposite x (index 0) is (y, p); edge opposite
             // y (index 1) is (p, x). Map through the rotation.
             let opp = |orig: usize| (orig + 3 - rot) % 3;
-            self.tris[nt as usize].nbr[opp(2)] = b.outside;
-            self.tris[b.outside as usize].nbr[b.outside_edge] = nt;
+            self.tris.get_mut(nt).nbr[opp(2)] = b.outside;
+            self.tris.get_mut(b.outside).nbr[b.outside_edge] = nt;
             // Stitch the p-incident edges via the shared non-p endpoint,
             // keyed by undirected (min, max).
             for (orig_idx, shared) in [(0usize, b.y), (1usize, b.x)] {
                 let key = (shared.min(pi), shared.max(pi));
                 if let Some(&(other, other_edge)) = edge_map.get(&key) {
-                    self.tris[nt as usize].nbr[opp(orig_idx)] = other;
-                    self.tris[other as usize].nbr[other_edge] = nt;
+                    self.tris.get_mut(nt).nbr[opp(orig_idx)] = other;
+                    self.tris.get_mut(other).nbr[other_edge] = nt;
                 } else {
                     edge_map.insert(key, (nt, opp(orig_idx)));
                 }
@@ -806,6 +983,50 @@ impl Triangulation {
             });
         }
     }
+}
+
+impl Triangulation {
+    /// Appends the neighbours of vertex `v` to `out`, in rotational order,
+    /// reading them off its star from `t`, one of its live triangles (a
+    /// [`Touched::star`]). `O(deg v)`.
+    pub fn star(&self, v: u32, t: u32, out: &mut Vec<u32>) {
+        let mut cur = t;
+        loop {
+            let tri = &self.mesh.tris[cur];
+            debug_assert!(
+                tri.alive() && tri.v.contains(&v),
+                "{cur} is not in the star of {v}"
+            );
+            let Some(k) = (0..3).find(|&j| tri.v[j] == v) else {
+                return;
+            };
+            let a = tri.v[(k + 1) % 3];
+            if a != GHOST {
+                out.push(a);
+            }
+            cur = tri.nbr[(k + 1) % 3];
+            if cur == t {
+                return;
+            }
+        }
+    }
+
+    // -- crate-internal accessors (used by the Voronoi extraction) ---------
+
+    /// Is slot `t` an alive triangle?
+    pub(crate) fn slot_alive(&self, t: u32) -> bool {
+        self.mesh.tris[t].alive()
+    }
+
+    /// Vertex indices of slot `t` (slot 2 is `GHOST` for ghost triangles).
+    pub(crate) fn slot_verts(&self, t: u32) -> [u32; 3] {
+        self.mesh.tris[t].v
+    }
+
+    /// Neighbour of slot `t` opposite its vertex `k`.
+    pub(crate) fn slot_nbr(&self, t: u32, k: usize) -> u32 {
+        self.mesh.tris[t].nbr[k]
+    }
 
     /// Checks the structural invariants (symmetric neighbour links, CCW
     /// finite triangles, closed ghost ring). Used by tests.
@@ -814,13 +1035,17 @@ impl Triangulation {
         if self.degenerate {
             return;
         }
-        for (id, t) in self.tris.iter().enumerate() {
-            if !t.alive {
+        for (id, t) in self.mesh.tris.iter().enumerate() {
+            if !t.alive() {
                 continue;
             }
             if t.v[2] != GHOST {
                 assert_eq!(
-                    orient2d_sign(self.pt(t.v[0]), self.pt(t.v[1]), self.pt(t.v[2])),
+                    orient2d_sign(
+                        self.mesh.pt(t.v[0]),
+                        self.mesh.pt(t.v[1]),
+                        self.mesh.pt(t.v[2])
+                    ),
                     1,
                     "finite triangle {id} must be CCW"
                 );
@@ -828,8 +1053,8 @@ impl Triangulation {
             for k in 0..3 {
                 let n = t.nbr[k];
                 assert_ne!(n, NO_TRI, "triangle {id} missing neighbour {k}");
-                let nt = &self.tris[n as usize];
-                assert!(nt.alive, "triangle {id} points at dead neighbour {n}");
+                let nt = &self.mesh.tris[n];
+                assert!(nt.alive(), "triangle {id} points at dead neighbour {n}");
                 assert!(
                     (0..3).any(|j| nt.nbr[j] == id as u32),
                     "neighbour link {id} -> {n} is not symmetric"
@@ -1235,5 +1460,64 @@ mod tests {
         let t = Triangulation::new(&pts).unwrap();
         assert_delaunay(&t);
         assert_euler(&t);
+    }
+
+    /// Each vertex's star, read from the first live slot naming it.
+    fn stars(t: &Triangulation) -> Vec<Vec<u32>> {
+        let mut first = vec![NO_TRI; t.points().len()];
+        for (id, tri) in (0u32..).zip(t.mesh.tris.iter()) {
+            for &v in tri.v.iter().filter(|&&v| tri.alive() && v != GHOST) {
+                if first[v as usize] == NO_TRI {
+                    first[v as usize] = id;
+                }
+            }
+        }
+        (0u32..)
+            .zip(&first)
+            .map(|(v, &f)| {
+                let mut star = Vec::new();
+                if f != NO_TRI {
+                    t.star(v, f, &mut star);
+                }
+                star
+            })
+            .collect()
+    }
+
+    #[test]
+    fn edits_on_a_clone_never_write_the_original() {
+        let mut seed = 0xC0FFEEu64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let pts: Vec<Point> = (0..600)
+            .map(|_| p(next() * 100.0, next() * 100.0))
+            .collect();
+        let t = Triangulation::new(&pts).unwrap();
+        let (slots, before) = (t.mesh.tris.iter().copied().collect::<Vec<_>>(), stars(&t));
+        let mut c = t.clone();
+        assert_eq!(c.shared_chunks(&t), t.chunk_count());
+
+        // Remove and insert 10 % of the points.
+        let mut touched = Vec::new();
+        let removed: Vec<u32> = (0..600).step_by(10).collect();
+        for &v in &removed {
+            c.remove_point(v, &mut touched).unwrap();
+        }
+        for _ in 0..60 {
+            c.insert_point(p(next() * 100.0, next() * 100.0), &mut touched)
+                .unwrap();
+        }
+        assert_delaunay_sparse(&c, &removed);
+        t.check_invariants();
+        assert!(t.mesh.tris.iter().copied().eq(slots), "a slot changed");
+        assert_eq!(stars(&t), before, "a star of the original changed");
+        assert!(
+            c.shared_chunks(&t) < t.chunk_count(),
+            "the clone copied what it wrote"
+        );
     }
 }

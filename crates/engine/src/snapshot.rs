@@ -102,13 +102,14 @@ impl Snapshot {
     /// Produces the next generation by applying an [`UpdateBatch`] as a
     /// copy-on-write delta: both indexes of `self` stay untouched (and
     /// keep serving pinned readers), while the new bundle is repaired
-    /// locally instead of rebuilt. It is still `O(n)`: the R-tree half
-    /// clones every node and copies the point list
-    /// ([`RTreeIndex::apply_delta`]); the Voronoi half copies the
-    /// triangulation and its two flat id maps once, patches the maps at
-    /// the batch's ids and writes only the per-site chunks the batch
-    /// touched, sharing the rest with `self` ([`VoronoiIndex::apply_delta`],
-    /// which also says when it rebuilds).
+    /// locally instead of rebuilt. Both halves copy only what the batch
+    /// writes and share the rest with `self` by pointer: the R-tree half
+    /// its root-to-leaf paths ([`RTreeIndex::apply_delta`]), the Voronoi
+    /// half its chunks of triangle slots and of per-site rows
+    /// ([`VoronoiIndex::apply_delta`], which also says when it rebuilds).
+    /// What is still `O(n)` is flat: the two point lists, the Voronoi
+    /// half's two id maps and its start directory, and one pointer per
+    /// shared node or chunk.
     ///
     /// The batch is validated against this snapshot and normalized
     /// (deletes sorted/deduplicated, inserts Hilbert-ordered over this

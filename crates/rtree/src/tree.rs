@@ -1,7 +1,15 @@
 //! The R*-tree implementation.
 //!
-//! Nodes live in an arena (`Vec<Node>`); entries of an internal node are
-//! `(mbr, child id)` pairs, entries of a leaf are `(mbr, item)` pairs.
+//! Nodes live in an arena of `Arc`-shared nodes (`Vec<Arc<Node>>`);
+//! entries of an internal node are `(mbr, child id)` pairs, entries of a
+//! leaf are `(mbr, item)` pairs. A child is named by its arena slot, not
+//! by pointer, so a clone of the tree copies one pointer per node and
+//! every later write copies only the node it lands on
+//! (`Arc::make_mut`): an edit writes its root-to-leaf path, and not even
+//! all of that — a parent's entry is rewritten only when its child's MBR
+//! actually changed. A tree and the clone it was edited from share every
+//! other node ([`RTree::shared_nodes`]).
+//!
 //! Insertion follows Beckmann et al.'s R* heuristics (choose-subtree by
 //! minimum overlap enlargement at the leaf level, split axis by minimum
 //! margin sum, split distribution by minimum overlap); the forced-reinsert
@@ -11,6 +19,7 @@
 
 use ssq_geom::{Point, Rect};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Default node capacity, matching the paper's setup ("a maximum of 50
 /// entries in each node", §7).
@@ -124,7 +133,9 @@ impl<T> Node<T> {
 /// the non-counting read for callers that account per query.
 #[derive(Debug)]
 pub struct RTree<T: Copy> {
-    nodes: Vec<Node<T>>,
+    /// The arena. Every write goes through `RTree::node_mut`, which
+    /// copies a node another tree still holds before writing it.
+    nodes: Vec<Arc<Node<T>>>,
     root: Option<u32>,
     len: usize,
     config: RTreeConfig,
@@ -137,7 +148,8 @@ pub struct RTree<T: Copy> {
 }
 
 impl<T: Copy> Clone for RTree<T> {
-    /// Deep-copies the node arena — the cheap node-copy path delta
+    /// Copies the arena's node pointers, not the nodes: the two trees
+    /// share every node until one of them writes it. This is where delta
     /// builds start from. The access counter starts at zero: it is
     /// per-instance measurement state, not index state.
     fn clone(&self) -> RTree<T> {
@@ -218,10 +230,8 @@ impl<T: Copy> RTree<T> {
             let count = ids.len().div_ceil(cap);
             let slices = (count as f64).sqrt().ceil() as usize;
             let per_slice = ids.len().div_ceil(slices);
-            let mut with_mbr: Vec<(Rect, u32)> = ids
-                .iter()
-                .map(|&id| (tree.nodes[id as usize].mbr(), id))
-                .collect();
+            let mut with_mbr: Vec<(Rect, u32)> =
+                ids.iter().map(|&id| (tree.node(id).mbr(), id)).collect();
             with_mbr.sort_by(|a, b| a.0.center().x.total_cmp(&b.0.center().x));
             let mut next: Vec<u32> = Vec::with_capacity(count);
             for slice in with_mbr.chunks_mut(per_slice) {
@@ -268,7 +278,7 @@ impl<T: Copy> RTree<T> {
     pub fn height(&self) -> usize {
         match self.root {
             None => 0,
-            Some(r) => self.nodes[r as usize].level as usize + 1,
+            Some(r) => self.node(r).level as usize + 1,
         }
     }
 
@@ -286,8 +296,19 @@ impl<T: Copy> RTree<T> {
     pub fn mbr(&self) -> Rect {
         match self.root {
             None => Rect::EMPTY,
-            Some(r) => self.nodes[r as usize].mbr(),
+            Some(r) => self.node(r).mbr(),
         }
+    }
+
+    /// Arena slots holding the same node allocation in `self` and
+    /// `other` — the nodes neither has written since one was cloned from
+    /// the other (freed slots included), not equal contents.
+    pub fn shared_nodes(&self, other: &RTree<T>) -> usize {
+        self.nodes
+            .iter()
+            .zip(&other.nodes)
+            .filter(|(a, b)| Arc::ptr_eq(a, b))
+            .count()
     }
 
     /// Reads the entries of a node, counting one node access.
@@ -310,7 +331,7 @@ impl<T: Copy> RTree<T> {
     /// read, so queries running concurrently on one shared tree never
     /// see each other's accesses).
     pub fn entries_in_place(&self, id: NodeId) -> impl Iterator<Item = Entry<T>> + '_ {
-        let node = &self.nodes[id.0 as usize];
+        let node = self.node(id.0);
         node.rects.iter().enumerate().map(move |(i, &mbr)| {
             if node.is_leaf {
                 Entry::Item {
@@ -349,11 +370,11 @@ impl<T: Copy> RTree<T> {
         };
         if let Some((r1, r2)) = self.insert_at(root, mbr, item) {
             // Root split: grow the tree.
-            let level = self.nodes[root as usize].level + 1;
+            let level = self.node(root).level + 1;
             let mut new_root = Node::new(false, level);
-            new_root.rects.push(self.nodes[r1 as usize].mbr());
+            new_root.rects.push(self.node(r1).mbr());
             new_root.children.push(r1);
-            new_root.rects.push(self.nodes[r2 as usize].mbr());
+            new_root.rects.push(self.node(r2).mbr());
             new_root.children.push(r2);
             let id = self.push_node(new_root);
             self.root = Some(id);
@@ -382,7 +403,7 @@ impl<T: Copy> RTree<T> {
         // Shrink the root: an internal root with one child hands the root
         // role to that child; an empty root leaves the tree empty.
         while let Some(r) = self.root {
-            let node = &self.nodes[r as usize];
+            let node = self.node(r);
             if node.len() == 0 {
                 self.free_node(r);
                 self.root = None;
@@ -499,22 +520,37 @@ impl<T: Copy> RTree<T> {
 
     // -- insertion internals -------------------------------------------------
 
+    #[inline]
+    fn node(&self, id: u32) -> &Node<T> {
+        &self.nodes[id as usize]
+    }
+
+    /// Node `id` for writing: copied first when another tree shares it.
+    #[inline]
+    fn node_mut(&mut self, id: u32) -> &mut Node<T> {
+        Arc::make_mut(&mut self.nodes[id as usize])
+    }
+
     fn push_node(&mut self, node: Node<T>) -> u32 {
         if let Some(id) = self.free.pop() {
-            self.nodes[id as usize] = node;
+            self.nodes[id as usize] = Arc::new(node);
             return id;
         }
         let id = self.nodes.len() as u32;
-        self.nodes.push(node);
+        self.nodes.push(Arc::new(node));
         id
     }
 
-    /// Retires a node slot: its storage is dropped and the slot becomes
+    /// Retires a node slot and returns the node it held: this tree lets
+    /// go of it (another tree may still share it) and the slot becomes
     /// available for reuse by later inserts.
-    fn free_node(&mut self, node_id: u32) {
-        let level = self.nodes[node_id as usize].level;
-        self.nodes[node_id as usize] = Node::new(true, level);
+    fn free_node(&mut self, node_id: u32) -> Arc<Node<T>> {
+        let level = self.node(node_id).level;
         self.free.push(node_id);
+        std::mem::replace(
+            &mut self.nodes[node_id as usize],
+            Arc::new(Node::new(true, level)),
+        )
     }
 
     /// Recursive delete; returns `true` when the entry was found and
@@ -530,23 +566,23 @@ impl<T: Copy> RTree<T> {
     where
         T: PartialEq,
     {
-        if self.nodes[node_id as usize].is_leaf {
+        if self.node(node_id).is_leaf {
             let pos = {
-                let node = &self.nodes[node_id as usize];
+                let node = self.node(node_id);
                 node.rects
                     .iter()
                     .zip(&node.items)
                     .position(|(r, t)| r == mbr && t == item)
             };
             let Some(i) = pos else { return false };
-            let node = &mut self.nodes[node_id as usize];
+            let node = self.node_mut(node_id);
             node.rects.swap_remove(i);
             node.items.swap_remove(i);
             return true;
         }
 
         let candidates: Vec<(usize, u32)> = {
-            let node = &self.nodes[node_id as usize];
+            let node = self.node(node_id);
             node.rects
                 .iter()
                 .zip(&node.children)
@@ -559,16 +595,15 @@ impl<T: Copy> RTree<T> {
             if !self.delete_at(child, mbr, item, orphans) {
                 continue;
             }
-            if self.nodes[child as usize].len() < self.config.min_entries {
+            if self.node(child).len() < self.config.min_entries {
                 // Dissolve the underfull child: unlink it, queue its
                 // remaining items for reinsertion, recycle its slots.
-                let node = &mut self.nodes[node_id as usize];
+                let node = self.node_mut(node_id);
                 node.rects.swap_remove(idx);
                 node.children.swap_remove(idx);
                 self.collect_items(child, orphans);
             } else {
-                let new_mbr = self.nodes[child as usize].mbr();
-                self.nodes[node_id as usize].rects[idx] = new_mbr;
+                self.refresh_entry(node_id, idx, child);
             }
             return true;
         }
@@ -578,9 +613,7 @@ impl<T: Copy> RTree<T> {
     /// Moves every item stored in the subtree rooted at `node_id` into
     /// `out` and frees all of the subtree's node slots.
     fn collect_items(&mut self, node_id: u32, out: &mut Vec<(Rect, T)>) {
-        let level = self.nodes[node_id as usize].level;
-        let node = std::mem::replace(&mut self.nodes[node_id as usize], Node::new(true, level));
-        self.free.push(node_id);
+        let node = self.free_node(node_id);
         if node.is_leaf {
             out.extend(node.rects.iter().copied().zip(node.items.iter().copied()));
         } else {
@@ -590,39 +623,47 @@ impl<T: Copy> RTree<T> {
         }
     }
 
+    /// Rewrites entry `idx` of `node_id` to its child's MBR — only when
+    /// that changed, so an ancestor the edit did not grow or shrink stays
+    /// shared.
+    fn refresh_entry(&mut self, node_id: u32, idx: usize, child: u32) {
+        let new_mbr = self.node(child).mbr();
+        if self.node(node_id).rects[idx] != new_mbr {
+            self.node_mut(node_id).rects[idx] = new_mbr;
+        }
+    }
+
     /// Recursive insert; returns `Some((left, right))` when `node` split.
     fn insert_at(&mut self, node_id: u32, mbr: Rect, item: T) -> Option<(u32, u32)> {
-        if self.nodes[node_id as usize].is_leaf {
-            self.nodes[node_id as usize].rects.push(mbr);
-            self.nodes[node_id as usize].items.push(item);
-            if self.nodes[node_id as usize].len() > self.config.max_entries {
+        let max = self.config.max_entries;
+        if self.node(node_id).is_leaf {
+            let node = self.node_mut(node_id);
+            node.rects.push(mbr);
+            node.items.push(item);
+            if node.len() > max {
                 return Some(self.split(node_id));
             }
             return None;
         }
 
         let child_idx = self.choose_subtree(node_id, &mbr);
-        let child_id = self.nodes[node_id as usize].children[child_idx];
+        let child_id = self.node(node_id).children[child_idx];
         let split = self.insert_at(child_id, mbr, item);
         match split {
             None => {
-                // Refresh the child's MBR.
-                let new_mbr = self.nodes[child_id as usize].mbr();
-                self.nodes[node_id as usize].rects[child_idx] = new_mbr;
+                self.refresh_entry(node_id, child_idx, child_id);
                 None
             }
             Some((left, right)) => {
                 // Replace the child entry with the two split halves.
-                let lm = self.nodes[left as usize].mbr();
-                let rm = self.nodes[right as usize].mbr();
-                {
-                    let node = &mut self.nodes[node_id as usize];
-                    node.rects[child_idx] = lm;
-                    node.children[child_idx] = left;
-                    node.rects.push(rm);
-                    node.children.push(right);
-                }
-                if self.nodes[node_id as usize].len() > self.config.max_entries {
+                let lm = self.node(left).mbr();
+                let rm = self.node(right).mbr();
+                let node = self.node_mut(node_id);
+                node.rects[child_idx] = lm;
+                node.children[child_idx] = left;
+                node.rects.push(rm);
+                node.children.push(right);
+                if node.len() > max {
                     Some(self.split(node_id))
                 } else {
                     None
@@ -635,7 +676,7 @@ impl<T: Copy> RTree<T> {
     /// children are leaves, minimum area enlargement otherwise; ties broken
     /// by area enlargement then area.
     fn choose_subtree(&self, node_id: u32, mbr: &Rect) -> usize {
-        let node = &self.nodes[node_id as usize];
+        let node = self.node(node_id);
         let children_are_leaves = node.level == 1;
         let mut best = 0usize;
         let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
@@ -668,11 +709,11 @@ impl<T: Copy> RTree<T> {
     /// (the original id is reused as the left node).
     fn split(&mut self, node_id: u32) -> (u32, u32) {
         let m = self.config.min_entries;
-        let total = self.nodes[node_id as usize].len();
+        let total = self.node(node_id).len();
         debug_assert!(total == self.config.max_entries + 1);
 
         // Gather (rect, payload index) pairs; payloads are moved at the end.
-        let rects: Vec<Rect> = self.nodes[node_id as usize].rects.clone();
+        let rects: Vec<Rect> = self.node(node_id).rects.clone();
         let k = total - 2 * m + 1; // number of candidate distributions per sort
 
         // Choose the split axis: minimum sum of perimeters over all
@@ -737,13 +778,18 @@ impl<T: Copy> RTree<T> {
         // ssq-analyze: allow(no-panic-transitive): the R*-split loop evaluates at least one distribution, so best_cut is always Some
         let (order, cut) = best_cut.expect("at least one distribution");
 
-        // Materialize the two nodes.
-        let is_leaf = self.nodes[node_id as usize].is_leaf;
-        let level = self.nodes[node_id as usize].level;
-        let old = std::mem::replace(&mut self.nodes[node_id as usize], Node::new(is_leaf, level));
+        // Materialize the two nodes: the left one takes the old node's
+        // slot with a fresh allocation, so a shared old node is read, not
+        // copied.
+        let is_leaf = self.node(node_id).is_leaf;
+        let level = self.node(node_id).level;
+        let old = std::mem::replace(
+            &mut self.nodes[node_id as usize],
+            Arc::new(Node::new(is_leaf, level)),
+        );
         let mut right_node = Node::new(is_leaf, level);
         {
-            let left_node = &mut self.nodes[node_id as usize];
+            let left_node = self.node_mut(node_id);
             for (rank, &i) in order.iter().enumerate() {
                 let target = if rank < cut {
                     &mut *left_node
@@ -773,7 +819,7 @@ impl<T: Copy> RTree<T> {
         let mut count = 0usize;
         let mut stack = vec![(root, None::<Rect>)];
         while let Some((id, parent_mbr)) = stack.pop() {
-            let node = &self.nodes[id as usize];
+            let node = self.node(id);
             if let Some(pm) = parent_mbr {
                 assert!(pm.contains_rect(&node.mbr()), "parent MBR must cover child");
                 // Non-root nodes respect the capacity; STR packing may
@@ -792,7 +838,7 @@ impl<T: Copy> RTree<T> {
             } else {
                 for (i, &c) in node.children.iter().enumerate() {
                     assert_eq!(
-                        self.nodes[c as usize].level + 1,
+                        self.node(c).level + 1,
                         node.level,
                         "levels must decrease by one"
                     );
@@ -1081,6 +1127,40 @@ mod tests {
         orig.sort_unstable();
         assert!(orig.contains(&0));
         assert!(!c.query_rect(&Rect::from_point(pts[0])).contains(&0));
+
+        // A fresh clone shares every node; deleting and reinserting 30 %
+        // of its items copies the nodes it writes and never writes
+        // through one the original still holds.
+        let probes = pseudorandom(40, 73);
+        let windows: Vec<Rect> = probes
+            .chunks(2)
+            .map(|w| {
+                let (a, b) = (w[0], w[1]);
+                Rect::from_corners(p(a.x.min(b.x), a.y.min(b.y)), p(a.x.max(b.x), a.y.max(b.y)))
+            })
+            .collect();
+        let answers = |t: &RTree<u32>| {
+            let rects = windows.iter().map(|w| {
+                let mut got = t.query_rect(w);
+                got.sort_unstable();
+                got
+            });
+            let nearest = probes.iter().map(|&q| t.nearest(q));
+            (rects.collect::<Vec<_>>(), nearest.collect::<Vec<_>>())
+        };
+        let before = answers(&t);
+        let mut c = t.clone();
+        assert_eq!(c.shared_nodes(&t), t.node_count());
+        for (i, &q) in pts.iter().enumerate().filter(|(i, _)| i % 10 < 3) {
+            assert!(c.delete(Rect::from_point(q), i as u32));
+        }
+        for (i, &q) in pts.iter().enumerate().filter(|(i, _)| i % 10 < 3) {
+            c.insert(Rect::from_point(q), i as u32);
+        }
+        c.check_invariants();
+        t.check_invariants();
+        assert_eq!(answers(&t), before, "the original answers as before");
+        assert!(c.shared_nodes(&t) < t.node_count());
     }
 
     /// Property test: pseudorandom interleavings of insert / delete /

@@ -541,7 +541,9 @@ impl ShardedEngine {
                 stats.deletes += shard_stats.deletes;
                 stats.incremental &= shard_stats.incremental;
                 stats.dirty_cells += shard_stats.dirty_cells;
-                next_view.rect = Rect::bounding(snap.points().iter().copied());
+                // The root MBR: tight, because every edit refreshes the
+                // rects on its path.
+                next_view.rect = snap.universe();
                 next_view.snapshot = Arc::new(snap);
             }
             views.push(Arc::new(next_view));
@@ -1508,6 +1510,61 @@ mod tests {
             assert_eq!(next, apply_expected(&points, &batch), "round {round}");
             points = next;
         }
+        let q = vec![Point::new(20.0, 15.0), Point::new(41.0, 31.0)];
+        assert_eq!(
+            engine.query(&q).unwrap().skyline,
+            naive_full(&points, &QueryContext::new(&q)).skyline
+        );
+        engine.shutdown();
+    }
+
+    #[test]
+    fn a_view_rect_stays_its_points_mbr_when_extremes_are_deleted() {
+        let engine = ShardedEngine::new(
+            &clustered(1200),
+            ShardConfig::default()
+                .with_shards(4)
+                .with_engine(small_engines()),
+        )
+        .unwrap();
+        let mut points = fleet_points(&engine);
+        for round in 0..100u32 {
+            // Delete every shard's four extreme points; as many inserts
+            // land inside the data's footprint, so no shard grows past it.
+            let fleet = engine.current_fleet();
+            let mut deletes: Vec<u32> = Vec::new();
+            for view in &fleet.views {
+                let pts = view.snapshot.points();
+                let coord = |l: usize, axis: usize| [pts[l].x, pts[l].y][axis];
+                for axis in 0..2 {
+                    let by = |a: &usize, b: &usize| coord(*a, axis).total_cmp(&coord(*b, axis));
+                    let lo = (0..pts.len()).min_by(by).unwrap();
+                    let hi = (0..pts.len()).max_by(by).unwrap();
+                    for g in [view.ids[lo], view.ids[hi]] {
+                        if !deletes.contains(&g) {
+                            deletes.push(g);
+                        }
+                    }
+                }
+            }
+            let inserts = (0..deletes.len())
+                .map(|j| {
+                    let (bx, by) = if j % 2 == 0 { (0.5, 0.5) } else { (40.5, 30.5) };
+                    Point::new(
+                        bx + 0.0071 * round as f64 + 0.013 * j as f64,
+                        by + 0.0043 * round as f64 + 0.0029 * j as f64,
+                    )
+                })
+                .collect();
+            let batch = UpdateBatch { inserts, deletes };
+            engine.ingest(&batch).unwrap();
+            points = apply_expected(&points, &batch);
+            for (s, view) in engine.current_fleet().views.iter().enumerate() {
+                let pts = view.snapshot.points().iter().copied();
+                assert_eq!(view.rect, Rect::bounding(pts), "round {round}, shard {s}");
+            }
+        }
+        assert_eq!(fleet_points(&engine), points);
         let q = vec![Point::new(20.0, 15.0), Point::new(41.0, 31.0)];
         assert_eq!(
             engine.query(&q).unwrap().skyline,

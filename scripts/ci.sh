@@ -40,7 +40,7 @@ echo "==> cargo test (SSQ_FORCE_SCALAR=1 — scalar tile-kernel oracle)"
 # tile kernels above, the scalar oracle here. Same binaries, no rebuild.
 SSQ_FORCE_SCALAR=1 cargo test --workspace -q
 
-echo "==> delta chain (release-only, #[ignore]d in the suites above: 500 generations, tombstone rebuilds, chunk sharing, layout decay)"
+echo "==> delta chain (release-only, #[ignore]d in the suites above: 500 snapshot generations, tombstone rebuilds, node and chunk sharing, layout decay; the 100k/400k/1M publish scaling row)"
 cargo test --release -q --test delta_chain -- --ignored
 
 echo "==> reproduce count pin (Fig. 12b/12c/12e/12f, VCS² outcome mix, mixed |S| must print reproduce_output.txt's columns)"
