@@ -94,7 +94,8 @@ pub struct DistanceScratch {
     heap: MinHeap<u32>,
     /// Reusable branch-and-bound heap (B²S², ranked).
     work_heap: MinHeap<Work>,
-    /// Spare row for transient vectors (extracted rows, rect bounds).
+    /// Spare row for transient vectors (extracted rows, rect bounds,
+    /// the distances of a VS² site tested against its neighbours).
     spare: Vec<f64>,
     /// Buffer-growth events since the last [`DistanceScratch::take_allocations`].
     grown: u64,
@@ -607,6 +608,18 @@ impl DistanceScratch {
         &self.spare
     }
 
+    /// Fills the spare row with the **squared** distances from `p` to
+    /// each anchor — what [`DistanceScratch::push_row`] would store for
+    /// `p` — and returns it, for a test that compares `p` against points
+    /// that have no row.
+    // ssq-analyze: deny-alloc
+    pub fn fill_spare_dist_sq(&mut self, p: Point, anchors: &[Point]) -> &[f64] {
+        Self::ensure(&mut self.spare, anchors.len(), &mut self.grown);
+        self.spare.clear();
+        self.spare.extend(anchors.iter().map(|&q| p.distance_sq(q)));
+        &self.spare
+    }
+
     /// Buffer-growth events since the last call, resetting the counter.
     /// Kernel algorithms drain this into [`QueryStats::allocations`] at
     /// the end of each query: 0 means the query ran allocation-free.
@@ -637,6 +650,9 @@ mod tests {
         assert_eq!(row_of(&s, r), &[16.0, 25.0]);
         assert_eq!(s.key(r), 41.0);
         assert_eq!(s.id(r), 7);
+        assert_eq!(s.len(), 1);
+        // The spare row holds the same distances and adds no row.
+        assert_eq!(s.fill_spare_dist_sq(p(0.0, 4.0), &anchors), &[16.0, 25.0]);
         assert_eq!(s.len(), 1);
     }
 

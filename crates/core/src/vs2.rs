@@ -64,7 +64,8 @@
 //! * [`vs2_kernel`] is what the engine serves: squared-distance arena
 //!   rows under squared-sum keys, resolved by
 //!   [`DistanceScratch::resolve`] — `resolve_candidates`' rule on SIMD
-//!   tiles, behind a one-check-per-row pre-filter;
+//!   tiles, behind a one-check-per-row pre-filter — and no row at all for
+//!   a popped site a Delaunay neighbour certifies as dominated (below);
 //! * [`vs2_with`] is the counted reference the paper reproduction and
 //!   `kernel_equiv.rs` pin: true-distance [`Candidate`]s under true-sum
 //!   keys, resolved by the scalar [`resolve_candidates`], with `Paper`'s
@@ -73,6 +74,47 @@
 //!   column at `|Q|` = 2 from 405.95 to 839.35 (the pre-filter's check per
 //!   row; B²S² reads 399.40 there) — so the scalar resolution stays, and
 //!   only the traversal is shared.
+//!
+//! # Neighbour certificates
+//!
+//! Most popped sites outside `CH(Q)` are dominated, and a dominated row
+//! costs `resolve` a scan of the accepted rows up to its first dominator
+//! — on clustered data with a large skyline, a few hundred checks each.
+//! A point is dominated iff its dominator region (§2.2, Fig. 2) holds
+//! *any* data point, skyline or not, and for most of these sites one of
+//! their own Delaunay neighbours is such a point. So once its arena holds
+//! `CERTIFY_FROM_ROWS` (128) rows, the kernel tests a popped site that is
+//! not certain (not inside `CH(Q)`) against its neighbour list first, with
+//! the rows' own predicate — f64 squared distances to `CHv(Q)`, `≤` on
+//! every anchor and `<` on at least one, so an equal distance vector never
+//! certifies — and a site one of them dominates gets no row and does not
+//! tighten `B`. (Below 128 rows a dominated row costs `resolve` less than
+//! the test does.) Both are exact, for any subset of the dominated sites
+//! the test drops:
+//!
+//! 1. **The answer.** Dominance is transitive, and every dominated point
+//!    is dominated by a skyline point, which the Safe walk collects as a
+//!    row. Removing any dominated row therefore leaves `resolve`'s answer
+//!    unchanged.
+//! 2. **The walk.** A neighbour `n` that dominates `p` has a strictly
+//!    smaller key and `SR(n) ⊆ SR(p)`. If `n` lies outside `B`, some
+//!    point whose search region built `B` dominates `n`, hence `p`, and
+//!    `B ⊆ MBR(SR(p))` already. Otherwise `n` is enqueued when `p` is
+//!    extracted (if not before), so it pops first, and by then `B` lies
+//!    within `MBR(SR(n))` by the same argument one key lower: `n` was
+//!    kept, or dropped for a neighbour of its own, or outside `B`. Either
+//!    way `p`'s tightening would not move `B`, so skipping it visits no
+//!    extra site: the rule changes which popped sites become rows, not
+//!    which sites the walk extracts or which pages it reads. (A rounding
+//!    tie between the two f64 keys can only leave `B` larger for a
+//!    while, which keeps it sound.)
+//!
+//! The test runs over the whole neighbour list, without an early exit
+//! (a branch on each outcome mispredicts more than the skipped distances
+//! cost), and books what it does: one dominance check and `|CHv(Q)|`
+//! distances per neighbour, plus `|CHv(Q)|` for the site — a count that
+//! does not depend on the order of the list, which is site order and so
+//! follows the layout the points arrived in.
 
 use ssq_geom::circle::search_region_mbr;
 use ssq_geom::{kernel, simd, Point, Rect};
@@ -82,6 +124,15 @@ use crate::index::VoronoiIndex;
 use crate::query::{dominates, resolve_candidates, Candidate, QueryContext};
 use crate::scratch::DistanceScratch;
 use crate::stats::{QueryStats, SkylineResult};
+
+/// The rows [`vs2_kernel`]'s arena must hold before it tests a popped
+/// site against its Delaunay neighbours (module docs, "Neighbour
+/// certificates"). The test costs about six rows of anchor distances per
+/// site; what a dropped row saves grows with the rows `resolve` would
+/// scan it against. On 200 000 clustered points the always-on test made
+/// the three smallest `|S(Q)|` classes of the benchmark's mix 2–9 %
+/// slower; from 128 rows on it pays, and the top class keeps its gain.
+const CERTIFY_FROM_ROWS: usize = 128;
 
 /// Neighbour-expansion policy for VS² — see the module docs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -114,7 +165,8 @@ pub(crate) struct Walk<'a, K> {
     /// The heap key of a site — any key monotone under the caller's
     /// dominance relation.
     key: K,
-    /// Anchor distances one key or one collected row costs.
+    /// Anchor distances one key, one collected row or one point of a
+    /// neighbour test costs.
     width: u64,
     /// The pruning rectangle (Fig. 7's `B`, Lemma 7's fixed bound).
     pub(crate) b: Rect,
@@ -187,18 +239,54 @@ impl<'a, K: Fn(Point) -> f64> Walk<'a, K> {
     }
 
     /// The Safe rule for a site that may be in the skyline: keep it as
-    /// a squared-distance arena row — under its id — against `ctx`'s
-    /// anchors and tighten `b` by its search region — sound for ANY data
-    /// point `x`, because every true skyline point lies inside
-    /// `MBR(SR(x, Q))` (it beats `x` on at least one anchor, so it sits in
-    /// one of `x`'s circles).
+    /// a squared-distance arena row — under its id, `certain` when it lies
+    /// inside `CH(Q)` — against `ctx`'s anchors and tighten `b` by its
+    /// search region — sound for ANY data point `x`, because every true
+    /// skyline point lies inside `MBR(SR(x, Q))` (it beats `x` on at least
+    /// one anchor, so it sits in one of `x`'s circles).
     #[inline]
-    pub(crate) fn keep(&mut self, ctx: &QueryContext, site: u32, pt: Point) {
+    pub(crate) fn keep(&mut self, ctx: &QueryContext, site: u32, pt: Point, certain: bool) {
         let anchors = ctx.anchors();
         self.scratch
-            .push_row(self.index.id_of(site), ctx.hull().contains(pt), pt, anchors);
+            .push_row(self.index.id_of(site), certain, pt, anchors);
         self.keyed += 1;
         self.b = self.b.intersection(&search_region_mbr(pt, anchors));
+    }
+
+    /// `true` when a Delaunay neighbour of `site` (at `pt`) dominates it
+    /// under the rows' own predicate: squared distances to `anchors`,
+    /// `≤` on every anchor and `<` on at least one. `pt`'s distances are
+    /// held in the arena's spare row. Every neighbour is tested on every
+    /// anchor, without a branch on the outcome: an early exit saves a few
+    /// distances and costs a mispredicted branch for each, and it would
+    /// make the count depend on the order of the neighbour list, which is
+    /// site order, which the layout decides. So the test books exactly
+    /// what it does — one dominance check and one row of distances per
+    /// neighbour, plus one row for `site`.
+    #[inline]
+    pub(crate) fn neighbour_dominates(
+        &mut self,
+        site: u32,
+        pt: Point,
+        anchors: &[Point],
+        stats: &mut QueryStats,
+    ) -> bool {
+        let graph = self.index.graph();
+        let neighbors = graph.neighbors(site);
+        stats.dominance_checks += neighbors.len() as u64;
+        self.keyed += 1 + neighbors.len() as u64;
+        let own = self.scratch.fill_spare_dist_sq(pt, anchors);
+        let points = graph.points();
+        neighbors.iter().fold(false, |dominated, &nb| {
+            let x = points[nb as usize];
+            let (mut weak, mut strict) = (true, false);
+            for (&q, &d) in anchors.iter().zip(own) {
+                let e = x.distance_sq(q);
+                weak &= e <= d;
+                strict |= e < d;
+            }
+            dominated | (weak & strict)
+        })
     }
 
     /// Runs the traversal up to its next second-phase pop of a site
@@ -288,8 +376,10 @@ pub fn vs2(index: &VoronoiIndex, ctx: &QueryContext) -> SkylineResult {
 /// per query), keys the heap by the **squared**-distance sum (no `sqrt`
 /// anywhere on the traversal — sound because any monotone-under-dominance
 /// key yields the same resolved skyline, see [`ssq_geom::kernel`]), and
-/// stores candidate vectors as squared-distance rows. Steady-state queries
-/// allocate only for the returned id vector.
+/// stores candidate vectors as squared-distance rows — except, once 128
+/// rows are in, for popped sites a Delaunay neighbour dominates, which it
+/// drops without a row (module docs, "Neighbour certificates").
+/// Steady-state queries allocate only for the returned id vector.
 ///
 /// [`QueryStats::node_accesses`] is the walk's own distinct-page count —
 /// the same pages [`vs2_with`] reads — so it is exact however many
@@ -304,7 +394,8 @@ pub fn vs2_kernel(
 }
 
 /// [`vs2_kernel`] with a walk hint: a **site** near `q₁` for the `NN(q₁)`
-/// search to start from when the index has no kd start index.
+/// search to start from when the index has no start directory
+/// ([`VoronoiIndex::without_start_index`]).
 // ssq-analyze: deny-alloc
 pub(crate) fn vs2_kernel_from(
     index: &VoronoiIndex,
@@ -326,7 +417,17 @@ pub(crate) fn vs2_kernel_from(
     walk.seed(start);
     while let Some((p, _, pt)) = walk.next_popped(|_| true) {
         stats.points_examined += 1;
-        walk.keep(ctx, p, pt);
+        // Theorem 1 keeps a site inside CH(Q) unconditionally; any other
+        // site a Delaunay neighbour dominates is no skyline point and
+        // needs neither a row nor a tightening of B (module docs).
+        let certain = ctx.hull().contains(pt);
+        if !certain
+            && walk.scratch.len() >= CERTIFY_FROM_ROWS
+            && walk.neighbour_dominates(p, pt, anchors, &mut stats)
+        {
+            continue;
+        }
+        walk.keep(ctx, p, pt, certain);
     }
     walk.finish(&mut stats);
     // ssq-analyze: allow(deny-alloc): the returned id vector is the kernel's one allocation

@@ -43,6 +43,9 @@ SSQ_FORCE_SCALAR=1 cargo test --workspace -q
 echo "==> delta chain (release-only, #[ignore]d in the suites above: 500 snapshot generations, tombstone rebuilds, node and chunk sharing, layout decay; the 100k/400k/1M publish scaling row)"
 cargo test --release -q --test delta_chain -- --ignored
 
+echo "==> VS² tail work pin (release-only, #[ignore]d in the suites above: 200k points by |S| class; top class <= 2 rows per skyline point, walk equal to the certificate-free replay)"
+cargo test --release -q --test scale -- --ignored --nocapture
+
 echo "==> reproduce count pin (Fig. 12b/12c/12e/12f, VCS² outcome mix, mixed |S| must print reproduce_output.txt's columns)"
 # The dominance-check and node-access columns, the continuous table's
 # outcome mix and the mixed table's skyline sizes are seeded counts, not
