@@ -107,7 +107,7 @@ pub fn run_once(
     let result = match algo {
         Algo::Bbs => bbs(&fix.rtree, ctx),
         Algo::B2s2 => b2s2(&fix.rtree, ctx),
-        Algo::Vs2 => vs2_with(&fix.voronoi, ctx, VsExpansion::Safe, None),
+        Algo::Vs2 => vs2_with(&fix.voronoi, ctx, VsExpansion::Safe),
     };
     let dt = t0.elapsed().as_secs_f64() * 1e3;
     (dt, result.stats, result.skyline.len())
@@ -325,7 +325,7 @@ mod tests {
         let ctx = QueryContext::new(&q);
         let a = bbs(&fix.rtree, &ctx);
         let b = b2s2(&fix.rtree, &ctx);
-        let c = vs2_with(&fix.voronoi, &ctx, VsExpansion::Safe, None);
+        let c = vs2_with(&fix.voronoi, &ctx, VsExpansion::Safe);
         assert_eq!(a.skyline, b.skyline);
         assert_eq!(a.skyline, c.skyline);
     }

@@ -29,9 +29,12 @@
 //! file join the dominance (minimize semantics). With `--top K`, results
 //! come ranked by total distance and the search stops after `K`.
 
+use std::any::Any;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
+use std::num::{ParseFloatError, ParseIntError};
 use std::path::PathBuf;
+use std::str::FromStr;
 
 use ssq_core::mixed::{mixed_b2s2, MixedContext};
 use ssq_core::ranked::{b2s2_ranked, WeightedSum};
@@ -163,25 +166,41 @@ fn flag_value(args: &[String], name: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+/// The value of flag `name` parsed as a `T`, `None` when the flag is
+/// absent. A value that does not parse is a usage error naming the flag:
+/// "--x must be an integer" or "--x must be a number" for numeric flags,
+/// the type's own message after "--x: " otherwise.
+fn parsed_flag<T>(args: &[String], name: &str) -> Result<Option<T>, CliError>
+where
+    T: FromStr,
+    T::Err: std::fmt::Display + 'static,
+{
+    let Some(value) = flag_value(args, name) else {
+        return Ok(None);
+    };
+    value.parse().map(Some).map_err(|e: T::Err| {
+        let kind: &dyn Any = &e;
+        CliError::Usage(if kind.is::<ParseIntError>() {
+            format!("{name} must be an integer")
+        } else if kind.is::<ParseFloatError>() {
+            format!("{name} must be a number")
+        } else {
+            format!("{name}: {e}")
+        })
+    })
+}
+
 fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
 fn generate<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
-    let n: usize = flag_value(args, "--n")
-        .ok_or_else(|| CliError::Usage("generate needs --n".into()))?
-        .parse()
-        .map_err(|_| CliError::Usage("--n must be an integer".into()))?;
+    let n: usize =
+        parsed_flag(args, "--n")?.ok_or_else(|| CliError::Usage("generate needs --n".into()))?;
     let path = PathBuf::from(
         flag_value(args, "--out").ok_or_else(|| CliError::Usage("generate needs --out".into()))?,
     );
-    let seed: u64 = flag_value(args, "--seed")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| CliError::Usage("--seed must be an integer".into()))
-        })
-        .transpose()?
-        .unwrap_or(0x5567_5347);
+    let seed: u64 = parsed_flag(args, "--seed")?.unwrap_or(0x5567_5347);
 
     let points = if has_flag(args, "--uniform") {
         uniform_points(n, seed)
@@ -231,12 +250,7 @@ fn query<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
         .ok_or_else(|| CliError::Usage("query needs --query \"x,y;x,y;...\"".into()))?;
     let algorithm = flag_value(args, "--algorithm").unwrap_or_else(|| "b2s2".into());
     let mixed = has_flag(args, "--mixed");
-    let top: Option<usize> = flag_value(args, "--top")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| CliError::Usage("--top must be an integer".into()))
-        })
-        .transpose()?;
+    let top: Option<usize> = parsed_flag(args, "--top")?;
 
     let table = csv::read_points(BufReader::new(File::open(&path)?))?;
     if table.points.is_empty() {
@@ -311,28 +325,12 @@ fn continuous<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
         flag_value(args, "--data")
             .ok_or_else(|| CliError::Usage("continuous needs --data".into()))?,
     );
-    let count: usize = flag_value(args, "--count")
-        .ok_or_else(|| CliError::Usage("continuous needs --count".into()))?
-        .parse()
-        .map_err(|_| CliError::Usage("--count must be an integer".into()))?;
-    let updates: usize = flag_value(args, "--updates")
-        .ok_or_else(|| CliError::Usage("continuous needs --updates".into()))?
-        .parse()
-        .map_err(|_| CliError::Usage("--updates must be an integer".into()))?;
-    let step: f64 = flag_value(args, "--step")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| CliError::Usage("--step must be a number".into()))
-        })
-        .transpose()?
-        .unwrap_or(0.01);
-    let seed: u64 = flag_value(args, "--seed")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| CliError::Usage("--seed must be an integer".into()))
-        })
-        .transpose()?
-        .unwrap_or(0xC027);
+    let count: usize = parsed_flag(args, "--count")?
+        .ok_or_else(|| CliError::Usage("continuous needs --count".into()))?;
+    let updates: usize = parsed_flag(args, "--updates")?
+        .ok_or_else(|| CliError::Usage("continuous needs --updates".into()))?;
+    let step: f64 = parsed_flag(args, "--step")?.unwrap_or(0.01);
+    let seed: u64 = parsed_flag(args, "--seed")?.unwrap_or(0xC027);
 
     let table = csv::read_points(BufReader::new(File::open(&data)?))?;
     if table.points.len() < 3 {
@@ -410,49 +408,15 @@ fn shard_stats<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
         flag_value(args, "--data")
             .ok_or_else(|| CliError::Usage("shard-stats needs --data".into()))?,
     );
-    let shards: usize = flag_value(args, "--shards")
-        .ok_or_else(|| CliError::Usage("shard-stats needs --shards".into()))?
-        .parse()
-        .map_err(|_| CliError::Usage("--shards must be an integer".into()))?;
-    let policy: ssq_shard::PartitionPolicy = flag_value(args, "--policy")
-        .map(|s| s.parse().map_err(CliError::Usage))
-        .transpose()?
-        .unwrap_or(ssq_shard::PartitionPolicy::Grid);
-    let queries: usize = flag_value(args, "--queries")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| CliError::Usage("--queries must be an integer".into()))
-        })
-        .transpose()?
-        .unwrap_or(200);
-    let count: usize = flag_value(args, "--count")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| CliError::Usage("--count must be an integer".into()))
-        })
-        .transpose()?
-        .unwrap_or(5);
-    let area: f64 = flag_value(args, "--area")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| CliError::Usage("--area must be a number".into()))
-        })
-        .transpose()?
-        .unwrap_or(0.001);
-    let seed: u64 = flag_value(args, "--seed")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| CliError::Usage("--seed must be an integer".into()))
-        })
-        .transpose()?
-        .unwrap_or(7);
-    let ingest_batches: usize = flag_value(args, "--ingest-batches")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| CliError::Usage("--ingest-batches must be an integer".into()))
-        })
-        .transpose()?
-        .unwrap_or(0);
+    let shards: usize = parsed_flag(args, "--shards")?
+        .ok_or_else(|| CliError::Usage("shard-stats needs --shards".into()))?;
+    let policy: ssq_shard::PartitionPolicy =
+        parsed_flag(args, "--policy")?.unwrap_or(ssq_shard::PartitionPolicy::Grid);
+    let queries: usize = parsed_flag(args, "--queries")?.unwrap_or(200);
+    let count: usize = parsed_flag(args, "--count")?.unwrap_or(5);
+    let area: f64 = parsed_flag(args, "--area")?.unwrap_or(0.001);
+    let seed: u64 = parsed_flag(args, "--seed")?.unwrap_or(7);
+    let ingest_batches: usize = parsed_flag(args, "--ingest-batches")?.unwrap_or(0);
     if shards == 0 || count == 0 {
         return Err(CliError::Usage(
             "--shards and --count must be nonzero".into(),
@@ -499,13 +463,8 @@ fn shard_stats<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
     // Optional delta-ingest probe: stream randomized batches through the
     // fleet first so the ingest counters below show real publish costs.
     if ingest_batches > 0 {
-        let ops: usize = flag_value(args, "--ops")
-            .map(|s| {
-                s.parse()
-                    .map_err(|_| CliError::Usage("--ops must be an integer".into()))
-            })
-            .transpose()?
-            .unwrap_or_else(|| (table.points.len() / 200).max(1));
+        let ops: usize =
+            parsed_flag(args, "--ops")?.unwrap_or_else(|| (table.points.len() / 200).max(1));
         let mut rng = ssq_workload::rng::Xoshiro256::seed_from_u64(seed ^ 0x1965);
         for round in 0..ingest_batches {
             // Net shrinking (top ids move into the holes) and net growing
@@ -562,51 +521,15 @@ fn warm_cmd<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError> {
     let out_path = PathBuf::from(
         flag_value(args, "--out").ok_or_else(|| CliError::Usage("warm needs --out".into()))?,
     );
-    let distinct: usize = flag_value(args, "--distinct")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| CliError::Usage("--distinct must be an integer".into()))
-        })
-        .transpose()?
-        .unwrap_or(16);
+    let distinct: usize = parsed_flag(args, "--distinct")?.unwrap_or(16);
     let diagram = DiagramConfig::default();
     // Default to the largest anchor count the diagram materializes:
     // bigger shapes would never become diagram cells.
-    let count: usize = flag_value(args, "--count")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| CliError::Usage("--count must be an integer".into()))
-        })
-        .transpose()?
-        .unwrap_or(diagram.max_anchors);
-    let area: f64 = flag_value(args, "--area")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| CliError::Usage("--area must be a number".into()))
-        })
-        .transpose()?
-        .unwrap_or(0.001);
-    let seed: u64 = flag_value(args, "--seed")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| CliError::Usage("--seed must be an integer".into()))
-        })
-        .transpose()?
-        .unwrap_or(7);
-    let repeats: usize = flag_value(args, "--repeats")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| CliError::Usage("--repeats must be an integer".into()))
-        })
-        .transpose()?
-        .unwrap_or(3);
-    let limit: usize = flag_value(args, "--limit")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| CliError::Usage("--limit must be an integer".into()))
-        })
-        .transpose()?
-        .unwrap_or(256);
+    let count: usize = parsed_flag(args, "--count")?.unwrap_or(diagram.max_anchors);
+    let area: f64 = parsed_flag(args, "--area")?.unwrap_or(0.001);
+    let seed: u64 = parsed_flag(args, "--seed")?.unwrap_or(7);
+    let repeats: usize = parsed_flag(args, "--repeats")?.unwrap_or(3);
+    let limit: usize = parsed_flag(args, "--limit")?.unwrap_or(256);
     if distinct == 0 || count == 0 || repeats == 0 || limit == 0 {
         return Err(CliError::Usage(
             "--distinct, --count, --repeats, and --limit must be nonzero".into(),
@@ -677,39 +600,19 @@ pub fn serve_with_control<W: Write>(
         flag_value(args, "--data").ok_or_else(|| CliError::Usage("serve needs --data".into()))?,
     );
     let addr = flag_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:0".into());
-    let threads: usize = flag_value(args, "--threads")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| CliError::Usage("--threads must be an integer".into()))
-        })
-        .transpose()?
-        .unwrap_or(0);
-    let shards: usize = flag_value(args, "--shards")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| CliError::Usage("--shards must be an integer".into()))
-        })
-        .transpose()?
-        .unwrap_or(0);
-    let policy: ssq_shard::PartitionPolicy = flag_value(args, "--policy")
-        .map(|s| s.parse().map_err(CliError::Usage))
-        .transpose()?
-        .unwrap_or(ssq_shard::PartitionPolicy::Grid);
-    let forced: Option<Algorithm> = flag_value(args, "--algorithm")
-        .map(|s| s.parse().map_err(CliError::Usage))
-        .transpose()?;
+    let threads: usize = parsed_flag(args, "--threads")?.unwrap_or(0);
+    let shards: usize = parsed_flag(args, "--shards")?.unwrap_or(0);
+    let policy: ssq_shard::PartitionPolicy =
+        parsed_flag(args, "--policy")?.unwrap_or(ssq_shard::PartitionPolicy::Grid);
+    let forced: Option<Algorithm> = parsed_flag(args, "--algorithm")?;
     let warm_file: Option<PathBuf> = flag_value(args, "--warm").map(PathBuf::from);
     let diagram = has_flag(args, "--diagram") || warm_file.is_some();
     let mut server_config = ssq_net::ServerConfig::default();
-    if let Some(window) = flag_value(args, "--window") {
-        server_config.per_client_window = window
-            .parse()
-            .map_err(|_| CliError::Usage("--window must be an integer".into()))?;
+    if let Some(window) = parsed_flag(args, "--window")? {
+        server_config.per_client_window = window;
     }
-    if let Some(cap) = flag_value(args, "--max-conn") {
-        server_config.max_connections = cap
-            .parse()
-            .map_err(|_| CliError::Usage("--max-conn must be an integer".into()))?;
+    if let Some(cap) = parsed_flag(args, "--max-conn")? {
+        server_config.max_connections = cap;
     }
 
     let table = csv::read_points(BufReader::new(File::open(&data)?))?;
@@ -819,69 +722,15 @@ fn net_throughput<W: Write>(args: &[String], out: &mut W) -> Result<(), CliError
 
     let addr = flag_value(args, "--addr")
         .ok_or_else(|| CliError::Usage("net-throughput needs --addr".into()))?;
-    let connections: usize = flag_value(args, "--connections")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| CliError::Usage("--connections must be an integer".into()))
-        })
-        .transpose()?
-        .unwrap_or(4)
-        .max(1);
-    let pipeline: usize = flag_value(args, "--pipeline")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| CliError::Usage("--pipeline must be an integer".into()))
-        })
-        .transpose()?
-        .unwrap_or(16)
-        .max(1);
-    let requests: usize = flag_value(args, "--requests")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| CliError::Usage("--requests must be an integer".into()))
-        })
-        .transpose()?
-        .unwrap_or(1000);
-    let batch: usize = flag_value(args, "--batch")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| CliError::Usage("--batch must be an integer".into()))
-        })
-        .transpose()?
-        .unwrap_or(0);
-    let distinct: usize = flag_value(args, "--distinct")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| CliError::Usage("--distinct must be an integer".into()))
-        })
-        .transpose()?
-        .unwrap_or(16)
-        .max(1);
-    let count: usize = flag_value(args, "--count")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| CliError::Usage("--count must be an integer".into()))
-        })
-        .transpose()?
-        .unwrap_or(5)
-        .max(1);
-    let area: f64 = flag_value(args, "--area")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| CliError::Usage("--area must be a number".into()))
-        })
-        .transpose()?
-        .unwrap_or(0.001);
-    let seed: u64 = flag_value(args, "--seed")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| CliError::Usage("--seed must be an integer".into()))
-        })
-        .transpose()?
-        .unwrap_or(7);
-    let forced: Option<Algorithm> = flag_value(args, "--algorithm")
-        .map(|s| s.parse().map_err(CliError::Usage))
-        .transpose()?;
+    let connections: usize = parsed_flag(args, "--connections")?.unwrap_or(4).max(1);
+    let pipeline: usize = parsed_flag(args, "--pipeline")?.unwrap_or(16).max(1);
+    let requests: usize = parsed_flag(args, "--requests")?.unwrap_or(1000);
+    let batch: usize = parsed_flag(args, "--batch")?.unwrap_or(0);
+    let distinct: usize = parsed_flag(args, "--distinct")?.unwrap_or(16).max(1);
+    let count: usize = parsed_flag(args, "--count")?.unwrap_or(5).max(1);
+    let area: f64 = parsed_flag(args, "--area")?.unwrap_or(0.001);
+    let seed: u64 = parsed_flag(args, "--seed")?.unwrap_or(7);
+    let forced: Option<Algorithm> = parsed_flag(args, "--algorithm")?;
     if requests == 0 {
         return Err(CliError::Usage("--requests must be nonzero".into()));
     }
@@ -1349,6 +1198,57 @@ mod tests {
             serve_with_control(&[], &mut out, &mut control),
             Err(CliError::Usage(_))
         ));
+        // One malformed value per kind of flag: each is refused before any
+        // file is read or socket opened, by a message naming the flag.
+        let malformed: [(&[&str], &str); 4] = [
+            (
+                &["generate", "--n", "ten", "--out", "x.csv"],
+                "--n must be an integer",
+            ),
+            (
+                &[
+                    "continuous",
+                    "--data",
+                    "x.csv",
+                    "--count",
+                    "3",
+                    "--updates",
+                    "5",
+                    "--step",
+                    "far",
+                ],
+                "--step must be a number",
+            ),
+            (
+                &[
+                    "shard-stats",
+                    "--data",
+                    "x.csv",
+                    "--shards",
+                    "2",
+                    "--policy",
+                    "hex",
+                ],
+                "--policy: ",
+            ),
+            (
+                &[
+                    "net-throughput",
+                    "--addr",
+                    "127.0.0.1:1",
+                    "--algorithm",
+                    "fast",
+                ],
+                "--algorithm: ",
+            ),
+        ];
+        for (args, want) in malformed {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            match run(&args, &mut out) {
+                Err(CliError::Usage(m)) => assert!(m.starts_with(want), "{args:?}: {m}"),
+                other => panic!("{args:?}: expected a usage error, got {other:?}"),
+            }
+        }
     }
 
     /// `Write` into a shared buffer, so the test can watch `serve`'s

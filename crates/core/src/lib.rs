@@ -6,7 +6,9 @@
 //! Given data points `P` and query points `Q`, the **spatial skyline**
 //! `S(Q)` is the set of points of `P` not *spatially dominated* by any
 //! other point — where `p` dominates `p'` iff `p` is at least as close to
-//! every query point and strictly closer to one (§2.2). This crate
+//! every query point and strictly closer to one (§2.2; "close" is
+//! Euclidean distance here, the metric all of the paper's theorems
+//! assume). This crate
 //! implements the paper's algorithms (of VCS², the classification and the
 //! free pass; its incremental patch lost to a rerun here — see [`vcs2`]):
 //!
@@ -55,7 +57,6 @@ pub mod delta;
 pub mod heap;
 pub mod index;
 pub mod key;
-pub mod metric_naive;
 pub mod mixed;
 pub mod naive;
 pub mod query;
@@ -70,7 +71,6 @@ pub use bbs::bbs;
 pub use delta::{BatchError, DeltaStats, IdPlan, UpdateBatch};
 pub use index::{RTreeIndex, VoronoiIndex};
 pub use key::{KeyScratch, QueryKey};
-pub use metric_naive::{naive_metric, naive_metric_with};
 pub use naive::{naive_full, naive_sorted, naive_sorted_into, naive_sorted_kernel};
 pub use query::QueryContext;
 pub use ranked::{b2s2_ranked, b2s2_ranked_with, MaxDistance, Preference, WeightedSum};

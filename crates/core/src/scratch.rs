@@ -41,8 +41,9 @@
 //!
 //! Rows hold **squared** Euclidean distances by default (see
 //! [`ssq_geom::kernel`] for why this preserves the dominance relation
-//! exactly); [`DistanceScratch::push_row_with`] lets metric-generic
-//! callers fill rows with arbitrary distances instead.
+//! exactly); [`DistanceScratch::push_row_with`] lets a caller fill rows
+//! with other per-anchor values instead (the ranked path's true
+//! distances).
 //!
 //! Arena *growth events* (a buffer needing more capacity) are counted and
 //! drained into [`QueryStats::allocations`] by the kernel algorithms, so
@@ -213,8 +214,8 @@ impl DistanceScratch {
     }
 
     /// Like [`DistanceScratch::push_row`] but fills the row with
-    /// `dist(anchor)` for each anchor — the metric-generic entry point
-    /// (rows must all use the same distance convention within one query).
+    /// `dist(anchor)` for each anchor — e.g. true rather than squared
+    /// distances (rows must all use the same convention within one query).
     // ssq-analyze: deny-alloc
     pub fn push_row_with<F: FnMut(Point) -> f64>(
         &mut self,

@@ -368,7 +368,7 @@ impl<'a, K: Fn(Point) -> f64> Walk<'a, K> {
 
 /// Runs VS² with the default (provably exact) expansion policy.
 pub fn vs2(index: &VoronoiIndex, ctx: &QueryContext) -> SkylineResult {
-    vs2_with(index, ctx, VsExpansion::Safe, None)
+    vs2_with(index, ctx, VsExpansion::Safe)
 }
 
 /// The kernel-path VS²: identical output to [`vs2`] (Safe expansion), but
@@ -436,16 +436,10 @@ pub(crate) fn vs2_kernel_from(
     SkylineResult { skyline, stats }
 }
 
-/// Runs VS² with an explicit expansion policy and an optional walk hint
-/// (a point index near `q₁`, e.g. carried over from a previous query):
-/// the `Walk` on a throw-away arena, with the scalar row handling the
-/// module docs describe.
-pub fn vs2_with(
-    index: &VoronoiIndex,
-    ctx: &QueryContext,
-    expansion: VsExpansion,
-    start_hint: Option<u32>,
-) -> SkylineResult {
+/// Runs VS² with an explicit expansion policy: the `Walk` on a
+/// throw-away arena, with the scalar row handling the module docs
+/// describe.
+pub fn vs2_with(index: &VoronoiIndex, ctx: &QueryContext, expansion: VsExpansion) -> SkylineResult {
     let mut stats = QueryStats::default();
     if index.is_empty() {
         return SkylineResult::default();
@@ -456,7 +450,7 @@ pub fn vs2_with(
 
     // Fig. 7 lines 03-05: start at NN(q1), initialize B from its search
     // region.
-    let start = walk.nearest_site(ctx.query()[0], index.site_of(start_hint.unwrap_or(0)));
+    let start = walk.nearest_site(ctx.query()[0], index.site_of(0));
     walk.b = search_region_mbr(index.graph().point(start), anchors);
     walk.seed(start);
 
@@ -551,7 +545,7 @@ mod tests {
             let q = pseudorandom(3 + (trial as usize % 5), 4000 + trial);
             let ctx = QueryContext::new(&q);
             let idx = VoronoiIndex::new(&points).unwrap();
-            let got = vs2_with(&idx, &ctx, VsExpansion::Paper, None);
+            let got = vs2_with(&idx, &ctx, VsExpansion::Paper);
             let want = naive_full(&points, &ctx);
             for id in &got.skyline {
                 assert!(
@@ -576,17 +570,6 @@ mod tests {
                 assert!(r.contains(i as u32), "interior point {i} missing");
             }
         }
-    }
-
-    #[test]
-    fn start_hint_does_not_change_result() {
-        let points = pseudorandom(200, 8);
-        let q = pseudorandom(4, 5000);
-        let ctx = QueryContext::new(&q);
-        let idx = VoronoiIndex::new(&points).unwrap();
-        let a = vs2_with(&idx, &ctx, VsExpansion::Safe, None);
-        let b = vs2_with(&idx, &ctx, VsExpansion::Safe, Some(137));
-        assert_eq!(a.skyline, b.skyline);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! - `naive_sorted_kernel == naive_full` (the oracle; `naive_sorted` is
 //!   `naive_sorted_kernel` on a fresh arena),
-//! - `vs2_kernel == vs2_with(Safe, None)` (one walk, two row handlings),
+//! - `vs2_kernel == vs2_with(Safe)` (one walk, two row handlings),
 //! - `b2s2_kernel == naive_full` (`b2s2` is `b2s2_kernel` on a fresh arena),
 //!
 //! with the shared arena carried warm from one query to the next, so any
@@ -120,7 +120,7 @@ fn kernel_paths_match_scalar_paths_exactly() {
                         "kernel naive ({mode}) vs oracle [{tag}]"
                     );
 
-                    let scalar_vs2 = vs2_with(&voronoi, &ctx, VsExpansion::Safe, None);
+                    let scalar_vs2 = vs2_with(&voronoi, &ctx, VsExpansion::Safe);
                     let kern_vs2 = vs2_kernel(&voronoi, &ctx, &mut scratch);
                     assert_eq!(
                         kern_vs2.skyline, scalar_vs2.skyline,

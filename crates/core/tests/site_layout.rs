@@ -199,7 +199,7 @@ fn check(name: &str, base: &[Point], tie_free: bool) {
                     oracles[s],
                     "vs2_kernel [{tag}, set {s}]"
                 );
-                let scalar = vs2_with(&index, &ctx, VsExpansion::Safe, None);
+                let scalar = vs2_with(&index, &ctx, VsExpansion::Safe);
                 assert_eq!(
                     to_base(&scalar.skyline, perm),
                     oracles[s],
@@ -341,9 +341,7 @@ fn an_empty_index_answers_nothing() {
     assert!(vs2_kernel(&index, &ctx, &mut DistanceScratch::new())
         .skyline
         .is_empty());
-    assert!(vs2_with(&index, &ctx, VsExpansion::Safe, None)
-        .skyline
-        .is_empty());
+    assert!(vs2_with(&index, &ctx, VsExpansion::Safe).skyline.is_empty());
     assert!(mixed_vs2(&index, &MixedContext::new(&[], &[], &ctx))
         .skyline
         .is_empty());

@@ -12,8 +12,8 @@
 //!   lines;
 //! * the page layout of the Delaunay adjacency file: "To preserve locality,
 //!   points are organized in pages according to their Hilbert values"
-//!   (§4.2) — [`crate::paged::PagedAdjacency`] cuts the order into pages,
-//!   [`crate::file`] writes records in it.
+//!   (§4.2) — [`crate::paged::PagedAdjacency`] cuts the order into pages;
+//!   the adjacency lists themselves stay in memory.
 //!
 //! Update batches order their inserts with the same helper.
 

@@ -25,8 +25,9 @@
 //!   memory layout and the paper's page layout ("points are organized in
 //!   pages according to their Hilbert values") are all its result;
 //! * [`paged::PagedAdjacency`] — that order cut into the pages of the
-//!   adjacency file, so VS²'s I/O can be accounted like the paper does
-//!   for the R-tree.
+//!   paper's adjacency file, so VS²'s I/O can be accounted like the paper
+//!   does for the R-tree. It is the one page model here: the adjacency
+//!   lists stay in memory and no file is ever written.
 //!
 //! Degenerate inputs (all points collinear, fewer than three points) have
 //! no triangulation; [`DelaunayGraph`] still exists for them (a path graph
@@ -36,7 +37,6 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(clippy::all)]
 
-pub mod file;
 pub mod graph;
 pub mod hilbert;
 pub mod paged;

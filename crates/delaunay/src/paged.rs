@@ -11,7 +11,9 @@
 //! of a page — an LRU-∞ (buffer never evicts within one query), the same
 //! accounting the R-tree side uses — in a page set of its own, keyed by
 //! [`PagedAdjacency::page_of`], so queries running side by side on one
-//! index share no counter.
+//! index share no counter. No file is written: this page model is the
+//! only one in the workspace, and every VS² page count the reproduction
+//! reports (Fig. 12c/f) is its count.
 //!
 //! A site appended after the layout — a point inserted by a delta — has no
 //! position on the curve's pages. It is accounted to a page chosen for it

@@ -11,8 +11,8 @@ use crate::sync::{
 };
 use ssq_core::{
     b2s2_kernel, bbs, naive_sorted_kernel, vs2_kernel, ContinuousSkyline, DeltaStats,
-    DistanceScratch, KeyScratch, QueryContext, QueryKey, QueryStats, RTreeIndex, SkylineResult,
-    UpdateBatch, UpdateOutcome, VoronoiIndex,
+    DistanceScratch, KeyScratch, QueryContext, QueryKey, QueryStats, SkylineResult, UpdateBatch,
+    UpdateOutcome, VoronoiIndex,
 };
 use ssq_diagram::{DiagramConfig, SkylineDiagram};
 use ssq_geom::Point;
@@ -630,21 +630,6 @@ impl Engine {
         }
         let snapshot = Snapshot::build(0, points).map_err(EngineError::Index)?;
         Self::with_snapshot(Arc::new(snapshot), config)
-    }
-
-    /// Starts an engine over pre-built indexes (they can be shared with
-    /// other engines or with code outside the engine) as generation 0.
-    pub fn with_indexes(
-        rtree: Arc<RTreeIndex>,
-        voronoi: Arc<VoronoiIndex>,
-        config: EngineConfig,
-    ) -> Result<Engine, EngineError> {
-        assert_eq!(
-            rtree.len(),
-            voronoi.len(),
-            "R-tree and Voronoi snapshots index different datasets"
-        );
-        Self::with_snapshot(Arc::new(Snapshot::from_indexes(0, rtree, voronoi)), config)
     }
 
     /// Starts an engine serving `snapshot` (any generation) as the

@@ -20,13 +20,15 @@
 //! * adaptive-precision [`predicates`] (`orient2d`, `incircle`) in the style
 //!   of Shewchuk, so the Delaunay substrate is robust against the
 //!   floating-point degeneracies that plague naive implementations;
-//! * [`Metric`] — pluggable distance metrics obeying the triangle
-//!   inequality, as required by the paper's problem definition (§2.2);
 //! * [`kernel`] — allocation-free distance/dominance kernels over flat
 //!   `f64` rows, including the squared-distance fast path;
 //! * [`simd`] — data-parallel tile kernels (lane-aligned AoSoA distance
 //!   tiles, bitmask dominance sweeps) behind a runtime-detected
 //!   scalar/tiled/SSE2/AVX2 dispatch table.
+//!
+//! Every distance is Euclidean: the paper's problem definition (§2.2)
+//! admits any triangle-inequality metric, but its theorems and algorithms
+//! — and everything here — are `L2`.
 //!
 //! All coordinates are `f64`. The predicates are exact for all `f64`
 //! inputs; everything else uses ordinary floating-point arithmetic with
@@ -41,7 +43,6 @@ pub mod convex;
 pub mod hull;
 pub mod kernel;
 pub mod line;
-pub mod metric;
 pub mod point;
 pub mod predicates;
 pub mod rect;
@@ -51,7 +52,6 @@ pub use circle::Circle;
 pub use convex::ConvexPolygon;
 pub use hull::{convex_hull, graham_scan, monotone_chain, monotone_chain_into, HullScratch};
 pub use line::{HalfPlane, Line, Segment};
-pub use metric::{Chebyshev, Euclidean, Manhattan, Metric};
 pub use point::Point;
 pub use predicates::{incircle, orient2d, Orientation};
 pub use rect::Rect;

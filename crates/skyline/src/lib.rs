@@ -1,29 +1,19 @@
 //! # ssq-skyline
 //!
-//! General (non-spatial) skyline algorithms over static attribute vectors.
+//! The general (non-spatial) skyline over static attribute vectors.
 //!
-//! The SSQ paper needs a conventional skyline computation in two places:
+//! §6 of the SSQ paper combines the *static* skyline `S(A)` over
+//! non-spatial attributes (price, rating, …) with spatial dominance to
+//! answer mixed queries `S(A, Q)` — "this is a batch one-time computation
+//! independent from the query". That is the one place the reproduction
+//! needs a conventional skyline, and it computes it one way:
 //!
-//! * §6 combines the *static* skyline `S(A)` over non-spatial attributes
-//!   (price, rating, …) with spatial dominance to answer mixed queries
-//!   `S(A, Q)` — "this is a batch one-time computation independent from
-//!   the query";
-//! * §7 justifies BBS as the only competitor by noting that for few
-//!   attributes "the traditional approach outperforms algorithms such as
-//!   BNL" — i.e. the classic algorithms are the baseline vocabulary.
+//! * [`bnl`] — Block-Nested-Loops (Börzsönyi et al., ICDE 2001) over `f64`
+//!   attribute vectors with *minimize* semantics (smaller is better, as in
+//!   the paper's Figure 1 where hotels minimize price and distance),
+//!   returning the indices of the non-dominated rows.
 //!
-//! This crate implements the three classics from scratch over `f64`
-//! attribute vectors with *minimize* semantics (smaller is better, as in
-//! the paper's Figure 1 where hotels minimize price and distance):
-//!
-//! * [`bnl`] — Block-Nested-Loops (Börzsönyi et al., ICDE 2001);
-//! * [`sfs`] — Sort-Filter-Skyline (Chomicki et al., ICDE 2003), a
-//!   presorted variant whose window only ever holds skyline tuples;
-//! * [`divide_and_conquer`] — the D&C algorithm from the original skyline
-//!   paper, efficient for small dimensionality.
-//!
-//! All three return the same set (asserted by the property tests) — the
-//! indices of the non-dominated rows.
+//! Its tests hold it to a naive `O(n²)` oracle.
 
 #![deny(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -43,8 +33,9 @@ pub fn dominates(a: &[f64], b: &[f64]) -> bool {
     ssq_geom::kernel::dominates(a, b)
 }
 
-/// The naive `O(n²)` skyline, used as the test oracle.
-pub fn naive(rows: &[Vec<f64>]) -> Vec<usize> {
+/// The naive `O(n²)` skyline: [`bnl`]'s test oracle.
+#[cfg(test)]
+fn naive(rows: &[Vec<f64>]) -> Vec<usize> {
     (0..rows.len())
         .filter(|&i| {
             !rows
@@ -80,84 +71,6 @@ pub fn bnl(rows: &[Vec<f64>]) -> Vec<usize> {
     }
     window.sort_unstable();
     window
-}
-
-/// Sort-Filter-Skyline.
-///
-/// Rows are presorted by a monotone scoring function (the attribute sum);
-/// under that order a row can only be dominated by rows *before* it, so the
-/// window never needs eviction — every window member is a final skyline
-/// row, and each incoming row is just filtered against the window.
-pub fn sfs(rows: &[Vec<f64>]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..rows.len()).collect();
-    let score = |i: usize| rows[i].iter().sum::<f64>();
-    order.sort_by(|&a, &b| score(a).total_cmp(&score(b)));
-
-    let mut skyline: Vec<usize> = Vec::new();
-    'next: for &i in &order {
-        for &s in &skyline {
-            if dominates(&rows[s], &rows[i]) {
-                continue 'next;
-            }
-        }
-        skyline.push(i);
-    }
-    skyline.sort_unstable();
-    skyline
-}
-
-/// Divide-and-conquer skyline (Börzsönyi et al.): split on the median of
-/// the first attribute, recurse, then remove the right-half rows dominated
-/// by left-half skyline rows.
-pub fn divide_and_conquer(rows: &[Vec<f64>]) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..rows.len()).collect();
-    // Sort once by the first attribute so "left of the median" is a slice.
-    idx.sort_by(|&a, &b| {
-        let ka = rows[a].first().copied().unwrap_or(0.0);
-        let kb = rows[b].first().copied().unwrap_or(0.0);
-        ka.total_cmp(&kb).then(a.cmp(&b))
-    });
-    let mut result = dac(rows, &idx);
-    result.sort_unstable();
-    result
-}
-
-fn dac(rows: &[Vec<f64>], idx: &[usize]) -> Vec<usize> {
-    if idx.len() <= 8 {
-        // Base case: small naive skyline.
-        return idx
-            .iter()
-            .copied()
-            .filter(|&i| !idx.iter().any(|&j| j != i && dominates(&rows[j], &rows[i])))
-            .collect();
-    }
-    let mid = idx.len() / 2;
-    let left = dac(rows, &idx[..mid]);
-    let right = dac(rows, &idx[mid..]);
-    // Merge: right-half survivors must additionally escape the left
-    // skyline (left rows have smaller-or-equal first attribute, so the
-    // reverse direction cannot dominate... unless first attributes tie,
-    // which the pairwise check below handles anyway).
-    let mut merged = left.clone();
-    'next: for r in right {
-        for &l in &left {
-            if dominates(&rows[l], &rows[r]) {
-                continue 'next;
-            }
-        }
-        merged.push(r);
-    }
-    // Ties on the split attribute can let a right row dominate a left row;
-    // one final filter keeps the result exact.
-    merged
-        .iter()
-        .copied()
-        .filter(|&i| {
-            !merged
-                .iter()
-                .any(|&j| j != i && dominates(&rows[j], &rows[i]))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -219,8 +132,6 @@ mod tests {
             let rows: Vec<Vec<f64>> = (0..n).map(|_| (0..d).map(|_| next()).collect()).collect();
             let want = naive(&rows);
             assert_eq!(bnl(&rows), want, "bnl trial {trial}");
-            assert_eq!(sfs(&rows), want, "sfs trial {trial}");
-            assert_eq!(divide_and_conquer(&rows), want, "dac trial {trial}");
         }
     }
 
@@ -230,8 +141,6 @@ mod tests {
         let rows = vec![vec![1.0, 1.0], vec![1.0, 1.0], vec![2.0, 2.0]];
         assert_eq!(naive(&rows), vec![0, 1]);
         assert_eq!(bnl(&rows), vec![0, 1]);
-        assert_eq!(sfs(&rows), vec![0, 1]);
-        assert_eq!(divide_and_conquer(&rows), vec![0, 1]);
     }
 
     #[test]
@@ -239,16 +148,12 @@ mod tests {
         let rows = vec![vec![5.0], vec![3.0], vec![9.0], vec![3.0]];
         // Both minima survive.
         assert_eq!(bnl(&rows), vec![1, 3]);
-        assert_eq!(sfs(&rows), vec![1, 3]);
-        assert_eq!(divide_and_conquer(&rows), vec![1, 3]);
     }
 
     #[test]
     fn empty_and_singleton() {
         assert!(bnl(&[]).is_empty());
         assert_eq!(bnl(&[vec![1.0, 2.0]]), vec![0]);
-        assert_eq!(sfs(&[vec![1.0, 2.0]]), vec![0]);
-        assert_eq!(divide_and_conquer(&[vec![1.0, 2.0]]), vec![0]);
     }
 
     #[test]
@@ -261,15 +166,11 @@ mod tests {
             })
             .collect();
         assert_eq!(bnl(&rows).len(), 50);
-        assert_eq!(sfs(&rows).len(), 50);
-        assert_eq!(divide_and_conquer(&rows).len(), 50);
     }
 
     #[test]
     fn correlated_data_has_tiny_skyline() {
         let rows: Vec<Vec<f64>> = (0..50).map(|i| vec![i as f64, i as f64]).collect();
         assert_eq!(bnl(&rows), vec![0]);
-        assert_eq!(sfs(&rows), vec![0]);
-        assert_eq!(divide_and_conquer(&rows), vec![0]);
     }
 }

@@ -31,6 +31,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --release"
 cargo build --workspace --release
 
+echo "==> examples (cargo test builds them but never runs them; their assert!s run here)"
+for example in examples/*.rs; do
+    cargo run --release -q --example "$(basename "$example" .rs)" > /dev/null
+done
+
 echo "==> cargo test (detected SIMD dispatch)"
 cargo test --workspace -q
 

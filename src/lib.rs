@@ -15,7 +15,7 @@
 //!   predicates, visible regions);
 //! * [`delaunay`] — Delaunay triangulation / Voronoi diagram substrate;
 //! * [`rtree`] — the R*-tree substrate;
-//! * [`skyline`] — classic non-spatial skyline algorithms (BNL, SFS, D&C);
+//! * [`skyline`] — the static non-spatial skyline `S(A)` of §6 (BNL);
 //! * [`workload`] — synthetic datasets and query/motion generators for the
 //!   paper's experiments;
 //! * [`engine`] — a concurrent query-serving engine (worker pool, LRU

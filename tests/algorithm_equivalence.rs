@@ -49,11 +49,48 @@ fn all_algorithms_agree() {
 
         // The verbatim paper traversal may miss points but must never
         // fabricate one.
-        let paper = vs2_with(&vi, &ctx, VsExpansion::Paper, None);
+        let paper = vs2_with(&vi, &ctx, VsExpansion::Paper);
         for id in &paper.skyline {
             assert!(want.contains(id), "case {case}: paper mode fabricated {id}");
         }
     }
+}
+
+/// Son et al.'s observation, pinned: the verbatim Fig. 7 gate
+/// (`VsExpansion::Paper`) can miss a skyline point. This is a seeded
+/// 80-point, 3-query instance (xorshift64 seeded `2258·7919 + 80·31 + 3`)
+/// shrunk by greedily deleting points while the miss persists; Paper
+/// never reaches point 5, which the exact expansion and both oracles
+/// report.
+#[test]
+fn paper_expansion_misses_a_skyline_point() {
+    let points = [
+        Point::new(0.9402884815641006, 0.7396961898889062),
+        Point::new(0.878179849251408, 0.7770987959498001),
+        Point::new(0.9894419799835229, 0.8149436606862017),
+        Point::new(0.8804432669980633, 0.5625108176944669),
+        Point::new(0.7583699509863555, 0.6167797199145069),
+        Point::new(0.9103070026568179, 0.7712799810414619),
+        Point::new(0.8312838675923037, 0.7598302102973277),
+        Point::new(0.4128745529481973, 0.9732349192334542),
+        Point::new(0.415925641035361, 0.6616948136547048),
+        Point::new(0.9556238501582709, 0.7153805322492512),
+    ];
+    let q = [
+        Point::new(0.3236168401055589, 0.7765146957873318),
+        Point::new(0.2019986669602294, 0.7820029475329033),
+        Point::new(0.9698204365571202, 0.5655571758614976),
+    ];
+    let ctx = QueryContext::new(&q);
+    let vi = VoronoiIndex::new(&points).unwrap();
+    let want = naive_full(&points, &ctx).skyline;
+    assert_eq!(want, [3, 4, 5, 8]);
+    assert_eq!(oracle::dominator_region_skyline(&points, &q), want);
+    assert_eq!(vs2_with(&vi, &ctx, VsExpansion::Safe).skyline, want);
+
+    let paper = vs2_with(&vi, &ctx, VsExpansion::Paper).skyline;
+    assert_eq!(paper, [3, 4, 8]);
+    assert!(paper.len() < want.len() && paper.iter().all(|id| want.contains(id)));
 }
 
 #[test]
