@@ -172,9 +172,8 @@ pub struct VoronoiIndex {
     site_to_id: Vec<u32>,
     id_to_site: Vec<u32>,
     /// The start index (paper §4.2: "Φ(|P|) is O(log |P|) if an index
-    /// structure is used"). `None` reproduces the index-free `O(√|P|)`
-    /// greedy-walk mode.
-    directory: Option<Directory>,
+    /// structure is used"): every walk's seed.
+    directory: Directory,
     /// Tombstones plus sites appended since the last full build — the
     /// layout decay the rebuild rule bounds.
     decay: usize,
@@ -304,7 +303,7 @@ impl VoronoiIndex {
         }
         Ok(VoronoiIndex {
             pages: PagedAdjacency::new(graph.len(), per_page),
-            directory: Some(Directory::build(graph.points(), bbox)),
+            directory: Directory::build(graph.points(), bbox),
             graph,
             cells,
             id_to_site,
@@ -316,15 +315,6 @@ impl VoronoiIndex {
     /// Builds the index with the default page capacity (50 points/page).
     pub fn new(points: &[Point]) -> Result<VoronoiIndex, ssq_delaunay::BuildError> {
         Self::with_page_size(points, 50)
-    }
-
-    /// Builds the index **without** the start directory: `nearest` walks
-    /// the Delaunay graph from its hint, reproducing the paper's
-    /// index-free `Φ(|P|) = O(√|P|)` mode (§4.2).
-    pub fn without_start_index(points: &[Point]) -> Result<VoronoiIndex, ssq_delaunay::BuildError> {
-        let mut idx = Self::with_page_size(points, 50)?;
-        idx.directory = None;
-        Ok(idx)
     }
 
     /// The underlying Delaunay graph. Its vertices are **sites**:
@@ -422,33 +412,29 @@ impl VoronoiIndex {
     }
 
     /// The id of the nearest data point to `q`: a greedy Delaunay walk
-    /// seeded by the start directory when present (a binary search over
-    /// the curve keys of every 8th site, then usually two or three hops)
-    /// and by the point with id `hint` otherwise (`O(√|P|)` hops).
+    /// seeded by the start directory (a binary search over the curve keys
+    /// of every 8th site, then usually two or three hops). `_hint` is
+    /// ignored: the directory picks every seed.
     ///
     /// The walk — not the seed — is what guarantees exactness (greedy
     /// routing on a Delaunay graph provably reaches the nearest
     /// neighbour), which is why a delta only moves the directory entries
     /// that landed on tombstones: any live site is a correct seed.
-    pub fn nearest(&self, q: Point, hint: u32) -> u32 {
-        self.id_of(self.nearest_site_with(q, self.site_of(hint), |_| ()))
+    pub fn nearest(&self, q: Point, _hint: u32) -> u32 {
+        self.id_of(self.nearest_site_with(q, |_| ()))
     }
 
-    /// [`VoronoiIndex::nearest`] in site space (hint and answer are
-    /// sites) with the caller's page accounting: `visit(s)` is called for
-    /// every site whose adjacency list the walk reads. Without a
-    /// directory, a tombstone hint (site 0 once its point is deleted, say)
-    /// is replaced by the site of id 0, so every walk starts live.
+    /// [`VoronoiIndex::nearest`] in site space with the caller's page
+    /// accounting: `visit(s)` is called for every site whose adjacency
+    /// list the walk reads. A directory left with no entry (every one
+    /// dropped by deltas) seeds the walk at the site of id 0, so every
+    /// walk starts live.
     // ssq-analyze: deny-alloc
-    pub(crate) fn nearest_site_with(&self, q: Point, hint: u32, visit: impl FnMut(u32)) -> u32 {
-        let seed = self
+    pub(crate) fn nearest_site_with(&self, q: Point, visit: impl FnMut(u32)) -> u32 {
+        let start = self
             .directory
-            .as_ref()
-            .and_then(|d| d.seed(q, self.graph.points()));
-        let start = seed.unwrap_or_else(|| match self.site_to_id[hint as usize] {
-            u32::MAX => self.id_to_site[0],
-            _ => hint,
-        });
+            .seed(q, self.graph.points())
+            .unwrap_or_else(|| self.id_to_site[0]);
         self.graph.greedy_nearest_with(q, start, visit)
     }
 
@@ -470,7 +456,7 @@ impl VoronoiIndex {
             return;
         }
         let points = self.graph.points();
-        let first = self.nearest_site_with(q, 0, |_| ());
+        let first = self.nearest_site_with(q, |_| ());
         let mut best = points[first as usize].distance_sq(q);
         out.push(first);
         let mut next = 0;
@@ -578,10 +564,7 @@ impl VoronoiIndex {
         let mut pts: Vec<Point> = (0..self.len() as u32).map(|id| self.point(id)).collect();
         let inserts = batch.inserts.iter().copied();
         batch.id_plan(self.len()).patch(&mut pts, inserts);
-        let mut idx = VoronoiIndex::with_page_size(&pts, self.pages.per_page())?;
-        if self.directory.is_none() {
-            idx.directory = None;
-        }
+        let idx = VoronoiIndex::with_page_size(&pts, self.pages.per_page())?;
         Ok((idx, stats))
     }
 
@@ -714,10 +697,7 @@ impl VoronoiIndex {
         Ok((
             VoronoiIndex {
                 pages,
-                directory: self
-                    .directory
-                    .as_ref()
-                    .map(|d| d.moved_off(&site_to_id, &self.graph)),
+                directory: self.directory.moved_off(&site_to_id, &self.graph),
                 graph,
                 cells,
                 site_to_id,
@@ -1005,7 +985,7 @@ mod tests {
         for round in 0..12 {
             let (n_del, n_ins) = if round == 6 { (25, 20) } else { (6, 8) };
             let mut batch = make_batch(&pts, n_del, n_ins, 1000 + round as u64);
-            let dir = idx.directory.as_ref().unwrap();
+            let dir = &idx.directory;
             for &s in dir.sites.iter().skip(round).step_by(9).take(2) {
                 batch.deletes.push(idx.id_of(s));
                 probes.push(idx.graph.point(s));
@@ -1021,7 +1001,7 @@ mod tests {
             idx = next;
             assert_eq!(idx.decay, decay, "round {round}");
             assert_maps(&idx, &pts);
-            let dir = idx.directory.as_ref().unwrap();
+            let dir = &idx.directory;
             assert!(dir.keys.windows(2).all(|w| w[0] <= w[1]));
             assert!(
                 dir.sites.iter().all(|&s| idx.id_of(s) != u32::MAX),
@@ -1039,24 +1019,42 @@ mod tests {
     }
 
     #[test]
-    fn index_free_walks_start_live_after_deletes() {
-        // Without a directory every walk starts at its hint, and the
-        // kernels' default hint is site 0. Delete the point there (and its
-        // curve neighbours) and the walks must still start live: `nearest`
-        // and `nearest_ties` stay exact.
+    fn an_entry_whose_neighbourhood_is_deleted_is_dropped() {
+        // One incremental batch deletes a directory entry's site and every
+        // Delaunay neighbour of it: the entry has no live site to move to,
+        // so it must go, or a probe at the deleted point would seed its
+        // walk on a tombstone.
         let pts = pseudorandom(400, 53);
-        let idx = VoronoiIndex::without_start_index(&pts).unwrap();
+        let idx = VoronoiIndex::new(&pts).unwrap();
+        let dir = &idx.directory;
+        let at = (0..dir.sites.len())
+            .find(|&j| {
+                let around = idx.graph.neighbors(dir.sites[j]);
+                around.len() == 6 && around.iter().all(|u| !dir.sites.contains(u))
+            })
+            .expect("an entry of degree 6 with no entry beside it");
+        let site = dir.sites[at];
         let mut batch = UpdateBatch {
-            inserts: pseudorandom(5, 54),
-            deletes: (0..4).map(|s| idx.id_of(s)).collect(),
+            inserts: Vec::new(),
+            deletes: [site]
+                .iter()
+                .chain(idx.graph.neighbors(site))
+                .map(|&s| idx.id_of(s))
+                .collect(),
         };
-        batch.validate(pts.len()).unwrap();
         batch.normalize(&Rect::bounding(pts.iter().copied()));
         let (next, stats) = idx.apply_delta(&batch).unwrap();
-        assert!(stats.incremental && next.directory.is_none());
-        assert_eq!(next.id_of(0), u32::MAX, "site 0 is a tombstone");
+        assert!(stats.incremental && batch.op_count() == 7);
+        let moved = &next.directory;
+        assert_eq!(moved.sites.len(), dir.sites.len() - 1);
+        assert!(!moved.keys.contains(&dir.keys[at]), "the entry was kept");
+        assert!(
+            moved.sites.iter().all(|&s| next.id_of(s) != u32::MAX),
+            "a dead seed"
+        );
         let expect = expected_points(&pts, &batch);
-        let probes = pseudorandom(30, 55);
+        let mut probes = pseudorandom(30, 55);
+        probes.extend(batch.deletes.iter().map(|&id| pts[id as usize]));
         assert_nearest_exact(&next, &expect, &probes);
         let mut ties = Vec::new();
         for &q in &probes {
@@ -1130,19 +1128,15 @@ mod tests {
         let mut ties = Vec::new();
         for points in &datasets {
             let probes: Vec<Point> = palette.iter().chain(points).copied().collect();
-            for idx in [
-                VoronoiIndex::new(points).unwrap(),
-                VoronoiIndex::without_start_index(points).unwrap(),
-            ] {
-                for &q in &probes {
-                    idx.nearest_ties(q, &mut ties);
-                    assert_eq!(
-                        ties,
-                        brute_ties(points, q),
-                        "{} points, q {q:?}",
-                        points.len()
-                    );
-                }
+            let idx = VoronoiIndex::new(points).unwrap();
+            for &q in &probes {
+                idx.nearest_ties(q, &mut ties);
+                assert_eq!(
+                    ties,
+                    brute_ties(points, q),
+                    "{} points, q {q:?}",
+                    points.len()
+                );
             }
         }
         VoronoiIndex::new(&[])

@@ -211,7 +211,7 @@ pub fn mixed_vs2(index: &VoronoiIndex, mctx: &MixedContext<'_>) -> SkylineResult
     let scratch = &mut DistanceScratch::new();
     let mut walk = Walk::begin(index, scratch, ctx.anchors().len(), |p| ctx.mindist(p));
     walk.b = mctx.search_bound();
-    let start = walk.nearest_site(ctx.query()[0], 0);
+    let start = walk.nearest_site(ctx.query()[0]);
     walk.seed(start);
 
     // The attribute table and the answer are by id.

@@ -18,7 +18,7 @@
 //! `tiles[(r / LANES) * width + j].0[r % LANES]`; a tile's trailing
 //! lanes are padded with `+inf`, which no finite row can be dominated
 //! by ([`Lane4::PAD`]). Every dominance test below runs through the
-//! runtime-dispatched SIMD kernels (scalar / tiled / SSE2 / AVX2): the
+//! runtime-dispatched SIMD kernels (scalar / SSE2 / AVX2): the
 //! resolve pre-filter one tile per call, and the three early-exit scans
 //! — resolve's ordered scan against the rows it has accepted, the
 //! staged-row test, the B²S² rectangle screen — as **one** range-kernel

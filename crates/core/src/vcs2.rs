@@ -6,11 +6,11 @@
 //! * **Pattern I** — neither `q` nor `q'` is a vertex of `CH(Q)`: by
 //!   Theorem 2 the hull, and with it the skyline, is untouched. The
 //!   update costs one hull build and nothing else.
-//! * **Anything else** — [`vs2_kernel`](crate::vs2::vs2_kernel) on the
-//!   caller's arena, started from the previous answer's first member.
+//! * **Anything else** — [`vs2_kernel`] on the
+//!   caller's arena.
 //!
-//! A session holds its query set, its context, its answer and that walk
-//! hint — state sized by `|Q|` and `|S(Q)|`, never by `|P|`. Every VS² run
+//! A session holds its query set, its context and its answer — state
+//! sized by `|Q|` and `|S(Q)|`, never by `|P|`. Every VS² run
 //! borrows a [`DistanceScratch`]: the `_in` forms ([`ContinuousSkyline::new_in`],
 //! [`ContinuousSkyline::update_in`], [`ContinuousSkyline::rehome_in`]) take
 //! the caller's, so a serving engine runs each of its sessions on the arena
@@ -53,7 +53,7 @@ use crate::index::VoronoiIndex;
 use crate::query::QueryContext;
 use crate::scratch::DistanceScratch;
 use crate::stats::{QueryStats, SkylineResult};
-use crate::vs2::vs2_kernel_from;
+use crate::vs2::vs2_kernel;
 
 /// How an update changed `CH(Q)` (Fig. 10). Only `Unchanged` is handled
 /// differently; the other two both re-run VS² and differ in what they
@@ -113,9 +113,6 @@ where
     /// Current skyline ids, sorted ascending.
     skyline: Vec<u32>,
     counts: OutcomeCounts,
-    /// Walk hint for the rerun's NN search: the site of the current
-    /// skyline's first member.
-    hint: u32,
     /// The arena [`ContinuousSkyline::new`] and
     /// [`ContinuousSkyline::update`] lend, warm across their calls. A
     /// session driven only through the `_in` forms never grows it.
@@ -144,7 +141,6 @@ where
             ctx: QueryContext::new(q),
             skyline: Vec::new(),
             counts: OutcomeCounts::default(),
-            hint: 0,
             scratch: DistanceScratch::default(),
         };
         session.rerun(scratch);
@@ -158,17 +154,13 @@ where
     /// VS² run. The previous index handle is dropped.
     pub fn rehome_in(&mut self, scratch: &mut DistanceScratch, index: I) -> QueryStats {
         self.index = index;
-        self.hint = 0;
         self.rerun(scratch)
     }
 
     /// VS² for the current query set on `scratch`.
     fn rerun(&mut self, scratch: &mut DistanceScratch) -> QueryStats {
-        let result = vs2_kernel_from(&self.index, &self.ctx, scratch, self.hint);
+        let result = vs2_kernel(&self.index, &self.ctx, scratch);
         self.skyline = result.skyline;
-        if let Some(&id) = self.skyline.first() {
-            self.hint = self.index.site_of(id);
-        }
         result.stats
     }
 

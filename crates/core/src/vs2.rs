@@ -209,14 +209,14 @@ impl<'a, K: Fn(Point) -> f64> Walk<'a, K> {
     /// `NN(q)` by the index's greedy walk, its page reads counted with
     /// the traversal's.
     #[inline]
-    pub(crate) fn nearest_site(&mut self, q: Point, hint: u32) -> u32 {
+    pub(crate) fn nearest_site(&mut self, q: Point) -> u32 {
         // The closure borrows the arena and a local count, not `self`:
         // handing the whole walk to the out-of-line search would pin
         // every field of it (rectangle, heap, counters) in memory for
         // the traversal that follows.
         let (index, scratch) = (self.index, &mut *self.scratch);
         let mut pages = 0;
-        let nn = index.nearest_site_with(q, hint, |i| {
+        let nn = index.nearest_site_with(q, |i| {
             pages += u64::from(scratch.touch_page(index.page_of(i)));
         });
         self.pages += pages;
@@ -390,19 +390,6 @@ pub fn vs2_kernel(
     ctx: &QueryContext,
     scratch: &mut DistanceScratch,
 ) -> SkylineResult {
-    vs2_kernel_from(index, ctx, scratch, 0)
-}
-
-/// [`vs2_kernel`] with a walk hint: a **site** near `q₁` for the `NN(q₁)`
-/// search to start from when the index has no start directory
-/// ([`VoronoiIndex::without_start_index`]).
-// ssq-analyze: deny-alloc
-pub(crate) fn vs2_kernel_from(
-    index: &VoronoiIndex,
-    ctx: &QueryContext,
-    scratch: &mut DistanceScratch,
-    hint: u32,
-) -> SkylineResult {
     let mut stats = QueryStats::default();
     if index.is_empty() {
         return SkylineResult::default();
@@ -412,7 +399,7 @@ pub(crate) fn vs2_kernel_from(
     let mut walk = Walk::begin(index, scratch, anchors.len(), |p| {
         kernel::dist_sq_sum(p, anchors)
     });
-    let start = walk.nearest_site(ctx.query()[0], hint);
+    let start = walk.nearest_site(ctx.query()[0]);
     walk.b = search_region_mbr(index.graph().point(start), anchors);
     walk.seed(start);
     while let Some((p, _, pt)) = walk.next_popped(|_| true) {
@@ -450,7 +437,7 @@ pub fn vs2_with(index: &VoronoiIndex, ctx: &QueryContext, expansion: VsExpansion
 
     // Fig. 7 lines 03-05: start at NN(q1), initialize B from its search
     // region.
-    let start = walk.nearest_site(ctx.query()[0], index.site_of(0));
+    let start = walk.nearest_site(ctx.query()[0]);
     walk.b = search_region_mbr(index.graph().point(start), anchors);
     walk.seed(start);
 

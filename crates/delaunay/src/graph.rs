@@ -238,15 +238,6 @@ impl DelaunayGraph {
             cur_d = best_d;
         }
     }
-
-    /// Exact nearest neighbour of `q` by greedy walk from point 0 (of a
-    /// graph no vertex was removed from).
-    pub fn nearest(&self, q: Point) -> Option<u32> {
-        if self.is_empty() {
-            return None;
-        }
-        Some(self.greedy_nearest(q, 0).0)
-    }
 }
 
 /// Exclusive prefix sum of `degree`, as CSR offsets.
@@ -424,7 +415,7 @@ mod tests {
         assert_eq!(g.neighbors(1), &[2, 3]);
         assert_eq!(g.neighbors(3), &[1]);
         // NN walks still work.
-        assert_eq!(g.nearest(p(2.9, 1.0)), Some(3));
+        assert_eq!(g.greedy_nearest(p(2.9, 1.0), 0).0, 3);
     }
 
     #[test]
@@ -434,8 +425,7 @@ mod tests {
         assert_eq!(g.neighbors(1), &[0]);
         let g1 = DelaunayGraph::new(&[p(1.0, 1.0)]).unwrap();
         assert!(g1.neighbors(0).is_empty());
-        assert_eq!(g1.nearest(p(0.0, 0.0)), Some(0));
-        assert_eq!(DelaunayGraph::new(&[]).unwrap().nearest(p(0.0, 0.0)), None);
+        assert_eq!(g1.greedy_nearest(p(0.0, 0.0), 0).0, 0);
     }
 
     #[test]

@@ -932,7 +932,7 @@ impl Engine {
     fn single_job(&self, request: QueryRequest) -> (QueryHandle, Job) {
         assert_non_empty(std::slice::from_ref(&request));
         self.pool_job(None, move |shared, snapshot, state| {
-            answer(shared, snapshot, &request, None, state)
+            answer(shared, snapshot, &request, state)
         })
     }
 
@@ -1009,12 +1009,12 @@ impl Engine {
     /// request in order.
     ///
     /// Against per-request [`Engine::submit`] calls this amortizes one
-    /// queue hop (one submission, one dequeue), one snapshot pin (the
-    /// whole batch answers against a single dequeue-time generation), and
-    /// — for repeated query sets within the batch — one cache probe per
-    /// *distinct* query set: repeats reuse a batch-local context memo and
-    /// report `cache_hit` without touching the shared cache lock. The
-    /// whole batch runs on one worker; use several batches (or
+    /// queue hop (one submission, one dequeue) and one snapshot pin (the
+    /// whole batch answers against a single dequeue-time generation).
+    /// Each request probes the shared context cache as a single
+    /// submission does, so a query set repeated within the batch hits
+    /// the context its first occurrence built. The whole batch runs on
+    /// one worker; use several batches (or
     /// [`Engine::submit`]) when cross-request parallelism matters more
     /// than per-request overhead.
     ///
@@ -1089,8 +1089,8 @@ impl Engine {
     /// generation current at this moment.
     ///
     /// The initial skyline is computed synchronously, on the calling
-    /// thread and a transient arena: a session keeps its query set, hint
-    /// and answer, never a per-site arena, so opening costs one zeroing
+    /// thread and a transient arena: a session keeps its query set and
+    /// answer, never a per-site arena, so opening costs one zeroing
     /// of per-site marks and an update costs none. Motion updates are
     /// applied through the worker pool via [`Engine::update_session`], each
     /// on the draining worker's arena.
@@ -1235,14 +1235,10 @@ fn assert_non_empty(requests: &[QueryRequest]) {
     }
 }
 
-/// Contexts already resolved for earlier requests of the same batch.
-type BatchMemo = Vec<(Vec<Point>, Arc<QueryContext>)>;
-
 /// Answers one request on the calling worker: diagram probe, else context
-/// (from `memo` when an earlier request of the batch had the same query
-/// set, else the shared cache — probed and counted once), then
-/// [`execute`], whose exact answer the diagram may then [`admit`].
-/// Single submissions pass no memo.
+/// from the shared cache (probed and counted once), then plan, run the
+/// chosen algorithm through the worker's scratch arena and record
+/// metrics; the diagram may then [`admit`] the exact answer.
 ///
 /// Forced requests (per-request or engine-wide) neither probe nor admit:
 /// pinning an algorithm means that algorithm must actually run.
@@ -1250,7 +1246,6 @@ fn answer(
     shared: &Arc<EngineShared>,
     snapshot: &Arc<Snapshot>,
     request: &QueryRequest,
-    memo: Option<&mut BatchMemo>,
     state: &mut WorkerState,
 ) -> QueryResponse {
     let start = Instant::now();
@@ -1265,35 +1260,30 @@ fn answer(
         }
         shared.metrics.record_diagram_miss();
     }
-    let known = memo
-        .as_ref()
-        .and_then(|m| m.iter().find(|(q, _)| *q == request.query));
-    let (ctx, cache_hit) = match known {
-        Some((_, ctx)) => (Arc::clone(ctx), true),
-        None => {
-            let (ctx, hit) = shared
-                .cache
-                .get_or_build(snapshot.generation(), &request.query);
-            shared.metrics.record_cache(hit);
-            if let Some(memo) = memo {
-                memo.push((request.query.clone(), Arc::clone(&ctx)));
-            }
-            (ctx, hit)
-        }
-    };
-    let response = execute(
-        shared,
-        snapshot,
-        request,
-        &ctx,
-        cache_hit,
-        start,
-        &mut state.scratch,
-    );
+    let generation = snapshot.generation();
+    let (ctx, cache_hit) = shared.cache.get_or_build(generation, &request.query);
+    shared.metrics.record_cache(cache_hit);
+    let (algorithm, SkylineResult { skyline, stats }) =
+        run_kernel(shared, snapshot, request.force, &ctx, &mut state.scratch);
+    let latency = start.elapsed();
+    shared
+        .metrics
+        .record_query(algorithm, generation, latency, &stats);
     if let Some(cells) = key {
-        admit(shared, snapshot.generation(), cells, &response.skyline);
+        admit(shared, generation, cells, &skyline);
     }
-    response
+    QueryResponse {
+        skyline,
+        generation,
+        algorithm,
+        served_by: if cache_hit {
+            ServedBy::Cache
+        } else {
+            ServedBy::Planner
+        },
+        latency,
+        stats,
+    }
 }
 
 /// Tries to answer `request` straight from the skyline diagram: the
@@ -1354,53 +1344,17 @@ fn admit(shared: &EngineShared, generation: u64, cells: &[(i64, i64)], skyline: 
 }
 
 /// Runs every request of a batch on the calling worker against one pinned
-/// snapshot. Repeated query sets within the batch resolve their context
-/// through a batch-local memo: only the first occurrence probes (and
-/// counts against) the shared cache; repeats are reported as cache hits
-/// without taking the cache lock.
+/// snapshot, each answered as a single submission is.
 fn run_batch(
     shared: &Arc<EngineShared>,
     snapshot: &Arc<Snapshot>,
     requests: &[QueryRequest],
     state: &mut WorkerState,
 ) -> Vec<QueryResponse> {
-    let mut memo = BatchMemo::new();
     requests
         .iter()
-        .map(|request| answer(shared, snapshot, request, Some(&mut memo), state))
+        .map(|request| answer(shared, snapshot, request, state))
         .collect()
-}
-
-/// The shared tail of the single and batched paths: plan, run the chosen
-/// algorithm through the worker's scratch arena, record metrics.
-fn execute(
-    shared: &EngineShared,
-    snapshot: &Arc<Snapshot>,
-    request: &QueryRequest,
-    ctx: &QueryContext,
-    cache_hit: bool,
-    start: Instant,
-    scratch: &mut DistanceScratch,
-) -> QueryResponse {
-    let generation = snapshot.generation();
-    let (algorithm, SkylineResult { skyline, stats }) =
-        run_kernel(shared, snapshot, request.force, ctx, scratch);
-    let latency = start.elapsed();
-    shared
-        .metrics
-        .record_query(algorithm, generation, latency, &stats);
-    QueryResponse {
-        skyline,
-        generation,
-        algorithm,
-        served_by: if cache_hit {
-            ServedBy::Cache
-        } else {
-            ServedBy::Planner
-        },
-        latency,
-        stats,
-    }
 }
 
 /// Plans `ctx` (unless `force` pins the algorithm) and runs the chosen
@@ -1563,7 +1517,9 @@ mod tests {
     }
 
     #[test]
-    fn a_batch_of_identical_queries_probes_the_cache_once() {
+    fn a_batch_of_identical_queries_hits_the_shared_cache() {
+        // A batch holds no context of its own: the first request builds
+        // the context in the shared cache, and each repeat probes it.
         let data = grid(120);
         let engine = Engine::new(&data, EngineConfig::default().with_workers(1)).unwrap();
         let q = vec![
@@ -1575,6 +1531,7 @@ mod tests {
             .submit_batch(vec![QueryRequest::new(q.clone()); 5])
             .wait();
         assert_eq!(responses.len(), 5);
+        assert!(responses.iter().all(|r| r.skyline == responses[0].skyline));
         assert!(
             !responses[0].cache_hit(),
             "cold cache: the first one misses"
@@ -1583,11 +1540,11 @@ mod tests {
         let m = engine.metrics();
         assert_eq!(
             m.engine.cache_misses, 1,
-            "one probe for five identical queries"
+            "one build for five identical queries"
         );
         assert_eq!(
-            m.engine.cache_hits, 0,
-            "memo hits never reach the shared cache"
+            m.engine.cache_hits, 4,
+            "every repeat probes the shared cache"
         );
     }
 

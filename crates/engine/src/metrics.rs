@@ -627,7 +627,7 @@ pub struct MetricsSnapshot {
     /// Latency histogram of snapshot queries.
     pub latency: LatencySnapshot,
     /// The tile-kernel dispatch serving this engine's scratch kernels
-    /// (`"scalar"`, `"tiled"`, `"sse2"`, or `"avx2"` — see
+    /// (`"scalar"`, `"sse2"`, or `"avx2"` — see
     /// [`ssq_geom::simd::path_name`]). Empty on a default snapshot that
     /// never came from a live engine.
     pub kernel_path: &'static str,

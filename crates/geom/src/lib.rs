@@ -24,7 +24,7 @@
 //!   `f64` rows, including the squared-distance fast path;
 //! * [`simd`] — data-parallel tile kernels (lane-aligned AoSoA distance
 //!   tiles, bitmask dominance sweeps) behind a runtime-detected
-//!   scalar/tiled/SSE2/AVX2 dispatch table.
+//!   scalar/SSE2/AVX2 dispatch table.
 //!
 //! Every distance is Euclidean: the paper's problem definition (§2.2)
 //! admits any triangle-inequality metric, but its theorems and algorithms

@@ -40,14 +40,12 @@
 //!
 //! # Dispatch
 //!
-//! Four implementations of each kernel exist:
+//! Three implementations of each kernel exist:
 //!
 //! * **scalar** — per-lane early-exit loops, the literal transcription
 //!   of [`kernel::dominates`](crate::kernel::dominates); the oracle the
-//!   others are tested against, and the path
-//!   `SSQ_FORCE_SCALAR=1` forces.
-//! * **tiled** — portable straight-line lane loops with no early exits,
-//!   written so LLVM autovectorizes them; the default off x86-64.
+//!   others are tested against, the path `SSQ_FORCE_SCALAR=1` forces,
+//!   and the default off x86-64.
 //! * **sse2** — explicit `core::arch::x86_64` f64x2 intrinsics
 //!   (baseline on every x86-64, no detection needed).
 //! * **avx2** — explicit f64x4 intrinsics behind
@@ -56,7 +54,7 @@
 //! The selected [`Dispatch`] table is resolved once per process and
 //! cached in a `OnceLock`; [`dispatch`] additionally honours an
 //! in-process override ([`set_force_scalar`]) so benches and tests can
-//! compare paths without re-exec'ing. All four paths produce
+//! compare paths without re-exec'ing. All three paths produce
 //! **bit-identical** results: squared distances are computed as
 //! `dx·dx + dy·dy` (two roundings, one per product, then one add) in
 //! every implementation, sums accumulate in anchor order, and the IEEE
@@ -119,8 +117,6 @@ pub const fn live_lane_mask(live: usize) -> u8 {
 pub enum KernelPath {
     /// Per-lane early-exit loops (forced by `SSQ_FORCE_SCALAR=1`).
     Scalar,
-    /// Portable autovectorizable lane loops (the non-x86-64 default).
-    Tiled,
     /// Explicit f64x2 intrinsics (x86-64 baseline).
     Sse2,
     /// Explicit f64x4 intrinsics (runtime-detected).
@@ -132,7 +128,6 @@ impl KernelPath {
     pub fn name(self) -> &'static str {
         match self {
             KernelPath::Scalar => "scalar",
-            KernelPath::Tiled => "tiled",
             KernelPath::Sse2 => "sse2",
             KernelPath::Avx2 => "avx2",
         }
@@ -347,95 +342,6 @@ fn first_dominator_scalar(cand: &[f64], tiles: &[Lane4]) -> Option<usize> {
 // ssq-analyze: deny-alloc
 fn first_all_lt_scalar(bounds: &[f64], tiles: &[Lane4]) -> Option<usize> {
     first_set_row(bounds.len(), tiles, |tile| all_lt_scalar(bounds, tile))
-}
-
-// ---------------------------------------------------------------------
-// Tiled path: portable straight-line lane loops (autovectorizable).
-// ---------------------------------------------------------------------
-
-// ssq-analyze: deny-alloc
-fn fill_tile_tiled(
-    pts: &[Point; LANES],
-    anchors: &[Point],
-    tile: &mut [Lane4],
-    keys: &mut [f64; LANES],
-) {
-    let xs = [pts[0].x, pts[1].x, pts[2].x, pts[3].x];
-    let ys = [pts[0].y, pts[1].y, pts[2].y, pts[3].y];
-    *keys = [0.0; LANES];
-    for (j, &q) in anchors.iter().enumerate() {
-        let mut lanes = [0.0; LANES];
-        for l in 0..LANES {
-            let dx = xs[l] - q.x;
-            let dy = ys[l] - q.y;
-            let d = dx * dx + dy * dy;
-            lanes[l] = d;
-            keys[l] += d;
-        }
-        tile[j] = Lane4(lanes);
-    }
-}
-
-// ssq-analyze: deny-alloc
-fn dominated_by_ref_tiled(rf: &[f64], tile: &[Lane4]) -> u8 {
-    let mut le = [true; LANES];
-    let mut lt = [false; LANES];
-    for (j, &r) in rf.iter().enumerate() {
-        let t = &tile[j].0;
-        for l in 0..LANES {
-            le[l] &= r <= t[l];
-            lt[l] |= r < t[l];
-        }
-    }
-    let mut mask = 0u8;
-    for l in 0..LANES {
-        mask |= ((le[l] && lt[l]) as u8) << l;
-    }
-    mask
-}
-
-// ssq-analyze: deny-alloc
-fn dominators_of_tiled(cand: &[f64], tile: &[Lane4]) -> u8 {
-    let mut le = [true; LANES];
-    let mut lt = [false; LANES];
-    for (j, &c) in cand.iter().enumerate() {
-        let t = &tile[j].0;
-        for l in 0..LANES {
-            le[l] &= t[l] <= c;
-            lt[l] |= t[l] < c;
-        }
-    }
-    let mut mask = 0u8;
-    for l in 0..LANES {
-        mask |= ((le[l] && lt[l]) as u8) << l;
-    }
-    mask
-}
-
-// ssq-analyze: deny-alloc
-fn all_lt_tiled(bounds: &[f64], tile: &[Lane4]) -> u8 {
-    let mut lt = [true; LANES];
-    for (j, &b) in bounds.iter().enumerate() {
-        let t = &tile[j].0;
-        for l in 0..LANES {
-            lt[l] &= t[l] < b;
-        }
-    }
-    let mut mask = 0u8;
-    for (l, &strictly_below) in lt.iter().enumerate() {
-        mask |= (strictly_below as u8) << l;
-    }
-    mask
-}
-
-// ssq-analyze: deny-alloc
-fn first_dominator_tiled(cand: &[f64], tiles: &[Lane4]) -> Option<usize> {
-    first_set_row(cand.len(), tiles, |tile| dominators_of_tiled(cand, tile))
-}
-
-// ssq-analyze: deny-alloc
-fn first_all_lt_tiled(bounds: &[f64], tiles: &[Lane4]) -> Option<usize> {
-    first_set_row(bounds.len(), tiles, |tile| all_lt_tiled(bounds, tile))
 }
 
 // ---------------------------------------------------------------------
@@ -833,16 +739,6 @@ static SCALAR: Dispatch = Dispatch {
     first_all_lt: first_all_lt_scalar,
 };
 
-static TILED: Dispatch = Dispatch {
-    path: KernelPath::Tiled,
-    fill_tile: fill_tile_tiled,
-    dominated_by_ref: dominated_by_ref_tiled,
-    dominators_of: dominators_of_tiled,
-    all_lt: all_lt_tiled,
-    first_dominator: first_dominator_tiled,
-    first_all_lt: first_all_lt_tiled,
-};
-
 #[cfg(target_arch = "x86_64")]
 static SSE2: Dispatch = Dispatch {
     path: KernelPath::Sse2,
@@ -876,7 +772,7 @@ fn detect() -> &'static Dispatch {
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        &TILED
+        &SCALAR
     }
 }
 
@@ -917,20 +813,10 @@ pub fn set_force_scalar(force: bool) {
     FORCE_SCALAR.store(force, Ordering::Relaxed);
 }
 
-/// The scalar-oracle dispatch table (always available).
-pub fn scalar_dispatch() -> &'static Dispatch {
-    &SCALAR
-}
-
-/// The portable tiled dispatch table (always available).
-pub fn tiled_dispatch() -> &'static Dispatch {
-    &TILED
-}
-
-/// Every dispatch table this build can run: scalar and tiled always,
-/// plus the intrinsic paths the host supports. For equivalence tests.
+/// Every dispatch table this build can run: scalar always, plus the
+/// intrinsic paths the host supports. For equivalence tests.
 pub fn available_dispatches() -> Vec<&'static Dispatch> {
-    let mut all = vec![&SCALAR, &TILED];
+    let mut all = vec![&SCALAR];
     #[cfg(target_arch = "x86_64")]
     {
         all.push(&SSE2);
@@ -1167,7 +1053,7 @@ mod tests {
                 .collect();
             let mut want_tile = vec![Lane4::splat(0.0); anchors.len()];
             let mut want_keys = [0.0; LANES];
-            scalar_dispatch().fill_tile(&pts, &anchors, &mut want_tile, &mut want_keys);
+            SCALAR.fill_tile(&pts, &anchors, &mut want_tile, &mut want_keys);
             // The scalar fill must equal the point-at-a-time kernel.
             for (l, p) in pts.iter().enumerate() {
                 let mut row = vec![0.0; anchors.len()];
@@ -1215,7 +1101,6 @@ mod tests {
     #[test]
     fn path_names_are_stable() {
         assert_eq!(KernelPath::Scalar.name(), "scalar");
-        assert_eq!(KernelPath::Tiled.name(), "tiled");
         assert_eq!(KernelPath::Sse2.name(), "sse2");
         assert_eq!(KernelPath::Avx2.name(), "avx2");
     }

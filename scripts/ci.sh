@@ -95,7 +95,8 @@ cargo run --release --offline --quiet --manifest-path crates/bench/src/bin/bench
 
 # ssq-analyze already covers crates/net (no-panic gate) in the first
 # stage; this drives the shipped binary end to end: serve on :0 with
-# stdin on a FIFO, burst a pipelined client at it, close the FIFO (EOF
+# stdin on a FIFO, burst a pipelined client at it (single-query frames,
+# then `Batch` frames that repeat query sets), close the FIFO (EOF
 # = shutdown), and require the clean-drain report and exit 0. It runs
 # once per backend: the single engine, and a 4-shard fleet whose
 # dispatcher threads run shard batches themselves.
@@ -118,6 +119,9 @@ net_smoke() {   # net_smoke <label> [extra serve flags...]
     [[ -n "$addr" ]] || { echo "serve ($label) never printed its address"; exit 1; }
     ./target/release/ssq net-throughput --addr "$addr" \
         --connections 8 --pipeline 16 --requests 400
+    # Batch frames of 8 over 4 query sets: every frame repeats each set.
+    ./target/release/ssq net-throughput --addr "$addr" \
+        --connections 8 --pipeline 16 --requests 100 --batch 8 --distinct 4
     exec 9>&-            # EOF on stdin: drain and exit
     wait "$serve_pid"    # exit 0 or the gate fails (set -e)
     # The drain report is the rendered counter table: a clean run shows
@@ -127,7 +131,7 @@ net_smoke() {   # net_smoke <label> [extra serve flags...]
             || { echo "serve ($label) did not report '$want'"; cat "$log"; exit 1; }
     done
 }
-echo "==> net serve smoke, single engine (real ssq binary, ephemeral port, clean shutdown)"
+echo "==> net serve smoke, single engine (real ssq binary, ephemeral port, single and batch frames, clean shutdown)"
 net_smoke single
 echo "==> net serve smoke, 4 shards"
 net_smoke sharded --shards 4
