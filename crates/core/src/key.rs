@@ -43,14 +43,12 @@ impl KeyScratch {
     }
 }
 
-fn quantize(v: Point, quantum: f64) -> (i64, i64) {
+/// The grid cell of `v`, or `None` when a quantized coordinate does not
+/// fit an `i64` (at the engine's default quantum, beyond ≈ ±9.2×10⁹).
+fn quantize(v: Point, quantum: f64) -> Option<(i64, i64)> {
     let x = (v.x / quantum).round();
     let y = (v.y / quantum).round();
-    assert!(
-        x.abs() < i64::MAX as f64 && y.abs() < i64::MAX as f64,
-        "query coordinate overflows the cache-key grid"
-    );
-    (x as i64, y as i64)
+    (x.abs() < i64::MAX as f64 && y.abs() < i64::MAX as f64).then_some((x as i64, y as i64))
 }
 
 impl QueryKey {
@@ -62,11 +60,16 @@ impl QueryKey {
     pub fn canonical(q: &[Point], quantum: f64) -> QueryKey {
         assert!(quantum > 0.0, "quantum must be positive");
         let hull = ssq_geom::convex_hull(q);
-        let mut cells: Vec<(i64, i64)> = hull
+        let cells: Option<Vec<(i64, i64)>> = hull
             .vertices()
             .iter()
             .map(|&v| quantize(v, quantum))
             .collect();
+        assert!(
+            cells.is_some(),
+            "query coordinate overflows the cache-key grid"
+        );
+        let mut cells = cells.unwrap_or_default();
         cells.sort_unstable();
         cells.dedup();
         QueryKey(cells)
@@ -78,21 +81,24 @@ impl QueryKey {
     /// Produces exactly the cells of [`QueryKey::canonical`] (both run the
     /// same monotone-chain hull), but a warm scratch makes the call
     /// allocation-free — this is what the skyline-diagram probe runs per
-    /// query before deciding hit or miss.
+    /// query before deciding hit or miss. Where `canonical` panics on a
+    /// hull vertex off the `i64` key grid, this returns `None`: the probe
+    /// runs on the thread that submits the query, so any finite
+    /// coordinate must come back as a plain miss.
     pub fn canonical_cells_into<'s>(
         q: &[Point],
         quantum: f64,
         scratch: &'s mut KeyScratch,
-    ) -> &'s [(i64, i64)] {
+    ) -> Option<&'s [(i64, i64)]> {
         assert!(quantum > 0.0, "quantum must be positive");
         let hull = monotone_chain_into(q, &mut scratch.hull);
         scratch.cells.clear();
         for &v in hull {
-            scratch.cells.push(quantize(v, quantum));
+            scratch.cells.push(quantize(v, quantum)?);
         }
         scratch.cells.sort_unstable();
         scratch.cells.dedup();
-        &scratch.cells
+        Some(&scratch.cells)
     }
 
     /// Rebuilds a key from raw canonical cells (the warm-start load path).
@@ -162,7 +168,7 @@ mod tests {
         for s in &sets {
             let owned = QueryKey::canonical(s, QUANTUM);
             let borrowed = QueryKey::canonical_cells_into(s, QUANTUM, &mut scratch);
-            assert_eq!(owned.cells(), borrowed, "query {s:?}");
+            assert_eq!(Some(owned.cells()), borrowed, "query {s:?}");
         }
     }
 

@@ -77,8 +77,9 @@ impl DiagramConfig {
 
     /// The canonical key cells `query` is held under, canonicalized with
     /// `quantum` into `scratch`, or `None` for a shape the diagram holds
-    /// no cell for. Once `scratch` is warm for the shape the call is
-    /// allocation-free.
+    /// no cell for — a hull vertex off the `i64` key grid included, so
+    /// no finite coordinate panics here. Once `scratch` is warm for the
+    /// shape the call is allocation-free.
     // ssq-analyze: deny-alloc
     pub fn key_cells<'s>(
         &self,
@@ -93,7 +94,7 @@ impl DiagramConfig {
             // would pay anyway — not worth probing.
             return None;
         }
-        let cells = QueryKey::canonical_cells_into(query, quantum, scratch);
+        let cells = QueryKey::canonical_cells_into(query, quantum, scratch)?;
         // A query collapsing to one canonical vertex has sub-quantum
         // spread; no key cell stands for its true anchors.
         (cells.len() >= 2).then_some(cells)
@@ -350,6 +351,16 @@ mod tests {
         assert!(config
             .key_cells(&wide[..3], QUANTUM, &mut scratch)
             .is_some());
+    }
+
+    #[test]
+    fn a_coordinate_off_the_key_grid_has_no_key_cell() {
+        // ±1e300 / 1e-9 overflows the i64 grid: a miss, not a panic.
+        let far = [Point::new(-1e300, 0.0), Point::new(1e300, 0.0)];
+        let mut scratch = KeyScratch::new();
+        assert!(DiagramConfig::default()
+            .key_cells(&far, QUANTUM, &mut scratch)
+            .is_none());
     }
 
     #[test]

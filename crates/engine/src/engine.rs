@@ -268,9 +268,10 @@ pub struct QueryResponse {
     /// snapshot generation this response reports.
     pub skyline: Vec<u32>,
     /// The snapshot generation the query was answered against. Pinned
-    /// when a worker dequeues the job, so a response is always exactly
-    /// correct for this generation's dataset even if a swap landed
-    /// mid-flight.
+    /// when a worker dequeues the job — or, for a diagram hit answered at
+    /// submission, when the query was submitted — so a response is always
+    /// exactly correct for this generation's dataset even if a swap
+    /// landed mid-flight.
     pub generation: u64,
     /// The algorithm that ran (or, for a diagram hit, would have run).
     pub algorithm: Algorithm,
@@ -581,7 +582,8 @@ struct Homed {
 
 struct EngineShared {
     /// Owns the *current* dataset generation. Workers pin a snapshot
-    /// here at dequeue time; nothing else in the engine holds indexes.
+    /// here at dequeue time, and a submitting thread for its diagram
+    /// probe; nothing else in the engine holds indexes.
     catalog: SnapshotCatalog,
     /// Serializes [`Engine::reindex`] calls so two concurrent builds
     /// cannot race for the same generation number. Never held on the
@@ -928,12 +930,34 @@ impl Engine {
         (ticket, job)
     }
 
-    /// The job behind `submit` / `try_submit`.
-    fn single_job(&self, request: QueryRequest) -> (QueryHandle, Job) {
+    /// The body of `submit` / `try_submit`. When the request probes the
+    /// diagram (see [`probe_config`]), the probe runs here, on the
+    /// submitting thread, against the catalog's current snapshot: a hit
+    /// gets its ticket filled here and no job, so it never reaches the
+    /// queue. A miss is counted here, and its job does not probe again.
+    fn single_job(&self, request: QueryRequest) -> (QueryHandle, Option<Job>) {
         assert_non_empty(std::slice::from_ref(&request));
-        self.pool_job(None, move |shared, snapshot, state| {
-            answer(shared, snapshot, &request, state)
-        })
+        let shared = &self.shared;
+        let config = probe_config(shared, &request);
+        if let Some(config) = config {
+            let start = Instant::now();
+            let snapshot = shared.catalog.current();
+            // The submitting thread has no worker arena: a fresh key
+            // scratch per probe.
+            let mut scratch = KeyScratch::new();
+            let key = config.key_cells(&request.query, shared.cache.quantum(), &mut scratch);
+            if let Some(response) = try_diagram(shared, &snapshot, &request, key, start) {
+                let (ticket, cell) = Ticket::new();
+                cell.fill(response);
+                return (ticket, None);
+            }
+            shared.metrics.record_diagram_miss();
+        }
+        let probed = config.is_some();
+        let (ticket, job) = self.pool_job(None, move |shared, snapshot, state| {
+            answer(shared, snapshot, &request, probed, state)
+        });
+        (ticket, Some(job))
     }
 
     /// The job behind the three `submit_batch*` functions. An empty batch
@@ -974,22 +998,29 @@ impl Engine {
 
     /// Submits one query; blocks only while the job queue is full.
     ///
-    /// The snapshot generation is pinned *at dequeue time*: the worker
-    /// reads the catalog when it picks the job up, so a query that
-    /// waited in the queue across a reindex is answered against the new
-    /// generation, and the response reports which one it used.
+    /// With the diagram on, an unforced query probes it first, on the
+    /// calling thread, against the generation current at submission. A
+    /// hit comes back as a handle that is already filled: no job, no
+    /// queue, and never blocking. Every other query is pinned *at
+    /// dequeue time*: the worker reads the catalog when it picks the
+    /// job up, so a query that waited in the queue across a reindex is
+    /// answered against the new generation. Either way the response
+    /// reports the generation it used.
     ///
     /// # Panics
     ///
     /// Panics if the request's query set is empty.
     pub fn submit(&self, request: QueryRequest) -> QueryHandle {
         let (ticket, job) = self.single_job(request);
-        self.send(job);
+        if let Some(job) = job {
+            self.send(job);
+        }
         ticket
     }
 
     /// Like [`Engine::submit`] but never blocks: a full job queue comes
-    /// back as [`EngineError::QueueFull`] immediately.
+    /// back as [`EngineError::QueueFull`] immediately. A diagram hit is
+    /// answered at submission, as in `submit`, so it is never shed.
     ///
     /// This is the admission-control entry point for front-ends that
     /// must shed load with a typed retry signal — blocking in `submit`
@@ -1001,7 +1032,9 @@ impl Engine {
     /// Panics if the request's query set is empty.
     pub fn try_submit(&self, request: QueryRequest) -> Result<QueryHandle, EngineError> {
         let (ticket, job) = self.single_job(request);
-        self.try_send(job)?;
+        if let Some(job) = job {
+            self.try_send(job)?;
+        }
         Ok(ticket)
     }
 
@@ -1235,30 +1268,39 @@ fn assert_non_empty(requests: &[QueryRequest]) {
     }
 }
 
-/// Answers one request on the calling worker: diagram probe, else context
-/// from the shared cache (probed and counted once), then plan, run the
-/// chosen algorithm through the worker's scratch arena and record
-/// metrics; the diagram may then [`admit`] the exact answer.
-///
-/// Forced requests (per-request or engine-wide) neither probe nor admit:
-/// pinning an algorithm means that algorithm must actually run.
+/// The diagram's knobs when `request` probes it: the diagram is on and
+/// the request is not forced. Forced requests (per-request or
+/// engine-wide) neither probe nor admit: pinning an algorithm means that
+/// algorithm must actually run.
+fn probe_config(shared: &EngineShared, request: &QueryRequest) -> Option<DiagramConfig> {
+    let forced = request.force.is_some() || shared.planner.forced().is_some();
+    shared.diagram_config.filter(|_| !forced)
+}
+
+/// Answers one request on the calling worker: diagram probe (unless the
+/// submitter already `probed` and missed), else context from the shared
+/// cache (probed and counted once), then plan, run the chosen algorithm
+/// through the worker's scratch arena and record metrics; the diagram
+/// may then [`admit`] the exact answer.
 fn answer(
     shared: &Arc<EngineShared>,
     snapshot: &Arc<Snapshot>,
     request: &QueryRequest,
+    probed: bool,
     state: &mut WorkerState,
 ) -> QueryResponse {
     let start = Instant::now();
-    let forced = request.force.is_some() || shared.planner.forced().is_some();
     let mut key = None;
-    if let Some(config) = shared.diagram_config.filter(|_| !forced) {
+    if let Some(config) = probe_config(shared, request) {
         // Canonicalized here, outside the diagram lock; the key stays in
         // the worker's scratch for the admission after a miss.
         key = config.key_cells(&request.query, shared.cache.quantum(), &mut state.diagram);
-        if let Some(response) = try_diagram(shared, snapshot, request, key, start) {
-            return response;
+        if !probed {
+            if let Some(response) = try_diagram(shared, snapshot, request, key, start) {
+                return response;
+            }
+            shared.metrics.record_diagram_miss();
         }
-        shared.metrics.record_diagram_miss();
     }
     let generation = snapshot.generation();
     let (ctx, cache_hit) = shared.cache.get_or_build(generation, &request.query);
@@ -1353,7 +1395,7 @@ fn run_batch(
 ) -> Vec<QueryResponse> {
     requests
         .iter()
-        .map(|request| answer(shared, snapshot, request, state))
+        .map(|request| answer(shared, snapshot, request, false, state))
         .collect()
 }
 
@@ -2514,6 +2556,42 @@ mod tests {
             naive_full(&data, &QueryContext::new(&[Point::new(5.0, 5.0)])).skyline
         );
         engine.shutdown();
+    }
+
+    #[test]
+    fn a_cold_key_misses_once_and_its_next_submission_is_answered_at_once() {
+        let data = grid(200);
+        let engine = Engine::new(&data, diagram_config()).unwrap();
+        let q = vec![Point::new(2.5, 6.0), Point::new(10.0, 3.5)];
+        let cold = engine.try_submit(QueryRequest::new(q.clone())).unwrap();
+        let first = cold.wait();
+        assert_ne!(first.served_by, ServedBy::Diagram);
+        // Probed once, at submission; the worker does not probe again.
+        assert_eq!(engine.metrics().diagram.misses, 1);
+        let hot = engine.try_submit(QueryRequest::new(q)).unwrap();
+        assert!(hot.is_ready(), "a hit is answered by the submitting thread");
+        let second = hot.wait();
+        assert_eq!(second.served_by, ServedBy::Diagram);
+        assert_eq!(second.skyline, first.skyline);
+        let m = engine.metrics();
+        assert_eq!((m.diagram.hits, m.diagram.misses), (1, 1));
+        engine.shutdown();
+    }
+
+    #[test]
+    fn a_coordinate_off_the_key_grid_does_not_panic_the_submitting_thread() {
+        let engine = Engine::new(&grid(100), diagram_config()).unwrap();
+        let far = vec![Point::new(-1e300, 0.0), Point::new(1e300, 0.0)];
+        // The probe counts a miss and queues the job. Its ticket is not
+        // waited on: the worker's context-cache key still panics on this
+        // coordinate and leaves the ticket unfilled (ROADMAP item 4(a)).
+        let handle = engine.try_submit(QueryRequest::new(far));
+        assert!(handle.is_ok());
+        assert_eq!(engine.metrics().diagram.misses, 1);
+        // One anchor that far out is located in the Voronoi index on the
+        // submitting thread, which must survive it too.
+        let single = engine.try_submit(QueryRequest::new(vec![Point::new(1e300, 0.0)]));
+        assert!(single.unwrap().is_ready());
     }
 
     #[test]

@@ -29,8 +29,10 @@
 //!   from `|P|` and the shape of `CH(Q)`, with a forced-algorithm
 //!   override for experiments.
 //! * **Skyline diagram** (optional; [`ssq_diagram`], wired in by
-//!   [`EngineConfig::with_diagram`]) — probed *before* the cache, it
-//!   answers by point location without running any algorithm. A
+//!   [`EngineConfig::with_diagram`]) — probed *before* the cache, on
+//!   the thread that submits a single query, it answers by point
+//!   location without running any algorithm; a hit's handle comes back
+//!   already filled and never enters the pool. A
 //!   single-anchor query is located in the pinned snapshot's Voronoi
 //!   diagram ([`VoronoiIndex::nearest_ties`](ssq_core::VoronoiIndex::nearest_ties)),
 //!   so it hits on every generation. Two- and three-anchor shapes hit key

@@ -17,7 +17,8 @@
 //!    Building touches nothing shared, so queries proceed untouched.
 //! 2. **Publish** — [`SnapshotCatalog::install`] swaps the current
 //!    `Arc` under a mutex held only for the pointer exchange. New
-//!    queries (which pin at dequeue time) see the new generation.
+//!    queries (which pin at dequeue time, or at submission for a
+//!    skyline-diagram hit) see the new generation.
 //! 3. **Pin** — every query clones the `Arc` once and works against
 //!    that bundle; continuous sessions pin at session open.
 //! 4. **Retire** — when the last pinned `Arc` drops, the old indexes

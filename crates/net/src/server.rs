@@ -6,11 +6,13 @@
 //! One **accept** thread polls the listener; each connection gets a
 //! **reader** thread (parses frames, makes the admission decision, hands
 //! work to the engine) and a **reply** thread (waits the engine
-//! [`Ticket`]s in FIFO order and writes responses). Responses to
-//! different request ids therefore go out in *completion* order per
-//! connection, matched to requests by id — that is what pipelining
-//! means here: a client may keep its whole window in flight without
-//! read/write turn-taking.
+//! [`Ticket`]s in FIFO order and writes responses). A query the engine
+//! answers at submission — a skyline-diagram hit, whose handle comes
+//! back already filled — is written by the reader itself, at once; every
+//! other reply leaves through the reply thread in submission order. So
+//! a hit can overtake earlier pending requests, and replies are matched
+//! to requests by id — that is what pipelining means here: a client may
+//! keep its whole window in flight without read/write turn-taking.
 //!
 //! ## Admission control (the state machine)
 //!
@@ -687,6 +689,12 @@ fn handle_frame(
             }
             match &*shared.backend {
                 Backend::Single(engine) => match engine.try_submit(QueryRequest { query, force }) {
+                    // A diagram hit was answered at submission: the reader
+                    // writes it, with no window slot and no reply-queue hop.
+                    Ok(handle) if handle.is_ready() => {
+                        send_frame(shared, conn, id, &query_result_frame(handle.wait()));
+                        Flow::Continue
+                    }
                     Ok(handle) => enqueue(conn, replies, id, PendingReply::Query(handle)),
                     Err(e) => submit_rejected(shared, conn, id, &e),
                 },
@@ -820,7 +828,8 @@ fn handle_frame(
     }
 }
 
-/// The per-client window check. A full window sheds with `RetryLater`.
+/// The per-client window check. A full window sheds with `RetryLater`
+/// (a diagram hit included: the check runs before the engine is asked).
 fn admit(shared: &Arc<ServerShared>, conn: &ConnShared, id: u64) -> bool {
     if conn.in_flight.load(Ordering::Acquire) >= shared.config.per_client_window {
         shared.metrics.record_shed_request();

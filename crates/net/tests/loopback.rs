@@ -3,10 +3,10 @@
 //! (8 connections × 16-deep pipelining), and overload must shed with
 //! typed `RetryLater` — never a hang, never an unbounded buffer.
 
-use ssq_core::{naive_full, QueryContext, UpdateBatch};
-use ssq_engine::{Algorithm, Engine, EngineConfig, QueryRequest};
+use ssq_core::{naive_full, vs2_kernel, DistanceScratch, QueryContext, UpdateBatch};
+use ssq_engine::{Algorithm, DiagramConfig, Engine, EngineConfig, QueryRequest};
 use ssq_geom::Point;
-use ssq_net::wire::ALGORITHM_ROUTED;
+use ssq_net::wire::{ALGORITHM_ROUTED, SERVED_BY_DIAGRAM};
 use ssq_net::{Client, Frame, Server, ServerConfig};
 use ssq_rng::Xoshiro256;
 use ssq_shard::{PartitionPolicy, ShardConfig, ShardedEngine};
@@ -98,6 +98,71 @@ fn pipelined_clients_match_direct_submission_exactly() {
     assert_eq!(metrics.net.active, 0, "every connection torn down");
     assert_eq!(metrics.net.frame_errors, 0);
     assert!(metrics.net.bytes_in > 0 && metrics.net.bytes_out > 0);
+}
+
+#[test]
+fn diagram_hits_and_pool_misses_share_one_pipelined_connection() {
+    let data = dataset(400, 0xD1);
+    let config = EngineConfig::default()
+        .with_workers(2)
+        .with_diagram(DiagramConfig::default());
+    let engine = Engine::new(&data, config).unwrap();
+    let snapshot = engine.snapshot();
+    let mut scratch = DistanceScratch::new();
+    let mut oracle =
+        |q: &[Point]| vs2_kernel(snapshot.voronoi(), &QueryContext::new(q), &mut scratch).skyline;
+    let server = Server::serve("127.0.0.1:0", engine, ServerConfig::default()).unwrap();
+    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+
+    let mut rng = Xoshiro256::seed_from_u64(0xD2);
+    let mut points = |n: usize| -> Vec<Point> {
+        (0..n)
+            .map(|_| Point::new(rng.f64() * 10.0, rng.f64() * 10.0))
+            .collect()
+    };
+    // Hot 2- and 3-point shapes: each is sent once and awaited, so its
+    // miss has admitted the answer before the pipelined repeats.
+    let hot: Vec<Vec<Point>> = (0..4).map(|k| points(2 + k % 2)).collect();
+    for q in &hot {
+        let id = client.submit(q, None).unwrap();
+        match client.await_id(id).unwrap() {
+            Frame::QueryResult(result) => assert_ne!(result.served_by, SERVED_BY_DIAGRAM),
+            other => panic!("cold hot shape: unexpected frame {other:?}"),
+        }
+    }
+    // One pipelined stream, three kinds interleaved: a 1-point query (a
+    // Voronoi hit), a hot repeat (a key-cell hit) and a 5-point query
+    // (never a key cell, always a pool job).
+    let mut sent: Vec<(u64, Vec<Point>, bool)> = Vec::new();
+    for round in 0..12 {
+        for (q, hit) in [
+            (points(1), true),
+            (hot[round % hot.len()].clone(), true),
+            (points(5), false),
+        ] {
+            let id = client.submit(&q, None).unwrap();
+            sent.push((id, q, hit));
+        }
+    }
+    for (id, q, hit) in &sent {
+        match client.await_id(*id).unwrap() {
+            Frame::QueryResult(result) => {
+                assert_eq!(result.skyline, oracle(q), "request {id}");
+                assert_eq!(result.served_by == SERVED_BY_DIAGRAM, *hit, "request {id}");
+                assert_eq!(result.generation, 0);
+            }
+            other => panic!("request {id}: unexpected frame {other:?}"),
+        }
+    }
+    let hits = sent.iter().filter(|(_, _, hit)| *hit).count() as u64;
+    let diagram = client.stats().unwrap().groups.diagram;
+    assert_eq!(diagram.hits, hits);
+    assert_eq!(diagram.misses, (hot.len() + sent.len()) as u64 - hits);
+
+    client.goodbye().unwrap();
+    let metrics = server.shutdown();
+    assert_eq!(metrics.net.frame_errors, 0);
+    assert_eq!(metrics.net.shed_requests, 0);
 }
 
 #[test]

@@ -99,7 +99,10 @@ cargo run --release --offline --quiet --manifest-path crates/bench/src/bin/bench
 # then `Batch` frames that repeat query sets), close the FIFO (EOF
 # = shutdown), and require the clean-drain report and exit 0. It runs
 # once per backend: the single engine, and a 4-shard fleet whose
-# dispatcher threads run shard batches themselves.
+# dispatcher threads run shard batches themselves. A third run turns the
+# skyline diagram on: its query sets have 3 points, so every set is a
+# key-cell shape, each repeat is a hit the connection's reader answers
+# itself, and the drain report must count some.
 NET_SMOKE_DIR="$(mktemp -d)"
 ./target/release/ssq generate --n 500 --out "$NET_SMOKE_DIR/points.csv" --seed 7
 net_smoke() {   # net_smoke <label> [extra serve flags...]
@@ -117,10 +120,12 @@ net_smoke() {   # net_smoke <label> [extra serve flags...]
         sleep 0.1
     done
     [[ -n "$addr" ]] || { echo "serve ($label) never printed its address"; exit 1; }
-    ./target/release/ssq net-throughput --addr "$addr" \
+    local diagram=0 count=5
+    [[ " $* " == *" --diagram "* ]] && diagram=1 count=3
+    ./target/release/ssq net-throughput --addr "$addr" --count "$count" \
         --connections 8 --pipeline 16 --requests 400
     # Batch frames of 8 over 4 query sets: every frame repeats each set.
-    ./target/release/ssq net-throughput --addr "$addr" \
+    ./target/release/ssq net-throughput --addr "$addr" --count "$count" \
         --connections 8 --pipeline 16 --requests 100 --batch 8 --distinct 4
     exec 9>&-            # EOF on stdin: drain and exit
     wait "$serve_pid"    # exit 0 or the gate fails (set -e)
@@ -130,11 +135,17 @@ net_smoke() {   # net_smoke <label> [extra serve flags...]
         grep -qx ".*$want" "$log" \
             || { echo "serve ($label) did not report '$want'"; cat "$log"; exit 1; }
     done
+    if (( diagram )); then
+        grep -Eqx "ssq_diagram_hits [1-9][0-9]*" "$log" \
+            || { echo "serve ($label) reported no diagram hit"; cat "$log"; exit 1; }
+    fi
 }
 echo "==> net serve smoke, single engine (real ssq binary, ephemeral port, single and batch frames, clean shutdown)"
 net_smoke single
 echo "==> net serve smoke, 4 shards"
 net_smoke sharded --shards 4
+echo "==> net serve smoke, single engine with the skyline diagram (3-point sets, repeats hit)"
+net_smoke diagram --diagram
 
 echo "==> fleet ingest through the shipped binary (4 shards, 40 delta batches; the net-shrinking ones move ids)"
 ./target/release/ssq shard-stats --data "$NET_SMOKE_DIR/points.csv" --shards 4 \
