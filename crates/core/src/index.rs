@@ -27,7 +27,6 @@ use ssq_delaunay::paged::PagedAdjacency;
 use ssq_delaunay::rows::Rows;
 use ssq_delaunay::voronoi::{incident_triangles, CellTracer};
 use ssq_delaunay::{hilbert, DelaunayGraph, DeltaError, Triangulation};
-use ssq_geom::convex::ring_intersects_rect;
 use ssq_geom::{ConvexPolygon, Point, Rect};
 use ssq_rtree::{RTree, RTreeConfig};
 
@@ -135,9 +134,12 @@ impl RTreeIndex {
 
 /// The Voronoi/Delaunay physical design (for VS² and VCS²).
 ///
-/// Voronoi cells are materialized at build time — the paper's "pre-built
-/// Delaunay graph" file stores each point's neighbourhood, and the cell
-/// polygon is derived data the query loop should never recompute.
+/// Each Voronoi cell is traced at build time, but only its MBR is kept:
+/// the paper's "pre-built Delaunay graph" file stores each point's
+/// neighbourhood, and the one question a traversal asks of a cell — does
+/// it meet the pruning rectangle `B`? — is answered by its box (see
+/// [`vs2`](mod@crate::vs2), "The cell gate"). The polygon itself is
+/// recomputed on demand by [`VoronoiIndex::voronoi_cell`].
 ///
 /// Callers name a point by its **id** (its position in the input; after a
 /// delta, [`UpdateBatch`]'s numbering). Every array in here is stored by
@@ -154,7 +156,7 @@ impl RTreeIndex {
 /// walk seed — and an inserted point is appended as a new site. So
 /// [`VoronoiIndex::len`] counts live points (the ids) while
 /// [`VoronoiIndex::site_bound`], one past the last site, sizes per-site
-/// marks and pages. Per-site rows — neighbour lists and cells — live in
+/// marks and pages. Per-site rows — neighbour lists and cell boxes — live in
 /// `Arc`-shared chunks of [`CHUNK`](ssq_delaunay::rows::CHUNK) sites, and a
 /// delta copies only the chunks it writes.
 pub struct VoronoiIndex {
@@ -163,10 +165,9 @@ pub struct VoronoiIndex {
     /// rebuild.
     graph: DelaunayGraph,
     pages: PagedAdjacency,
-    /// Row `s` is site `s`'s cell, clipped to the graph's default box: the
-    /// `min` and `max` corners of its MBR, then its ring (counter-clockwise).
-    /// Empty for a tombstone.
-    cells: Rows<Point>,
+    /// Row `s` is the MBR of site `s`'s cell, clipped to the graph's
+    /// default box. Empty for a tombstone.
+    cells: Rows<Rect>,
     /// `site_to_id[s]` is the id of site `s` (`u32::MAX` for a tombstone);
     /// `id_to_site` maps the ids back.
     site_to_id: Vec<u32>,
@@ -245,16 +246,9 @@ impl Directory {
     }
 }
 
-/// Appends `cell`'s row: its MBR's corners, then its ring.
-fn push_cell(out: &mut Vec<Point>, cell: &ConvexPolygon) {
-    let mbr = cell.mbr();
-    out.extend([mbr.min, mbr.max]);
-    out.extend_from_slice(cell.vertices());
-}
-
 impl VoronoiIndex {
     /// Sorts the points along the Hilbert curve (the build's one sort) and
-    /// builds the Delaunay graph, the cells and the start directory over
+    /// builds the Delaunay graph, the cell boxes and the start directory over
     /// them in that order.
     ///
     /// `per_page` mirrors the paper's 50-entries-per-page R-tree nodes so
@@ -284,17 +278,17 @@ impl VoronoiIndex {
         let graph = DelaunayGraph::from_triangulation(tri);
         let cells = {
             let (tri, clip) = (graph.triangulation(), graph.default_clip());
-            // Fast path: trace cells from circumcenters (O(deg) per site);
-            // individual numerically-degenerate cells — and fully
-            // collinear inputs — fall back to the bisector half-plane
-            // construction.
+            // Each cell's box, from its traced ring. Fast path: trace
+            // cells from circumcenters (O(deg) per site); individual
+            // numerically-degenerate cells — and fully collinear inputs —
+            // fall back to the bisector half-plane construction.
             let tracer = CellTracer::new(tri, &clip);
             let incident = incident_triangles(tri);
             Rows::new(graph.len(), |s, out| {
                 let traced = tracer
                     .as_ref()
                     .and_then(|t| t.cell(s, incident[s as usize]));
-                push_cell(out, &traced.unwrap_or_else(|| graph.voronoi_cell(s, &clip)));
+                out.push(traced.unwrap_or_else(|| graph.voronoi_cell(s, &clip)).mbr());
             })
         };
         let mut id_to_site = vec![0; points.len()];
@@ -358,42 +352,39 @@ impl VoronoiIndex {
         self.site_to_id.len()
     }
 
-    /// The Voronoi cell of the point with id `id` (precomputed, clipped
-    /// to the default box).
+    /// The Voronoi cell of the point with id `id`, clipped to the default
+    /// box. Computed on demand from the point's Delaunay neighbours
+    /// ([`DelaunayGraph::voronoi_cell`]); the index stores only the
+    /// cell's box ([`VoronoiIndex::cell_box`]). An id always names a live
+    /// site, never a tombstone.
     pub fn voronoi_cell(&self, id: u32) -> ConvexPolygon {
-        ConvexPolygon::from_ccw_dirty(self.cell(self.site_of(id)).1.to_vec(), 0.0)
+        let site = self.site_of(id);
+        self.graph.voronoi_cell(site, &self.graph.default_clip())
     }
 
-    /// Site `s`'s cell: its MBR and its ring (empty for a tombstone).
+    /// The stored MBR of the Voronoi cell of the point with id `id`: the
+    /// box the traversals gate on, traced at build time or by the delta
+    /// that last changed the cell.
+    pub fn cell_box(&self, id: u32) -> Rect {
+        self.cell(self.site_of(id))
+    }
+
+    /// Site `s`'s cell box ([`Rect::EMPTY`] for a tombstone).
     #[inline]
     // ssq-analyze: deny-alloc
-    fn cell(&self, site: u32) -> (Rect, &[Point]) {
-        match self.cells.row(site) {
-            [min, max, ring @ ..] => (
-                Rect {
-                    min: *min,
-                    max: *max,
-                },
-                ring,
-            ),
-            _ => (Rect::EMPTY, &[]),
-        }
+    fn cell(&self, site: u32) -> Rect {
+        self.cells.row(site).first().copied().unwrap_or(Rect::EMPTY)
     }
 
-    /// Exact test "does the Voronoi cell of `site` intersect `r`?". Tiered
-    /// so the overwhelmingly common cases cost four f64 comparisons: first
-    /// the cell's MBR, stored beside its ring (disjoint ⟹ no; fully inside
-    /// `r` ⟹ yes), then the exact convex-polygon test only for boundary
-    /// cells.
+    /// The walk's cell gate: "does the box of `site`'s Voronoi cell meet
+    /// `r`?" — four f64 comparisons. The box contains the cell, so this
+    /// never says no where the cell meets `r`; where it says yes and the
+    /// cell does not, the traversal enqueues a site it then discards (see
+    /// [`vs2`](mod@crate::vs2), "The cell gate"). A tombstone's
+    /// [`Rect::EMPTY`] meets nothing.
+    #[inline]
     pub(crate) fn cell_meets_rect(&self, site: u32, r: &Rect) -> bool {
-        let (mbr, ring) = self.cell(site);
-        if !mbr.intersects(r) {
-            return false;
-        }
-        if r.contains_rect(&mbr) {
-            return true;
-        }
-        ring_intersects_rect(ring, r)
+        self.cell(site).intersects(r)
     }
 
     /// The share of chunks — per-site neighbour lists and cells, and the
@@ -506,7 +497,8 @@ impl VoronoiIndex {
     /// * one flat `O(n)` copy of each id map, patched only at the batch's
     ///   ids: surviving points keep theirs;
     /// * the written chunks: a neighbour list is re-read off its star and
-    ///   a Voronoi cell traced from it for each site a repair reported,
+    ///   a Voronoi cell traced from it, to store its box, for each site a
+    ///   repair reported,
     ///   plus — only when the live points' MBR, and with it the clip box,
     ///   moved — every cell not strictly inside both generations' boxes;
     ///   every chunk holding neither is shared;
@@ -641,7 +633,7 @@ impl VoronoiIndex {
         let graph = self.graph.patched(tri, &touched, bounds);
         let tri = graph.triangulation();
 
-        // 4. Cells: a touched site's cell is traced from its star, and —
+        // 4. Cell boxes: a touched site's cell is traced from its star, and —
         //    when the clip box moved — every live cell the box may bind,
         //    i.e. not strictly inside both generations' boxes (one strictly
         //    inside both is the true cell in each), is rebuilt from its
@@ -652,7 +644,7 @@ impl VoronoiIndex {
             touched.iter().map(|t| (t.vertex, t.star)).collect();
         if clip != old_clip {
             dirty.extend((0..first).filter_map(|s| {
-                let mbr = self.cell(s).0;
+                let mbr = self.cell(s);
                 let bound = !(strictly_inside(&mbr, &old_clip) && strictly_inside(&mbr, &clip));
                 (bound && site_to_id[s as usize] != u32::MAX).then_some((s, None))
             }));
@@ -667,7 +659,7 @@ impl VoronoiIndex {
             let star = stars.next().flatten();
             if site_to_id[s as usize] != u32::MAX {
                 let traced = star.and_then(|t| tracer.as_ref()?.cell(s, t));
-                push_cell(out, &traced.unwrap_or_else(|| graph.voronoi_cell(s, &clip)));
+                out.push(traced.unwrap_or_else(|| graph.voronoi_cell(s, &clip)).mbr());
             }
         });
         let dirty_cells = sites.len() - victims.len();
@@ -750,30 +742,46 @@ mod tests {
         assert!(cell.contains(idx.point(0)));
     }
 
+    /// `inner` lies inside `outer` up to `slack`.
+    fn box_contains(outer: &Rect, inner: &Rect, slack: f64) -> bool {
+        outer.min.x - slack <= inner.min.x
+            && outer.min.y - slack <= inner.min.y
+            && inner.max.x <= outer.max.x + slack
+            && inner.max.y <= outer.max.y + slack
+    }
+
     #[test]
-    fn tiered_cell_test_matches_exact_test() {
-        let points = pts();
-        let idx = VoronoiIndex::new(&points).unwrap();
-        // Probe rectangles of several scales against every cell: the
-        // tiered test must agree with the exact polygon test.
-        for (k, probe) in [
-            Rect::from_corners(Point::new(2.2, 2.2), Point::new(2.4, 2.6)),
-            Rect::from_corners(Point::new(0.0, 0.0), Point::new(9.0, 10.0)),
-            Rect::from_corners(Point::new(40.0, 40.0), Point::new(41.0, 41.0)),
-            Rect::from_point(Point::new(5.0, 5.5)),
-        ]
-        .iter()
-        .enumerate()
-        {
+    fn the_box_gate_never_misses_a_cell_that_meets_the_probe() {
+        let (mut extra, mut meets) = (0, 0);
+        for points in [pts(), pseudorandom(400, 9)] {
+            let idx = VoronoiIndex::new(&points).unwrap();
+            let clip = idx.graph().default_clip();
+            let slack = 1e-9 * clip.width().max(clip.height());
+            let mut probes = vec![
+                Rect::from_corners(Point::new(2.2, 2.2), Point::new(2.4, 2.6)),
+                Rect::from_corners(Point::new(0.0, 0.0), Point::new(9.0, 10.0)),
+                Rect::from_corners(Point::new(40.0, 40.0), Point::new(41.0, 41.0)),
+                Rect::from_point(Point::new(5.0, 5.5)),
+            ];
+            probes.extend(
+                pseudorandom(40, 21)
+                    .into_iter()
+                    .map(|p| Rect::from_corners(p, Point::new(p.x + 3.0, p.y + 1.5))),
+            );
             for i in 0..idx.len() as u32 {
-                let exact = idx.voronoi_cell(i).intersects_rect(probe);
-                assert_eq!(
-                    idx.cell_meets_rect(idx.site_of(i), probe),
-                    exact,
-                    "probe {k}, cell {i}"
-                );
+                let (cell, stored) = (idx.voronoi_cell(i), idx.cell_box(i));
+                assert!(box_contains(&stored, &cell.mbr(), slack), "cell {i}");
+                for (k, probe) in probes.iter().enumerate() {
+                    let exact = cell.intersects_rect(probe);
+                    let gate = idx.cell_meets_rect(idx.site_of(i), probe);
+                    assert!(gate || !exact, "probe {k} misses cell {i}");
+                    meets += usize::from(exact);
+                    extra += usize::from(gate && !exact);
+                }
             }
         }
+        // The probes reach cells and, past a cell's corner, boxes alone.
+        assert!(meets > 0 && extra > 0, "{meets} meets, {extra} extra");
     }
 
     fn pseudorandom(n: usize, seed: u64) -> Vec<Point> {
@@ -846,7 +854,7 @@ mod tests {
                 idx.graph().neighbors(s).is_empty(),
                 "tombstone {s} has neighbours"
             );
-            assert_eq!(idx.cell(s).0, Rect::EMPTY, "tombstone {s} has a cell");
+            assert_eq!(idx.cell(s), Rect::EMPTY, "tombstone {s} has a cell");
         }
         assert!(
             idx.site_bound() - idx.len() <= idx.decay,
@@ -855,7 +863,8 @@ mod tests {
     }
 
     /// A delta-built index and a rebuild differ in site order, so they are
-    /// compared through ids: points, neighbour sets, cells, `nearest`.
+    /// compared through ids: points, neighbour sets, cells, stored cell
+    /// boxes, `nearest`.
     fn assert_same_index(got: &VoronoiIndex, want: &VoronoiIndex) {
         let neighbor_ids = |idx: &VoronoiIndex, id: u32| {
             let mut ns: Vec<u32> = idx
@@ -883,6 +892,12 @@ mod tests {
                 wc.area()
             );
             assert!(gc.contains(got.point(i)));
+            let (gb, wb) = (got.cell_box(i), want.cell_box(i));
+            let slack = 1e-9 * wb.width().max(wb.height()).max(1.0);
+            assert!(
+                box_contains(&gb, &wb, slack) && box_contains(&wb, &gb, slack),
+                "cell {i} box {gb:?} vs {wb:?}"
+            );
         }
         for q in pseudorandom(40, 999) {
             assert_eq!(got.nearest(q, 0), want.nearest(q, 0), "nearest to {q:?}");

@@ -16,6 +16,15 @@ use ssq_geom::{ConvexPolygon, Point, Rect};
 
 use crate::triangulation::{Triangulation, GHOST};
 
+/// How many clip diagonals from the clip box's centre a circumcenter may
+/// lie before its cell goes to the half-plane fallback. A nearly flat
+/// triangle on a nearly straight stretch of the hull has a circumcenter
+/// ~1e16 units out, and clipping a ring through such a vertex at the box
+/// rounds the cut by about 1e-16 of that distance — whole units, enough
+/// to shave a strip off the cell. Within 1e6 diagonals the cut is exact
+/// to about 1e-10 of the box.
+const FAR_CIRCUMCENTER: f64 = 1e6;
+
 /// Circumcenter of triangle `(a, b, c)`, or `None` when the triangle is
 /// numerically too flat for a finite center (the *exact* orientation can
 /// be nonzero while the double-precision denominator underflows).
@@ -141,7 +150,9 @@ impl<'a> CellTracer<'a> {
         }
 
         // Collect circumcenters rotating counter-clockwise from `start`; a
-        // numerically flat triangle sends the cell to the fallback.
+        // numerically flat triangle, or one whose circumcenter lies too
+        // far out to clip exactly, sends the cell to the fallback.
+        let far = FAR_CIRCUMCENTER * self.clip_diag;
         let mut ccs: Vec<Point> = Vec::with_capacity(8);
         let mut fan: Vec<(u32, usize)> = Vec::with_capacity(8);
         let mut cur = start;
@@ -152,6 +163,9 @@ impl<'a> CellTracer<'a> {
                 points[v[1] as usize],
                 points[v[2] as usize],
             )?;
+            if cc.distance_sq(clip.center()) > far * far {
+                return None;
+            }
             ccs.push(cc);
             fan.push(cur);
             // CCW neighbour: across edge (site, v[k+2]).
@@ -319,6 +333,34 @@ mod tests {
             (total - clip.area()).abs() < 1e-6 * clip.area(),
             "cells must tile the clip box"
         );
+    }
+
+    #[test]
+    fn a_nearly_straight_hull_falls_back_instead_of_shaving_cells() {
+        // A sheared lattice: its bottom row lies on y = x / 10, where
+        // rounding bends the hull by ~1e-17, so the flat triangles along
+        // it have circumcenters ~1e16 out. Clipped at the box, those rings
+        // lost strips of whole units; such cells must fall back.
+        let pts: Vec<Point> = (0..100)
+            .map(|k| p((k / 10) as f64, (k % 10) as f64 + 0.1 * (k / 10) as f64))
+            .collect();
+        let graph = DelaunayGraph::new(&pts).unwrap();
+        let tri = graph.triangulation();
+        let clip = graph.default_clip();
+        let fast = CellTracer::new(tri, &clip).expect("non-degenerate");
+        let incident = incident_triangles(tri);
+        let mut fallbacks = 0;
+        for i in 0..pts.len() as u32 {
+            let slow = graph.voronoi_cell(i, &clip);
+            let Some(cell) = fast.cell(i, incident[i as usize]) else {
+                fallbacks += 1;
+                continue;
+            };
+            for &v in slow.vertices() {
+                assert!(cell.distance(v) < 1e-6, "site {i}: missing region at {v:?}");
+            }
+        }
+        assert!(fallbacks > 0, "no cell of the bent hull fell back");
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //!   rate — that is a deliberate knob, not an accident.
 
 use crate::sync::{RankedMutex, RANK_CONTEXT_CACHE};
-use ssq_core::QueryContext;
+use ssq_core::{KeyScratch, QueryContext};
 use ssq_geom::Point;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -136,10 +136,14 @@ impl ContextCache {
     /// Entries of other generations never match; after a snapshot swap
     /// they age out through LRU eviction as the new generation's
     /// working set fills the cache.
+    ///
+    /// A query with a hull vertex off the key grid (a quantized
+    /// coordinate outside `i64`) has no key: its context is built
+    /// uncached and returned with `hit = false`, and the cache is left as
+    /// it was.
     pub fn get_or_build(&self, generation: u64, q: &[Point]) -> (Arc<QueryContext>, bool) {
-        let key = CacheKey {
-            generation,
-            query: QueryKey::canonical(q, self.quantum),
+        let Some(key) = self.key(generation, q) else {
+            return (Arc::new(QueryContext::new(q)), false);
         };
         {
             let mut inner = self.inner.lock();
@@ -174,14 +178,22 @@ impl ContextCache {
         (ctx, false)
     }
 
-    /// `true` when `q`'s canonical key is cached for `generation`. Does
-    /// not touch recency.
+    /// `true` when `q`'s canonical key is cached for `generation` (never
+    /// for a query off the key grid). Does not touch recency.
     pub fn contains(&self, generation: u64, q: &[Point]) -> bool {
-        let key = CacheKey {
+        self.key(generation, q)
+            .is_some_and(|key| self.inner.lock().map.contains_key(&key))
+    }
+
+    /// `q`'s full key under `generation`; `None` when a hull vertex of
+    /// `q` lies off the key grid.
+    fn key(&self, generation: u64, q: &[Point]) -> Option<CacheKey> {
+        let mut scratch = KeyScratch::new();
+        let cells = QueryKey::canonical_cells_into(q, self.quantum, &mut scratch)?;
+        Some(CacheKey {
             generation,
-            query: QueryKey::canonical(q, self.quantum),
-        };
-        self.inner.lock().map.contains_key(&key)
+            query: QueryKey::from_cells(cells.to_vec()),
+        })
     }
 
     /// Number of cached contexts scoped to `generation` — how much of
@@ -284,6 +296,22 @@ mod tests {
         // for this key — anchors agree, raw query() may not.
         assert_eq!(ctx.query().len(), 3);
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn a_query_off_the_key_grid_is_built_uncached() {
+        let cache = ContextCache::new(4, ContextCache::DEFAULT_QUANTUM);
+        let qa = q(&[(0.0, 0.0), (1.0, 0.0), (0.5, 1.0)]);
+        cache.get_or_build(0, &qa);
+        let far = q(&[(-1e300, 0.0), (1e300, 0.0)]);
+        for _ in 0..2 {
+            let (ctx, hit) = cache.get_or_build(0, &far);
+            assert!(!hit);
+            assert_eq!(ctx.anchors().len(), 2);
+        }
+        assert!(!cache.contains(0, &far));
+        assert_eq!(cache.len(), 1);
+        assert!(cache.get_or_build(0, &qa).1, "the LRU was disturbed");
     }
 
     #[test]

@@ -425,7 +425,7 @@ fn ring_contains(ring: &[Point], p: Point) -> bool {
 /// convex polygon with counter-clockwise vertices `ring` and `r` share at
 /// least one point.
 // ssq-analyze: deny-alloc
-pub fn ring_intersects_rect(ring: &[Point], r: &Rect) -> bool {
+fn ring_intersects_rect(ring: &[Point], r: &Rect) -> bool {
     if r.is_empty() || ring.is_empty() {
         return false;
     }

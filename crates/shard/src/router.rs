@@ -15,7 +15,8 @@
 //!    seed vector is skipped ([`dominates_rect`]); the rest are queried
 //!    concurrently.
 //! 4. **Merge** — per-shard skylines, remapped to global ids, pass
-//!    through the exact dominance filter ([`merge_candidates_with`]).
+//!    through the exact dominance filter ([`merge_candidates_with`]);
+//!    a query only its primary answered skips it (below).
 //!
 //! Steps 2 and 3 send one batch per shard ([`ShardedEngine::query_batch`]
 //! routes many queries at once). Every batch of a step but the last goes
@@ -26,6 +27,20 @@
 //! Pruning never affects the answer (the bound is sound — see
 //! [`prune`](crate::prune)); it only avoids work, which the metrics
 //! make observable.
+//!
+//! # One-shard answers
+//!
+//! When every shard but the primary is pruned, the primary's skyline is
+//! the global one and is returned as it is, its ids sorted, with no merge.
+//! Each other shard was pruned because some primary skyline point `t`
+//! strictly dominates its whole rect ([`dominates_rect`]), so `t`
+//! dominates every point there. If such a point `x` dominated a primary
+//! skyline point `s`, then `t` would dominate `s` by transitivity — two
+//! points of the primary, contradicting `s`'s membership. So no pruned
+//! point removes a primary skyline point, and none is one itself. On the
+//! benchmark's `fleet` stream about nine routed queries in ten take this
+//! path (its traced mean fan-out is 1.117 shards). Their
+//! [`ShardedResponse::stats`] count no merge work.
 //!
 //! # Live reindex
 //!
@@ -194,7 +209,9 @@ pub struct ShardedResponse {
     pub shards_pruned: usize,
     /// End-to-end service time: bound + fan-out + merge.
     pub latency: Duration,
-    /// Work counters summed over shard sub-queries plus the merge.
+    /// Work counters summed over shard sub-queries, the seed vectors of
+    /// the prune step and the merge (none when only the primary shard was
+    /// queried).
     pub stats: QueryStats,
 }
 
@@ -715,35 +732,44 @@ impl ShardedEngine {
         let mut partials = vec![Partial::default(); queries.len()];
         self.fan_batches(&fleet, queries, &members, arena, &mut partials)?;
 
-        // Prune per query, then one batch per remaining shard.
+        // Prune per query, then one batch per remaining shard. A shard is
+        // pruned when a seed vector dominates its bound; the seeds are
+        // computed one at a time into one buffer, and the scan stops once
+        // every other shard is pruned.
         let mut fanout: Vec<Vec<usize>> = vec![Vec::new(); shards];
+        let (mut seed, mut open) = (Vec::new(), Vec::with_capacity(shards));
         for (qi, (ctx, part)) in ctxs.iter().zip(&mut partials).enumerate() {
-            let seed_vectors: Vec<Vec<f64>> = part
-                .candidates
-                .iter()
-                .map(|&(_, p)| ctx.dist_vector(p, &mut part.stats))
-                .collect();
-            for shard in 0..shards {
-                if shard == primaries[qi] {
-                    continue;
-                }
-                let skip = self.prune
-                    && seed_vectors
-                        .iter()
-                        .any(|v| dominates_rect(v, &bounds[qi][shard]));
-                if skip {
-                    part.pruned += 1;
-                } else {
-                    fanout[shard].push(qi);
-                }
+            open.clear();
+            open.extend((0..shards).filter(|&shard| shard != primaries[qi]));
+            let mut candidates = part.candidates.iter();
+            while self.prune && !open.is_empty() {
+                let Some(&(_, p)) = candidates.next() else {
+                    break;
+                };
+                seed.clear();
+                seed.extend(ctx.anchors().iter().map(|&q| q.distance(p)));
+                part.stats.distance_computations += seed.len() as u64;
+                open.retain(|&shard| !dominates_rect(&seed, &bounds[qi][shard]));
+            }
+            part.pruned += shards - 1 - open.len();
+            for &shard in &open {
+                fanout[shard].push(qi);
             }
         }
         self.fan_batches(&fleet, queries, &fanout, arena, &mut partials)?;
 
-        // Merge every query through the caller's warm arena.
+        // Merge every query through the caller's warm arena — unless only
+        // its primary was queried: every other shard was pruned by a
+        // primary skyline point, so the primary's skyline is the answer
+        // (module docs, "One-shard answers").
         let merged = ctxs.iter().zip(partials).map(|(ctx, mut part)| {
-            let skyline =
-                merge_candidates_with(ctx, &part.candidates, &mut part.stats, &mut arena.scratch);
+            let skyline = if part.queried == 1 {
+                let mut ids: Vec<u32> = part.candidates.iter().map(|&(id, _)| id).collect();
+                ids.sort_unstable();
+                ids
+            } else {
+                merge_candidates_with(ctx, &part.candidates, &mut part.stats, &mut arena.scratch)
+            };
             let latency = start.elapsed();
             self.metrics.record_query(
                 part.queried as u64,
@@ -986,6 +1012,106 @@ mod tests {
         assert_eq!(m.router.shards_pruned, got.shards_pruned as u64);
         assert!(m.router.prune_rate() > 0.0);
         assert_eq!(m.engines.engine.queries(), got.shards_queried as u64);
+        engine.shutdown();
+    }
+
+    #[test]
+    fn a_query_only_its_primary_answers_skips_the_merge_and_stays_exact() {
+        // Four blobs, one per cell of a 2 × 2 grid, and small query sets
+        // inside one blob: most prune the other three shards and take the
+        // primary's skyline as the answer.
+        let mut s = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let centres = [(5.0, 5.0), (25.0, 5.0), (5.0, 25.0), (25.0, 25.0)];
+        let data: Vec<Point> = (0..800)
+            .map(|i| {
+                let (cx, cy) = centres[i % 4];
+                Point::new(cx + 8.0 * next() - 4.0, cy + 8.0 * next() - 4.0)
+            })
+            .collect();
+        let config = ShardConfig::default()
+            .with_shards(4)
+            .with_policy(PartitionPolicy::Grid)
+            .with_engine(small_engines());
+        let engine = ShardedEngine::new(&data, config.clone()).unwrap();
+        let unpruned = ShardedEngine::new(&data, config.with_prune(false)).unwrap();
+        assert_eq!(engine.shard_count(), 4);
+        let mut alone = 0;
+        for j in 0..24 {
+            let (cx, cy) = centres[j % 4];
+            let (x, y) = (cx + 4.0 * next() - 2.0, cy + 4.0 * next() - 2.0);
+            let q: Vec<Point> = (0..3)
+                .map(|_| Point::new(x + next() - 0.5, y + next() - 0.5))
+                .collect();
+            let got = engine.query(&q).unwrap();
+            let want = naive_full(&data, &QueryContext::new(&q)).skyline;
+            assert_eq!(got.skyline, want, "query {j}");
+            assert_eq!(unpruned.query(&q).unwrap().skyline, want, "query {j}");
+            alone += usize::from(got.shards_queried == 1);
+        }
+        assert!(alone > 0, "no query was answered by its primary alone");
+        engine.shutdown();
+        unpruned.shutdown();
+    }
+
+    #[test]
+    fn a_tie_across_the_shard_boundary_keeps_the_far_shard() {
+        // A 2-shard grid over x ∈ [0, 10] cuts at x = 5. The anchors sit
+        // on that line below both blobs, and `a` and `b` mirror each other
+        // across it: `a`'s distance vector equals the right shard's bound
+        // exactly, which a tie must not prune, and the two points tie, so
+        // both are skyline points.
+        let mut data = Vec::new();
+        for i in 0..10 {
+            for j in 0..5 {
+                let (x, y) = (4.5 - 0.5 * i as f64, 2.0 + 0.5 * j as f64);
+                data.extend([Point::new(x, y), Point::new(10.0 - x, y)]);
+            }
+        }
+        let (a, b) = (0u32, 1u32);
+        assert_eq!(
+            (data[0], data[1]),
+            (Point::new(4.5, 2.0), Point::new(5.5, 2.0))
+        );
+        let q = vec![Point::new(5.0, 1.0), Point::new(5.0, 0.0)];
+        let config = ShardConfig::default()
+            .with_shards(2)
+            .with_policy(PartitionPolicy::Grid)
+            .with_engine(small_engines());
+        let engine = ShardedEngine::new(&data, config).unwrap();
+        let got = engine.query(&q).unwrap();
+        assert_eq!((got.shards_queried, got.shards_pruned), (2, 0));
+        assert_eq!(got.skyline, vec![a, b]);
+        assert_eq!(
+            got.skyline,
+            naive_full(&data, &QueryContext::new(&q)).skyline
+        );
+        engine.shutdown();
+    }
+
+    #[test]
+    fn a_coordinate_off_the_key_grid_answers_through_the_fleet() {
+        // The primary's batch runs on the calling thread, so a panic in
+        // its context-cache key would unwind into this call. (The answer
+        // is not compared with the oracle: at these magnitudes squared
+        // distances overflow, ROADMAP item 4(b).)
+        let data = cloud(300);
+        let config = ShardConfig::default()
+            .with_shards(4)
+            .with_engine(small_engines());
+        let engine = ShardedEngine::new(&data, config).unwrap();
+        let far = vec![Point::new(-1e300, 0.0), Point::new(1e300, 0.0)];
+        assert!(engine.query(&far).is_ok());
+        let q = vec![Point::new(2.0, 3.0), Point::new(9.0, 5.0)];
+        assert_eq!(
+            engine.query(&q).unwrap().skyline,
+            naive_full(&data, &QueryContext::new(&q)).skyline
+        );
         engine.shutdown();
     }
 

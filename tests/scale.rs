@@ -11,7 +11,6 @@ use std::time::Instant;
 use spatial_skyline::core::heap::MinHeap;
 use spatial_skyline::core::{vs2_kernel, DistanceScratch};
 use spatial_skyline::geom::circle::search_region_mbr;
-use spatial_skyline::geom::convex::ring_intersects_rect;
 use spatial_skyline::geom::kernel::dist_sq_sum;
 use spatial_skyline::prelude::*;
 use spatial_skyline::workload::queries::{random_query_set, QueryConfig};
@@ -88,7 +87,8 @@ fn continuous_at_10k_stays_exact_with_spot_checks() {
 /// and tightening `B` — the kernel without its neighbour certificate —
 /// replayed from the public index API: `(sites extracted, rows)`. Same
 /// start (`NN(q₁)`), key (squared-distance sum), heap (ties pop in push
-/// order) and enqueue rule (inside `B` or Voronoi cell meeting `B`).
+/// order) and enqueue rule (inside `B` or the stored box of its Voronoi
+/// cell meeting `B`).
 fn certificate_free_replay(index: &VoronoiIndex, ctx: &QueryContext) -> (u64, u64) {
     const VISITED: u8 = 1;
     const EXTRACTED: u8 = 2;
@@ -118,8 +118,7 @@ fn certificate_free_replay(index: &VoronoiIndex, ctx: &QueryContext) -> (u64, u6
                 continue;
             }
             let nbp = graph.point(nb);
-            let cell = || index.voronoi_cell(index.id_of(nb));
-            if b.contains(nbp) || ring_intersects_rect(cell().vertices(), &b) {
+            if b.contains(nbp) || index.cell_box(index.id_of(nb)).intersects(&b) {
                 state[nb as usize] = VISITED;
                 heap.push(dist_sq_sum(nbp, anchors), nb);
             }
