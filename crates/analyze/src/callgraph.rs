@@ -4,9 +4,9 @@
 //!
 //! Resolution is name-based (the analyzer has no type information) and
 //! deliberately over-approximates: a call that *might* target a fn
-//! produces an edge, so reachability-based rules
-//! (`deny-alloc-transitive`, `no-panic-transitive`, `lock-rank-static`,
-//! `simd-dispatch-guard`) can miss nothing the resolver can see.
+//! produces an edge, so the reachability-based rules
+//! (`deny-alloc-transitive`, `lock-rank-static`) can miss nothing the
+//! resolver can see.
 //! Precision comes from three restrictions that keep the
 //! over-approximation honest rather than useless:
 //!
@@ -31,7 +31,7 @@
 //! Test fns (`#[test]`, `#[cfg(test)] mod` bodies) and files under
 //! `tests/`, `benches/`, or `examples/` never become graph nodes: the
 //! invariants are about library serving paths, and test scaffolding
-//! panics by design. DESIGN.md §12.4 documents the remaining blind
+//! allocates and locks however it likes. DESIGN.md §12.4 documents the remaining blind
 //! spots (closures passed as values, trait-object dispatch, macros).
 
 use std::collections::HashMap;

@@ -1,16 +1,12 @@
-//! The interprocedural rules (R6–R9), each a traversal over the
+//! The interprocedural rules (R6, R8), each a traversal over the
 //! [`CallGraph`]:
 //!
 //! * [`alloc`] — `deny-alloc-transitive`: allocation-freedom
 //!   propagates from `// ssq-analyze: deny-alloc` roots through every
 //!   reachable callee.
-//! * [`panics`] — `no-panic-transitive`: panic sites in helper crates
-//!   reachable from `no-panic` library entry points.
 //! * [`lockrank`] — `lock-rank-static`: the §12.2 rank table is
 //!   extracted from `RankedMutex::new` sites and every statically
 //!   reachable out-of-order acquisition is flagged.
-//! * [`simd`] — `simd-dispatch-guard`: `#[target_feature]` fns must be
-//!   called only from their dispatch-table wrappers.
 //!
 //! Each rule returns `(file index, Violation)` pairs; the workspace
 //! driver merges them with the local scans and applies the shared
@@ -18,19 +14,15 @@
 
 pub mod alloc;
 pub mod lockrank;
-pub mod panics;
-pub mod simd;
 
 use crate::callgraph::{CallGraph, Unit};
-use crate::rules::{FileConfig, LocalScan, Violation};
+use crate::rules::{LocalScan, Violation};
 
-/// Shared input to every interprocedural rule. The three slices are
-/// parallel: `configs[i]` and `scans[i]` describe `units[i]`.
+/// Shared input to every interprocedural rule. The two slices are
+/// parallel: `scans[i]` describes `units[i]`.
 pub struct Ctx<'a> {
     /// All analyzed files.
     pub units: &'a [Unit],
-    /// Path-scoped rule configuration per file.
-    pub configs: &'a [FileConfig],
     /// Local scan results per file (for `deny-alloc` root regions).
     pub scans: &'a [LocalScan],
     /// The resolved workspace call graph.

@@ -9,7 +9,7 @@
 //!   punctuation characters, each stamped with its 1-based line;
 //! * **comments** — line (`//`) and block (`/* */`, nested) comments,
 //!   kept separately because several rules are *driven by* comments
-//!   (`// SAFETY:`, `// ssq-analyze: deny-alloc`, allow directives).
+//!   (`// ssq-analyze: deny-alloc` markers and allow directives).
 //!
 //! String literals are kept as opaque [`TokenKind::Str`] tokens (the
 //! item parser needs `RankedMutex::new("name", …)` lock names) but

@@ -1,30 +1,26 @@
 //! `ssq-analyze`: repo-invariant static analysis for the
 //! spatial-skyline workspace.
 //!
-//! A std-only, dependency-free lint pass. It does not replace clippy;
-//! it enforces the handful of *repo-specific* conventions the
-//! concurrent serving stack (PRs 1–4) relies on but which no general
-//! tool checks. Five local rules scan one token stream at a time:
+//! A std-only, dependency-free lint pass for the conventions rustc and
+//! clippy cannot express. The panic, `unsafe`, shared-state and SIMD
+//! dispatch rules live in the compiler (`DESIGN.md` §12.1 has the
+//! table); what stays here are the rules that need a workspace call
+//! graph or a repo-specific annotation. Two local rules scan one token
+//! stream at a time:
 //!
 //! | rule | what it enforces |
 //! |------|------------------|
 //! | `float-cmp` | no `partial_cmp(..).unwrap()/.expect(..)` — use `total_cmp` |
-//! | `shared-cell` | no `RefCell`/`UnsafeCell`/`cell::Cell`/`static mut` in snapshot/shared-state modules |
 //! | `deny-alloc` | no allocating calls in functions annotated `// ssq-analyze: deny-alloc` |
-//! | `no-panic` | no `unwrap`/`expect`/`panic!`-family in non-test engine/shard library code |
-//! | `safety-comment` | every `unsafe` carries a nearby `// SAFETY:` comment |
 //!
-//! Four interprocedural rules then walk a workspace-wide call graph
+//! Two interprocedural rules then walk a workspace-wide call graph
 //! ([`parser`] recovers items, [`callgraph`] resolves calls) so the
-//! same invariants hold *transitively*, not just in the annotated or
-//! configured file:
+//! invariants hold *transitively*, not just in the annotated file:
 //!
 //! | rule | what it proves |
 //! |------|----------------|
 //! | `deny-alloc-transitive` | no allocation reachable from a `deny-alloc` kernel root |
-//! | `no-panic-transitive` | no panic site reachable from a no-panic library entry point |
 //! | `lock-rank-static` | the §12.2 `RankedMutex` rank table admits no statically reachable out-of-order acquisition |
-//! | `simd-dispatch-guard` | `#[target_feature]` fns are reached only through the dispatch-table wrappers |
 //!
 //! Suppress a finding with `// ssq-analyze: allow(<rule>): <reason>`
 //! on the offending line or the line above; the reason is mandatory,
@@ -37,7 +33,7 @@
 //! machine-readable report. See `DESIGN.md` §12.
 
 #![deny(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(clippy::all)]
 
 pub mod callgraph;
@@ -47,67 +43,5 @@ pub mod parser;
 pub mod rules;
 pub mod workspace;
 
-pub use rules::{analyze_source, FileConfig, Rule, Violation};
+pub use rules::{analyze_source, Rule, Violation};
 pub use workspace::{analyze_files, dep_graph_from_manifests, SourceFile, WorkspaceReport};
-
-/// Returns the [`FileConfig`] the workspace gate applies to `path`
-/// (which may be absolute or repo-relative; matching is by path
-/// suffix/substring with `/`-normalized separators).
-///
-/// * `shared-cell` guards the snapshot/shared-state modules: the whole
-///   of `rtree` and `delaunay` (their structures are published inside
-///   immutable `Snapshot`s), the engine's snapshot types, and the
-///   core spatial index they wrap.
-/// * `no-panic` guards non-test library code of `engine`, `shard`,
-///   `net`, and `diagram` — the crates whose public contract is typed
-///   errors (for `net` the contract is load-bearing: a malformed frame
-///   from the network must come back as a `ProtocolError`, never a
-///   panic; for `diagram` the lookup path sits in front of the planner
-///   on every query, so it must degrade to a miss, not a panic) — plus
-///   the core delta module: `UpdateBatch` normalization runs inside
-///   `apply_delta` on the ingest pipeline, where a panic would poison
-///   the catalog lock under live traffic.
-///
-/// The `no-panic` file set also seeds the entry points of
-/// `no-panic-transitive`: every `pub` fn in a configured file is a
-/// root from which panic-reachability is traced into helper crates.
-pub fn config_for_path(path: &str) -> FileConfig {
-    let p = path.replace('\\', "/");
-    let shared_cell = p.contains("crates/rtree/src/")
-        || p.contains("crates/delaunay/src/")
-        || p.ends_with("crates/engine/src/snapshot.rs")
-        || p.ends_with("crates/core/src/index.rs");
-    let no_panic = p.contains("crates/engine/src/")
-        || p.contains("crates/shard/src/")
-        || p.contains("crates/net/src/")
-        || p.contains("crates/diagram/src/")
-        || p.ends_with("crates/core/src/delta.rs");
-    FileConfig {
-        shared_cell,
-        no_panic,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn path_scoping_matches_the_documented_table() {
-        assert!(config_for_path("crates/rtree/src/tree.rs").shared_cell);
-        assert!(config_for_path("/root/repo/crates/delaunay/src/graph.rs").shared_cell);
-        assert!(config_for_path("crates/engine/src/snapshot.rs").shared_cell);
-        assert!(!config_for_path("crates/engine/src/engine.rs").shared_cell);
-
-        assert!(config_for_path("crates/engine/src/engine.rs").no_panic);
-        assert!(config_for_path("crates/shard/src/router.rs").no_panic);
-        assert!(config_for_path("crates/net/src/wire.rs").no_panic);
-        assert!(config_for_path("crates/diagram/src/lib.rs").no_panic);
-        assert!(config_for_path("crates/core/src/delta.rs").no_panic);
-        assert!(!config_for_path("crates/core/src/naive.rs").no_panic);
-        assert!(!config_for_path("crates/diagram/tests/diagram_equiv.rs").no_panic);
-        assert!(!config_for_path("crates/net/tests/protocol_robustness.rs").no_panic);
-        assert!(!config_for_path("crates/engine/tests/lock_order.rs").no_panic);
-        assert!(!config_for_path("crates/geom/src/kernel.rs").no_panic);
-    }
-}

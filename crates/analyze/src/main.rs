@@ -1,23 +1,21 @@
 //! The `ssq-analyze` binary: walks the workspace's Rust sources and
-//! reports rule violations — local token rules plus the four
-//! call-graph rules (see `DESIGN.md` §12).
+//! reports violations of the rules rustc and clippy cannot check —
+//! `float-cmp` and `deny-alloc` on each file, `deny-alloc-transitive`
+//! and `lock-rank-static` over the call graph (see `DESIGN.md` §12).
 //!
-//! Usage: `ssq-analyze [ROOT] [--json PATH] [--audit-suppressions]
-//! [--threads N]`
+//! Usage: `ssq-analyze [ROOT] [--json PATH] [--audit-suppressions]`
 //!
 //! * `--json PATH` — also write the machine-readable report (one JSON
 //!   object per violation, suppressed ones included).
 //! * `--audit-suppressions` — list allow directives that no longer
 //!   suppress anything; stale directives fail the run.
-//! * `--threads N` — lex/parse worker count (default: available
-//!   parallelism, capped at 8).
 //!
 //! Exit codes: 0 = clean, 1 = violations found (or stale suppressions
 //! in audit mode), 2 = internal error (IO failure, a file the lexer
 //! cannot process, or bad usage).
 
 #![deny(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(clippy::all)]
 
 use std::path::{Path, PathBuf};
@@ -29,7 +27,6 @@ struct Options {
     root: PathBuf,
     json: Option<PathBuf>,
     audit: bool,
-    threads: usize,
 }
 
 fn main() -> ExitCode {
@@ -64,7 +61,7 @@ fn main() -> ExitCode {
     }
 
     let deps = dep_graph_from_manifests(&opts.root);
-    let report = match analyze_files(&files, opts.threads, &deps) {
+    let report = match analyze_files(&files, &deps) {
         Ok(report) => report,
         Err(message) => {
             eprintln!("ssq-analyze: internal error: {message}");
@@ -117,7 +114,6 @@ fn parse_args() -> Result<Options, String> {
     let mut root = None;
     let mut json = None;
     let mut audit = false;
-    let mut threads = std::thread::available_parallelism().map_or(4, |n| n.get().min(8));
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -126,10 +122,6 @@ fn parse_args() -> Result<Options, String> {
                 None => return Err("--json requires a path argument".into()),
             },
             "--audit-suppressions" => audit = true,
-            "--threads" => match args.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n > 0 => threads = n,
-                _ => return Err("--threads requires a positive integer".into()),
-            },
             flag if flag.starts_with("--") => {
                 return Err(format!("unknown flag `{flag}`"));
             }
@@ -146,12 +138,7 @@ fn parse_args() -> Result<Options, String> {
             |dir| PathBuf::from(dir).join("../.."),
         )
     });
-    Ok(Options {
-        root,
-        json,
-        audit,
-        threads,
-    })
+    Ok(Options { root, json, audit })
 }
 
 /// Recursively collects `.rs` files under `dir`, skipping build output,

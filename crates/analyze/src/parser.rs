@@ -4,8 +4,8 @@
 //! This is *not* a Rust parser. It recovers, from one file's tokens:
 //!
 //! * **fn items** — name, enclosing `impl`/`trait` type, enclosing
-//!   in-file `mod` path, visibility, `#[target_feature]` / test
-//!   attributes, and the token range of the body;
+//!   in-file `mod` path, test attributes, and the token range of the
+//!   body;
 //! * **call expressions** — plain (`helper(..)`), path
 //!   (`kernel::dominates(..)`, `Self::drain(..)`), and method
 //!   (`x.resolve(..)`) calls, each attributed to the innermost
@@ -17,8 +17,7 @@
 //!   conservative token range over which the returned guard is held
 //!   (end of statement for temporaries, end of the enclosing block for
 //!   `let`-bound guards, shortened by an explicit `drop(guard)`);
-//! * **rank constants** (`const RANK_X: u32 = 200;`) and the fn names
-//!   installed into `Dispatch { .. }` table literals;
+//! * **rank constants** (`const RANK_X: u32 = 200;`);
 //! * **spawn regions** — argument ranges of `spawn(..)` calls, whose
 //!   closures run on a fresh thread and therefore start with an empty
 //!   lock-hold set.
@@ -47,13 +46,9 @@ pub struct FnItem {
     /// Names of enclosing in-file `mod` blocks, outermost first
     /// (e.g. `["x86"]` for `geom::simd`'s intrinsic module).
     pub modules: Vec<String>,
-    /// `true` for `pub`/`pub(..)` items.
-    pub is_pub: bool,
     /// `true` for `#[test]`/`#[cfg(test)]` fns or fns inside
     /// `#[cfg(test)] mod` regions.
     pub is_test: bool,
-    /// `true` when the fn carries `#[target_feature(..)]`.
-    pub target_feature: bool,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
     /// Token index of the `fn` keyword.
@@ -195,9 +190,6 @@ pub struct ParsedFile {
     pub lock_sites: Vec<LockSite>,
     /// `const NAME: .. = <int>;` items (rank-constant candidates).
     pub rank_consts: Vec<(String, u32)>,
-    /// Fn names installed as field values in `Dispatch { .. }`
-    /// literals.
-    pub dispatch_installed: Vec<String>,
     /// Struct field declarations (receiver typing for method calls).
     pub field_types: Vec<FieldType>,
     /// Token ranges of `spawn(..)` argument lists: closures inside run
@@ -404,10 +396,6 @@ pub fn parse(lexed: &Lexed) -> ParsedFile {
                 if let Some(def) = parse_mutex_def(tokens, i, &out.test_regions) {
                     out.mutex_defs.push(def);
                 }
-                i += 1;
-            }
-            "Dispatch" if tokens.get(i + 1).is_some_and(|t| t.is_punct('{')) => {
-                collect_dispatch_values(tokens, i + 1, &mut out.dispatch_installed);
                 i += 1;
             }
             "struct" => {
@@ -629,7 +617,6 @@ fn parse_fn(
     // `unsafe`, `async`, `extern "C"`) to the start of the item, then
     // over contiguous attribute clusters.
     let mut start = fn_tok;
-    let mut is_pub = false;
     while start > 0 {
         let prev = &tokens[start - 1];
         let qualifier = match prev.kind {
@@ -644,12 +631,8 @@ fn parse_fn(
         if !qualifier {
             break;
         }
-        if prev.is_ident("pub") {
-            is_pub = true;
-        }
         start -= 1;
     }
-    let mut target_feature = false;
     let mut attr_test = false;
     let mut cursor = start;
     while cursor > 0 {
@@ -662,13 +645,7 @@ fn parse_fn(
         if span.end >= cursor {
             break;
         }
-        for ident in &span.idents {
-            match ident.as_str() {
-                "target_feature" => target_feature = true,
-                "test" => attr_test = true,
-                _ => {}
-            }
-        }
+        attr_test |= span.idents.iter().any(|ident| ident == "test");
         cursor = span.start;
     }
 
@@ -697,9 +674,7 @@ fn parse_fn(
         name: name_tok.text.clone(),
         impl_type,
         modules: modules.into_iter().map(|(_, name)| name).collect(),
-        is_pub,
         is_test: attr_test || in_test_mod,
-        target_feature,
         line: tokens[fn_tok].line,
         fn_tok,
         body,
@@ -1177,50 +1152,6 @@ fn call_paren_range(tokens: &[Token], name_tok: usize) -> Option<(usize, usize)>
     Some((j, close))
 }
 
-/// Collects the value idents of a `Dispatch { field: value, .. }`
-/// struct literal starting at the `{` at `open` — the fn names
-/// installed in a dispatch table.
-fn collect_dispatch_values(tokens: &[Token], open: usize, out: &mut Vec<String>) {
-    let Some(close) = match_brace(tokens, open) else {
-        return;
-    };
-    let mut depth = 0i32;
-    let mut m = open;
-    while m < close {
-        let t = &tokens[m];
-        if t.is_punct('{') || t.is_punct('(') || t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct('}') || t.is_punct(')') || t.is_punct(']') {
-            depth -= 1;
-        } else if depth == 1 && t.is_punct(':') && !tokens[m + 1].is_punct(':') {
-            // `field : value` — take the last ident of the value path
-            // before the next depth-1 comma.
-            let mut k = m + 1;
-            let mut last: Option<String> = None;
-            let mut d2 = 0i32;
-            while k < close {
-                let v = &tokens[k];
-                if v.is_punct('(') || v.is_punct('[') || v.is_punct('{') {
-                    d2 += 1;
-                } else if v.is_punct(')') || v.is_punct(']') || v.is_punct('}') {
-                    d2 -= 1;
-                } else if v.is_punct(',') && d2 == 0 {
-                    break;
-                } else if v.kind == TokenKind::Ident && d2 == 0 {
-                    last = Some(v.text.clone());
-                }
-                k += 1;
-            }
-            if let Some(name) = last {
-                out.push(name);
-            }
-            m = k;
-            continue;
-        }
-        m += 1;
-    }
-}
-
 /// Std wrapper types method calls reach *through* (guards, derefs,
 /// combinators): receiver typing unwraps these to the payload type.
 /// Maps (`HashMap`, `BTreeMap`) are deliberately absent — their
@@ -1428,12 +1359,11 @@ mod tests {
             names,
             ["free", "method", "private_method", "kernel", "a_test"]
         );
-        assert!(p.fns[0].is_pub && p.fns[0].impl_type.is_none());
+        assert!(p.fns[0].impl_type.is_none());
         assert_eq!(p.fns[1].impl_type.as_deref(), Some("Engine"));
-        assert!(p.fns[1].is_pub);
-        assert!(!p.fns[2].is_pub);
-        assert!(p.fns[3].target_feature);
+        assert_eq!(p.fns[2].impl_type.as_deref(), Some("Engine"));
         assert_eq!(p.fns[3].modules, ["x86"]);
+        assert!(p.fns[..4].iter().all(|f| !f.is_test));
         assert!(p.fns[4].is_test);
     }
 
@@ -1506,22 +1436,13 @@ impl S {
     }
 
     #[test]
-    fn dispatch_tables_and_spawn_ranges() {
+    fn spawn_ranges_cover_the_closure_only() {
         let src = "\
-static SCALAR: Dispatch = Dispatch {
-    path: KernelPath::Scalar,
-    fill_tile: fill_tile_scalar,
-    all_lt: all_lt_scalar,
-};
 fn start() {
     std::thread::spawn(move || { worker(); });
     outside();
 }";
         let p = parse_src(src);
-        assert_eq!(
-            p.dispatch_installed,
-            ["Scalar", "fill_tile_scalar", "all_lt_scalar"]
-        );
         let worker = p.calls.iter().find(|c| c.name == "worker").expect("w");
         let outside = p.calls.iter().find(|c| c.name == "outside").expect("o");
         assert!(p.innermost_spawn(worker.tok).is_some());

@@ -1,5 +1,5 @@
-//! The workspace driver: parallel lex/parse, local scans, call-graph
-//! construction, the four interprocedural rules, suppression
+//! The workspace driver: lex/parse, local scans, call-graph
+//! construction, the two interprocedural rules, suppression
 //! application, and report assembly (human, JSON, and suppression
 //! audit).
 //!
@@ -13,11 +13,10 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 use crate::callgraph::{classify_path, CallGraph, DepGraph, Unit};
-use crate::config_for_path;
 use crate::interp::{self, lockrank::RankEntry, Ctx};
 use crate::lexer::lex;
 use crate::parser::parse;
-use crate::rules::{apply_suppressions, scan_lexed, FileConfig, LocalScan, Rule, Violation};
+use crate::rules::{apply_suppressions, scan_lexed, LocalScan, Rule, Violation};
 
 /// One input file: a repo-relative display path plus its source text.
 #[derive(Clone, Debug)]
@@ -137,71 +136,34 @@ impl WorkspaceReport {
     }
 }
 
-/// Runs the full pipeline over `files` with `threads` lex/parse
-/// workers. Returns an error string (for the internal-error exit code)
-/// when a file fails to lex or a worker dies.
-pub fn analyze_files(
-    files: &[SourceFile],
-    threads: usize,
-    deps: &DepGraph,
-) -> Result<WorkspaceReport, String> {
+/// Runs the full pipeline over `files`, in order. Returns an error
+/// string (for the internal-error exit code) when a file fails to lex.
+pub fn analyze_files(files: &[SourceFile], deps: &DepGraph) -> Result<WorkspaceReport, String> {
     let mut report = WorkspaceReport {
         files: files.len(),
         ..WorkspaceReport::default()
     };
 
-    // Stage 1: lex + parse, fanned out over a scoped worker pool. Each
-    // worker takes a contiguous chunk; files are small and uniform
-    // enough that static partitioning stays balanced.
+    // Stage 1: lex + parse.
     let t = Instant::now();
-    let workers = threads.clamp(1, files.len().max(1));
-    let chunk_len = files.len().div_ceil(workers).max(1);
-    let chunks: Result<Vec<Vec<Unit>>, String> = std::thread::scope(|scope| {
-        let handles: Vec<_> = files
-            .chunks(chunk_len)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    chunk
-                        .iter()
-                        .map(|f| {
-                            let lexed =
-                                lex(&f.src).map_err(|e| format!("{}: lex error: {e}", f.path))?;
-                            let parsed = parse(&lexed);
-                            let (crate_name, indexable) = classify_path(&f.path);
-                            Ok(Unit {
-                                path: f.path.clone(),
-                                crate_name,
-                                indexable,
-                                lexed,
-                                parsed,
-                            })
-                        })
-                        .collect()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .map_err(|_| "analyzer worker panicked".to_string())?
-            })
-            .collect()
-    });
     let mut units: Vec<Unit> = Vec::with_capacity(files.len());
-    for chunk in chunks? {
-        units.extend(chunk);
+    for f in files {
+        let lexed = lex(&f.src).map_err(|e| format!("{}: lex error: {e}", f.path))?;
+        let parsed = parse(&lexed);
+        let (crate_name, indexable) = classify_path(&f.path);
+        units.push(Unit {
+            path: f.path.clone(),
+            crate_name,
+            indexable,
+            lexed,
+            parsed,
+        });
     }
     report.timings.push(("lex+parse", t.elapsed()));
 
     // Stage 2: local (single-file) rules.
     let t = Instant::now();
-    let configs: Vec<FileConfig> = units.iter().map(|u| config_for_path(&u.path)).collect();
-    let mut scans: Vec<LocalScan> = units
-        .iter()
-        .zip(&configs)
-        .map(|(u, c)| scan_lexed(&u.lexed, *c))
-        .collect();
+    let mut scans: Vec<LocalScan> = units.iter().map(|u| scan_lexed(&u.lexed)).collect();
     report.timings.push(("local-rules", t.elapsed()));
 
     // Stage 3: the call graph.
@@ -209,10 +171,9 @@ pub fn analyze_files(
     let graph = CallGraph::build(&units, deps);
     report.timings.push(("call-graph", t.elapsed()));
 
-    // Stage 4: the four interprocedural rules.
+    // Stage 4: the two interprocedural rules.
     let ctx = Ctx {
         units: &units,
-        configs: &configs,
         scans: &scans,
         graph: &graph,
     };
@@ -220,14 +181,8 @@ pub fn analyze_files(
     let alloc_v = interp::alloc::run(&ctx);
     report.timings.push(("deny-alloc-transitive", t.elapsed()));
     let t = Instant::now();
-    let panic_v = interp::panics::run(&ctx);
-    report.timings.push(("no-panic-transitive", t.elapsed()));
-    let t = Instant::now();
     let (lock_v, rank_table) = interp::lockrank::run(&ctx);
     report.timings.push(("lock-rank-static", t.elapsed()));
-    let t = Instant::now();
-    let simd_v = interp::simd::run(&ctx);
-    report.timings.push(("simd-dispatch-guard", t.elapsed()));
     report.rank_table = rank_table;
 
     // Stage 5: merge per file, apply suppressions, collect stale
@@ -236,12 +191,7 @@ pub fn analyze_files(
         .iter_mut()
         .map(|s| std::mem::take(&mut s.violations))
         .collect();
-    for (file, violation) in alloc_v
-        .into_iter()
-        .chain(panic_v)
-        .chain(lock_v)
-        .chain(simd_v)
-    {
+    for (file, violation) in alloc_v.into_iter().chain(lock_v) {
         merged[file].push(violation);
     }
     for (i, violations) in merged.into_iter().enumerate() {
@@ -349,15 +299,15 @@ mod tests {
     fn json_output_escapes_and_reports_suppression_status() {
         let files = [file(
             "crates/engine/src/x.rs",
-            "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n\
-             // ssq-analyze: allow(no-panic): startup \"boot\" path, cannot fail\n\
-             fn g(x: Option<u8>) -> u8 { x.unwrap() }\n",
+            "fn f(a: f64, b: f64) { a.partial_cmp(&b).unwrap(); }\n\
+             // ssq-analyze: allow(float-cmp): inputs are \"finite\" by construction\n\
+             fn g(a: f64, b: f64) { a.partial_cmp(&b).unwrap(); }\n",
         )];
-        let report = analyze_files(&files, 2, &DepGraph::default()).expect("pipeline runs");
+        let report = analyze_files(&files, &DepGraph::default()).expect("pipeline runs");
         assert_eq!(report.violations.len(), 2);
         assert_eq!(report.unsuppressed().count(), 1);
         let json = report.to_json();
-        assert!(json.contains("\"rule\": \"no-panic\""), "{json}");
+        assert!(json.contains("\"rule\": \"float-cmp\""), "{json}");
         assert!(json.contains("\"suppressed\": true"), "{json}");
         assert!(json.contains("\"suppressed\": false"), "{json}");
         assert!(report.stale_allows.is_empty());
@@ -367,12 +317,12 @@ mod tests {
     fn stale_allows_are_collected_with_their_rule() {
         let files = [file(
             "crates/engine/src/x.rs",
-            "// ssq-analyze: allow(no-panic): obsolete reason\nfn f() -> u8 { 1 }\n",
+            "// ssq-analyze: allow(deny-alloc): obsolete reason\nfn f() -> u8 { 1 }\n",
         )];
-        let report = analyze_files(&files, 1, &DepGraph::default()).expect("pipeline runs");
+        let report = analyze_files(&files, &DepGraph::default()).expect("pipeline runs");
         assert_eq!(report.unsuppressed().count(), 0);
         assert_eq!(report.stale_allows.len(), 1);
-        assert_eq!(report.stale_allows[0].rule, Rule::NoPanic);
+        assert_eq!(report.stale_allows[0].rule, Rule::DenyAlloc);
         assert_eq!(report.stale_allows[0].line, 1);
     }
 
@@ -384,16 +334,14 @@ mod tests {
              struct S { a: u8 }\n\
              fn build() -> X { X { a: RankedMutex::new(\"engine.a\", RANK_A, 0u8) } }\n",
         )];
-        let report = analyze_files(&files, 1, &DepGraph::default()).expect("pipeline runs");
+        let report = analyze_files(&files, &DepGraph::default()).expect("pipeline runs");
         let summary = report.summary();
         for stage in [
             "lex+parse",
             "local-rules",
             "call-graph",
             "deny-alloc-transitive",
-            "no-panic-transitive",
             "lock-rank-static",
-            "simd-dispatch-guard",
         ] {
             assert!(summary.contains(stage), "{summary}");
         }
@@ -404,7 +352,7 @@ mod tests {
     #[test]
     fn lex_errors_surface_as_internal_errors_with_the_path() {
         let files = [file("crates/engine/src/x.rs", "fn f() { \"unterminated }")];
-        let err = analyze_files(&files, 1, &DepGraph::default()).expect_err("must fail");
+        let err = analyze_files(&files, &DepGraph::default()).expect_err("must fail");
         assert!(err.contains("crates/engine/src/x.rs"), "{err}");
     }
 }

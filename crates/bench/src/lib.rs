@@ -10,7 +10,7 @@
 //! under `src/bin/benchmark/` that `BENCHMARK.json` declares.
 
 #![deny(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(clippy::all)]
 
 use std::time::Instant;

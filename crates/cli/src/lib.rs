@@ -6,7 +6,7 @@
 //! `ssq --help` for usage.
 
 #![deny(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(clippy::all)]
 
 pub mod commands;

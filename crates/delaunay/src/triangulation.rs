@@ -531,9 +531,12 @@ impl<A: Arena> Mesh<A> {
             };
             let a = t.v[(k + 1) % 3];
             let out = t.nbr[k];
+            #[expect(
+                clippy::expect_used,
+                reason = "neighbour links are symmetric by construction; asymmetry is structural corruption where fail-fast beats silent miscounting"
+            )]
             let out_edge = (0..3)
                 .find(|&j| self.tris[out].nbr[j] == cur)
-                // ssq-analyze: allow(no-panic-transitive): neighbour links are symmetric by construction; asymmetry is structural corruption where fail-fast beats silent miscounting
                 .expect("neighbour links must be symmetric");
             ring.push(a);
             outs.push((out, out_edge));
@@ -694,7 +697,10 @@ impl<A: Arena> Mesh<A> {
                 continue;
             }
             let a = points[i0 as usize];
-            // ssq-analyze: allow(no-panic-transitive): i1 is assigned on a previous iteration before this arm is reachable
+            #[expect(
+                clippy::expect_used,
+                reason = "i1 is assigned on a previous iteration before this arm is reachable"
+            )]
             let b = points[i1.expect("set above") as usize];
             if orient2d_sign(a, b, points[i as usize]) != 0 {
                 i2 = Some(i);
@@ -704,7 +710,10 @@ impl<A: Arena> Mesh<A> {
         let Some(i2) = i2 else {
             return false; // all points collinear
         };
-        // ssq-analyze: allow(no-panic-transitive): i2 is only found after i1 was set, so i1 is Some here
+        #[expect(
+            clippy::expect_used,
+            reason = "i2 is only found after i1 was set, so i1 is Some here"
+        )]
         let i1 = i1.expect("at least two points");
         self.init_first_triangle(i0, i1, i2);
         for &i in &insert_order[1..] {
@@ -914,9 +923,12 @@ impl<A: Arena> Mesh<A> {
                 let y = tri.v[(k + 2) % 3];
                 // Which edge of `n` faces back to the cavity?
                 let ntri = &self.tris[n];
+                #[expect(
+                    clippy::expect_used,
+                    reason = "neighbour links are symmetric by construction; asymmetry is structural corruption where fail-fast beats silent miscounting"
+                )]
                 let outside_edge = (0..3)
                     .find(|&j| ntri.nbr[j] == t)
-                    // ssq-analyze: allow(no-panic-transitive): neighbour links are symmetric by construction; asymmetry is structural corruption where fail-fast beats silent miscounting
                     .expect("neighbour links must be symmetric");
                 boundary.push(Boundary {
                     x,

@@ -201,7 +201,10 @@ impl<'a> CellTracer<'a> {
             let third_first = points[vfirst[(k_first + 2) % 3] as usize];
             let ray_first = outward_ray(site_pt, other_first, third_first);
 
-            // ssq-analyze: allow(no-panic-transitive): fan[0] was indexed just above, so the fan is nonempty
+            #[expect(
+                clippy::expect_used,
+                reason = "fan[0] was indexed just above, so the fan is nonempty"
+            )]
             let (t_last, k_last) = *fan.last().expect("nonempty fan");
             let vlast = tri.slot_verts(t_last);
             let other_last = points[vlast[(k_last + 2) % 3] as usize];
@@ -211,7 +214,10 @@ impl<'a> CellTracer<'a> {
             let mut ring: Vec<Point> = Vec::with_capacity(ccs.len() + 2);
             ring.push(ccs[0] + ray_first * big);
             ring.extend(ccs.iter().copied());
-            // ssq-analyze: allow(no-panic-transitive): ccs[0] was indexed just above, so ccs is nonempty
+            #[expect(
+                clippy::expect_used,
+                reason = "ccs[0] was indexed just above, so ccs is nonempty"
+            )]
             ring.push(*ccs.last().expect("nonempty") + ray_last * big);
             ConvexPolygon::from_ccw_dirty(ring, 1e-12).clip_rect(clip)
         };
@@ -222,11 +228,14 @@ impl<'a> CellTracer<'a> {
 }
 
 /// Index of `site` within triangle `t`'s vertex array.
+#[expect(
+    clippy::expect_used,
+    reason = "callers pass triangles incident to the site; a miss is a corrupted triangulation where fail-fast is correct"
+)]
 fn vertex_index(tri: &Triangulation, t: u32, site: u32) -> usize {
     tri.slot_verts(t)
         .iter()
         .position(|&v| v == site)
-        // ssq-analyze: allow(no-panic-transitive): callers pass triangles incident to the site; a miss is a corrupted triangulation where fail-fast is correct
         .expect("triangle must contain the site")
 }
 

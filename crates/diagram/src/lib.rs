@@ -39,8 +39,21 @@
 //! differ by less than the quantum share the cell (first-built wins).
 
 #![deny(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(clippy::all)]
+// Library code returns typed errors, never panics (tests excepted); an
+// audited exception carries `#[expect(clippy::.., reason = "..")]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 use ssq_core::{KeyScratch, QueryKey};
 use ssq_geom::Point;

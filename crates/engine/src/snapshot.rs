@@ -42,6 +42,20 @@ pub struct Snapshot {
     voronoi: Arc<VoronoiIndex>,
 }
 
+// Snapshots and the indexes inside them are read by every worker, shard
+// dispatcher and connection thread at once, so they must stay `Send +
+// Sync`. Auto traits look through every field, so interior mutability
+// anywhere inside (a `RefCell` or `Cell` in an R-tree node, a Delaunay
+// row, a Voronoi cell box) fails the build here, and `forbid(unsafe_code)`
+// in those crates rules out an `unsafe impl` to paper over it.
+const _: () = {
+    const fn shared_across_threads<T: Send + Sync>() {}
+    shared_across_threads::<Snapshot>();
+    shared_across_threads::<SnapshotCatalog>();
+    shared_across_threads::<RTreeIndex>();
+    shared_across_threads::<VoronoiIndex>();
+};
+
 impl std::fmt::Debug for Snapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Snapshot")

@@ -144,8 +144,11 @@ impl<T> RankedMutex<T> {
         HELD.with(|held| {
             let mut held = held.borrow_mut();
             if let Some(&(top_rank, top_name)) = held.last() {
+                #[expect(
+                    clippy::panic,
+                    reason = "the whole point of the checker is to fail fast, in debug builds only, on a lock-order violation"
+                )]
                 if self.rank <= top_rank {
-                    // ssq-analyze: allow(no-panic): the whole point of the checker is to fail fast, in debug builds only, on a lock-order violation
                     panic!(
                         "lock-order violation: acquiring `{}` (rank {}) while \
                          holding `{}` (rank {}); ranks must strictly ascend",

@@ -79,7 +79,10 @@ impl ConvexPolygon {
             }
             ring.push(p);
         }
-        // ssq-analyze: allow(no-panic-transitive): the `ring.len() >= 2` guard makes `last()` infallible
+        #[expect(
+            clippy::expect_used,
+            reason = "the `ring.len() >= 2` guard makes `last()` infallible"
+        )]
         while ring.len() >= 2 && ring[0].approx_eq(*ring.last().expect("nonempty"), tol) {
             ring.pop();
         }
@@ -453,7 +456,10 @@ fn push_unique(out: &mut Vec<Point>, p: Point) {
 fn dedup_ring(out: &mut Vec<Point>) {
     while out.len() >= 2 {
         let first = out[0];
-        // ssq-analyze: allow(no-panic-transitive): the `out.len() >= 2` loop condition makes `last()` infallible
+        #[expect(
+            clippy::expect_used,
+            reason = "the `out.len() >= 2` loop condition makes `last()` infallible"
+        )]
         let last = *out.last().expect("nonempty");
         if first.approx_eq(last, 1e-12) {
             out.pop();

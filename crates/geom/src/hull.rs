@@ -6,18 +6,14 @@
 //! dominance, so all subsequent distance computations run against the hull
 //! vertices instead of the full query set.
 //!
-//! Two constructions are provided:
-//!
-//! * [`graham_scan`] — the algorithm the paper itself uses for VS²/VCS²
-//!   (§7: "we used the Graham Scan algorithm for convex hull computation");
-//! * [`monotone_chain`] — Andrew's variant, used as the default
-//!   ([`convex_hull`]) because its lexicographic presort makes degeneracy
-//!   handling simpler.
-//!
-//! Both produce identical vertex sets (asserted by unit and property tests)
-//! in counter-clockwise order with collinear and duplicate points removed,
-//! and both rely on the exact [`crate::predicates::orient2d`] sign, so the
-//! output is correct for any finite input.
+//! The construction is [`monotone_chain`], Andrew's variant of the Graham
+//! scan the paper names for VS²/VCS² (§7: "we used the Graham Scan
+//! algorithm for convex hull computation"): both are `O(n log n)` and
+//! return the same vertex set, and the lexicographic presort makes
+//! degeneracy handling simpler than Graham's polar sort. The hull comes
+//! back in counter-clockwise order with collinear and duplicate points
+//! removed, decided by the exact [`crate::predicates::orient2d`] sign, so
+//! the output is correct for any finite input.
 
 use crate::convex::ConvexPolygon;
 use crate::point::Point;
@@ -109,77 +105,6 @@ pub fn monotone_chain_into<'s>(points: &[Point], scratch: &'s mut HullScratch) -
     chain
 }
 
-/// Graham-scan convex hull, `O(n log n)` — the construction named in the
-/// paper's experimental setup (§7).
-pub fn graham_scan(points: &[Point]) -> ConvexPolygon {
-    let mut pts: Vec<Point> = points.to_vec();
-    pts.sort_by(Point::lex_cmp);
-    pts.dedup();
-    let n = pts.len();
-    if n <= 2 {
-        return ConvexPolygon::from_ccw_vertices(pts);
-    }
-
-    // Pivot: lowest y, then lowest x.
-    let pivot = *pts
-        .iter()
-        .min_by(|a, b| a.y.total_cmp(&b.y).then(a.x.total_cmp(&b.x)))
-        .expect("nonempty");
-
-    // Sort by polar angle around the pivot; break angle ties by distance so
-    // that collinear points appear near-to-far and the scan drops the inner
-    // ones.
-    let mut rest: Vec<Point> = pts.into_iter().filter(|&p| p != pivot).collect();
-    rest.sort_by(|&a, &b| match orient2d_sign(pivot, a, b) {
-        1 => std::cmp::Ordering::Less,
-        -1 => std::cmp::Ordering::Greater,
-        _ => pivot.distance_sq(a).total_cmp(&pivot.distance_sq(b)),
-    });
-
-    // For the farthest ray (points collinear with the pivot at the maximum
-    // angle) the near-to-far order must be reversed so the scan keeps the
-    // farthest point; handle it by reversing the trailing collinear run.
-    if rest.len() > 1 {
-        let last = *rest.last().expect("nonempty");
-        let mut i = rest.len() - 1;
-        while i > 0 && orient2d_sign(pivot, rest[i - 1], last) == 0 {
-            i -= 1;
-        }
-        // When i == 0 every point is collinear with the pivot; near-to-far
-        // order already yields the correct degenerate (segment) hull.
-        if i > 0 {
-            rest[i..].reverse();
-        }
-    }
-
-    let mut hull: Vec<Point> = vec![pivot];
-    for p in rest {
-        while hull.len() >= 2 && orient2d_sign(hull[hull.len() - 2], hull[hull.len() - 1], p) <= 0 {
-            hull.pop();
-        }
-        hull.push(p);
-    }
-    // Cleanup for the closing edge: drop trailing vertices collinear with
-    // (or right of) the edge back to the pivot.
-    while hull.len() >= 3 && orient2d_sign(hull[hull.len() - 2], hull[hull.len() - 1], hull[0]) <= 0
-    {
-        hull.pop();
-    }
-    if hull.len() == 2 && hull[0] == hull[1] {
-        hull.pop();
-    }
-    // Rotate so the first vertex is the lexicographic minimum, matching the
-    // monotone-chain canonical form.
-    let min_idx = hull
-        .iter()
-        .enumerate()
-        .min_by(|(_, a), (_, b)| a.lex_cmp(b))
-        .map(|(i, _)| i)
-        .unwrap_or(0);
-    hull.rotate_left(min_idx);
-    ConvexPolygon::from_ccw_vertices(hull)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,6 +153,11 @@ mod tests {
             hull_pts(&h),
             vec![p(0.0, 0.0), p(4.0, 0.0), p(4.0, 4.0), p(0.0, 4.0)]
         );
+        // A full grid: every side is a collinear run.
+        let grid: Vec<Point> = (0..5)
+            .flat_map(|i| (0..5).map(move |j| p(i as f64, j as f64)))
+            .collect();
+        assert_eq!(hull_pts(&convex_hull(&grid)), hull_pts(&h));
     }
 
     #[test]
@@ -246,39 +176,6 @@ mod tests {
             let b = v[(i + 1) % v.len()];
             let c = v[(i + 2) % v.len()];
             assert_eq!(orient2d_sign(a, b, c), 1, "strictly convex CCW turn");
-        }
-    }
-
-    #[test]
-    fn graham_and_monotone_agree() {
-        // A grid with many collinear runs — the hard case for both.
-        let mut pts = Vec::new();
-        for i in 0..5 {
-            for j in 0..5 {
-                pts.push(p(i as f64, j as f64));
-            }
-        }
-        let a = hull_pts(&monotone_chain(&pts));
-        let b = hull_pts(&graham_scan(&pts));
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 4);
-    }
-
-    #[test]
-    fn graham_and_monotone_agree_on_pseudorandom_sets() {
-        let mut seed = 42u64;
-        let mut next = move || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((seed >> 33) as f64 / (1u64 << 31) as f64) * 20.0 - 10.0
-        };
-        for trial in 0..50 {
-            let n = 3 + (trial % 17);
-            let pts: Vec<Point> = (0..n).map(|_| p(next(), next())).collect();
-            let a = hull_pts(&monotone_chain(&pts));
-            let b = hull_pts(&graham_scan(&pts));
-            assert_eq!(a, b, "trial {trial}: {pts:?}");
         }
     }
 

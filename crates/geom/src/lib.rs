@@ -37,6 +37,19 @@
 #![deny(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(clippy::all)]
+// Library code returns typed errors, never panics (tests excepted); an
+// audited exception carries `#[expect(clippy::.., reason = "..")]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod circle;
 pub mod convex;
@@ -50,7 +63,7 @@ pub mod simd;
 
 pub use circle::Circle;
 pub use convex::ConvexPolygon;
-pub use hull::{convex_hull, graham_scan, monotone_chain, monotone_chain_into, HullScratch};
+pub use hull::{convex_hull, monotone_chain, monotone_chain_into, HullScratch};
 pub use line::{HalfPlane, Line, Segment};
 pub use point::Point;
 pub use predicates::{incircle, orient2d, Orientation};

@@ -350,17 +350,21 @@ fn first_all_lt_scalar(bounds: &[f64], tiles: &[Lane4]) -> Option<usize> {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{first_set_row, Lane4, LANES};
+    use super::{first_set_row, Dispatch, KernelPath, Lane4, LANES};
     use crate::point::Point;
     use core::arch::x86_64::*;
 
     /// f64x4 tile fill. Same operation order as the scalar path
     /// (`dx·dx`, `dy·dy`, add; sums accumulate in anchor order), so
     /// results are bit-identical.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. Only the AVX2 table's wrappers and
+    /// other AVX2 kernels call this, and `detect()` selects that table
+    /// only after runtime detection.
     #[target_feature(enable = "avx2")]
-    // SAFETY: callers must prove AVX2 — the dispatch table installs
-    // this fn only after runtime detection proves it.
-    pub(super) unsafe fn fill_tile_avx2(
+    unsafe fn fill_tile_avx2_unchecked(
         pts: &[Point; LANES],
         anchors: &[Point],
         tile: &mut [Lane4],
@@ -386,10 +390,14 @@ mod x86 {
 
     /// f64x4 `dominated_by_ref`: AND-accumulated `≤`, OR-accumulated
     /// `<`, with an early exit once no lane can still be dominated.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. Only the AVX2 table's wrappers and
+    /// other AVX2 kernels call this, and `detect()` selects that table
+    /// only after runtime detection.
     #[target_feature(enable = "avx2")]
-    // SAFETY: callers must prove AVX2 — the dispatch table installs
-    // this fn only after runtime detection proves it.
-    pub(super) unsafe fn dominated_by_ref_avx2(rf: &[f64], tile: &[Lane4]) -> u8 {
+    unsafe fn dominated_by_ref_avx2_unchecked(rf: &[f64], tile: &[Lane4]) -> u8 {
         // SAFETY: AVX2 proven by the caller. `_mm256_load_pd` reads 32
         // aligned bytes from `tile[j].0` (guaranteed by `Lane4`'s
         // `repr(C, align(32))`); `j` is bounded by the wrapper's check.
@@ -410,13 +418,17 @@ mod x86 {
     }
 
     /// f64x4 `dominators_of`: the transposed comparison of
-    /// [`dominated_by_ref_avx2`].
+    /// [`dominated_by_ref_avx2_unchecked`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. Only the AVX2 table's wrappers and
+    /// other AVX2 kernels call this, and `detect()` selects that table
+    /// only after runtime detection.
     #[target_feature(enable = "avx2")]
-    // SAFETY: callers must prove AVX2 — the dispatch table installs
-    // this fn only after runtime detection proves it.
-    pub(super) unsafe fn dominators_of_avx2(cand: &[f64], tile: &[Lane4]) -> u8 {
+    unsafe fn dominators_of_avx2_unchecked(cand: &[f64], tile: &[Lane4]) -> u8 {
         // SAFETY: AVX2 proven by the caller; aligned tile loads as in
-        // `dominated_by_ref_avx2`, bounds checked by the wrapper.
+        // `dominated_by_ref_avx2_unchecked`, bounds checked by the wrapper.
         unsafe {
             let mut le = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
             let mut lt = _mm256_setzero_pd();
@@ -434,12 +446,16 @@ mod x86 {
     }
 
     /// f64x4 strict-below-bounds-everywhere screen.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. Only the AVX2 table's wrappers and
+    /// other AVX2 kernels call this, and `detect()` selects that table
+    /// only after runtime detection.
     #[target_feature(enable = "avx2")]
-    // SAFETY: callers must prove AVX2 — the dispatch table installs
-    // this fn only after runtime detection proves it.
-    pub(super) unsafe fn all_lt_avx2(bounds: &[f64], tile: &[Lane4]) -> u8 {
+    unsafe fn all_lt_avx2_unchecked(bounds: &[f64], tile: &[Lane4]) -> u8 {
         // SAFETY: AVX2 proven by the caller; aligned tile loads as in
-        // `dominated_by_ref_avx2`, bounds checked by the wrapper.
+        // `dominated_by_ref_avx2_unchecked`, bounds checked by the wrapper.
         unsafe {
             let mut lt = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
             for (j, &b) in bounds.iter().enumerate() {
@@ -454,37 +470,48 @@ mod x86 {
         }
     }
 
-    /// f64x4 `first_dominator`: [`dominators_of_avx2`] over a run of
+    /// f64x4 `first_dominator`: [`dominators_of_avx2_unchecked`] over a run of
     /// tiles, with the loop inside the `avx2` body so one indirect call
     /// covers the run and the per-tile kernel inlines.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. Only the AVX2 table's wrappers and
+    /// other AVX2 kernels call this, and `detect()` selects that table
+    /// only after runtime detection.
     #[target_feature(enable = "avx2")]
-    // SAFETY: callers must prove AVX2 — the dispatch table installs
-    // this fn only after runtime detection proves it.
-    pub(super) unsafe fn first_dominator_avx2(cand: &[f64], tiles: &[Lane4]) -> Option<usize> {
+    unsafe fn first_dominator_avx2_unchecked(cand: &[f64], tiles: &[Lane4]) -> Option<usize> {
         // SAFETY: same feature family, AVX2 proven by the caller;
         // the closure inherits this body's features and gets whole tiles.
         first_set_row(cand.len(), tiles, |tile| unsafe {
-            dominators_of_avx2(cand, tile)
+            dominators_of_avx2_unchecked(cand, tile)
         })
     }
 
-    /// f64x4 `first_all_lt`: [`all_lt_avx2`] over a run of tiles.
+    /// f64x4 `first_all_lt`: [`all_lt_avx2_unchecked`] over a run of tiles.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2. Only the AVX2 table's wrappers and
+    /// other AVX2 kernels call this, and `detect()` selects that table
+    /// only after runtime detection.
     #[target_feature(enable = "avx2")]
-    // SAFETY: callers must prove AVX2 — the dispatch table installs
-    // this fn only after runtime detection proves it.
-    pub(super) unsafe fn first_all_lt_avx2(bounds: &[f64], tiles: &[Lane4]) -> Option<usize> {
+    unsafe fn first_all_lt_avx2_unchecked(bounds: &[f64], tiles: &[Lane4]) -> Option<usize> {
         // SAFETY: same feature family, AVX2 proven by the caller;
         // the closure inherits this body's features and gets whole tiles.
         first_set_row(bounds.len(), tiles, |tile| unsafe {
-            all_lt_avx2(bounds, tile)
+            all_lt_avx2_unchecked(bounds, tile)
         })
     }
 
     /// f64x2 tile fill over the two 128-bit halves of each lane.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support SSE2, which every x86-64 CPU does (it is
+    /// part of the base ABI).
     #[target_feature(enable = "sse2")]
-    // SAFETY: trivially callable — SSE2 is unconditionally available on x86-64
-    // (part of the base ABI) — callable from any safe wrapper.
-    pub(super) unsafe fn fill_tile_sse2(
+    unsafe fn fill_tile_sse2_unchecked(
         pts: &[Point; LANES],
         anchors: &[Point],
         tile: &mut [Lane4],
@@ -520,10 +547,13 @@ mod x86 {
     }
 
     /// f64x2 `dominated_by_ref`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support SSE2, which every x86-64 CPU does (it is
+    /// part of the base ABI).
     #[target_feature(enable = "sse2")]
-    // SAFETY: trivially callable — SSE2 is unconditionally available on x86-64
-    // (part of the base ABI) — callable from any safe wrapper.
-    pub(super) unsafe fn dominated_by_ref_sse2(rf: &[f64], tile: &[Lane4]) -> u8 {
+    unsafe fn dominated_by_ref_sse2_unchecked(rf: &[f64], tile: &[Lane4]) -> u8 {
         // SAFETY: SSE2 is x86-64 baseline. Each `_mm_load_pd` reads a
         // 16-byte-aligned half of `tile[j].0`; bounds checked by the
         // safe wrapper.
@@ -549,10 +579,13 @@ mod x86 {
     }
 
     /// f64x2 `dominators_of`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support SSE2, which every x86-64 CPU does (it is
+    /// part of the base ABI).
     #[target_feature(enable = "sse2")]
-    // SAFETY: trivially callable — SSE2 is unconditionally available on x86-64
-    // (part of the base ABI) — callable from any safe wrapper.
-    pub(super) unsafe fn dominators_of_sse2(cand: &[f64], tile: &[Lane4]) -> u8 {
+    unsafe fn dominators_of_sse2_unchecked(cand: &[f64], tile: &[Lane4]) -> u8 {
         // SAFETY: SSE2 is x86-64 baseline; aligned half-tile loads,
         // bounds checked by the safe wrapper.
         unsafe {
@@ -577,10 +610,13 @@ mod x86 {
     }
 
     /// f64x2 strict-below-bounds screen.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support SSE2, which every x86-64 CPU does (it is
+    /// part of the base ABI).
     #[target_feature(enable = "sse2")]
-    // SAFETY: trivially callable — SSE2 is unconditionally available on x86-64
-    // (part of the base ABI) — callable from any safe wrapper.
-    pub(super) unsafe fn all_lt_sse2(bounds: &[f64], tile: &[Lane4]) -> u8 {
+    unsafe fn all_lt_sse2_unchecked(bounds: &[f64], tile: &[Lane4]) -> u8 {
         // SAFETY: SSE2 is x86-64 baseline; aligned half-tile loads,
         // bounds checked by the safe wrapper.
         unsafe {
@@ -600,133 +636,149 @@ mod x86 {
         }
     }
 
-    /// f64x2 `first_dominator`: [`dominators_of_sse2`] over a run of
+    /// f64x2 `first_dominator`: [`dominators_of_sse2_unchecked`] over a run of
     /// tiles, with the loop inside the `sse2` body so one indirect call
     /// covers the run and the per-tile kernel inlines.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support SSE2, which every x86-64 CPU does (it is
+    /// part of the base ABI).
     #[target_feature(enable = "sse2")]
-    // SAFETY: trivially callable — SSE2 is unconditionally available on x86-64
-    // (part of the base ABI) — callable from any safe wrapper.
-    pub(super) unsafe fn first_dominator_sse2(cand: &[f64], tiles: &[Lane4]) -> Option<usize> {
+    unsafe fn first_dominator_sse2_unchecked(cand: &[f64], tiles: &[Lane4]) -> Option<usize> {
         // SAFETY: SSE2 is x86-64 baseline; the closure gets whole tiles.
         first_set_row(cand.len(), tiles, |tile| unsafe {
-            dominators_of_sse2(cand, tile)
+            dominators_of_sse2_unchecked(cand, tile)
         })
     }
 
-    /// f64x2 `first_all_lt`: [`all_lt_sse2`] over a run of tiles.
+    /// f64x2 `first_all_lt`: [`all_lt_sse2_unchecked`] over a run of tiles.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support SSE2, which every x86-64 CPU does (it is
+    /// part of the base ABI).
     #[target_feature(enable = "sse2")]
-    // SAFETY: trivially callable — SSE2 is unconditionally available on x86-64
-    // (part of the base ABI) — callable from any safe wrapper.
-    pub(super) unsafe fn first_all_lt_sse2(bounds: &[f64], tiles: &[Lane4]) -> Option<usize> {
+    unsafe fn first_all_lt_sse2_unchecked(bounds: &[f64], tiles: &[Lane4]) -> Option<usize> {
         // SAFETY: SSE2 is x86-64 baseline; the closure gets whole tiles.
         first_set_row(bounds.len(), tiles, |tile| unsafe {
-            all_lt_sse2(bounds, tile)
+            all_lt_sse2_unchecked(bounds, tile)
         })
     }
-}
 
-// Safe wrappers: each is installed in exactly one dispatch table, and
-// the table guards the target-feature precondition (AVX2 tables are
-// only built after `is_x86_feature_detected!("avx2")`; SSE2 is part of
-// the x86-64 base ABI).
+    // Safe wrappers: each is installed in exactly one dispatch table, and
+    // the table guards the target-feature precondition (the AVX2 table is
+    // only selected after `is_x86_feature_detected!("avx2")`; SSE2 is part
+    // of the x86-64 base ABI). The `_unchecked` kernels are private to
+    // this module and only the two tables leave it, so code outside can
+    // reach a kernel through a table and no other way.
 
-#[cfg(target_arch = "x86_64")]
-fn fill_tile_avx2(
-    pts: &[Point; LANES],
-    anchors: &[Point],
-    tile: &mut [Lane4],
-    keys: &mut [f64; LANES],
-) {
-    debug_assert_eq!(anchors.len(), tile.len());
-    // SAFETY: only reachable through the AVX2 dispatch table, which
-    // `detect()` installs exclusively when AVX2 was detected at runtime.
-    unsafe { x86::fill_tile_avx2(pts, anchors, tile, keys) }
-}
+    fn fill_tile_avx2(
+        pts: &[Point; LANES],
+        anchors: &[Point],
+        tile: &mut [Lane4],
+        keys: &mut [f64; LANES],
+    ) {
+        debug_assert_eq!(anchors.len(), tile.len());
+        // SAFETY: only reachable through the AVX2 dispatch table, which
+        // `detect()` installs exclusively when AVX2 was detected at runtime.
+        unsafe { fill_tile_avx2_unchecked(pts, anchors, tile, keys) }
+    }
 
-#[cfg(target_arch = "x86_64")]
-fn dominated_by_ref_avx2(rf: &[f64], tile: &[Lane4]) -> u8 {
-    debug_assert_eq!(rf.len(), tile.len());
-    // SAFETY: only reachable through the runtime-detected AVX2 table.
-    unsafe { x86::dominated_by_ref_avx2(rf, tile) }
-}
+    fn dominated_by_ref_avx2(rf: &[f64], tile: &[Lane4]) -> u8 {
+        debug_assert_eq!(rf.len(), tile.len());
+        // SAFETY: only reachable through the runtime-detected AVX2 table.
+        unsafe { dominated_by_ref_avx2_unchecked(rf, tile) }
+    }
 
-#[cfg(target_arch = "x86_64")]
-fn dominators_of_avx2(cand: &[f64], tile: &[Lane4]) -> u8 {
-    debug_assert_eq!(cand.len(), tile.len());
-    // SAFETY: only reachable through the runtime-detected AVX2 table.
-    unsafe { x86::dominators_of_avx2(cand, tile) }
-}
+    fn dominators_of_avx2(cand: &[f64], tile: &[Lane4]) -> u8 {
+        debug_assert_eq!(cand.len(), tile.len());
+        // SAFETY: only reachable through the runtime-detected AVX2 table.
+        unsafe { dominators_of_avx2_unchecked(cand, tile) }
+    }
 
-#[cfg(target_arch = "x86_64")]
-fn all_lt_avx2(bounds: &[f64], tile: &[Lane4]) -> u8 {
-    debug_assert_eq!(bounds.len(), tile.len());
-    // SAFETY: only reachable through the runtime-detected AVX2 table.
-    unsafe { x86::all_lt_avx2(bounds, tile) }
-}
+    fn all_lt_avx2(bounds: &[f64], tile: &[Lane4]) -> u8 {
+        debug_assert_eq!(bounds.len(), tile.len());
+        // SAFETY: only reachable through the runtime-detected AVX2 table.
+        unsafe { all_lt_avx2_unchecked(bounds, tile) }
+    }
 
-#[cfg(target_arch = "x86_64")]
-fn fill_tile_sse2(
-    pts: &[Point; LANES],
-    anchors: &[Point],
-    tile: &mut [Lane4],
-    keys: &mut [f64; LANES],
-) {
-    debug_assert_eq!(anchors.len(), tile.len());
-    // SAFETY: SSE2 is unconditionally part of the x86-64 base ABI.
-    unsafe { x86::fill_tile_sse2(pts, anchors, tile, keys) }
-}
+    fn fill_tile_sse2(
+        pts: &[Point; LANES],
+        anchors: &[Point],
+        tile: &mut [Lane4],
+        keys: &mut [f64; LANES],
+    ) {
+        debug_assert_eq!(anchors.len(), tile.len());
+        // SAFETY: SSE2 is unconditionally part of the x86-64 base ABI.
+        unsafe { fill_tile_sse2_unchecked(pts, anchors, tile, keys) }
+    }
 
-#[cfg(target_arch = "x86_64")]
-fn dominated_by_ref_sse2(rf: &[f64], tile: &[Lane4]) -> u8 {
-    debug_assert_eq!(rf.len(), tile.len());
-    // SAFETY: SSE2 is unconditionally part of the x86-64 base ABI.
-    unsafe { x86::dominated_by_ref_sse2(rf, tile) }
-}
+    fn dominated_by_ref_sse2(rf: &[f64], tile: &[Lane4]) -> u8 {
+        debug_assert_eq!(rf.len(), tile.len());
+        // SAFETY: SSE2 is unconditionally part of the x86-64 base ABI.
+        unsafe { dominated_by_ref_sse2_unchecked(rf, tile) }
+    }
 
-#[cfg(target_arch = "x86_64")]
-fn dominators_of_sse2(cand: &[f64], tile: &[Lane4]) -> u8 {
-    debug_assert_eq!(cand.len(), tile.len());
-    // SAFETY: SSE2 is unconditionally part of the x86-64 base ABI.
-    unsafe { x86::dominators_of_sse2(cand, tile) }
-}
+    fn dominators_of_sse2(cand: &[f64], tile: &[Lane4]) -> u8 {
+        debug_assert_eq!(cand.len(), tile.len());
+        // SAFETY: SSE2 is unconditionally part of the x86-64 base ABI.
+        unsafe { dominators_of_sse2_unchecked(cand, tile) }
+    }
 
-#[cfg(target_arch = "x86_64")]
-fn all_lt_sse2(bounds: &[f64], tile: &[Lane4]) -> u8 {
-    debug_assert_eq!(bounds.len(), tile.len());
-    // SAFETY: SSE2 is unconditionally part of the x86-64 base ABI.
-    unsafe { x86::all_lt_sse2(bounds, tile) }
-}
+    fn all_lt_sse2(bounds: &[f64], tile: &[Lane4]) -> u8 {
+        debug_assert_eq!(bounds.len(), tile.len());
+        // SAFETY: SSE2 is unconditionally part of the x86-64 base ABI.
+        unsafe { all_lt_sse2_unchecked(bounds, tile) }
+    }
 
-#[cfg(target_arch = "x86_64")]
-// ssq-analyze: deny-alloc
-fn first_dominator_avx2(cand: &[f64], tiles: &[Lane4]) -> Option<usize> {
-    // SAFETY: only reachable through the runtime-detected AVX2 table.
-    unsafe { x86::first_dominator_avx2(cand, tiles) }
-}
+    // ssq-analyze: deny-alloc
+    fn first_dominator_avx2(cand: &[f64], tiles: &[Lane4]) -> Option<usize> {
+        // SAFETY: only reachable through the runtime-detected AVX2 table.
+        unsafe { first_dominator_avx2_unchecked(cand, tiles) }
+    }
 
-#[cfg(target_arch = "x86_64")]
-// ssq-analyze: deny-alloc
-fn first_all_lt_avx2(bounds: &[f64], tiles: &[Lane4]) -> Option<usize> {
-    // SAFETY: only reachable through the runtime-detected AVX2 table.
-    unsafe { x86::first_all_lt_avx2(bounds, tiles) }
-}
+    // ssq-analyze: deny-alloc
+    fn first_all_lt_avx2(bounds: &[f64], tiles: &[Lane4]) -> Option<usize> {
+        // SAFETY: only reachable through the runtime-detected AVX2 table.
+        unsafe { first_all_lt_avx2_unchecked(bounds, tiles) }
+    }
 
-#[cfg(target_arch = "x86_64")]
-// ssq-analyze: deny-alloc
-fn first_dominator_sse2(cand: &[f64], tiles: &[Lane4]) -> Option<usize> {
-    // SAFETY: SSE2 is unconditionally part of the x86-64 base ABI.
-    unsafe { x86::first_dominator_sse2(cand, tiles) }
-}
+    // ssq-analyze: deny-alloc
+    fn first_dominator_sse2(cand: &[f64], tiles: &[Lane4]) -> Option<usize> {
+        // SAFETY: SSE2 is unconditionally part of the x86-64 base ABI.
+        unsafe { first_dominator_sse2_unchecked(cand, tiles) }
+    }
 
-#[cfg(target_arch = "x86_64")]
-// ssq-analyze: deny-alloc
-fn first_all_lt_sse2(bounds: &[f64], tiles: &[Lane4]) -> Option<usize> {
-    // SAFETY: SSE2 is unconditionally part of the x86-64 base ABI.
-    unsafe { x86::first_all_lt_sse2(bounds, tiles) }
+    // ssq-analyze: deny-alloc
+    fn first_all_lt_sse2(bounds: &[f64], tiles: &[Lane4]) -> Option<usize> {
+        // SAFETY: SSE2 is unconditionally part of the x86-64 base ABI.
+        unsafe { first_all_lt_sse2_unchecked(bounds, tiles) }
+    }
+
+    pub(super) static SSE2: Dispatch = Dispatch {
+        path: KernelPath::Sse2,
+        fill_tile: fill_tile_sse2,
+        dominated_by_ref: dominated_by_ref_sse2,
+        dominators_of: dominators_of_sse2,
+        all_lt: all_lt_sse2,
+        first_dominator: first_dominator_sse2,
+        first_all_lt: first_all_lt_sse2,
+    };
+
+    pub(super) static AVX2: Dispatch = Dispatch {
+        path: KernelPath::Avx2,
+        fill_tile: fill_tile_avx2,
+        dominated_by_ref: dominated_by_ref_avx2,
+        dominators_of: dominators_of_avx2,
+        all_lt: all_lt_avx2,
+        first_dominator: first_dominator_avx2,
+        first_all_lt: first_all_lt_avx2,
+    };
 }
 
 // ---------------------------------------------------------------------
-// Dispatch tables and selection.
+// Dispatch selection (the SSE2 and AVX2 tables live in `x86`).
 // ---------------------------------------------------------------------
 
 static SCALAR: Dispatch = Dispatch {
@@ -739,35 +791,13 @@ static SCALAR: Dispatch = Dispatch {
     first_all_lt: first_all_lt_scalar,
 };
 
-#[cfg(target_arch = "x86_64")]
-static SSE2: Dispatch = Dispatch {
-    path: KernelPath::Sse2,
-    fill_tile: fill_tile_sse2,
-    dominated_by_ref: dominated_by_ref_sse2,
-    dominators_of: dominators_of_sse2,
-    all_lt: all_lt_sse2,
-    first_dominator: first_dominator_sse2,
-    first_all_lt: first_all_lt_sse2,
-};
-
-#[cfg(target_arch = "x86_64")]
-static AVX2: Dispatch = Dispatch {
-    path: KernelPath::Avx2,
-    fill_tile: fill_tile_avx2,
-    dominated_by_ref: dominated_by_ref_avx2,
-    dominators_of: dominators_of_avx2,
-    all_lt: all_lt_avx2,
-    first_dominator: first_dominator_avx2,
-    first_all_lt: first_all_lt_avx2,
-};
-
 fn detect() -> &'static Dispatch {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {
-            &AVX2
+            &x86::AVX2
         } else {
-            &SSE2
+            &x86::SSE2
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -819,9 +849,9 @@ pub fn available_dispatches() -> Vec<&'static Dispatch> {
     let mut all = vec![&SCALAR];
     #[cfg(target_arch = "x86_64")]
     {
-        all.push(&SSE2);
+        all.push(&x86::SSE2);
         if std::arch::is_x86_feature_detected!("avx2") {
-            all.push(&AVX2);
+            all.push(&x86::AVX2);
         }
     }
     all

@@ -8,7 +8,7 @@
 //!
 //! * [`wire`] — the pure codec: length-prefixed, versioned frames;
 //!   every decode failure is a typed [`ProtocolError`], never a panic
-//!   (the workspace's `ssq-analyze` no-panic gate covers this crate).
+//!   (the crate denies clippy's panic lints in all its library code).
 //! * [`Server`] — thread-per-connection accept loop serving an
 //!   [`Engine`](ssq_engine::Engine) or a
 //!   [`ShardedEngine`](ssq_shard::ShardedEngine); pipelined request
@@ -21,8 +21,21 @@
 //! state machine.
 
 #![deny(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(clippy::all)]
+// Library code returns typed errors, never panics (tests excepted); an
+// audited exception carries `#[expect(clippy::.., reason = "..")]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod client;
 pub mod metrics;

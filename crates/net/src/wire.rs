@@ -19,8 +19,8 @@
 //!
 //! This module is deliberately pure: [`decode`] and [`encode_frame`]
 //! touch only `&[u8]`/`Vec<u8>`, return typed [`ProtocolError`]s, and
-//! never panic on malformed input (the `ssq-analyze` no-panic gate
-//! covers this crate). Socket plumbing lives in
+//! never panic on malformed input (the crate denies clippy's panic
+//! lints outside tests). Socket plumbing lives in
 //! [`server`](crate::server) and [`client`](crate::client);
 //! [`FrameBuffer`] is the shared incremental-reassembly helper both
 //! sides feed raw reads into.

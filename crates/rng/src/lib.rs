@@ -15,7 +15,7 @@
 //! re-exports it as `ssq_workload::rng` for backwards compatibility.
 
 #![deny(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(clippy::all)]
 
 /// xoshiro256** seeded via SplitMix64.

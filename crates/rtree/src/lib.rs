@@ -19,8 +19,21 @@
 //!   ([`RTree::node_accesses`]) exactly the way the paper reports I/O.
 
 #![deny(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(clippy::all)]
+// Library code returns typed errors, never panics (tests excepted); an
+// audited exception carries `#[expect(clippy::.., reason = "..")]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 mod tree;
 

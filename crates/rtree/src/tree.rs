@@ -775,7 +775,10 @@ impl<T: Copy> RTree<T> {
                 }
             }
         }
-        // ssq-analyze: allow(no-panic-transitive): the R*-split loop evaluates at least one distribution, so best_cut is always Some
+        #[expect(
+            clippy::expect_used,
+            reason = "the R*-split loop evaluates at least one distribution, so best_cut is always Some"
+        )]
         let (order, cut) = best_cut.expect("at least one distribution");
 
         // Materialize the two nodes: the left one takes the old node's

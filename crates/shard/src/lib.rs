@@ -44,8 +44,21 @@
 //! ```
 
 #![deny(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(clippy::all)]
+// Library code returns typed errors, never panics (tests excepted); an
+// audited exception carries `#[expect(clippy::.., reason = "..")]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod merge;
 pub mod metrics;
@@ -53,7 +66,7 @@ pub mod partition;
 pub mod prune;
 pub mod router;
 
-pub use merge::merge_candidates;
+pub use merge::merge_candidates_with;
 pub use metrics::{ShardMetrics, ShardedMetricsSnapshot};
 pub use partition::{partition, PartitionPolicy, ShardSpec};
 pub use prune::{dominates_rect, rect_lower_bounds};

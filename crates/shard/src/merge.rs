@@ -11,46 +11,17 @@
 //! `sum_i d(p, q_i)` every possible dominator of a candidate precedes
 //! it, and one forward sweep suffices — no back-substitution pass.
 
-use ssq_core::{query::dominates, DistanceScratch, QueryContext, QueryStats};
+use ssq_core::{DistanceScratch, QueryContext, QueryStats};
 use ssq_geom::Point;
 
 /// Reduces per-shard skyline candidates `(global_id, location)` to the
 /// exact skyline of their union w.r.t. `ctx`, returning ascending global
 /// ids. Dominance tests are counted into `stats`.
-pub fn merge_candidates(
-    ctx: &QueryContext,
-    candidates: &[(u32, Point)],
-    stats: &mut QueryStats,
-) -> Vec<u32> {
-    // Distance vectors to CHv(Q) once per candidate, plus the sum key.
-    let mut scored: Vec<(f64, u32, Vec<f64>)> = candidates
-        .iter()
-        .map(|&(id, p)| {
-            let v = ctx.dist_vector(p, stats);
-            (v.iter().sum::<f64>(), id, v)
-        })
-        .collect();
-    scored.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-
-    let mut skyline: Vec<(u32, Vec<f64>)> = Vec::new();
-    'next: for (_, id, v) in scored {
-        for (_, kept) in &skyline {
-            stats.dominance_checks += 1;
-            if dominates(kept, &v) {
-                continue 'next;
-            }
-        }
-        skyline.push((id, v));
-    }
-    let mut ids: Vec<u32> = skyline.into_iter().map(|(id, _)| id).collect();
-    ids.sort_unstable();
-    ids
-}
-
-/// [`merge_candidates`] through a scratch arena: candidate vectors live as
-/// **squared**-distance rows (the dominance relation is unchanged under
-/// squaring — see [`ssq_geom::kernel`]) and candidates inside `CH(Q)` skip
-/// their dominance checks outright (Theorem 1), so the steady-state merge
+///
+/// Candidate vectors live in `scratch` as **squared**-distance rows (the
+/// dominance relation is unchanged under squaring — see
+/// [`ssq_geom::kernel`]) and candidates inside `CH(Q)` skip their
+/// dominance checks outright (Theorem 1), so the steady-state merge
 /// allocates nothing beyond arena growth and the returned id vector.
 pub fn merge_candidates_with(
     ctx: &QueryContext,
@@ -85,24 +56,38 @@ mod tests {
             .collect()
     }
 
+    fn merge(ctx: &QueryContext, candidates: &[(u32, Point)], stats: &mut QueryStats) -> Vec<u32> {
+        merge_candidates_with(ctx, candidates, stats, &mut DistanceScratch::new())
+    }
+
     #[test]
     fn merging_all_points_reproduces_the_skyline() {
         let data = cloud(300);
-        let q = vec![
-            Point::new(4.0, 5.0),
-            Point::new(12.0, 2.0),
-            Point::new(8.0, 9.0),
-        ];
-        let ctx = QueryContext::new(&q);
         let candidates: Vec<(u32, Point)> = data
             .iter()
             .enumerate()
             .map(|(i, &p)| (i as u32, p))
             .collect();
-        let mut stats = QueryStats::default();
-        let got = merge_candidates(&ctx, &candidates, &mut stats);
-        assert_eq!(got, naive_full(&data, &ctx).skyline);
-        assert!(stats.dominance_checks > 0);
+        // One arena across trials: after the first, the merge runs warm.
+        let mut scratch = DistanceScratch::new();
+        for trial in 0..6u32 {
+            let q = vec![
+                Point::new(2.0 + trial as f64, 5.0),
+                Point::new(12.0, 2.0 + trial as f64),
+                Point::new(8.0, 9.0),
+            ];
+            let ctx = QueryContext::new(&q);
+            let mut stats = QueryStats::default();
+            let got = merge_candidates_with(&ctx, &candidates, &mut stats, &mut scratch);
+            assert_eq!(got, naive_full(&data, &ctx).skyline, "trial {trial}");
+            assert!(stats.dominance_checks > 0, "trial {trial}");
+            if trial > 0 {
+                assert_eq!(
+                    stats.allocations, 0,
+                    "trial {trial}: a warm merge grows nothing"
+                );
+            }
+        }
     }
 
     #[test]
@@ -121,7 +106,7 @@ mod tests {
             candidates.extend(local.iter().map(|&l| (ids[l as usize], pts[l as usize])));
         }
         let mut stats = QueryStats::default();
-        let got = merge_candidates(&ctx, &candidates, &mut stats);
+        let got = merge(&ctx, &candidates, &mut stats);
         assert_eq!(got, naive_full(&data, &ctx).skyline);
     }
 
@@ -129,37 +114,6 @@ mod tests {
     fn empty_candidates_merge_to_empty() {
         let q = vec![Point::new(0.0, 0.0), Point::new(1.0, 1.0)];
         let mut stats = QueryStats::default();
-        assert!(merge_candidates(&QueryContext::new(&q), &[], &mut stats).is_empty());
-        let mut scratch = DistanceScratch::new();
-        assert!(
-            merge_candidates_with(&QueryContext::new(&q), &[], &mut stats, &mut scratch).is_empty()
-        );
-    }
-
-    #[test]
-    fn kernel_merge_matches_the_scalar_merge() {
-        let data = cloud(300);
-        let mut scratch = DistanceScratch::new();
-        for trial in 0..6u32 {
-            let q = vec![
-                Point::new(2.0 + trial as f64, 5.0),
-                Point::new(12.0, 2.0 + trial as f64),
-                Point::new(8.0, 9.0),
-            ];
-            let ctx = QueryContext::new(&q);
-            let candidates: Vec<(u32, Point)> = data
-                .iter()
-                .enumerate()
-                .map(|(i, &p)| (i as u32, p))
-                .collect();
-            let mut s1 = QueryStats::default();
-            let mut s2 = QueryStats::default();
-            let scalar = merge_candidates(&ctx, &candidates, &mut s1);
-            let kernel = merge_candidates_with(&ctx, &candidates, &mut s2, &mut scratch);
-            assert_eq!(scalar, kernel, "trial {trial}");
-            if trial > 0 {
-                assert!(s2.allocations <= s1.allocations, "trial {trial}");
-            }
-        }
+        assert!(merge(&QueryContext::new(&q), &[], &mut stats).is_empty());
     }
 }

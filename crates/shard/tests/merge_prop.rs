@@ -7,10 +7,19 @@
 //! kd-split partitioners would ever produce (interleaved parts, empty
 //! parts, singleton parts). Deterministic via the in-repo `ssq-rng`.
 
-use ssq_core::{naive_full, QueryContext, QueryStats};
+use ssq_core::{naive_full, DistanceScratch, QueryContext, QueryStats};
 use ssq_geom::Point;
 use ssq_rng::Xoshiro256;
-use ssq_shard::merge_candidates;
+use ssq_shard::merge_candidates_with;
+
+/// The served merge, on a fresh arena.
+fn merge_candidates(
+    ctx: &QueryContext,
+    candidates: &[(u32, Point)],
+    stats: &mut QueryStats,
+) -> Vec<u32> {
+    merge_candidates_with(ctx, candidates, stats, &mut DistanceScratch::new())
+}
 
 fn random_points(rng: &mut Xoshiro256, n: usize) -> Vec<Point> {
     let mut pts: Vec<Point> = (0..n)

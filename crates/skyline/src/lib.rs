@@ -16,8 +16,21 @@
 //! Its tests hold it to a naive `O(n²)` oracle.
 
 #![deny(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(clippy::all)]
+// Library code returns typed errors, never panics (tests excepted); an
+// audited exception carries `#[expect(clippy::.., reason = "..")]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 /// Returns `true` when `a` dominates `b`: `a[i] <= b[i]` on every
 /// attribute and `a[j] < b[j]` on at least one (minimize semantics).

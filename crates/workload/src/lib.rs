@@ -15,7 +15,7 @@
 //! continuous (VCS²) experiments.
 
 #![deny(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 #![warn(clippy::all)]
 
 pub mod motion;

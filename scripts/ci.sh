@@ -14,9 +14,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> ssq-analyze (mandatory static analysis; exit 1 = violations or stale suppressions, 2 = internal error)"
-# All four call-graph rules run here (deny-alloc-transitive,
-# no-panic-transitive, lock-rank-static, simd-dispatch-guard) on top of
-# the local ones. The JSON report is the gate's build artifact
+# The rules rustc and clippy cannot check: float-cmp and deny-alloc on
+# each file, deny-alloc-transitive and lock-rank-static over the
+# workspace call graph. The JSON report is the gate's build artifact
 # (git-ignored); --audit-suppressions additionally fails the stage when
 # an allow directive no longer matches anything.
 cargo run -q -p ssq-analyze -- --json ANALYZE_REPORT.json --audit-suppressions
@@ -26,6 +26,13 @@ echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "==> cargo clippy (mandatory, warnings are errors)"
+# Besides clippy::all this enforces the crate lints: unwrap_used,
+# expect_used, panic, unreachable, todo and unimplemented are denied in
+# the library code of engine, shard, net, diagram, core, geom, delaunay,
+# rtree and skyline; undocumented_unsafe_blocks is denied workspace-wide
+# (Cargo.toml), test allocators included. An audited exception carries
+# #[expect(clippy::.., reason = "..")], and one that no longer matches
+# anything fails here through unfulfilled_lint_expectations.
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo build --release"
@@ -93,8 +100,8 @@ cargo test --release --offline --manifest-path crates/bench/src/bin/benchmark/Ca
 echo "==> benchmark smoke (all five workloads; fails on wrong answers, frame errors or non-finite metrics)"
 cargo run --release --offline --quiet --manifest-path crates/bench/src/bin/benchmark/Cargo.toml -- --smoke
 
-# ssq-analyze already covers crates/net (no-panic gate) in the first
-# stage; this drives the shipped binary end to end: serve on :0 with
+# Clippy's panic lints already hold crates/net panic-free in its library
+# code (the clippy stage); this drives the shipped binary end to end: serve on :0 with
 # stdin on a FIFO, burst a pipelined client at it (single-query frames,
 # then `Batch` frames that repeat query sets), close the FIFO (EOF
 # = shutdown), and require the clean-drain report and exit 0. It runs

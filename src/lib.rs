@@ -52,6 +52,8 @@
 //! assert!(!result.skyline.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use ssq_core as core;
 pub use ssq_delaunay as delaunay;
 pub use ssq_engine as engine;
