@@ -24,7 +24,7 @@
 //! ([`VoronoiIndex::nearest_ties`]).
 
 use ssq_delaunay::paged::PagedAdjacency;
-use ssq_delaunay::rows::Rows;
+use ssq_delaunay::rows::{Arena, CowChunks};
 use ssq_delaunay::voronoi::{incident_triangles, CellTracer};
 use ssq_delaunay::{hilbert, DelaunayGraph, DeltaError, Triangulation};
 use ssq_geom::{ConvexPolygon, Point, Rect};
@@ -156,18 +156,20 @@ impl RTreeIndex {
 /// walk seed — and an inserted point is appended as a new site. So
 /// [`VoronoiIndex::len`] counts live points (the ids) while
 /// [`VoronoiIndex::site_bound`], one past the last site, sizes per-site
-/// marks and pages. Per-site rows — neighbour lists and cell boxes — live in
-/// `Arc`-shared chunks of [`CHUNK`](ssq_delaunay::rows::CHUNK) sites, and a
-/// delta copies only the chunks it writes.
+/// marks and pages. The per-site tables — neighbour lists
+/// ([`Rows`](ssq_delaunay::rows::Rows)) and cell boxes (a fixed-size
+/// [`CowChunks`]) — live in `Arc`-shared chunks of
+/// [`CHUNK`](ssq_delaunay::rows::CHUNK) sites, and a delta copies only the
+/// chunks it writes.
 pub struct VoronoiIndex {
     /// Vertex `s` is site `s`. The graph keeps its triangulation, so the
     /// next generation can be produced by local repair instead of a
     /// rebuild.
     graph: DelaunayGraph,
     pages: PagedAdjacency,
-    /// Row `s` is the MBR of site `s`'s cell, clipped to the graph's
-    /// default box. Empty for a tombstone.
-    cells: Rows<Rect>,
+    /// Entry `s` is the MBR of site `s`'s cell, clipped to the graph's
+    /// default box; [`Rect::EMPTY`] for a tombstone.
+    cells: CowChunks<Rect>,
     /// `site_to_id[s]` is the id of site `s` (`u32::MAX` for a tombstone);
     /// `id_to_site` maps the ids back.
     site_to_id: Vec<u32>,
@@ -284,12 +286,14 @@ impl VoronoiIndex {
             // fall back to the bisector half-plane construction.
             let tracer = CellTracer::new(tri, &clip);
             let incident = incident_triangles(tri);
-            Rows::new(graph.len(), |s, out| {
-                let traced = tracer
-                    .as_ref()
-                    .and_then(|t| t.cell(s, incident[s as usize]));
-                out.push(traced.unwrap_or_else(|| graph.voronoi_cell(s, &clip)).mbr());
-            })
+            (0..graph.len() as u32)
+                .map(|s| {
+                    let traced = tracer
+                        .as_ref()
+                        .and_then(|t| t.cell(s, incident[s as usize]));
+                    traced.unwrap_or_else(|| graph.voronoi_cell(s, &clip)).mbr()
+                })
+                .collect()
         };
         let mut id_to_site = vec![0; points.len()];
         for (s, &id) in (0u32..).zip(&site_to_id) {
@@ -373,7 +377,7 @@ impl VoronoiIndex {
     #[inline]
     // ssq-analyze: deny-alloc
     fn cell(&self, site: u32) -> Rect {
-        self.cells.row(site).first().copied().unwrap_or(Rect::EMPTY)
+        self.cells[site]
     }
 
     /// The walk's cell gate: "does the box of `site`'s Voronoi cell meet
@@ -652,17 +656,20 @@ impl VoronoiIndex {
             dirty.sort_unstable_by_key(|&(s, star)| (s, star.is_none()));
             dirty.dedup_by_key(|d| d.0);
         }
-        let sites: Vec<u32> = dirty.iter().map(|d| d.0).collect();
         let tracer = CellTracer::new(tri, &clip);
-        let mut stars = dirty.iter().map(|d| d.1);
-        let cells = self.cells.patched(graph.len(), &sites, |s, out| {
-            let star = stars.next().flatten();
-            if site_to_id[s as usize] != u32::MAX {
+        let mut cells = self.cells.clone();
+        for _ in first..graph.len() as u32 {
+            cells.push(Rect::EMPTY);
+        }
+        for &(s, star) in &dirty {
+            *cells.get_mut(s) = if site_to_id[s as usize] == u32::MAX {
+                Rect::EMPTY
+            } else {
                 let traced = star.and_then(|t| tracer.as_ref()?.cell(s, t));
-                out.push(traced.unwrap_or_else(|| graph.voronoi_cell(s, &clip)).mbr());
-            }
-        });
-        let dirty_cells = sites.len() - victims.len();
+                traced.unwrap_or_else(|| graph.voronoi_cell(s, &clip)).mbr()
+            };
+        }
+        let dirty_cells = dirty.len() - victims.len();
 
         // 5. Pages: an appended site is accounted to the page of its
         //    nearest neighbour already placed (any site before it) — the

@@ -15,9 +15,12 @@
 //!   is exact;
 //! * [`DelaunayGraph`] — the adjacency ("the adjacency list of the
 //!   Delaunay graph", §4.2) with greedy nearest-neighbour walks, its
-//!   neighbour lists held as [`rows::Rows`] — per-site rows in
-//!   `Arc`-shared chunks, so an edited graph shares what an edit left
-//!   alone with its predecessor;
+//!   neighbour lists held as [`rows::Rows`];
+//! * [`rows`] — the copy-on-write chunk tables: `Arc`-shared chunks, so
+//!   an edited copy shares what its edits left alone with its original.
+//!   [`rows::CowChunks`] holds fixed-size entries (the triangulation's
+//!   slots, `VoronoiIndex`'s cell boxes), [`rows::Rows`] the neighbour
+//!   lists;
 //! * Voronoi cells ([`DelaunayGraph::voronoi_cell`]) as clipped convex
 //!   polygons, obtained by intersecting bisector half-planes of the
 //!   Delaunay neighbours;

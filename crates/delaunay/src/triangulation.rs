@@ -34,24 +34,24 @@
 //!
 //! # Clones share triangle chunks
 //!
-//! A built triangulation keeps its triangle slots in `Arc`-shared chunks
-//! of [`SLOT_CHUNK`] slots. Cloning copies the vertex coordinates (one
-//! flat `Vec`, read on every query path) and one pointer per chunk; an
-//! edit copies a chunk only when it writes one the original still holds.
-//! Reads never write — the locate walk takes `&self`, and the cavity
-//! stamps are set only on triangles the edit replaces — so an edited
-//! clone shares every chunk its edits did not touch
-//! ([`Triangulation::shared_chunks`]). A build allocates every chunk it
-//! will fill up front (it ends with exactly `2n − 2` slots) and borrows
-//! each one `&mut` once, so its inner loop pays no copy-on-write check:
-//! through `Arc::make_mut` on every write, the same build measured ≈ 45 %
-//! slower.
+//! A built triangulation keeps its triangle slots in a [`CowChunks`]:
+//! `Arc`-shared chunks of [`CHUNK`](crate::rows::CHUNK) slots. Cloning
+//! copies the vertex coordinates (one flat `Vec`, read on every query
+//! path) and one pointer per chunk; an edit copies a chunk only when it
+//! writes one the original still holds. Reads never write — the locate
+//! walk takes `&self`, and the cavity stamps are set only on triangles
+//! the edit replaces — so an edited clone shares every chunk its edits
+//! did not touch ([`Triangulation::shared_chunks`]). A build allocates
+//! every chunk it will fill up front (it ends with exactly `2n − 2`
+//! slots) and borrows each one `&mut` once (`rows::BuildChunks`), so its
+//! inner loop pays no copy-on-write check: through `Arc::make_mut` on
+//! every write, the same build measured ≈ 45 % slower.
 
 use ssq_geom::predicates::{incircle_sign, orient2d_sign};
 use ssq_geom::{Point, Rect};
-use std::sync::Arc;
 
 use crate::hilbert;
+use crate::rows::{Arena, CowChunks};
 
 /// The symbolic vertex at infinity used by ghost triangles.
 pub const GHOST: u32 = u32::MAX;
@@ -144,151 +144,12 @@ impl Tri {
 
 const NO_TRI: u32 = u32::MAX;
 
-/// What a chunk holds past the last slot.
+/// What a build's chunks hold before it writes them.
 const UNUSED: Tri = Tri {
     v: [GHOST; 3],
     nbr: [NO_TRI; 3],
     stamp: 0,
 };
-
-/// Triangle slots per chunk of a built triangulation (1.75 KiB of 28-byte
-/// slots). Measured on 100k / 200k clustered points with the benchmark's
-/// 200-op batches (100 uniform inserts, 100 random deletes): one batch
-/// writes 20 % / 11 % of 64-slot chunks, against 13 % / 7 % for 32,
-/// 31 % / 17 % for 128, 45 % / 26 % for 256 and 81 % / 55 % for 1 024.
-/// At 200k points that is 1.1 MiB copied per batch for 64, against
-/// 2.7 MiB for 256 and 0.7 MiB for 32, which doubles the chunk table that
-/// every clone and every drop walks. At 1M points a batch writes 2.3 %
-/// of the 64-slot chunks.
-pub const SLOT_CHUNK: usize = 64;
-
-/// Triangle storage: the chunks a build fills ([`Building`]) and the
-/// `Arc`-shared chunks a triangulation keeps and edits ([`Slots`]). Only
-/// the write path differs; one Bowyer–Watson implementation ([`Mesh`])
-/// runs on both.
-trait Arena: std::ops::Index<u32, Output = Tri> {
-    /// Slot `t` for writing.
-    fn get_mut(&mut self, t: u32) -> &mut Tri;
-    /// Appends `tri` in a new slot and returns the slot.
-    fn push(&mut self, tri: Tri) -> u32;
-}
-
-/// The arena of a build in progress: the chunks of the [`Slots`] it
-/// fills, each borrowed `&mut` once (a build knows its final slot count,
-/// so every chunk exists from the start). The ≈ 30 slot writes of each
-/// insertion pay no copy-on-write check, and no second copy of the arena
-/// is ever made.
-struct Building<'a> {
-    chunks: Vec<&'a mut [Tri; SLOT_CHUNK]>,
-    len: usize,
-}
-
-impl std::ops::Index<u32> for Building<'_> {
-    type Output = Tri;
-
-    #[inline]
-    fn index(&self, t: u32) -> &Tri {
-        &self.chunks[t as usize / SLOT_CHUNK][t as usize % SLOT_CHUNK]
-    }
-}
-
-impl Arena for Building<'_> {
-    #[inline]
-    fn get_mut(&mut self, t: u32) -> &mut Tri {
-        &mut self.chunks[t as usize / SLOT_CHUNK][t as usize % SLOT_CHUNK]
-    }
-
-    fn push(&mut self, tri: Tri) -> u32 {
-        let t = self.len as u32;
-        self.len += 1;
-        *self.get_mut(t) = tri;
-        t
-    }
-}
-
-/// The arena of a built triangulation: slot `t` is entry
-/// `t % SLOT_CHUNK` of chunk `t / SLOT_CHUNK`, each chunk behind an
-/// `Arc`. A clone copies one pointer per chunk; a write copies the chunk
-/// it lands on first when another arena still holds it
-/// (`Arc::make_mut`), so an edited clone shares every chunk it did not
-/// write.
-#[derive(Clone, Debug)]
-struct Slots {
-    chunks: Vec<Arc<[Tri; SLOT_CHUNK]>>,
-    len: usize,
-}
-
-impl Slots {
-    /// Empty slots, in chunks enough for `room` of them, to be filled
-    /// through [`Slots::building`].
-    fn with_room(room: usize) -> Slots {
-        let chunks = (0..room.div_ceil(SLOT_CHUNK))
-            .map(|_| Arc::new([UNUSED; SLOT_CHUNK]))
-            .collect();
-        Slots { chunks, len: 0 }
-    }
-
-    /// Every chunk borrowed for writing: unshared, since only
-    /// [`Slots::with_room`] made them.
-    fn building(&mut self) -> Building<'_> {
-        Building {
-            chunks: self.chunks.iter_mut().map(Arc::make_mut).collect(),
-            len: self.len,
-        }
-    }
-
-    /// The first `len` slots, without the chunks past them.
-    fn truncated(mut self, len: usize) -> Slots {
-        self.chunks.truncate(len.div_ceil(SLOT_CHUNK));
-        self.len = len;
-        self
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &Tri> + '_ {
-        self.chunks.iter().flat_map(|c| c.iter()).take(self.len)
-    }
-
-    /// Chunks `self` shares with `other`: the same allocation at the same
-    /// position, not equal contents.
-    fn shared_chunks(&self, other: &Slots) -> usize {
-        self.chunks
-            .iter()
-            .zip(&other.chunks)
-            .filter(|(a, b)| Arc::ptr_eq(a, b))
-            .count()
-    }
-}
-
-impl std::ops::Index<u32> for Slots {
-    type Output = Tri;
-
-    #[inline]
-    fn index(&self, t: u32) -> &Tri {
-        &self.chunks[t as usize / SLOT_CHUNK][t as usize % SLOT_CHUNK]
-    }
-}
-
-impl Arena for Slots {
-    #[inline]
-    fn get_mut(&mut self, t: u32) -> &mut Tri {
-        let (c, i) = (t as usize / SLOT_CHUNK, t as usize % SLOT_CHUNK);
-        &mut Arc::make_mut(&mut self.chunks[c])[i]
-    }
-
-    fn push(&mut self, tri: Tri) -> u32 {
-        let t = self.len as u32;
-        if self.len.is_multiple_of(SLOT_CHUNK) {
-            self.chunks.push(Arc::new([UNUSED; SLOT_CHUNK]));
-        }
-        self.len += 1;
-        *self.get_mut(t) = tri;
-        t
-    }
-}
 
 /// A Delaunay triangulation of a set of distinct points.
 ///
@@ -298,10 +159,10 @@ impl Arena for Slots {
 /// that case with a path graph, so SSQ algorithms never need to care.
 ///
 /// A clone costs the vertex list plus one pointer per chunk of
-/// [`SLOT_CHUNK`] triangle slots; see the module docs.
+/// [`CHUNK`](crate::rows::CHUNK) triangle slots; see the module docs.
 #[derive(Clone, Debug)]
 pub struct Triangulation {
-    mesh: Mesh<Slots>,
+    mesh: Mesh<CowChunks<Tri>>,
     /// True when the input was collinear/too small to triangulate.
     degenerate: bool,
 }
@@ -354,18 +215,21 @@ impl Triangulation {
 
         // The build fills `2n − 2` slots (ghosts included) and never more:
         // each insertion frees its cavity and takes two slots beyond it.
-        let mut slots = Slots::with_room(2 * points.len());
+        let mut tris = CowChunks::filled(2 * points.len(), UNUSED);
         let mut mesh = Mesh {
             points: points.to_vec(),
-            tris: slots.building(),
+            tris: tris.build(),
             free: Vec::new(),
             seed: NO_TRI,
             epoch: 0,
         };
         let degenerate = !mesh.triangulate();
-        let mesh = mesh.map_tris(|b| b.len);
+        let mesh = mesh.map_tris(|b| b.len());
         Ok(Triangulation {
-            mesh: mesh.map_tris(|len| slots.truncated(len)),
+            mesh: mesh.map_tris(|len| {
+                tris.truncate(len);
+                tris
+            }),
             degenerate,
         })
     }
@@ -388,9 +252,9 @@ impl Triangulation {
         self.degenerate
     }
 
-    /// Number of chunks of [`SLOT_CHUNK`] triangle slots.
+    /// Number of chunks of [`CHUNK`](crate::rows::CHUNK) triangle slots.
     pub fn chunk_count(&self) -> usize {
-        self.mesh.tris.chunks.len()
+        self.mesh.tris.chunk_count()
     }
 
     /// Triangle chunks `self` shares with `other` — the same allocation
@@ -504,8 +368,9 @@ impl Triangulation {
 }
 
 /// The Bowyer–Watson machinery, over either arena: a build runs it on
-/// [`Building`], the edits of a built triangulation on its [`Slots`].
-impl<A: Arena> Mesh<A> {
+/// the `BuildChunks` borrow of its slots, the
+/// edits of a built triangulation on its [`CowChunks`].
+impl<A: Arena<Tri>> Mesh<A> {
     /// [`Triangulation::remove_point`] on a non-degenerate triangulation.
     fn remove(&mut self, vi: u32, touched: &mut Vec<Touched>) -> Result<(), DeltaError> {
         let start = self.locate(self.pt(vi), self.seed);

@@ -18,8 +18,7 @@ use ssq_diagram::{DiagramConfig, SkylineDiagram};
 use ssq_geom::Point;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Anchor-count hint used to pre-size worker scratch arenas at spawn:
@@ -113,6 +112,15 @@ impl std::fmt::Display for EngineError {
 }
 
 impl std::error::Error for EngineError {}
+
+impl From<TrySubmitError> for EngineError {
+    fn from(e: TrySubmitError) -> EngineError {
+        match e {
+            TrySubmitError::Full => EngineError::QueueFull,
+            TrySubmitError::Closed => EngineError::Closed,
+        }
+    }
+}
 
 /// Tuning knobs for [`Engine::new`].
 ///
@@ -432,96 +440,6 @@ pub struct IngestReport {
     pub build: Duration,
 }
 
-/// The ingest queue shared between producers, the ingestor thread, and
-/// [`Ingestor`]'s drop. Deliberately a *raw* `Mutex`: it is never held
-/// across any ranked lock (batches are popped, then the lock dropped
-/// before the publish takes `engine.reindex`), so it stays out of the
-/// engine's documented rank table.
-struct IngestShared {
-    state: Mutex<IngestState>,
-    /// Signalled when a batch is pushed or the queue closes (the
-    /// ingestor thread waits on this).
-    added: Condvar,
-    /// Signalled when a batch is popped (blocked producers wait).
-    space: Condvar,
-}
-
-/// One queued delta batch paired with the ticket cell its publish
-/// report (or error) resolves.
-type QueuedBatch = (UpdateBatch, Arc<Cell<Result<IngestReport, EngineError>>>);
-
-struct IngestState {
-    queue: VecDeque<QueuedBatch>,
-    closed: bool,
-}
-
-/// Owns the ingest queue and the lazily spawned ingestor thread. Closing
-/// (on engine shutdown or drop) drains every accepted batch — mirroring
-/// the worker pool's contract that accepted work still runs — then joins
-/// the thread.
-struct Ingestor {
-    shared: Arc<IngestShared>,
-    capacity: usize,
-    worker: Mutex<Option<JoinHandle<()>>>,
-}
-
-impl Ingestor {
-    fn new(capacity: usize) -> Ingestor {
-        Ingestor {
-            shared: Arc::new(IngestShared {
-                state: Mutex::new(IngestState {
-                    queue: VecDeque::new(),
-                    closed: false,
-                }),
-                added: Condvar::new(),
-                space: Condvar::new(),
-            }),
-            capacity,
-            worker: Mutex::new(None),
-        }
-    }
-
-    fn close_and_join(&self) {
-        {
-            let mut st = lock_unpoisoned(&self.shared.state);
-            st.closed = true;
-        }
-        self.shared.added.notify_all();
-        self.shared.space.notify_all();
-        if let Some(handle) = lock_unpoisoned(&self.worker).take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for Ingestor {
-    fn drop(&mut self) {
-        self.close_and_join();
-    }
-}
-
-/// The ingestor thread: pops batches in FIFO order and publishes each as
-/// the next generation. On close, accepted batches drain before exit, so
-/// no [`IngestHandle`] is ever abandoned.
-fn ingest_loop(shared: &Arc<EngineShared>, q: &IngestShared) {
-    loop {
-        let (batch, cell) = {
-            let mut st = lock_unpoisoned(&q.state);
-            loop {
-                if let Some(item) = st.queue.pop_front() {
-                    break item;
-                }
-                if st.closed {
-                    return;
-                }
-                st = wait_unpoisoned(&q.added, st);
-            }
-        };
-        q.space.notify_one();
-        cell.fill(publish_delta(shared, &batch));
-    }
-}
-
 /// The single publish path for delta batches, shared by the synchronous
 /// [`Engine::apply_delta`] and the ingestor thread: serialize under the
 /// reindex lock, build the next generation copy-on-write, install it,
@@ -605,8 +523,13 @@ struct EngineShared {
 /// snapshot catalog. See the [crate docs](crate) for the architecture.
 pub struct Engine {
     shared: Arc<EngineShared>,
+    /// The ingestor: one worker publishing delta batches in submission
+    /// order off a queue of `ingest_capacity`, spawned on first use so
+    /// query-only engines never pay for its thread. Declared before
+    /// `pool`, so a drop, like [`Engine::shutdown`], drains it first.
+    ingest: OnceLock<WorkerPool>,
+    ingest_capacity: usize,
     pool: WorkerPool,
-    ingestor: Ingestor,
 }
 
 impl std::fmt::Debug for Engine {
@@ -675,8 +598,9 @@ impl Engine {
         .map_err(|e| EngineError::Spawn(e.to_string()))?;
         Ok(Engine {
             shared,
+            ingest: OnceLock::new(),
+            ingest_capacity: config.ingest_capacity,
             pool,
-            ingestor: Ingestor::new(config.ingest_capacity),
         })
     }
 
@@ -851,18 +775,10 @@ impl Engine {
     /// the publish happens off the caller's thread. Batches publish in
     /// submission order, each producing one generation.
     pub fn ingest(&self, batch: UpdateBatch) -> Result<IngestHandle, EngineError> {
-        self.ensure_ingestor()?;
-        let (ticket, cell) = Ticket::new();
-        let mut st = lock_unpoisoned(&self.ingestor.shared.state);
-        while st.queue.len() >= self.ingestor.capacity && !st.closed {
-            st = wait_unpoisoned(&self.ingestor.shared.space, st);
-        }
-        if st.closed {
-            return Err(EngineError::Closed);
-        }
-        st.queue.push_back((batch, cell));
-        drop(st);
-        self.ingestor.shared.added.notify_one();
+        let (ticket, job) = self.ingest_job(batch);
+        self.ingestor()?
+            .submit(job)
+            .map_err(|_| EngineError::Closed)?;
         Ok(ticket)
     }
 
@@ -872,44 +788,40 @@ impl Engine {
     /// [`Engine::try_submit`] on the query side). Shed batches are
     /// counted in the metrics' ingest counters.
     pub fn try_ingest(&self, batch: UpdateBatch) -> Result<IngestHandle, EngineError> {
-        self.ensure_ingestor()?;
-        let (ticket, cell) = Ticket::new();
-        let mut st = lock_unpoisoned(&self.ingestor.shared.state);
-        if st.closed {
-            return Err(EngineError::Closed);
-        }
-        if st.queue.len() >= self.ingestor.capacity {
-            drop(st);
+        let (ticket, job) = self.ingest_job(batch);
+        let submitted = self.ingestor()?.try_submit(job);
+        if submitted == Err(TrySubmitError::Full) {
             self.shared.metrics.record_ingest_shed();
-            return Err(EngineError::QueueFull);
         }
-        st.queue.push_back((batch, cell));
-        drop(st);
-        self.ingestor.shared.added.notify_one();
+        submitted.map_err(EngineError::from)?;
         Ok(ticket)
     }
 
     /// Delta batches currently waiting in the ingest queue (not the one
     /// being published).
     pub fn ingest_queued(&self) -> usize {
-        lock_unpoisoned(&self.ingestor.shared.state).queue.len()
+        self.ingest.get().map_or(0, WorkerPool::queued)
     }
 
-    /// Spawns the ingestor thread on first use, so query-only engines
-    /// never pay for one.
-    fn ensure_ingestor(&self) -> Result<(), EngineError> {
-        let mut worker = lock_unpoisoned(&self.ingestor.worker);
-        if worker.is_some() {
-            return Ok(());
+    /// The ingestor, spawned on first use.
+    fn ingestor(&self) -> Result<&WorkerPool, EngineError> {
+        if let Some(ingest) = self.ingest.get() {
+            return Ok(ingest);
         }
-        let shared = Arc::clone(&self.shared);
-        let q = Arc::clone(&self.ingestor.shared);
-        let handle = std::thread::Builder::new()
-            .name("ssq-ingest".into())
-            .spawn(move || ingest_loop(&shared, &q))
+        let ingest = WorkerPool::new(1, self.ingest_capacity)
             .map_err(|e| EngineError::Spawn(e.to_string()))?;
-        *worker = Some(handle);
-        Ok(())
+        // Of two racing first calls, one installs its pool; the other's,
+        // idle, joins its thread on drop.
+        Ok(self.ingest.get_or_init(|| ingest))
+    }
+
+    /// Wraps `batch` as an ingestor job that publishes it and resolves the
+    /// returned handle with the report.
+    fn ingest_job(&self, batch: UpdateBatch) -> (IngestHandle, Job) {
+        let (ticket, cell) = Ticket::new();
+        let shared = Arc::clone(&self.shared);
+        let job = Box::new(move |_: &mut WorkerState| cell.fill(publish_delta(&shared, &batch)));
+        (ticket, job)
     }
 
     /// Wraps `work` as a pool job that resolves its snapshot on the worker
@@ -990,10 +902,7 @@ impl Engine {
 
     /// Queues `job` unless the job queue is full or closed.
     fn try_send(&self, job: Job) -> Result<(), EngineError> {
-        self.pool.try_submit(job).map_err(|e| match e {
-            TrySubmitError::Full => EngineError::QueueFull,
-            TrySubmitError::Closed => EngineError::Closed,
-        })
+        self.pool.try_submit(job).map_err(EngineError::from)
     }
 
     /// Submits one query; blocks only while the job queue is full.
@@ -1254,8 +1163,11 @@ impl Engine {
     /// Every handle obtained before this call resolves; dropping the
     /// engine performs the same drain.
     pub fn shutdown(self) {
-        self.ingestor.close_and_join();
-        self.pool.shutdown();
+        let Engine { ingest, pool, .. } = self;
+        if let Some(ingest) = ingest.into_inner() {
+            ingest.shutdown();
+        }
+        pool.shutdown();
     }
 }
 
