@@ -22,9 +22,18 @@
 //! them, highest first, so only the `|D| − |I|` top ids move. Delete ids
 //! refer to the *old* generation. [`UpdateBatch::id_plan`] states the rule
 //! once; every layer applies it with [`IdPlan::patch`].
+//!
+//! ## Two cores per publish
+//!
+//! A publish repairs independent structures: the R-tree and the Voronoi
+//! index, and inside the Voronoi half the triangulation, the id maps and
+//! the cell boxes. [`join`] runs one such pair side by side, the helper on
+//! a scoped thread named `ssq-publish` and the other on the caller.
 
 use ssq_delaunay::hilbert;
 use ssq_geom::{Point, Rect};
+use std::panic::AssertUnwindSafe;
+use std::sync::{Mutex, PoisonError};
 
 /// A batch of point insertions and deletions, applied atomically to one
 /// snapshot generation to produce the next.
@@ -200,6 +209,52 @@ pub struct DeltaStats {
     pub dirty_cells: usize,
 }
 
+/// The name of the thread [`join`] runs its helper on.
+const PUBLISH_THREAD: &str = "ssq-publish";
+
+/// [`join`]'s helper panicked: its half of the publish is lost.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct HelperPanicked;
+
+impl std::fmt::Display for HelperPanicked {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "the {PUBLISH_THREAD} helper thread panicked")
+    }
+}
+
+impl std::error::Error for HelperPanicked {}
+
+/// Runs `helper` on a scoped thread named `ssq-publish` while `here`
+/// runs on the caller, and returns both results once both are done.
+///
+/// A panic in `helper` stops there and comes back as [`HelperPanicked`]; a
+/// panic in `here` unwinds to the caller once `helper` has finished. When
+/// the thread cannot be spawned, `helper` runs on the caller after `here`.
+pub fn join<A: Send, B>(
+    helper: impl FnOnce() -> A + Send,
+    here: impl FnOnce() -> B,
+) -> (Result<A, HelperPanicked>, B) {
+    // Whichever thread takes `helper` runs it: the spawned one, or the
+    // caller when a failed spawn dropped its copy of `run` unrun. The
+    // lock guards only the `take`, so a poisoned slot is still valid.
+    let slot = Mutex::new(Some(helper));
+    let run = || {
+        let helper = slot.lock().unwrap_or_else(PoisonError::into_inner).take();
+        helper.map(|f| f())
+    };
+    std::thread::scope(|scope| {
+        let spawned = std::thread::Builder::new()
+            .name(PUBLISH_THREAD.into())
+            .spawn_scoped(scope, run);
+        let here = here();
+        let helper = match spawned {
+            Ok(thread) => thread.join(),
+            Err(_) => std::panic::catch_unwind(AssertUnwindSafe(run)),
+        };
+        (helper.ok().flatten().ok_or(HelperPanicked), here)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,5 +415,50 @@ mod tests {
         assert_eq!(plan.len, 9);
         let b = batch(vec![0, 3], 0);
         assert_eq!(b.id_plan(5).moves, vec![(4, 0)]);
+    }
+
+    #[test]
+    fn join_runs_the_helper_on_the_publish_thread() {
+        let caller = std::thread::current().id();
+        let (helper, here) = join(
+            || {
+                let me = std::thread::current();
+                (me.id(), me.name().map(String::from))
+            },
+            || std::thread::current().id(),
+        );
+        let (helper_id, helper_name) = helper.unwrap();
+        assert_eq!(here, caller);
+        assert_ne!(helper_id, caller);
+        assert_eq!(helper_name.as_deref(), Some(PUBLISH_THREAD));
+    }
+
+    #[test]
+    fn a_helper_panic_comes_back_as_an_error() {
+        let (helper, here) = join(|| -> u32 { panic!("helper") }, || 7);
+        assert_eq!(helper, Err(HelperPanicked));
+        assert_eq!(here, 7, "the caller's half still finishes");
+    }
+
+    #[test]
+    fn a_caller_panic_unwinds_after_the_helper_finishes() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let finished = &AtomicBool::new(false);
+        let (panicking, told) = std::sync::mpsc::channel();
+        let unwound = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            join(
+                // Finishes only once the caller's half has begun to panic.
+                move || {
+                    let _ = told.recv();
+                    finished.store(true, Ordering::SeqCst);
+                },
+                || -> u32 {
+                    let _ = panicking.send(());
+                    panic!("caller")
+                },
+            )
+        }));
+        assert!(unwound.is_err());
+        assert!(finished.load(Ordering::SeqCst));
     }
 }

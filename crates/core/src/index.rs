@@ -30,7 +30,7 @@ use ssq_delaunay::{hilbert, DelaunayGraph, DeltaError, Triangulation};
 use ssq_geom::{ConvexPolygon, Point, Rect};
 use ssq_rtree::{RTree, RTreeConfig};
 
-use crate::delta::{DeltaStats, UpdateBatch};
+use crate::delta::{join, DeltaStats, UpdateBatch};
 
 /// The rebuild rule: a delta is rebuilt from scratch instead of repaired
 /// once tombstones plus sites appended since the last full build, its own
@@ -115,6 +115,10 @@ impl RTreeIndex {
     /// `self` ([`RTree::shared_nodes`]). What stays `O(n)` is the pointer
     /// copy itself and the point list, copied flat and patched at the
     /// batch's ids.
+    ///
+    /// Runs on the calling thread and shares nothing with the Voronoi
+    /// half, so `Snapshot::apply_delta` in `ssq-engine` runs it on the
+    /// publish helper ([`join`]) beside [`VoronoiIndex::apply_delta`].
     pub fn apply_delta(&self, batch: &UpdateBatch) -> RTreeIndex {
         debug_assert!(batch.is_normalized());
         let plan = batch.id_plan(self.points.len());
@@ -511,6 +515,13 @@ impl VoronoiIndex {
     ///   their own — the walk reaches them from their neighbours' — and an
     ///   appended site is accounted to its nearest neighbour's page.
     ///
+    /// Two steps of the incremental path run on the publish helper thread
+    /// ([`join`]): the id maps and the directory pass beside the
+    /// triangulation repair, and the second half of the dirty cell boxes
+    /// beside the first. The boxes are written in one order whichever
+    /// thread traced them, so the chunks a delta copies do not depend on
+    /// the split. A panic on the helper falls back to the full rebuild.
+    ///
     /// Falls back to a full rebuild — the same points under the same ids,
     /// laid out along the curve afresh, at higher cost — when tombstones
     /// plus sites appended since the last full build, this batch's
@@ -569,38 +580,52 @@ impl VoronoiIndex {
         batch: &UpdateBatch,
         decay: usize,
     ) -> Result<(VoronoiIndex, usize), DeltaError> {
-        // 1. Repair a copy of the triangulation: removals in site order —
-        //    the curve order, so each locate walk starts where the previous
-        //    op ended — then the already Hilbert-ordered inserts, appended
-        //    as sites `first..`. Keep each touched site's latest report,
-        //    ascending.
-        let mut tri = self.graph.triangulation().clone();
-        let mut touched = Vec::new();
         let mut victims: Vec<u32> = batch.deletes.iter().map(|&d| self.site_of(d)).collect();
         victims.sort_unstable();
-        for &s in &victims {
-            tri.remove_point(s, &mut touched)?;
-        }
         let first = self.site_bound() as u32;
-        for &p in &batch.inserts {
-            tri.insert_point(p, &mut touched)?;
-        }
-        touched.reverse();
-        touched.sort_by_key(|t| t.vertex);
-        touched.dedup_by_key(|t| t.vertex);
-
-        // 2. Id maps, patched by the batch's id plan: insert `k` is at
-        //    site `first + k`, and a moved point keeps its site.
-        let plan = batch.id_plan(self.len());
-        let mut id_to_site = self.id_to_site.clone();
-        plan.patch(&mut id_to_site, first..);
-        let mut site_to_id = [&self.site_to_id[..], &plan.inserted].concat();
-        for &s in &victims {
-            site_to_id[s as usize] = u32::MAX;
-        }
-        for &(from, to) in &plan.moves {
-            site_to_id[self.site_of(from) as usize] = to;
-        }
+        // Steps 1 and 2 read only `self`, the batch and the victims: the id
+        // maps and the start directory are built on the publish helper
+        // while this thread repairs the triangulation.
+        let (maps, repaired) = join(
+            || {
+                // 2. Id maps, patched by the batch's id plan: insert `k` is
+                //    at site `first + k`, and a moved point keeps its site.
+                //    Directory entries on a victim move to a live neighbour.
+                let plan = batch.id_plan(self.len());
+                let mut id_to_site = self.id_to_site.clone();
+                plan.patch(&mut id_to_site, first..);
+                let mut site_to_id = [&self.site_to_id[..], &plan.inserted].concat();
+                for &s in &victims {
+                    site_to_id[s as usize] = u32::MAX;
+                }
+                for &(from, to) in &plan.moves {
+                    site_to_id[self.site_of(from) as usize] = to;
+                }
+                let directory = self.directory.moved_off(&site_to_id, &self.graph);
+                (id_to_site, site_to_id, directory)
+            },
+            || {
+                // 1. Repair a copy of the triangulation: removals in site
+                //    order — the curve order, so each locate walk starts
+                //    where the previous op ended — then the already
+                //    Hilbert-ordered inserts, appended as sites `first..`.
+                //    Keep each touched site's latest report, ascending.
+                let mut tri = self.graph.triangulation().clone();
+                let mut touched = Vec::new();
+                for &s in &victims {
+                    tri.remove_point(s, &mut touched)?;
+                }
+                for &p in &batch.inserts {
+                    tri.insert_point(p, &mut touched)?;
+                }
+                touched.reverse();
+                touched.sort_by_key(|t| t.vertex);
+                touched.dedup_by_key(|t| t.vertex);
+                Ok((tri, touched))
+            },
+        );
+        let (tri, touched) = repaired?;
+        let (id_to_site, site_to_id, directory) = maps.map_err(|_| DeltaError::NeedsRebuild)?;
 
         // 3. Adjacency over the live points' MBR (tombstones keep stale
         //    coordinates, which must not count). Inserts only grow it. A
@@ -657,17 +682,34 @@ impl VoronoiIndex {
             dirty.dedup_by_key(|d| d.0);
         }
         let tracer = CellTracer::new(tri, &clip);
-        let mut cells = self.cells.clone();
-        for _ in first..graph.len() as u32 {
-            cells.push(Rect::EMPTY);
-        }
-        for &(s, star) in &dirty {
-            *cells.get_mut(s) = if site_to_id[s as usize] == u32::MAX {
+        let trace = |&(s, star): &(u32, Option<u32>)| {
+            if site_to_id[s as usize] == u32::MAX {
                 Rect::EMPTY
             } else {
                 let traced = star.and_then(|t| tracer.as_ref()?.cell(s, t));
                 traced.unwrap_or_else(|| graph.voronoi_cell(s, &clip)).mbr()
-            };
+            }
+        };
+        // The publish helper traces the second half of the boxes; both
+        // halves are written in `dirty` order, so a delta copies the same
+        // chunks whichever thread traced a box.
+        let (mine, theirs) = dirty.split_at(dirty.len() / 2);
+        let (traced, mut cells) = join(
+            || theirs.iter().map(trace).collect::<Vec<Rect>>(),
+            || {
+                let mut cells = self.cells.clone();
+                for _ in first..graph.len() as u32 {
+                    cells.push(Rect::EMPTY);
+                }
+                for d in mine {
+                    *cells.get_mut(d.0) = trace(d);
+                }
+                cells
+            },
+        );
+        let traced = traced.map_err(|_| DeltaError::NeedsRebuild)?;
+        for (&(s, _), mbr) in theirs.iter().zip(traced) {
+            *cells.get_mut(s) = mbr;
         }
         let dirty_cells = dirty.len() - victims.len();
 
@@ -696,7 +738,7 @@ impl VoronoiIndex {
         Ok((
             VoronoiIndex {
                 pages,
-                directory: self.directory.moved_off(&site_to_id, &self.graph),
+                directory,
                 graph,
                 cells,
                 site_to_id,

@@ -443,27 +443,36 @@ pub struct IngestReport {
 /// The single publish path for delta batches, shared by the synchronous
 /// [`Engine::apply_delta`] and the ingestor thread: serialize under the
 /// reindex lock, build the next generation copy-on-write, install it,
-/// record the publish cost. A build that panics installs nothing and comes
+/// record the publish cost. A build that panics — on this thread or on the
+/// publish helper ([`ssq_core::delta::join`]) — installs nothing and comes
 /// back as [`EngineError::Index`], so the ingestor keeps serving.
+///
+/// Also returns the retired generation, for the caller to drop once it
+/// has delivered the report: on an idle engine that drop frees the old
+/// generation, which the report's `build` does not time.
 fn publish_delta(
     shared: &Arc<EngineShared>,
     batch: &UpdateBatch,
-) -> Result<IngestReport, EngineError> {
+) -> (Result<IngestReport, EngineError>, Option<Arc<Snapshot>>) {
     let _guard = shared.reindex_lock.lock();
     let start = Instant::now();
     let apply = || shared.catalog.apply_delta(batch);
-    let (snapshot, stats) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(apply))
-        .unwrap_or_else(|_| Err("the delta build panicked".into()))
-        .map_err(EngineError::Index)?;
+    let published = std::panic::catch_unwind(std::panic::AssertUnwindSafe(apply))
+        .unwrap_or_else(|_| Err("the delta build panicked".into()));
+    let (snapshot, stats, retired) = match published {
+        Ok(published) => published,
+        Err(e) => return (Err(EngineError::Index(e)), None),
+    };
     let build = start.elapsed();
     let generation = snapshot.generation();
     shared.metrics.lifecycle.record_swap(generation, build);
     shared.metrics.ingest.record_ingest(&stats, build);
-    Ok(IngestReport {
+    let report = IngestReport {
         generation,
         stats,
         build,
-    })
+    };
+    (Ok(report), Some(retired))
 }
 
 /// Identifies one continuous (VCS²) session.
@@ -590,6 +599,7 @@ impl Engine {
             ),
         });
         let pool = WorkerPool::presized(
+            |i| format!("ssq-worker-{i}"),
             config.workers,
             config.queue_capacity,
             scratch_rows,
@@ -764,7 +774,7 @@ impl Engine {
     /// An invalid batch (delete id out of range, non-finite insert, or a
     /// batch that would empty the dataset) is rejected without publishing.
     pub fn apply_delta(&self, batch: &UpdateBatch) -> Result<IngestReport, EngineError> {
-        publish_delta(&self.shared, batch)
+        publish_delta(&self.shared, batch).0
     }
 
     /// Queues a delta batch for the ingestor thread, blocking while the
@@ -808,7 +818,7 @@ impl Engine {
         if let Some(ingest) = self.ingest.get() {
             return Ok(ingest);
         }
-        let ingest = WorkerPool::new(1, self.ingest_capacity)
+        let ingest = WorkerPool::new(|_| "ssq-ingest".into(), 1, self.ingest_capacity)
             .map_err(|e| EngineError::Spawn(e.to_string()))?;
         // Of two racing first calls, one installs its pool; the other's,
         // idle, joins its thread on drop.
@@ -820,7 +830,11 @@ impl Engine {
     fn ingest_job(&self, batch: UpdateBatch) -> (IngestHandle, Job) {
         let (ticket, cell) = Ticket::new();
         let shared = Arc::clone(&self.shared);
-        let job = Box::new(move |_: &mut WorkerState| cell.fill(publish_delta(&shared, &batch)));
+        let job = Box::new(move |_: &mut WorkerState| {
+            let (report, retired) = publish_delta(&shared, &batch);
+            cell.fill(report);
+            drop(retired);
+        });
         (ticket, job)
     }
 
@@ -1709,6 +1723,25 @@ mod tests {
         assert!(matches!(bad.wait(), Err(EngineError::Index(_))));
         assert_eq!(good.wait().unwrap().generation, 1);
         assert_eq!(engine.data_len(), 81);
+    }
+
+    #[test]
+    fn pool_threads_are_named_by_role() {
+        let engine = Engine::new(&grid(40), EngineConfig::default().with_workers(2)).unwrap();
+        let name_of = |pool: &WorkerPool| {
+            let (ticket, filler) = Ticket::pair();
+            pool.submit(Box::new(move |_: &mut WorkerState| {
+                filler.fill(std::thread::current().name().map(String::from));
+            }))
+            .unwrap();
+            ticket.wait().unwrap()
+        };
+        let worker = name_of(&engine.pool);
+        assert!(
+            ["ssq-worker-0", "ssq-worker-1"].contains(&worker.as_str()),
+            "{worker}"
+        );
+        assert_eq!(name_of(engine.ingestor().unwrap()), "ssq-ingest");
     }
 
     #[test]

@@ -104,13 +104,20 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Spawns `workers` threads sharing a queue of at most `capacity`
-    /// pending jobs. Both must be nonzero.
+    /// pending jobs. Both must be nonzero. Worker `i`'s thread is named
+    /// `name(i)`, after the pool's role: `ssq-worker-{i}` for query
+    /// workers, `ssq-ingest` for the ingestor, `ssq-dispatch-{i}` for a
+    /// server's dispatchers.
     ///
     /// Returns the OS error if a worker thread cannot be spawned; any
     /// threads spawned before the failure are joined before returning,
     /// so an `Err` leaks nothing.
-    pub fn new(workers: usize, capacity: usize) -> Result<WorkerPool, std::io::Error> {
-        WorkerPool::presized(workers, capacity, 0, 0)
+    pub fn new(
+        name: fn(usize) -> String,
+        workers: usize,
+        capacity: usize,
+    ) -> Result<WorkerPool, std::io::Error> {
+        WorkerPool::presized(name, workers, capacity, 0, 0)
     }
 
     /// Like [`WorkerPool::new`], but every worker's
@@ -120,6 +127,7 @@ impl WorkerPool {
     /// that warm-up off the query hot path (zero for either dimension
     /// keeps the lazy behavior).
     pub fn presized(
+        name: fn(usize) -> String,
         workers: usize,
         capacity: usize,
         rows: usize,
@@ -140,7 +148,7 @@ impl WorkerPool {
         for i in 0..workers {
             let worker_shared = Arc::clone(&shared);
             match std::thread::Builder::new()
-                .name(format!("ssq-worker-{i}"))
+                .name(name(i))
                 .spawn(move || worker_loop(&worker_shared, rows, width))
             {
                 Ok(handle) => handles.push(handle),
@@ -270,9 +278,13 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
+    fn test_worker(i: usize) -> String {
+        format!("test-worker-{i}")
+    }
+
     #[test]
     fn runs_every_submitted_job() {
-        let pool = WorkerPool::new(4, 8).unwrap();
+        let pool = WorkerPool::new(test_worker, 4, 8).unwrap();
         let counter = Arc::new(AtomicUsize::new(0));
         for _ in 0..100 {
             let c = Arc::clone(&counter);
@@ -288,7 +300,7 @@ mod tests {
     #[test]
     fn tiny_queue_still_completes_all_jobs() {
         // Capacity 1 forces submit() to exercise the backpressure path.
-        let pool = WorkerPool::new(2, 1).unwrap();
+        let pool = WorkerPool::new(test_worker, 2, 1).unwrap();
         let counter = Arc::new(AtomicUsize::new(0));
         for _ in 0..50 {
             let c = Arc::clone(&counter);
@@ -308,7 +320,7 @@ mod tests {
         // try_submit fills the queue, the second must fail fast. The
         // start barrier guarantees the worker has dequeued the parking
         // job (emptying the queue) before the try_submits race it.
-        let pool = WorkerPool::new(1, 1).unwrap();
+        let pool = WorkerPool::new(test_worker, 1, 1).unwrap();
         let start = Arc::new(std::sync::Barrier::new(2));
         let gate = Arc::new(std::sync::Barrier::new(2));
         let s = Arc::clone(&start);
@@ -339,7 +351,7 @@ mod tests {
 
     #[test]
     fn shutdown_drains_pending_jobs() {
-        let pool = WorkerPool::new(1, 64).unwrap();
+        let pool = WorkerPool::new(test_worker, 1, 64).unwrap();
         let counter = Arc::new(AtomicUsize::new(0));
         for _ in 0..32 {
             let c = Arc::clone(&counter);
@@ -356,7 +368,7 @@ mod tests {
 
     #[test]
     fn a_panicking_job_does_not_kill_the_worker() {
-        let pool = WorkerPool::new(1, 8).unwrap();
+        let pool = WorkerPool::new(test_worker, 1, 8).unwrap();
         pool.submit(Box::new(|_state: &mut WorkerState| panic!("boom")))
             .unwrap();
         let counter = Arc::new(AtomicUsize::new(0));
@@ -371,7 +383,7 @@ mod tests {
 
     #[test]
     fn jobs_run_concurrently_across_workers() {
-        let pool = WorkerPool::new(4, 16).unwrap();
+        let pool = WorkerPool::new(test_worker, 4, 16).unwrap();
         let in_flight = Arc::new(AtomicUsize::new(0));
         let peak = Arc::new(AtomicUsize::new(0));
         for _ in 0..16 {

@@ -26,6 +26,7 @@
 //!    *is* the retirement protocol.
 
 use crate::sync::{RankedMutex, RANK_CATALOG};
+use ssq_core::delta::join;
 use ssq_core::{DeltaStats, RTreeIndex, UpdateBatch, VoronoiIndex};
 use ssq_geom::{Point, Rect};
 use std::sync::Arc;
@@ -126,6 +127,12 @@ impl Snapshot {
     /// half's two id maps and its start directory, and one pointer per
     /// shared node or chunk.
     ///
+    /// The two halves are independent, so they run side by side
+    /// ([`join`]): the R-tree half on the publish helper thread, the
+    /// Voronoi half — the longer one, with two joins of its own — on the
+    /// caller. A panic in the R-tree half comes back as an error; one in
+    /// the Voronoi half unwinds to the caller.
+    ///
     /// The batch is validated against this snapshot and normalized
     /// (deletes sorted/deduplicated, inserts Hilbert-ordered over this
     /// generation's universe), and both halves follow [`UpdateBatch::id_plan`]
@@ -141,15 +148,16 @@ impl Snapshot {
         batch.validate(self.len()).map_err(|e| e.to_string())?;
         let mut batch = batch.clone();
         batch.normalize(&self.universe());
-        let rtree = Arc::new(self.rtree.apply_delta(&batch));
-        let (voronoi, stats) = self
-            .voronoi
-            .apply_delta(&batch)
-            .map_err(|e| e.to_string())?;
+        let (rtree, voronoi) = join(
+            || self.rtree.apply_delta(&batch),
+            || self.voronoi.apply_delta(&batch),
+        );
+        let rtree = rtree.map_err(|e| e.to_string())?;
+        let (voronoi, stats) = voronoi.map_err(|e| e.to_string())?;
         Ok((
             Snapshot {
                 generation,
-                rtree,
+                rtree: Arc::new(rtree),
                 voronoi: Arc::new(voronoi),
             },
             stats,
@@ -258,18 +266,24 @@ impl SnapshotCatalog {
 
     /// Publishes the next generation by delta: pins the current
     /// snapshot, applies `batch` off-lock (readers keep serving), then
-    /// installs the result. Returns the published snapshot and the
-    /// maintenance stats.
+    /// installs the result. Returns the published snapshot, the
+    /// maintenance stats and the retired snapshot, as
+    /// [`install`](SnapshotCatalog::install) does: when nobody else pins
+    /// it, dropping it frees the old generation's unshared nodes and
+    /// chunks, so a caller may drop it after it has reported the publish.
     ///
     /// Concurrent callers race on the final install — the loser's
     /// generation is stale and the install fails — so delta publishing
     /// should be driven by one writer (the engine's ingestor thread).
-    pub fn apply_delta(&self, batch: &UpdateBatch) -> Result<(Arc<Snapshot>, DeltaStats), String> {
+    pub fn apply_delta(
+        &self,
+        batch: &UpdateBatch,
+    ) -> Result<(Arc<Snapshot>, DeltaStats, Arc<Snapshot>), String> {
         let base = self.current();
         let (next, stats) = base.apply_delta(base.generation() + 1, batch)?;
         let next = Arc::new(next);
-        self.install(Arc::clone(&next)).map_err(|e| e.to_string())?;
-        Ok((next, stats))
+        let retired = self.install(Arc::clone(&next)).map_err(|e| e.to_string())?;
+        Ok((next, stats, retired))
     }
 }
 
@@ -444,7 +458,7 @@ mod tests {
             inserts: vec![Point::new(40.0, 40.0)],
             deletes: vec![0],
         };
-        let (published, stats) = catalog.apply_delta(&batch).unwrap();
+        let (published, stats, _retired) = catalog.apply_delta(&batch).unwrap();
         assert_eq!(published.generation(), 1);
         assert_eq!(catalog.generation(), 1);
         assert_eq!(stats.inserts + stats.deletes, 2);

@@ -287,7 +287,12 @@ impl Server {
         listener.set_nonblocking(true)?;
         let dispatch = match backend {
             Backend::Sharded(_) => Some(Arc::new(
-                WorkerPool::new(config.dispatchers, config.dispatch_queue).map_err(NetError::Io)?,
+                WorkerPool::new(
+                    |i| format!("ssq-dispatch-{i}"),
+                    config.dispatchers,
+                    config.dispatch_queue,
+                )
+                .map_err(NetError::Io)?,
             )),
             Backend::Single(_) => None,
         };
@@ -1100,5 +1105,31 @@ fn send_frame(shared: &ServerShared, conn: &ConnShared, request_id: u64, frame: 
             let _ = w.stream.shutdown(Shutdown::Both);
             false
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ssq_shard::ShardConfig;
+
+    #[test]
+    fn dispatcher_threads_are_named_by_role() {
+        let points: Vec<Point> = (0..200)
+            .map(|i| Point::new((i % 20) as f64 + 1e-3 * i as f64, (i / 20) as f64))
+            .collect();
+        let sharded = ShardedEngine::new(&points, ShardConfig::default()).unwrap();
+        let server =
+            Server::serve_sharded("127.0.0.1:0", sharded, ServerConfig::default()).unwrap();
+        let (ticket, filler) = Ticket::pair();
+        let dispatch = server.shared.dispatch.as_ref().unwrap();
+        dispatch
+            .submit(Box::new(move |_: &mut WorkerState| {
+                filler.fill(std::thread::current().name().map(String::from));
+            }))
+            .unwrap();
+        let name = ticket.wait().unwrap();
+        assert!(name.starts_with("ssq-dispatch-"), "{name}");
+        server.shutdown();
     }
 }

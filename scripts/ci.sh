@@ -171,13 +171,20 @@ if [[ "${SSQ_CI_DEEP:-0}" == "1" ]]; then
         echo "    SKIPPED: nightly miri not installed (rustup +nightly component add miri)"
     fi
 
-    echo "==> deep: ThreadSanitizer (data-race check on the engine concurrency tests)"
+    echo "==> deep: ThreadSanitizer (data-race check on the engine concurrency tests and the two-thread publish)"
     if cargo +nightly --version >/dev/null 2>&1 \
         && [[ -d "$(rustc +nightly --print sysroot 2>/dev/null)/lib/rustlib/src/rust/library" ]]; then
-        RUSTFLAGS="-Zsanitizer=thread" \
-            cargo +nightly test -Zbuild-std \
-            --target x86_64-unknown-linux-gnu \
-            -p ssq-engine --test lock_order -q
+        tsan() {
+            RUSTFLAGS="-Zsanitizer=thread" \
+                cargo +nightly test -Zbuild-std \
+                --target x86_64-unknown-linux-gnu -q "$@"
+        }
+        tsan -p ssq-engine --test lock_order
+        # A publish runs on the caller and the ssq-publish helper: the
+        # index delta tests, the join helper's, and the engine's ingest
+        # and apply_delta tests.
+        tsan -p ssq-core --lib -- index:: delta::
+        tsan -p ssq-engine --lib -- ingest apply_delta
     else
         echo "    SKIPPED: nightly rust-src not installed (rustup +nightly component add rust-src)"
     fi
