@@ -26,7 +26,7 @@
 use ssq_delaunay::paged::PagedAdjacency;
 use ssq_delaunay::rows::{Arena, CowChunks};
 use ssq_delaunay::voronoi::{incident_triangles, CellTracer};
-use ssq_delaunay::{hilbert, DelaunayGraph, DeltaError, Triangulation};
+use ssq_delaunay::{hilbert, DelaunayGraph, DeltaError, EditScratch, Triangulation};
 use ssq_geom::{ConvexPolygon, Point, Rect};
 use ssq_rtree::{RTree, RTreeConfig};
 
@@ -138,7 +138,8 @@ impl RTreeIndex {
 
 /// The Voronoi/Delaunay physical design (for VS² and VCS²).
 ///
-/// Each Voronoi cell is traced at build time, but only its MBR is kept:
+/// Only each Voronoi cell's MBR is kept, read off the triangulation's
+/// circumcenters at build time ([`CellTracer::boxes`]):
 /// the paper's "pre-built Delaunay graph" file stores each point's
 /// neighbourhood, and the one question a traversal asks of a cell — does
 /// it meet the pruning rectangle `B`? — is answered by its box (see
@@ -264,40 +265,19 @@ impl VoronoiIndex {
         points: &[Point],
         per_page: usize,
     ) -> Result<VoronoiIndex, ssq_delaunay::BuildError> {
-        use ssq_delaunay::BuildError;
-        if let Some(i) = points.iter().position(|p| !p.is_finite()) {
-            return Err(BuildError::NonFiniteCoordinate(i));
-        }
+        let site_to_id = Triangulation::curve_order(points)?;
         let bbox = Rect::bounding(points.iter().copied());
-        let site_to_id = hilbert::sort_by_hilbert(points, &bbox);
-        let tri = {
-            let sites: Vec<Point> = site_to_id.iter().map(|&i| points[i as usize]).collect();
-            Triangulation::new(&sites).map_err(|e| match e {
-                // Equal points have equal keys, so the two sites are in id
-                // order and name the pair the input-order check would.
-                BuildError::DuplicatePoint(a, b) => {
-                    BuildError::DuplicatePoint(site_to_id[a] as usize, site_to_id[b] as usize)
-                }
-                e => e,
-            })?
-        };
-        let graph = DelaunayGraph::from_triangulation(tri);
+        let sites = site_to_id.iter().map(|&i| points[i as usize]).collect();
+        let graph = DelaunayGraph::from_triangulation(Triangulation::from_curve_order(sites));
         let cells = {
-            let (tri, clip) = (graph.triangulation(), graph.default_clip());
-            // Each cell's box, from its traced ring. Fast path: trace
-            // cells from circumcenters (O(deg) per site); individual
-            // numerically-degenerate cells — and fully collinear inputs —
-            // fall back to the bisector half-plane construction.
-            let tracer = CellTracer::new(tri, &clip);
-            let incident = incident_triangles(tri);
-            (0..graph.len() as u32)
-                .map(|s| {
-                    let traced = tracer
-                        .as_ref()
-                        .and_then(|t| t.cell(s, incident[s as usize]));
-                    traced.unwrap_or_else(|| graph.voronoi_cell(s, &clip)).mbr()
-                })
-                .collect()
+            let clip = graph.default_clip();
+            match CellTracer::new(graph.triangulation(), &clip) {
+                Some(tracer) => tracer.boxes(|s, t| polygon_box(&graph, &tracer, s, t)),
+                // Collinear input: every cell by half-planes.
+                None => (0..graph.len() as u32)
+                    .map(|s| graph.voronoi_cell(s, &clip).mbr())
+                    .collect(),
+            }
         };
         let mut id_to_site = vec![0; points.len()];
         for (s, &id) in (0u32..).zip(&site_to_id) {
@@ -371,7 +351,7 @@ impl VoronoiIndex {
     }
 
     /// The stored MBR of the Voronoi cell of the point with id `id`: the
-    /// box the traversals gate on, traced at build time or by the delta
+    /// box the traversals gate on, read at build time or by the delta
     /// that last changed the cell.
     pub fn cell_box(&self, id: u32) -> Rect {
         self.cell(self.site_of(id))
@@ -505,8 +485,8 @@ impl VoronoiIndex {
     /// * one flat `O(n)` copy of each id map, patched only at the batch's
     ///   ids: surviving points keep theirs;
     /// * the written chunks: a neighbour list is re-read off its star and
-    ///   a Voronoi cell traced from it, to store its box, for each site a
-    ///   repair reported,
+    ///   a cell box read from the star's circumcenters by the build's rule
+    ///   ([`CellTracer::cell_box`]), for each site a repair reported,
     ///   plus — only when the live points' MBR, and with it the clip box,
     ///   moved — every cell not strictly inside both generations' boxes;
     ///   every chunk holding neither is shared;
@@ -611,12 +591,12 @@ impl VoronoiIndex {
                 //    Hilbert-ordered inserts, appended as sites `first..`.
                 //    Keep each touched site's latest report, ascending.
                 let mut tri = self.graph.triangulation().clone();
-                let mut touched = Vec::new();
+                let (mut touched, mut scratch) = (Vec::new(), EditScratch::default());
                 for &s in &victims {
-                    tri.remove_point(s, &mut touched)?;
+                    tri.remove_point_with(s, &mut touched, &mut scratch)?;
                 }
                 for &p in &batch.inserts {
-                    tri.insert_point(p, &mut touched)?;
+                    tri.insert_point_with(p, &mut touched, &mut scratch)?;
                 }
                 touched.reverse();
                 touched.sort_by_key(|t| t.vertex);
@@ -662,12 +642,11 @@ impl VoronoiIndex {
         let graph = self.graph.patched(tri, &touched, bounds);
         let tri = graph.triangulation();
 
-        // 4. Cell boxes: a touched site's cell is traced from its star, and —
-        //    when the clip box moved — every live cell the box may bind,
-        //    i.e. not strictly inside both generations' boxes (one strictly
-        //    inside both is the true cell in each), is rebuilt from its
-        //    neighbours. Any other cell kept its neighbours and its box,
-        //    hence its polygon.
+        // 4. Cell boxes, by the build's rule: a touched site's from its
+        //    star, and — when the clip box moved — every live cell the box
+        //    may bind, i.e. not strictly inside both generations' boxes
+        //    (one strictly inside both is the true cell in each). Any other
+        //    cell kept its neighbours and its box, hence its polygon.
         let (clip, old_clip) = (graph.default_clip(), self.graph.default_clip());
         let mut dirty: Vec<(u32, Option<u32>)> =
             touched.iter().map(|t| (t.vertex, t.star)).collect();
@@ -681,13 +660,23 @@ impl VoronoiIndex {
             dirty.sort_unstable_by_key(|&(s, star)| (s, star.is_none()));
             dirty.dedup_by_key(|d| d.0);
         }
+        // A cell dirtied only by the clip box names no star: it starts from
+        // the triangle a build would trace it from.
+        let incident = if clip != old_clip {
+            incident_triangles(tri)
+        } else {
+            Vec::new()
+        };
         let tracer = CellTracer::new(tri, &clip);
         let trace = |&(s, star): &(u32, Option<u32>)| {
             if site_to_id[s as usize] == u32::MAX {
-                Rect::EMPTY
-            } else {
-                let traced = star.and_then(|t| tracer.as_ref()?.cell(s, t));
-                traced.unwrap_or_else(|| graph.voronoi_cell(s, &clip)).mbr()
+                return Rect::EMPTY;
+            }
+            match (&tracer, star.or_else(|| incident.get(s as usize).copied())) {
+                (Some(tracer), Some(t)) => {
+                    tracer.cell_box(s, t, |s, t| polygon_box(&graph, tracer, s, t))
+                }
+                _ => graph.voronoi_cell(s, &clip).mbr(),
             }
         };
         // The publish helper traces the second half of the boxes; both
@@ -748,6 +737,17 @@ impl VoronoiIndex {
             dirty_cells,
         ))
     }
+}
+
+/// Site `s`'s box by the polygon path, for the sites the one-pass rule
+/// ([`CellTracer::boxes`]) does not box: its cell traced from `t`, a
+/// triangle of its star, else by half-planes.
+fn polygon_box(graph: &DelaunayGraph, tracer: &CellTracer<'_>, s: u32, t: u32) -> Rect {
+    let clip = graph.default_clip();
+    tracer
+        .cell(s, t)
+        .unwrap_or_else(|| graph.voronoi_cell(s, &clip))
+        .mbr()
 }
 
 /// `true` when `r` lies strictly inside `clip` (no shared boundary).

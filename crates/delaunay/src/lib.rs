@@ -61,4 +61,4 @@ pub mod triangulation;
 pub mod voronoi;
 
 pub use graph::DelaunayGraph;
-pub use triangulation::{BuildError, DeltaError, Touched, Triangulation};
+pub use triangulation::{BuildError, DeltaError, EditScratch, Touched, Triangulation};

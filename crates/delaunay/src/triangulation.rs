@@ -18,6 +18,13 @@
 //!
 //! Points are inserted in Hilbert-curve order, which keeps the locate walks
 //! short and makes construction effectively linear time in practice.
+//! [`Triangulation::curve_order`] computes that order and finds duplicate
+//! points inside its runs of equal keys; [`Triangulation::from_curve_order`]
+//! builds over points a caller already laid out along it, without sorting
+//! again. Insertions and removals keep their working sets — the cavity and
+//! its boundary, a removal's ring and ear plan, the edges waiting to be
+//! stitched — in one [`EditScratch`] that a build, or a batch of edits,
+//! passes to each, so once its buffers have grown no edit allocates them.
 //!
 //! # Edits keep slots
 //!
@@ -151,6 +158,44 @@ const UNUSED: Tri = Tri {
     stamp: 0,
 };
 
+/// A directed cavity boundary edge `x → y` (the cavity, hence the new
+/// point, on its left) and the triangle outside it, whose edge
+/// `outside_edge` faces the cavity.
+#[derive(Clone, Copy, Debug)]
+struct Boundary {
+    x: u32,
+    y: u32,
+    outside: u32,
+    outside_edge: usize,
+}
+
+/// An edge of a new triangle waiting for its twin: undirected key,
+/// triangle, and the edge's index there.
+type Open = ((u32, u32), u32, usize);
+
+/// The working buffers of the Bowyer–Watson edits. A build reuses one
+/// across all its insertions; a batch of edits passes one to every
+/// [`Triangulation::insert_point_with`] and
+/// [`Triangulation::remove_point_with`] call, so once the buffers have
+/// grown to the largest cavity or hole no edit allocates. Nothing in it
+/// outlives an edit.
+#[derive(Debug, Default)]
+pub struct EditScratch {
+    cavity: Vec<u32>,
+    stack: Vec<u32>,
+    boundary: Vec<Boundary>,
+    /// Half-stitched edges, scanned linearly: a fan or a hole holds a
+    /// handful at a time, and a hash map would cost more to build than
+    /// the scan.
+    open: Vec<Open>,
+    ring: Vec<u32>,
+    outs: Vec<(u32, usize)>,
+    incident: Vec<u32>,
+    hole: Vec<u32>,
+    planned: Vec<[u32; 3]>,
+    made: Vec<u32>,
+}
+
 /// A Delaunay triangulation of a set of distinct points.
 ///
 /// For inputs whose points are all collinear (or fewer than 3 points) no
@@ -193,45 +238,82 @@ impl<A> Mesh<A> {
 }
 
 impl Triangulation {
-    /// Builds the Delaunay triangulation of `points`.
+    /// Builds the Delaunay triangulation of `points`, inserting them along
+    /// their curve order ([`Triangulation::curve_order`], which also
+    /// rejects exact duplicates and non-finite coordinates).
     ///
     /// `O(n log n)` for the Hilbert sort plus effectively linear insertion.
-    /// Exact duplicates and non-finite coordinates are rejected.
     pub fn new(points: &[Point]) -> Result<Triangulation, BuildError> {
-        for (i, p) in points.iter().enumerate() {
-            if !p.is_finite() {
-                return Err(BuildError::NonFiniteCoordinate(i));
-            }
-        }
-        // Duplicate detection via lexicographic sort of indices.
-        let mut order: Vec<u32> = (0..points.len() as u32).collect();
-        order.sort_by(|&i, &j| points[i as usize].lex_cmp(&points[j as usize]));
-        for w in order.windows(2) {
-            if points[w[0] as usize] == points[w[1] as usize] {
-                let (a, b) = (w[0] as usize, w[1] as usize);
-                return Err(BuildError::DuplicatePoint(a.min(b), a.max(b)));
-            }
-        }
+        let order = Self::curve_order(points)?;
+        Ok(Self::build(points.to_vec(), order.iter().copied()))
+    }
 
+    /// Builds the Delaunay triangulation of `sites`, inserting them in the
+    /// order given: for points already laid out along the curve — such as
+    /// `points` gathered through [`Triangulation::curve_order`], which
+    /// checked them — this is [`Triangulation::new`] without its sort.
+    /// The sites must be finite and distinct; any order is correct, the
+    /// curve's keeps the locate walks short.
+    pub fn from_curve_order(sites: Vec<Point>) -> Triangulation {
+        let n = sites.len() as u32;
+        Self::build(sites, 0..n)
+    }
+
+    /// The indices of `points` along the Hilbert curve over their MBR,
+    /// ties broken by index ([`hilbert::sort_keyed`]) — a build's insertion
+    /// order — once every coordinate is finite and no two points are
+    /// equal.
+    ///
+    /// Equal points have equal keys, so a duplicate lies inside one run of
+    /// equal keys, and only those runs are sorted lexicographically. The
+    /// error names what one lexicographic sort of all the points would
+    /// find first: the least duplicated point's two lowest indices.
+    pub fn curve_order(points: &[Point]) -> Result<Vec<u32>, BuildError> {
+        if let Some(i) = points.iter().position(|p| !p.is_finite()) {
+            return Err(BuildError::NonFiniteCoordinate(i));
+        }
+        let keyed = hilbert::sort_keyed(points, &Rect::bounding(points.iter().copied()));
+        let pt = |i: u32| points[i as usize];
+        let mut duplicate: Option<(u32, u32)> = None;
+        let mut run = Vec::new();
+        for group in keyed.chunk_by(|a, b| a.0 == b.0).filter(|g| g.len() > 1) {
+            run.clear();
+            run.extend(group.iter().map(|&(_, i)| i));
+            // Stable: equal points stay in index order.
+            run.sort_by(|&i, &j| pt(i).lex_cmp(&pt(j)));
+            if let Some(w) = run.windows(2).find(|w| pt(w[0]) == pt(w[1])) {
+                if duplicate.is_none_or(|(a, _)| pt(w[0]).lex_cmp(&pt(a)).is_lt()) {
+                    duplicate = Some((w[0], w[1]));
+                }
+            }
+        }
+        if let Some((a, b)) = duplicate {
+            return Err(BuildError::DuplicatePoint(a as usize, b as usize));
+        }
+        Ok(keyed.into_iter().map(|(_, i)| i).collect())
+    }
+
+    /// Triangulates `points`, inserting them in `order`.
+    fn build(points: Vec<Point>, order: impl Iterator<Item = u32> + Clone) -> Triangulation {
         // The build fills `2n − 2` slots (ghosts included) and never more:
         // each insertion frees its cavity and takes two slots beyond it.
         let mut tris = CowChunks::filled(2 * points.len(), UNUSED);
         let mut mesh = Mesh {
-            points: points.to_vec(),
+            points,
             tris: tris.build(),
             free: Vec::new(),
             seed: NO_TRI,
             epoch: 0,
         };
-        let degenerate = !mesh.triangulate();
+        let degenerate = !mesh.triangulate(order);
         let mesh = mesh.map_tris(|b| b.len());
-        Ok(Triangulation {
+        Triangulation {
             mesh: mesh.map_tris(|len| {
                 tris.truncate(len);
                 tris
             }),
             degenerate,
-        })
+        }
     }
 
     /// The vertices' coordinates by id: the input points in the order they
@@ -327,6 +409,17 @@ impl Triangulation {
         p: Point,
         touched: &mut Vec<Touched>,
     ) -> Result<u32, DeltaError> {
+        self.insert_point_with(p, touched, &mut EditScratch::default())
+    }
+
+    /// [`Triangulation::insert_point`] with the caller's buffers, which a
+    /// batch of edits reuses.
+    pub fn insert_point_with(
+        &mut self,
+        p: Point,
+        touched: &mut Vec<Touched>,
+        scratch: &mut EditScratch,
+    ) -> Result<u32, DeltaError> {
         if !p.is_finite() {
             return Err(DeltaError::NonFinite);
         }
@@ -344,7 +437,7 @@ impl Triangulation {
         }
         let pi = self.mesh.points.len() as u32;
         self.mesh.points.push(p);
-        self.mesh.insert(pi, Some(touched));
+        self.mesh.insert(pi, Some(touched), scratch);
         Ok(pi)
     }
 
@@ -360,10 +453,21 @@ impl Triangulation {
     /// must keep at least three finite vertices with a non-collinear
     /// triple; batches shrinking the set below that must rebuild instead.
     pub fn remove_point(&mut self, vi: u32, touched: &mut Vec<Touched>) -> Result<(), DeltaError> {
+        self.remove_point_with(vi, touched, &mut EditScratch::default())
+    }
+
+    /// [`Triangulation::remove_point`] with the caller's buffers, which a
+    /// batch of edits reuses.
+    pub fn remove_point_with(
+        &mut self,
+        vi: u32,
+        touched: &mut Vec<Touched>,
+        scratch: &mut EditScratch,
+    ) -> Result<(), DeltaError> {
         if self.degenerate {
             return Err(DeltaError::NeedsRebuild);
         }
-        self.mesh.remove(vi, touched)
+        self.mesh.remove(vi, touched, scratch)
     }
 }
 
@@ -372,12 +476,30 @@ impl Triangulation {
 /// edits of a built triangulation on its [`CowChunks`].
 impl<A: Arena<Tri>> Mesh<A> {
     /// [`Triangulation::remove_point`] on a non-degenerate triangulation.
-    fn remove(&mut self, vi: u32, touched: &mut Vec<Touched>) -> Result<(), DeltaError> {
+    fn remove(
+        &mut self,
+        vi: u32,
+        touched: &mut Vec<Touched>,
+        scratch: &mut EditScratch,
+    ) -> Result<(), DeltaError> {
         let start = self.locate(self.pt(vi), self.seed);
         if self.is_ghost(start) || !self.tris[start].v.contains(&vi) {
             // `vi` is not a vertex of the triangulation (stale id).
             return Err(DeltaError::NeedsRebuild);
         }
+        let EditScratch {
+            ring,
+            outs,
+            incident,
+            hole,
+            planned,
+            made,
+            open,
+            ..
+        } = scratch;
+        ring.clear();
+        outs.clear();
+        incident.clear();
 
         // Collect the link ring around `vi` by rotating through the
         // neighbour links: incident triangle i is (vi, ring[i], ring[i+1])
@@ -385,9 +507,6 @@ impl<A: Arena<Tri>> Mesh<A> {
         // (ring[i], ring[i+1]). With ghosts every vertex has a closed
         // ring; GHOST appears at most once (exactly once for hull
         // vertices).
-        let mut ring: Vec<u32> = Vec::with_capacity(8);
-        let mut outs: Vec<(u32, usize)> = Vec::with_capacity(8);
-        let mut incident: Vec<u32> = Vec::with_capacity(8);
         let mut cur = start;
         loop {
             let t = self.tris[cur];
@@ -420,8 +539,9 @@ impl<A: Arena<Tri>> Mesh<A> {
         // containing GHOST is a prospective hull edge whose outer
         // half-plane (the ghost "disk") must be empty of them. Aborting
         // here leaves the triangulation untouched.
-        let mut hole: Vec<u32> = ring.clone();
-        let mut planned: Vec<[u32; 3]> = Vec::with_capacity(m - 2);
+        hole.clear();
+        hole.extend_from_slice(ring);
+        planned.clear();
         while hole.len() > 3 {
             let len = hole.len();
             let mut clipped = None;
@@ -479,21 +599,20 @@ impl<A: Arena<Tri>> Mesh<A> {
         planned.push([x, y, z]);
 
         // Phase 2: delete the star and materialise the plan, stitching
-        // neighbour links through an undirected-edge map seeded with the
-        // ring boundary (the same scheme the insertion cavity uses).
-        for &t in &incident {
+        // neighbour links through the open undirected edges, seeded with
+        // the ring boundary (the same scheme the insertion cavity uses).
+        for &t in incident.iter() {
             self.kill(t);
         }
-        let mut edge_map: std::collections::HashMap<(u32, u32), (u32, usize)> =
-            std::collections::HashMap::with_capacity(m * 2);
+        open.clear();
         for i in 0..m {
             let a = ring[i];
             let b = ring[(i + 1) % m];
-            edge_map.insert((a.min(b), a.max(b)), outs[i]);
+            open.push(((a.min(b), a.max(b)), outs[i].0, outs[i].1));
         }
         let mut new_seed = NO_TRI;
-        let mut made: Vec<u32> = Vec::with_capacity(planned.len());
-        for &[x, y, z] in &planned {
+        made.clear();
+        for &[x, y, z] in planned.iter() {
             let (v, rot) = if x == GHOST {
                 ([y, z, GHOST], 1)
             } else if y == GHOST {
@@ -508,19 +627,10 @@ impl<A: Arena<Tri>> Mesh<A> {
             }
             let opp = |orig: usize| (orig + 3 - rot) % 3;
             for (orig_idx, ea, eb) in [(0usize, y, z), (1, z, x), (2, x, y)] {
-                let key = (ea.min(eb), ea.max(eb));
-                match edge_map.remove(&key) {
-                    Some((other, other_edge)) => {
-                        self.tris.get_mut(nt).nbr[opp(orig_idx)] = other;
-                        self.tris.get_mut(other).nbr[other_edge] = nt;
-                    }
-                    None => {
-                        edge_map.insert(key, (nt, opp(orig_idx)));
-                    }
-                }
+                self.stitch(open, (ea.min(eb), ea.max(eb)), nt, opp(orig_idx));
             }
         }
-        debug_assert!(edge_map.is_empty(), "hole stitching must close");
+        debug_assert!(open.is_empty(), "hole stitching must close");
         self.seed = new_seed;
         touched.push(Touched {
             vertex: vi,
@@ -535,57 +645,46 @@ impl<A: Arena<Tri>> Mesh<A> {
         Ok(())
     }
 
+    /// Links edge `edge` of new triangle `t` to the open edge under `key`
+    /// and closes that one, or leaves it open when it has no twin yet.
+    /// Every key of a fan or a hole comes exactly twice.
+    fn stitch(&mut self, open: &mut Vec<Open>, key: (u32, u32), t: u32, edge: usize) {
+        match open.iter().position(|o| o.0 == key) {
+            Some(j) => {
+                let (_, other, other_edge) = open.swap_remove(j);
+                self.tris.get_mut(t).nbr[edge] = other;
+                self.tris.get_mut(other).nbr[other_edge] = t;
+            }
+            None => open.push((key, t, edge)),
+        }
+    }
+
     // -- construction internals --------------------------------------------
 
-    /// Triangulates `self.points` from an empty arena; `false` when they
-    /// have no non-collinear triple (no triangle is made).
-    fn triangulate(&mut self) -> bool {
-        let points = &self.points;
-        if points.len() < 3 {
+    /// Triangulates `self.points` from an empty arena, inserting them in
+    /// `order` (which names each once); `false` when they have no
+    /// non-collinear triple (no triangle is made).
+    fn triangulate(&mut self, order: impl Iterator<Item = u32> + Clone) -> bool {
+        if self.points.len() < 3 {
             return false;
         }
-
-        // Hilbert insertion order over the data MBR (the identity when the
-        // caller already laid the points out along the curve).
-        let bbox = Rect::bounding(points.iter().copied());
-        let insert_order = hilbert::sort_by_hilbert(points, &bbox);
-
-        // Find the first non-collinear triple in insertion order to seed the
-        // triangulation: (first two distinct points, first point off their
-        // line).
-        let i0 = insert_order[0];
-        let mut i1 = None;
-        let mut i2 = None;
-        for &i in &insert_order[1..] {
-            if i1.is_none() {
-                i1 = Some(i);
-                continue;
-            }
-            let a = points[i0 as usize];
-            #[expect(
-                clippy::expect_used,
-                reason = "i1 is assigned on a previous iteration before this arm is reachable"
-            )]
-            let b = points[i1.expect("set above") as usize];
-            if orient2d_sign(a, b, points[i as usize]) != 0 {
-                i2 = Some(i);
-                break;
-            }
-        }
-        let Some(i2) = i2 else {
+        // Seed with the first two points and the first point off their
+        // line, in insertion order.
+        let mut seeds = order.clone();
+        let (Some(i0), Some(i1)) = (seeds.next(), seeds.next()) else {
+            return false;
+        };
+        let (a, b) = (self.pt(i0), self.pt(i1));
+        let Some(i2) = seeds.find(|&i| orient2d_sign(a, b, self.pt(i)) != 0) else {
             return false; // all points collinear
         };
-        #[expect(
-            clippy::expect_used,
-            reason = "i2 is only found after i1 was set, so i1 is Some here"
-        )]
-        let i1 = i1.expect("at least two points");
         self.init_first_triangle(i0, i1, i2);
-        for &i in &insert_order[1..] {
+        let mut scratch = EditScratch::default();
+        for i in order.skip(1) {
             if i == i1 || i == i2 {
                 continue;
             }
-            self.insert(i, None);
+            self.insert(i, None, &mut scratch);
         }
         true
     }
@@ -738,19 +837,32 @@ impl<A: Arena<Tri>> Mesh<A> {
 
     /// Inserts point index `pi` (which must not duplicate an existing
     /// vertex), pushing it and the cavity boundary onto `touched` if given.
-    fn insert(&mut self, pi: u32, mut touched: Option<&mut Vec<Touched>>) {
+    fn insert(
+        &mut self,
+        pi: u32,
+        mut touched: Option<&mut Vec<Touched>>,
+        scratch: &mut EditScratch,
+    ) {
         let p = self.pt(pi);
         let seed = self.locate(p, self.seed);
         debug_assert!(
             self.in_disk(seed, p),
             "locate returned a non-containing triangle"
         );
+        let EditScratch {
+            cavity,
+            stack,
+            boundary,
+            open,
+            ..
+        } = scratch;
 
-        // Grow the cavity: BFS over triangles whose circumdisk contains p.
+        // Grow the cavity: DFS over triangles whose circumdisk contains p.
         self.epoch += 1;
         let epoch = self.epoch;
-        let mut cavity: Vec<u32> = Vec::with_capacity(8);
-        let mut stack = vec![seed];
+        cavity.clear();
+        stack.clear();
+        stack.push(seed);
         self.tris.get_mut(seed).stamp = epoch;
         while let Some(t) = stack.pop() {
             cavity.push(t);
@@ -769,14 +881,8 @@ impl<A: Arena<Tri>> Mesh<A> {
         // Collect the directed boundary edges (x, y): edges of cavity
         // triangles whose opposite neighbour is outside the cavity, directed
         // so the cavity (hence p) lies to the left.
-        struct Boundary {
-            x: u32,
-            y: u32,
-            outside: u32,
-            outside_edge: usize,
-        }
-        let mut boundary: Vec<Boundary> = Vec::with_capacity(cavity.len() + 2);
-        for &t in &cavity {
+        boundary.clear();
+        for &t in cavity.iter() {
             let tri = self.tris[t];
             for k in 0..3 {
                 let n = tri.nbr[k];
@@ -805,13 +911,12 @@ impl<A: Arena<Tri>> Mesh<A> {
         }
 
         // Delete the cavity and fan new triangles (x, y, p) around p.
-        for &t in &cavity {
+        for &t in cavity.iter() {
             self.kill(t);
         }
-        let mut edge_map: std::collections::HashMap<(u32, u32), (u32, usize)> =
-            std::collections::HashMap::with_capacity(boundary.len() * 2);
+        open.clear();
         let mut first_new = NO_TRI;
-        for b in &boundary {
+        for b in boundary.iter() {
             // Rotate so a GHOST vertex (if any) sits in slot 2. The rotation
             // permutes edges consistently: rotating vertices left by one
             // also rotates the "opposite" indexing left by one.
@@ -842,16 +947,11 @@ impl<A: Arena<Tri>> Mesh<A> {
             // Stitch the p-incident edges via the shared non-p endpoint,
             // keyed by undirected (min, max).
             for (orig_idx, shared) in [(0usize, b.y), (1usize, b.x)] {
-                let key = (shared.min(pi), shared.max(pi));
-                if let Some(&(other, other_edge)) = edge_map.get(&key) {
-                    self.tris.get_mut(nt).nbr[opp(orig_idx)] = other;
-                    self.tris.get_mut(other).nbr[other_edge] = nt;
-                } else {
-                    edge_map.insert(key, (nt, opp(orig_idx)));
-                }
+                self.stitch(open, (shared.min(pi), shared.max(pi)), nt, opp(orig_idx));
             }
         }
         debug_assert!(first_new != NO_TRI);
+        debug_assert!(open.is_empty(), "fan stitching must close");
         self.seed = first_new;
         if let Some(touched) = touched {
             touched.push(Touched {
@@ -903,6 +1003,14 @@ impl Triangulation {
     /// Neighbour of slot `t` opposite its vertex `k`.
     pub(crate) fn slot_nbr(&self, t: u32, k: usize) -> u32 {
         self.mesh.tris[t].nbr[k]
+    }
+
+    /// Every triangle slot in order as `(vertices, neighbours)`; a dead
+    /// slot names `GHOST` as its first vertex. Used by tests that pin a
+    /// build's output.
+    #[doc(hidden)]
+    pub fn slots(&self) -> impl Iterator<Item = ([u32; 3], [u32; 3])> + '_ {
+        self.mesh.tris.iter().map(|t| (t.v, t.nbr))
     }
 
     /// Checks the structural invariants (symmetric neighbour links, CCW
@@ -1093,6 +1201,44 @@ mod tests {
     fn duplicate_points_rejected() {
         let err = Triangulation::new(&[p(0.0, 0.0), p(1.0, 0.0), p(0.0, 0.0)]).unwrap_err();
         assert_eq!(err, BuildError::DuplicatePoint(0, 2));
+    }
+
+    #[test]
+    fn curve_order_reports_the_pair_one_lexicographic_sort_finds_first() {
+        // What a stable lexicographic sort of every index finds first.
+        let lex_first = |pts: &[Point]| {
+            let mut order: Vec<u32> = (0..pts.len() as u32).collect();
+            order.sort_by(|&i, &j| pts[i as usize].lex_cmp(&pts[j as usize]));
+            order
+                .windows(2)
+                .find(|w| pts[w[0] as usize] == pts[w[1] as usize])
+                .map(|w| BuildError::DuplicatePoint(w[0] as usize, w[1] as usize))
+        };
+        let mut seed = 0xD0B1Eu64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        for trial in 0..40 {
+            // A coarse grid, so some points repeat and many share a key.
+            let n = 5 + trial * 3;
+            let pts: Vec<Point> = (0..n)
+                .map(|_| p((next() % 9) as f64, (next() % 9) as f64 * 0.5))
+                .collect();
+            let got = Triangulation::curve_order(&pts).err();
+            assert_eq!(got, lex_first(&pts), "trial {trial}");
+        }
+        // One point five times: one run of equal keys.
+        let same = vec![p(2.0, 3.0); 5];
+        assert_eq!(
+            Triangulation::curve_order(&same),
+            Err(BuildError::DuplicatePoint(0, 1))
+        );
+        let distinct = [p(0.0, 0.0), p(1.0, 0.0), p(0.0, 1.0)];
+        let order = Triangulation::curve_order(&distinct).unwrap();
+        assert_eq!(order.len(), 3);
     }
 
     #[test]

@@ -1461,6 +1461,29 @@ mod tests {
     }
 
     #[test]
+    fn one_anchor_queries_plan_vs2_and_keep_every_tie() {
+        // A 20 × 20 lattice: a cell centre has four nearest points, an
+        // edge midpoint two, a lattice point one.
+        let data: Vec<Point> = (0..400)
+            .map(|i| Point::new(f64::from(i % 20), f64::from(i / 20)))
+            .collect();
+        let engine = Engine::new(&data, EngineConfig::default().with_workers(2)).unwrap();
+        for (q, ties) in [((7.5, 11.5), 4), ((3.0, 12.5), 2), ((15.0, 4.0), 1)] {
+            let q = vec![Point::new(q.0, q.1)];
+            let want = naive_full(&data, &QueryContext::new(&q)).skyline;
+            assert_eq!(want.len(), ties);
+            let [planned, forced] = [
+                QueryRequest::new(q.clone()),
+                QueryRequest::forced(q.clone(), Algorithm::B2s2),
+            ]
+            .map(|r| engine.submit(r).wait());
+            assert_eq!(planned.algorithm, Algorithm::Vs2, "{q:?}");
+            assert_eq!(planned.skyline, want, "{q:?}");
+            assert_eq!(forced.skyline, want, "{q:?}");
+        }
+    }
+
+    #[test]
     fn batch_answers_match_individual_submission() {
         let data = grid(250);
         let engine = Engine::new(&data, EngineConfig::default().with_workers(2)).unwrap();

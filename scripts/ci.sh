@@ -58,6 +58,9 @@ cargo test --release -q --test delta_chain -- --ignored
 echo "==> VS² tail work pin (release-only, #[ignore]d in the suites above: 200k points by |S| class; top class <= 2 rows per skyline point, walk equal to the certificate-free replay)"
 cargo test --release -q --test scale -- --ignored --nocapture
 
+echo "==> one-pass cell boxes (release-only, #[ignore]d in the suites above: 200k points, seeds 42 and 7; every box equal to the polygon path's bit for bit)"
+cargo test --release -q --test cell_boxes -- --ignored
+
 echo "==> reproduce count pin (Fig. 12b/12c/12e/12f, VCS² outcome mix, mixed |S| must print reproduce_output.txt's columns)"
 # The dominance-check and node-access columns, the continuous table's
 # outcome mix and the mixed table's skyline sizes are seeded counts, not

@@ -16,6 +16,7 @@
 //! 128 rows, so each input is large enough that tied members are still
 //! popping after that: hundreds of tied pairs, not a handful.
 
+mod degenerate;
 mod oracle;
 
 use std::sync::Mutex;
@@ -23,38 +24,11 @@ use std::sync::Mutex;
 use spatial_skyline::core::{naive_full, vs2_kernel, DistanceScratch, QueryContext, VoronoiIndex};
 use spatial_skyline::geom::{simd, Point};
 
+use degenerate::{integer_rings, lattice, p};
+
 /// [`simd::set_force_scalar`] is process-global, so tests that toggle it
 /// must not interleave; they serialize on this lock.
 static DISPATCH_LOCK: Mutex<()> = Mutex::new(());
-
-fn p(x: f64, y: f64) -> Point {
-    Point::new(x, y)
-}
-
-/// `cols × rows` integer lattice points.
-fn lattice(cols: i32, rows: i32) -> Vec<Point> {
-    (0..cols)
-        .flat_map(|i| (0..rows).map(move |j| p(i.into(), j.into())))
-        .collect()
-}
-
-/// The integer points on the circles `x² + y² = r²` about the origin, for
-/// each `r` — exactly cocircular, ties and all, in f64.
-fn integer_rings(radii: &[i64]) -> Vec<Point> {
-    let mut out = Vec::new();
-    for &r in radii {
-        for x in -r..=r {
-            let y = ((r * r - x * x) as f64).sqrt() as i64;
-            if x * x + y * y == r * r {
-                out.push(p(x as f64, y as f64));
-                if y != 0 {
-                    out.push(p(x as f64, -y as f64));
-                }
-            }
-        }
-    }
-    out
-}
 
 /// `n` points in a thin band above the x-axis and their exact mirror
 /// images below it.
