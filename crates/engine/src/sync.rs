@@ -27,7 +27,7 @@
 //! | 460 | `session.sky` | per-session continuous skyline |
 //! | 500 | `shard.merge` | router's per-caller arenas, held only to pop/push |
 //! | 600 | `engine.metrics` | aggregated metrics (histogram + per-gen) |
-//! | 700 | `net.conn.writer` | per-connection socket write half + encode scratch |
+//! | 700 | `net.conn.writer` | per-connection socket write half, held only for a write |
 //!
 //! Acquisition must follow strictly ascending ranks, which makes the
 //! wait-for graph acyclic and the system deadlock-free: a cycle would

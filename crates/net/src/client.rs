@@ -9,6 +9,13 @@
 //! requests in flight — the server answers in completion order, and the
 //! client matches replies to requests by id, parking out-of-order
 //! frames so [`Client::await_id`] can interleave freely.
+//!
+//! Request frames are encoded onto an out-buffer and written in one
+//! syscall: by [`Client::send`] once the buffer holds at least as many
+//! frames as are already on the wire unanswered, and before any read
+//! that may block. A pipelined caller thus keeps two half-windows in
+//! flight, one being answered while the other is written, and a
+//! synchronous helper still writes its one frame before it waits.
 
 use crate::wire::{self, Frame, FrameBuffer, QuerySpec, StatsResult, WireResult, WireUpdate};
 use crate::NetError;
@@ -34,7 +41,12 @@ pub struct Client {
     parked: VecDeque<(u64, Frame)>,
     next_id: u64,
     max_frame_len: usize,
-    scratch: Vec<u8>,
+    /// Encoded request frames not yet written.
+    out: Vec<u8>,
+    /// Frames in `out`.
+    buffered: usize,
+    /// Frames written whose reply has not been read yet.
+    unanswered: usize,
     max_retries: u32,
 }
 
@@ -49,7 +61,9 @@ impl Client {
             parked: VecDeque::new(),
             next_id: 0,
             max_frame_len: wire::DEFAULT_MAX_FRAME_LEN,
-            scratch: Vec::new(),
+            out: Vec::new(),
+            buffered: 0,
+            unanswered: 0,
             max_retries: DEFAULT_MAX_RETRIES,
         })
     }
@@ -78,20 +92,24 @@ impl Client {
     }
 
     /// Drops this connection and dials the server again. Pipelined
-    /// requests still in flight on the old connection are lost — their
-    /// ids will never be answered; callers using [`Client::submit`]
-    /// must resubmit after a reconnect.
+    /// requests still in flight on the old connection — written or still
+    /// buffered — are lost: their ids will never be answered; callers
+    /// using [`Client::submit`] must resubmit after a reconnect.
     pub fn reconnect(&mut self) -> Result<(), NetError> {
         self.stream = Self::dial(&self.addr)?;
         self.fb = FrameBuffer::new();
         self.parked.clear();
+        self.out.clear();
+        self.buffered = 0;
+        self.unanswered = 0;
         Ok(())
     }
 
     // ------------------------------------------------------ pipelining
 
     /// Sends a query frame without waiting; returns the request id to
-    /// pass to [`Client::await_id`].
+    /// pass to [`Client::await_id`]. The frame may stay buffered until a
+    /// later send or the next read (see [`Client::send`]).
     pub fn submit(&mut self, query: &[Point], force: Option<Algorithm>) -> Result<u64, NetError> {
         self.send(&Frame::Query {
             force,
@@ -114,13 +132,35 @@ impl Client {
 
     /// Sends any request frame without waiting; returns the assigned
     /// request id.
+    ///
+    /// The frame is appended to the client's out-buffer, which is written
+    /// in one syscall once it holds at least as many frames as are on the
+    /// wire unanswered — so the first frame after a quiet spell leaves at
+    /// once — and in any case before this client next blocks on a read
+    /// (`recv`, `await_id` or a synchronous helper). A write error
+    /// surfaces from whichever call writes.
     pub fn send(&mut self, frame: &Frame) -> Result<u64, NetError> {
         self.next_id += 1;
         let id = self.next_id;
-        self.scratch.clear();
-        wire::encode_frame(id, frame, self.max_frame_len, &mut self.scratch)?;
-        self.stream.write_all(&self.scratch)?;
+        wire::encode_frame(id, frame, self.max_frame_len, &mut self.out)?;
+        self.buffered += 1;
+        if self.buffered >= self.unanswered {
+            self.flush()?;
+        }
         Ok(id)
+    }
+
+    /// Writes every buffered frame in one `write_all`. The frames count
+    /// as on the wire even if the write fails: the connection is broken
+    /// then, and only a reconnect (which forgets them) helps.
+    fn flush(&mut self) -> Result<(), NetError> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        let written = self.stream.write_all(&self.out);
+        self.out.clear();
+        self.unanswered += std::mem::take(&mut self.buffered);
+        Ok(written?)
     }
 
     /// The next reply off the wire in arrival order (parked replies
@@ -154,14 +194,18 @@ impl Client {
     fn read_frame(&mut self) -> Result<(u64, Frame), NetError> {
         let mut chunk = [0u8; 16 * 1024];
         loop {
-            match self.fb.next(self.max_frame_len)? {
-                Some(envelope) => return Ok((envelope.request_id, envelope.frame)),
-                None => match self.stream.read(&mut chunk) {
-                    Ok(0) => return Err(NetError::Disconnected),
-                    Ok(n) => self.fb.extend(&chunk[..n]),
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(e) => return Err(NetError::Io(e)),
-                },
+            if let Some(envelope) = self.fb.next(self.max_frame_len)? {
+                self.unanswered = self.unanswered.saturating_sub(1);
+                return Ok((envelope.request_id, envelope.frame));
+            }
+            // The read may block: nothing the server is waiting for may
+            // still sit in the out-buffer.
+            self.flush()?;
+            match self.stream.read(&mut chunk) {
+                Ok(0) => return Err(NetError::Disconnected),
+                Ok(n) => self.fb.extend(&chunk[..n]),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(NetError::Io(e)),
             }
         }
     }

@@ -8,11 +8,21 @@
 //! work to the engine) and a **reply** thread (waits the engine
 //! [`Ticket`]s in FIFO order and writes responses). A query the engine
 //! answers at submission — a skyline-diagram hit, whose handle comes
-//! back already filled — is written by the reader itself, at once; every
-//! other reply leaves through the reply thread in submission order. So
-//! a hit can overtake earlier pending requests, and replies are matched
-//! to requests by id — that is what pipelining means here: a client may
+//! back already filled — is answered by the reader itself; every other
+//! reply leaves through the reply thread in submission order. So a hit
+//! can overtake earlier pending requests, and replies are matched to
+//! requests by id — that is what pipelining means here: a client may
 //! keep its whole window in flight without read/write turn-taking.
+//!
+//! ## Writes
+//!
+//! Both threads follow one rule: encode each reply onto a buffer the
+//! thread owns, and write the buffer in one syscall just before the
+//! thread would block — the reader when no complete frame is left in
+//! what it has read, the reply thread before it waits on an unready
+//! ticket or an empty queue — and on every way out. A burst of hits
+//! read in one `read` thus leaves in one `write`, and a reply is never
+//! held while its thread sleeps.
 //!
 //! ## Admission control (the state machine)
 //!
@@ -37,9 +47,10 @@
 //! and tears it down — in-flight tickets are then *discarded, not
 //! waited out*, and dropping a ticket never leaks a queue slot (the
 //! worker's eventual fill lands in an abandoned cell). The only
-//! per-connection buffers are one encode scratch (≤ the frame cap) and
-//! the reply queue of ticket handles (≤ the window), both bounded by
-//! construction.
+//! per-connection buffers are the two threads' reply buffers (each
+//! written out once it passes a fixed size, so ≤ that size plus one
+//! frame) and the reply queue of ticket handles (≤ the window), all
+//! bounded by construction.
 //!
 //! ## Shutdown
 //!
@@ -463,15 +474,10 @@ fn reap_finished(shared: &Arc<ServerShared>) {
 
 // ------------------------------------------------------- per connection
 
-struct ConnWriter {
-    stream: TcpStream,
-    scratch: Vec<u8>,
-}
-
 struct ConnShared {
-    /// The write half plus encode scratch — rank 700, the per-connection
-    /// leaf lock (see the rank table in `ssq_engine::sync`).
-    writer: RankedMutex<ConnWriter>,
+    /// The write half — rank 700, the per-connection leaf lock (see the
+    /// rank table in `ssq_engine::sync`), held only around a write.
+    writer: RankedMutex<TcpStream>,
     /// Set on any write failure/timeout or fatal protocol error; both
     /// threads check it and wind the connection down.
     dead: AtomicBool,
@@ -487,6 +493,18 @@ enum PendingReply {
     /// A sharded fan-out running on a dispatcher thread; the job
     /// delivers a ready-to-send frame.
     Routed(Ticket<Frame>),
+}
+
+impl PendingReply {
+    /// `true` once waiting on it will not block.
+    fn is_ready(&self) -> bool {
+        match self {
+            PendingReply::Query(ticket) => ticket.is_ready(),
+            PendingReply::Batch(ticket) => ticket.is_ready(),
+            PendingReply::Update(ticket) => ticket.is_ready(),
+            PendingReply::Routed(ticket) => ticket.is_ready(),
+        }
+    }
 }
 
 /// The reader→reply FIFO. A raw mutex/condvar pair like the pool queue
@@ -528,6 +546,11 @@ impl ReplyQueue {
         self.ready.notify_all();
     }
 
+    /// The next queued reply, without waiting.
+    fn try_pop(&self) -> Option<(u64, PendingReply)> {
+        lock_unpoisoned(&self.state).items.pop_front()
+    }
+
     fn pop(&self) -> Option<(u64, PendingReply)> {
         let mut s = lock_unpoisoned(&self.state);
         loop {
@@ -559,14 +582,7 @@ fn run_connection(shared: &Arc<ServerShared>, stream: TcpStream) {
         return;
     };
     let conn = Arc::new(ConnShared {
-        writer: RankedMutex::new(
-            "net.conn.writer",
-            RANK_NET_WRITER,
-            ConnWriter {
-                stream,
-                scratch: Vec::new(),
-            },
-        ),
+        writer: RankedMutex::new("net.conn.writer", RANK_NET_WRITER, stream),
         dead: AtomicBool::new(false),
         in_flight: AtomicUsize::new(0),
     });
@@ -582,6 +598,7 @@ fn run_connection(shared: &Arc<ServerShared>, stream: TcpStream) {
         return;
     };
 
+    let mut out = Outbox::new(shared, &conn);
     let mut sessions: HashMap<u64, SessionId> = HashMap::new();
     let mut next_session: u64 = 0;
     let graceful = read_loop(
@@ -589,9 +606,14 @@ fn run_connection(shared: &Arc<ServerShared>, stream: TcpStream) {
         &conn,
         &mut read_half,
         &replies,
+        &mut out,
         &mut sessions,
         &mut next_session,
     );
+    // Whichever way the reader left, what it answered goes out before
+    // the drain: a Goodbye or a protocol Error follows every reply the
+    // reader wrote before it.
+    out.flush();
 
     // Drain: the reply thread flushes (or, if the socket died, discards)
     // every in-flight ticket, then exits.
@@ -605,12 +627,10 @@ fn run_connection(shared: &Arc<ServerShared>, stream: TcpStream) {
         }
     }
     if graceful {
-        send_frame(shared, &conn, 0, &Frame::Goodbye);
+        out.push(0, &Frame::Goodbye);
+        out.flush();
     }
-    {
-        let w = conn.writer.lock();
-        let _ = w.stream.shutdown(Shutdown::Both);
-    }
+    let _ = conn.writer.lock().shutdown(Shutdown::Both);
     shared.metrics.record_close();
 }
 
@@ -619,6 +639,7 @@ fn read_loop(
     conn: &Arc<ConnShared>,
     read_half: &mut TcpStream,
     replies: &ReplyQueue,
+    out: &mut Outbox<'_>,
     sessions: &mut HashMap<u64, SessionId>,
     next_session: &mut u64,
 ) -> bool {
@@ -628,7 +649,8 @@ fn read_loop(
         loop {
             match fb.next(shared.config.max_frame_len) {
                 Ok(Some(envelope)) => {
-                    match handle_frame(shared, conn, replies, sessions, next_session, envelope) {
+                    match handle_frame(shared, conn, replies, out, sessions, next_session, envelope)
+                    {
                         Flow::Continue => {}
                         Flow::Drain => return true,
                         Flow::Abort => return false,
@@ -640,9 +662,7 @@ fn read_loop(
                     // cut the connection. No drain — the stream can no
                     // longer be trusted to carry it.
                     shared.metrics.record_frame_error();
-                    send_frame(
-                        shared,
-                        conn,
+                    out.push(
                         0,
                         &Frame::Error {
                             code: ErrorCode::Malformed,
@@ -653,6 +673,9 @@ fn read_loop(
                 }
             }
         }
+        // No complete frame is left: the read below may block, so what
+        // this pass answered goes out now, in one write.
+        out.flush();
         if conn.dead.load(Ordering::Acquire) {
             return false;
         }
@@ -672,6 +695,7 @@ fn handle_frame(
     shared: &Arc<ServerShared>,
     conn: &Arc<ConnShared>,
     replies: &ReplyQueue,
+    out: &mut Outbox<'_>,
     sessions: &mut HashMap<u64, SessionId>,
     next_session: &mut u64,
     envelope: wire::Envelope,
@@ -679,37 +703,40 @@ fn handle_frame(
     let id = envelope.request_id;
     match envelope.frame {
         Frame::Ping => {
-            send_frame(shared, conn, id, &Frame::Pong);
+            out.push(id, &Frame::Pong);
             Flow::Continue
         }
         Frame::Stats => {
             let frame = Frame::StatsResult(Box::new(stats(shared)));
-            send_frame(shared, conn, id, &frame);
+            out.push(id, &frame);
             Flow::Continue
         }
         Frame::Goodbye => Flow::Drain,
         Frame::Query { force, query } => {
-            if !admit(shared, conn, id) {
+            if !admit(shared, conn, out, id) {
                 return Flow::Continue;
             }
             match &*shared.backend {
                 Backend::Single(engine) => match engine.try_submit(QueryRequest { query, force }) {
                     // A diagram hit was answered at submission: the reader
-                    // writes it, with no window slot and no reply-queue hop.
+                    // buffers its reply, with no window slot and no
+                    // reply-queue hop.
                     Ok(handle) if handle.is_ready() => {
-                        send_frame(shared, conn, id, &query_result_frame(handle.wait()));
+                        out.push(id, &query_result_frame(handle.wait()));
                         Flow::Continue
                     }
                     Ok(handle) => enqueue(conn, replies, id, PendingReply::Query(handle)),
-                    Err(e) => submit_rejected(shared, conn, id, &e),
+                    Err(e) => submit_rejected(shared, out, id, &e),
                 },
-                Backend::Sharded(_) => dispatch_routed(shared, conn, replies, id, move |engine| {
-                    Ok(Frame::QueryResult(routed_result(engine.query(&query)?)))
-                }),
+                Backend::Sharded(_) => {
+                    dispatch_routed(shared, conn, replies, out, id, move |engine| {
+                        Ok(Frame::QueryResult(routed_result(engine.query(&query)?)))
+                    })
+                }
             }
         }
         Frame::Batch { queries } => {
-            if !admit(shared, conn, id) {
+            if !admit(shared, conn, out, id) {
                 return Flow::Continue;
             }
             match &*shared.backend {
@@ -720,23 +747,24 @@ fn handle_frame(
                         .collect();
                     match engine.try_submit_batch(requests) {
                         Ok(ticket) => enqueue(conn, replies, id, PendingReply::Batch(ticket)),
-                        Err(e) => submit_rejected(shared, conn, id, &e),
+                        Err(e) => submit_rejected(shared, out, id, &e),
                     }
                 }
-                Backend::Sharded(_) => dispatch_routed(shared, conn, replies, id, move |engine| {
-                    let qs: Vec<Vec<Point>> = queries.into_iter().map(|spec| spec.query).collect();
-                    let responses = engine.query_batch(&qs)?;
-                    Ok(Frame::BatchResult(
-                        responses.into_iter().map(routed_result).collect(),
-                    ))
-                }),
+                Backend::Sharded(_) => {
+                    dispatch_routed(shared, conn, replies, out, id, move |engine| {
+                        let qs: Vec<Vec<Point>> =
+                            queries.into_iter().map(|spec| spec.query).collect();
+                        let responses = engine.query_batch(&qs)?;
+                        Ok(Frame::BatchResult(
+                            responses.into_iter().map(routed_result).collect(),
+                        ))
+                    })
+                }
             }
         }
         Frame::SessionOpen { query } => {
             let Backend::Single(engine) = &*shared.backend else {
-                send_frame(
-                    shared,
-                    conn,
+                out.push(
                     id,
                     &Frame::Error {
                         code: ErrorCode::Unsupported,
@@ -758,7 +786,7 @@ fn handle_frame(
                 generation: engine.session_generation(sid).unwrap_or_default(),
                 skyline: engine.session_skyline(sid).unwrap_or_default(),
             };
-            send_frame(shared, conn, id, &frame);
+            out.push(id, &frame);
             Flow::Continue
         }
         Frame::SessionNext {
@@ -768,9 +796,7 @@ fn handle_frame(
             y,
         } => {
             let Backend::Single(engine) = &*shared.backend else {
-                send_frame(
-                    shared,
-                    conn,
+                out.push(
                     id,
                     &Frame::Error {
                         code: ErrorCode::Unsupported,
@@ -780,9 +806,7 @@ fn handle_frame(
                 return Flow::Continue;
             };
             let Some(&sid) = sessions.get(&session) else {
-                send_frame(
-                    shared,
-                    conn,
+                out.push(
                     id,
                     &Frame::Error {
                         code: ErrorCode::NoSuchSession,
@@ -791,12 +815,12 @@ fn handle_frame(
                 );
                 return Flow::Continue;
             };
-            if !admit(shared, conn, id) {
+            if !admit(shared, conn, out, id) {
                 return Flow::Continue;
             }
             match engine.update_session(sid, object as usize, Point::new(x, y)) {
                 Ok(handle) => enqueue(conn, replies, id, PendingReply::Update(handle)),
-                Err(e) => submit_rejected(shared, conn, id, &e),
+                Err(e) => submit_rejected(shared, out, id, &e),
             }
         }
         Frame::SessionClose { session } => {
@@ -804,7 +828,7 @@ fn handle_frame(
                 (Backend::Single(engine), Some(sid)) => engine.close_session(sid),
                 _ => false,
             };
-            send_frame(shared, conn, id, &Frame::SessionClosed { existed });
+            out.push(id, &Frame::SessionClosed { existed });
             Flow::Continue
         }
         // A client must never send response frames; framing is fine but
@@ -819,9 +843,7 @@ fn handle_frame(
         | Frame::RetryLater { .. }
         | Frame::Error { .. } => {
             shared.metrics.record_frame_error();
-            send_frame(
-                shared,
-                conn,
+            out.push(
                 id,
                 &Frame::Error {
                     code: ErrorCode::Malformed,
@@ -835,12 +857,10 @@ fn handle_frame(
 
 /// The per-client window check. A full window sheds with `RetryLater`
 /// (a diagram hit included: the check runs before the engine is asked).
-fn admit(shared: &Arc<ServerShared>, conn: &ConnShared, id: u64) -> bool {
+fn admit(shared: &Arc<ServerShared>, conn: &ConnShared, out: &mut Outbox<'_>, id: u64) -> bool {
     if conn.in_flight.load(Ordering::Acquire) >= shared.config.per_client_window {
         shared.metrics.record_shed_request();
-        send_frame(
-            shared,
-            conn,
+        out.push(
             id,
             &Frame::RetryLater {
                 backoff_ms: shared.config.retry_backoff_ms,
@@ -862,16 +882,14 @@ fn enqueue(conn: &ConnShared, replies: &ReplyQueue, id: u64, reply: PendingReply
 /// sheds, closed drains the connection, anything else is an error frame.
 fn submit_rejected(
     shared: &Arc<ServerShared>,
-    conn: &ConnShared,
+    out: &mut Outbox<'_>,
     id: u64,
     error: &EngineError,
 ) -> Flow {
     match error {
         EngineError::QueueFull => {
             shared.metrics.record_shed_request();
-            send_frame(
-                shared,
-                conn,
+            out.push(
                 id,
                 &Frame::RetryLater {
                     backoff_ms: shared.config.retry_backoff_ms,
@@ -880,9 +898,7 @@ fn submit_rejected(
             Flow::Continue
         }
         EngineError::Closed => {
-            send_frame(
-                shared,
-                conn,
+            out.push(
                 id,
                 &Frame::Error {
                     code: ErrorCode::Shutdown,
@@ -892,9 +908,7 @@ fn submit_rejected(
             Flow::Drain
         }
         other => {
-            send_frame(
-                shared,
-                conn,
+            out.push(
                 id,
                 &Frame::Error {
                     code: ErrorCode::Internal,
@@ -915,11 +929,12 @@ fn dispatch_routed(
     shared: &Arc<ServerShared>,
     conn: &ConnShared,
     replies: &ReplyQueue,
+    out: &mut Outbox<'_>,
     id: u64,
     job: impl FnOnce(&ShardedEngine) -> Result<Frame, ShardError> + Send + 'static,
 ) -> Flow {
     let Some(dispatch) = shared.dispatch.as_ref() else {
-        send_frame(shared, conn, id, &internal_frame("no dispatcher pool"));
+        out.push(id, &internal_frame("no dispatcher pool"));
         return Flow::Continue;
     };
     let backend = Arc::clone(&shared.backend);
@@ -936,9 +951,7 @@ fn dispatch_routed(
         Ok(()) => enqueue(conn, replies, id, PendingReply::Routed(ticket)),
         Err(TrySubmitError::Full) => {
             shared.metrics.record_shed_request();
-            send_frame(
-                shared,
-                conn,
+            out.push(
                 id,
                 &Frame::RetryLater {
                     backoff_ms: shared.config.retry_backoff_ms,
@@ -947,9 +960,7 @@ fn dispatch_routed(
             Flow::Continue
         }
         Err(TrySubmitError::Closed) => {
-            send_frame(
-                shared,
-                conn,
+            out.push(
                 id,
                 &Frame::Error {
                     code: ErrorCode::Shutdown,
@@ -981,7 +992,23 @@ fn routed_result(resp: ShardedResponse) -> WireResult {
 // ------------------------------------------------------------ reply side
 
 fn reply_loop(shared: &Arc<ServerShared>, conn: &Arc<ConnShared>, replies: &ReplyQueue) {
-    while let Some((id, reply)) = replies.pop() {
+    let mut out = Outbox::new(shared, conn);
+    loop {
+        // Before either wait that may block — on an empty queue, or on an
+        // unready ticket — what is buffered goes out.
+        let (id, reply) = match replies.try_pop() {
+            Some(item) => item,
+            None => {
+                out.flush();
+                match replies.pop() {
+                    Some(item) => item,
+                    None => return, // closed and drained; nothing buffered
+                }
+            }
+        };
+        if !reply.is_ready() {
+            out.flush();
+        }
         let frame = match reply {
             PendingReply::Query(ticket) => wait_reply(ticket, conn).map(query_result_frame),
             PendingReply::Batch(ticket) => wait_reply(ticket, conn).map(|responses| {
@@ -991,7 +1018,7 @@ fn reply_loop(shared: &Arc<ServerShared>, conn: &Arc<ConnShared>, replies: &Repl
             PendingReply::Routed(ticket) => wait_reply(ticket, conn),
         };
         if let Some(frame) = frame {
-            send_frame(shared, conn, id, &frame);
+            out.push(id, &frame);
         }
         conn.in_flight.fetch_sub(1, Ordering::AcqRel);
     }
@@ -1050,61 +1077,84 @@ fn stats(shared: &ServerShared) -> StatsResult {
     }
 }
 
-/// Encodes and writes one frame under the connection's writer lock.
-///
-/// Any failure — encode over the cap with no room even for the
-/// fallback, write error, write timeout — marks the connection dead
-/// and returns `false`; the caller's teardown path takes it from
-/// there. Never blocks past [`ServerConfig::write_timeout`].
-fn send_frame(shared: &ServerShared, conn: &ConnShared, request_id: u64, frame: &Frame) -> bool {
-    if conn.dead.load(Ordering::Acquire) {
-        return false;
-    }
-    let mut guard = conn.writer.lock();
-    let w = &mut *guard;
-    w.scratch.clear();
-    if wire::encode_frame(
-        request_id,
-        frame,
-        shared.config.max_frame_len,
-        &mut w.scratch,
-    )
-    .is_err()
-    {
-        // The response outgrew the frame cap (a skyline bigger than the
-        // configured cap). Degrade to a typed error so the client's
-        // request does not dangle.
-        w.scratch.clear();
-        let fallback = Frame::Error {
-            code: ErrorCode::Internal,
-            message: "response exceeded the frame length cap".into(),
-        };
-        if wire::encode_frame(
-            request_id,
-            &fallback,
-            shared.config.max_frame_len,
-            &mut w.scratch,
-        )
-        .is_err()
-        {
-            conn.dead.store(true, Ordering::Release);
-            let _ = w.stream.shutdown(Shutdown::Both);
-            return false;
+/// A reply buffer past this many bytes is written at once, so a burst
+/// of big replies (a run of pipelined `Stats` frames, say) cannot grow
+/// it without bound.
+const OUTBOX_FLUSH_BYTES: usize = 64 * 1024;
+
+/// The replies one thread has encoded for its connection and not yet
+/// written. Each thread that writes to a connection owns one, appends
+/// with [`Outbox::push`] and calls [`Outbox::flush`] just before it
+/// would block, so a run of replies costs one syscall.
+struct Outbox<'a> {
+    shared: &'a ServerShared,
+    conn: &'a ConnShared,
+    buf: Vec<u8>,
+}
+
+impl<'a> Outbox<'a> {
+    fn new(shared: &'a ServerShared, conn: &'a ConnShared) -> Outbox<'a> {
+        Outbox {
+            shared,
+            conn,
+            buf: Vec::new(),
         }
     }
-    match w.stream.write_all(&w.scratch) {
-        Ok(()) => {
-            shared.metrics.record_bytes_out(w.scratch.len());
-            true
+
+    /// Encodes one reply onto the buffer.
+    ///
+    /// A reply over the frame cap (a skyline bigger than the configured
+    /// cap) degrades to a typed error for its own id, so the client's
+    /// request does not dangle; the frames around it are kept, as
+    /// `encode_frame` leaves the buffer as it was when it fails. A cap
+    /// with no room even for that error marks the connection dead, after
+    /// the frames before it are written.
+    fn push(&mut self, request_id: u64, frame: &Frame) {
+        if self.conn.dead.load(Ordering::Acquire) {
+            return;
         }
-        Err(e) => {
-            if matches!(e.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock) {
-                shared.metrics.record_write_timeout();
+        let cap = self.shared.config.max_frame_len;
+        if wire::encode_frame(request_id, frame, cap, &mut self.buf).is_err() {
+            let fallback = Frame::Error {
+                code: ErrorCode::Internal,
+                message: "response exceeded the frame length cap".into(),
+            };
+            if wire::encode_frame(request_id, &fallback, cap, &mut self.buf).is_err() {
+                self.flush();
+                self.conn.dead.store(true, Ordering::Release);
+                let _ = self.conn.writer.lock().shutdown(Shutdown::Both);
+                return;
             }
-            conn.dead.store(true, Ordering::Release);
-            let _ = w.stream.shutdown(Shutdown::Both);
-            false
         }
+        if self.buf.len() >= OUTBOX_FLUSH_BYTES {
+            self.flush();
+        }
+    }
+
+    /// Writes the buffer in one `write_all`, holding the connection's
+    /// writer lock for the write alone.
+    ///
+    /// A write error or timeout marks the connection dead (the caller's
+    /// teardown path takes it from there) and drops what was buffered.
+    /// Never blocks past [`ServerConfig::write_timeout`].
+    fn flush(&mut self) {
+        if self.buf.is_empty() {
+            return;
+        }
+        if !self.conn.dead.load(Ordering::Acquire) {
+            let mut stream = self.conn.writer.lock();
+            match stream.write_all(&self.buf) {
+                Ok(()) => self.shared.metrics.record_bytes_out(self.buf.len()),
+                Err(e) => {
+                    if matches!(e.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock) {
+                        self.shared.metrics.record_write_timeout();
+                    }
+                    self.conn.dead.store(true, Ordering::Release);
+                    let _ = stream.shutdown(Shutdown::Both);
+                }
+            }
+        }
+        self.buf.clear();
     }
 }
 

@@ -1,15 +1,21 @@
 //! End-to-end over real sockets on loopback: the server's answers must
 //! be identical to direct [`Engine::submit`], under real concurrency
 //! (8 connections × 16-deep pipelining), and overload must shed with
-//! typed `RetryLater` — never a hang, never an unbounded buffer.
+//! typed `RetryLater` — never a hang, never an unbounded buffer. Both
+//! ends buffer frames and write just before they would block, so the
+//! last two groups pin what that must not change: reply order around a
+//! `Goodbye`, a protocol error or an oversized reply, and a client that
+//! never strands a request it has buffered.
 
 use ssq_core::{naive_full, vs2_kernel, DistanceScratch, QueryContext, UpdateBatch};
 use ssq_engine::{Algorithm, DiagramConfig, Engine, EngineConfig, QueryRequest};
 use ssq_geom::Point;
-use ssq_net::wire::{ALGORITHM_ROUTED, SERVED_BY_DIAGRAM};
-use ssq_net::{Client, Frame, Server, ServerConfig};
+use ssq_net::wire::{self, ALGORITHM_ROUTED, SERVED_BY_DIAGRAM};
+use ssq_net::{Client, ErrorCode, Frame, Server, ServerConfig};
 use ssq_rng::Xoshiro256;
 use ssq_shard::{PartitionPolicy, ShardConfig, ShardedEngine};
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -549,4 +555,322 @@ fn a_connection_cap_of_one_sheds_the_second_dial() {
     let metrics = server.shutdown();
     assert!(third.is_some(), "the freed slot must accept again");
     assert!(metrics.net.shed_connections >= 1);
+}
+
+// ------------------------------------------------ coalesced writes: order
+
+/// Answers are `Engine::submit`'s on this engine, taken before it moves
+/// behind the socket.
+fn oracle(engine: &Engine, queries: &[Vec<Point>]) -> Vec<Vec<u32>> {
+    queries
+        .iter()
+        .map(|q| engine.submit(QueryRequest::new(q.clone())).wait().skyline)
+        .collect()
+}
+
+/// An engine with the skyline diagram on, so every 1-point query is a
+/// hit its connection's reader answers itself.
+fn diagram_engine(seed: u64) -> Engine {
+    let config = EngineConfig::default()
+        .with_workers(2)
+        .with_diagram(DiagramConfig::default());
+    Engine::new(&dataset(400, seed), config).unwrap()
+}
+
+fn one_point_queries(n: usize, seed: u64) -> Vec<Vec<Point>> {
+    let mut rng = Xoshiro256::seed_from_u64(seed);
+    (0..n)
+        .map(|_| vec![Point::new(rng.f64() * 10.0, rng.f64() * 10.0)])
+        .collect()
+}
+
+/// Appends query frames with ids `first..` to `out`.
+fn encode_queries(first: u64, queries: &[Vec<Point>], out: &mut Vec<u8>) {
+    for (i, q) in queries.iter().enumerate() {
+        let frame = Frame::Query {
+            force: None,
+            query: q.clone(),
+        };
+        wire::encode_frame(first + i as u64, &frame, wire::DEFAULT_MAX_FRAME_LEN, out).unwrap();
+    }
+}
+
+/// A plain socket to `server`, with a read deadline so a missing reply
+/// fails the test instead of hanging it.
+fn raw_connect(server: &Server) -> TcpStream {
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    stream
+}
+
+/// Reply frames in arrival order, read until `want` of them arrived or
+/// the server closed the socket.
+fn read_replies(stream: &mut TcpStream, want: usize) -> Vec<(u64, Frame)> {
+    let mut fb = wire::FrameBuffer::new();
+    let mut replies = Vec::new();
+    let mut chunk = [0u8; 4096];
+    while replies.len() < want {
+        if let Some(envelope) = fb.next(wire::DEFAULT_MAX_FRAME_LEN).unwrap() {
+            replies.push((envelope.request_id, envelope.frame));
+            continue;
+        }
+        match stream.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(n) => fb.extend(&chunk[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => break,
+            Err(e) => panic!("no reply within the deadline after {replies:?}: {e}"),
+        }
+    }
+    replies
+}
+
+/// Checks that `replies` answer ids `first..first + expected.len()`, each
+/// exactly once, with `expected`'s skylines.
+fn assert_answers(replies: &[(u64, Frame)], first: u64, expected: &[Vec<u32>]) {
+    assert_eq!(replies.len(), expected.len(), "{replies:?}");
+    let mut seen = vec![false; expected.len()];
+    for (id, frame) in replies {
+        let i = (id - first) as usize;
+        assert!(!seen[i], "request {id} answered twice");
+        seen[i] = true;
+        match frame {
+            Frame::QueryResult(result) => {
+                assert_eq!(result.skyline, expected[i], "request {id}");
+                assert_eq!(result.served_by, SERVED_BY_DIAGRAM, "request {id}");
+            }
+            other => panic!("request {id}: unexpected frame {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn sixty_four_hits_written_at_once_are_all_answered() {
+    let engine = diagram_engine(0x71);
+    let queries = one_point_queries(64, 0x72);
+    let expected = oracle(&engine, &queries);
+    let server = Server::serve("127.0.0.1:0", engine, ServerConfig::default()).unwrap();
+    let mut stream = raw_connect(&server);
+    let mut burst = Vec::new();
+    encode_queries(1, &queries, &mut burst);
+    stream.write_all(&burst).unwrap();
+
+    assert_answers(&read_replies(&mut stream, 64), 1, &expected);
+    drop(stream);
+    let metrics = server.shutdown();
+    assert_eq!(metrics.net.frame_errors, 0);
+}
+
+#[test]
+fn a_goodbye_behind_pipelined_hits_follows_every_reply() {
+    let engine = diagram_engine(0x73);
+    let queries = one_point_queries(32, 0x74);
+    let expected = oracle(&engine, &queries);
+    let server = Server::serve("127.0.0.1:0", engine, ServerConfig::default()).unwrap();
+    let mut stream = raw_connect(&server);
+    let mut burst = Vec::new();
+    encode_queries(1, &queries, &mut burst);
+    wire::encode_frame(33, &Frame::Goodbye, wire::DEFAULT_MAX_FRAME_LEN, &mut burst).unwrap();
+    stream.write_all(&burst).unwrap();
+
+    let mut replies = read_replies(&mut stream, usize::MAX);
+    assert!(
+        matches!(replies.pop(), Some((0, Frame::Goodbye))),
+        "the server's Goodbye must come last"
+    );
+    assert_answers(&replies, 1, &expected);
+    server.shutdown();
+}
+
+#[test]
+fn a_malformed_frame_after_hits_is_answered_after_them() {
+    let engine = diagram_engine(0x75);
+    let queries = one_point_queries(8, 0x76);
+    let expected = oracle(&engine, &queries);
+    let server = Server::serve("127.0.0.1:0", engine, ServerConfig::default()).unwrap();
+    let mut stream = raw_connect(&server);
+    let mut burst = Vec::new();
+    encode_queries(1, &queries, &mut burst);
+    let bad = burst.len();
+    wire::encode_frame(9, &Frame::Ping, wire::DEFAULT_MAX_FRAME_LEN, &mut burst).unwrap();
+    burst[bad + 4] = wire::WIRE_VERSION + 1; // the version byte after the length
+    stream.write_all(&burst).unwrap();
+
+    let mut replies = read_replies(&mut stream, usize::MAX);
+    match replies.pop() {
+        Some((0, Frame::Error { code, .. })) => assert_eq!(code, ErrorCode::Malformed),
+        other => panic!("expected a Malformed error last, got {other:?}"),
+    }
+    assert_answers(&replies, 1, &expected);
+    let metrics = server.shutdown();
+    assert_eq!(metrics.net.frame_errors, 1);
+}
+
+#[test]
+fn an_oversized_reply_in_a_burst_replaces_only_itself() {
+    // Under a 96-byte cap every request and every 1-point answer fits,
+    // and so does the fallback error, but not the answer to a triangle
+    // spanning the universe: every point inside the hull is a skyline
+    // point.
+    const CAP: usize = 96;
+    let engine = diagram_engine(0x77);
+    let big = vec![
+        Point::new(1.0, 1.0),
+        Point::new(9.0, 2.0),
+        Point::new(5.0, 9.0),
+    ];
+    let queries = one_point_queries(8, 0x78);
+    let expected = oracle(&engine, &queries);
+    assert!(oracle(&engine, std::slice::from_ref(&big))[0].len() > 40);
+    let server = Server::serve(
+        "127.0.0.1:0",
+        engine,
+        ServerConfig::default().with_max_frame_len(CAP),
+    )
+    .unwrap();
+    let mut stream = raw_connect(&server);
+    let is_cap_error = |frame: &Frame| {
+        matches!(frame, Frame::Error { code: ErrorCode::Internal, message }
+            if message.contains("frame length cap"))
+    };
+    // Alone first: the cold shape is a pool job; answering it admits the
+    // shape, so in the burst below it is a hit beside the others.
+    let mut first = Vec::new();
+    encode_queries(1, std::slice::from_ref(&big), &mut first);
+    stream.write_all(&first).unwrap();
+    let replies = read_replies(&mut stream, 1);
+    assert!(is_cap_error(&replies[0].1), "{replies:?}");
+
+    let mut burst = Vec::new();
+    encode_queries(2, &queries[..4], &mut burst);
+    encode_queries(6, &[big], &mut burst);
+    encode_queries(7, &queries[4..], &mut burst);
+    stream.write_all(&burst).unwrap();
+    let mut replies = read_replies(&mut stream, 9);
+    let at = replies.iter().position(|(id, _)| *id == 6).unwrap();
+    let (_, oversized) = replies.remove(at);
+    assert!(is_cap_error(&oversized), "{oversized:?}");
+    let renumbered: Vec<(u64, Frame)> = replies
+        .into_iter()
+        .map(|(id, frame)| (if id > 6 { id - 1 } else { id }, frame))
+        .collect();
+    assert_answers(&renumbered, 2, &expected);
+    drop(stream);
+    let metrics = server.shutdown();
+    assert_eq!(metrics.net.frame_errors, 0);
+}
+
+// --------------------------------------------- coalesced writes: liveness
+
+/// Runs `f` on a thread; a client stranded by frames it never wrote
+/// fails the test after a deadline instead of hanging it.
+fn within_deadline<T: Send + 'static>(
+    server: Server,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> (Server, T) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(Duration::from_secs(30)) {
+        Ok(value) => (server, value),
+        Err(_) => {
+            // Dropping the server would wait for the wedged connection.
+            std::mem::forget(server);
+            panic!("the client stopped making progress");
+        }
+    }
+}
+
+/// A plain engine behind a server, 33 query sets and their answers.
+fn liveness_fixture(seed: u64) -> (Server, Vec<Vec<Point>>, Vec<Vec<u32>>) {
+    let data = dataset(300, seed);
+    let engine = Engine::new(&data, EngineConfig::default().with_workers(2)).unwrap();
+    let mut rng = Xoshiro256::seed_from_u64(seed + 1);
+    let queries: Vec<Vec<Point>> = (0..33).map(|_| random_query(&mut rng)).collect();
+    let expected = oracle(&engine, &queries);
+    let server = Server::serve("127.0.0.1:0", engine, ServerConfig::default()).unwrap();
+    (server, queries, expected)
+}
+
+fn expect_result(frame: Frame, expected: &[u32], what: &str) {
+    match frame {
+        Frame::QueryResult(result) => assert_eq!(result.skyline, expected, "{what}"),
+        other => panic!("{what}: unexpected frame {other:?}"),
+    }
+}
+
+#[test]
+fn every_pipelined_depth_is_answered_when_awaited_in_reverse() {
+    let (server, queries, expected) = liveness_fixture(0x81);
+    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+    let (server, ()) = within_deadline(server, move || {
+        for k in 1..=queries.len() {
+            let ids: Vec<u64> = queries[..k]
+                .iter()
+                .map(|q| client.submit(q, None).unwrap())
+                .collect();
+            // The last id first: every earlier reply is parked on the way.
+            for (i, id) in ids.into_iter().enumerate().rev() {
+                expect_result(
+                    client.await_id(id).unwrap(),
+                    &expected[i],
+                    &format!("k {k}"),
+                );
+            }
+        }
+        client.goodbye().unwrap();
+    });
+    server.shutdown();
+}
+
+#[test]
+fn sync_helpers_right_after_buffered_submits_succeed() {
+    let (server, queries, expected) = liveness_fixture(0x83);
+    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+    let (server, ()) = within_deadline(server, move || {
+        // Seven submits with no read between them leave the last three
+        // buffered (written at 1, 2, 4; held until four more are in).
+        let ids: Vec<u64> = queries[..7]
+            .iter()
+            .map(|q| client.submit(q, None).unwrap())
+            .collect();
+        client.ping().unwrap();
+        assert_eq!(client.query(&queries[8]).unwrap().skyline, expected[8]);
+        for (i, id) in ids.into_iter().enumerate() {
+            expect_result(client.await_id(id).unwrap(), &expected[i], "parked");
+        }
+        client.goodbye().unwrap();
+    });
+    server.shutdown();
+}
+
+#[test]
+fn a_reconnect_with_frames_buffered_serves_the_next_query() {
+    let (server, queries, expected) = liveness_fixture(0x85);
+    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+    let (server, ()) = within_deadline(server, move || {
+        for q in &queries[..7] {
+            client.submit(q, None).unwrap();
+        }
+        client.reconnect().unwrap();
+        assert_eq!(client.query(&queries[9]).unwrap().skyline, expected[9]);
+        client.goodbye().unwrap();
+    });
+    server.shutdown();
+}
+
+#[test]
+fn a_goodbye_with_frames_buffered_completes() {
+    let (server, queries, _) = liveness_fixture(0x87);
+    let mut client = Client::connect(&server.local_addr().to_string()).unwrap();
+    let (server, ()) = within_deadline(server, move || {
+        for q in &queries[..7] {
+            client.submit(q, None).unwrap();
+        }
+        client.goodbye().unwrap();
+    });
+    let metrics = server.shutdown();
+    assert_eq!(metrics.net.frame_errors, 0);
 }

@@ -52,6 +52,11 @@ echo "==> cargo test (SSQ_FORCE_SCALAR=1 — scalar tile-kernel oracle)"
 # tile kernels above, the scalar oracle here. Same binaries, no rebuild.
 SSQ_FORCE_SCALAR=1 cargo test --workspace -q
 
+echo "==> loopback suite 10× in release (each connection's reader and reply thread buffer replies and write just before they block; repeated runs vary how the two interleave)"
+for _ in $(seq 1 10); do
+    cargo test --release -q -p ssq-net --test loopback
+done
+
 echo "==> delta chain (release-only, #[ignore]d in the suites above: 500 snapshot generations, tombstone rebuilds, node and chunk sharing, layout decay; the 100k/400k/1M publish scaling row)"
 cargo test --release -q --test delta_chain -- --ignored
 
